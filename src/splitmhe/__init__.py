@@ -4,6 +4,7 @@ from .errors import (
     DimensionMismatchError,
     FactorizationError,
     LocalSolveError,
+    NonFiniteDataError,
     NotPositiveDefiniteError,
     OriginSingularityError,
     PartitionError,
@@ -42,6 +43,7 @@ from .problem import (
 from .qp_core import (
     QpBlock,
     QpSolution,
+    StageBlock,
     dense_kkt_oracle,
     kkt_residual_qp,
     schur_terms,

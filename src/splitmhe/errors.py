@@ -32,6 +32,10 @@ class FactorizationError(SplitMheError):
         self.block_index = block_index
 
 
+class NonFiniteDataError(FactorizationError):
+    """QP data handed to a factorization contains NaN or infinite entries."""
+
+
 class NotPositiveDefiniteError(FactorizationError):
     """A block Hessian is not positive definite."""
 

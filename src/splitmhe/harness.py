@@ -427,6 +427,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"inconsistent scenario arrays in {path}")
     if scenario.measurements.shape != (scenario.steps + 1, 2):
         raise ScenarioError(f"inconsistent scenario arrays in {path}")
+    values = (scenario.T, scenario.sigma_r, scenario.sigma_alpha)
+    arrays = (scenario.controls, scenario.true_states, scenario.measurements)
+    if not (np.isfinite(values).all() and all(np.isfinite(a).all() for a in arrays)):
+        raise ScenarioError(f"non-finite values in scenario file {path}")
     return scenario
 
 

@@ -22,10 +22,13 @@ import numpy as np
 from .errors import LocalSolveError, OriginSingularityError, SingularKktError
 from .problem import (
     SubProblem,
+    block_diagonal_matrix,
     constraint_vector,
+    eval_constraint_stages,
     eval_constraints,
     eval_residual_stack,
     residual_vector,
+    stage_constraint_transpose,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,15 +94,49 @@ def first_order_conditions(
     Affine in the parameters ``(y_ref, lam)``.
     """
     b, J = eval_residual_stack(sub, x)
-    F, C = eval_constraints(sub, x)
+    F, D = eval_constraint_stages(sub, x)
     grad = J.T @ b + sub.apply_coupling_transpose(lam) + rho * (np.asarray(x, dtype=float) - y_ref)
-    grad = grad + C.T @ mu
+    grad = grad + stage_constraint_transpose(D, mu)
     return np.concatenate([grad, F])
 
 
 def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float) -> float:
     """Infinity norm of the augmented-Lagrangian gradient and the dynamics defects."""
     return float(np.abs(first_order_conditions(sub, x, mu, lam, y_ref, rho)).max())
+
+
+def lagrangian_hessian_stages(
+    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian"
+) -> Array:
+    """Per-state blocks ``(length + 1, nx, nx)`` of :func:`lagrangian_hessian`.
+
+    Every residual and every dynamics defect touches one state (the defects'
+    curvature sits on the earlier state), so the Lagrangian Hessian of a
+    sub-window is block-diagonal per state.
+    """
+    if mode not in ("gauss_newton", "exact_lagrangian"):
+        raise ValueError(f"unknown hessian mode {mode!r}")
+    b, J = eval_residual_stack(sub, x)
+    m = sub.model
+    nx, ny = m.nx, m.ny
+    H = np.zeros((sub.length + 1, nx, nx))
+    H[:] = rho * np.eye(nx)
+    row = 0
+    if sub.has_prior:
+        H[0] += J[:nx, :nx].T @ J[:nx, :nx]
+        row = nx
+    offsets = np.asarray(sub.meas_offsets)
+    # measurement k's rows touch only state meas_offsets[k]
+    Jm = J[row:].reshape(len(offsets), ny, sub.length + 1, nx)[np.arange(len(offsets)), :, offsets]
+    H[offsets] += np.swapaxes(Jm, 1, 2) @ Jm
+    if mode == "exact_lagrangian":
+        states = sub.states(x)
+        for k, off in enumerate(sub.meas_offsets):
+            w = sub.v_inv_sqrt.T @ b[row + k * ny:row + (k + 1) * ny]
+            H[off] += m.d2h(states[off], w)
+        for k in range(sub.length):
+            H[k] -= m.d2f(states[k], sub.controls[k], mu[k * nx:(k + 1) * nx])
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
 def lagrangian_hessian(sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian") -> Array:
@@ -109,26 +146,7 @@ def lagrangian_hessian(sub: SubProblem, x: Array, mu: Array, rho: float, mode: s
     residual curvature (weighted observation Hessians) and the constraint
     curvature (dynamics Hessians contracted with ``mu``). Always symmetric.
     """
-    b, J = eval_residual_stack(sub, x)
-    n = sub.block_dim
-    H = J.T @ J + rho * np.eye(n)
-    if mode == "gauss_newton":
-        return H
-    if mode != "exact_lagrangian":
-        raise ValueError(f"unknown hessian mode {mode!r}")
-    m = sub.model
-    states = sub.states(x)
-    row = m.nx if sub.has_prior else 0
-    for k, off in enumerate(sub.meas_offsets):
-        w = sub.v_inv_sqrt.T @ b[row:row + m.ny]
-        cols = slice(off * m.nx, (off + 1) * m.nx)
-        H[cols, cols] += m.d2h(states[off], w)
-        row += m.ny
-    for k in range(sub.length):
-        w = mu[k * m.nx:(k + 1) * m.nx]
-        cols = slice(k * m.nx, (k + 1) * m.nx)
-        H[cols, cols] -= m.d2f(states[k], sub.controls[k], w)
-    return 0.5 * (H + H.T)
+    return block_diagonal_matrix(lagrangian_hessian_stages(sub, x, mu, rho, mode))
 
 
 def sensitivity_matrices(
@@ -151,7 +169,7 @@ def sensitivity_matrices(
     M[n:, :n] = C
     N = np.zeros((n + m_rows, n + r))
     N[:n, :n] = -rho * np.eye(n)
-    N[:n, n:] = sub.coupling_matrix().T
+    N[:n, n:] = sub.apply_coupling_transpose(np.eye(r))
     return SensitivityPair(M=M, N=N)
 
 

@@ -194,8 +194,9 @@ class SubProblem:
         return out
 
     def apply_coupling_transpose(self, lam: Array) -> Array:
+        """``A' lam``; a matrix ``lam`` is mapped column by column."""
         nx = self.model.nx
-        out = np.zeros(self.block_dim)
+        out = np.zeros((self.block_dim,) + np.shape(lam)[1:])
         if self.plus_row is not None:
             out[self.block_dim - nx:] = lam[self.plus_row * nx:(self.plus_row + 1) * nx]
         if self.minus_row is not None:
@@ -303,20 +304,62 @@ def constraint_vector(sub: SubProblem, X: Array) -> Array:
     return F
 
 
-def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
-    """Dynamics defects and their exact Jacobian with respect to the block."""
+# Layout of the stage form, shared with qp_core.StageBlock. It lives here, not
+# in qp_core, so that importing this module does not import scipy: with scipy
+# imported from inside this module, `import splitmhe` in a fresh interpreter
+# took about 10 % longer.
+
+
+def block_diagonal_matrix(blocks: Array) -> Array:
+    """Dense matrix with the ``(k, nx, nx)`` stack ``blocks`` on its diagonal."""
+    k, nx, _ = blocks.shape
+    out = np.zeros((k, nx, k, nx))
+    idx = np.arange(k)
+    out[idx, :, idx, :] = blocks
+    return out.reshape(k * nx, k * nx)
+
+
+def stage_constraint_matrix(D: Array) -> Array:
+    """Dense block-bidiagonal Jacobian whose block row ``k`` is ``[-D_k, I]``."""
+    t, nx, _ = D.shape
+    C = np.zeros((t, nx, t + 1, nx))
+    k = np.arange(t)
+    C[k, :, k, :] = -D
+    C[k, :, k + 1, :] = np.eye(nx)
+    return C.reshape(t * nx, (t + 1) * nx)
+
+
+def stage_constraint_transpose(D: Array, mu: Array) -> Array:
+    """``C' mu`` for the block rows ``[-D_k, I]``, without forming ``C``."""
+    t, nx, _ = D.shape
+    mu = np.asarray(mu, dtype=float).reshape(t, nx)
+    out = np.zeros((t + 1, nx))
+    out[:-1] = -(np.swapaxes(D, 1, 2) @ mu[:, :, None])[..., 0]
+    out[1:] += mu
+    return out.reshape(-1)
+
+
+def eval_constraint_stages(sub: SubProblem, X: Array) -> tuple[Array, Array]:
+    """Dynamics defects and the per-stage Jacobians ``D_k = df/dx(x_k, u_k)``.
+
+    Block row ``k`` of the constraint Jacobian is ``[-D_k, I]`` on states
+    ``k`` and ``k + 1``; ``D`` has shape ``(length, nx, nx)``.
+    """
     X = _check_block(sub, X)
     states = sub.states(X)
     m = sub.model
-    F = np.zeros(sub.constraint_dim)
-    C = np.zeros((sub.constraint_dim, sub.block_dim))
-    eye = np.eye(m.nx)
+    F = np.zeros((sub.length, m.nx))
+    D = np.zeros((sub.length, m.nx, m.nx))
     for k in range(sub.length):
-        rows = slice(k * m.nx, (k + 1) * m.nx)
-        F[rows] = states[k + 1] - m.f(states[k], sub.controls[k])
-        C[rows, k * m.nx:(k + 1) * m.nx] = -m.df_dx(states[k], sub.controls[k])
-        C[rows, (k + 1) * m.nx:(k + 2) * m.nx] = eye
-    return F, C
+        F[k] = states[k + 1] - m.f(states[k], sub.controls[k])
+        D[k] = m.df_dx(states[k], sub.controls[k])
+    return F.reshape(-1), D
+
+
+def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
+    """Dynamics defects and their exact Jacobian with respect to the block."""
+    F, D = eval_constraint_stages(sub, X)
+    return F, stage_constraint_matrix(D)
 
 
 def sub_objective(sub: SubProblem, X: Array) -> float:

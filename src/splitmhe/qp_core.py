@@ -16,6 +16,15 @@ Schur system in the shared multiplier:
     mu_i = -R_i^-1 (C_i H_i^-1 g_i + Q_i' lambda - d_i)
     dX_i = -H_i^-1 (g_i + C_i' mu_i + A_i' lambda)
 
+Blocks come in two forms. :class:`QpBlock` holds general dense data and is
+eliminated exactly as written above. :class:`StageBlock` holds one sub-window
+of a time-split horizon in stage form: the Hessian is block-diagonal per state,
+``C_i`` is block-bidiagonal with rows ``[-D_k, I]``, and ``A_i`` is a signed
+identity on the first and last state. There ``R_i`` is block-tridiagonal and
+is factored in banded storage, ``G_i`` and ``Q_i`` touch only the boundary
+states, and a block costs ``O(t * nx^3)`` instead of ``O(n^3)``; only the
+``r x r`` Schur solve stays dense.
+
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. This module never regularizes on its own; callers decide
 whether and how to shift the block Hessians.
@@ -25,17 +34,20 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
+    NonFiniteDataError,
     NotPositiveDefiniteError,
     RankDeficientConstraintsError,
     SingularKktError,
     SingularSchurError,
 )
+from .problem import block_diagonal_matrix, stage_constraint_matrix, stage_constraint_transpose
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +55,8 @@ Array = np.ndarray
 
 # beyond this condition estimate the Schur solve is treated as singular
 SCHUR_CONDITION_LIMIT = 1e14
+# at or below this reciprocal condition estimate R_i counts as rank deficient
+RANK_RCOND_LIMIT = 1e-12
 
 
 @dataclass(eq=False)
@@ -92,6 +106,91 @@ class QpBlock:
 
 
 @dataclass(eq=False)
+class StageBlock:
+    """One sub-window of a time-split horizon, in stage form.
+
+    The block variable stacks ``t + 1`` states of size ``nx``. ``H`` holds the
+    per-state Hessian blocks ``(t + 1, nx, nx)`` and ``g`` the gradient. The
+    local constraint rows are ``dX_{k+1} - D_k dX_k + d_k = 0``, so ``D`` holds
+    the per-stage dynamics Jacobians ``(t, nx, nx)`` and ``d`` the offsets. Of
+    the ``r`` shared coupling rows, block row ``plus_row`` carries ``+I`` on the
+    last state and block row ``minus_row`` carries ``-I`` on the first; either
+    may be ``None``. ``anchor`` is the block's contribution ``A_i @ X_i^+``.
+    """
+
+    H: Array
+    g: Array
+    D: Array
+    d: Array
+    plus_row: int | None
+    minus_row: int | None
+    r: int
+    anchor: Array
+
+    def __post_init__(self):
+        self.H = np.asarray(self.H, dtype=float)
+        self.g = np.asarray(self.g, dtype=float).reshape(-1)
+        self.D = np.asarray(self.D, dtype=float)
+        self.d = np.asarray(self.d, dtype=float).reshape(-1)
+        self.anchor = np.asarray(self.anchor, dtype=float).reshape(-1)
+        if self.H.ndim != 3 or self.H.shape[0] < 2 or self.H.shape[1] != self.H.shape[2]:
+            raise DimensionMismatchError(
+                f"H must be a (t+1, nx, nx) stack with t >= 1, got {self.H.shape}"
+            )
+        t, nx = self.t, self.nx
+        if self.g.shape != (self.n,) or self.D.shape != (t, nx, nx) or self.d.shape != (self.m,):
+            raise DimensionMismatchError(
+                f"inconsistent stage shapes: H {self.H.shape}, g {self.g.shape}, "
+                f"D {self.D.shape}, d {self.d.shape}"
+            )
+        if self.r % nx or self.anchor.shape != (self.r,):
+            raise DimensionMismatchError(
+                f"anchor has {self.anchor.shape} entries for {self.r} coupling rows of width {nx}"
+            )
+        rows = [row for row in (self.plus_row, self.minus_row) if row is not None]
+        if any(not 0 <= row < self.r // nx for row in rows) or len(set(rows)) < len(rows):
+            raise DimensionMismatchError(
+                f"coupling block rows {self.plus_row}, {self.minus_row} invalid for r={self.r}"
+            )
+
+    @property
+    def nx(self) -> int:
+        return self.H.shape[1]
+
+    @property
+    def t(self) -> int:
+        return self.H.shape[0] - 1
+
+    @property
+    def n(self) -> int:
+        return (self.t + 1) * self.nx
+
+    @property
+    def m(self) -> int:
+        return self.t * self.nx
+
+    def boundary(self) -> list[tuple[int, float, int]]:
+        """``(state, sign, coupling block row)`` of each coupled boundary state."""
+        ends = [(0, -1.0, self.minus_row), (self.t, 1.0, self.plus_row)]
+        return [end for end in ends if end[2] is not None]
+
+    def to_qp_block(self) -> QpBlock:
+        """The same block with dense ``H``, ``C`` and ``A``."""
+        nx = self.nx
+        A = np.zeros((self.r, self.t + 1, nx))
+        for state, sign, row in self.boundary():
+            A[row * nx:(row + 1) * nx, state] = sign * np.eye(nx)
+        return QpBlock(
+            H=block_diagonal_matrix(self.H),
+            g=self.g,
+            C=stage_constraint_matrix(self.D),
+            d=self.d,
+            A=A.reshape(self.r, self.n),
+            anchor=self.anchor,
+        )
+
+
+@dataclass(eq=False)
 class SchurTerms:
     """Per-block Schur data plus the cached factorizations used to finish the solve."""
 
@@ -117,19 +216,32 @@ class QpSolution:
     diagnostics: dict
 
 
-def schur_terms(block: QpBlock, index: int | None = None) -> SchurTerms:
+def _require_finite(where: str, index: int | None, **arrays: Array) -> None:
+    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise NonFiniteDataError(
+            f"{where}: non-finite entries in {', '.join(bad)}", block_index=index
+        )
+
+
+def schur_terms(
+    block: QpBlock | StageBlock, index: int | None = None
+) -> SchurTerms | StageTerms:
     """Eliminate one block through its Hessian factorization.
 
     Returns ``G``, ``Q``, ``R`` and the block's additive contribution ``s`` to
     the Schur right-hand side, which folds in the anchor, the gradient term,
     and the constraint-offset term. All applications of ``H^-1`` reuse a single
-    Cholesky factorization; no inverse is ever formed.
+    Cholesky factorization; no inverse is ever formed. A :class:`StageBlock`
+    is eliminated in stage form and yields :class:`StageTerms`.
     """
     where = f"block {index}" if index is not None else "block"
-    if not (np.isfinite(block.H).all() and np.isfinite(block.g).all()):
-        raise NotPositiveDefiniteError(
-            f"{where}: Hessian or gradient contains non-finite entries", block_index=index
-        )
+    if isinstance(block, StageBlock):
+        return _stage_terms(block, index, where)
+    _require_finite(
+        where, index,
+        H=block.H, g=block.g, C=block.C, d=block.d, A=block.A, anchor=block.anchor,
+    )
     try:
         h_factor = scipy.linalg.cho_factor(block.H, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -147,17 +259,19 @@ def schur_terms(block: QpBlock, index: int | None = None) -> SchurTerms:
         Q = block.A @ hinv_Ct
         R = block.C @ hinv_Ct
         R = 0.5 * (R + R.T)
-        spectrum = np.linalg.eigvalsh(R)
-        if spectrum[0] <= spectrum[-1] * 1e-12:
-            raise RankDeficientConstraintsError(
-                f"{where}: constraint rows are rank deficient", block_index=index
-            )
         try:
             r_factor = scipy.linalg.cho_factor(R, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise RankDeficientConstraintsError(
                 f"{where}: constraint rows are rank deficient", block_index=index
             ) from exc
+        # 1-norm condition estimate from the factor already at hand
+        rcond, _ = scipy.linalg.lapack.dpocon(r_factor[0], np.abs(R).sum(axis=0).max(), uplo="L")
+        if rcond <= RANK_RCOND_LIMIT:
+            raise RankDeficientConstraintsError(
+                f"{where}: constraint rows are rank deficient (rcond={rcond:.3e})",
+                block_index=index,
+            )
         s = block.anchor - block.A @ hinv_g + Q @ scipy.linalg.cho_solve(
             r_factor, block.C @ hinv_g - block.d
         )
@@ -204,18 +318,35 @@ def _solve_schur(S: Array, p: Array) -> tuple[Array, dict]:
     return lam, {"schur_factorization": "lu", "schur_condition": cond}
 
 
-def solve_coupled_qp(blocks: list[QpBlock]) -> QpSolution:
-    """Closed-form solution of the coupled QP via block elimination.
+def _coupling_multiplier(S: Array, p: Array) -> tuple[Array, dict]:
+    if p.size:
+        return _solve_schur(S, p)
+    return np.zeros(0), {"schur_factorization": "empty"}
 
-    The Schur reduction and back-substitution are per-block maps; the only
-    shared step is the dense ``r x r`` solve for the coupling multiplier. Block
-    contributions are summed in index order so results are reproducible.
-    """
+
+def _check_coupling_rows(blocks: list) -> int:
     if not blocks:
         raise DimensionMismatchError("need at least one block")
     r = blocks[0].r
     if any(b.r != r for b in blocks):
         raise DimensionMismatchError("all blocks must share the coupling row count")
+    return r
+
+
+def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock]) -> QpSolution:
+    """Closed-form solution of the coupled QP via block elimination.
+
+    The Schur reduction and back-substitution are per-block maps; the only
+    shared step is the dense ``r x r`` solve for the coupling multiplier. Block
+    contributions are summed in index order so results are reproducible.
+    Lists of :class:`StageBlock` take the structured path; lists of
+    :class:`QpBlock` the dense one.
+    """
+    r = _check_coupling_rows(blocks)
+    if all(isinstance(b, StageBlock) for b in blocks):
+        return _solve_stage_qp(blocks, r)
+    if not all(isinstance(b, QpBlock) for b in blocks):
+        raise TypeError("blocks must be all QpBlock or all StageBlock")
 
     terms = [schur_terms(block, index=i) for i, block in enumerate(blocks)]
 
@@ -227,12 +358,7 @@ def solve_coupled_qp(blocks: list[QpBlock]) -> QpSolution:
         else:
             S += t.G
         p += t.s
-
-    if r:
-        lam, diagnostics = _solve_schur(S, p)
-    else:
-        lam = np.zeros(0)
-        diagnostics = {"schur_factorization": "empty"}
+    lam, diagnostics = _coupling_multiplier(S, p)
 
     mu = []
     delta_x = []
@@ -249,18 +375,146 @@ def solve_coupled_qp(blocks: list[QpBlock]) -> QpSolution:
     return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
 
 
+@lru_cache(maxsize=128)
+def _band_layout(t: int, nx: int) -> tuple[Array, Array]:
+    """Flat positions that move the block rows ``[R_kk, R_k,k+1]`` of a
+    ``(t, nx, 2 nx)`` stack into LAPACK upper banded storage ``(2 nx, t nx)``."""
+    m, u = t * nx, 2 * nx - 1
+    a, c = np.triu_indices(nx, 0, 2 * nx)
+    k = np.arange(t)[:, None]
+    col = k * nx + c
+    keep = col < m
+    dst = (u + a - c) * m + col
+    src = k * (2 * nx * nx) + a * (2 * nx) + c
+    dst, src = dst[keep], src[keep]
+    # cached and shared by every caller
+    dst.flags.writeable = src.flags.writeable = False
+    return dst, src
+
+
+@dataclass(eq=False)
+class StageTerms:
+    """Schur data of one :class:`StageBlock`, restricted to its boundary coupling
+    rows, plus what back-substitution reuses."""
+
+    rows: Array  # coupling rows of the boundary states
+    S: Array  # G_i - Q_i R_i^-1 Q_i' restricted to those rows
+    s: Array  # right-hand contribution on those rows, anchor excluded
+    hinv: Array  # per-state inverse Hessian blocks
+    z: Array  # R^-1 (C H^-1 g - d)
+    Z: Array  # R^-1 C H^-1 A' restricted to the boundary columns
+
+
+def _stage_terms(block: StageBlock, index: int | None, where: str) -> StageTerms:
+    """Eliminate one stage block in ``O(t * nx^3)``.
+
+    The per-state Hessian blocks are factored in one batched Cholesky call.
+    ``R = C H^-1 C'`` is block-tridiagonal, with diagonal blocks
+    ``D_k H_k^-1 D_k' + H_{k+1}^-1`` and superdiagonal blocks
+    ``-H_{k+1}^-1 D_{k+1}'``, so it is assembled and factored in banded storage
+    of bandwidth ``2 nx - 1``. ``A`` touches only the boundary states, so
+    ``Q' = C H^-1 A'`` is nonzero only in the first and last constraint rows.
+    """
+    _require_finite(
+        where, index, H=block.H, g=block.g, D=block.D, d=block.d, anchor=block.anchor
+    )
+    t, nx, m = block.t, block.nx, block.m
+    D = block.D
+    try:
+        chol = np.linalg.cholesky(block.H)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"{where}: Hessian is not positive definite", block_index=index
+        ) from exc
+    linv = np.linalg.inv(chol)
+    hinv = np.swapaxes(linv, 1, 2) @ linv
+    hinv_g = (hinv @ block.g.reshape(t + 1, nx, 1))[..., 0]
+
+    Dt = np.swapaxes(D, 1, 2)
+    band_rows = np.zeros((t, nx, 2 * nx))
+    band_rows[:, :, :nx] = D @ hinv[:-1] @ Dt + hinv[1:]
+    band_rows[:-1, :, nx:] = -hinv[1:-1] @ Dt[1:]
+    dst, src = _band_layout(t, nx)
+    band = np.zeros((2 * nx, m))
+    band.flat[dst] = band_rows.flat[src]
+    try:
+        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise RankDeficientConstraintsError(
+            f"{where}: constraint rows are rank deficient", block_index=index
+        ) from exc
+    # the squared pivot ratio of a Cholesky factor bounds 1/cond(R) from above
+    pivots = factor[-1]
+    ratio = (pivots.min() / pivots.max()) ** 2
+    if ratio <= RANK_RCOND_LIMIT:
+        raise RankDeficientConstraintsError(
+            f"{where}: constraint rows are rank deficient (pivot ratio {ratio:.3e})",
+            block_index=index,
+        )
+
+    ends = block.boundary()
+    nb = nx * len(ends)
+    rhs = np.zeros((m, 1 + nb))
+    rhs[:, 0] = (hinv_g[1:] - (D @ hinv_g[:-1, :, None])[..., 0]).reshape(-1) - block.d
+    G = np.zeros((nb, nb))
+    s = np.zeros(nb)
+    rows = np.zeros(nb, dtype=int)
+    for j, (state, sign, row) in enumerate(ends):
+        cols = slice(j * nx, (j + 1) * nx)
+        q_cols = slice(1 + j * nx, 1 + (j + 1) * nx)
+        # column of C H^-1 A': only the constraint row holding this state
+        if state == 0:
+            rhs[:nx, q_cols] = -sign * (D[0] @ hinv[0])
+        else:
+            rhs[-nx:, q_cols] = sign * hinv[state]
+        G[cols, cols] = hinv[state]
+        s[cols] = -sign * hinv_g[state]
+        rows[cols] = np.arange(row * nx, (row + 1) * nx)
+    sol = scipy.linalg.cho_solve_banded((factor, False), rhs, check_finite=False)
+    Qt = rhs[:, 1:]
+    return StageTerms(
+        rows=rows,
+        S=G - Qt.T @ sol[:, 1:],
+        s=s + Qt.T @ sol[:, 0],
+        hinv=hinv,
+        z=sol[:, 0],
+        Z=sol[:, 1:],
+    )
+
+
+def _solve_stage_qp(blocks: list[StageBlock], r: int) -> QpSolution:
+    """Structured twin of the dense elimination: boundary-only Schur assembly,
+    the dense ``r x r`` solve, and structural back-substitution."""
+    terms = [schur_terms(block, index=i) for i, block in enumerate(blocks)]
+    S = np.zeros((r, r))
+    p = np.zeros(r)
+    for t, block in zip(terms, blocks):
+        S[np.ix_(t.rows, t.rows)] += t.S
+        p += block.anchor
+        p[t.rows] += t.s
+    lam, diagnostics = _coupling_multiplier(S, p)
+
+    mu = []
+    delta_x = []
+    for t, block in zip(terms, blocks):
+        lam_b = lam[t.rows]
+        mu_i = -(t.z + t.Z @ lam_b)
+        v = block.g + stage_constraint_transpose(block.D, mu_i)
+        v = v.reshape(block.t + 1, block.nx)
+        for j, (state, sign, _) in enumerate(block.boundary()):
+            v[state] += sign * lam_b[j * block.nx:(j + 1) * block.nx]
+        mu.append(mu_i)
+        delta_x.append(-(t.hinv @ v[:, :, None]).reshape(-1))
+    return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
+
+
 def dense_kkt_oracle(blocks: list[QpBlock]) -> QpSolution:
     """Assemble and solve the full symmetric KKT system directly.
 
     Used as an independent cross-check of :func:`solve_coupled_qp`; the two
     agree to roundoff on every well-posed instance.
     """
-    if not blocks:
-        raise DimensionMismatchError("need at least one block")
-    r = blocks[0].r
-    if any(b.r != r for b in blocks):
-        raise DimensionMismatchError("all blocks must share the coupling row count")
-
+    r = _check_coupling_rows(blocks)
     n_tot = sum(b.n for b in blocks)
     m_tot = sum(b.m for b in blocks)
     dim = n_tot + m_tot + r

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import NotPositiveDefiniteError, SplitMheError
 from .local_nlp import (
     LocalSolveConfig,
     first_order_conditions,
-    lagrangian_hessian,
+    lagrangian_hessian_stages,
     sensitivity_matrices,
     solve_local_subproblem,
 )
@@ -42,13 +42,14 @@ from .problem import (
     build_partition,
     centralized_objective,
     coupling_residual,
-    eval_constraints,
+    eval_constraint_stages,
     eval_residual_stack,
     extract_trajectory,
     lift_initial_guess,
     split_instance,
+    stage_constraint_transpose,
 )
-from .qp_core import QpBlock, QpSolution, solve_coupled_qp
+from .qp_core import QpSolution, StageBlock, solve_coupled_qp
 
 logger = logging.getLogger(__name__)
 
@@ -172,28 +173,50 @@ def _initial_iterate(
     return y, lam, mu
 
 
-def _solve_qp_escalating(blocks: list[QpBlock], eps0: float) -> QpSolution:
-    """Coordination solve with a bounded regularization ladder on failure."""
+def _stage_block(
+    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str, with_offsets: bool
+) -> StageBlock:
+    """Coordination-QP data of one sub-window, linearized at ``x``, in stage form.
+
+    The Hessian is the Lagrangian curvature of ``mode`` shifted by ``rho``;
+    without offsets the constraint rows are homogeneous.
+    """
+    b, J = eval_residual_stack(sub, x)
+    F, D = eval_constraint_stages(sub, x)
+    return StageBlock(
+        H=lagrangian_hessian_stages(sub, x, mu, rho, mode),
+        g=J.T @ b,
+        D=D,
+        d=F if with_offsets else np.zeros_like(F),
+        plus_row=sub.plus_row,
+        minus_row=sub.minus_row,
+        r=sub.partition.r,
+        anchor=sub.apply_coupling(x),
+    )
+
+
+def _solve_qp_escalating(blocks: list[StageBlock], eps0: float) -> QpSolution:
+    """Coordination solve with a bounded regularization ladder on failure.
+
+    Each rung shifts every per-state Hessian block by ``eps0 * 10**rung``.
+    """
     try:
         return solve_coupled_qp(blocks)
-    except NotPositiveDefiniteError:
-        pass
+    except NotPositiveDefiniteError as exc:
+        failure = exc
     for attempt in range(3):
         shift = eps0 * 10.0 ** attempt
         logger.warning("coordination Hessian not PD; retrying with shift %.3e", shift)
-        shifted = [
-            QpBlock(
-                H=b.H + shift * np.eye(b.n), g=b.g, C=b.C, d=b.d, A=b.A, anchor=b.anchor
-            )
-            for b in blocks
-        ]
+        shifted = [replace(b, H=b.H + shift * np.eye(b.H.shape[-1])) for b in blocks]
         try:
             return solve_coupled_qp(shifted)
-        except NotPositiveDefiniteError:
-            continue
+        except NotPositiveDefiniteError as exc:
+            failure = exc
     raise NotPositiveDefiniteError(
-        "coordination Hessians remained indefinite after regularization escalation"
-    )
+        "coordination Hessians remained indefinite after regularization escalation "
+        f"(last failure: {failure})",
+        block_index=failure.block_index,
+    ) from failure
 
 
 def _iterate_metrics(
@@ -212,9 +235,9 @@ def _iterate_metrics(
     dynamics = 0.0
     stationarity = 0.0
     for sub, y, mu_i in zip(subs, y_new, mu):
-        F, C = eval_constraints(sub, y)
+        F, D = eval_constraint_stages(sub, y)
         b, J = eval_residual_stack(sub, y)
-        stat = J.T @ b + C.T @ mu_i + sub.apply_coupling_transpose(lam)
+        stat = J.T @ b + stage_constraint_transpose(D, mu_i) + sub.apply_coupling_transpose(lam)
         dynamics = max(dynamics, float(np.abs(F).max()))
         stationarity = max(stationarity, float(np.abs(stat).max()))
     return primal, coupling, dynamics, stationarity
@@ -227,7 +250,12 @@ def _distance_to_reference(trajectory: Array, reference: Array | None) -> float 
 
 
 def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
-    raise type(exc)(f"{algorithm} iteration {iteration}: {exc}") from exc
+    """Re-raise with the iteration in the message; context such as the failing
+    block's index carries over, and ``iteration`` is added to it."""
+    wrapped = type(exc)(f"{algorithm} iteration {iteration}: {exc}")
+    wrapped.__dict__.update(exc.__dict__)
+    wrapped.iteration = iteration
+    raise wrapped from exc
 
 
 def _finish(
@@ -297,7 +325,6 @@ def run_gauss_newton_aladin(
     x = [b.copy() for b in y]
     records: list[ConvergenceRecord] = []
     status = "max_iter"
-    eye = [np.eye(n) for n in partition.block_dims]
 
     for it in range(1, cfg.max_iter + 1):
         t_iter = time.perf_counter()
@@ -311,21 +338,10 @@ def run_gauss_newton_aladin(
             local_ms = 1e3 * (time.perf_counter() - t0)
 
             t0 = time.perf_counter()
-            blocks = []
-            for sub, x_i, eye_i in zip(subs, x, eye):
-                b, J = eval_residual_stack(sub, x_i)
-                _, C = eval_constraints(sub, x_i)
-                A = sub.coupling_matrix()
-                blocks.append(
-                    QpBlock(
-                        H=J.T @ J + cfg.qp_eps * eye_i,
-                        g=J.T @ b,
-                        C=C,
-                        d=np.zeros(sub.constraint_dim),
-                        A=A,
-                        anchor=A @ x_i,
-                    )
-                )
+            blocks = [
+                _stage_block(sub, x_i, mu_i, cfg.qp_eps, "gauss_newton", with_offsets=False)
+                for sub, x_i, mu_i in zip(subs, x, mu)
+            ]
             sol = _solve_qp_escalating(blocks, cfg.qp_eps)
             lam = sol.lam
             mu = sol.mu
@@ -382,21 +398,10 @@ def _sqp_loop(
         t_iter = time.perf_counter()
         try:
             t0 = time.perf_counter()
-            blocks = []
-            for sub, y_i, mu_i in zip(subs, y, mu):
-                b, J = eval_residual_stack(sub, y_i)
-                F, C = eval_constraints(sub, y_i)
-                A = sub.coupling_matrix()
-                blocks.append(
-                    QpBlock(
-                        H=lagrangian_hessian(sub, y_i, mu_i, cfg.rho, cfg.hessian_mode),
-                        g=J.T @ b,
-                        C=C,
-                        d=F,
-                        A=A,
-                        anchor=A @ y_i,
-                    )
-                )
+            blocks = [
+                _stage_block(sub, y_i, mu_i, cfg.rho, cfg.hessian_mode, with_offsets=True)
+                for sub, y_i, mu_i in zip(subs, y, mu)
+            ]
             local_ms = 1e3 * (time.perf_counter() - t0)
 
             t0 = time.perf_counter()
@@ -522,21 +527,10 @@ def run_sensitivity_aladin(
         t_iter = time.perf_counter()
         try:
             t0 = time.perf_counter()
-            blocks = []
-            for sub, x_i, mu_i in zip(subs, x, mu):
-                b, J = eval_residual_stack(sub, x_i)
-                F, C = eval_constraints(sub, x_i)
-                A = sub.coupling_matrix()
-                blocks.append(
-                    QpBlock(
-                        H=lagrangian_hessian(sub, x_i, mu_i, cfg.rho, cfg.hessian_mode),
-                        g=J.T @ b,
-                        C=C,
-                        d=F,
-                        A=A,
-                        anchor=A @ x_i,
-                    )
-                )
+            blocks = [
+                _stage_block(sub, x_i, mu_i, cfg.rho, cfg.hessian_mode, with_offsets=True)
+                for sub, x_i, mu_i in zip(subs, x, mu)
+            ]
             sol = _solve_qp_escalating(blocks, cfg.qp_eps)
             lam_new = sol.lam
             mu_hat = sol.mu

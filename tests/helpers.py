@@ -80,3 +80,34 @@ def linear_window_optimum(instance):
     M, m, C, d = stack_window_least_squares(instance)
     x = dense_equality_least_squares(M, m, C, d)
     return x.reshape(instance.L + 1, instance.model.nx)
+
+
+def random_stage_blocks(rng, n_blocks, nx, max_length=5, with_offsets=True):
+    """Random time-split coupled-QP instances in stage form.
+
+    Consecutive blocks are chained like the sub-windows of a split horizon:
+    block ``i`` carries ``+I`` on its last state in coupling block row ``i``
+    and ``-I`` on its first state in row ``i - 1``. Per-state Hessians are
+    ``M'M + I`` and dynamics Jacobians ``I + 0.3 * noise``, the near-identity
+    shape of a sampled system.
+    """
+    from splitmhe.qp_core import StageBlock
+
+    r = (n_blocks - 1) * nx
+    blocks = []
+    for i in range(n_blocks):
+        t = int(rng.integers(1, max_length + 1))
+        M = rng.standard_normal((t + 1, nx, nx))
+        blocks.append(
+            StageBlock(
+                H=np.swapaxes(M, 1, 2) @ M + np.eye(nx),
+                g=rng.standard_normal((t + 1) * nx),
+                D=np.eye(nx) + 0.3 * rng.standard_normal((t, nx, nx)),
+                d=rng.standard_normal(t * nx) if with_offsets else np.zeros(t * nx),
+                plus_row=i if i < n_blocks - 1 else None,
+                minus_row=i - 1 if i > 0 else None,
+                r=r,
+                anchor=rng.standard_normal(r),
+            )
+        )
+    return blocks

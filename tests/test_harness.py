@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,16 @@ def test_self_check_passes():
     checks = sm.harness.run_self_check()
     for name, passed, detail in checks:
         assert passed, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_scenario_file_raises(tmp_path, token):
+    good = tmp_path / "good.json"
+    write_scenario(sm.generate_scenario(steps=6, seed=1), good)
+    payload = json.loads(good.read_text())
+    payload["measurements"][3][1] = float(token.replace("Infinity", "inf"))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert token in path.read_text()
+    with pytest.raises(ScenarioError, match="non-finite"):
+        sm.load_scenario(path)

@@ -3,10 +3,13 @@ import pytest
 
 import splitmhe as sm
 from splitmhe.errors import (
+    NonFiniteDataError,
     NotPositiveDefiniteError,
     RankDeficientConstraintsError,
 )
 from splitmhe.qp_core import random_blocks, schur_terms
+
+from helpers import random_stage_blocks
 
 
 def scalar_pair():
@@ -206,3 +209,135 @@ def test_rank_deficient_constraints_raise():
     )
     with pytest.raises(RankDeficientConstraintsError):
         sm.solve_coupled_qp([block])
+
+
+def test_near_singular_constraint_rows_raise_from_condition_estimate():
+    rng = np.random.Generator(np.random.PCG64(12))
+    n = 6
+    M = rng.standard_normal((n, n))
+    row = rng.standard_normal((1, n))
+    block = sm.QpBlock(
+        H=M.T @ M + np.eye(n),
+        g=rng.standard_normal(n),
+        C=np.vstack([row, row + 1e-9 * rng.standard_normal((1, n))]),
+        d=np.zeros(2),
+        A=rng.standard_normal((2, n)),
+        anchor=np.zeros(2),
+    )
+    with pytest.raises(RankDeficientConstraintsError) as err:
+        schur_terms(block, index=4)
+    assert err.value.block_index == 4
+
+
+@pytest.mark.parametrize("field", ["H", "g", "C", "d", "A", "anchor"])
+def test_dense_path_rejects_non_finite_data(field):
+    blocks = random_blocks(np.random.Generator(np.random.PCG64(17)), 3, r=3, size_range=(6, 8))
+    assert blocks[1].m > 0
+    bad = getattr(blocks[1], field).copy()
+    bad.flat[0] = np.inf if field == "C" else np.nan
+    setattr(blocks[1], field, bad)
+    with pytest.raises(NonFiniteDataError) as err:
+        sm.solve_coupled_qp(blocks)
+    assert err.value.block_index == 1
+    assert field in str(err.value)
+
+
+def test_stage_path_matches_dense_kkt_oracle():
+    """Structured path against the dense full-KKT solve, at the relative scale
+    of acceptance criterion 1."""
+    rng = np.random.Generator(np.random.PCG64(2025))
+    worst = 0.0
+    n_unit_windows = 0
+    for nx in (2, 3):
+        for n_blocks in range(1, 7):
+            for with_offsets in (True, False):
+                for _ in range(4):
+                    blocks = random_stage_blocks(rng, n_blocks, nx, with_offsets=with_offsets)
+                    n_unit_windows += sum(b.t == 1 for b in blocks)
+                    fast = sm.solve_coupled_qp(blocks)
+                    oracle = sm.dense_kkt_oracle([b.to_qp_block() for b in blocks])
+                    assert fast.lam.shape == ((n_blocks - 1) * nx,)
+                    worst = max(worst, solution_deviation(fast, oracle))
+    assert n_unit_windows >= 10, "sample must include sub-windows of length 1"
+    assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+
+
+def test_stage_and_dense_paths_report_the_same_schur_diagnostics():
+    rng = np.random.Generator(np.random.PCG64(14))
+    for n_blocks in (1, 4):
+        blocks = random_stage_blocks(rng, n_blocks, 3)
+        stage = sm.solve_coupled_qp(blocks)
+        dense = sm.solve_coupled_qp([b.to_qp_block() for b in blocks])
+        assert stage.diagnostics == dense.diagnostics
+        assert solution_deviation(stage, dense) <= 1e-10
+
+
+def test_stage_indefinite_state_block_raises_with_block_index():
+    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(15)), 4, 3)
+    H = blocks[2].H.copy()
+    H[-1] = -np.eye(3)
+    blocks[2].H = H
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        sm.solve_coupled_qp(blocks)
+    assert err.value.block_index == 2
+
+
+@pytest.mark.parametrize("field", ["H", "g", "D", "d", "anchor"])
+def test_stage_path_rejects_non_finite_data(field):
+    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(16)), 3, 2)
+    bad = getattr(blocks[1], field).copy()
+    bad.flat[-1] = -np.inf if field == "D" else np.nan
+    setattr(blocks[1], field, bad)
+    with pytest.raises(NonFiniteDataError) as err:
+        sm.solve_coupled_qp(blocks)
+    assert err.value.block_index == 1
+    assert field in str(err.value)
+
+
+def test_stage_rank_guard_uses_banded_pivot_ratio():
+    # near-infinite curvature on every state past the first makes R = C H^-1 C'
+    # numerically singular although C itself has full row rank
+    (block,) = random_stage_blocks(np.random.Generator(np.random.PCG64(17)), 1, 3)
+    H = block.H.copy()
+    H[1:] = 1e14 * np.eye(3)
+    block.H = H
+    block.D = np.zeros_like(block.D)
+    block.D[0] = np.eye(3)
+    with pytest.raises(RankDeficientConstraintsError) as err:
+        sm.solve_coupled_qp([block])
+    assert err.value.block_index == 0
+
+
+def test_stage_block_validates_shapes():
+    (block,) = random_stage_blocks(np.random.Generator(np.random.PCG64(18)), 1, 2)
+    with pytest.raises(sm.DimensionMismatchError):
+        sm.StageBlock(
+            H=block.H, g=block.g, D=block.D[:-1], d=block.d,
+            plus_row=None, minus_row=None, r=0, anchor=[],
+        )
+    with pytest.raises(sm.DimensionMismatchError):
+        sm.StageBlock(
+            H=block.H, g=block.g, D=block.D, d=block.d,
+            plus_row=0, minus_row=0, r=2, anchor=np.zeros(2),
+        )
+
+
+def test_mixed_block_forms_are_rejected():
+    rng = np.random.Generator(np.random.PCG64(19))
+    stage = random_stage_blocks(rng, 2, 2)
+    with pytest.raises(TypeError):
+        sm.solve_coupled_qp([stage[0], stage[1].to_qp_block()])
+
+
+def test_stage_schur_terms_are_the_dense_terms_on_the_boundary_rows():
+    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(20)), 4, 3)
+    for i, block in enumerate(blocks):
+        stage = schur_terms(block, index=i)
+        dense = schur_terms(block.to_qp_block(), index=i)
+        S = dense.G - dense.Q @ np.linalg.solve(dense.R, dense.Q.T)
+        s = dense.s - block.anchor
+        outside = np.setdiff1d(np.arange(block.r), stage.rows)
+        np.testing.assert_allclose(stage.S, S[np.ix_(stage.rows, stage.rows)], atol=1e-10)
+        np.testing.assert_allclose(stage.s, s[stage.rows], atol=1e-10)
+        assert np.abs(S[outside]).max(initial=0.0) == 0.0
+        assert np.abs(s[outside]).max(initial=0.0) == 0.0

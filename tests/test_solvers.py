@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe.errors import SplitMheError
+from splitmhe import local_nlp, problem, qp_core
+from splitmhe.errors import NonFiniteDataError, NotPositiveDefiniteError, SplitMheError
 from splitmhe.local_nlp import lagrangian_hessian
 from splitmhe.problem import eval_constraints, eval_residual_stack, split_instance
-from splitmhe.solvers import ConvergenceRecord, termination_check
+from splitmhe.solvers import (
+    ConvergenceRecord,
+    _solve_qp_escalating,
+    _wrap_iteration_error,
+    termination_check,
+)
 
 from conftest import build_linear_instance
-from helpers import linear_window_optimum
+from helpers import linear_window_optimum, random_stage_blocks
 
 
 def make_record(**overrides):
@@ -260,3 +266,80 @@ def test_solve_result_shape_and_final_metrics(benchmark_runs):
         assert result.final_metrics[key] >= 0.0
     assert result.objective >= 0.0
     assert all(r.wall_ms >= 0.0 for r in result.records)
+
+
+def test_wrapped_iteration_error_keeps_block_index():
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        _wrap_iteration_error(NotPositiveDefiniteError("boom", block_index=2), "dsqp", 7)
+    assert err.value.block_index == 2
+    assert err.value.iteration == 7
+    assert str(err.value) == "dsqp iteration 7: boom"
+    assert err.value.__cause__.block_index == 2
+
+
+def test_solver_errors_name_the_failing_block(linear_model):
+    instance = build_linear_instance(linear_model, L=6, seed=2)
+    partition = sm.build_partition(6, 3, 2)
+    y = sm.lift_initial_guess(instance.initial_guess, partition)
+    y[1] = np.full_like(y[1], np.nan)
+    bad = sm.IterateState(
+        x_blocks=y, y_blocks=y, lam=np.zeros(partition.r),
+        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+    )
+    with pytest.raises(NonFiniteDataError) as err:
+        sm.run_distributed_sqp(
+            instance, partition, sm.SolverConfig(algorithm="dsqp", rho=1.0), warm=bad
+        )
+    assert err.value.block_index == 1
+    assert err.value.iteration == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense materialisation in an outer loop")
+
+
+def test_outer_loops_never_materialise_dense_qp_data(linear_instance, monkeypatch):
+    """No algorithm's outer loop forms dense coupling rows or takes the dense QP
+    path; the SQP loops also never form a dense block Hessian or Jacobian."""
+    partition = sm.build_partition(linear_instance.L, 2, 2)
+    monkeypatch.setattr(sm.SubProblem, "coupling_matrix", _refuse)
+    monkeypatch.setattr(qp_core.QpBlock, "__post_init__", _refuse)
+    runs = {}
+    for algorithm in ("gn_aladin", "sa_aladin", "dsqp", "centralized"):
+        cfg = sm.SolverConfig(algorithm=algorithm, rho=1.0, tol=1e-12, max_iter=300)
+        with monkeypatch.context() as dense:
+            if algorithm in ("dsqp", "centralized"):
+                dense.setattr(problem, "stage_constraint_matrix", _refuse)
+                dense.setattr(local_nlp, "block_diagonal_matrix", _refuse)
+            runs[algorithm] = sm.solve(
+                linear_instance, None if algorithm == "centralized" else partition, cfg
+            )
+        assert runs[algorithm].status == "converged", algorithm
+    assert runs["sa_aladin"].info["predictor_updates"] > 0
+
+
+def test_regularisation_ladder_shifts_per_state_blocks():
+    rng = np.random.Generator(np.random.PCG64(31))
+    blocks = random_stage_blocks(rng, 3, 3)
+    H = blocks[1].H.copy()
+    H[0] -= (np.linalg.eigvalsh(H[0])[0] + 3.0) * np.eye(3)  # smallest eigenvalue -3
+    blocks[1].H = H
+    with pytest.raises(NotPositiveDefiniteError):
+        sm.solve_coupled_qp(blocks)
+    sol = _solve_qp_escalating(blocks, eps0=1.0)  # rungs 1 and 10: the second succeeds
+    shifted = [
+        sm.StageBlock(
+            H=b.H + 10.0 * np.eye(3), g=b.g, D=b.D, d=b.d, plus_row=b.plus_row,
+            minus_row=b.minus_row, r=b.r, anchor=b.anchor,
+        )
+        for b in blocks
+    ]
+    expected = sm.solve_coupled_qp(shifted)
+    np.testing.assert_array_equal(sol.lam, expected.lam)
+    for a, b in zip(sol.delta_x, expected.delta_x):
+        np.testing.assert_array_equal(a, b)
+
+    blocks[1].H[0] = -1e6 * np.eye(3)  # beyond the largest rung
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        _solve_qp_escalating(blocks, eps0=1.0)
+    assert err.value.block_index == 1

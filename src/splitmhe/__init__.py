@@ -15,16 +15,12 @@ from .errors import (
     SplitMheError,
 )
 from .model import (
-    NoiseSpec,
     SystemModel,
     fd_check,
     gaussian_draws,
-    jacobians,
     make_linear_model,
-    observe,
     robot_model,
     rollout,
-    step_dynamics,
 )
 from .problem import (
     MheInstance,

@@ -558,32 +558,6 @@ def read_sweep_csv(path: str | Path) -> list[dict]:
     return out
 
 
-def emit_outputs(payloads: dict, paths: dict) -> list[Path]:
-    """Write any subset of the documented output files; overwrites are idempotent.
-
-    Recognized keys: ``scenario`` (Scenario), ``result`` (tuple of SolveResult
-    and config-echo dict), ``iters`` (list of ConvergenceRecord), ``estimates``
-    (tuple of Scenario and outcome list), and ``sweep`` (list of SweepRow).
-    """
-    written = []
-    for key, path in paths.items():
-        if key == "scenario":
-            written.append(write_scenario(payloads[key], path))
-        elif key == "result":
-            result, echo = payloads[key]
-            written.append(write_result(result, echo, path))
-        elif key == "iters":
-            written.append(write_convergence_csv(payloads[key], path))
-        elif key == "estimates":
-            scenario, outcomes = payloads[key]
-            written.append(write_estimates_csv(scenario, outcomes, path))
-        elif key == "sweep":
-            written.append(write_sweep_csv(payloads[key], path))
-        else:
-            raise ValueError(f"unknown output kind {key!r}")
-    return written
-
-
 # ---------------------------------------------------------------------------
 # self-check used by the `check` CLI subcommand
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .problem import (
     eval_constraints,
     eval_residual_stack,
     residual_vector,
+    stage_constraint_matrix,
     stage_constraint_transpose,
 )
 
@@ -85,16 +86,17 @@ class SensitivityPair:
 
 
 def first_order_conditions(
-    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float
+    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
+    evaluation: tuple | None = None,
 ) -> Array:
     """Stacked first-order conditions of the augmented sub-problem.
 
     Rows: the augmented-Lagrangian gradient (objective gradient plus coupling
     price, proximal pull, and constraint terms), then the dynamics defects.
-    Affine in the parameters ``(y_ref, lam)``.
+    Affine in the parameters ``(y_ref, lam)``. ``evaluation`` is the block's
+    ``((b, J), (F, D))`` at ``x`` when the caller already has it.
     """
-    b, J = eval_residual_stack(sub, x)
-    F, D = eval_constraint_stages(sub, x)
+    (b, J), (F, D) = evaluation or (eval_residual_stack(sub, x), eval_constraint_stages(sub, x))
     grad = J.T @ b + sub.apply_coupling_transpose(lam) + rho * (np.asarray(x, dtype=float) - y_ref)
     grad = grad + stage_constraint_transpose(D, mu)
     return np.concatenate([grad, F])
@@ -106,17 +108,19 @@ def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array,
 
 
 def lagrangian_hessian_stages(
-    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian"
+    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian",
+    residuals: tuple[Array, Array] | None = None,
 ) -> Array:
     """Per-state blocks ``(length + 1, nx, nx)`` of :func:`lagrangian_hessian`.
 
     Every residual and every dynamics defect touches one state (the defects'
     curvature sits on the earlier state), so the Lagrangian Hessian of a
-    sub-window is block-diagonal per state.
+    sub-window is block-diagonal per state. ``residuals`` is
+    ``eval_residual_stack(sub, x)`` when the caller already has it.
     """
     if mode not in ("gauss_newton", "exact_lagrangian"):
         raise ValueError(f"unknown hessian mode {mode!r}")
-    b, J = eval_residual_stack(sub, x)
+    b, J = residuals or eval_residual_stack(sub, x)
     m = sub.model
     nx, ny = m.nx, m.ny
     H = np.zeros((sub.length + 1, nx, nx))
@@ -150,16 +154,20 @@ def lagrangian_hessian(sub: SubProblem, x: Array, mu: Array, rho: float, mode: s
 
 
 def sensitivity_matrices(
-    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float
+    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
+    evaluation: tuple | None = None,
 ) -> SensitivityPair:
     """Build ``M`` and ``N`` at a solved ``(x, mu)`` pair.
 
     The parameters enter the conditions linearly, so ``N`` is constant and
     ``M`` depends on the solution point only; ``lam`` and ``y_ref`` document
-    the evaluation point.
+    the evaluation point. ``evaluation`` is as in :func:`first_order_conditions`.
     """
-    _, C = eval_constraints(sub, x)
-    W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian")
+    residuals, (_, D) = evaluation or (eval_residual_stack(sub, x), eval_constraint_stages(sub, x))
+    C = stage_constraint_matrix(D)
+    W = block_diagonal_matrix(
+        lagrangian_hessian_stages(sub, x, mu, rho, "exact_lagrangian", residuals)
+    )
     n = sub.block_dim
     m_rows = sub.constraint_dim
     r = sub.partition.r

@@ -48,23 +48,6 @@ class SystemModel:
             raise ValueError("sampling time must be positive")
 
 
-def step_dynamics(model: SystemModel, x: Array, u: Array) -> Array:
-    """Advance the state one sampling period: ``x_next = f(x, u)``."""
-    return model.f(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-
-
-def observe(model: SystemModel, x: Array) -> Array:
-    """Noise-free output ``h(x)`` of the model at state ``x``."""
-    return model.h(np.asarray(x, dtype=float))
-
-
-def jacobians(model: SystemModel, x: Array, u: Array) -> tuple[Array, Array]:
-    """Return ``(df_dx, dh_dx)`` evaluated at ``(x, u)``."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return model.df_dx(x, u), model.dh_dx(x)
-
-
 def rollout(model: SystemModel, x0: Array, controls: Array) -> Array:
     """Simulate the exact dynamics; returns ``(K+1, nx)`` states."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -180,19 +163,6 @@ def make_linear_model(A: Array, B: Array, C: Array, T: float = 1.0, name: str = 
         d2h=lambda x, w: zero_curv.copy(),
         name=name,
     )
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Measurement noise magnitudes and the seed of the noise stream."""
-
-    sigma_r: float = 0.05
-    sigma_alpha: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_r < 0 or self.sigma_alpha < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
 
 
 def gaussian_draws(seed: int, count: int) -> Array:

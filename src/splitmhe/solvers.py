@@ -1,20 +1,26 @@
 """Outer solvers: three splitting algorithms and the centralized baseline.
 
-All four share the same skeleton per iteration: per-block work (local solves
-or derivative evaluation), one closed-form coupled-QP coordination step, and a
-convergence record evaluated at the new consensus iterate. Block work is a
-pure map over sub-windows with a fixed-order reduction, so runs are
+All four run through one driver, :func:`_drive`. Per iteration it evaluates
+every block once at its linearization point, assembles the stage-form
+coordination QP from that evaluation, solves it in closed form, takes the
+consensus update, and records convergence metrics from one evaluation at the
+new consensus iterate. Wherever that iterate is the next linearization point,
+the metrics evaluation doubles as the next iteration's QP data. Block work is
+a pure map over sub-windows with a fixed-order reduction, so runs are
 deterministic regardless of how the map is scheduled.
 
-* ``gn_aladin``  -- exact local solves, Gauss-Newton QP data, homogeneous
-  constraint rows (the local solutions are feasible).
-* ``sa_aladin``  -- QP data with constraint offsets, evaluated at local
-  solution pairs that are continued between iterations by a tangent
-  predictor-corrector wherever the continuation is trustworthy, and pinned to
-  the coordination output (or re-solved exactly, per config) elsewhere.
-* ``dsqp``       -- no local solves at all: derivative evaluation at the
-  consensus iterate plus the coordination step, i.e. one full-space SQP step
-  per iteration expressed block-wise.
+The algorithms differ only in a per-block step around the coordination:
+
+* ``gn_aladin``  -- before the QP, an exact local solve per block; its QP data
+  are Gauss-Newton Hessians shifted by ``qp_regularization`` with homogeneous
+  constraint rows (the local solutions are feasible), and its coupling metric
+  is taken on the local solutions.
+* ``sa_aladin``  -- after the QP, each local pair is continued to the new
+  parameters by a tangent predictor-corrector wherever the continuation is
+  trustworthy, and pinned to the coordination output (or re-solved exactly,
+  per config) elsewhere.
+* ``dsqp``       -- none: the QP data are taken at the consensus iterate, so
+  each iteration is one full-space SQP step expressed block-wise.
 * ``centralized`` -- ``dsqp`` on the degenerate single-window partition; used
   as the reference oracle for the distributed runs.
 """
@@ -115,7 +121,14 @@ class IterateState:
 
 @dataclass(eq=False)
 class ConvergenceRecord:
-    """Per-iteration progress metrics; norms are infinity norms."""
+    """Per-iteration progress metrics; norms are infinity norms.
+
+    The timings mean the same for every algorithm. ``local_ms`` is all
+    per-block work: local solves, the ``sa_aladin`` predictor, evaluation at
+    the linearization points not reused from the last metrics, and stage-block
+    assembly. ``qp_ms`` is the coordination solve and the consensus update.
+    The rest of ``wall_ms`` is the metrics at the new consensus iterate.
+    """
 
     iteration: int
     primal_step_inf: float
@@ -173,18 +186,23 @@ def _initial_iterate(
     return y, lam, mu
 
 
+def _evaluate(sub: SubProblem, x: Array) -> tuple:
+    """``((b, J), (F, D))``: residuals, dynamics defects and their Jacobians at ``x``."""
+    return eval_residual_stack(sub, x), eval_constraint_stages(sub, x)
+
+
 def _stage_block(
-    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str, with_offsets: bool
+    sub: SubProblem, x: Array, mu: Array, ev: tuple, rho: float, mode: str, with_offsets: bool
 ) -> StageBlock:
     """Coordination-QP data of one sub-window, linearized at ``x``, in stage form.
 
-    The Hessian is the Lagrangian curvature of ``mode`` shifted by ``rho``;
-    without offsets the constraint rows are homogeneous.
+    ``ev`` is the block's evaluation at ``x``. The Hessian is the Lagrangian
+    curvature of ``mode`` shifted by ``rho``; without offsets the constraint
+    rows are homogeneous.
     """
-    b, J = eval_residual_stack(sub, x)
-    F, D = eval_constraint_stages(sub, x)
+    (b, J), (F, D) = ev
     return StageBlock(
-        H=lagrangian_hessian_stages(sub, x, mu, rho, mode),
+        H=lagrangian_hessian_stages(sub, x, mu, rho, mode, residuals=(b, J)),
         g=J.T @ b,
         D=D,
         d=F if with_offsets else np.zeros_like(F),
@@ -227,26 +245,21 @@ def _iterate_metrics(
     lam: Array,
     mu: list[Array],
     coupling_blocks: list[Array],
+    evals: list[tuple],
 ) -> tuple[float, float, float, float]:
+    """Step, coupling, dynamics and stationarity norms; ``evals`` holds the
+    blocks' evaluations at ``y_new``."""
     primal = max(float(np.abs(yn - yo).max()) for yn, yo in zip(y_new, y_old))
     coupling = 0.0
     if partition.r:
         coupling = float(np.abs(coupling_residual(partition, coupling_blocks)).max())
     dynamics = 0.0
     stationarity = 0.0
-    for sub, y, mu_i in zip(subs, y_new, mu):
-        F, D = eval_constraint_stages(sub, y)
-        b, J = eval_residual_stack(sub, y)
+    for sub, ((b, J), (F, D)), mu_i in zip(subs, evals, mu):
         stat = J.T @ b + stage_constraint_transpose(D, mu_i) + sub.apply_coupling_transpose(lam)
         dynamics = max(dynamics, float(np.abs(F).max()))
         stationarity = max(stationarity, float(np.abs(stat).max()))
     return primal, coupling, dynamics, stationarity
-
-
-def _distance_to_reference(trajectory: Array, reference: Array | None) -> float | None:
-    if reference is None:
-        return None
-    return float(np.abs(trajectory - np.asarray(reference, dtype=float)).max())
 
 
 def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
@@ -258,19 +271,110 @@ def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
     raise wrapped from exc
 
 
-def _finish(
+def _drive(
     instance: MheInstance,
     partition: Partition,
-    subs: list[SubProblem],
-    y: list[Array],
-    x: list[Array],
-    lam: Array,
-    mu: list[Array],
-    records: list[ConvergenceRecord],
-    status: str,
+    cfg: SolverConfig,
+    warm: IterateState | None,
     reference: Array | None,
-    info: dict,
+    info: dict | None = None,
+    *,
+    local_solve=None,
+    start=None,
+    advance=None,
 ) -> SolveResult:
+    """The outer iteration of all four algorithms.
+
+    Without hooks this is ``dsqp``: each block is linearized at its consensus
+    block, with the ``hessian_mode`` curvature shifted by ``rho`` and the
+    dynamics defects as constraint offsets, and its new consensus block is its
+    next linearization point. The per-block steps of the ALADIN variants:
+
+    * ``local_solve(sub, y_i, lam)`` (``gn_aladin``) returns the block's exact
+      local solution, its linearization point for this iteration. Local
+      solutions are feasible, so the QP takes Gauss-Newton Hessians shifted
+      by ``qp_eps`` and homogeneous constraint rows, and the coupling metric
+      is measured on them.
+    * ``start(subs, y, lam, mu)`` and ``advance(sub, x_i, mu_i, ev_i, y_i, lam,
+      y_new_i, lam_new, mu_hat_i)`` (``sa_aladin``) return the initial and the
+      next local pair ``(x_i, mu_i)`` of a block; ``ev_i`` is its evaluation at
+      ``x_i``, and ``(y_new_i, lam_new, mu_hat_i)`` the coordination output.
+
+    ``info`` becomes the result's ``info``; the hooks may update it.
+    """
+    if local_solve is None:
+        shift, mode, offsets = cfg.rho, cfg.hessian_mode, True
+    else:
+        shift, mode, offsets = cfg.qp_eps, "gauss_newton", False
+    subs = split_instance(instance, partition)
+    y, lam, mu = _initial_iterate(instance, partition, warm)
+    x, mu = start(subs, y, lam, mu) if start else (list(y), mu)
+    evals = [None] * partition.N  # evaluations at x carried from the last metrics
+    records: list[ConvergenceRecord] = []
+    status = "max_iter"
+
+    for it in range(1, cfg.max_iter + 1):
+        t_iter = time.perf_counter()
+        try:
+            t0 = time.perf_counter()
+            if local_solve:
+                x = [local_solve(sub, y_i, lam) for sub, y_i in zip(subs, y)]
+            evals = [ev or _evaluate(sub, x_i) for sub, x_i, ev in zip(subs, x, evals)]
+            blocks = [
+                _stage_block(sub, x_i, mu_i, ev, shift, mode, offsets)
+                for sub, x_i, mu_i, ev in zip(subs, x, mu, evals)
+            ]
+            local_s = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            sol = _solve_qp_escalating(blocks, cfg.qp_eps)
+            y_new = [x_i + dx for x_i, dx in zip(x, sol.delta_x)]
+            qp_s = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            if advance:
+                pairs = [
+                    advance(sub, x_i, mu_i, ev, y_i, lam, yn_i, sol.lam, mu_hat_i)
+                    for sub, x_i, mu_i, ev, y_i, yn_i, mu_hat_i
+                    in zip(subs, x, mu, evals, y, y_new, sol.mu)
+                ]
+                x_new, mu_new = [p[0] for p in pairs], [p[1] for p in pairs]
+            else:
+                x_new, mu_new = (x if local_solve else y_new), sol.mu
+            local_s += time.perf_counter() - t0
+
+            evals_new = [_evaluate(sub, yn_i) for sub, yn_i in zip(subs, y_new)]
+            primal, coupling, dynamics, stationarity = _iterate_metrics(
+                subs, partition, y_new, y, sol.lam, sol.mu,
+                coupling_blocks=x if local_solve else y_new, evals=evals_new,
+            )
+            trajectory, _ = extract_trajectory(y_new, partition)
+        except SplitMheError as exc:
+            _wrap_iteration_error(exc, cfg.algorithm, it)
+        records.append(
+            ConvergenceRecord(
+                iteration=it,
+                primal_step_inf=primal,
+                coupling_inf=coupling,
+                dynamics_inf=dynamics,
+                stationarity_inf=stationarity,
+                dist_to_ref=(
+                    None if reference is None else float(np.abs(trajectory - reference).max())
+                ),
+                objective=centralized_objective(instance, trajectory),
+                wall_ms=1e3 * (time.perf_counter() - t_iter),
+                local_ms=1e3 * local_s,
+                qp_ms=1e3 * qp_s,
+            )
+        )
+        # a block whose next linearization point is its new consensus block
+        # reuses the metrics evaluation there as its next QP data
+        evals = [ev if x_i is yn_i else None for ev, x_i, yn_i in zip(evals_new, x_new, y_new)]
+        x, mu, y, lam = x_new, mu_new, y_new, sol.lam
+        if termination_check(records[-1], cfg):
+            status = "converged"
+            break
+
     trajectory, mismatch = extract_trajectory(y, partition)
     final_metrics = {}
     if records:
@@ -298,8 +402,15 @@ def _finish(
         status=status,
         final_metrics=final_metrics,
         final_state=state,
-        info=info,
+        info={} if info is None else info,
     )
+
+
+def _checked(cfg: SolverConfig | None, algorithm: str) -> SolverConfig:
+    cfg = cfg or SolverConfig(algorithm=algorithm)
+    if cfg.algorithm != algorithm:
+        raise ValueError(f"config selects {cfg.algorithm!r}, expected {algorithm!r}")
+    return cfg
 
 
 def run_gauss_newton_aladin(
@@ -317,128 +428,17 @@ def run_gauss_newton_aladin(
     the closed-form coupled QP with homogeneous constraint rows, and take the
     full consensus update.
     """
-    cfg = cfg or SolverConfig(algorithm="gn_aladin")
-    if cfg.algorithm != "gn_aladin":
-        raise ValueError(f"config selects {cfg.algorithm!r}, expected 'gn_aladin'")
-    subs = split_instance(instance, partition)
-    y, lam, mu = _initial_iterate(instance, partition, warm)
-    x = [b.copy() for b in y]
-    records: list[ConvergenceRecord] = []
-    status = "max_iter"
+    cfg = _checked(cfg, "gn_aladin")
+    info = {"last_local_inner_iterations": 0}
 
-    for it in range(1, cfg.max_iter + 1):
-        t_iter = time.perf_counter()
-        try:
-            t0 = time.perf_counter()
-            locals_ = [
-                solve_local_subproblem(sub, lam, y_i, cfg.rho, cfg.local)
-                for sub, y_i in zip(subs, y)
-            ]
-            x = [res.x for res in locals_]
-            local_ms = 1e3 * (time.perf_counter() - t0)
+    def local_solve(sub: SubProblem, y: Array, lam: Array) -> Array:
+        res = solve_local_subproblem(sub, lam, y, cfg.rho, cfg.local)
+        if sub.index == 1:  # the count covers the last iteration's solves
+            info["last_local_inner_iterations"] = 0
+        info["last_local_inner_iterations"] += res.iterations
+        return res.x
 
-            t0 = time.perf_counter()
-            blocks = [
-                _stage_block(sub, x_i, mu_i, cfg.qp_eps, "gauss_newton", with_offsets=False)
-                for sub, x_i, mu_i in zip(subs, x, mu)
-            ]
-            sol = _solve_qp_escalating(blocks, cfg.qp_eps)
-            lam = sol.lam
-            mu = sol.mu
-            y_new = [x_i + dx for x_i, dx in zip(x, sol.delta_x)]
-            qp_ms = 1e3 * (time.perf_counter() - t0)
-
-            primal, coupling, dynamics, stationarity = _iterate_metrics(
-                subs, partition, y_new, y, lam, mu, coupling_blocks=x
-            )
-            trajectory, _ = extract_trajectory(y_new, partition)
-        except SplitMheError as exc:
-            _wrap_iteration_error(exc, "gn_aladin", it)
-        records.append(
-            ConvergenceRecord(
-                iteration=it,
-                primal_step_inf=primal,
-                coupling_inf=coupling,
-                dynamics_inf=dynamics,
-                stationarity_inf=stationarity,
-                dist_to_ref=_distance_to_reference(trajectory, reference),
-                objective=centralized_objective(instance, trajectory),
-                wall_ms=1e3 * (time.perf_counter() - t_iter),
-                local_ms=local_ms,
-                qp_ms=qp_ms,
-            )
-        )
-        y = y_new
-        if termination_check(records[-1], cfg):
-            status = "converged"
-            break
-
-    local_iters = sum(res.iterations for res in locals_) if records else 0
-    return _finish(
-        instance, partition, subs, y, x, lam, mu, records, status, reference,
-        info={"last_local_inner_iterations": local_iters},
-    )
-
-
-def _sqp_loop(
-    instance: MheInstance,
-    partition: Partition,
-    cfg: SolverConfig,
-    warm: IterateState | None,
-    reference: Array | None,
-) -> SolveResult:
-    """Shared loop of ``dsqp`` and ``centralized``: derivative evaluation at the
-    consensus iterate plus one closed-form coordination step per iteration."""
-    subs = split_instance(instance, partition)
-    y, lam, mu = _initial_iterate(instance, partition, warm)
-    records: list[ConvergenceRecord] = []
-    status = "max_iter"
-
-    for it in range(1, cfg.max_iter + 1):
-        t_iter = time.perf_counter()
-        try:
-            t0 = time.perf_counter()
-            blocks = [
-                _stage_block(sub, y_i, mu_i, cfg.rho, cfg.hessian_mode, with_offsets=True)
-                for sub, y_i, mu_i in zip(subs, y, mu)
-            ]
-            local_ms = 1e3 * (time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            sol = _solve_qp_escalating(blocks, cfg.qp_eps)
-            lam = sol.lam
-            mu = sol.mu
-            y_new = [y_i + dx for y_i, dx in zip(y, sol.delta_x)]
-            qp_ms = 1e3 * (time.perf_counter() - t0)
-
-            primal, coupling, dynamics, stationarity = _iterate_metrics(
-                subs, partition, y_new, y, lam, mu, coupling_blocks=y_new
-            )
-            trajectory, _ = extract_trajectory(y_new, partition)
-        except SplitMheError as exc:
-            _wrap_iteration_error(exc, cfg.algorithm, it)
-        records.append(
-            ConvergenceRecord(
-                iteration=it,
-                primal_step_inf=primal,
-                coupling_inf=coupling,
-                dynamics_inf=dynamics,
-                stationarity_inf=stationarity,
-                dist_to_ref=_distance_to_reference(trajectory, reference),
-                objective=centralized_objective(instance, trajectory),
-                wall_ms=1e3 * (time.perf_counter() - t_iter),
-                local_ms=local_ms,
-                qp_ms=qp_ms,
-            )
-        )
-        y = y_new
-        if termination_check(records[-1], cfg):
-            status = "converged"
-            break
-
-    return _finish(
-        instance, partition, subs, y, y, lam, mu, records, status, reference, info={}
-    )
+    return _drive(instance, partition, cfg, warm, reference, info, local_solve=local_solve)
 
 
 def run_distributed_sqp(
@@ -455,10 +455,7 @@ def run_distributed_sqp(
     applies one closed-form coordination step; this is exactly one full-space
     SQP step on the lifted problem, computed block-wise.
     """
-    cfg = cfg or SolverConfig(algorithm="dsqp")
-    if cfg.algorithm != "dsqp":
-        raise ValueError(f"config selects {cfg.algorithm!r}, expected 'dsqp'")
-    return _sqp_loop(instance, partition, cfg, warm, reference)
+    return _drive(instance, partition, _checked(cfg, "dsqp"), warm, reference)
 
 
 def run_centralized(
@@ -467,17 +464,14 @@ def run_centralized(
     warm: IterateState | None = None,
     reference: Array | None = None,
 ) -> SolveResult:
-    """Self-contained baseline: the SQP loop on the single-window partition.
+    """Self-contained baseline: the SQP iteration on the single-window partition.
 
     No coupling rows exist (``r = 0``), so the coordination step degenerates to
     one equality-constrained QP over the whole window. The converged trajectory
     serves as the reference oracle for the distributed runs.
     """
-    cfg = cfg or SolverConfig(algorithm="centralized")
-    if cfg.algorithm != "centralized":
-        raise ValueError(f"config selects {cfg.algorithm!r}, expected 'centralized'")
     partition = build_partition(instance.L, 1, instance.model.nx)
-    return _sqp_loop(instance, partition, cfg, warm, reference)
+    return _drive(instance, partition, _checked(cfg, "centralized"), warm, reference)
 
 
 def run_sensitivity_aladin(
@@ -503,108 +497,45 @@ def run_sensitivity_aladin(
     With ``sa_first_iter_exact`` the initial local pairs are solved exactly
     at the initial parameters before the first coordination.
     """
-    cfg = cfg or SolverConfig(algorithm="sa_aladin")
-    if cfg.algorithm != "sa_aladin":
-        raise ValueError(f"config selects {cfg.algorithm!r}, expected 'sa_aladin'")
-    subs = split_instance(instance, partition)
-    y, lam, mu = _initial_iterate(instance, partition, warm)
-    if warm is not None:
-        x = [b.copy() for b in warm.x_blocks]
-    elif cfg.sa_first_iter_exact:
+    cfg = _checked(cfg, "sa_aladin")
+    info = {"exact_local_updates": 0, "predictor_updates": 0, "coordination_fallbacks": 0}
+
+    def start(subs, y, lam, mu):
+        if warm is not None:
+            return [b.copy() for b in warm.x_blocks], mu
+        if not cfg.sa_first_iter_exact:
+            return list(y), mu
         first = [
             solve_local_subproblem(sub, lam, y_i, cfg.rho, cfg.local)
             for sub, y_i in zip(subs, y)
         ]
-        x = [res.x for res in first]
-        mu = [res.mu for res in first]
-    else:
-        x = [b.copy() for b in y]
-    records: list[ConvergenceRecord] = []
-    status = "max_iter"
-    counts = {"exact_local_updates": 0, "predictor_updates": 0, "coordination_fallbacks": 0}
+        return [res.x for res in first], [res.mu for res in first]
 
-    for it in range(1, cfg.max_iter + 1):
-        t_iter = time.perf_counter()
-        try:
-            t0 = time.perf_counter()
-            blocks = [
-                _stage_block(sub, x_i, mu_i, cfg.rho, cfg.hessian_mode, with_offsets=True)
-                for sub, x_i, mu_i in zip(subs, x, mu)
-            ]
-            sol = _solve_qp_escalating(blocks, cfg.qp_eps)
-            lam_new = sol.lam
-            mu_hat = sol.mu
-            y_new = [x_i + dx for x_i, dx in zip(x, sol.delta_x)]
-            qp_ms = 1e3 * (time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            x_new = []
-            mu_new = []
-            for i, sub in enumerate(subs):
-                drift = first_order_conditions(
-                    sub, x[i], mu[i], lam_new, y_new[i], cfg.rho
+    def advance(sub, x, mu, ev, y, lam, y_new, lam_new, mu_hat):
+        drift = first_order_conditions(sub, x, mu, lam_new, y_new, cfg.rho, evaluation=ev)
+        if float(np.abs(drift).max()) <= cfg.sa_switch_tol:
+            pair = sensitivity_matrices(sub, x, mu, lam, y, cfg.rho, evaluation=ev)
+            try:
+                # tangent move plus defect correction in one solve:
+                # the conditions are affine in (Y, lam)
+                step = np.linalg.solve(pair.M, drift)
+            except np.linalg.LinAlgError:
+                logger.warning(
+                    "sub-window %d: singular sensitivity system, exact solve", sub.index
                 )
-                if float(np.abs(drift).max()) <= cfg.sa_switch_tol:
-                    pair = sensitivity_matrices(sub, x[i], mu[i], lam, y[i], cfg.rho)
-                    try:
-                        # tangent move plus defect correction in one solve:
-                        # the conditions are affine in (Y, lam)
-                        step = np.linalg.solve(pair.M, drift)
-                        s_new = np.concatenate([x[i], mu[i]]) - step
-                        x_new.append(s_new[:sub.block_dim])
-                        mu_new.append(s_new[sub.block_dim:])
-                        counts["predictor_updates"] += 1
-                    except np.linalg.LinAlgError:
-                        logger.warning(
-                            "sub-window %d: singular sensitivity system, exact solve",
-                            sub.index,
-                        )
-                        res = solve_local_subproblem(
-                            sub, lam_new, y_new[i], cfg.rho, cfg.local, x0=x[i]
-                        )
-                        x_new.append(res.x)
-                        mu_new.append(res.mu)
-                        counts["exact_local_updates"] += 1
-                elif cfg.sa_fallback == "exact_solve":
-                    res = solve_local_subproblem(
-                        sub, lam_new, y_new[i], cfg.rho, cfg.local, x0=x[i]
-                    )
-                    x_new.append(res.x)
-                    mu_new.append(res.mu)
-                    counts["exact_local_updates"] += 1
-                else:
-                    x_new.append(y_new[i].copy())
-                    mu_new.append(mu_hat[i].copy())
-                    counts["coordination_fallbacks"] += 1
-            local_ms = 1e3 * (time.perf_counter() - t0)
+            else:
+                info["predictor_updates"] += 1
+                s_new = np.concatenate([x, mu]) - step
+                return s_new[:sub.block_dim], s_new[sub.block_dim:]
+        elif cfg.sa_fallback == "coordination":
+            info["coordination_fallbacks"] += 1
+            return y_new, mu_hat  # not a copy: the driver reuses its evaluation there
+        info["exact_local_updates"] += 1
+        res = solve_local_subproblem(sub, lam_new, y_new, cfg.rho, cfg.local, x0=x)
+        return res.x, res.mu
 
-            primal, coupling, dynamics, stationarity = _iterate_metrics(
-                subs, partition, y_new, y, lam_new, mu_hat, coupling_blocks=y_new
-            )
-            trajectory, _ = extract_trajectory(y_new, partition)
-        except SplitMheError as exc:
-            _wrap_iteration_error(exc, "sa_aladin", it)
-        records.append(
-            ConvergenceRecord(
-                iteration=it,
-                primal_step_inf=primal,
-                coupling_inf=coupling,
-                dynamics_inf=dynamics,
-                stationarity_inf=stationarity,
-                dist_to_ref=_distance_to_reference(trajectory, reference),
-                objective=centralized_objective(instance, trajectory),
-                wall_ms=1e3 * (time.perf_counter() - t_iter),
-                local_ms=local_ms,
-                qp_ms=qp_ms,
-            )
-        )
-        x, mu, y, lam = x_new, mu_new, y_new, lam_new
-        if termination_check(records[-1], cfg):
-            status = "converged"
-            break
-
-    return _finish(
-        instance, partition, subs, y, x, lam, mu, records, status, reference, info=counts
+    return _drive(
+        instance, partition, cfg, warm, reference, info, start=start, advance=advance
     )
 
 

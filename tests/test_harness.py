@@ -9,7 +9,6 @@ from splitmhe.harness import (
     CONVERGENCE_HEADER,
     ESTIMATES_HEADER,
     SWEEP_HEADER,
-    emit_outputs,
     load_result,
     read_convergence_csv,
     read_estimates_csv,
@@ -229,26 +228,6 @@ def test_sweep_csv_round_trip(tmp_path):
     assert len(loaded) == 2
     assert loaded[0]["N"] == 3 and loaded[0]["iters_to_tol"] == 12
     assert loaded[1]["iters_to_tol"] is None and loaded[1]["final_error"] is None
-
-
-def test_emit_outputs_dispatch(tmp_path, benchmark_scenario, benchmark_runs):
-    result = benchmark_runs["dsqp"]
-    paths = {
-        "scenario": tmp_path / "s.json",
-        "result": tmp_path / "r.json",
-        "iters": tmp_path / "i.csv",
-    }
-    payloads = {
-        "scenario": benchmark_scenario,
-        "result": (result, {"algorithm": "dsqp"}),
-        "iters": result.records,
-    }
-    written = emit_outputs(payloads, paths)
-    assert sorted(p.name for p in written) == ["i.csv", "r.json", "s.json"]
-    for p in paths.values():
-        assert p.exists()
-    with pytest.raises(ValueError):
-        emit_outputs({"nope": 1}, {"nope": tmp_path / "x"})
 
 
 def test_self_check_passes():

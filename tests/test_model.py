@@ -8,33 +8,33 @@ from helpers import fd_jacobian, rel_err
 
 
 def test_step_straight_line(robot):
-    out = sm.step_dynamics(robot, [0.0, 0.0, 0.0], [1.0, 0.0])
+    out = robot.f(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [0.2, 0.0, 0.0], atol=1e-15)
 
 
 def test_step_quarter_turn_heading(robot):
-    out = sm.step_dynamics(robot, [0.0, 0.0, np.pi / 2], [1.0, 1.0])
+    out = robot.f(np.array([0.0, 0.0, np.pi / 2]), np.array([1.0, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.2, np.pi / 2 + 0.2], atol=1e-15)
 
 
 def test_step_zero_input_is_identity(robot):
     x = np.array([0.1, 0.1, 0.0])
-    np.testing.assert_array_equal(sm.step_dynamics(robot, x, [0.0, 0.0]), x)
+    np.testing.assert_array_equal(robot.f(x, np.array([0.0, 0.0])), x)
 
 
 def test_observe_345_triangle(robot):
-    out = sm.observe(robot, [3.0, 4.0, 0.7])
+    out = robot.h(np.array([3.0, 4.0, 0.7]))
     np.testing.assert_allclose(out, [5.0, np.arctan2(4.0, 3.0)], atol=1e-15)
     assert abs(out[1] - 0.9273) < 1e-4
 
 
 def test_observe_on_axis(robot):
-    np.testing.assert_allclose(sm.observe(robot, [1.0, 0.0, 0.3]), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(robot.h(np.array([1.0, 0.0, 0.3])), [1.0, 0.0], atol=1e-15)
 
 
 def test_observe_origin_raises(robot):
     with pytest.raises(OriginSingularityError):
-        sm.observe(robot, [0.0, 0.0, 0.5])
+        robot.h(np.array([0.0, 0.0, 0.5]))
 
 
 def test_observe_scaling_property(robot):
@@ -42,19 +42,19 @@ def test_observe_scaling_property(robot):
     for _ in range(20):
         x = rng.uniform(0.2, 2.0, 3)
         c = rng.uniform(0.5, 3.0)
-        base = sm.observe(robot, x)
-        scaled = sm.observe(robot, [c * x[0], c * x[1], x[2]])
+        base = robot.h(x)
+        scaled = robot.h(np.array([c * x[0], c * x[1], x[2]]))
         assert abs(scaled[0] - c * base[0]) < 1e-12
         assert abs(scaled[1] - base[1]) < 1e-12
 
 
 def test_jacobian_values_at_zero_heading(robot):
-    df_dx, _ = sm.jacobians(robot, [0.5, 0.8, 0.0], [1.0, 0.3])
+    df_dx = robot.df_dx(np.array([0.5, 0.8, 0.0]), np.array([1.0, 0.3]))
     np.testing.assert_allclose(df_dx, [[1, 0, 0], [0, 1, 0.2], [0, 0, 1]], atol=1e-15)
 
 
 def test_observation_jacobian_on_axis(robot):
-    _, dh_dx = sm.jacobians(robot, [1.0, 0.0, 0.2], [0.0, 0.0])
+    dh_dx = robot.dh_dx(np.array([1.0, 0.0, 0.2]))
     np.testing.assert_allclose(dh_dx, [[1, 0, 0], [0, 1, 0]], atol=1e-15)
 
 
@@ -125,12 +125,6 @@ def test_rollout_obeys_dynamics(robot):
 def test_model_dimension_validation():
     with pytest.raises(ValueError):
         sm.robot_model(T=0.0)
-
-
-def test_noise_spec_validation():
-    sm.NoiseSpec(sigma_r=0.05, sigma_alpha=0.01, seed=1)
-    with pytest.raises(ValueError):
-        sm.NoiseSpec(sigma_r=-0.1)
 
 
 def test_gaussian_draws_deterministic_and_standard():

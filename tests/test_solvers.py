@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe import local_nlp, problem, qp_core
+from splitmhe import local_nlp, problem, qp_core, solvers
 from splitmhe.errors import NonFiniteDataError, NotPositiveDefiniteError, SplitMheError
 from splitmhe.local_nlp import lagrangian_hessian
 from splitmhe.problem import eval_constraints, eval_residual_stack, split_instance
@@ -224,11 +226,12 @@ def test_n_invariance_small_benchmark(benchmark_instance, benchmark_baseline):
             assert np.abs(trajectories[i] - trajectories[j]).max() <= 1e-6
 
 
-def test_records_are_deterministic(benchmark_instance):
-    partition = sm.build_partition(25, 4, 3)
-    cfg = sm.SolverConfig(algorithm="dsqp", tol=1e-8, max_iter=30)
-    a = sm.run_distributed_sqp(benchmark_instance, partition, cfg)
-    b = sm.run_distributed_sqp(benchmark_instance, partition, cfg)
+@pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
+def test_records_are_deterministic(benchmark_instance, algorithm):
+    partition = None if algorithm == "centralized" else sm.build_partition(25, 4, 3)
+    cfg = sm.SolverConfig(algorithm=algorithm, tol=1e-8, max_iter=30)
+    a = sm.solve(benchmark_instance, partition, cfg)
+    b = sm.solve(benchmark_instance, partition, cfg)
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra.iteration == rb.iteration
@@ -238,6 +241,7 @@ def test_records_are_deterministic(benchmark_instance):
         assert ra.stationarity_inf == rb.stationarity_inf
         assert ra.objective == rb.objective
     np.testing.assert_array_equal(a.trajectory, b.trajectory)
+    assert a.info == b.info
 
 
 def test_solver_errors_carry_iteration_context(linear_model):
@@ -277,7 +281,8 @@ def test_wrapped_iteration_error_keeps_block_index():
     assert err.value.__cause__.block_index == 2
 
 
-def test_solver_errors_name_the_failing_block(linear_model):
+@pytest.mark.parametrize("algorithm", ["gn_aladin", "sa_aladin", "dsqp"])
+def test_solver_errors_name_the_failing_block(linear_model, algorithm):
     instance = build_linear_instance(linear_model, L=6, seed=2)
     partition = sm.build_partition(6, 3, 2)
     y = sm.lift_initial_guess(instance.initial_guess, partition)
@@ -287,11 +292,35 @@ def test_solver_errors_name_the_failing_block(linear_model):
         mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
     )
     with pytest.raises(NonFiniteDataError) as err:
-        sm.run_distributed_sqp(
-            instance, partition, sm.SolverConfig(algorithm="dsqp", rho=1.0), warm=bad
-        )
+        sm.solve(instance, partition, sm.SolverConfig(algorithm=algorithm, rho=1.0), warm=bad)
     assert err.value.block_index == 1
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("algorithm", ["dsqp", "centralized"])
+def test_sqp_evaluates_each_block_once_per_point(benchmark_instance, monkeypatch, algorithm):
+    """Over k iterations an SQP run visits k + 1 points per block, and every
+    consumer at a point (QP data, Hessian, metrics) shares one evaluation."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(sub, X):
+            calls[name, sub.index] += 1
+            return fn(sub, X)
+        return wrapper
+
+    for module in (solvers, local_nlp, problem):
+        for name in ("eval_residual_stack", "eval_constraint_stages"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    n_blocks, k = (1 if algorithm == "centralized" else 4), 6
+    partition = None if algorithm == "centralized" else sm.build_partition(25, n_blocks, 3)
+    result = sm.solve(
+        benchmark_instance, partition, sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=k)
+    )
+    assert result.iterations == k
+    assert {i for _, i in calls} == set(range(1, n_blocks + 1))
+    for (name, index), count in calls.items():
+        assert count <= k + 1, f"{name} ran {count} times on block {index} in {k} iterations"
 
 
 def _refuse(*args, **kwargs):

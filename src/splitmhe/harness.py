@@ -150,7 +150,7 @@ def generate_scenario(
 
     noise = gaussian_draws(seed, 2 * (steps + 1)).reshape(steps + 1, 2)
     noise = noise * np.array([sigma_r, sigma_alpha])
-    measurements = np.stack([model.h(s) for s in states]) + noise
+    measurements = model.h(states) + noise
     return Scenario(
         T=T,
         sigma_r=sigma_r,
@@ -604,12 +604,7 @@ def run_self_check(seed: int = 7) -> list[tuple[str, bool, str]]:
     central = centralized_objective(instance, traj)
     obj_err = abs(total - central) / (1.0 + abs(central))
     split_f = np.concatenate([constraint_vector(sub, blk) for sub, blk in zip(subs, blocks)])
-    central_f = np.concatenate(
-        [
-            traj[n + 1] - instance.model.f(traj[n], instance.controls[n])
-            for n in range(instance.L)
-        ]
-    )
+    central_f = (traj[1:] - instance.model.f(traj[:-1], instance.controls)).reshape(-1)
     con_err = float(np.abs(split_f - central_f).max())
     coupling = float(np.abs(coupling_residual(partition, blocks)).max())
     ok = obj_err <= 1e-12 and con_err <= 1e-12 and coupling <= 1e-12

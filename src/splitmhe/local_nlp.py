@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .problem import (
     block_diagonal_matrix,
     constraint_vector,
     eval_constraint_stages,
-    eval_constraints,
     eval_residual_stack,
     residual_vector,
     stage_constraint_matrix,
@@ -60,15 +60,33 @@ class LocalSolveConfig:
             raise ValueError(f"unknown hessian mode {self.hessian_mode!r}")
 
 
+class BlockEvaluation(NamedTuple):
+    """A block's residuals, defects, their Jacobians and the gradient ``J' b`` at one point."""
+
+    b: Array
+    J: Array
+    F: Array
+    D: Array
+    g: Array
+
+    @classmethod
+    def at(cls, sub: SubProblem, x: Array) -> BlockEvaluation:
+        b, J = eval_residual_stack(sub, x)
+        F, D = eval_constraint_stages(sub, x)
+        return cls(b, J, F, D, J.T @ b)
+
+
 @dataclass(eq=False)
 class LocalSolveResult:
-    """Solution of one augmented sub-problem (best iterate when not converged)."""
+    """Solution of one augmented sub-problem (best iterate when not converged);
+    ``evaluation`` is the block's evaluation at ``x`` when converged."""
 
     x: Array
     mu: Array
     iterations: int
     converged: bool
     kkt_inf: float
+    evaluation: BlockEvaluation | None = None
 
 
 @dataclass(eq=False)
@@ -87,19 +105,19 @@ class SensitivityPair:
 
 def first_order_conditions(
     sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
-    evaluation: tuple | None = None,
+    evaluation: BlockEvaluation | None = None,
 ) -> Array:
     """Stacked first-order conditions of the augmented sub-problem.
 
     Rows: the augmented-Lagrangian gradient (objective gradient plus coupling
     price, proximal pull, and constraint terms), then the dynamics defects.
     Affine in the parameters ``(y_ref, lam)``. ``evaluation`` is the block's
-    ``((b, J), (F, D))`` at ``x`` when the caller already has it.
+    evaluation at ``x`` when the caller already has it.
     """
-    (b, J), (F, D) = evaluation or (eval_residual_stack(sub, x), eval_constraint_stages(sub, x))
-    grad = J.T @ b + sub.apply_coupling_transpose(lam) + rho * (np.asarray(x, dtype=float) - y_ref)
-    grad = grad + stage_constraint_transpose(D, mu)
-    return np.concatenate([grad, F])
+    ev = evaluation or BlockEvaluation.at(sub, x)
+    grad = ev.g + sub.apply_coupling_transpose(lam) + rho * (np.asarray(x, dtype=float) - y_ref)
+    grad = grad + stage_constraint_transpose(ev.D, mu)
+    return np.concatenate([grad, ev.F])
 
 
 def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float) -> float:
@@ -135,27 +153,29 @@ def lagrangian_hessian_stages(
     H[offsets] += np.swapaxes(Jm, 1, 2) @ Jm
     if mode == "exact_lagrangian":
         states = sub.states(x)
-        for k, off in enumerate(sub.meas_offsets):
-            w = sub.v_inv_sqrt.T @ b[row + k * ny:row + (k + 1) * ny]
-            H[off] += m.d2h(states[off], w)
-        for k in range(sub.length):
-            H[k] -= m.d2f(states[k], sub.controls[k], mu[k * nx:(k + 1) * nx])
+        w = (sub.v_inv_sqrt.T @ b[row:].reshape(len(offsets), ny, 1))[..., 0]
+        H[offsets] += m.d2h(states[offsets], w)
+        H[:-1] -= m.d2f(states[:-1], sub.controls, np.reshape(mu, (sub.length, nx)))
     return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
-def lagrangian_hessian(sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian") -> Array:
+def lagrangian_hessian(
+    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian",
+    residuals: tuple[Array, Array] | None = None,
+) -> Array:
     """Curvature of the local Lagrangian plus the proximal shift ``rho * I``.
 
     ``gauss_newton`` keeps only ``J'J + rho*I``; ``exact_lagrangian`` adds the
     residual curvature (weighted observation Hessians) and the constraint
     curvature (dynamics Hessians contracted with ``mu``). Always symmetric.
+    ``residuals`` is as in :func:`lagrangian_hessian_stages`.
     """
-    return block_diagonal_matrix(lagrangian_hessian_stages(sub, x, mu, rho, mode))
+    return block_diagonal_matrix(lagrangian_hessian_stages(sub, x, mu, rho, mode, residuals))
 
 
 def sensitivity_matrices(
     sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
-    evaluation: tuple | None = None,
+    evaluation: BlockEvaluation | None = None,
 ) -> SensitivityPair:
     """Build ``M`` and ``N`` at a solved ``(x, mu)`` pair.
 
@@ -163,11 +183,9 @@ def sensitivity_matrices(
     ``M`` depends on the solution point only; ``lam`` and ``y_ref`` document
     the evaluation point. ``evaluation`` is as in :func:`first_order_conditions`.
     """
-    residuals, (_, D) = evaluation or (eval_residual_stack(sub, x), eval_constraint_stages(sub, x))
-    C = stage_constraint_matrix(D)
-    W = block_diagonal_matrix(
-        lagrangian_hessian_stages(sub, x, mu, rho, "exact_lagrangian", residuals)
-    )
+    ev = evaluation or BlockEvaluation.at(sub, x)
+    C = stage_constraint_matrix(ev.D)
+    W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, ev.J))
     n = sub.block_dim
     m_rows = sub.constraint_dim
     r = sub.partition.r
@@ -197,9 +215,9 @@ def tangent_predictor(s: Array, xi_old: Array, xi_new: Array, pair: SensitivityP
     return s - step
 
 
-def _merit(sub: SubProblem, x: Array, sigma: float, at_lam: Array, y_ref: Array, rho: float) -> float:
-    b = residual_vector(sub, x)
-    F = constraint_vector(sub, x)
+def _merit(sub, x, sigma, at_lam, y_ref, rho, values=None) -> float:
+    """l1 merit at ``x``; ``values`` is ``(b, F)`` there when the caller has it."""
+    b, F = values or (residual_vector(sub, x), constraint_vector(sub, x))
     dx = x - y_ref
     return float(0.5 * b @ b + at_lam @ x + 0.5 * rho * dx @ dx + sigma * np.abs(F).sum())
 
@@ -275,17 +293,18 @@ def solve_local_subproblem(
     steps = 0
     kkt = np.inf
     for _ in range(cfg.inner_max_iter):
-        b, J = eval_residual_stack(sub, x)
-        F, C = eval_constraints(sub, x)
-        grad = J.T @ b + at_lam + rho * (x - y_ref)
+        ev = BlockEvaluation.at(sub, x)
+        J, F = ev.J, ev.F
+        C = stage_constraint_matrix(ev.D)
+        grad = ev.g + at_lam + rho * (x - y_ref)
         kkt = float(np.abs(grad + C.T @ mu).max())
         if F.size:
             kkt = max(kkt, float(np.abs(F).max()))
         if kkt <= cfg.inner_tol:
-            return LocalSolveResult(x=x, mu=mu, iterations=steps, converged=True, kkt_inf=kkt)
+            return LocalSolveResult(x, mu, steps, converged=True, kkt_inf=kkt, evaluation=ev)
 
         if cfg.hessian_mode == "exact_lagrangian":
-            H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian")
+            H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, J))
         else:
             H = J.T @ J + rho * np.eye(sub.block_dim)
         dx, mu_new = _solve_inner_kkt(H, C, grad, F, eps0)
@@ -294,7 +313,7 @@ def solve_local_subproblem(
             x = x + dx
         else:
             sigma = 1.0 + 2.0 * float(np.abs(mu_new).max()) if mu_new.size else 1.0
-            merit0 = _merit(sub, x, sigma, at_lam, y_ref, rho)
+            merit0 = _merit(sub, x, sigma, at_lam, y_ref, rho, (ev.b, F))
             slack = 1e-14 * max(1.0, abs(merit0))
             trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
             if trial is None and cfg.hessian_mode == "exact_lagrangian":

@@ -2,7 +2,8 @@
 
 Every solver in this package consumes models through :class:`SystemModel`: a
 state transition ``f(x, u)``, an observation map ``h(x)``, their Jacobians, and
-weighted second-derivative contractions used for exact Lagrangian curvature.
+weighted second-derivative contractions used for exact Lagrangian curvature,
+each evaluated over a whole stack of points in one call.
 The differential-drive robot of the benchmark is provided by
 :func:`robot_model`; :func:`make_linear_model` builds linear test systems.
 """
@@ -26,6 +27,13 @@ class SystemModel:
     ``d2f(x, u, w)`` returns the Hessian of ``w @ f(., u)`` at ``x`` and
     ``d2h(x, w)`` the Hessian of ``w @ h`` at ``x``; both are symmetric
     ``nx x nx`` matrices for any weight vector ``w``.
+
+    Every callable maps points stacked along leading axes to results stacked
+    the same way: ``h`` maps ``(k, nx)`` to ``(k, ny)``, ``df_dx`` maps
+    ``(k, nx), (k, nu)`` to ``(k, nx, nx)``, ``d2h`` maps ``(k, nx), (k, ny)``
+    to ``(k, nx, nx)``, and a single point is the stack with no leading axis.
+    The package evaluates a whole sub-window in one call, so a model written
+    for single points only does not work with it.
     """
 
     nx: int
@@ -58,6 +66,16 @@ def rollout(model: SystemModel, x0: Array, controls: Array) -> Array:
     return states
 
 
+def _fill(base: Array, x: Array, entries: dict) -> Array:
+    """``base`` repeated over the leading (stack) axes of the points ``x``, with
+    entry ``(i, j)`` of every copy set to the matching element of ``entries[i, j]``."""
+    out = np.empty(np.shape(x)[:-1] + base.shape)
+    out[...] = base
+    for (i, j), value in entries.items():
+        out[..., i, j] = value
+    return out
+
+
 def robot_model(T: float = 0.2, eps_origin: float = 1e-12) -> SystemModel:
     """Differential-drive robot with range/bearing observations.
 
@@ -67,75 +85,64 @@ def robot_model(T: float = 0.2, eps_origin: float = 1e-12) -> SystemModel:
     ``(sqrt(phi^2 + psi^2), atan2(psi, phi))``; the two-argument arctangent
     keeps the bearing defined everywhere except the origin, where
     :class:`OriginSingularityError` is raised (threshold ``eps_origin`` on
-    ``phi^2 + psi^2``).
+    ``phi^2 + psi^2``) naming the first offending state of the stack.
     """
 
-    def _range_sq(x: Array) -> float:
-        r2 = x[0] * x[0] + x[1] * x[1]
-        if r2 < eps_origin:
+    def _range_sq(x: Array) -> Array:
+        r2 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+        if np.min(r2) < eps_origin:
+            first = np.flatnonzero(r2 < eps_origin)[0]
+            phi, psi = x.reshape(-1, 3)[first, :2]
             raise OriginSingularityError(
-                f"observation undefined at ({x[0]:.3e}, {x[1]:.3e}): "
+                f"observation undefined at state {first} ({phi:.3e}, {psi:.3e}): "
                 f"phi^2 + psi^2 < {eps_origin:g}"
             )
         return r2
 
     def f(x: Array, u: Array) -> Array:
-        theta = x[2]
-        return np.array(
-            [
-                x[0] + T * u[0] * np.cos(theta),
-                x[1] + T * u[0] * np.sin(theta),
-                x[2] + T * u[1],
-            ]
-        )
+        theta, v = x[..., 2], T * u[..., 0]
+        step = np.empty(np.shape(x))
+        step[..., 0] = v * np.cos(theta)
+        step[..., 1] = v * np.sin(theta)
+        step[..., 2] = T * u[..., 1]
+        return x + step
 
     def h(x: Array) -> Array:
         r2 = _range_sq(x)
-        return np.array([np.sqrt(r2), np.arctan2(x[1], x[0])])
+        return np.stack([np.sqrt(r2), np.arctan2(x[..., 1], x[..., 0])], axis=-1)
 
     def df_dx(x: Array, u: Array) -> Array:
-        theta = x[2]
-        out = np.eye(3)
-        out[0, 2] = -T * u[0] * np.sin(theta)
-        out[1, 2] = T * u[0] * np.cos(theta)
-        return out
+        theta, v = x[..., 2], T * u[..., 0]
+        return _fill(np.eye(3), x, {(0, 2): -v * np.sin(theta), (1, 2): v * np.cos(theta)})
 
     def df_du(x: Array, u: Array) -> Array:
-        theta = x[2]
-        return T * np.array([[np.cos(theta), 0.0], [np.sin(theta), 0.0], [0.0, 1.0]])
+        cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
+        return T * _fill(np.zeros((3, 2)), x, {(0, 0): cos, (1, 0): sin, (2, 1): 1.0})
 
     def dh_dx(x: Array) -> Array:
         r2 = _range_sq(x)
         r = np.sqrt(r2)
-        phi, psi = x[0], x[1]
-        return np.array([[phi / r, psi / r, 0.0], [-psi / r2, phi / r2, 0.0]])
+        phi, psi = x[..., 0], x[..., 1]
+        entries = {(0, 0): phi / r, (0, 1): psi / r, (1, 0): -psi / r2, (1, 1): phi / r2}
+        return _fill(np.zeros((2, 3)), x, entries)
 
     def d2f(x: Array, u: Array, w: Array) -> Array:
-        theta = x[2]
-        out = np.zeros((3, 3))
-        out[2, 2] = -T * u[0] * (w[0] * np.cos(theta) + w[1] * np.sin(theta))
-        return out
+        theta = x[..., 2]
+        curv = -T * u[..., 0] * (w[..., 0] * np.cos(theta) + w[..., 1] * np.sin(theta))
+        return _fill(np.zeros((3, 3)), x, {(2, 2): curv})
 
     def d2h(x: Array, w: Array) -> Array:
         r2 = _range_sq(x)
         r3 = r2 * np.sqrt(r2)
         r4 = r2 * r2
-        phi, psi = x[0], x[1]
-        range_curv = np.array(
-            [
-                [psi * psi / r3, -phi * psi / r3, 0.0],
-                [-phi * psi / r3, phi * phi / r3, 0.0],
-                [0.0, 0.0, 0.0],
-            ]
+        phi, psi = x[..., 0], x[..., 1]
+        cross, diff, twice = -phi * psi / r3, (psi * psi - phi * phi) / r4, 2.0 * phi * psi / r4
+        range_curv = {(0, 0): psi * psi / r3, (0, 1): cross, (1, 0): cross, (1, 1): phi * phi / r3}
+        bearing_curv = {(0, 0): twice, (0, 1): diff, (1, 0): diff, (1, 1): -twice}
+        return (
+            w[..., 0, None, None] * _fill(np.zeros((3, 3)), x, range_curv)
+            + w[..., 1, None, None] * _fill(np.zeros((3, 3)), x, bearing_curv)
         )
-        bearing_curv = np.array(
-            [
-                [2.0 * phi * psi / r4, (psi * psi - phi * phi) / r4, 0.0],
-                [(psi * psi - phi * phi) / r4, -2.0 * phi * psi / r4, 0.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        return w[0] * range_curv + w[1] * bearing_curv
 
     return SystemModel(3, 2, 2, T, f, h, df_dx, df_du, dh_dx, d2f, d2h, name="robot")
 
@@ -148,19 +155,18 @@ def make_linear_model(A: Array, B: Array, C: Array, T: float = 1.0, name: str = 
     nx = A.shape[0]
     if A.shape != (nx, nx) or B.shape[0] != nx or C.shape[1] != nx:
         raise ValueError("inconsistent linear model dimensions")
-    zero_curv = np.zeros((nx, nx))
     return SystemModel(
         nx=nx,
         nu=B.shape[1],
         ny=C.shape[0],
         T=T,
-        f=lambda x, u: A @ x + B @ u,
-        h=lambda x: C @ x,
-        df_dx=lambda x, u: A.copy(),
-        df_du=lambda x, u: B.copy(),
-        dh_dx=lambda x: C.copy(),
-        d2f=lambda x, u, w: zero_curv.copy(),
-        d2h=lambda x, w: zero_curv.copy(),
+        f=lambda x, u: (A @ x[..., None])[..., 0] + (B @ u[..., None])[..., 0],
+        h=lambda x: (C @ x[..., None])[..., 0],
+        df_dx=lambda x, u: np.broadcast_to(A, x.shape[:-1] + A.shape).copy(),
+        df_du=lambda x, u: np.broadcast_to(B, x.shape[:-1] + B.shape).copy(),
+        dh_dx=lambda x: np.broadcast_to(C, x.shape[:-1] + C.shape).copy(),
+        d2f=lambda x, u, w: np.zeros(x.shape + (nx,)),
+        d2h=lambda x, w: np.zeros(x.shape + (nx,)),
         name=name,
     )
 

@@ -254,17 +254,11 @@ def _check_block(sub: SubProblem, X: Array) -> Array:
 
 def residual_vector(sub: SubProblem, X: Array) -> Array:
     """Stacked weighted residuals (prior term first, then measurement terms)."""
-    X = _check_block(sub, X)
-    states = sub.states(X)
-    m = sub.model
-    b = np.zeros(sub.residual_dim)
-    row = 0
+    states = sub.states(_check_block(sub, X))
+    dy = sub.model.h(states[list(sub.meas_offsets)]) - sub.measurements
+    b = (sub.v_inv_sqrt @ dy[..., None])[..., 0].reshape(-1)
     if sub.has_prior:
-        b[:m.nx] = sub.p_inv_sqrt @ (states[0] - sub.prior)
-        row = m.nx
-    for k, off in enumerate(sub.meas_offsets):
-        b[row:row + m.ny] = sub.v_inv_sqrt @ (m.h(states[off]) - sub.measurements[k])
-        row += m.ny
+        b = np.concatenate([sub.p_inv_sqrt @ (states[0] - sub.prior), b])
     return b
 
 
@@ -275,33 +269,25 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``0.5 * ||b||^2``, its gradient ``J.T @ b`` and its Gauss-Newton Hessian
     ``J.T @ J``.
     """
-    X = _check_block(sub, X)
+    b = residual_vector(sub, X)
     states = sub.states(X)
     m = sub.model
-    b = np.zeros(sub.residual_dim)
+    offsets = list(sub.meas_offsets)
     J = np.zeros((sub.residual_dim, sub.block_dim))
     row = 0
     if sub.has_prior:
-        b[:m.nx] = sub.p_inv_sqrt @ (states[0] - sub.prior)
         J[:m.nx, :m.nx] = sub.p_inv_sqrt
         row = m.nx
-    for k, off in enumerate(sub.meas_offsets):
-        x = states[off]
-        b[row:row + m.ny] = sub.v_inv_sqrt @ (m.h(x) - sub.measurements[k])
-        J[row:row + m.ny, off * m.nx:(off + 1) * m.nx] = sub.v_inv_sqrt @ m.dh_dx(x)
-        row += m.ny
+    # measurement k's rows touch only state meas_offsets[k]
+    Jm = J[row:].reshape(len(offsets), m.ny, sub.length + 1, m.nx)
+    Jm[np.arange(len(offsets)), :, offsets] = sub.v_inv_sqrt @ m.dh_dx(states[offsets])
     return b, J
 
 
 def constraint_vector(sub: SubProblem, X: Array) -> Array:
     """Dynamics defects ``x_{k+1} - f(x_k, u_k)`` over the sub-window."""
-    X = _check_block(sub, X)
-    states = sub.states(X)
-    m = sub.model
-    F = np.zeros(sub.constraint_dim)
-    for k in range(sub.length):
-        F[k * m.nx:(k + 1) * m.nx] = states[k + 1] - m.f(states[k], sub.controls[k])
-    return F
+    states = sub.states(_check_block(sub, X))
+    return (states[1:] - sub.model.f(states[:-1], sub.controls)).reshape(-1)
 
 
 # Layout of the stage form, shared with qp_core.StageBlock. It lives here, not
@@ -345,15 +331,8 @@ def eval_constraint_stages(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     Block row ``k`` of the constraint Jacobian is ``[-D_k, I]`` on states
     ``k`` and ``k + 1``; ``D`` has shape ``(length, nx, nx)``.
     """
-    X = _check_block(sub, X)
-    states = sub.states(X)
-    m = sub.model
-    F = np.zeros((sub.length, m.nx))
-    D = np.zeros((sub.length, m.nx, m.nx))
-    for k in range(sub.length):
-        F[k] = states[k + 1] - m.f(states[k], sub.controls[k])
-        D[k] = m.df_dx(states[k], sub.controls[k])
-    return F.reshape(-1), D
+    F = constraint_vector(sub, X)
+    return F, sub.model.df_dx(sub.states(X)[:-1], sub.controls)
 
 
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
@@ -413,20 +392,22 @@ def extract_trajectory(blocks: list[Array], partition: Partition) -> tuple[Array
     return total / counts[:, None], mismatch
 
 
+def _window_states(instance: MheInstance, trajectory: Array) -> Array:
+    x = np.atleast_2d(np.asarray(trajectory, dtype=float))
+    if x.shape != (instance.L + 1, instance.model.nx):
+        raise DimensionMismatchError(
+            f"trajectory must be ({instance.L + 1}, {instance.model.nx}), got {x.shape}"
+        )
+    return x
+
+
 def centralized_objective(instance: MheInstance, trajectory: Array) -> float:
     """Window objective: prior penalty plus all weighted measurement penalties."""
-    m = instance.model
-    x = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if x.shape != (instance.L + 1, m.nx):
-        raise DimensionMismatchError(
-            f"trajectory must be ({instance.L + 1}, {m.nx}), got {x.shape}"
-        )
+    x = _window_states(instance, trajectory)
     dx = x[0] - instance.prior
-    val = 0.5 * dx @ np.linalg.solve(instance.P, dx)
-    for n in range(instance.L + 1):
-        dy = m.h(x[n]) - instance.measurements[n]
-        val += 0.5 * dy @ np.linalg.solve(instance.V, dy)
-    return float(val)
+    dy = (instance.model.h(x) - instance.measurements)[..., None]
+    meas = np.swapaxes(dy, 1, 2) @ np.linalg.solve(instance.V, dy)
+    return float(0.5 * dx @ np.linalg.solve(instance.P, dx) + 0.5 * meas.sum())
 
 
 def centralized_kkt_residual(instance: MheInstance, trajectory: Array) -> float:
@@ -438,27 +419,13 @@ def centralized_kkt_residual(instance: MheInstance, trajectory: Array) -> float:
     the window data enter.
     """
     m = instance.model
-    nx = m.nx
-    L = instance.L
-    x = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if x.shape != (L + 1, nx):
-        raise DimensionMismatchError(f"trajectory must be ({L + 1}, {nx}), got {x.shape}")
-
-    grad = np.zeros((L + 1) * nx)
-    grad[:nx] = np.linalg.solve(instance.P, x[0] - instance.prior)
-    for n in range(L + 1):
-        dy = m.h(x[n]) - instance.measurements[n]
-        grad[n * nx:(n + 1) * nx] += m.dh_dx(x[n]).T @ np.linalg.solve(instance.V, dy)
-
-    F = np.zeros(L * nx)
-    C = np.zeros((L * nx, (L + 1) * nx))
-    eye = np.eye(nx)
-    for n in range(L):
-        rows = slice(n * nx, (n + 1) * nx)
-        F[rows] = x[n + 1] - m.f(x[n], instance.controls[n])
-        C[rows, n * nx:(n + 1) * nx] = -m.df_dx(x[n], instance.controls[n])
-        C[rows, (n + 1) * nx:(n + 2) * nx] = eye
-
+    x = _window_states(instance, trajectory)
+    dy = (m.h(x) - instance.measurements)[..., None]
+    grad = (np.swapaxes(m.dh_dx(x), 1, 2) @ np.linalg.solve(instance.V, dy))[..., 0]
+    grad[0] += np.linalg.solve(instance.P, x[0] - instance.prior)
+    grad = grad.reshape(-1)
+    F = x[1:] - m.f(x[:-1], instance.controls)
+    C = stage_constraint_matrix(m.df_dx(x[:-1], instance.controls))
     nu, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
     stationarity = grad + C.T @ nu
     return float(max(np.abs(stationarity).max(), np.abs(F).max()))

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError, SplitMheError
 from .local_nlp import (
+    BlockEvaluation,
     LocalSolveConfig,
     first_order_conditions,
     lagrangian_hessian_stages,
@@ -48,8 +49,6 @@ from .problem import (
     build_partition,
     centralized_objective,
     coupling_residual,
-    eval_constraint_stages,
-    eval_residual_stack,
     extract_trajectory,
     lift_initial_guess,
     split_instance,
@@ -170,29 +169,41 @@ def termination_check(record: ConvergenceRecord, cfg: SolverConfig) -> bool:
     return worst <= cfg.tol
 
 
+def _check_warm(warm: IterateState, partition: Partition) -> None:
+    """Raise, naming the first misfit, unless ``warm`` has the partition's shapes."""
+    if (shape := np.shape(warm.lam)) != (partition.r,):
+        raise SplitMheError(f"warm start: lam has shape {shape}, expected ({partition.r},)")
+    sizes = {
+        "x_blocks": partition.block_dims,
+        "y_blocks": partition.block_dims,
+        "mu_blocks": partition.constraint_dims,
+    }
+    for name, dims in sizes.items():
+        blocks = getattr(warm, name)
+        if len(blocks) != partition.N:
+            raise SplitMheError(f"warm start: {len(blocks)} {name} for {partition.N} sub-windows")
+        for i, (block, n) in enumerate(zip(blocks, dims)):
+            if (shape := np.shape(block)) != (n,):
+                raise SplitMheError(f"warm start: {name}[{i}] has shape {shape}, expected ({n},)")
+
+
 def _initial_iterate(
     instance: MheInstance, partition: Partition, warm: IterateState | None
 ) -> tuple[list[Array], Array, list[Array]]:
     if warm is not None:
+        _check_warm(warm, partition)
         y = [np.array(b, dtype=float) for b in warm.y_blocks]
-        lam = np.array(warm.lam, dtype=float)
         mu = [np.array(b, dtype=float) for b in warm.mu_blocks]
-        if len(y) != partition.N or lam.shape != (partition.r,):
-            raise SplitMheError("warm start does not match the partition dimensions")
-        return y, lam, mu
+        return y, np.array(warm.lam, dtype=float), mu
     y = lift_initial_guess(instance.initial_guess, partition)
     lam = np.zeros(partition.r)
     mu = [np.zeros(m) for m in partition.constraint_dims]
     return y, lam, mu
 
 
-def _evaluate(sub: SubProblem, x: Array) -> tuple:
-    """``((b, J), (F, D))``: residuals, dynamics defects and their Jacobians at ``x``."""
-    return eval_residual_stack(sub, x), eval_constraint_stages(sub, x)
-
-
 def _stage_block(
-    sub: SubProblem, x: Array, mu: Array, ev: tuple, rho: float, mode: str, with_offsets: bool
+    sub: SubProblem, x: Array, mu: Array, ev: BlockEvaluation, rho: float, mode: str,
+    with_offsets: bool,
 ) -> StageBlock:
     """Coordination-QP data of one sub-window, linearized at ``x``, in stage form.
 
@@ -200,12 +211,11 @@ def _stage_block(
     curvature of ``mode`` shifted by ``rho``; without offsets the constraint
     rows are homogeneous.
     """
-    (b, J), (F, D) = ev
     return StageBlock(
-        H=lagrangian_hessian_stages(sub, x, mu, rho, mode, residuals=(b, J)),
-        g=J.T @ b,
-        D=D,
-        d=F if with_offsets else np.zeros_like(F),
+        H=lagrangian_hessian_stages(sub, x, mu, rho, mode, residuals=(ev.b, ev.J)),
+        g=ev.g,
+        D=ev.D,
+        d=ev.F if with_offsets else np.zeros_like(ev.F),
         plus_row=sub.plus_row,
         minus_row=sub.minus_row,
         r=sub.partition.r,
@@ -245,7 +255,7 @@ def _iterate_metrics(
     lam: Array,
     mu: list[Array],
     coupling_blocks: list[Array],
-    evals: list[tuple],
+    evals: list[BlockEvaluation],
 ) -> tuple[float, float, float, float]:
     """Step, coupling, dynamics and stationarity norms; ``evals`` holds the
     blocks' evaluations at ``y_new``."""
@@ -255,9 +265,9 @@ def _iterate_metrics(
         coupling = float(np.abs(coupling_residual(partition, coupling_blocks)).max())
     dynamics = 0.0
     stationarity = 0.0
-    for sub, ((b, J), (F, D)), mu_i in zip(subs, evals, mu):
-        stat = J.T @ b + stage_constraint_transpose(D, mu_i) + sub.apply_coupling_transpose(lam)
-        dynamics = max(dynamics, float(np.abs(F).max()))
+    for sub, ev, mu_i in zip(subs, evals, mu):
+        stat = ev.g + stage_constraint_transpose(ev.D, mu_i) + sub.apply_coupling_transpose(lam)
+        dynamics = max(dynamics, float(np.abs(ev.F).max()))
         stationarity = max(stationarity, float(np.abs(stat).max()))
     return primal, coupling, dynamics, stationarity
 
@@ -291,7 +301,8 @@ def _drive(
     next linearization point. The per-block steps of the ALADIN variants:
 
     * ``local_solve(sub, y_i, lam)`` (``gn_aladin``) returns the block's exact
-      local solution, its linearization point for this iteration. Local
+      local solution, its linearization point for this iteration, and the
+      solve's evaluation there (None if it has none). Local
       solutions are feasible, so the QP takes Gauss-Newton Hessians shifted
       by ``qp_eps`` and homogeneous constraint rows, and the coupling metric
       is measured on them.
@@ -318,8 +329,9 @@ def _drive(
         try:
             t0 = time.perf_counter()
             if local_solve:
-                x = [local_solve(sub, y_i, lam) for sub, y_i in zip(subs, y)]
-            evals = [ev or _evaluate(sub, x_i) for sub, x_i, ev in zip(subs, x, evals)]
+                solved = [local_solve(sub, y_i, lam) for sub, y_i in zip(subs, y)]
+                x, evals = [s[0] for s in solved], [s[1] for s in solved]
+            evals = [ev or BlockEvaluation.at(sub, x_i) for sub, x_i, ev in zip(subs, x, evals)]
             blocks = [
                 _stage_block(sub, x_i, mu_i, ev, shift, mode, offsets)
                 for sub, x_i, mu_i, ev in zip(subs, x, mu, evals)
@@ -343,7 +355,7 @@ def _drive(
                 x_new, mu_new = (x if local_solve else y_new), sol.mu
             local_s += time.perf_counter() - t0
 
-            evals_new = [_evaluate(sub, yn_i) for sub, yn_i in zip(subs, y_new)]
+            evals_new = [BlockEvaluation.at(sub, yn_i) for sub, yn_i in zip(subs, y_new)]
             primal, coupling, dynamics, stationarity = _iterate_metrics(
                 subs, partition, y_new, y, sol.lam, sol.mu,
                 coupling_blocks=x if local_solve else y_new, evals=evals_new,
@@ -431,12 +443,12 @@ def run_gauss_newton_aladin(
     cfg = _checked(cfg, "gn_aladin")
     info = {"last_local_inner_iterations": 0}
 
-    def local_solve(sub: SubProblem, y: Array, lam: Array) -> Array:
+    def local_solve(sub: SubProblem, y: Array, lam: Array) -> tuple:
         res = solve_local_subproblem(sub, lam, y, cfg.rho, cfg.local)
         if sub.index == 1:  # the count covers the last iteration's solves
             info["last_local_inner_iterations"] = 0
         info["last_local_inner_iterations"] += res.iterations
-        return res.x
+        return res.x, res.evaluation
 
     return _drive(instance, partition, cfg, warm, reference, info, local_solve=local_solve)
 

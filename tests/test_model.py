@@ -134,3 +134,35 @@ def test_gaussian_draws_deterministic_and_standard():
     big = sm.gaussian_draws(7, 200_000)
     assert abs(big.mean()) < 0.01
     assert abs(big.std() - 1.0) < 0.01
+
+
+def _stacked_points(model, k=9, seed=12):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return (
+        rng.uniform(0.5, 2.0, (k, model.nx)),
+        rng.uniform(-1.0, 1.0, (k, model.nu)),
+        rng.standard_normal((k, model.nx)),
+        rng.standard_normal((k, model.ny)),
+    )
+
+
+@pytest.mark.parametrize("which", ["robot", "linear_model"])
+def test_stacked_calls_equal_single_point_calls(which, request):
+    model = request.getfixturevalue(which)
+    X, U, WX, WY = _stacked_points(model)
+    calls = {
+        "f": (X, U), "h": (X,), "df_dx": (X, U), "df_du": (X, U), "dh_dx": (X,),
+        "d2f": (X, U, WX), "d2h": (X, WY),
+    }
+    for name, args in calls.items():
+        stacked = getattr(model, name)(*args)
+        single = np.stack([getattr(model, name)(*row) for row in zip(*args)])
+        np.testing.assert_array_equal(stacked, single, err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["h", "dh_dx", "d2h"])
+def test_stacked_origin_raises_naming_the_state(robot, name):
+    X = np.array([[1.0, 0.5, 0.0], [0.3, 0.2, 0.1], [0.0, 0.0, 0.4], [0.0, 0.0, 0.9]])
+    args = (X,) if name != "d2h" else (X, np.ones((4, 2)))
+    with pytest.raises(OriginSingularityError, match=r"state 2 \("):
+        getattr(robot, name)(*args)

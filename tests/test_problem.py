@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ import splitmhe as sm
 from splitmhe.errors import DimensionMismatchError, PartitionError
 from splitmhe.problem import (
     constraint_vector,
+    eval_constraint_stages,
+    eval_residual_stack,
     residual_vector,
     sub_objective,
 )
@@ -241,3 +246,30 @@ def test_centralized_kkt_residual_at_linear_optimum(linear_instance):
     assert sm.centralized_kkt_residual(linear_instance, optimum) <= 1e-9
     worse = optimum + 1e-3
     assert sm.centralized_kkt_residual(linear_instance, worse) > 1e-6
+
+
+def test_block_evaluation_calls_the_model_once_per_callable(benchmark_instance):
+    """A whole sub-window is one stacked call of each model callable it needs."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(benchmark_instance.model, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    names = ("f", "h", "df_dx", "df_du", "dh_dx", "d2f", "d2h")
+    model = replace(benchmark_instance.model, **{name: counted(name) for name in names})
+    instance = replace(benchmark_instance, model=model)
+    partition = sm.build_partition(25, 4, 3)
+    subs = sm.split_instance(instance, partition)
+    blocks = sm.lift_initial_guess(instance.initial_guess, partition)
+    for sub, block in zip(subs, blocks):
+        eval_residual_stack(sub, block)
+    assert calls == Counter(h=4, dh_dx=4)
+    calls.clear()
+    for sub, block in zip(subs, blocks):
+        eval_constraint_stages(sub, block)
+    assert calls == Counter(f=4, df_dx=4)

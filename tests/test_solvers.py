@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -311,7 +312,8 @@ def test_sqp_evaluates_each_block_once_per_point(benchmark_instance, monkeypatch
 
     for module in (solvers, local_nlp, problem):
         for name in ("eval_residual_stack", "eval_constraint_stages"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            wrapped = counted(name, getattr(problem, name))
+            monkeypatch.setattr(module, name, wrapped, raising=False)
     n_blocks, k = (1 if algorithm == "centralized" else 4), 6
     partition = None if algorithm == "centralized" else sm.build_partition(25, n_blocks, 3)
     result = sm.solve(
@@ -372,3 +374,51 @@ def test_regularisation_ladder_shifts_per_state_blocks():
     with pytest.raises(NotPositiveDefiniteError) as err:
         _solve_qp_escalating(blocks, eps0=1.0)
     assert err.value.block_index == 1
+
+
+def test_gn_aladin_reuses_the_local_solve_evaluation(benchmark_instance, monkeypatch):
+    """A converged local solve has already evaluated the point it returns; the
+    outer loop takes that evaluation as the block's QP data."""
+    calls = Counter()
+
+    def counted(sub, X):
+        calls[sub.index] += 1
+        return evaluate(sub, X)
+
+    evaluate = problem.eval_residual_stack
+    for module in (solvers, local_nlp, problem):
+        monkeypatch.setattr(module, "eval_residual_stack", counted, raising=False)
+    cfg = sm.SolverConfig(algorithm="gn_aladin", tol=1e-8, max_iter=60)
+    result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
+    assert result.status == "converged"
+    # 3.48 per block-iteration inside the local solves (one per inner
+    # iteration, shared by the convergence test and the curvature) plus one
+    # in the outer loop at each new consensus point
+    per_block_iteration = sum(calls.values()) / (4 * result.iterations)
+    assert per_block_iteration <= 4.49, per_block_iteration
+
+
+@pytest.mark.parametrize(
+    "field, index, size",
+    [("x_blocks", 0, 5), ("y_blocks", 1, 5), ("mu_blocks", 2, 3), ("mu_blocks", None, None)],
+)
+@pytest.mark.parametrize("algorithm", ["gn_aladin", "sa_aladin", "dsqp"])
+def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, index, size):
+    instance = build_linear_instance(linear_model, L=6, seed=2)
+    partition = sm.build_partition(6, 3, 2)
+    y = sm.lift_initial_guess(instance.initial_guess, partition)
+    blocks = dict(
+        x_blocks=list(y), y_blocks=list(y),
+        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+    )
+    if index is None:
+        blocks[field] = blocks[field][:-1]  # one block short
+        expected = "2 mu_blocks for 3 sub-windows"
+    else:
+        blocks[field][index] = blocks[field][index][:size]
+        expected = re.escape(f"{field}[{index}] has shape ({size},), expected ")
+    bad = sm.IterateState(lam=np.zeros(partition.r), **blocks)
+    cfg = sm.SolverConfig(algorithm=algorithm, rho=1.0, max_iter=5)
+    with pytest.raises(SplitMheError, match=expected) as err:
+        sm.solve(instance, partition, cfg, warm=bad)
+    assert not hasattr(err.value, "iteration")

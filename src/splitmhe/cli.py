@@ -11,16 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    DimensionMismatchError,
-    FactorizationError,
-    LocalSolveError,
-    OriginSingularityError,
-    PartitionError,
-    ScenarioError,
-)
+from .errors import DimensionMismatchError, PartitionError, ScenarioError
 from .harness import (
     DEFAULT_HORIZON,
+    NUMERICAL_ERRORS,
     generate_scenario,
     load_scenario,
     run_receding_horizon,
@@ -49,7 +43,6 @@ _ALGORITHM_NAMES = {
 _HESSIAN_NAMES = {"gauss-newton": "gauss_newton", "exact": "exact_lagrangian"}
 
 _INPUT_ERRORS = (PartitionError, DimensionMismatchError, ScenarioError, OSError, ValueError)
-_NUMERICAL_ERRORS = (FactorizationError, LocalSolveError, OriginSingularityError)
 
 
 class _CliInputError(Exception):
@@ -239,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _INPUT_ERRORS as exc:

@@ -67,7 +67,8 @@ SWEEP_HEADER = [
     "status",
 ]
 
-_NUMERICAL_ERRORS = (FactorizationError, LocalSolveError, OriginSingularityError)
+# the failures a solve can meet on valid input; callers record or report them
+NUMERICAL_ERRORS = (FactorizationError, LocalSolveError, OriginSingularityError)
 
 
 @dataclass(eq=False)
@@ -248,7 +249,7 @@ def run_receding_horizon(
             result = solve_window(
                 scenario, l, cfg, n_subwindows, horizon, prior=prior, initial_guess=guess
             )
-        except _NUMERICAL_ERRORS:
+        except NUMERICAL_ERRORS:
             outcomes.append(
                 WindowOutcome(
                     window_end=l,
@@ -291,7 +292,10 @@ def sweep_subwindows(
     disabled); ``iters_to_tol`` reports the first iteration whose distance to
     the converged centralized baseline reaches ``cfg.tol``, and the timing
     columns report wall-clock means that are machine-dependent by nature.
+    Raises ``ValueError`` unless ``iters >= 1``.
     """
+    if iters < 1:
+        raise ValueError(f"sweep needs at least one iteration, got iters={iters}")
     baseline_cfg = SolverConfig(
         algorithm="centralized", tol=min(cfg.tol, 1e-10), max_iter=200
     )
@@ -305,7 +309,7 @@ def sweep_subwindows(
             result = solve_window(
                 scenario, window_end, run_cfg, n, horizon, reference=reference
             )
-        except _NUMERICAL_ERRORS:
+        except NUMERICAL_ERRORS:
             rows.append(
                 SweepRow(
                     n_subwindows=n,

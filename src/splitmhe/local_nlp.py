@@ -37,27 +37,21 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 _MIN_STEP_FRACTION = 2.0 ** -30
+# KKT residual below which the inner solve takes the full step outright
+_FULL_STEP_TOL = 1e-3
 
 
 @dataclass
 class LocalSolveConfig:
-    """Tolerances and safeguards of the inner sub-problem solver.
-
-    ``eps_h`` seeds the escalation ladder applied when an inner KKT
-    factorization fails; it defaults to the proximal weight ``rho``.
-    """
+    """Stopping rule of the inner sub-problem solver: the KKT residual
+    tolerance and the iteration budget."""
 
     inner_tol: float = 1e-10
     inner_max_iter: int = 50
-    eps_h: float | None = None
-    hessian_mode: str = "exact_lagrangian"
-    full_step_tol: float = 1e-3
 
     def __post_init__(self):
         if self.inner_tol <= 0 or self.inner_max_iter < 1:
             raise ValueError("inner tolerances must be positive")
-        if self.hessian_mode not in ("gauss_newton", "exact_lagrangian"):
-            raise ValueError(f"unknown hessian mode {self.hessian_mode!r}")
 
 
 class BlockEvaluation(NamedTuple):
@@ -272,13 +266,14 @@ def solve_local_subproblem(
 
     Equality-constrained SQP: at each iterate the KKT system
     ``[[W, C'], [C, 0]]`` is solved for the full step, with ``W`` the exact
-    Lagrangian curvature plus ``rho*I`` by default (Gauss-Newton's dropped
-    curvature stalls on the coupling-tilted blocks, where the residual stays
-    large at the solution). Steps are halved until an l1-penalized merit
-    decreases; when the curvature step finds no descent the iteration retries
-    with the Gauss-Newton matrix ``J'J + rho*I``. Below ``full_step_tol`` the
+    Lagrangian curvature plus ``rho*I`` (Gauss-Newton's dropped curvature
+    stalls on the coupling-tilted blocks, where the residual stays large at
+    the solution). Steps are halved until an l1-penalized merit decreases;
+    when the curvature step finds no descent the iteration retries with the
+    Gauss-Newton matrix ``J'J + rho*I``. Below a KKT residual of ``1e-3`` the
     full step is taken outright: merit differences there are at float
-    resolution and the SQP contraction stands on its own. The iteration count
+    resolution and the SQP contraction stands on its own. A singular KKT
+    matrix is shifted by ``rho * 10**k``, ``k = 0, 1, 2``. The iteration count
     reports the number of KKT solves taken.
     """
     cfg = cfg or LocalSolveConfig()
@@ -288,7 +283,6 @@ def solve_local_subproblem(
     x = np.array(y_ref if x0 is None else x0, dtype=float)
     mu = np.zeros(sub.constraint_dim)
     at_lam = sub.apply_coupling_transpose(lam)
-    eps0 = cfg.eps_h if cfg.eps_h is not None else rho
 
     steps = 0
     kkt = np.inf
@@ -303,24 +297,21 @@ def solve_local_subproblem(
         if kkt <= cfg.inner_tol:
             return LocalSolveResult(x, mu, steps, converged=True, kkt_inf=kkt, evaluation=ev)
 
-        if cfg.hessian_mode == "exact_lagrangian":
-            H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, J))
-        else:
-            H = J.T @ J + rho * np.eye(sub.block_dim)
-        dx, mu_new = _solve_inner_kkt(H, C, grad, F, eps0)
+        H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, J))
+        dx, mu_new = _solve_inner_kkt(H, C, grad, F, rho)
 
-        if kkt <= cfg.full_step_tol:
+        if kkt <= _FULL_STEP_TOL:
             x = x + dx
         else:
             sigma = 1.0 + 2.0 * float(np.abs(mu_new).max()) if mu_new.size else 1.0
             merit0 = _merit(sub, x, sigma, at_lam, y_ref, rho, (ev.b, F))
             slack = 1e-14 * max(1.0, abs(merit0))
             trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
-            if trial is None and cfg.hessian_mode == "exact_lagrangian":
+            if trial is None:
                 # indefinite curvature can make the Newton step an ascent
                 # direction far from the solution; retry with Gauss-Newton
                 H = J.T @ J + rho * np.eye(sub.block_dim)
-                dx, mu_new = _solve_inner_kkt(H, C, grad, F, eps0)
+                dx, mu_new = _solve_inner_kkt(H, C, grad, F, rho)
                 trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
             if trial is not None:
                 x = trial

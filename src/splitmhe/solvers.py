@@ -12,13 +12,12 @@ deterministic regardless of how the map is scheduled.
 The algorithms differ only in a per-block step around the coordination:
 
 * ``gn_aladin``  -- before the QP, an exact local solve per block; its QP data
-  are Gauss-Newton Hessians shifted by ``qp_regularization`` with homogeneous
-  constraint rows (the local solutions are feasible), and its coupling metric
-  is taken on the local solutions.
+  are Gauss-Newton Hessians shifted by ``rho`` with homogeneous constraint
+  rows (the local solutions are feasible), and its coupling metric is taken
+  on the local solutions.
 * ``sa_aladin``  -- after the QP, each local pair is continued to the new
   parameters by a tangent predictor-corrector wherever the continuation is
-  trustworthy, and pinned to the coordination output (or re-solved exactly,
-  per config) elsewhere.
+  trustworthy, and pinned to the coordination output elsewhere.
 * ``dsqp``       -- none: the QP data are taken at the consensus iterate, so
   each iteration is one full-space SQP step expressed block-wise.
 * ``centralized`` -- ``dsqp`` on the degenerate single-window partition; used
@@ -36,7 +35,6 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, SplitMheError
 from .local_nlp import (
     BlockEvaluation,
-    LocalSolveConfig,
     first_order_conditions,
     lagrangian_hessian_stages,
     sensitivity_matrices,
@@ -64,17 +62,20 @@ ALGORITHMS = ("gn_aladin", "sa_aladin", "dsqp", "centralized")
 
 _DEFAULT_RHO = {"gn_aladin": 25.0, "sa_aladin": 1e3, "dsqp": 1e3, "centralized": 1e3}
 
+# stationarity drift below which sa_aladin trusts its predictor-corrector
+_SA_SWITCH_TOL = 1e-5
+
 
 @dataclass
 class SolverConfig:
     """Algorithm selection and outer-loop parameters.
 
-    ``rho`` defaults per algorithm (25 for ``gn_aladin``, 1e3 otherwise);
-    ``qp_regularization`` shifts the Gauss-Newton QP Hessians of ``gn_aladin``
-    and seeds the escalation ladder for the others, defaulting to ``rho``.
-    ``sa_switch_tol`` is the stationarity threshold below which ``sa_aladin``
-    trusts the predictor-corrector continuation; beyond it the local pair
-    follows ``sa_fallback``.
+    ``rho`` defaults per algorithm (25 for ``gn_aladin``, 1e3 otherwise). It
+    shifts the coordination Hessians and seeds their regularization ladder.
+    ``hessian_mode`` picks the coordination curvature of ``dsqp``,
+    ``centralized`` and ``sa_aladin``; ``gn_aladin`` coordinates with
+    Gauss-Newton Hessians only. With ``sa_first_iter_exact`` a cold
+    ``sa_aladin`` run solves its initial local pairs exactly.
     """
 
     algorithm: str = "dsqp"
@@ -82,11 +83,7 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 50
     hessian_mode: str = "gauss_newton"
-    local: LocalSolveConfig = field(default_factory=LocalSolveConfig)
-    qp_regularization: float | None = None
     sa_first_iter_exact: bool = True
-    sa_switch_tol: float = 1e-5
-    sa_fallback: str = "coordination"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -97,14 +94,12 @@ class SolverConfig:
             raise ValueError("rho must be positive")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
         if self.hessian_mode not in ("gauss_newton", "exact_lagrangian"):
             raise ValueError(f"unknown hessian mode {self.hessian_mode!r}")
-        if self.sa_fallback not in ("coordination", "exact_solve"):
-            raise ValueError(f"unknown sa fallback {self.sa_fallback!r}")
-
-    @property
-    def qp_eps(self) -> float:
-        return self.rho if self.qp_regularization is None else self.qp_regularization
+        if self.algorithm == "gn_aladin" and self.hessian_mode != "gauss_newton":
+            raise ValueError("gn_aladin coordinates with Gauss-Newton Hessians only")
 
 
 @dataclass(eq=False)
@@ -295,32 +290,30 @@ def _drive(
 ) -> SolveResult:
     """The outer iteration of all four algorithms.
 
+    Each block's QP data is the ``hessian_mode`` curvature shifted by ``rho``.
     Without hooks this is ``dsqp``: each block is linearized at its consensus
-    block, with the ``hessian_mode`` curvature shifted by ``rho`` and the
-    dynamics defects as constraint offsets, and its new consensus block is its
-    next linearization point. The per-block steps of the ALADIN variants:
+    block, with the dynamics defects as constraint offsets, and its new
+    consensus block is its next linearization point. The per-block steps of
+    the ALADIN variants:
 
     * ``local_solve(sub, y_i, lam)`` (``gn_aladin``) returns the block's exact
       local solution, its linearization point for this iteration, and the
-      solve's evaluation there (None if it has none). Local
-      solutions are feasible, so the QP takes Gauss-Newton Hessians shifted
-      by ``qp_eps`` and homogeneous constraint rows, and the coupling metric
-      is measured on them.
-    * ``start(subs, y, lam, mu)`` and ``advance(sub, x_i, mu_i, ev_i, y_i, lam,
-      y_new_i, lam_new, mu_hat_i)`` (``sa_aladin``) return the initial and the
-      next local pair ``(x_i, mu_i)`` of a block; ``ev_i`` is its evaluation at
-      ``x_i``, and ``(y_new_i, lam_new, mu_hat_i)`` the coordination output.
+      solve's evaluation there (None if it has none). Local solutions are
+      feasible, so the QP takes homogeneous constraint rows, and the coupling
+      metric is measured on them.
+    * ``start(subs, y, lam, mu)`` (``sa_aladin``) returns the initial local
+      pairs ``(x, mu)`` and the blocks' evaluations at ``x`` (None where it has
+      none). ``advance(sub, x_i, mu_i, ev_i, y_i, lam, y_new_i, lam_new,
+      mu_hat_i)`` returns the next local pair ``(x_i, mu_i)`` of a block;
+      ``ev_i`` is its evaluation at ``x_i``, and ``(y_new_i, lam_new,
+      mu_hat_i)`` the coordination output.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
-    if local_solve is None:
-        shift, mode, offsets = cfg.rho, cfg.hessian_mode, True
-    else:
-        shift, mode, offsets = cfg.qp_eps, "gauss_newton", False
     subs = split_instance(instance, partition)
     y, lam, mu = _initial_iterate(instance, partition, warm)
-    x, mu = start(subs, y, lam, mu) if start else (list(y), mu)
-    evals = [None] * partition.N  # evaluations at x carried from the last metrics
+    # evals: the blocks' evaluations at x, carried from the last metrics
+    x, mu, evals = start(subs, y, lam, mu) if start else (list(y), mu, [None] * partition.N)
     records: list[ConvergenceRecord] = []
     status = "max_iter"
 
@@ -333,13 +326,13 @@ def _drive(
                 x, evals = [s[0] for s in solved], [s[1] for s in solved]
             evals = [ev or BlockEvaluation.at(sub, x_i) for sub, x_i, ev in zip(subs, x, evals)]
             blocks = [
-                _stage_block(sub, x_i, mu_i, ev, shift, mode, offsets)
+                _stage_block(sub, x_i, mu_i, ev, cfg.rho, cfg.hessian_mode, not local_solve)
                 for sub, x_i, mu_i, ev in zip(subs, x, mu, evals)
             ]
             local_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            sol = _solve_qp_escalating(blocks, cfg.qp_eps)
+            sol = _solve_qp_escalating(blocks, cfg.rho)
             y_new = [x_i + dx for x_i, dx in zip(x, sol.delta_x)]
             qp_s = time.perf_counter() - t0
 
@@ -436,15 +429,16 @@ def run_gauss_newton_aladin(
 
     Per iteration: solve every augmented sub-problem exactly in parallel,
     assemble residual-based gradients and Gauss-Newton Hessians (shifted by
-    ``qp_regularization`` to restore positive definiteness), coordinate through
-    the closed-form coupled QP with homogeneous constraint rows, and take the
-    full consensus update.
+    ``rho`` to restore positive definiteness), coordinate through the
+    closed-form coupled QP with homogeneous constraint rows, and take the full
+    consensus update. The local solves run with the default
+    :class:`LocalSolveConfig`.
     """
     cfg = _checked(cfg, "gn_aladin")
     info = {"last_local_inner_iterations": 0}
 
     def local_solve(sub: SubProblem, y: Array, lam: Array) -> tuple:
-        res = solve_local_subproblem(sub, lam, y, cfg.rho, cfg.local)
+        res = solve_local_subproblem(sub, lam, y, cfg.rho)
         if sub.index == 1:  # the count covers the last iteration's solves
             info["last_local_inner_iterations"] = 0
         info["last_local_inner_iterations"] += res.iterations
@@ -502,49 +496,43 @@ def run_sensitivity_aladin(
     are affine in the parameters, so the tangent move plus the Newton
     correction of the current defect is one solve against the sensitivity
     KKT matrix at the new parameters. The continuation is trusted only while
-    the current pair nearly satisfies the new first-order conditions
-    (threshold ``sa_switch_tol``); otherwise the local pair falls back to the
-    coordination output itself (``sa_fallback='coordination'``, the stable
-    choice on stiff data) or to an exact local solve (``'exact_solve'``).
-    With ``sa_first_iter_exact`` the initial local pairs are solved exactly
-    at the initial parameters before the first coordination.
+    the current pair nearly satisfies the new first-order conditions (drift
+    at most ``1e-5``); otherwise the local pair falls back to the coordination
+    output itself. A singular sensitivity system is recovered by an exact
+    local solve. With ``sa_first_iter_exact`` the initial local pairs of a
+    cold start are solved exactly at the initial parameters before the first
+    coordination; the local solves run with the default
+    :class:`LocalSolveConfig`.
     """
     cfg = _checked(cfg, "sa_aladin")
     info = {"exact_local_updates": 0, "predictor_updates": 0, "coordination_fallbacks": 0}
 
     def start(subs, y, lam, mu):
         if warm is not None:
-            return [b.copy() for b in warm.x_blocks], mu
+            return [b.copy() for b in warm.x_blocks], mu, [None] * len(subs)
         if not cfg.sa_first_iter_exact:
-            return list(y), mu
-        first = [
-            solve_local_subproblem(sub, lam, y_i, cfg.rho, cfg.local)
-            for sub, y_i in zip(subs, y)
-        ]
-        return [res.x for res in first], [res.mu for res in first]
+            return list(y), mu, [None] * len(subs)
+        first = [solve_local_subproblem(sub, lam, y_i, cfg.rho) for sub, y_i in zip(subs, y)]
+        return [r.x for r in first], [r.mu for r in first], [r.evaluation for r in first]
 
     def advance(sub, x, mu, ev, y, lam, y_new, lam_new, mu_hat):
         drift = first_order_conditions(sub, x, mu, lam_new, y_new, cfg.rho, evaluation=ev)
-        if float(np.abs(drift).max()) <= cfg.sa_switch_tol:
-            pair = sensitivity_matrices(sub, x, mu, lam, y, cfg.rho, evaluation=ev)
-            try:
-                # tangent move plus defect correction in one solve:
-                # the conditions are affine in (Y, lam)
-                step = np.linalg.solve(pair.M, drift)
-            except np.linalg.LinAlgError:
-                logger.warning(
-                    "sub-window %d: singular sensitivity system, exact solve", sub.index
-                )
-            else:
-                info["predictor_updates"] += 1
-                s_new = np.concatenate([x, mu]) - step
-                return s_new[:sub.block_dim], s_new[sub.block_dim:]
-        elif cfg.sa_fallback == "coordination":
+        if not float(np.abs(drift).max()) <= _SA_SWITCH_TOL:  # NaN drift falls back too
             info["coordination_fallbacks"] += 1
             return y_new, mu_hat  # not a copy: the driver reuses its evaluation there
-        info["exact_local_updates"] += 1
-        res = solve_local_subproblem(sub, lam_new, y_new, cfg.rho, cfg.local, x0=x)
-        return res.x, res.mu
+        pair = sensitivity_matrices(sub, x, mu, lam, y, cfg.rho, evaluation=ev)
+        try:
+            # tangent move plus defect correction in one solve:
+            # the conditions are affine in (Y, lam)
+            step = np.linalg.solve(pair.M, drift)
+        except np.linalg.LinAlgError:
+            logger.warning("sub-window %d: singular sensitivity system, exact solve", sub.index)
+            info["exact_local_updates"] += 1
+            res = solve_local_subproblem(sub, lam_new, y_new, cfg.rho, x0=x)
+            return res.x, res.mu
+        info["predictor_updates"] += 1
+        s_new = np.concatenate([x, mu]) - step
+        return s_new[:sub.block_dim], s_new[sub.block_dim:]
 
     return _drive(
         instance, partition, cfg, warm, reference, info, start=start, advance=advance

@@ -101,6 +101,20 @@ def test_numerical_failure_exit_code(scenario_file):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--iters", "0", "--sub-windows", "3"],
+        ["solve", "--max-iter", "-3"],
+        ["solve", "--algorithm", "gn-aladin", "--hessian", "exact"],
+    ],
+)
+def test_out_of_range_solver_options_are_input_errors(scenario_file, tmp_path, capsys, args):
+    code = main(args + ["--scenario", str(scenario_file), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "input error" in capsys.readouterr().err
+
+
 def test_estimate_writes_csv(scenario_file, tmp_path):
     out = tmp_path / "estimates.csv"
     code = main(

@@ -57,9 +57,20 @@ def test_config_defaults_per_algorithm():
     assert sm.SolverConfig(algorithm="gn_aladin").rho == 25.0
     assert sm.SolverConfig(algorithm="sa_aladin").rho == 1e3
     assert sm.SolverConfig(algorithm="dsqp").rho == 1e3
-    assert sm.SolverConfig(algorithm="dsqp", rho=7.0).qp_eps == 7.0
     with pytest.raises(ValueError):
         sm.SolverConfig(algorithm="nope")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(algorithm="dsqp", max_iter=-1),
+        dict(algorithm="gn_aladin", hessian_mode="exact_lagrangian"),
+    ],
+)
+def test_config_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        sm.SolverConfig(**kwargs)
 
 
 def test_benchmark_runs_reach_reference(benchmark_runs):
@@ -422,3 +433,40 @@ def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, 
     with pytest.raises(SplitMheError, match=expected) as err:
         sm.solve(instance, partition, cfg, warm=bad)
     assert not hasattr(err.value, "iteration")
+
+
+def test_sa_aladin_reuses_the_first_local_solve_evaluations(benchmark_instance, monkeypatch):
+    """The converged initial local solves hand their evaluations to the first
+    iteration, as gn_aladin's local solves do."""
+    calls = Counter()
+
+    def counted(sub, X):
+        calls[sub.index] += 1
+        return evaluate(sub, X)
+
+    evaluate = problem.eval_residual_stack
+    for module in (solvers, local_nlp, problem):
+        monkeypatch.setattr(module, "eval_residual_stack", counted, raising=False)
+    cfg = sm.SolverConfig(algorithm="sa_aladin")
+    result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
+    assert result.iterations == 50
+    # 275 when each of the four converged initial solutions is evaluated again
+    assert sum(calls.values()) <= 271, sum(calls.values())
+
+
+def test_sa_singular_sensitivity_system_recovers_by_exact_solve(linear_instance, monkeypatch):
+    def singular(sub, x, *args, **kwargs):
+        n = sub.block_dim + sub.constraint_dim
+        return local_nlp.SensitivityPair(M=np.zeros((n, n)), N=None)
+
+    monkeypatch.setattr(solvers, "sensitivity_matrices", singular)
+    partition = sm.build_partition(linear_instance.L, 2, 2)
+    cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=1e-12, max_iter=300)
+    result = sm.run_sensitivity_aladin(linear_instance, partition, cfg)
+    # every block step whose predictor is trusted ends in an exact local solve
+    assert result.info["predictor_updates"] == 0
+    assert result.info["exact_local_updates"] > 0
+    steps = result.info["exact_local_updates"] + result.info["coordination_fallbacks"]
+    assert steps == partition.N * result.iterations
+    reference = linear_window_optimum(linear_instance)
+    assert np.abs(result.trajectory - reference).max() <= 1e-9

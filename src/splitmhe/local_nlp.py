@@ -15,6 +15,7 @@ values through the Jacobians of the first-order conditions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,8 +51,8 @@ class LocalSolveConfig:
     inner_max_iter: int = 50
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.inner_max_iter < 1:
-            raise ValueError("inner tolerances must be positive")
+        if not 0 < self.inner_tol < math.inf or self.inner_max_iter < 1:
+            raise ValueError("inner tolerances must be positive and finite")
 
 
 class BlockEvaluation(NamedTuple):
@@ -168,29 +169,23 @@ def lagrangian_hessian(
 
 
 def sensitivity_matrices(
-    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
-    evaluation: BlockEvaluation | None = None,
+    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float
 ) -> SensitivityPair:
     """Build ``M`` and ``N`` at a solved ``(x, mu)`` pair.
 
     The parameters enter the conditions linearly, so ``N`` is constant and
     ``M`` depends on the solution point only; ``lam`` and ``y_ref`` document
-    the evaluation point. ``evaluation`` is as in :func:`first_order_conditions`.
+    the evaluation point. ``M`` is the local KKT matrix of
+    :func:`solve_local_kkt` with exact curvature.
     """
-    ev = evaluation or BlockEvaluation.at(sub, x)
-    C = stage_constraint_matrix(ev.D)
+    ev = BlockEvaluation.at(sub, x)
     W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, ev.J))
     n = sub.block_dim
-    m_rows = sub.constraint_dim
     r = sub.partition.r
-    M = np.zeros((n + m_rows, n + m_rows))
-    M[:n, :n] = W
-    M[:n, n:] = C.T
-    M[n:, :n] = C
-    N = np.zeros((n + m_rows, n + r))
+    N = np.zeros((n + sub.constraint_dim, n + r))
     N[:n, :n] = -rho * np.eye(n)
     N[:n, n:] = sub.apply_coupling_transpose(np.eye(r))
-    return SensitivityPair(M=M, N=N)
+    return SensitivityPair(M=_kkt_matrix(W, stage_constraint_matrix(ev.D)), N=N)
 
 
 def tangent_predictor(s: Array, xi_old: Array, xi_new: Array, pair: SensitivityPair) -> Array:
@@ -216,23 +211,34 @@ def _merit(sub, x, sigma, at_lam, y_ref, rho, values=None) -> float:
     return float(0.5 * b @ b + at_lam @ x + 0.5 * rho * dx @ dx + sigma * np.abs(F).sum())
 
 
-def _solve_inner_kkt(H: Array, C: Array, grad: Array, F: Array, eps0: float) -> tuple[Array, Array]:
+def _kkt_matrix(H: Array, C: Array) -> Array:
+    """The local KKT matrix ``[[H, C'], [C, 0]]``."""
     n = H.shape[0]
-    m = C.shape[0]
-    rhs = np.concatenate([-grad, -F])
-    shift = 0.0
-    for attempt in range(4):
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = H + shift * np.eye(n)
-        K[:n, n:] = C.T
-        K[n:, :n] = C
+    K = np.zeros((n + C.shape[0], n + C.shape[0]))
+    K[:n, :n] = H
+    K[:n, n:] = C.T
+    K[n:, :n] = C
+    return K
+
+
+def solve_local_kkt(H: Array, C: Array, rhs: Array, eps0: float) -> Array:
+    """Solve ``[[H, C'], [C, 0]] s = rhs``.
+
+    The inner SQP step and the ``sa_aladin`` predictor-corrector are both this
+    solve. A singular matrix is retried with ``H`` shifted by ``eps0 * 10**k``,
+    ``k = 0, 1, 2``, and raises :class:`LocalSolveError` if it stays singular.
+    """
+    n = H.shape[0]
+    K = _kkt_matrix(H, C)
+    for k in range(4):
         try:
-            sol = np.linalg.solve(K, rhs)
-            return sol[:n], sol[n:]
+            return np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
-            shift = eps0 * 10.0 ** attempt
-            logger.warning("inner KKT factorization failed; retrying with shift %.3e", shift)
-    raise LocalSolveError("inner KKT system remained singular after regularization")
+            if k < 3:
+                shift = eps0 * 10.0 ** k
+                logger.warning("local KKT matrix singular; retrying with shift %.3e", shift)
+                K[:n, :n] = H + shift * np.eye(n)
+    raise LocalSolveError("local KKT matrix remained singular after regularization")
 
 
 def _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack):
@@ -272,18 +278,19 @@ def solve_local_subproblem(
     when the curvature step finds no descent the iteration retries with the
     Gauss-Newton matrix ``J'J + rho*I``. Below a KKT residual of ``1e-3`` the
     full step is taken outright: merit differences there are at float
-    resolution and the SQP contraction stands on its own. A singular KKT
-    matrix is shifted by ``rho * 10**k``, ``k = 0, 1, 2``. The iteration count
-    reports the number of KKT solves taken.
+    resolution and the SQP contraction stands on its own. Each step is one
+    :func:`solve_local_kkt`, whose ladder is seeded by ``rho``. The iteration
+    count reports the number of KKT solves taken.
     """
     cfg = cfg or LocalSolveConfig()
-    if rho <= 0:
-        raise ValueError("proximal weight rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("proximal weight rho must be positive and finite")
     y_ref = np.asarray(y_ref, dtype=float)
     x = np.array(y_ref if x0 is None else x0, dtype=float)
     mu = np.zeros(sub.constraint_dim)
     at_lam = sub.apply_coupling_transpose(lam)
 
+    n = sub.block_dim
     steps = 0
     kkt = np.inf
     for _ in range(cfg.inner_max_iter):
@@ -297,8 +304,9 @@ def solve_local_subproblem(
         if kkt <= cfg.inner_tol:
             return LocalSolveResult(x, mu, steps, converged=True, kkt_inf=kkt, evaluation=ev)
 
+        rhs = np.concatenate([-grad, -F])
         H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, J))
-        dx, mu_new = _solve_inner_kkt(H, C, grad, F, rho)
+        dx, mu_new = np.split(solve_local_kkt(H, C, rhs, rho), [n])
 
         if kkt <= _FULL_STEP_TOL:
             x = x + dx
@@ -310,8 +318,8 @@ def solve_local_subproblem(
             if trial is None:
                 # indefinite curvature can make the Newton step an ascent
                 # direction far from the solution; retry with Gauss-Newton
-                H = J.T @ J + rho * np.eye(sub.block_dim)
-                dx, mu_new = _solve_inner_kkt(H, C, grad, F, rho)
+                H = lagrangian_hessian(sub, x, mu, rho, "gauss_newton", (ev.b, J))
+                dx, mu_new = np.split(solve_local_kkt(H, C, rhs, rho), [n])
                 trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
             if trial is not None:
                 x = trial

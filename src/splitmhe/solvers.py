@@ -27,6 +27,7 @@ The algorithms differ only in a per-block step around the coordination:
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -36,8 +37,9 @@ from .errors import NotPositiveDefiniteError, SplitMheError
 from .local_nlp import (
     BlockEvaluation,
     first_order_conditions,
+    lagrangian_hessian,
     lagrangian_hessian_stages,
-    sensitivity_matrices,
+    solve_local_kkt,
     solve_local_subproblem,
 )
 from .problem import (
@@ -50,6 +52,7 @@ from .problem import (
     extract_trajectory,
     lift_initial_guess,
     split_instance,
+    stage_constraint_matrix,
     stage_constraint_transpose,
 )
 from .qp_core import QpSolution, StageBlock, solve_coupled_qp
@@ -74,8 +77,7 @@ class SolverConfig:
     shifts the coordination Hessians and seeds their regularization ladder.
     ``hessian_mode`` picks the coordination curvature of ``dsqp``,
     ``centralized`` and ``sa_aladin``; ``gn_aladin`` coordinates with
-    Gauss-Newton Hessians only. With ``sa_first_iter_exact`` a cold
-    ``sa_aladin`` run solves its initial local pairs exactly.
+    Gauss-Newton Hessians only. ``rho`` and ``tol`` must be finite.
     """
 
     algorithm: str = "dsqp"
@@ -83,17 +85,16 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 50
     hessian_mode: str = "gauss_newton"
-    sa_first_iter_exact: bool = True
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.rho is None:
             self.rho = _DEFAULT_RHO[self.algorithm]
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.hessian_mode not in ("gauss_newton", "exact_lagrangian"):
@@ -303,10 +304,10 @@ def _drive(
       metric is measured on them.
     * ``start(subs, y, lam, mu)`` (``sa_aladin``) returns the initial local
       pairs ``(x, mu)`` and the blocks' evaluations at ``x`` (None where it has
-      none). ``advance(sub, x_i, mu_i, ev_i, y_i, lam, y_new_i, lam_new,
-      mu_hat_i)`` returns the next local pair ``(x_i, mu_i)`` of a block;
-      ``ev_i`` is its evaluation at ``x_i``, and ``(y_new_i, lam_new,
-      mu_hat_i)`` the coordination output.
+      none). ``advance(sub, x_i, mu_i, ev_i, y_new_i, lam_new, mu_hat_i)``
+      returns the next local pair ``(x_i, mu_i)`` of a block; ``ev_i`` is its
+      evaluation at ``x_i``, and ``(y_new_i, lam_new, mu_hat_i)`` the
+      coordination output.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
@@ -339,9 +340,9 @@ def _drive(
             t0 = time.perf_counter()
             if advance:
                 pairs = [
-                    advance(sub, x_i, mu_i, ev, y_i, lam, yn_i, sol.lam, mu_hat_i)
-                    for sub, x_i, mu_i, ev, y_i, yn_i, mu_hat_i
-                    in zip(subs, x, mu, evals, y, y_new, sol.mu)
+                    advance(sub, x_i, mu_i, ev, yn_i, sol.lam, mu_hat_i)
+                    for sub, x_i, mu_i, ev, yn_i, mu_hat_i
+                    in zip(subs, x, mu, evals, y_new, sol.mu)
                 ]
                 x_new, mu_new = [p[0] for p in pairs], [p[1] for p in pairs]
             else:
@@ -435,16 +436,12 @@ def run_gauss_newton_aladin(
     :class:`LocalSolveConfig`.
     """
     cfg = _checked(cfg, "gn_aladin")
-    info = {"last_local_inner_iterations": 0}
 
     def local_solve(sub: SubProblem, y: Array, lam: Array) -> tuple:
         res = solve_local_subproblem(sub, lam, y, cfg.rho)
-        if sub.index == 1:  # the count covers the last iteration's solves
-            info["last_local_inner_iterations"] = 0
-        info["last_local_inner_iterations"] += res.iterations
         return res.x, res.evaluation
 
-    return _drive(instance, partition, cfg, warm, reference, info, local_solve=local_solve)
+    return _drive(instance, partition, cfg, warm, reference, local_solve=local_solve)
 
 
 def run_distributed_sqp(
@@ -494,45 +491,35 @@ def run_sensitivity_aladin(
     offset form of the coupled QP; then continue each local solution to the
     new parameters ``(Y, lam)`` by a predictor-corrector step: the conditions
     are affine in the parameters, so the tangent move plus the Newton
-    correction of the current defect is one solve against the sensitivity
-    KKT matrix at the new parameters. The continuation is trusted only while
+    correction of the current defect is one :func:`solve_local_kkt` against
+    the local KKT matrix that the exact local solve also uses, with exact
+    curvature at the current pair. The continuation is trusted only while
     the current pair nearly satisfies the new first-order conditions (drift
     at most ``1e-5``); otherwise the local pair falls back to the coordination
-    output itself. A singular sensitivity system is recovered by an exact
-    local solve. With ``sa_first_iter_exact`` the initial local pairs of a
-    cold start are solved exactly at the initial parameters before the first
-    coordination; the local solves run with the default
-    :class:`LocalSolveConfig`.
+    output itself. A cold start solves its initial local pairs exactly at the
+    initial parameters before the first coordination, with the default
+    :class:`LocalSolveConfig`; a warm start takes them from ``warm``.
     """
     cfg = _checked(cfg, "sa_aladin")
-    info = {"exact_local_updates": 0, "predictor_updates": 0, "coordination_fallbacks": 0}
+    info = {"predictor_updates": 0, "coordination_fallbacks": 0}
 
     def start(subs, y, lam, mu):
         if warm is not None:
             return [b.copy() for b in warm.x_blocks], mu, [None] * len(subs)
-        if not cfg.sa_first_iter_exact:
-            return list(y), mu, [None] * len(subs)
         first = [solve_local_subproblem(sub, lam, y_i, cfg.rho) for sub, y_i in zip(subs, y)]
         return [r.x for r in first], [r.mu for r in first], [r.evaluation for r in first]
 
-    def advance(sub, x, mu, ev, y, lam, y_new, lam_new, mu_hat):
+    def advance(sub, x, mu, ev, y_new, lam_new, mu_hat):
         drift = first_order_conditions(sub, x, mu, lam_new, y_new, cfg.rho, evaluation=ev)
         if not float(np.abs(drift).max()) <= _SA_SWITCH_TOL:  # NaN drift falls back too
             info["coordination_fallbacks"] += 1
             return y_new, mu_hat  # not a copy: the driver reuses its evaluation there
-        pair = sensitivity_matrices(sub, x, mu, lam, y, cfg.rho, evaluation=ev)
-        try:
-            # tangent move plus defect correction in one solve:
-            # the conditions are affine in (Y, lam)
-            step = np.linalg.solve(pair.M, drift)
-        except np.linalg.LinAlgError:
-            logger.warning("sub-window %d: singular sensitivity system, exact solve", sub.index)
-            info["exact_local_updates"] += 1
-            res = solve_local_subproblem(sub, lam_new, y_new, cfg.rho, x0=x)
-            return res.x, res.mu
+        # tangent move plus defect correction in one solve against the local
+        # KKT matrix: the conditions are affine in (Y, lam)
+        H = lagrangian_hessian(sub, x, mu, cfg.rho, "exact_lagrangian", (ev.b, ev.J))
+        step = solve_local_kkt(H, stage_constraint_matrix(ev.D), drift, cfg.rho)
         info["predictor_updates"] += 1
-        s_new = np.concatenate([x, mu]) - step
-        return s_new[:sub.block_dim], s_new[sub.block_dim:]
+        return x - step[:sub.block_dim], mu - step[sub.block_dim:]
 
     return _drive(
         instance, partition, cfg, warm, reference, info, start=start, advance=advance

@@ -107,6 +107,9 @@ def test_numerical_failure_exit_code(scenario_file):
         ["sweep", "--iters", "0", "--sub-windows", "3"],
         ["solve", "--max-iter", "-3"],
         ["solve", "--algorithm", "gn-aladin", "--hessian", "exact"],
+        ["solve", "--rho", "nan"],
+        ["solve", "--rho", "inf"],
+        ["solve", "--tol", "nan"],
     ],
 )
 def test_out_of_range_solver_options_are_input_errors(scenario_file, tmp_path, capsys, args):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
+from splitmhe.errors import LocalSolveError
 from splitmhe.local_nlp import (
     LocalSolveConfig,
     first_order_conditions,
     kkt_residual,
     lagrangian_hessian,
     sensitivity_matrices,
+    solve_local_kkt,
     solve_local_subproblem,
     tangent_predictor,
 )
@@ -273,3 +275,19 @@ def test_inner_solver_rejects_bad_rho(benchmark_instance):
     sub, y, partition = robot_sub(benchmark_instance)
     with pytest.raises(ValueError):
         solve_local_subproblem(sub, np.zeros(partition.r), y, rho=0.0)
+
+
+def test_solve_local_kkt_shifts_a_singular_matrix():
+    rng = np.random.Generator(np.random.PCG64(5))
+    n, m, eps0 = 6, 2, 0.5
+    C = rng.standard_normal((m, n))
+    rhs = rng.standard_normal(n + m)
+    # H = 0 with n > m leaves [[H, C'], [C, 0]] singular: the first rung shifts H
+    shifted = np.block([[eps0 * np.eye(n), C.T], [C, np.zeros((m, m))]])
+    np.testing.assert_array_equal(
+        solve_local_kkt(np.zeros((n, n)), C, rhs, eps0), np.linalg.solve(shifted, rhs)
+    )
+    # a rank-deficient C keeps it singular through every rung
+    C[1] = 0.0
+    with pytest.raises(LocalSolveError):
+        solve_local_kkt(np.eye(n), C, rhs, eps0)

@@ -1,3 +1,5 @@
+import logging
+import math
 import re
 from collections import Counter
 
@@ -66,11 +68,18 @@ def test_config_defaults_per_algorithm():
     [
         dict(algorithm="dsqp", max_iter=-1),
         dict(algorithm="gn_aladin", hessian_mode="exact_lagrangian"),
+        dict(algorithm="dsqp", rho=math.nan),
+        dict(algorithm="dsqp", rho=math.inf),
+        dict(algorithm="dsqp", tol=math.nan),
+        dict(algorithm="dsqp", tol=math.inf),
+        dict(inner_tol=math.nan),
+        dict(inner_tol=math.inf),
     ],
 )
 def test_config_rejects_out_of_range_values(kwargs):
+    config = sm.SolverConfig if "algorithm" in kwargs else sm.LocalSolveConfig
     with pytest.raises(ValueError):
-        sm.SolverConfig(**kwargs)
+        config(**kwargs)
 
 
 def test_benchmark_runs_reach_reference(benchmark_runs):
@@ -135,13 +144,19 @@ def test_sa_matches_dsqp_while_falling_back(linear_instance):
     # before the predictor trust region is entered, the sensitivity variant's
     # local pairs are the coordination outputs, i.e. exactly the SQP iterates
     partition = sm.build_partition(linear_instance.L, 2, 2)
+    # the cold start's iterate, handed in as a warm start, skips the initial
+    # exact local solves
+    lifted = sm.lift_initial_guess(linear_instance.initial_guess, partition)
+    cold = sm.IterateState(
+        x_blocks=lifted,
+        y_blocks=lifted,
+        lam=np.zeros(partition.r),
+        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+    )
     for iters in (1, 3, 5):
-        sa_cfg = sm.SolverConfig(
-            algorithm="sa_aladin", rho=1.0, tol=0.0, max_iter=iters,
-            sa_first_iter_exact=False,
-        )
+        sa_cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=0.0, max_iter=iters)
         sqp_cfg = sm.SolverConfig(algorithm="dsqp", rho=1.0, tol=0.0, max_iter=iters)
-        sa = sm.run_sensitivity_aladin(linear_instance, partition, sa_cfg)
+        sa = sm.run_sensitivity_aladin(linear_instance, partition, sa_cfg, warm=cold)
         sqp = sm.run_distributed_sqp(linear_instance, partition, sqp_cfg)
         assert sa.info["predictor_updates"] == 0
         np.testing.assert_allclose(sa.trajectory, sqp.trajectory, atol=1e-12)
@@ -454,19 +469,25 @@ def test_sa_aladin_reuses_the_first_local_solve_evaluations(benchmark_instance, 
     assert sum(calls.values()) <= 271, sum(calls.values())
 
 
-def test_sa_singular_sensitivity_system_recovers_by_exact_solve(linear_instance, monkeypatch):
-    def singular(sub, x, *args, **kwargs):
-        n = sub.block_dim + sub.constraint_dim
-        return local_nlp.SensitivityPair(M=np.zeros((n, n)), N=None)
+def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypatch, caplog):
+    """A trusted step whose local KKT matrix is singular is shifted by ``rho``,
+    as in the exact local solve, and stays a predictor update."""
 
-    monkeypatch.setattr(solvers, "sensitivity_matrices", singular)
+    def zero_curvature(sub, *args, **kwargs):
+        return np.zeros((sub.block_dim, sub.block_dim))
+
+    # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is singular
+    monkeypatch.setattr(solvers, "lagrangian_hessian", zero_curvature)
     partition = sm.build_partition(linear_instance.L, 2, 2)
     cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=1e-12, max_iter=300)
-    result = sm.run_sensitivity_aladin(linear_instance, partition, cfg)
-    # every block step whose predictor is trusted ends in an exact local solve
-    assert result.info["predictor_updates"] == 0
-    assert result.info["exact_local_updates"] > 0
-    steps = result.info["exact_local_updates"] + result.info["coordination_fallbacks"]
+    with caplog.at_level(logging.WARNING, logger="splitmhe.local_nlp"):
+        result = sm.run_sensitivity_aladin(linear_instance, partition, cfg)
+    shifts = [r.getMessage() for r in caplog.records if "retrying with shift" in r.getMessage()]
+    assert result.info["predictor_updates"] > 0
+    assert len(shifts) == result.info["predictor_updates"]
+    assert all(m.endswith("shift 1.000e+00") for m in shifts)
+    steps = result.info["predictor_updates"] + result.info["coordination_fallbacks"]
     assert steps == partition.N * result.iterations
+    # the shifted steps still head for the optimum (2.5e-8 away at max_iter)
     reference = linear_window_optimum(linear_instance)
-    assert np.abs(result.trajectory - reference).max() <= 1e-9
+    assert np.abs(result.trajectory - reference).max() <= 1e-6

@@ -40,7 +40,6 @@ _ALGORITHM_NAMES = {
     "dsqp": "dsqp",
     "centralized": "centralized",
 }
-_HESSIAN_NAMES = {"gauss-newton": "gauss_newton", "exact": "exact_lagrangian"}
 
 _INPUT_ERRORS = (PartitionError, DimensionMismatchError, ScenarioError, OSError, ValueError)
 
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, default=None)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=50)
-        p.add_argument("--hessian", choices=sorted(_HESSIAN_NAMES), default="gauss-newton")
 
     slv = sub.add_parser("solve", help="solve one estimation window")
     add_solver_options(slv)
@@ -116,15 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SolverConfig:
-    kwargs = dict(
+    return SolverConfig(
         algorithm=_ALGORITHM_NAMES[args.algorithm],
         rho=args.rho,
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    if getattr(args, "hessian", None) is not None:
-        kwargs["hessian_mode"] = _HESSIAN_NAMES[args.hessian]
-    return SolverConfig(**kwargs)
 
 
 def _config_echo(args, cfg: SolverConfig, scenario, window_end=None) -> dict:
@@ -133,7 +128,6 @@ def _config_echo(args, cfg: SolverConfig, scenario, window_end=None) -> dict:
         "rho": cfg.rho,
         "tol": cfg.tol,
         "max_iter": cfg.max_iter,
-        "hessian": cfg.hessian_mode,
         "sub_windows": args.sub_windows,
         "horizon": args.horizon,
         "scenario_seed": scenario.seed,

@@ -130,8 +130,8 @@ def generate_scenario(
     """
     if steps < 1:
         raise ScenarioError(f"need at least one step, got {steps}")
-    if sigma_r < 0 or sigma_alpha < 0:
-        raise ScenarioError("noise magnitudes must be nonnegative")
+    if not (0 <= sigma_r < np.inf and 0 <= sigma_alpha < np.inf):
+        raise ScenarioError("noise magnitudes must be nonnegative and finite")
     model = robot_model(T=T)
     control = np.asarray(control, dtype=float)
     if control.ndim == 1:
@@ -140,6 +140,8 @@ def generate_scenario(
         controls = control.copy()
     if controls.shape != (steps, 2):
         raise ScenarioError(f"control schedule must be (steps, 2), got {controls.shape}")
+    if not np.isfinite(controls).all():
+        raise ScenarioError("control schedule must be finite")
 
     states = rollout(model, np.asarray(x0, dtype=float), controls)
     range_sq = states[:, 0] ** 2 + states[:, 1] ** 2

@@ -144,7 +144,6 @@ class SubProblem:
     index: int  # 1-based sub-window index
     partition: Partition
     model: SystemModel
-    start: int
     length: int
     measurements: Array
     meas_offsets: tuple[int, ...]
@@ -226,7 +225,6 @@ def split_instance(instance: MheInstance, partition: Partition) -> list[SubProbl
                 index=i,
                 partition=partition,
                 model=m,
-                start=start,
                 length=length,
                 measurements=instance.measurements[[start + off for off in offsets]],
                 meas_offsets=offsets,

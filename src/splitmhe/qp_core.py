@@ -26,8 +26,8 @@ states, and a block costs ``O(t * nx^3)`` instead of ``O(n^3)``; only the
 ``r x r`` Schur solve stays dense.
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
-verification oracle. This module never regularizes on its own; callers decide
-whether and how to shift the block Hessians.
+verification oracle. This module never regularizes: a Hessian that is not
+positive definite raises :class:`NotPositiveDefiniteError` with its block index.
 """
 
 from __future__ import annotations
@@ -198,7 +198,6 @@ class SchurTerms:
     Q: Array
     R: Array
     s: Array
-    anchor: Array
     h_factor: tuple = field(repr=False, default=None)
     r_factor: tuple = field(repr=False, default=None)
     hinv_g: Array = field(repr=False, default=None)
@@ -287,7 +286,6 @@ def schur_terms(
         Q=Q,
         R=R,
         s=s,
-        anchor=block.anchor.copy(),
         h_factor=h_factor,
         r_factor=r_factor,
         hinv_g=hinv_g,

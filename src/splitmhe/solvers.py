@@ -2,7 +2,8 @@
 
 All four run through one driver, :func:`_drive`. Per iteration it evaluates
 every block once at its linearization point, assembles the stage-form
-coordination QP from that evaluation, solves it in closed form, takes the
+coordination QP from that evaluation, with Gauss-Newton Hessians shifted by
+``rho``, solves it in closed form, takes the
 consensus update, and records convergence metrics from one evaluation at the
 new consensus iterate. Wherever that iterate is the next linearization point,
 the metrics evaluation doubles as the next iteration's QP data. Block work is
@@ -12,9 +13,8 @@ deterministic regardless of how the map is scheduled.
 The algorithms differ only in a per-block step around the coordination:
 
 * ``gn_aladin``  -- before the QP, an exact local solve per block; its QP data
-  are Gauss-Newton Hessians shifted by ``rho`` with homogeneous constraint
-  rows (the local solutions are feasible), and its coupling metric is taken
-  on the local solutions.
+  take homogeneous constraint rows (the local solutions are feasible), and
+  its coupling metric is taken on the local solutions.
 * ``sa_aladin``  -- after the QP, each local pair is continued to the new
   parameters by a tangent predictor-corrector wherever the continuation is
   trustworthy, and pinned to the coordination output elsewhere.
@@ -26,14 +26,13 @@ The algorithms differ only in a per-block step around the coordination:
 
 from __future__ import annotations
 
-import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, SplitMheError
+from .errors import SplitMheError
 from .local_nlp import (
     BlockEvaluation,
     first_order_conditions,
@@ -55,9 +54,7 @@ from .problem import (
     stage_constraint_matrix,
     stage_constraint_transpose,
 )
-from .qp_core import QpSolution, StageBlock, solve_coupled_qp
-
-logger = logging.getLogger(__name__)
+from .qp_core import StageBlock, solve_coupled_qp
 
 Array = np.ndarray
 
@@ -73,18 +70,16 @@ _SA_SWITCH_TOL = 1e-5
 class SolverConfig:
     """Algorithm selection and outer-loop parameters.
 
-    ``rho`` defaults per algorithm (25 for ``gn_aladin``, 1e3 otherwise). It
-    shifts the coordination Hessians and seeds their regularization ladder.
-    ``hessian_mode`` picks the coordination curvature of ``dsqp``,
-    ``centralized`` and ``sa_aladin``; ``gn_aladin`` coordinates with
-    Gauss-Newton Hessians only. ``rho`` and ``tol`` must be finite.
+    ``rho`` defaults per algorithm (25 for ``gn_aladin``, 1e3 otherwise). Every
+    algorithm coordinates with Gauss-Newton Hessians shifted by ``rho``, which
+    keeps each per-state block positive definite. ``rho`` and ``tol`` must be
+    finite.
     """
 
     algorithm: str = "dsqp"
     rho: float | None = None
     tol: float = 1e-8
     max_iter: int = 50
-    hessian_mode: str = "gauss_newton"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -97,10 +92,6 @@ class SolverConfig:
             raise ValueError("tol must be nonnegative and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.hessian_mode not in ("gauss_newton", "exact_lagrangian"):
-            raise ValueError(f"unknown hessian mode {self.hessian_mode!r}")
-        if self.algorithm == "gn_aladin" and self.hessian_mode != "gauss_newton":
-            raise ValueError("gn_aladin coordinates with Gauss-Newton Hessians only")
 
 
 @dataclass(eq=False)
@@ -198,17 +189,16 @@ def _initial_iterate(
 
 
 def _stage_block(
-    sub: SubProblem, x: Array, mu: Array, ev: BlockEvaluation, rho: float, mode: str,
-    with_offsets: bool,
+    sub: SubProblem, x: Array, mu: Array, ev: BlockEvaluation, rho: float, with_offsets: bool
 ) -> StageBlock:
     """Coordination-QP data of one sub-window, linearized at ``x``, in stage form.
 
-    ``ev`` is the block's evaluation at ``x``. The Hessian is the Lagrangian
-    curvature of ``mode`` shifted by ``rho``; without offsets the constraint
-    rows are homogeneous.
+    ``ev`` is the block's evaluation at ``x``. The Hessian is the Gauss-Newton
+    curvature shifted by ``rho``; without offsets the constraint rows are
+    homogeneous.
     """
     return StageBlock(
-        H=lagrangian_hessian_stages(sub, x, mu, rho, mode, residuals=(ev.b, ev.J)),
+        H=lagrangian_hessian_stages(sub, x, mu, rho, "gauss_newton", residuals=(ev.b, ev.J)),
         g=ev.g,
         D=ev.D,
         d=ev.F if with_offsets else np.zeros_like(ev.F),
@@ -217,30 +207,6 @@ def _stage_block(
         r=sub.partition.r,
         anchor=sub.apply_coupling(x),
     )
-
-
-def _solve_qp_escalating(blocks: list[StageBlock], eps0: float) -> QpSolution:
-    """Coordination solve with a bounded regularization ladder on failure.
-
-    Each rung shifts every per-state Hessian block by ``eps0 * 10**rung``.
-    """
-    try:
-        return solve_coupled_qp(blocks)
-    except NotPositiveDefiniteError as exc:
-        failure = exc
-    for attempt in range(3):
-        shift = eps0 * 10.0 ** attempt
-        logger.warning("coordination Hessian not PD; retrying with shift %.3e", shift)
-        shifted = [replace(b, H=b.H + shift * np.eye(b.H.shape[-1])) for b in blocks]
-        try:
-            return solve_coupled_qp(shifted)
-        except NotPositiveDefiniteError as exc:
-            failure = exc
-    raise NotPositiveDefiniteError(
-        "coordination Hessians remained indefinite after regularization escalation "
-        f"(last failure: {failure})",
-        block_index=failure.block_index,
-    ) from failure
 
 
 def _iterate_metrics(
@@ -291,7 +257,7 @@ def _drive(
 ) -> SolveResult:
     """The outer iteration of all four algorithms.
 
-    Each block's QP data is the ``hessian_mode`` curvature shifted by ``rho``.
+    Each block's QP data is the Gauss-Newton curvature shifted by ``rho``.
     Without hooks this is ``dsqp``: each block is linearized at its consensus
     block, with the dynamics defects as constraint offsets, and its new
     consensus block is its next linearization point. The per-block steps of
@@ -307,14 +273,19 @@ def _drive(
       none). ``advance(sub, x_i, mu_i, ev_i, y_new_i, lam_new, mu_hat_i)``
       returns the next local pair ``(x_i, mu_i)`` of a block; ``ev_i`` is its
       evaluation at ``x_i``, and ``(y_new_i, lam_new, mu_hat_i)`` the
-      coordination output.
+      coordination output. An error in ``start`` is reported as iteration 0.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
     subs = split_instance(instance, partition)
     y, lam, mu = _initial_iterate(instance, partition, warm)
     # evals: the blocks' evaluations at x, carried from the last metrics
-    x, mu, evals = start(subs, y, lam, mu) if start else (list(y), mu, [None] * partition.N)
+    x, evals = list(y), [None] * partition.N
+    if start:
+        try:
+            x, mu, evals = start(subs, y, lam, mu)
+        except SplitMheError as exc:
+            _wrap_iteration_error(exc, cfg.algorithm, 0)
     records: list[ConvergenceRecord] = []
     status = "max_iter"
 
@@ -327,13 +298,13 @@ def _drive(
                 x, evals = [s[0] for s in solved], [s[1] for s in solved]
             evals = [ev or BlockEvaluation.at(sub, x_i) for sub, x_i, ev in zip(subs, x, evals)]
             blocks = [
-                _stage_block(sub, x_i, mu_i, ev, cfg.rho, cfg.hessian_mode, not local_solve)
+                _stage_block(sub, x_i, mu_i, ev, cfg.rho, not local_solve)
                 for sub, x_i, mu_i, ev in zip(subs, x, mu, evals)
             ]
             local_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            sol = _solve_qp_escalating(blocks, cfg.rho)
+            sol = solve_coupled_qp(blocks)
             y_new = [x_i + dx for x_i, dx in zip(x, sol.delta_x)]
             qp_s = time.perf_counter() - t0
 

@@ -51,6 +51,16 @@ def benchmark_scenario():
 
 
 @pytest.fixture(scope="session")
+def origin_scenario():
+    """A scenario whose true trajectory passes through the observation
+    singularity at state 5, so the default initial guess of the first window
+    cannot be evaluated."""
+    scenario = sm.generate_scenario(steps=30, seed=0)
+    scenario.true_states[5, :2] = 0.0
+    return scenario
+
+
+@pytest.fixture(scope="session")
 def benchmark_instance(benchmark_scenario):
     return sm.window_instance(benchmark_scenario, 25)
 

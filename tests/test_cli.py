@@ -92,13 +92,16 @@ def test_bad_partition_is_input_error(scenario_file):
     assert code == 3
 
 
-def test_numerical_failure_exit_code(scenario_file):
-    # the exact-curvature coordination Hessians go indefinite in the transient
-    # on this window, exhausting the regularization ladder
-    code = main(
-        ["solve", "--scenario", str(scenario_file), "--hessian", "exact", "--max-iter", "60"]
-    )
-    assert code == 4
+def test_numerical_failure_exit_code(origin_scenario, tmp_path, capsys):
+    # the default initial guess of the first window sits on the observation
+    # singularity, so every algorithm fails on its first evaluation
+    path = str(sm.write_scenario(origin_scenario, tmp_path / "origin.json"))
+    for name in ("gn-aladin", "sa-aladin", "dsqp", "centralized"):
+        assert main(["solve", "--scenario", path, "--algorithm", name]) == 4, name
+        err = capsys.readouterr().err
+        assert f"{name.replace('-', '_')} iteration" in err, err
+        assert "observation undefined at state 5" in err
+    assert main(["estimate", "--scenario", path, "--out", str(tmp_path / "est.csv")]) == 4
 
 
 @pytest.mark.parametrize(
@@ -106,7 +109,7 @@ def test_numerical_failure_exit_code(scenario_file):
     [
         ["sweep", "--iters", "0", "--sub-windows", "3"],
         ["solve", "--max-iter", "-3"],
-        ["solve", "--algorithm", "gn-aladin", "--hessian", "exact"],
+        ["solve", "--algorithm", "gn-aladin", "--rho", "-25"],
         ["solve", "--rho", "nan"],
         ["solve", "--rho", "inf"],
         ["solve", "--tol", "nan"],
@@ -116,6 +119,17 @@ def test_out_of_range_solver_options_are_input_errors(scenario_file, tmp_path, c
     code = main(args + ["--scenario", str(scenario_file), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--sigma-r", "nan"], ["--sigma-alpha", "inf"], ["--control", "nan,0.4"]],
+)
+def test_non_finite_simulate_inputs_are_input_errors(tmp_path, capsys, args):
+    out = tmp_path / "scenario.json"
+    assert main(["simulate", "--steps", "5", "--out", str(out)] + args) == 3
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_writes_csv(scenario_file, tmp_path):

@@ -13,13 +13,12 @@ from splitmhe.local_nlp import lagrangian_hessian
 from splitmhe.problem import eval_constraints, eval_residual_stack, split_instance
 from splitmhe.solvers import (
     ConvergenceRecord,
-    _solve_qp_escalating,
     _wrap_iteration_error,
     termination_check,
 )
 
 from conftest import build_linear_instance
-from helpers import linear_window_optimum, random_stage_blocks
+from helpers import linear_window_optimum
 
 
 def make_record(**overrides):
@@ -67,7 +66,7 @@ def test_config_defaults_per_algorithm():
     "kwargs",
     [
         dict(algorithm="dsqp", max_iter=-1),
-        dict(algorithm="gn_aladin", hessian_mode="exact_lagrangian"),
+        dict(algorithm="gn_aladin", rho=0.0),
         dict(algorithm="dsqp", rho=math.nan),
         dict(algorithm="dsqp", rho=math.inf),
         dict(algorithm="dsqp", tol=math.nan),
@@ -324,6 +323,15 @@ def test_solver_errors_name_the_failing_block(linear_model, algorithm):
     assert err.value.iteration == 1
 
 
+def test_sa_aladin_cold_start_errors_report_iteration_zero(origin_scenario):
+    instance = sm.window_instance(origin_scenario, 25)
+    partition = sm.build_partition(25, 4, 3)
+    with pytest.raises(sm.OriginSingularityError) as err:
+        sm.solve(instance, partition, sm.SolverConfig(algorithm="sa_aladin"))
+    assert err.value.iteration == 0
+    assert str(err.value).startswith("sa_aladin iteration 0: observation undefined")
+
+
 @pytest.mark.parametrize("algorithm", ["dsqp", "centralized"])
 def test_sqp_evaluates_each_block_once_per_point(benchmark_instance, monkeypatch, algorithm):
     """Over k iterations an SQP run visits k + 1 points per block, and every
@@ -373,33 +381,6 @@ def test_outer_loops_never_materialise_dense_qp_data(linear_instance, monkeypatc
             )
         assert runs[algorithm].status == "converged", algorithm
     assert runs["sa_aladin"].info["predictor_updates"] > 0
-
-
-def test_regularisation_ladder_shifts_per_state_blocks():
-    rng = np.random.Generator(np.random.PCG64(31))
-    blocks = random_stage_blocks(rng, 3, 3)
-    H = blocks[1].H.copy()
-    H[0] -= (np.linalg.eigvalsh(H[0])[0] + 3.0) * np.eye(3)  # smallest eigenvalue -3
-    blocks[1].H = H
-    with pytest.raises(NotPositiveDefiniteError):
-        sm.solve_coupled_qp(blocks)
-    sol = _solve_qp_escalating(blocks, eps0=1.0)  # rungs 1 and 10: the second succeeds
-    shifted = [
-        sm.StageBlock(
-            H=b.H + 10.0 * np.eye(3), g=b.g, D=b.D, d=b.d, plus_row=b.plus_row,
-            minus_row=b.minus_row, r=b.r, anchor=b.anchor,
-        )
-        for b in blocks
-    ]
-    expected = sm.solve_coupled_qp(shifted)
-    np.testing.assert_array_equal(sol.lam, expected.lam)
-    for a, b in zip(sol.delta_x, expected.delta_x):
-        np.testing.assert_array_equal(a, b)
-
-    blocks[1].H[0] = -1e6 * np.eye(3)  # beyond the largest rung
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        _solve_qp_escalating(blocks, eps0=1.0)
-    assert err.value.block_index == 1
 
 
 def test_gn_aladin_reuses_the_local_solve_evaluation(benchmark_instance, monkeypatch):

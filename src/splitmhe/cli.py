@@ -177,6 +177,9 @@ def _cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     outcomes = run_receding_horizon(scenario, cfg, args.sub_windows, args.horizon)
     write_estimates_csv(scenario, outcomes, args.out)
+    for oc in outcomes:
+        if oc.error is not None:
+            print(f"window ending at step {oc.window_end}: {oc.error}", file=sys.stderr)
     n_err = sum(1 for oc in outcomes if oc.status == "error")
     n_maxed = sum(1 for oc in outcomes if oc.status == "max_iter")
     print(

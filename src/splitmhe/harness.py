@@ -103,13 +103,18 @@ class SweepRow:
 
 @dataclass(eq=False)
 class WindowOutcome:
-    """Result of one receding-horizon window (estimate row plus full result)."""
+    """Result of one receding-horizon window (estimate row plus full result).
+
+    ``error`` is ``"<error class>: <message>"`` of a window that failed
+    numerically, and None otherwise.
+    """
 
     window_end: int
     status: str
     iterations: int
     estimate: Array
     result: SolveResult | None
+    error: str | None = None
 
 
 def generate_scenario(
@@ -236,7 +241,7 @@ def run_receding_horizon(
     The next window's primal guess is the previous solution shifted one step
     (with a forward-propagated tail state) and its prior anchor is the previous
     window's smoothed estimate of the state leaving the window. Windows that
-    fail numerically are recorded and the loop restarts cold.
+    fail numerically are recorded with their error and the loop restarts cold.
     """
     if scenario.steps < horizon:
         raise ScenarioError(
@@ -251,7 +256,7 @@ def run_receding_horizon(
             result = solve_window(
                 scenario, l, cfg, n_subwindows, horizon, prior=prior, initial_guess=guess
             )
-        except NUMERICAL_ERRORS:
+        except NUMERICAL_ERRORS as exc:
             outcomes.append(
                 WindowOutcome(
                     window_end=l,
@@ -259,6 +264,7 @@ def run_receding_horizon(
                     iterations=0,
                     estimate=np.full(model.nx, np.nan),
                     result=None,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             )
             guess = None

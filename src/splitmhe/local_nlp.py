@@ -17,17 +17,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LocalSolveError, OriginSingularityError, SingularKktError
 from .problem import (
+    StageEvaluation,
     SubProblem,
     block_diagonal_matrix,
     constraint_vector,
-    eval_constraint_stages,
-    eval_residual_stack,
+    evaluate_block,
     residual_vector,
     stage_constraint_matrix,
     stage_constraint_transpose,
@@ -55,33 +54,15 @@ class LocalSolveConfig:
             raise ValueError("inner tolerances must be positive and finite")
 
 
-class BlockEvaluation(NamedTuple):
-    """A block's residuals, defects, their Jacobians and the gradient ``J' b`` at one point."""
-
-    b: Array
-    J: Array
-    F: Array
-    D: Array
-    g: Array
-
-    @classmethod
-    def at(cls, sub: SubProblem, x: Array) -> BlockEvaluation:
-        b, J = eval_residual_stack(sub, x)
-        F, D = eval_constraint_stages(sub, x)
-        return cls(b, J, F, D, J.T @ b)
-
-
 @dataclass(eq=False)
 class LocalSolveResult:
-    """Solution of one augmented sub-problem (best iterate when not converged);
-    ``evaluation`` is the block's evaluation at ``x`` when converged."""
+    """Solution of one augmented sub-problem (best iterate when not converged)."""
 
     x: Array
     mu: Array
     iterations: int
     converged: bool
     kkt_inf: float
-    evaluation: BlockEvaluation | None = None
 
 
 @dataclass(eq=False)
@@ -100,7 +81,7 @@ class SensitivityPair:
 
 def first_order_conditions(
     sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
-    evaluation: BlockEvaluation | None = None,
+    evaluation: StageEvaluation | None = None,
 ) -> Array:
     """Stacked first-order conditions of the augmented sub-problem.
 
@@ -109,10 +90,10 @@ def first_order_conditions(
     Affine in the parameters ``(y_ref, lam)``. ``evaluation`` is the block's
     evaluation at ``x`` when the caller already has it.
     """
-    ev = evaluation or BlockEvaluation.at(sub, x)
-    grad = ev.g + sub.apply_coupling_transpose(lam) + rho * (np.asarray(x, dtype=float) - y_ref)
-    grad = grad + stage_constraint_transpose(ev.D, mu)
-    return np.concatenate([grad, ev.F])
+    ev = evaluation or evaluate_block(sub, x)
+    grad = ev.g.reshape(-1) + sub.apply_coupling_transpose(lam)
+    grad = grad + rho * (np.asarray(x, dtype=float) - y_ref) + stage_constraint_transpose(ev.D, mu)
+    return np.concatenate([grad, ev.F.reshape(-1)])
 
 
 def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float) -> float:
@@ -122,50 +103,42 @@ def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array,
 
 def lagrangian_hessian_stages(
     sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian",
-    residuals: tuple[Array, Array] | None = None,
+    evaluation: StageEvaluation | None = None,
 ) -> Array:
     """Per-state blocks ``(length + 1, nx, nx)`` of :func:`lagrangian_hessian`.
 
     Every residual and every dynamics defect touches one state (the defects'
     curvature sits on the earlier state), so the Lagrangian Hessian of a
-    sub-window is block-diagonal per state. ``residuals`` is
-    ``eval_residual_stack(sub, x)`` when the caller already has it.
+    sub-window is block-diagonal per state: the Gauss-Newton blocks of the
+    evaluation plus, for exact curvature, the observation and dynamics
+    Hessians at ``x``. ``evaluation`` is the block's evaluation at ``x`` when
+    the caller already has it.
     """
     if mode not in ("gauss_newton", "exact_lagrangian"):
         raise ValueError(f"unknown hessian mode {mode!r}")
-    b, J = residuals or eval_residual_stack(sub, x)
+    ev = evaluation or evaluate_block(sub, x)
     m = sub.model
-    nx, ny = m.nx, m.ny
-    H = np.zeros((sub.length + 1, nx, nx))
-    H[:] = rho * np.eye(nx)
-    row = 0
-    if sub.has_prior:
-        H[0] += J[:nx, :nx].T @ J[:nx, :nx]
-        row = nx
-    offsets = np.asarray(sub.meas_offsets)
-    # measurement k's rows touch only state meas_offsets[k]
-    Jm = J[row:].reshape(len(offsets), ny, sub.length + 1, nx)[np.arange(len(offsets)), :, offsets]
-    H[offsets] += np.swapaxes(Jm, 1, 2) @ Jm
+    H = rho * np.eye(m.nx) + ev.W
     if mode == "exact_lagrangian":
         states = sub.states(x)
-        w = (sub.v_inv_sqrt.T @ b[row:].reshape(len(offsets), ny, 1))[..., 0]
-        H[offsets] += m.d2h(states[offsets], w)
-        H[:-1] -= m.d2f(states[:-1], sub.controls, np.reshape(mu, (sub.length, nx)))
+        offsets = list(sub.meas_offsets)
+        H[offsets] += m.d2h(states[offsets], ev.w)
+        H[:-1] -= m.d2f(states[:-1], sub.controls, np.reshape(mu, (sub.length, m.nx)))
     return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
 def lagrangian_hessian(
     sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian",
-    residuals: tuple[Array, Array] | None = None,
+    evaluation: StageEvaluation | None = None,
 ) -> Array:
     """Curvature of the local Lagrangian plus the proximal shift ``rho * I``.
 
     ``gauss_newton`` keeps only ``J'J + rho*I``; ``exact_lagrangian`` adds the
     residual curvature (weighted observation Hessians) and the constraint
     curvature (dynamics Hessians contracted with ``mu``). Always symmetric.
-    ``residuals`` is as in :func:`lagrangian_hessian_stages`.
+    ``evaluation`` is as in :func:`lagrangian_hessian_stages`.
     """
-    return block_diagonal_matrix(lagrangian_hessian_stages(sub, x, mu, rho, mode, residuals))
+    return block_diagonal_matrix(lagrangian_hessian_stages(sub, x, mu, rho, mode, evaluation))
 
 
 def sensitivity_matrices(
@@ -178,8 +151,8 @@ def sensitivity_matrices(
     the evaluation point. ``M`` is the local KKT matrix of
     :func:`solve_local_kkt` with exact curvature.
     """
-    ev = BlockEvaluation.at(sub, x)
-    W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, ev.J))
+    ev = evaluate_block(sub, x)
+    W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", ev)
     n = sub.block_dim
     r = sub.partition.r
     N = np.zeros((n + sub.constraint_dim, n + r))
@@ -247,6 +220,9 @@ def _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack):
     best_x, best_merit = None, merit0
     while alpha >= _MIN_STEP_FRACTION:
         trial = x + alpha * dx
+        if np.array_equal(trial, x):
+            # every shorter step rounds to x as well, with merit exactly merit0
+            break
         try:
             trial_merit = _merit(sub, trial, sigma, at_lam, y_ref, rho)
         except OriginSingularityError:
@@ -294,18 +270,18 @@ def solve_local_subproblem(
     steps = 0
     kkt = np.inf
     for _ in range(cfg.inner_max_iter):
-        ev = BlockEvaluation.at(sub, x)
-        J, F = ev.J, ev.F
+        ev = evaluate_block(sub, x)
+        F = ev.F.reshape(-1)
         C = stage_constraint_matrix(ev.D)
-        grad = ev.g + at_lam + rho * (x - y_ref)
+        grad = ev.g.reshape(-1) + at_lam + rho * (x - y_ref)
         kkt = float(np.abs(grad + C.T @ mu).max())
         if F.size:
             kkt = max(kkt, float(np.abs(F).max()))
         if kkt <= cfg.inner_tol:
-            return LocalSolveResult(x, mu, steps, converged=True, kkt_inf=kkt, evaluation=ev)
+            return LocalSolveResult(x, mu, steps, converged=True, kkt_inf=kkt)
 
         rhs = np.concatenate([-grad, -F])
-        H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", (ev.b, J))
+        H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", ev)
         dx, mu_new = np.split(solve_local_kkt(H, C, rhs, rho), [n])
 
         if kkt <= _FULL_STEP_TOL:
@@ -318,7 +294,7 @@ def solve_local_subproblem(
             if trial is None:
                 # indefinite curvature can make the Newton step an ascent
                 # direction far from the solution; retry with Gauss-Newton
-                H = lagrangian_hessian(sub, x, mu, rho, "gauss_newton", (ev.b, J))
+                H = lagrangian_hessian(sub, x, mu, rho, "gauss_newton", ev)
                 dx, mu_new = np.split(solve_local_kkt(H, C, rhs, rho), [n])
                 trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
             if trial is not None:

@@ -6,11 +6,18 @@ Each sub-window owns a duplicated copy of its boundary states, and consensus
 between the duplicates is imposed through signed-identity coupling rows: block
 row ``c`` of the stacked coupling reads ``(terminal state of sub-window c+1)
 minus (initial state of sub-window c+2)``.
+
+The solvers hold the ``N`` blocks as one lifted stack of ``L + N`` states;
+:class:`LiftedLayout` says where every state and stage of a sub-window sits in
+it, and :func:`evaluate_stack` evaluates the whole stack in one call of each
+model callable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +59,93 @@ class Partition:
     def r(self) -> int:
         """Number of coupling rows: one state block per interior boundary."""
         return (self.N - 1) * self.nx
+
+    @property
+    def layout(self) -> LiftedLayout:
+        """Where the sub-windows' states and stages sit in the lifted stack."""
+        return lifted_layout(self.lengths)
+
+
+@dataclass(frozen=True, eq=False)
+class LiftedLayout:
+    """Where the states and stages of chained sub-windows sit in the lifted stack.
+
+    Sub-window ``i`` has ``lengths[i]`` stages, starting at window step
+    ``start[i]``, and owns stacked states ``first[i]`` to ``last[i]``; its last
+    state and the first state of sub-window ``i + 1`` are two copies of one
+    window state. Stage ``k`` (window step ``k``) belongs to sub-window
+    ``stage_block[k]`` and links stacked states ``prev[k]`` and
+    ``next[k] = prev[k] + 1``. ``measured`` lists one copy of each of the
+    ``L + 1`` window states in time order; the duplicated terminal states of
+    interior sub-windows carry no measurement. ``time`` maps every stacked
+    state to its window state. All arrays are read-only.
+    """
+
+    lengths: tuple[int, ...]
+    start: Array
+    first: Array
+    last: Array
+    stage_block: Array
+    prev: Array
+    next: Array
+    measured: Array
+    time: Array
+
+    @property
+    def n_states(self) -> int:
+        return len(self.time)
+
+    def split(self, stack: Array) -> list[Array]:
+        """Per-block flat views of a ``(L + N, ...)`` state stack."""
+        return [stack[f:l + 1].reshape(-1) for f, l in zip(self.first, self.last)]
+
+    def split_stages(self, stages: Array) -> list[Array]:
+        """Per-block flat views of a ``(L, ...)`` stage stack."""
+        return [stages[s:s + n].reshape(-1) for s, n in zip(self.start, self.lengths)]
+
+
+@lru_cache(maxsize=64)
+def lifted_layout(lengths: tuple[int, ...]) -> LiftedLayout:
+    """The lifted layout of consecutive sub-windows with the given stage counts."""
+    n = np.asarray(lengths, dtype=int)
+    if n.ndim != 1 or not n.size or n.min() < 1:
+        raise PartitionError(f"sub-window lengths must be positive, got {lengths}")
+    blocks = np.arange(n.size)
+    start = np.concatenate([[0], np.cumsum(n)[:-1]])
+    stage_block = np.repeat(blocks, n)
+    prev = np.arange(n.sum()) + stage_block
+    maps = dict(
+        start=start,
+        first=start + blocks,
+        last=start + blocks + n,
+        stage_block=stage_block,
+        prev=prev,
+        next=prev + 1,
+        measured=np.append(prev, n.sum() + n.size - 1),
+        time=np.arange(n.sum() + n.size) - np.repeat(blocks, n + 1),
+    )
+    for a in maps.values():
+        a.flags.writeable = False  # cached and shared by every caller
+    return LiftedLayout(lengths=tuple(int(k) for k in n), **maps)
+
+
+def join_blocks(blocks: list[Array], nx: int) -> Array:
+    """The ``(states, nx)`` stack of flat block vectors, in block order."""
+    return np.concatenate([np.asarray(b, dtype=float).reshape(-1, nx) for b in blocks])
+
+
+def _as_stack(blocks, partition: Partition) -> Array:
+    """The lifted stack of a list of block vectors, or the stack itself."""
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
+        if blocks.shape != (partition.L + partition.N, partition.nx):
+            raise DimensionMismatchError(
+                f"lifted stack must be ({partition.L + partition.N}, {partition.nx}), "
+                f"got {blocks.shape}"
+            )
+        return blocks
+    if len(blocks) != partition.N:
+        raise DimensionMismatchError(f"expected {partition.N} blocks, got {len(blocks)}")
+    return join_blocks(blocks, partition.nx)
 
 
 def build_partition(L: int, N: int, nx: int) -> Partition:
@@ -288,10 +382,10 @@ def constraint_vector(sub: SubProblem, X: Array) -> Array:
     return (states[1:] - sub.model.f(states[:-1], sub.controls)).reshape(-1)
 
 
-# Layout of the stage form, shared with qp_core.StageBlock. It lives here, not
-# in qp_core, so that importing this module does not import scipy: with scipy
-# imported from inside this module, `import splitmhe` in a fresh interpreter
-# took about 10 % longer.
+# Stage-form products, shared with qp_core. Like the lifted layout they live
+# here, not in qp_core, so that importing this module does not import scipy:
+# with scipy imported from inside this module, `import splitmhe` in a fresh
+# interpreter took about 10 % longer.
 
 
 def block_diagonal_matrix(blocks: Array) -> Array:
@@ -317,10 +411,115 @@ def stage_constraint_transpose(D: Array, mu: Array) -> Array:
     """``C' mu`` for the block rows ``[-D_k, I]``, without forming ``C``."""
     t, nx, _ = D.shape
     mu = np.asarray(mu, dtype=float).reshape(t, nx)
-    out = np.zeros((t + 1, nx))
-    out[:-1] = -(np.swapaxes(D, 1, 2) @ mu[:, :, None])[..., 0]
-    out[1:] += mu
-    return out.reshape(-1)
+    return stage_transpose(lifted_layout((t,)), D, mu).reshape(-1)
+
+
+def stage_transpose(layout: LiftedLayout, D: Array, mu: Array) -> Array:
+    """``C' mu`` on a lifted stack: stage ``k`` contributes ``-D_k' mu_k`` to
+    state ``prev[k]`` and ``mu_k`` to state ``next[k]``; ``mu`` is ``(L, nx)``."""
+    out = np.zeros((layout.n_states, D.shape[1]))
+    out[layout.prev] = -(np.swapaxes(D, 1, 2) @ mu[:, :, None])[..., 0]
+    out[layout.next] += mu
+    return out
+
+
+def coupling_transpose(layout: LiftedLayout, lam: Array) -> Array:
+    """``A' lam`` on a lifted stack: coupling block row ``c`` carries ``+I`` on
+    the last state of sub-window ``c`` and ``-I`` on the first of ``c + 1``;
+    ``lam`` is ``(N - 1, nx)``."""
+    out = np.zeros((layout.n_states, lam.shape[1]))
+    out[layout.last[:-1]] = lam
+    out[layout.first[1:]] = -lam
+    return out
+
+
+class StageEvaluation(NamedTuple):
+    """Residual and dynamics data of consecutive lifted states, per state and stage.
+
+    ``b`` stacks the weighted residuals, prior term first and then the measured
+    states in time order, so the objective is ``0.5 * b @ b``. Every residual
+    touches one state, so ``g`` ``(states, nx)`` holds the gradient ``J' b`` and
+    ``W`` ``(states, nx, nx)`` the Gauss-Newton blocks ``J' J`` state by state.
+    ``w`` ``(measured, ny)`` holds ``V^-1/2' b`` of each measured state: the
+    weights of its observation curvature. ``F`` ``(stages, nx)`` holds the
+    dynamics defects and ``D`` ``(stages, nx, nx)`` their Jacobians
+    ``df/dx``.
+    """
+
+    b: Array
+    g: Array
+    W: Array
+    w: Array
+    F: Array
+    D: Array
+
+
+def _evaluate(
+    model: SystemModel, X: Array, measured, measurements: Array, v_inv_sqrt: Array,
+    prior: tuple[Array, Array] | None, prev, nxt, controls: Array,
+) -> StageEvaluation:
+    """One ``h``, ``dh_dx``, ``f`` and ``df_dx`` call over a run of states.
+
+    ``prior`` is ``(anchor, P^-1/2)`` when the first state carries the prior.
+    """
+    Xm = X[measured]
+    bm = (v_inv_sqrt @ (model.h(Xm) - measurements)[..., None])[..., 0]
+    JmT = np.swapaxes(v_inv_sqrt @ model.dh_dx(Xm), 1, 2)
+    g = np.zeros(X.shape)
+    W = np.zeros(X.shape + X.shape[-1:])
+    g[measured] = (JmT @ bm[..., None])[..., 0]
+    W[measured] = JmT @ np.swapaxes(JmT, 1, 2)
+    b = bm.reshape(-1)
+    if prior is not None:
+        anchor, p_inv_sqrt = prior
+        bp = p_inv_sqrt @ (X[0] - anchor)
+        g[0] += p_inv_sqrt.T @ bp
+        W[0] += p_inv_sqrt.T @ p_inv_sqrt
+        b = np.concatenate([bp, b])
+    w = (v_inv_sqrt.T @ bm[..., None])[..., 0]
+    Xp = X[prev]
+    F = X[nxt] - model.f(Xp, controls)
+    return StageEvaluation(b, g, W, w, F, model.df_dx(Xp, controls))
+
+
+def evaluate_block(sub: SubProblem, X: Array) -> StageEvaluation:
+    """:class:`StageEvaluation` of one sub-window at its block vector ``X``."""
+    states = sub.states(_check_block(sub, X))
+    stages = np.arange(sub.length)
+    return _evaluate(
+        sub.model, states, list(sub.meas_offsets), sub.measurements, sub.v_inv_sqrt,
+        (sub.prior, sub.p_inv_sqrt) if sub.has_prior else None,
+        stages, stages + 1, sub.controls,
+    )
+
+
+def evaluate_stack(instance: MheInstance, partition: Partition, Y: Array) -> StageEvaluation:
+    """:class:`StageEvaluation` of the whole lifted stack ``Y`` ``(L + N, nx)``.
+
+    Its measured states are the ``L + 1`` window states in time order, so
+    ``b`` is the centralized residual vector of the trajectory they form.
+    """
+    lay = partition.layout
+    return _evaluate(
+        instance.model, _as_stack(Y, partition), lay.measured, instance.measurements,
+        instance.v_inv_sqrt, (instance.prior, instance.p_inv_sqrt),
+        lay.prev, lay.next, instance.controls,
+    )
+
+
+def block_evaluation(ev: StageEvaluation, partition: Partition, i: int) -> StageEvaluation:
+    """Sub-window ``i``'s part of a stack evaluation: views, equal to
+    :func:`evaluate_block` at the block's states."""
+    lay = partition.layout
+    nx, ny = ev.g.shape[1], ev.w.shape[1]
+    t0 = lay.start[i]
+    t1 = t0 + lay.lengths[i] + (i == partition.N - 1)  # the last block measures its end
+    states = slice(lay.first[i], lay.last[i] + 1)
+    stages = slice(t0, t0 + lay.lengths[i])
+    rows = slice(0 if i == 0 else nx + ny * t0, nx + ny * t1)
+    return StageEvaluation(
+        ev.b[rows], ev.g[states], ev.W[states], ev.w[t0:t1], ev.F[stages], ev.D[stages]
+    )
 
 
 def eval_constraint_stages(sub: SubProblem, X: Array) -> tuple[Array, Array]:
@@ -345,49 +544,47 @@ def sub_objective(sub: SubProblem, X: Array) -> float:
     return float(0.5 * b @ b)
 
 
-def coupling_residual(partition: Partition, blocks: list[Array]) -> Array:
-    """Stacked boundary mismatches; zero exactly at consensus."""
-    if len(blocks) != partition.N:
-        raise DimensionMismatchError(f"expected {partition.N} blocks, got {len(blocks)}")
-    nx = partition.nx
-    out = np.zeros(partition.r)
-    for c in range(partition.N - 1):
-        terminal = np.asarray(blocks[c])[-nx:]
-        initial = np.asarray(blocks[c + 1])[:nx]
-        out[c * nx:(c + 1) * nx] = terminal - initial
-    return out
+def coupling_residual(partition: Partition, blocks) -> Array:
+    """Stacked boundary mismatches; zero exactly at consensus.
+
+    ``blocks`` is a list of block vectors or the lifted ``(L + N, nx)`` stack.
+    """
+    stack = _as_stack(blocks, partition)
+    lay = partition.layout
+    return (stack[lay.last[:-1]] - stack[lay.first[1:]]).reshape(-1)
 
 
 def lift_initial_guess(trajectory: Array, partition: Partition) -> list[Array]:
     """Duplicate boundary states of a window trajectory into consecutive blocks."""
+    return partition.layout.split(lift(trajectory, partition))
+
+
+def lift(trajectory: Array, partition: Partition) -> Array:
+    """The lifted ``(L + N, nx)`` stack of a window trajectory."""
     trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
     if trajectory.shape != (partition.L + 1, partition.nx):
         raise DimensionMismatchError(
             f"trajectory must be ({partition.L + 1}, {partition.nx}), got {trajectory.shape}"
         )
-    blocks = []
-    for start, length in zip(partition.starts, partition.lengths):
-        blocks.append(trajectory[start:start + length + 1].reshape(-1).copy())
-    return blocks
+    return trajectory[partition.layout.time]
 
 
-def extract_trajectory(blocks: list[Array], partition: Partition) -> tuple[Array, float]:
+def extract_trajectory(blocks, partition: Partition) -> tuple[Array, float]:
     """Collapse blocks back to a window trajectory, averaging duplicated boundaries.
 
-    Returns the trajectory and the max boundary mismatch (infinity norm of the
-    coupling residual); the two deduplication choices coincide at consensus.
+    ``blocks`` is a list of block vectors or the lifted stack. Returns the
+    trajectory and the max boundary mismatch (infinity norm of the coupling
+    residual); the two deduplication choices coincide at consensus.
     """
-    nx = partition.nx
-    total = np.zeros((partition.L + 1, nx))
-    counts = np.zeros(partition.L + 1)
-    for block, start, length in zip(blocks, partition.starts, partition.lengths):
-        states = np.asarray(block, dtype=float).reshape(length + 1, nx)
-        total[start:start + length + 1] += states
-        counts[start:start + length + 1] += 1.0
+    stack = _as_stack(blocks, partition)
+    lay = partition.layout
+    trajectory = stack[lay.measured]
     mismatch = 0.0
     if partition.N > 1:
-        mismatch = float(np.abs(coupling_residual(partition, blocks)).max())
-    return total / counts[:, None], mismatch
+        ends, starts = stack[lay.last[:-1]], stack[lay.first[1:]]
+        trajectory[lay.start[1:]] = (ends + starts) / 2.0
+        mismatch = float(np.abs(ends - starts).max())
+    return trajectory, mismatch
 
 
 def _window_states(instance: MheInstance, trajectory: Array) -> Array:

@@ -7,8 +7,8 @@ The problem solved here is
                       sum_i A_i (X_i^+ + dX_i) = 0      (multiplier lambda)
 
 with every ``H_i`` positive definite and every ``C_i`` full row rank. Blocks
-are eliminated through cached Cholesky factors, leaving a dense ``r x r``
-Schur system in the shared multiplier:
+are eliminated through cached Cholesky factors, leaving a Schur system in the
+shared multiplier:
 
     G_i = A_i H_i^-1 A_i',  Q_i = A_i H_i^-1 C_i',  R_i = C_i H_i^-1 C_i'
     S   = sum_i (G_i - Q_i R_i^-1 Q_i')
@@ -17,13 +17,18 @@ Schur system in the shared multiplier:
     dX_i = -H_i^-1 (g_i + C_i' mu_i + A_i' lambda)
 
 Blocks come in two forms. :class:`QpBlock` holds general dense data and is
-eliminated exactly as written above. :class:`StageBlock` holds one sub-window
-of a time-split horizon in stage form: the Hessian is block-diagonal per state,
-``C_i`` is block-bidiagonal with rows ``[-D_k, I]``, and ``A_i`` is a signed
-identity on the first and last state. There ``R_i`` is block-tridiagonal and
-is factored in banded storage, ``G_i`` and ``Q_i`` touch only the boundary
-states, and a block costs ``O(t * nx^3)`` instead of ``O(n^3)``; only the
-``r x r`` Schur solve stays dense.
+eliminated exactly as written above, one block at a time, around a dense
+``r x r`` Schur solve. The sub-windows of a time-split horizon come in stage
+form, and all of them are eliminated at once as one :class:`StageStack`: the
+``L + N`` lifted states with per-state Hessian blocks, the ``L`` stages with
+rows ``[-D_k, I]``, and signed-identity coupling between the last state of
+one sub-window and the first state of the next. There every ``R_i`` is
+block-tridiagonal, so the block-diagonal stack of them is factored in one
+banded Cholesky; ``G_i`` and ``Q_i`` touch only the boundary states; and ``S``
+is block-tridiagonal over the ``N - 1`` boundaries, so it is factored banded
+too. A whole window costs ``O((L + N) nx^3)`` in a fixed number of LAPACK
+calls, plus ``O(N nx^3)`` for ``S``. A list of :class:`StageBlock` is solved
+by stacking it.
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. This module never regularizes: a Hessian that is not
@@ -47,7 +52,14 @@ from .errors import (
     SingularKktError,
     SingularSchurError,
 )
-from .problem import block_diagonal_matrix, stage_constraint_matrix, stage_constraint_transpose
+from .problem import (
+    LiftedLayout,
+    block_diagonal_matrix,
+    coupling_transpose,
+    lifted_layout,
+    stage_constraint_matrix,
+    stage_transpose,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -169,17 +181,13 @@ class StageBlock:
     def m(self) -> int:
         return self.t * self.nx
 
-    def boundary(self) -> list[tuple[int, float, int]]:
-        """``(state, sign, coupling block row)`` of each coupled boundary state."""
-        ends = [(0, -1.0, self.minus_row), (self.t, 1.0, self.plus_row)]
-        return [end for end in ends if end[2] is not None]
-
     def to_qp_block(self) -> QpBlock:
         """The same block with dense ``H``, ``C`` and ``A``."""
         nx = self.nx
         A = np.zeros((self.r, self.t + 1, nx))
-        for state, sign, row in self.boundary():
-            A[row * nx:(row + 1) * nx, state] = sign * np.eye(nx)
+        for state, sign, row in [(0, -1.0, self.minus_row), (self.t, 1.0, self.plus_row)]:
+            if row is not None:
+                A[row * nx:(row + 1) * nx, state] = sign * np.eye(nx)
         return QpBlock(
             H=block_diagonal_matrix(self.H),
             g=self.g,
@@ -188,6 +196,42 @@ class StageBlock:
             A=A.reshape(self.r, self.n),
             anchor=self.anchor,
         )
+
+
+@dataclass(eq=False)
+class StageStack:
+    """The stage-form blocks of ``N`` chained sub-windows, stacked.
+
+    ``layout`` places the sub-windows' states and stages in the stack. ``H``
+    holds the per-state Hessian blocks ``(L + N, nx, nx)`` and ``g`` the
+    gradient ``(L + N, nx)``. Stage ``k`` constrains
+    ``dX[next_k] - D_k dX[prev_k] + d_k = 0``, with ``D`` ``(L, nx, nx)`` and
+    ``d`` ``(L, nx)``. Coupling block row ``c`` reads the last state of
+    sub-window ``c`` minus the first state of sub-window ``c + 1``; ``anchor``
+    ``((N - 1) nx,)`` is its value at the linearization point.
+    """
+
+    layout: LiftedLayout
+    H: Array
+    g: Array
+    D: Array
+    d: Array
+    anchor: Array
+
+    def __post_init__(self):
+        lay = self.layout
+        nx = self.H.shape[-1]
+        shapes = {
+            "H": (lay.n_states, nx, nx), "g": (lay.n_states, nx),
+            "D": (len(lay.prev), nx, nx), "d": (len(lay.prev), nx),
+            "anchor": ((len(lay.lengths) - 1) * nx,),
+        }
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise DimensionMismatchError(
+                    f"stage stack: {name} has shape {np.shape(getattr(self, name))}, "
+                    f"expected {shape}"
+                )
 
 
 @dataclass(eq=False)
@@ -206,8 +250,29 @@ class SchurTerms:
 
 
 @dataclass(eq=False)
+class StackTerms:
+    """Schur data of a :class:`StageStack`, plus what back-substitution reuses.
+
+    ``S`` holds the block rows ``[S_cc, S_c,c+1]`` of the block-tridiagonal
+    Schur matrix over the ``N - 1`` boundaries, ``(N - 1, nx, 2 nx)``, and ``p``
+    its right-hand side ``(N - 1, nx)``, anchor included. ``Z`` ``(L, nx, 1 + 2 nx)``
+    is ``R^-1 [C H^-1 g - d, C H^-1 A']``, where the two ``A'`` column groups
+    put ``-I`` on each sub-window's first state and ``+I`` on its last.
+    """
+
+    S: Array
+    p: Array
+    hinv: Array
+    Z: Array
+
+
+@dataclass(eq=False)
 class QpSolution:
-    """Multipliers and block steps of the coupled QP, with solve diagnostics."""
+    """Multipliers and block steps of the coupled QP, with solve diagnostics.
+
+    ``mu`` and ``delta_x`` are per-block lists for a list of blocks, and the
+    stacked ``(L, nx)`` and ``(L + N, nx)`` arrays for a :class:`StageStack`.
+    """
 
     lam: Array
     mu: list[Array]
@@ -223,20 +288,40 @@ def _require_finite(where: str, index: int | None, **arrays: Array) -> None:
         )
 
 
+def _require_finite_stack(stack: StageStack) -> None:
+    """Raise on non-finite stack data, naming the block of the first bad field's
+    first bad row."""
+    fields = ("H", "g", "D", "d", "anchor")
+    bad = [name for name in fields if not np.isfinite(getattr(stack, name)).all()]
+    if not bad:
+        return
+    lay = stack.layout
+    state_block = np.arange(lay.n_states) - lay.time
+    rows = {
+        "H": state_block, "g": state_block, "D": lay.stage_block, "d": lay.stage_block,
+        "anchor": np.arange(len(lay.lengths) - 1),  # row c: the last state of block c
+    }[bad[0]]
+    finite = np.isfinite(getattr(stack, bad[0]).reshape(len(rows), -1)).all(axis=1)
+    index = int(rows[finite.argmin()])
+    raise NonFiniteDataError(
+        f"block {index}: non-finite entries in {', '.join(bad)}", block_index=index
+    )
+
+
 def schur_terms(
-    block: QpBlock | StageBlock, index: int | None = None
-) -> SchurTerms | StageTerms:
+    block: QpBlock | StageStack, index: int | None = None
+) -> SchurTerms | StackTerms:
     """Eliminate one block through its Hessian factorization.
 
     Returns ``G``, ``Q``, ``R`` and the block's additive contribution ``s`` to
     the Schur right-hand side, which folds in the anchor, the gradient term,
     and the constraint-offset term. All applications of ``H^-1`` reuse a single
-    Cholesky factorization; no inverse is ever formed. A :class:`StageBlock`
-    is eliminated in stage form and yields :class:`StageTerms`.
+    Cholesky factorization; no inverse is ever formed. A :class:`StageStack`
+    eliminates all its sub-windows at once and yields :class:`StackTerms`.
     """
+    if isinstance(block, StageStack):
+        return _stack_terms(block)
     where = f"block {index}" if index is not None else "block"
-    if isinstance(block, StageBlock):
-        return _stage_terms(block, index, where)
     _require_finite(
         where, index,
         H=block.H, g=block.g, C=block.C, d=block.d, A=block.A, anchor=block.anchor,
@@ -316,12 +401,6 @@ def _solve_schur(S: Array, p: Array) -> tuple[Array, dict]:
     return lam, {"schur_factorization": "lu", "schur_condition": cond}
 
 
-def _coupling_multiplier(S: Array, p: Array) -> tuple[Array, dict]:
-    if p.size:
-        return _solve_schur(S, p)
-    return np.zeros(0), {"schur_factorization": "empty"}
-
-
 def _check_coupling_rows(blocks: list) -> int:
     if not blocks:
         raise DimensionMismatchError("need at least one block")
@@ -331,18 +410,27 @@ def _check_coupling_rows(blocks: list) -> int:
     return r
 
 
-def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock]) -> QpSolution:
+def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock] | StageStack) -> QpSolution:
     """Closed-form solution of the coupled QP via block elimination.
 
-    The Schur reduction and back-substitution are per-block maps; the only
-    shared step is the dense ``r x r`` solve for the coupling multiplier. Block
-    contributions are summed in index order so results are reproducible.
-    Lists of :class:`StageBlock` take the structured path; lists of
-    :class:`QpBlock` the dense one.
+    A list of :class:`QpBlock` is eliminated block by block around the dense
+    ``r x r`` Schur solve, with contributions summed in index order so results
+    are reproducible. A :class:`StageStack` is eliminated in one pass. A list
+    of :class:`StageBlock` is stacked first; it must form the chain of a split
+    horizon, block ``i`` coupling its first state in block row ``i - 1`` and
+    its last in block row ``i``.
     """
+    if isinstance(blocks, StageStack):
+        return _solve_stack(blocks)
     r = _check_coupling_rows(blocks)
     if all(isinstance(b, StageBlock) for b in blocks):
-        return _solve_stage_qp(blocks, r)
+        stack = _stack_blocks(blocks)
+        sol = _solve_stack(stack)
+        lay = stack.layout
+        return QpSolution(
+            lam=sol.lam, mu=lay.split_stages(sol.mu), delta_x=lay.split(sol.delta_x),
+            diagnostics=sol.diagnostics,
+        )
     if not all(isinstance(b, QpBlock) for b in blocks):
         raise TypeError("blocks must be all QpBlock or all StageBlock")
 
@@ -356,7 +444,7 @@ def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock]) -> QpSolution:
         else:
             S += t.G
         p += t.s
-    lam, diagnostics = _coupling_multiplier(S, p)
+    lam, diagnostics = _solve_schur(S, p) if r else (np.zeros(0), {"schur_factorization": "empty"})
 
     mu = []
     delta_x = []
@@ -371,6 +459,35 @@ def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock]) -> QpSolution:
         delta_x.append(-(t.hinv_g + t.hinv_Ct @ mu_i + t.hinv_At @ lam))
 
     return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
+
+
+def _stack_blocks(blocks: list[StageBlock]) -> StageStack:
+    """The :class:`StageStack` of a chain of stage blocks."""
+    n, nx = len(blocks), blocks[0].nx
+    chain = all(
+        b.nx == nx and b.r == (n - 1) * nx
+        and b.minus_row == (i - 1 if i > 0 else None)
+        and b.plus_row == (i if i < n - 1 else None)
+        for i, b in enumerate(blocks)
+    )
+    if not chain:
+        raise DimensionMismatchError(
+            "stage blocks must form a chain: block i couples its first state in "
+            "block row i - 1 and its last state in block row i"
+        )
+    anchors = np.stack([b.anchor for b in blocks])
+    finite = np.isfinite(anchors).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NonFiniteDataError(f"block {i}: non-finite entries in anchor", block_index=i)
+    return StageStack(
+        layout=lifted_layout(tuple(b.t for b in blocks)),
+        H=np.concatenate([b.H for b in blocks]),
+        g=np.concatenate([b.g.reshape(-1, nx) for b in blocks]),
+        D=np.concatenate([b.D for b in blocks]),
+        d=np.concatenate([b.d.reshape(-1, nx) for b in blocks]),
+        anchor=anchors.sum(axis=0),
+    )
 
 
 @lru_cache(maxsize=128)
@@ -390,119 +507,148 @@ def _band_layout(t: int, nx: int) -> tuple[Array, Array]:
     return dst, src
 
 
-@dataclass(eq=False)
-class StageTerms:
-    """Schur data of one :class:`StageBlock`, restricted to its boundary coupling
-    rows, plus what back-substitution reuses."""
-
-    rows: Array  # coupling rows of the boundary states
-    S: Array  # G_i - Q_i R_i^-1 Q_i' restricted to those rows
-    s: Array  # right-hand contribution on those rows, anchor excluded
-    hinv: Array  # per-state inverse Hessian blocks
-    z: Array  # R^-1 (C H^-1 g - d)
-    Z: Array  # R^-1 C H^-1 A' restricted to the boundary columns
+def _banded(rows: Array) -> Array:
+    """Upper banded storage of the block-tridiagonal matrix with block rows ``rows``."""
+    t, nx, _ = rows.shape
+    dst, src = _band_layout(t, nx)
+    band = np.zeros((2 * nx, t * nx))
+    band.flat[dst] = rows.flat[src]
+    return band
 
 
-def _stage_terms(block: StageBlock, index: int | None, where: str) -> StageTerms:
-    """Eliminate one stage block in ``O(t * nx^3)``.
+def _first_indefinite(H: Array) -> int:
+    """Index of the first block of a stack without a Cholesky factor."""
+    for j, h in enumerate(H):
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return j
+    raise AssertionError("every block factors")
+
+
+def _stack_terms(stack: StageStack) -> StackTerms:
+    """Eliminate every sub-window of a stack in ``O((L + N) nx^3)``.
 
     The per-state Hessian blocks are factored in one batched Cholesky call.
-    ``R = C H^-1 C'`` is block-tridiagonal, with diagonal blocks
-    ``D_k H_k^-1 D_k' + H_{k+1}^-1`` and superdiagonal blocks
-    ``-H_{k+1}^-1 D_{k+1}'``, so it is assembled and factored in banded storage
-    of bandwidth ``2 nx - 1``. ``A`` touches only the boundary states, so
-    ``Q' = C H^-1 A'`` is nonzero only in the first and last constraint rows.
+    ``R = C H^-1 C'`` is block-diagonal over the sub-windows and
+    block-tridiagonal within each, with diagonal blocks
+    ``D_k H_prev^-1 D_k' + H_next^-1`` and superdiagonal blocks
+    ``-H_next^-1 D_{k+1}'``, so all sub-windows share one banded factorization
+    of bandwidth ``2 nx - 1`` and one banded solve. Their right-hand sides
+    share columns: the sub-windows' rows are disjoint, and ``C H^-1 A'`` is
+    nonzero only in the first and last stage of each. The rank guard is the
+    squared pivot ratio of each sub-window's part of the factor, which bounds
+    ``1/cond(R_i)`` from above.
     """
-    _require_finite(
-        where, index, H=block.H, g=block.g, D=block.D, d=block.d, anchor=block.anchor
-    )
-    t, nx, m = block.t, block.nx, block.m
-    D = block.D
+    _require_finite_stack(stack)
+    lay = stack.layout
+    H, D = stack.H, stack.D
+    L, nx = D.shape[:2]
     try:
-        chol = np.linalg.cholesky(block.H)
+        chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
+        j = _first_indefinite(H)
+        i = int(j - lay.time[j])
         raise NotPositiveDefiniteError(
-            f"{where}: Hessian is not positive definite", block_index=index
+            f"block {i}: Hessian is not positive definite", block_index=i
         ) from exc
     linv = np.linalg.inv(chol)
     hinv = np.swapaxes(linv, 1, 2) @ linv
-    hinv_g = (hinv @ block.g.reshape(t + 1, nx, 1))[..., 0]
+    hinv_g = (hinv @ stack.g[..., None])[..., 0]
 
     Dt = np.swapaxes(D, 1, 2)
-    band_rows = np.zeros((t, nx, 2 * nx))
-    band_rows[:, :, :nx] = D @ hinv[:-1] @ Dt + hinv[1:]
-    band_rows[:-1, :, nx:] = -hinv[1:-1] @ Dt[1:]
-    dst, src = _band_layout(t, nx)
-    band = np.zeros((2 * nx, m))
-    band.flat[dst] = band_rows.flat[src]
-    try:
-        factor = scipy.linalg.cholesky_banded(band, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    h_next = hinv[lay.next]
+    band_rows = np.zeros((L, nx, 2 * nx))
+    band_rows[:, :, :nx] = D @ hinv[lay.prev] @ Dt + h_next
+    inner = lay.stage_block[1:] == lay.stage_block[:-1]  # R couples stages of one block only
+    band_rows[:-1, :, nx:][inner] = -(h_next[:-1] @ Dt[1:])[inner]
+    factor, info = scipy.linalg.lapack.dpbtrf(_banded(band_rows))
+    if info:
+        i = int(lay.stage_block[(info - 1) // nx])
         raise RankDeficientConstraintsError(
-            f"{where}: constraint rows are rank deficient", block_index=index
-        ) from exc
-    # the squared pivot ratio of a Cholesky factor bounds 1/cond(R) from above
+            f"block {i}: constraint rows are rank deficient", block_index=i
+        )
     pivots = factor[-1]
-    ratio = (pivots.min() / pivots.max()) ** 2
-    if ratio <= RANK_RCOND_LIMIT:
+    rows = lay.start * nx
+    ratio = (np.minimum.reduceat(pivots, rows) / np.maximum.reduceat(pivots, rows)) ** 2
+    if (low := np.flatnonzero(ratio <= RANK_RCOND_LIMIT)).size:
+        i = int(low[0])
         raise RankDeficientConstraintsError(
-            f"{where}: constraint rows are rank deficient (pivot ratio {ratio:.3e})",
-            block_index=index,
+            f"block {i}: constraint rows are rank deficient (pivot ratio {ratio[i]:.3e})",
+            block_index=i,
         )
 
-    ends = block.boundary()
-    nb = nx * len(ends)
-    rhs = np.zeros((m, 1 + nb))
-    rhs[:, 0] = (hinv_g[1:] - (D @ hinv_g[:-1, :, None])[..., 0]).reshape(-1) - block.d
-    G = np.zeros((nb, nb))
-    s = np.zeros(nb)
-    rows = np.zeros(nb, dtype=int)
-    for j, (state, sign, row) in enumerate(ends):
-        cols = slice(j * nx, (j + 1) * nx)
-        q_cols = slice(1 + j * nx, 1 + (j + 1) * nx)
-        # column of C H^-1 A': only the constraint row holding this state
-        if state == 0:
-            rhs[:nx, q_cols] = -sign * (D[0] @ hinv[0])
-        else:
-            rhs[-nx:, q_cols] = sign * hinv[state]
-        G[cols, cols] = hinv[state]
-        s[cols] = -sign * hinv_g[state]
-        rows[cols] = np.arange(row * nx, (row + 1) * nx)
-    sol = scipy.linalg.cho_solve_banded((factor, False), rhs, check_finite=False)
-    Qt = rhs[:, 1:]
-    return StageTerms(
-        rows=rows,
-        S=G - Qt.T @ sol[:, 1:],
-        s=s + Qt.T @ sol[:, 0],
-        hinv=hinv,
-        z=sol[:, 0],
-        Z=sol[:, 1:],
+    # boundary c joins the last state of block c, in its last stage, to the
+    # first state of block c + 1, in its first stage
+    last, first = lay.last[:-1], lay.first[1:]
+    s_last, s_first = lay.start[1:] - 1, lay.start[1:]
+    El = hinv[last]  # the +I column on the last state, in its stage's rows
+    Pf = D[s_first] @ hinv[first]  # the -I column on the first state
+    rhs = np.zeros((L, nx, 1 + 2 * nx))
+    rhs[:, :, 0] = hinv_g[lay.next] - (D @ hinv_g[lay.prev][..., None])[..., 0] - stack.d
+    rhs[s_first, :, 1:nx + 1] = Pf
+    rhs[s_last, :, nx + 1:] = El
+    Z = scipy.linalg.cho_solve_banded(
+        (factor, False), rhs.reshape(L * nx, -1), check_finite=False
+    ).reshape(rhs.shape)
+    S = np.zeros((len(last), nx, 2 * nx))
+    if not len(last):
+        # one sub-window has no boundary; its empty array calls cost a fifth
+        # of a solve at L = 25
+        return StackTerms(S=S, p=np.zeros((0, nx)), hinv=hinv, Z=Z)
+    Zf, Zl = Z[:, :, 1:nx + 1], Z[:, :, nx + 1:]
+    ElT, PfT = np.swapaxes(El, 1, 2), np.swapaxes(Pf, 1, 2)
+
+    diag = (El - ElT @ Zl[s_last]) + (hinv[first] - PfT @ Zf[s_first])
+    S[:, :, :nx] = 0.5 * (diag + np.swapaxes(diag, 1, 2))
+    # block c + 1 couples rows c and c + 1 through its first and last states
+    upper = -(PfT[:-1] @ Zl[s_first[:-1]])
+    lower = -(ElT[1:] @ Zf[s_last[1:]])
+    S[:-1, :, nx:] = 0.5 * (upper + np.swapaxes(lower, 1, 2))
+    z = Z[:, :, 0, None]
+    p = (
+        stack.anchor.reshape(-1, nx)
+        + (-hinv_g[last] + (ElT @ z[s_last])[..., 0])
+        + (hinv_g[first] + (PfT @ z[s_first])[..., 0])
     )
+    return StackTerms(S=S, p=p, hinv=hinv, Z=Z)
 
 
-def _solve_stage_qp(blocks: list[StageBlock], r: int) -> QpSolution:
-    """Structured twin of the dense elimination: boundary-only Schur assembly,
-    the dense ``r x r`` solve, and structural back-substitution."""
-    terms = [schur_terms(block, index=i) for i, block in enumerate(blocks)]
-    S = np.zeros((r, r))
-    p = np.zeros(r)
-    for t, block in zip(terms, blocks):
-        S[np.ix_(t.rows, t.rows)] += t.S
-        p += block.anchor
-        p[t.rows] += t.s
-    lam, diagnostics = _coupling_multiplier(S, p)
+def _solve_block_tridiagonal(S: Array, p: Array) -> tuple[Array, dict]:
+    """Banded Cholesky solve of the block-tridiagonal Schur system; the dense
+    :func:`_solve_schur`, with its pivoted fallback, if that fails."""
+    n, nx = p.shape
+    if not n:
+        return np.zeros(0), {"schur_factorization": "empty"}
+    try:
+        factor = scipy.linalg.cholesky_banded(_banded(S), check_finite=False)
+    except scipy.linalg.LinAlgError:
+        dense = np.zeros((n, nx, n, nx))
+        k = np.arange(n)
+        dense[k, :, k, :] = S[:, :, :nx]
+        dense[k[:-1], :, k[1:], :] = S[:-1, :, nx:]
+        dense[k[1:], :, k[:-1], :] = np.swapaxes(S[:-1, :, nx:], 1, 2)
+        return _solve_schur(dense.reshape(n * nx, n * nx), p.reshape(-1))
+    lam = scipy.linalg.cho_solve_banded((factor, False), p.reshape(-1), check_finite=False)
+    return lam, {"schur_factorization": "cholesky"}
 
-    mu = []
-    delta_x = []
-    for t, block in zip(terms, blocks):
-        lam_b = lam[t.rows]
-        mu_i = -(t.z + t.Z @ lam_b)
-        v = block.g + stage_constraint_transpose(block.D, mu_i)
-        v = v.reshape(block.t + 1, block.nx)
-        for j, (state, sign, _) in enumerate(block.boundary()):
-            v[state] += sign * lam_b[j * block.nx:(j + 1) * block.nx]
-        mu.append(mu_i)
-        delta_x.append(-(t.hinv @ v[:, :, None]).reshape(-1))
+
+def _solve_stack(stack: StageStack) -> QpSolution:
+    """Stacked elimination, the banded Schur solve and back-substitution,
+    in a fixed number of array calls whatever the number of sub-windows."""
+    terms = schur_terms(stack)
+    lam, diagnostics = _solve_block_tridiagonal(terms.S, terms.p)
+    lay = stack.layout
+    nx = stack.H.shape[1]
+    lam_rows = lam.reshape(-1, nx)
+    # each stage's sub-window couples its first state in row i - 1 and its
+    # last state in row i; the end rows of the chain are zero
+    padded = np.zeros((len(lay.lengths) + 1, nx))
+    padded[1:-1] = lam_rows
+    ends = np.concatenate([padded[lay.stage_block], padded[lay.stage_block + 1]], axis=1)
+    mu = -(terms.Z[:, :, 0] + (terms.Z[:, :, 1:] @ ends[..., None])[..., 0])
+    v = stack.g + stage_transpose(lay, stack.D, mu) + coupling_transpose(lay, lam_rows)
+    delta_x = -(terms.hinv @ v[..., None])[..., 0]
     return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
 
 

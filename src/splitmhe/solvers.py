@@ -1,14 +1,16 @@
 """Outer solvers: three splitting algorithms and the centralized baseline.
 
-All four run through one driver, :func:`_drive`. Per iteration it evaluates
-every block once at its linearization point, assembles the stage-form
-coordination QP from that evaluation, with Gauss-Newton Hessians shifted by
-``rho``, solves it in closed form, takes the
-consensus update, and records convergence metrics from one evaluation at the
-new consensus iterate. Wherever that iterate is the next linearization point,
-the metrics evaluation doubles as the next iteration's QP data. Block work is
-a pure map over sub-windows with a fixed-order reduction, so runs are
-deterministic regardless of how the map is scheduled.
+All four run through one driver, :func:`_drive`. It holds the lifted iterate
+of all sub-windows as one stack of ``L + N`` states (see
+:class:`~splitmhe.problem.LiftedLayout`). Per iteration it evaluates the whole
+stack once at its linearization point, assembles the stage-form coordination
+QP from that evaluation, with Gauss-Newton Hessians shifted by ``rho``, solves
+it in closed form as one :class:`~splitmhe.qp_core.StageStack`, takes the
+consensus update, and records convergence metrics from one evaluation of the
+stack at the new consensus iterate. Wherever that iterate is the next
+linearization point, the metrics evaluation doubles as the next iteration's QP
+data. Each of these steps is a fixed number of array calls, whatever the
+number of sub-windows, so runs are deterministic.
 
 The algorithms differ only in a per-block step around the coordination:
 
@@ -22,6 +24,8 @@ The algorithms differ only in a per-block step around the coordination:
   each iteration is one full-space SQP step expressed block-wise.
 * ``centralized`` -- ``dsqp`` on the degenerate single-window partition; used
   as the reference oracle for the distributed runs.
+
+The per-block steps see per-block views of the stacks.
 """
 
 from __future__ import annotations
@@ -34,27 +38,30 @@ import numpy as np
 
 from .errors import SplitMheError
 from .local_nlp import (
-    BlockEvaluation,
     first_order_conditions,
     lagrangian_hessian,
-    lagrangian_hessian_stages,
     solve_local_kkt,
     solve_local_subproblem,
 )
 from .problem import (
     MheInstance,
     Partition,
+    StageEvaluation,
     SubProblem,
+    block_evaluation,
     build_partition,
     centralized_objective,
     coupling_residual,
+    coupling_transpose,
+    evaluate_stack,
     extract_trajectory,
-    lift_initial_guess,
+    join_blocks,
+    lift,
     split_instance,
     stage_constraint_matrix,
-    stage_constraint_transpose,
+    stage_transpose,
 )
-from .qp_core import StageBlock, solve_coupled_qp
+from .qp_core import StageStack, solve_coupled_qp
 
 Array = np.ndarray
 
@@ -176,62 +183,58 @@ def _check_warm(warm: IterateState, partition: Partition) -> None:
 
 def _initial_iterate(
     instance: MheInstance, partition: Partition, warm: IterateState | None
-) -> tuple[list[Array], Array, list[Array]]:
+) -> tuple[Array, Array, Array]:
+    """Stacked consensus states ``(L + N, nx)``, ``lam`` and stage multipliers ``(L, nx)``."""
     if warm is not None:
         _check_warm(warm, partition)
-        y = [np.array(b, dtype=float) for b in warm.y_blocks]
-        mu = [np.array(b, dtype=float) for b in warm.mu_blocks]
+        y = join_blocks(warm.y_blocks, partition.nx)
+        mu = join_blocks(warm.mu_blocks, partition.nx)
         return y, np.array(warm.lam, dtype=float), mu
-    y = lift_initial_guess(instance.initial_guess, partition)
-    lam = np.zeros(partition.r)
-    mu = [np.zeros(m) for m in partition.constraint_dims]
-    return y, lam, mu
+    y = lift(instance.initial_guess, partition)
+    return y, np.zeros(partition.r), np.zeros((partition.L, partition.nx))
 
 
-def _stage_block(
-    sub: SubProblem, x: Array, mu: Array, ev: BlockEvaluation, rho: float, with_offsets: bool
-) -> StageBlock:
-    """Coordination-QP data of one sub-window, linearized at ``x``, in stage form.
+def _stage_stack(
+    partition: Partition, x: Array, ev: StageEvaluation, rho: float, with_offsets: bool
+) -> StageStack:
+    """Coordination-QP data of the whole stack, linearized at ``x``.
 
-    ``ev`` is the block's evaluation at ``x``. The Hessian is the Gauss-Newton
+    ``ev`` is the stack's evaluation at ``x``. The Hessian is the Gauss-Newton
     curvature shifted by ``rho``; without offsets the constraint rows are
     homogeneous.
     """
-    return StageBlock(
-        H=lagrangian_hessian_stages(sub, x, mu, rho, "gauss_newton", residuals=(ev.b, ev.J)),
+    H = rho * np.eye(partition.nx) + ev.W
+    return StageStack(
+        layout=partition.layout,
+        H=0.5 * (H + np.swapaxes(H, 1, 2)),
         g=ev.g,
         D=ev.D,
         d=ev.F if with_offsets else np.zeros_like(ev.F),
-        plus_row=sub.plus_row,
-        minus_row=sub.minus_row,
-        r=sub.partition.r,
-        anchor=sub.apply_coupling(x),
+        anchor=coupling_residual(partition, x),
     )
 
 
 def _iterate_metrics(
-    subs: list[SubProblem],
     partition: Partition,
-    y_new: list[Array],
-    y_old: list[Array],
+    y_new: Array,
+    y_old: Array,
     lam: Array,
-    mu: list[Array],
-    coupling_blocks: list[Array],
-    evals: list[BlockEvaluation],
+    mu: Array,
+    coupled: Array,
+    ev: StageEvaluation,
 ) -> tuple[float, float, float, float]:
-    """Step, coupling, dynamics and stationarity norms; ``evals`` holds the
-    blocks' evaluations at ``y_new``."""
-    primal = max(float(np.abs(yn - yo).max()) for yn, yo in zip(y_new, y_old))
+    """Step, coupling, dynamics and stationarity norms; ``ev`` is the stack's
+    evaluation at ``y_new`` and ``coupled`` the stack whose coupling counts."""
+    primal = float(np.abs(y_new - y_old).max())
     coupling = 0.0
     if partition.r:
-        coupling = float(np.abs(coupling_residual(partition, coupling_blocks)).max())
-    dynamics = 0.0
-    stationarity = 0.0
-    for sub, ev, mu_i in zip(subs, evals, mu):
-        stat = ev.g + stage_constraint_transpose(ev.D, mu_i) + sub.apply_coupling_transpose(lam)
-        dynamics = max(dynamics, float(np.abs(ev.F).max()))
-        stationarity = max(stationarity, float(np.abs(stat).max()))
-    return primal, coupling, dynamics, stationarity
+        coupling = float(np.abs(coupling_residual(partition, coupled)).max())
+    lay = partition.layout
+    stat = (
+        ev.g + stage_transpose(lay, ev.D, mu)
+        + coupling_transpose(lay, lam.reshape(-1, partition.nx))
+    )
+    return primal, coupling, float(np.abs(ev.F).max()), float(np.abs(stat).max())
 
 
 def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
@@ -257,35 +260,36 @@ def _drive(
 ) -> SolveResult:
     """The outer iteration of all four algorithms.
 
-    Each block's QP data is the Gauss-Newton curvature shifted by ``rho``.
-    Without hooks this is ``dsqp``: each block is linearized at its consensus
-    block, with the dynamics defects as constraint offsets, and its new
-    consensus block is its next linearization point. The per-block steps of
-    the ALADIN variants:
+    The QP data is the Gauss-Newton curvature shifted by ``rho``. Without
+    hooks this is ``dsqp``: every block is linearized at its consensus block,
+    with the dynamics defects as constraint offsets, and its new consensus
+    block is its next linearization point. The per-block steps of the ALADIN
+    variants, which see flat per-block views:
 
     * ``local_solve(sub, y_i, lam)`` (``gn_aladin``) returns the block's exact
-      local solution, its linearization point for this iteration, and the
-      solve's evaluation there (None if it has none). Local solutions are
-      feasible, so the QP takes homogeneous constraint rows, and the coupling
-      metric is measured on them.
+      local solution, its linearization point for this iteration. Local
+      solutions are feasible, so the QP takes homogeneous constraint rows, and
+      the coupling metric is measured on them.
     * ``start(subs, y, lam, mu)`` (``sa_aladin``) returns the initial local
-      pairs ``(x, mu)`` and the blocks' evaluations at ``x`` (None where it has
-      none). ``advance(sub, x_i, mu_i, ev_i, y_new_i, lam_new, mu_hat_i)``
-      returns the next local pair ``(x_i, mu_i)`` of a block; ``ev_i`` is its
-      evaluation at ``x_i``, and ``(y_new_i, lam_new, mu_hat_i)`` the
+      pairs ``(x, mu)`` as lists of blocks. ``advance(sub, x_i, mu_i, ev_i,
+      y_new_i, lam_new, mu_hat_i)`` returns the next local pair
+      ``(x_i, mu_i)`` of a block; ``ev_i`` is the block's part of the stack
+      evaluation at ``x``, and ``(y_new_i, lam_new, mu_hat_i)`` the
       coordination output. An error in ``start`` is reported as iteration 0.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
     subs = split_instance(instance, partition)
+    lay, nx = partition.layout, partition.nx
     y, lam, mu = _initial_iterate(instance, partition, warm)
-    # evals: the blocks' evaluations at x, carried from the last metrics
-    x, evals = list(y), [None] * partition.N
+    # ev: the stack's evaluation at x, carried from the last metrics
+    x, ev = y, None
     if start:
         try:
-            x, mu, evals = start(subs, y, lam, mu)
+            x_blocks, mu_blocks = start(subs, lay.split(y), lam, lay.split_stages(mu))
         except SplitMheError as exc:
             _wrap_iteration_error(exc, cfg.algorithm, 0)
+        x, mu = join_blocks(x_blocks, nx), join_blocks(mu_blocks, nx)
     records: list[ConvergenceRecord] = []
     status = "max_iter"
 
@@ -294,36 +298,36 @@ def _drive(
         try:
             t0 = time.perf_counter()
             if local_solve:
-                solved = [local_solve(sub, y_i, lam) for sub, y_i in zip(subs, y)]
-                x, evals = [s[0] for s in solved], [s[1] for s in solved]
-            evals = [ev or BlockEvaluation.at(sub, x_i) for sub, x_i, ev in zip(subs, x, evals)]
-            blocks = [
-                _stage_block(sub, x_i, mu_i, ev, cfg.rho, not local_solve)
-                for sub, x_i, mu_i, ev in zip(subs, x, mu, evals)
-            ]
+                solved = [local_solve(sub, y_i, lam) for sub, y_i in zip(subs, lay.split(y))]
+                x, ev = join_blocks(solved, nx), None
+            if ev is None:
+                ev = evaluate_stack(instance, partition, x)
+            stack = _stage_stack(partition, x, ev, cfg.rho, not local_solve)
             local_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            sol = solve_coupled_qp(blocks)
-            y_new = [x_i + dx for x_i, dx in zip(x, sol.delta_x)]
+            sol = solve_coupled_qp(stack)
+            y_new = x + sol.delta_x
             qp_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
             if advance:
                 pairs = [
-                    advance(sub, x_i, mu_i, ev, yn_i, sol.lam, mu_hat_i)
-                    for sub, x_i, mu_i, ev, yn_i, mu_hat_i
-                    in zip(subs, x, mu, evals, y_new, sol.mu)
+                    advance(sub, x_i, mu_i, block_evaluation(ev, partition, i), yn_i, sol.lam, mh_i)
+                    for i, (sub, x_i, mu_i, yn_i, mh_i) in enumerate(zip(
+                        subs, lay.split(x), lay.split_stages(mu),
+                        lay.split(y_new), lay.split_stages(sol.mu),
+                    ))
                 ]
-                x_new, mu_new = [p[0] for p in pairs], [p[1] for p in pairs]
+                x_new = join_blocks([p[0] for p in pairs], nx)
+                mu_new = join_blocks([p[1] for p in pairs], nx)
             else:
                 x_new, mu_new = (x if local_solve else y_new), sol.mu
             local_s += time.perf_counter() - t0
 
-            evals_new = [BlockEvaluation.at(sub, yn_i) for sub, yn_i in zip(subs, y_new)]
+            ev_new = evaluate_stack(instance, partition, y_new)
             primal, coupling, dynamics, stationarity = _iterate_metrics(
-                subs, partition, y_new, y, sol.lam, sol.mu,
-                coupling_blocks=x if local_solve else y_new, evals=evals_new,
+                partition, y_new, y, sol.lam, sol.mu, x if local_solve else y_new, ev_new
             )
             trajectory, _ = extract_trajectory(y_new, partition)
         except SplitMheError as exc:
@@ -344,9 +348,9 @@ def _drive(
                 qp_ms=1e3 * qp_s,
             )
         )
-        # a block whose next linearization point is its new consensus block
-        # reuses the metrics evaluation there as its next QP data
-        evals = [ev if x_i is yn_i else None for ev, x_i, yn_i in zip(evals_new, x_new, y_new)]
+        # where the next linearization point is the new consensus iterate,
+        # the metrics evaluation there is the next QP data
+        ev = ev_new if np.array_equal(x_new, y_new) else None
         x, mu, y, lam = x_new, mu_new, y_new, sol.lam
         if termination_check(records[-1], cfg):
             status = "converged"
@@ -366,10 +370,10 @@ def _drive(
             final_metrics["dist_to_ref"] = last.dist_to_ref
     final_metrics["boundary_mismatch"] = mismatch
     state = IterateState(
-        x_blocks=[b.copy() for b in x],
-        y_blocks=[b.copy() for b in y],
+        x_blocks=[b.copy() for b in lay.split(x)],
+        y_blocks=[b.copy() for b in lay.split(y)],
         lam=lam.copy(),
-        mu_blocks=[b.copy() for b in mu],
+        mu_blocks=[b.copy() for b in lay.split_stages(mu)],
         iteration=len(records),
     )
     return SolveResult(
@@ -408,9 +412,8 @@ def run_gauss_newton_aladin(
     """
     cfg = _checked(cfg, "gn_aladin")
 
-    def local_solve(sub: SubProblem, y: Array, lam: Array) -> tuple:
-        res = solve_local_subproblem(sub, lam, y, cfg.rho)
-        return res.x, res.evaluation
+    def local_solve(sub: SubProblem, y: Array, lam: Array) -> Array:
+        return solve_local_subproblem(sub, lam, y, cfg.rho).x
 
     return _drive(instance, partition, cfg, warm, reference, local_solve=local_solve)
 
@@ -476,18 +479,18 @@ def run_sensitivity_aladin(
 
     def start(subs, y, lam, mu):
         if warm is not None:
-            return [b.copy() for b in warm.x_blocks], mu, [None] * len(subs)
+            return warm.x_blocks, mu
         first = [solve_local_subproblem(sub, lam, y_i, cfg.rho) for sub, y_i in zip(subs, y)]
-        return [r.x for r in first], [r.mu for r in first], [r.evaluation for r in first]
+        return [r.x for r in first], [r.mu for r in first]
 
     def advance(sub, x, mu, ev, y_new, lam_new, mu_hat):
         drift = first_order_conditions(sub, x, mu, lam_new, y_new, cfg.rho, evaluation=ev)
         if not float(np.abs(drift).max()) <= _SA_SWITCH_TOL:  # NaN drift falls back too
             info["coordination_fallbacks"] += 1
-            return y_new, mu_hat  # not a copy: the driver reuses its evaluation there
+            return y_new, mu_hat
         # tangent move plus defect correction in one solve against the local
         # KKT matrix: the conditions are affine in (Y, lam)
-        H = lagrangian_hessian(sub, x, mu, cfg.rho, "exact_lagrangian", (ev.b, ev.J))
+        H = lagrangian_hessian(sub, x, mu, cfg.rho, "exact_lagrangian", ev)
         step = solve_local_kkt(H, stage_constraint_matrix(ev.D), drift, cfg.rho)
         info["predictor_updates"] += 1
         return x - step[:sub.block_dim], mu - step[sub.block_dim:]

@@ -6,6 +6,8 @@ tests cross-check two separate routes to the same numbers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -21,6 +23,21 @@ def fd_jacobian(func, x, eps=1e-6):
         xm[k] -= eps
         out[:, k] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * eps)
     return out
+
+
+def counting_model(model, calls):
+    """``model`` with every callable counting its calls in the Counter ``calls``."""
+    names = ("f", "h", "df_dx", "df_du", "dh_dx", "d2f", "d2h")
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    return replace(model, **{name: counted(name) for name in names})
 
 
 def rel_err(a, b):
@@ -82,27 +99,37 @@ def linear_window_optimum(instance):
     return x.reshape(instance.L + 1, instance.model.nx)
 
 
-def random_stage_blocks(rng, n_blocks, nx, max_length=5, with_offsets=True):
+def random_stage_blocks(
+    rng, n_blocks, nx, max_length=5, with_offsets=True, lengths=None, stable=False
+):
     """Random time-split coupled-QP instances in stage form.
 
     Consecutive blocks are chained like the sub-windows of a split horizon:
     block ``i`` carries ``+I`` on its last state in coupling block row ``i``
     and ``-I`` on its first state in row ``i - 1``. Per-state Hessians are
     ``M'M + I`` and dynamics Jacobians ``I + 0.3 * noise``, the near-identity
-    shape of a sampled system.
+    shape of a sampled system. Block lengths are drawn from 1 to
+    ``max_length`` unless ``lengths`` gives them. ``stable`` scales every
+    ``D_k`` to spectral norm at most 1: over a long chain, products of
+    expanding ``D_k`` grow the multipliers geometrically (to 1e7 over 130
+    stages), and the dense oracle itself resolves those only to about 1e-9.
     """
     from splitmhe.qp_core import StageBlock
 
     r = (n_blocks - 1) * nx
     blocks = []
     for i in range(n_blocks):
-        t = int(rng.integers(1, max_length + 1))
+        t = int(rng.integers(1, max_length + 1)) if lengths is None else lengths[i]
         M = rng.standard_normal((t + 1, nx, nx))
+        g = rng.standard_normal((t + 1) * nx)
+        D = np.eye(nx) + 0.3 * rng.standard_normal((t, nx, nx))
+        if stable:
+            D /= np.maximum(np.linalg.norm(D, ord=2, axis=(1, 2)), 1.0)[:, None, None]
         blocks.append(
             StageBlock(
                 H=np.swapaxes(M, 1, 2) @ M + np.eye(nx),
-                g=rng.standard_normal((t + 1) * nx),
-                D=np.eye(nx) + 0.3 * rng.standard_normal((t, nx, nx)),
+                g=g,
+                D=D,
                 d=rng.standard_normal(t * nx) if with_offsets else np.zeros(t * nx),
                 plus_row=i if i < n_blocks - 1 else None,
                 minus_row=i - 1 if i > 0 else None,

@@ -104,6 +104,16 @@ def test_numerical_failure_exit_code(origin_scenario, tmp_path, capsys):
     assert main(["estimate", "--scenario", path, "--out", str(tmp_path / "est.csv")]) == 4
 
 
+def test_estimate_names_the_error_of_each_failed_window(origin_scenario, tmp_path, capsys):
+    path = str(sm.write_scenario(origin_scenario, tmp_path / "origin.json"))
+    assert main(["estimate", "--scenario", path, "--out", str(tmp_path / "est.csv")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    # the six windows ending at steps 25..30 all hold the singular state 5
+    assert len(err) == 6, err
+    assert err[0].startswith("window ending at step 25: OriginSingularityError: dsqp iteration 1")
+    assert "observation undefined at state 5" in err[0]
+
+
 @pytest.mark.parametrize(
     "args",
     [

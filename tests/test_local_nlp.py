@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
+from splitmhe import local_nlp
 from splitmhe.errors import LocalSolveError
 from splitmhe.local_nlp import (
     LocalSolveConfig,
@@ -291,3 +292,22 @@ def test_solve_local_kkt_shifts_a_singular_matrix():
     C[1] = 0.0
     with pytest.raises(LocalSolveError):
         solve_local_kkt(np.eye(n), C, rhs, eps0)
+
+
+def test_line_search_stops_once_the_trial_rounds_to_x(benchmark_instance, monkeypatch):
+    # x + alpha * dx == x bitwise, and so is every shorter step: their merit is
+    # exactly merit0, so no trial is evaluated (halving down to 2^-30 takes 31)
+    sub, x, partition = robot_sub(benchmark_instance)
+    at_lam = sub.apply_coupling_transpose(np.ones(partition.r))
+    merit0 = local_nlp._merit(sub, x, 1.0, at_lam, x, 25.0)
+    trials = []
+
+    def counted(*args):
+        trials.append(args[1])
+        return merit(*args)
+
+    merit = local_nlp._merit
+    monkeypatch.setattr(local_nlp, "_merit", counted)
+    found = local_nlp._line_search(sub, x, 1e-30 * x, 1.0, at_lam, x, 25.0, merit0, 1e-14 * merit0)
+    assert found == (None, merit0)
+    assert trials == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
+from splitmhe import problem
 from splitmhe.errors import DimensionMismatchError, PartitionError
 from splitmhe.problem import (
     constraint_vector,
@@ -273,3 +274,39 @@ def test_block_evaluation_calls_the_model_once_per_callable(benchmark_instance):
     for sub, block in zip(subs, blocks):
         eval_constraint_stages(sub, block)
     assert calls == Counter(f=4, df_dx=4)
+
+
+def test_lifted_layout_places_states_and_stages():
+    partition = sm.build_partition(25, 4, 3)
+    lay = partition.layout
+    assert lay.first.tolist() == [0, 7, 14, 21] and lay.last.tolist() == [6, 13, 20, 28]
+    np.testing.assert_array_equal(lay.stage_block, np.repeat([0, 1, 2, 3], [6, 6, 6, 7]))
+    np.testing.assert_array_equal(lay.next, lay.prev + 1)
+    # one measured copy per window state; interior terminal copies carry none
+    assert len(lay.measured) == 26
+    assert not set(lay.last[:-1]) & set(lay.measured)
+    traj = np.arange(26.0 * 3).reshape(26, 3)
+    stack = problem.lift(traj, partition)
+    np.testing.assert_array_equal(stack[lay.measured], traj)
+    np.testing.assert_array_equal(stack[lay.last[:-1]], stack[lay.first[1:]])
+    assert [b.tolist() for b in lay.split(stack)] == [
+        b.tolist() for b in sm.lift_initial_guess(traj, partition)
+    ]
+
+
+@pytest.mark.parametrize("n_sub", [1, 4, 25])
+def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n_sub):
+    rng = np.random.Generator(np.random.PCG64(14))
+    partition = sm.build_partition(25, n_sub, 3)
+    subs = sm.split_instance(benchmark_instance, partition)
+    y = problem.lift(benchmark_instance.initial_guess, partition)
+    y = y + 0.05 * rng.standard_normal(y.shape)
+    ev = problem.evaluate_stack(benchmark_instance, partition, y)
+    for i, (sub, block) in enumerate(zip(subs, partition.layout.split(y))):
+        sliced = problem.block_evaluation(ev, partition, i)
+        direct = problem.evaluate_block(sub, block)
+        for name, a, b in zip(direct._fields, sliced, direct):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        b_dense, J = eval_residual_stack(sub, block)
+        np.testing.assert_array_equal(direct.b, b_dense)
+        np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)

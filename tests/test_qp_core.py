@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitmhe as sm
 from splitmhe.errors import (
@@ -329,15 +332,62 @@ def test_mixed_block_forms_are_rejected():
         sm.solve_coupled_qp([stage[0], stage[1].to_qp_block()])
 
 
-def test_stage_schur_terms_are_the_dense_terms_on_the_boundary_rows():
-    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(20)), 4, 3)
-    for i, block in enumerate(blocks):
-        stage = schur_terms(block, index=i)
-        dense = schur_terms(block.to_qp_block(), index=i)
-        S = dense.G - dense.Q @ np.linalg.solve(dense.R, dense.Q.T)
-        s = dense.s - block.anchor
-        outside = np.setdiff1d(np.arange(block.r), stage.rows)
-        np.testing.assert_allclose(stage.S, S[np.ix_(stage.rows, stage.rows)], atol=1e-10)
-        np.testing.assert_allclose(stage.s, s[stage.rows], atol=1e-10)
-        assert np.abs(S[outside]).max(initial=0.0) == 0.0
-        assert np.abs(s[outside]).max(initial=0.0) == 0.0
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(1, 3),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=40),
+    with_offsets=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_stage_path_matches_dense_kkt_oracle(nx, lengths, with_offsets, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    blocks = random_stage_blocks(
+        rng, len(lengths), nx, with_offsets=with_offsets, lengths=lengths, stable=True
+    )
+    fast = sm.solve_coupled_qp(blocks)
+    oracle = sm.dense_kkt_oracle([b.to_qp_block() for b in blocks])
+    assert solution_deviation(fast, oracle) <= 1e-9
+
+
+def test_stage_schur_fallback_reports_lu_and_matches_oracle(monkeypatch):
+    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(21)), 5, 3)
+
+    def not_spd(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("forced")
+
+    # only the Schur solve takes a banded or dense Cholesky from scipy.linalg
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_spd)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", not_spd)
+    fast = sm.solve_coupled_qp(blocks)
+    assert fast.diagnostics["schur_factorization"] == "lu"
+    assert fast.diagnostics["schur_condition"] > 1.0
+    oracle = sm.dense_kkt_oracle([b.to_qp_block() for b in blocks])
+    assert solution_deviation(fast, oracle) <= 1e-9
+
+
+def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():
+    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(22)), 5, 3)
+    # a uniformly stiff block has a tiny R but a pivot ratio of order one: a
+    # ratio taken over the whole stack would flag it
+    blocks[1].H = 1e10 * blocks[1].H
+    assert sm.solve_coupled_qp(blocks).lam.shape == (12,)
+    # block 3 as in test_stage_rank_guard_uses_banded_pivot_ratio
+    H = blocks[3].H.copy()
+    H[1:] = 1e14 * np.eye(3)
+    blocks[3].H = H
+    blocks[3].D = np.zeros_like(blocks[3].D)
+    blocks[3].D[0] = np.eye(3)
+    with pytest.raises(RankDeficientConstraintsError) as err:
+        sm.solve_coupled_qp(blocks)
+    assert err.value.block_index == 3
+
+
+@pytest.mark.parametrize("swap", ["rows", "order"])
+def test_stage_blocks_off_the_chain_layout_are_rejected(swap):
+    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(23)), 3, 2)
+    if swap == "rows":
+        blocks[1].plus_row, blocks[1].minus_row = blocks[1].minus_row, blocks[1].plus_row
+    else:
+        blocks = [blocks[1], blocks[0], blocks[2]]
+    with pytest.raises(sm.DimensionMismatchError):
+        sm.solve_coupled_qp(blocks)

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from splitmhe.solvers import (
 )
 
 from conftest import build_linear_instance
-from helpers import linear_window_optimum
+from helpers import counting_model, linear_window_optimum
 
 
 def make_record(**overrides):
@@ -333,30 +334,22 @@ def test_sa_aladin_cold_start_errors_report_iteration_zero(origin_scenario):
 
 
 @pytest.mark.parametrize("algorithm", ["dsqp", "centralized"])
-def test_sqp_evaluates_each_block_once_per_point(benchmark_instance, monkeypatch, algorithm):
-    """Over k iterations an SQP run visits k + 1 points per block, and every
-    consumer at a point (QP data, Hessian, metrics) shares one evaluation."""
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(sub, X):
-            calls[name, sub.index] += 1
-            return fn(sub, X)
-        return wrapper
-
-    for module in (solvers, local_nlp, problem):
-        for name in ("eval_residual_stack", "eval_constraint_stages"):
-            wrapped = counted(name, getattr(problem, name))
-            monkeypatch.setattr(module, name, wrapped, raising=False)
-    n_blocks, k = (1 if algorithm == "centralized" else 4), 6
-    partition = None if algorithm == "centralized" else sm.build_partition(25, n_blocks, 3)
-    result = sm.solve(
-        benchmark_instance, partition, sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=k)
-    )
-    assert result.iterations == k
-    assert {i for _, i in calls} == set(range(1, n_blocks + 1))
-    for (name, index), count in calls.items():
-        assert count <= k + 1, f"{name} ran {count} times on block {index} in {k} iterations"
+def test_sqp_evaluates_each_block_once_per_point(benchmark_instance, algorithm):
+    """Over k iterations an SQP run visits k + 1 points, and every consumer at a
+    point (QP data, Hessian, metrics) shares one evaluation of the whole stack:
+    one call of each model callable per point, whatever the number of blocks."""
+    k = 6
+    for n_blocks in (1,) if algorithm == "centralized" else (4, 16):
+        calls = Counter()
+        model = counting_model(benchmark_instance.model, calls)
+        instance = replace(benchmark_instance, model=model)
+        partition = None if algorithm == "centralized" else sm.build_partition(25, n_blocks, 3)
+        cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=k)
+        assert sm.solve(instance, partition, cfg).iterations == k
+        for name in ("dh_dx", "f", "df_dx"):
+            assert calls[name] <= k + 1, f"{name} ran {calls[name]} times at N={n_blocks}"
+        # centralized_objective also calls h, once per record and once at the end
+        assert calls["h"] <= 2 * (k + 1), f"h ran {calls['h']} times at N={n_blocks}"
 
 
 def _refuse(*args, **kwargs):
@@ -383,26 +376,33 @@ def test_outer_loops_never_materialise_dense_qp_data(linear_instance, monkeypatc
     assert runs["sa_aladin"].info["predictor_updates"] > 0
 
 
-def test_gn_aladin_reuses_the_local_solve_evaluation(benchmark_instance, monkeypatch):
-    """A converged local solve has already evaluated the point it returns; the
-    outer loop takes that evaluation as the block's QP data."""
+def _count_evaluations(monkeypatch) -> Counter:
+    """Count the driver's stack evaluations and the local solves' block evaluations."""
     calls = Counter()
 
-    def counted(sub, X):
-        calls[sub.index] += 1
-        return evaluate(sub, X)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    evaluate = problem.eval_residual_stack
-    for module in (solvers, local_nlp, problem):
-        monkeypatch.setattr(module, "eval_residual_stack", counted, raising=False)
+    monkeypatch.setattr(solvers, "evaluate_stack", counted("stack", problem.evaluate_stack))
+    monkeypatch.setattr(local_nlp, "evaluate_block", counted("block", problem.evaluate_block))
+    return calls
+
+
+def test_gn_aladin_evaluates_the_stack_twice_per_iteration(benchmark_instance, monkeypatch):
+    """The outer loop evaluates the whole stack once at the local solutions and
+    once at the new consensus point; the local solves evaluate once per inner
+    iteration, sharing it between the convergence test and the curvature."""
+    calls = _count_evaluations(monkeypatch)
     cfg = sm.SolverConfig(algorithm="gn_aladin", tol=1e-8, max_iter=60)
     result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
     assert result.status == "converged"
-    # 3.48 per block-iteration inside the local solves (one per inner
-    # iteration, shared by the convergence test and the curvature) plus one
-    # in the outer loop at each new consensus point
-    per_block_iteration = sum(calls.values()) / (4 * result.iterations)
-    assert per_block_iteration <= 4.49, per_block_iteration
+    assert calls["stack"] <= 2 * result.iterations
+    # 3.47 per block-iteration
+    per_block_iteration = calls["block"] / (4 * result.iterations)
+    assert per_block_iteration <= 3.49, per_block_iteration
 
 
 @pytest.mark.parametrize(
@@ -431,23 +431,21 @@ def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, 
     assert not hasattr(err.value, "iteration")
 
 
-def test_sa_aladin_reuses_the_first_local_solve_evaluations(benchmark_instance, monkeypatch):
-    """The converged initial local solves hand their evaluations to the first
-    iteration, as gn_aladin's local solves do."""
-    calls = Counter()
-
-    def counted(sub, X):
-        calls[sub.index] += 1
-        return evaluate(sub, X)
-
-    evaluate = problem.eval_residual_stack
-    for module in (solvers, local_nlp, problem):
-        monkeypatch.setattr(module, "eval_residual_stack", counted, raising=False)
+def test_sa_aladin_evaluates_the_stack_at_most_twice_per_iteration(
+    benchmark_instance, monkeypatch
+):
+    """Only the four initial local solves evaluate blocks; the outer loop
+    evaluates the stack at the new consensus point, and again at the local
+    pairs only where a predictor update moved them off it."""
+    calls = _count_evaluations(monkeypatch)
     cfg = sm.SolverConfig(algorithm="sa_aladin")
     result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
     assert result.iterations == 50
-    # 275 when each of the four converged initial solutions is evaluated again
-    assert sum(calls.values()) <= 271, sum(calls.values())
+    # the four initial solves take 22 inner iterations
+    assert calls["block"] <= 22, calls["block"]
+    # 64: 50 consensus points, the initial local pairs, and 13 iterations
+    # after a predictor update
+    assert calls["stack"] <= 64, calls["stack"]
 
 
 def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypatch, caplog):

@@ -39,7 +39,7 @@ from .problem import (
 from .qp_core import (
     QpBlock,
     QpSolution,
-    StageBlock,
+    StageStack,
     dense_kkt_oracle,
     kkt_residual_qp,
     schur_terms,

@@ -300,10 +300,12 @@ def sweep_subwindows(
     disabled); ``iters_to_tol`` reports the first iteration whose distance to
     the converged centralized baseline reaches ``cfg.tol``, and the timing
     columns report wall-clock means that are machine-dependent by nature.
-    Raises ``ValueError`` unless ``iters >= 1``.
+    Raises ``ValueError`` unless ``iters >= 1`` and ``n_values`` is nonempty.
     """
     if iters < 1:
         raise ValueError(f"sweep needs at least one iteration, got iters={iters}")
+    if not n_values:
+        raise ValueError("sweep needs at least one sub-window count")
     baseline_cfg = SolverConfig(
         algorithm="centralized", tol=min(cfg.tol, 1e-10), max_iter=200
     )

@@ -27,9 +27,10 @@ from .problem import (
     block_diagonal_matrix,
     constraint_vector,
     evaluate_block,
+    lifted_layout,
     residual_vector,
     stage_constraint_matrix,
-    stage_constraint_transpose,
+    stage_transpose,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,8 +92,10 @@ def first_order_conditions(
     evaluation at ``x`` when the caller already has it.
     """
     ev = evaluation or evaluate_block(sub, x)
+    mu = np.reshape(mu, (sub.length, sub.model.nx))
+    at_mu = stage_transpose(lifted_layout((sub.length,)), ev.D, mu).reshape(-1)
     grad = ev.g.reshape(-1) + sub.apply_coupling_transpose(lam)
-    grad = grad + rho * (np.asarray(x, dtype=float) - y_ref) + stage_constraint_transpose(ev.D, mu)
+    grad = grad + rho * (np.asarray(x, dtype=float) - y_ref) + at_mu
     return np.concatenate([grad, ev.F.reshape(-1)])
 
 
@@ -101,18 +104,19 @@ def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array,
     return float(np.abs(first_order_conditions(sub, x, mu, lam, y_ref, rho)).max())
 
 
-def lagrangian_hessian_stages(
+def lagrangian_hessian(
     sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian",
     evaluation: StageEvaluation | None = None,
 ) -> Array:
-    """Per-state blocks ``(length + 1, nx, nx)`` of :func:`lagrangian_hessian`.
+    """Curvature of the local Lagrangian plus the proximal shift ``rho * I``.
 
-    Every residual and every dynamics defect touches one state (the defects'
-    curvature sits on the earlier state), so the Lagrangian Hessian of a
-    sub-window is block-diagonal per state: the Gauss-Newton blocks of the
-    evaluation plus, for exact curvature, the observation and dynamics
-    Hessians at ``x``. ``evaluation`` is the block's evaluation at ``x`` when
-    the caller already has it.
+    ``gauss_newton`` keeps only ``J'J + rho*I``; ``exact_lagrangian`` adds the
+    residual curvature (weighted observation Hessians) and the constraint
+    curvature (dynamics Hessians contracted with ``mu``). Every residual and
+    every dynamics defect touches one state (the defects' curvature sits on
+    the earlier state), so the matrix is block-diagonal per state. Always
+    symmetric. ``evaluation`` is the block's evaluation at ``x`` when the
+    caller already has it.
     """
     if mode not in ("gauss_newton", "exact_lagrangian"):
         raise ValueError(f"unknown hessian mode {mode!r}")
@@ -124,21 +128,7 @@ def lagrangian_hessian_stages(
         offsets = list(sub.meas_offsets)
         H[offsets] += m.d2h(states[offsets], ev.w)
         H[:-1] -= m.d2f(states[:-1], sub.controls, np.reshape(mu, (sub.length, m.nx)))
-    return 0.5 * (H + np.swapaxes(H, 1, 2))
-
-
-def lagrangian_hessian(
-    sub: SubProblem, x: Array, mu: Array, rho: float, mode: str = "exact_lagrangian",
-    evaluation: StageEvaluation | None = None,
-) -> Array:
-    """Curvature of the local Lagrangian plus the proximal shift ``rho * I``.
-
-    ``gauss_newton`` keeps only ``J'J + rho*I``; ``exact_lagrangian`` adds the
-    residual curvature (weighted observation Hessians) and the constraint
-    curvature (dynamics Hessians contracted with ``mu``). Always symmetric.
-    ``evaluation`` is as in :func:`lagrangian_hessian_stages`.
-    """
-    return block_diagonal_matrix(lagrangian_hessian_stages(sub, x, mu, rho, mode, evaluation))
+    return block_diagonal_matrix(0.5 * (H + np.swapaxes(H, 1, 2)))
 
 
 def sensitivity_matrices(

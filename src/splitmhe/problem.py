@@ -145,6 +145,11 @@ def _as_stack(blocks, partition: Partition) -> Array:
         return blocks
     if len(blocks) != partition.N:
         raise DimensionMismatchError(f"expected {partition.N} blocks, got {len(blocks)}")
+    for i, (block, dim) in enumerate(zip(blocks, partition.block_dims)):
+        if np.shape(block) != (dim,):
+            raise DimensionMismatchError(
+                f"block {i} has shape {np.shape(block)}, expected ({dim},)"
+            )
     return join_blocks(blocks, partition.nx)
 
 
@@ -276,16 +281,6 @@ class SubProblem:
             A[self.minus_row * nx:(self.minus_row + 1) * nx, :nx] = -np.eye(nx)
         return A
 
-    def apply_coupling(self, X: Array) -> Array:
-        """Structural product of the coupling rows with a block vector."""
-        nx = self.model.nx
-        out = np.zeros(self.partition.r)
-        if self.plus_row is not None:
-            out[self.plus_row * nx:(self.plus_row + 1) * nx] = X[self.block_dim - nx:]
-        if self.minus_row is not None:
-            out[self.minus_row * nx:(self.minus_row + 1) * nx] = -X[:nx]
-        return out
-
     def apply_coupling_transpose(self, lam: Array) -> Array:
         """``A' lam``; a matrix ``lam`` is mapped column by column."""
         nx = self.model.nx
@@ -407,13 +402,6 @@ def stage_constraint_matrix(D: Array) -> Array:
     return C.reshape(t * nx, (t + 1) * nx)
 
 
-def stage_constraint_transpose(D: Array, mu: Array) -> Array:
-    """``C' mu`` for the block rows ``[-D_k, I]``, without forming ``C``."""
-    t, nx, _ = D.shape
-    mu = np.asarray(mu, dtype=float).reshape(t, nx)
-    return stage_transpose(lifted_layout((t,)), D, mu).reshape(-1)
-
-
 def stage_transpose(layout: LiftedLayout, D: Array, mu: Array) -> Array:
     """``C' mu`` on a lifted stack: stage ``k`` contributes ``-D_k' mu_k`` to
     state ``prev[k]`` and ``mu_k`` to state ``next[k]``; ``mu`` is ``(L, nx)``."""
@@ -522,20 +510,11 @@ def block_evaluation(ev: StageEvaluation, partition: Partition, i: int) -> Stage
     )
 
 
-def eval_constraint_stages(sub: SubProblem, X: Array) -> tuple[Array, Array]:
-    """Dynamics defects and the per-stage Jacobians ``D_k = df/dx(x_k, u_k)``.
-
-    Block row ``k`` of the constraint Jacobian is ``[-D_k, I]`` on states
-    ``k`` and ``k + 1``; ``D`` has shape ``(length, nx, nx)``.
-    """
-    F = constraint_vector(sub, X)
-    return F, sub.model.df_dx(sub.states(X)[:-1], sub.controls)
-
-
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
-    """Dynamics defects and their exact Jacobian with respect to the block."""
-    F, D = eval_constraint_stages(sub, X)
-    return F, stage_constraint_matrix(D)
+    """Dynamics defects and their exact Jacobian with respect to the block,
+    whose block row ``k`` is ``[-D_k, I]`` with ``D_k = df/dx(x_k, u_k)``."""
+    F = constraint_vector(sub, X)
+    return F, stage_constraint_matrix(sub.model.df_dx(sub.states(X)[:-1], sub.controls))
 
 
 def sub_objective(sub: SubProblem, X: Array) -> float:

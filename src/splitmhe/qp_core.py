@@ -16,19 +16,18 @@ shared multiplier:
     mu_i = -R_i^-1 (C_i H_i^-1 g_i + Q_i' lambda - d_i)
     dX_i = -H_i^-1 (g_i + C_i' mu_i + A_i' lambda)
 
-Blocks come in two forms. :class:`QpBlock` holds general dense data and is
-eliminated exactly as written above, one block at a time, around a dense
-``r x r`` Schur solve. The sub-windows of a time-split horizon come in stage
-form, and all of them are eliminated at once as one :class:`StageStack`: the
-``L + N`` lifted states with per-state Hessian blocks, the ``L`` stages with
-rows ``[-D_k, I]``, and signed-identity coupling between the last state of
-one sub-window and the first state of the next. There every ``R_i`` is
-block-tridiagonal, so the block-diagonal stack of them is factored in one
-banded Cholesky; ``G_i`` and ``Q_i`` touch only the boundary states; and ``S``
-is block-tridiagonal over the ``N - 1`` boundaries, so it is factored banded
-too. A whole window costs ``O((L + N) nx^3)`` in a fixed number of LAPACK
-calls, plus ``O(N nx^3)`` for ``S``. A list of :class:`StageBlock` is solved
-by stacking it.
+The QP comes in two forms. A list of :class:`QpBlock` holds general dense
+data and is eliminated exactly as written above, one block at a time, around
+a dense ``r x r`` Schur solve. The sub-windows of a time-split horizon are
+one :class:`StageStack`, eliminated all at once: the ``L + N`` lifted states
+with per-state Hessian blocks, the ``L`` stages with rows ``[-D_k, I]``, and
+signed-identity coupling between the last state of one sub-window and the
+first state of the next. There every ``R_i`` is block-tridiagonal, so the
+block-diagonal stack of them is factored in one banded Cholesky; ``G_i`` and
+``Q_i`` touch only the boundary states; and ``S`` is block-tridiagonal over
+the ``N - 1`` boundaries, so it is factored banded too. A whole window costs
+``O((L + N) nx^3)`` in a fixed number of LAPACK calls, plus ``O(N nx^3)`` for
+``S``.
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. This module never regularizes: a Hessian that is not
@@ -52,14 +51,7 @@ from .errors import (
     SingularKktError,
     SingularSchurError,
 )
-from .problem import (
-    LiftedLayout,
-    block_diagonal_matrix,
-    coupling_transpose,
-    lifted_layout,
-    stage_constraint_matrix,
-    stage_transpose,
-)
+from .problem import LiftedLayout, coupling_transpose, stage_transpose
 
 logger = logging.getLogger(__name__)
 
@@ -115,87 +107,6 @@ class QpBlock:
     @property
     def r(self) -> int:
         return self.A.shape[0]
-
-
-@dataclass(eq=False)
-class StageBlock:
-    """One sub-window of a time-split horizon, in stage form.
-
-    The block variable stacks ``t + 1`` states of size ``nx``. ``H`` holds the
-    per-state Hessian blocks ``(t + 1, nx, nx)`` and ``g`` the gradient. The
-    local constraint rows are ``dX_{k+1} - D_k dX_k + d_k = 0``, so ``D`` holds
-    the per-stage dynamics Jacobians ``(t, nx, nx)`` and ``d`` the offsets. Of
-    the ``r`` shared coupling rows, block row ``plus_row`` carries ``+I`` on the
-    last state and block row ``minus_row`` carries ``-I`` on the first; either
-    may be ``None``. ``anchor`` is the block's contribution ``A_i @ X_i^+``.
-    """
-
-    H: Array
-    g: Array
-    D: Array
-    d: Array
-    plus_row: int | None
-    minus_row: int | None
-    r: int
-    anchor: Array
-
-    def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        self.g = np.asarray(self.g, dtype=float).reshape(-1)
-        self.D = np.asarray(self.D, dtype=float)
-        self.d = np.asarray(self.d, dtype=float).reshape(-1)
-        self.anchor = np.asarray(self.anchor, dtype=float).reshape(-1)
-        if self.H.ndim != 3 or self.H.shape[0] < 2 or self.H.shape[1] != self.H.shape[2]:
-            raise DimensionMismatchError(
-                f"H must be a (t+1, nx, nx) stack with t >= 1, got {self.H.shape}"
-            )
-        t, nx = self.t, self.nx
-        if self.g.shape != (self.n,) or self.D.shape != (t, nx, nx) or self.d.shape != (self.m,):
-            raise DimensionMismatchError(
-                f"inconsistent stage shapes: H {self.H.shape}, g {self.g.shape}, "
-                f"D {self.D.shape}, d {self.d.shape}"
-            )
-        if self.r % nx or self.anchor.shape != (self.r,):
-            raise DimensionMismatchError(
-                f"anchor has {self.anchor.shape} entries for {self.r} coupling rows of width {nx}"
-            )
-        rows = [row for row in (self.plus_row, self.minus_row) if row is not None]
-        if any(not 0 <= row < self.r // nx for row in rows) or len(set(rows)) < len(rows):
-            raise DimensionMismatchError(
-                f"coupling block rows {self.plus_row}, {self.minus_row} invalid for r={self.r}"
-            )
-
-    @property
-    def nx(self) -> int:
-        return self.H.shape[1]
-
-    @property
-    def t(self) -> int:
-        return self.H.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return (self.t + 1) * self.nx
-
-    @property
-    def m(self) -> int:
-        return self.t * self.nx
-
-    def to_qp_block(self) -> QpBlock:
-        """The same block with dense ``H``, ``C`` and ``A``."""
-        nx = self.nx
-        A = np.zeros((self.r, self.t + 1, nx))
-        for state, sign, row in [(0, -1.0, self.minus_row), (self.t, 1.0, self.plus_row)]:
-            if row is not None:
-                A[row * nx:(row + 1) * nx, state] = sign * np.eye(nx)
-        return QpBlock(
-            H=block_diagonal_matrix(self.H),
-            g=self.g,
-            C=stage_constraint_matrix(self.D),
-            d=self.d,
-            A=A.reshape(self.r, self.n),
-            anchor=self.anchor,
-        )
 
 
 @dataclass(eq=False)
@@ -270,13 +181,14 @@ class StackTerms:
 class QpSolution:
     """Multipliers and block steps of the coupled QP, with solve diagnostics.
 
-    ``mu`` and ``delta_x`` are per-block lists for a list of blocks, and the
-    stacked ``(L, nx)`` and ``(L + N, nx)`` arrays for a :class:`StageStack`.
+    ``mu`` and ``delta_x`` are per-block lists for a list of :class:`QpBlock`,
+    and the stacked ``(L, nx)`` and ``(L + N, nx)`` arrays for a
+    :class:`StageStack`.
     """
 
     lam: Array
-    mu: list[Array]
-    delta_x: list[Array]
+    mu: list[Array] | Array
+    delta_x: list[Array] | Array
     diagnostics: dict
 
 
@@ -410,29 +322,19 @@ def _check_coupling_rows(blocks: list) -> int:
     return r
 
 
-def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock] | StageStack) -> QpSolution:
+def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     """Closed-form solution of the coupled QP via block elimination.
 
     A list of :class:`QpBlock` is eliminated block by block around the dense
     ``r x r`` Schur solve, with contributions summed in index order so results
-    are reproducible. A :class:`StageStack` is eliminated in one pass. A list
-    of :class:`StageBlock` is stacked first; it must form the chain of a split
-    horizon, block ``i`` coupling its first state in block row ``i - 1`` and
-    its last in block row ``i``.
+    are reproducible. A :class:`StageStack`, the chained sub-windows of a
+    split horizon, is eliminated in one pass.
     """
     if isinstance(blocks, StageStack):
         return _solve_stack(blocks)
-    r = _check_coupling_rows(blocks)
-    if all(isinstance(b, StageBlock) for b in blocks):
-        stack = _stack_blocks(blocks)
-        sol = _solve_stack(stack)
-        lay = stack.layout
-        return QpSolution(
-            lam=sol.lam, mu=lay.split_stages(sol.mu), delta_x=lay.split(sol.delta_x),
-            diagnostics=sol.diagnostics,
-        )
     if not all(isinstance(b, QpBlock) for b in blocks):
-        raise TypeError("blocks must be all QpBlock or all StageBlock")
+        raise TypeError("blocks must be a StageStack or a list of QpBlock")
+    r = _check_coupling_rows(blocks)
 
     terms = [schur_terms(block, index=i) for i, block in enumerate(blocks)]
 
@@ -459,35 +361,6 @@ def solve_coupled_qp(blocks: list[QpBlock] | list[StageBlock] | StageStack) -> Q
         delta_x.append(-(t.hinv_g + t.hinv_Ct @ mu_i + t.hinv_At @ lam))
 
     return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
-
-
-def _stack_blocks(blocks: list[StageBlock]) -> StageStack:
-    """The :class:`StageStack` of a chain of stage blocks."""
-    n, nx = len(blocks), blocks[0].nx
-    chain = all(
-        b.nx == nx and b.r == (n - 1) * nx
-        and b.minus_row == (i - 1 if i > 0 else None)
-        and b.plus_row == (i if i < n - 1 else None)
-        for i, b in enumerate(blocks)
-    )
-    if not chain:
-        raise DimensionMismatchError(
-            "stage blocks must form a chain: block i couples its first state in "
-            "block row i - 1 and its last state in block row i"
-        )
-    anchors = np.stack([b.anchor for b in blocks])
-    finite = np.isfinite(anchors).all(axis=1)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise NonFiniteDataError(f"block {i}: non-finite entries in anchor", block_index=i)
-    return StageStack(
-        layout=lifted_layout(tuple(b.t for b in blocks)),
-        H=np.concatenate([b.H for b in blocks]),
-        g=np.concatenate([b.g.reshape(-1, nx) for b in blocks]),
-        D=np.concatenate([b.D for b in blocks]),
-        d=np.concatenate([b.d.reshape(-1, nx) for b in blocks]),
-        anchor=anchors.sum(axis=0),
-    )
 
 
 @lru_cache(maxsize=128)

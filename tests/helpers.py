@@ -99,42 +99,84 @@ def linear_window_optimum(instance):
     return x.reshape(instance.L + 1, instance.model.nx)
 
 
-def random_stage_blocks(
+def random_stage_stack(
     rng, n_blocks, nx, max_length=5, with_offsets=True, lengths=None, stable=False
 ):
     """Random time-split coupled-QP instances in stage form.
 
-    Consecutive blocks are chained like the sub-windows of a split horizon:
-    block ``i`` carries ``+I`` on its last state in coupling block row ``i``
-    and ``-I`` on its first state in row ``i - 1``. Per-state Hessians are
-    ``M'M + I`` and dynamics Jacobians ``I + 0.3 * noise``, the near-identity
-    shape of a sampled system. Block lengths are drawn from 1 to
-    ``max_length`` unless ``lengths`` gives them. ``stable`` scales every
-    ``D_k`` to spectral norm at most 1: over a long chain, products of
-    expanding ``D_k`` grow the multipliers geometrically (to 1e7 over 130
-    stages), and the dense oracle itself resolves those only to about 1e-9.
+    Consecutive sub-windows are chained like those of a split horizon: the
+    last state of sub-window ``i`` minus the first state of ``i + 1`` is
+    coupling block row ``i``. Per-state Hessians are ``M'M + I`` and dynamics
+    Jacobians ``I + 0.3 * noise``, the near-identity shape of a sampled
+    system. Sub-window lengths are drawn from 1 to ``max_length`` unless
+    ``lengths`` gives them. ``stable`` scales every ``D_k`` to spectral norm at
+    most 1: over a long chain, products of expanding ``D_k`` grow the
+    multipliers geometrically (to 1e7 over 130 stages), and the dense oracle
+    itself resolves those only to about 1e-9. The anchor is the sum of one
+    random draw per sub-window.
     """
-    from splitmhe.qp_core import StageBlock
+    from splitmhe.problem import lifted_layout
+    from splitmhe.qp_core import StageStack
 
     r = (n_blocks - 1) * nx
-    blocks = []
+    ts, H, g, D, d, anchors = [], [], [], [], [], []
     for i in range(n_blocks):
         t = int(rng.integers(1, max_length + 1)) if lengths is None else lengths[i]
         M = rng.standard_normal((t + 1, nx, nx))
-        g = rng.standard_normal((t + 1) * nx)
-        D = np.eye(nx) + 0.3 * rng.standard_normal((t, nx, nx))
+        ts.append(t)
+        H.append(np.swapaxes(M, 1, 2) @ M + np.eye(nx))
+        g.append(rng.standard_normal((t + 1, nx)))
+        D_i = np.eye(nx) + 0.3 * rng.standard_normal((t, nx, nx))
         if stable:
-            D /= np.maximum(np.linalg.norm(D, ord=2, axis=(1, 2)), 1.0)[:, None, None]
+            D_i /= np.maximum(np.linalg.norm(D_i, ord=2, axis=(1, 2)), 1.0)[:, None, None]
+        D.append(D_i)
+        d.append(rng.standard_normal((t, nx)) if with_offsets else np.zeros((t, nx)))
+        anchors.append(rng.standard_normal(r))
+    return StageStack(
+        layout=lifted_layout(tuple(ts)),
+        H=np.concatenate(H),
+        g=np.concatenate(g),
+        D=np.concatenate(D),
+        d=np.concatenate(d),
+        anchor=np.stack(anchors).sum(axis=0),
+    )
+
+
+def dense_blocks(stack):
+    """The dense ``QpBlock`` list of a stage stack, for the dense KKT oracle.
+
+    Block ``i`` carries ``-I`` on its first state in coupling block row
+    ``i - 1`` and ``+I`` on its last state in row ``i``. The whole anchor sits
+    on block 0: the coupled QP sees only the sum of the anchors.
+    """
+    from splitmhe.qp_core import QpBlock
+
+    lay = stack.layout
+    n_blocks, nx = len(lay.lengths), stack.H.shape[-1]
+    r = (n_blocks - 1) * nx
+    blocks = []
+    for i, (first, last, s, t) in enumerate(zip(lay.first, lay.last, lay.start, lay.lengths)):
+        n = (t + 1) * nx
+        H = np.zeros((n, n))
+        C = np.zeros((t * nx, n))
+        for k in range(t + 1):
+            H[k * nx:(k + 1) * nx, k * nx:(k + 1) * nx] = stack.H[first + k]
+        for k in range(t):
+            C[k * nx:(k + 1) * nx, k * nx:(k + 1) * nx] = -stack.D[s + k]
+            C[k * nx:(k + 1) * nx, (k + 1) * nx:(k + 2) * nx] = np.eye(nx)
+        A = np.zeros((r, n))
+        if i > 0:
+            A[(i - 1) * nx:i * nx, :nx] = -np.eye(nx)
+        if i < n_blocks - 1:
+            A[i * nx:(i + 1) * nx, n - nx:] = np.eye(nx)
         blocks.append(
-            StageBlock(
-                H=np.swapaxes(M, 1, 2) @ M + np.eye(nx),
-                g=g,
-                D=D,
-                d=rng.standard_normal(t * nx) if with_offsets else np.zeros(t * nx),
-                plus_row=i if i < n_blocks - 1 else None,
-                minus_row=i - 1 if i > 0 else None,
-                r=r,
-                anchor=rng.standard_normal(r),
+            QpBlock(
+                H=H,
+                g=stack.g[first:last + 1].reshape(-1),
+                C=C,
+                d=stack.d[s:s + t].reshape(-1),
+                A=A,
+                anchor=stack.anchor if i == 0 else np.zeros(r),
             )
         )
     return blocks

@@ -123,6 +123,7 @@ def test_estimate_names_the_error_of_each_failed_window(origin_scenario, tmp_pat
         ["solve", "--rho", "nan"],
         ["solve", "--rho", "inf"],
         ["solve", "--tol", "nan"],
+        ["sweep", "--sub-windows", ","],
     ],
 )
 def test_out_of_range_solver_options_are_input_errors(scenario_file, tmp_path, capsys, args):

@@ -9,7 +9,6 @@ from splitmhe import problem
 from splitmhe.errors import DimensionMismatchError, PartitionError
 from splitmhe.problem import (
     constraint_vector,
-    eval_constraint_stages,
     eval_residual_stack,
     residual_vector,
     sub_objective,
@@ -187,9 +186,6 @@ def test_coupling_residual_matches_dense_product(benchmark_instance):
             np.testing.assert_allclose(
                 s.apply_coupling_transpose(lam), s.coupling_matrix().T @ lam, atol=1e-14
             )
-            np.testing.assert_allclose(
-                s.apply_coupling(b), s.coupling_matrix() @ b, atol=1e-14
-            )
 
 
 def test_lift_extract_round_trip(benchmark_instance):
@@ -203,6 +199,24 @@ def test_lift_extract_round_trip(benchmark_instance):
     back, mismatch = sm.extract_trajectory(blocks, partition)
     np.testing.assert_array_equal(back, traj)
     assert mismatch == 0.0
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((8, 6), r"block 1 has shape \(6,\), expected \(8,\)"),
+        # the right total: only a per-block check catches it
+        ((10, 6), r"block 0 has shape \(10,\), expected \(8,\)"),
+    ],
+    ids=["short", "right-total"],
+)
+def test_blocks_of_the_wrong_sizes_are_rejected(sizes, message):
+    partition = sm.build_partition(6, 2, 2)
+    blocks = [np.zeros(n) for n in sizes]
+    with pytest.raises(DimensionMismatchError, match=message):
+        sm.coupling_residual(partition, blocks)
+    with pytest.raises(DimensionMismatchError, match=message):
+        sm.extract_trajectory(blocks, partition)
 
 
 def test_extract_averages_disagreeing_boundaries():
@@ -272,7 +286,7 @@ def test_block_evaluation_calls_the_model_once_per_callable(benchmark_instance):
     assert calls == Counter(h=4, dh_dx=4)
     calls.clear()
     for sub, block in zip(subs, blocks):
-        eval_constraint_stages(sub, block)
+        sm.eval_constraints(sub, block)
     assert calls == Counter(f=4, df_dx=4)
 
 

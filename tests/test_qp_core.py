@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from splitmhe.errors import (
 )
 from splitmhe.qp_core import random_blocks, schur_terms
 
-from helpers import random_stage_blocks
+from helpers import dense_blocks, random_stage_stack
 
 
 def scalar_pair():
@@ -21,12 +23,17 @@ def scalar_pair():
     return [b1, b2]
 
 
+def _flat(parts):
+    """Per-block arrays of a list of blocks, or a stacked array, as one vector."""
+    if isinstance(parts, list):
+        return np.concatenate([np.ravel(p) for p in parts])
+    return parts.ravel()
+
+
 def solution_deviation(a, b):
-    parts = [np.abs(a.lam - b.lam).max() if a.lam.size else 0.0]
-    parts += [np.abs(x - y).max() if x.size else 0.0 for x, y in zip(a.mu, b.mu)]
-    parts += [np.abs(x - y).max() for x, y in zip(a.delta_x, b.delta_x)]
-    scale = 1.0 + max(np.abs(np.concatenate(b.delta_x)).max(), 1.0)
-    return max(parts) / scale
+    parts = [a.lam - b.lam, _flat(a.mu) - _flat(b.mu), _flat(a.delta_x) - _flat(b.delta_x)]
+    scale = 1.0 + max(np.abs(_flat(b.delta_x)).max(), 1.0)
+    return max(np.abs(p).max() if p.size else 0.0 for p in parts) / scale
 
 
 def test_schur_terms_identity_hessian_no_constraints():
@@ -255,10 +262,10 @@ def test_stage_path_matches_dense_kkt_oracle():
         for n_blocks in range(1, 7):
             for with_offsets in (True, False):
                 for _ in range(4):
-                    blocks = random_stage_blocks(rng, n_blocks, nx, with_offsets=with_offsets)
-                    n_unit_windows += sum(b.t == 1 for b in blocks)
-                    fast = sm.solve_coupled_qp(blocks)
-                    oracle = sm.dense_kkt_oracle([b.to_qp_block() for b in blocks])
+                    stack = random_stage_stack(rng, n_blocks, nx, with_offsets=with_offsets)
+                    n_unit_windows += stack.layout.lengths.count(1)
+                    fast = sm.solve_coupled_qp(stack)
+                    oracle = sm.dense_kkt_oracle(dense_blocks(stack))
                     assert fast.lam.shape == ((n_blocks - 1) * nx,)
                     worst = max(worst, solution_deviation(fast, oracle))
     assert n_unit_windows >= 10, "sample must include sub-windows of length 1"
@@ -268,68 +275,68 @@ def test_stage_path_matches_dense_kkt_oracle():
 def test_stage_and_dense_paths_report_the_same_schur_diagnostics():
     rng = np.random.Generator(np.random.PCG64(14))
     for n_blocks in (1, 4):
-        blocks = random_stage_blocks(rng, n_blocks, 3)
-        stage = sm.solve_coupled_qp(blocks)
-        dense = sm.solve_coupled_qp([b.to_qp_block() for b in blocks])
+        stack = random_stage_stack(rng, n_blocks, 3)
+        stage = sm.solve_coupled_qp(stack)
+        dense = sm.solve_coupled_qp(dense_blocks(stack))
         assert stage.diagnostics == dense.diagnostics
         assert solution_deviation(stage, dense) <= 1e-10
 
 
 def test_stage_indefinite_state_block_raises_with_block_index():
-    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(15)), 4, 3)
-    H = blocks[2].H.copy()
-    H[-1] = -np.eye(3)
-    blocks[2].H = H
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(15)), 4, 3)
+    stack.H[stack.layout.last[2]] = -np.eye(3)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        sm.solve_coupled_qp(blocks)
+        sm.solve_coupled_qp(stack)
     assert err.value.block_index == 2
 
 
 @pytest.mark.parametrize("field", ["H", "g", "D", "d", "anchor"])
 def test_stage_path_rejects_non_finite_data(field):
-    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(16)), 3, 2)
-    bad = getattr(blocks[1], field).copy()
-    bad.flat[-1] = -np.inf if field == "D" else np.nan
-    setattr(blocks[1], field, bad)
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(16)), 3, 2)
+    lay = stack.layout
+    # the last state, stage or coupling row of block 1
+    row = {"H": lay.last[1], "g": lay.last[1], "D": lay.start[2] - 1, "d": lay.start[2] - 1,
+           "anchor": slice(2, 4)}[field]
+    getattr(stack, field)[row].flat[-1] = -np.inf if field == "D" else np.nan
     with pytest.raises(NonFiniteDataError) as err:
-        sm.solve_coupled_qp(blocks)
+        sm.solve_coupled_qp(stack)
     assert err.value.block_index == 1
     assert field in str(err.value)
 
 
+def _stiffen(stack, i):
+    """Near-infinite curvature on every state of block ``i`` past its first
+    makes ``R = C H^-1 C'`` numerically singular although ``C`` itself has
+    full row rank."""
+    lay = stack.layout
+    stack.H[lay.first[i] + 1:lay.last[i] + 1] = 1e14 * np.eye(3)
+    stages = slice(lay.start[i], lay.start[i] + lay.lengths[i])
+    stack.D[stages] = 0.0
+    stack.D[lay.start[i]] = np.eye(3)
+
+
 def test_stage_rank_guard_uses_banded_pivot_ratio():
-    # near-infinite curvature on every state past the first makes R = C H^-1 C'
-    # numerically singular although C itself has full row rank
-    (block,) = random_stage_blocks(np.random.Generator(np.random.PCG64(17)), 1, 3)
-    H = block.H.copy()
-    H[1:] = 1e14 * np.eye(3)
-    block.H = H
-    block.D = np.zeros_like(block.D)
-    block.D[0] = np.eye(3)
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(17)), 1, 3)
+    _stiffen(stack, 0)
     with pytest.raises(RankDeficientConstraintsError) as err:
-        sm.solve_coupled_qp([block])
+        sm.solve_coupled_qp(stack)
     assert err.value.block_index == 0
 
 
-def test_stage_block_validates_shapes():
-    (block,) = random_stage_blocks(np.random.Generator(np.random.PCG64(18)), 1, 2)
+def test_stage_stack_validates_shapes():
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(18)), 1, 2)
     with pytest.raises(sm.DimensionMismatchError):
-        sm.StageBlock(
-            H=block.H, g=block.g, D=block.D[:-1], d=block.d,
-            plus_row=None, minus_row=None, r=0, anchor=[],
-        )
+        replace(stack, D=stack.D[:-1])
     with pytest.raises(sm.DimensionMismatchError):
-        sm.StageBlock(
-            H=block.H, g=block.g, D=block.D, d=block.d,
-            plus_row=0, minus_row=0, r=2, anchor=np.zeros(2),
-        )
+        replace(stack, anchor=np.zeros(2))  # one sub-window has no coupling rows
 
 
 def test_mixed_block_forms_are_rejected():
     rng = np.random.Generator(np.random.PCG64(19))
-    stage = random_stage_blocks(rng, 2, 2)
-    with pytest.raises(TypeError):
-        sm.solve_coupled_qp([stage[0], stage[1].to_qp_block()])
+    stack = random_stage_stack(rng, 2, 2)
+    for mixed in ([stack], [dense_blocks(stack)[0], stack]):
+        with pytest.raises(TypeError):
+            sm.solve_coupled_qp(mixed)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -341,16 +348,16 @@ def test_mixed_block_forms_are_rejected():
 )
 def test_stacked_stage_path_matches_dense_kkt_oracle(nx, lengths, with_offsets, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
-    blocks = random_stage_blocks(
+    stack = random_stage_stack(
         rng, len(lengths), nx, with_offsets=with_offsets, lengths=lengths, stable=True
     )
-    fast = sm.solve_coupled_qp(blocks)
-    oracle = sm.dense_kkt_oracle([b.to_qp_block() for b in blocks])
+    fast = sm.solve_coupled_qp(stack)
+    oracle = sm.dense_kkt_oracle(dense_blocks(stack))
     assert solution_deviation(fast, oracle) <= 1e-9
 
 
 def test_stage_schur_fallback_reports_lu_and_matches_oracle(monkeypatch):
-    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(21)), 5, 3)
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(21)), 5, 3)
 
     def not_spd(*args, **kwargs):
         raise scipy.linalg.LinAlgError("forced")
@@ -358,36 +365,21 @@ def test_stage_schur_fallback_reports_lu_and_matches_oracle(monkeypatch):
     # only the Schur solve takes a banded or dense Cholesky from scipy.linalg
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_spd)
     monkeypatch.setattr(scipy.linalg, "cho_factor", not_spd)
-    fast = sm.solve_coupled_qp(blocks)
+    fast = sm.solve_coupled_qp(stack)
     assert fast.diagnostics["schur_factorization"] == "lu"
     assert fast.diagnostics["schur_condition"] > 1.0
-    oracle = sm.dense_kkt_oracle([b.to_qp_block() for b in blocks])
+    oracle = sm.dense_kkt_oracle(dense_blocks(stack))
     assert solution_deviation(fast, oracle) <= 1e-9
 
 
 def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():
-    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(22)), 5, 3)
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(22)), 5, 3)
+    lay = stack.layout
     # a uniformly stiff block has a tiny R but a pivot ratio of order one: a
     # ratio taken over the whole stack would flag it
-    blocks[1].H = 1e10 * blocks[1].H
-    assert sm.solve_coupled_qp(blocks).lam.shape == (12,)
-    # block 3 as in test_stage_rank_guard_uses_banded_pivot_ratio
-    H = blocks[3].H.copy()
-    H[1:] = 1e14 * np.eye(3)
-    blocks[3].H = H
-    blocks[3].D = np.zeros_like(blocks[3].D)
-    blocks[3].D[0] = np.eye(3)
+    stack.H[lay.first[1]:lay.last[1] + 1] *= 1e10
+    assert sm.solve_coupled_qp(stack).lam.shape == (12,)
+    _stiffen(stack, 3)
     with pytest.raises(RankDeficientConstraintsError) as err:
-        sm.solve_coupled_qp(blocks)
+        sm.solve_coupled_qp(stack)
     assert err.value.block_index == 3
-
-
-@pytest.mark.parametrize("swap", ["rows", "order"])
-def test_stage_blocks_off_the_chain_layout_are_rejected(swap):
-    blocks = random_stage_blocks(np.random.Generator(np.random.PCG64(23)), 3, 2)
-    if swap == "rows":
-        blocks[1].plus_row, blocks[1].minus_row = blocks[1].minus_row, blocks[1].plus_row
-    else:
-        blocks = [blocks[1], blocks[0], blocks[2]]
-    with pytest.raises(sm.DimensionMismatchError):
-        sm.solve_coupled_qp(blocks)

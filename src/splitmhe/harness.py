@@ -583,7 +583,7 @@ def run_self_check(seed: int = 7) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    worst = fd_check(robot_model(), num_points=50, eps=1e-6, seed=seed)
+    worst = fd_check(robot_model(), num_points=50, seed=seed)
     checks.append(
         ("model-derivatives", worst <= 1e-6, f"max relative error {worst:.3e} (limit 1e-6)")
     )

@@ -19,15 +19,16 @@ shared multiplier:
 The QP comes in two forms. A list of :class:`QpBlock` holds general dense
 data and is eliminated exactly as written above, one block at a time, around
 a dense ``r x r`` Schur solve. The sub-windows of a time-split horizon are
-one :class:`StageStack`, eliminated all at once: the ``L + N`` lifted states
-with per-state Hessian blocks, the ``L`` stages with rows ``[-D_k, I]``, and
-signed-identity coupling between the last state of one sub-window and the
-first state of the next. There every ``R_i`` is block-tridiagonal, so the
-block-diagonal stack of them is factored in one banded Cholesky; ``G_i`` and
-``Q_i`` touch only the boundary states; and ``S`` is block-tridiagonal over
-the ``N - 1`` boundaries, so it is factored banded too. A whole window costs
-``O((L + N) nx^3)`` in a fixed number of LAPACK calls, plus ``O(N nx^3)`` for
-``S``.
+one :class:`StageStack`: the ``L + N`` lifted states with per-state Hessian
+blocks, the ``L`` stages with rows ``[-D_k, I]``, and signed-identity
+coupling between the last state of one sub-window and the first state of the
+next. Those two states sit next to each other in the stack, so a coupling
+row, negated, is one more link ``[-I, I]`` between consecutive states, and
+stages and coupling rows together form one chain of ``L + N - 1`` links. The
+chain's ``C H^-1 C'`` is block-tridiagonal over the links: one banded
+Cholesky factorization and one banded solve give every link multiplier, and
+the steps follow. A whole window costs ``O((L + N) nx^3)`` in a fixed number
+of LAPACK calls.
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. This module never regularizes: a Hessian that is not
@@ -51,7 +52,7 @@ from .errors import (
     SingularKktError,
     SingularSchurError,
 )
-from .problem import LiftedLayout, coupling_transpose, stage_transpose
+from .problem import LiftedLayout
 
 logger = logging.getLogger(__name__)
 
@@ -162,19 +163,22 @@ class SchurTerms:
 
 @dataclass(eq=False)
 class StackTerms:
-    """Schur data of a :class:`StageStack`, plus what back-substitution reuses.
+    """The factored chain of a :class:`StageStack`.
 
-    ``S`` holds the block rows ``[S_cc, S_c,c+1]`` of the block-tridiagonal
-    Schur matrix over the ``N - 1`` boundaries, ``(N - 1, nx, 2 nx)``, and ``p``
-    its right-hand side ``(N - 1, nx)``, anchor included. ``Z`` ``(L, nx, 1 + 2 nx)``
-    is ``R^-1 [C H^-1 g - d, C H^-1 A']``, where the two ``A'`` column groups
-    put ``-I`` on each sub-window's first state and ``+I`` on its last.
+    Link ``j`` joins stacked states ``j`` and ``j + 1`` by the row
+    ``dX[j + 1] - D[j] dX[j] + d[j] = 0``: stage ``k`` is link ``prev[k]``, and
+    coupling row ``c``, negated, is link ``last[c]`` with ``D = I`` and
+    ``d = -anchor_c``. ``D`` is ``(L + N - 1, nx, nx)`` and ``d``
+    ``(L + N - 1, nx)``. ``factor`` is the upper banded Cholesky factor of
+    ``C H^-1 C'`` over the links and ``pivot_ratio`` the smallest squared
+    pivot ratio of a sub-window's links.
     """
 
-    S: Array
-    p: Array
     hinv: Array
-    Z: Array
+    D: Array
+    d: Array
+    factor: Array
+    pivot_ratio: float
 
 
 @dataclass(eq=False)
@@ -229,7 +233,7 @@ def schur_terms(
     the Schur right-hand side, which folds in the anchor, the gradient term,
     and the constraint-offset term. All applications of ``H^-1`` reuse a single
     Cholesky factorization; no inverse is ever formed. A :class:`StageStack`
-    eliminates all its sub-windows at once and yields :class:`StackTerms`.
+    is factored as one chain and yields :class:`StackTerms`.
     """
     if isinstance(block, StageStack):
         return _stack_terms(block)
@@ -328,7 +332,7 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     A list of :class:`QpBlock` is eliminated block by block around the dense
     ``r x r`` Schur solve, with contributions summed in index order so results
     are reproducible. A :class:`StageStack`, the chained sub-windows of a
-    split horizon, is eliminated in one pass.
+    split horizon, is solved as one chain of links.
     """
     if isinstance(blocks, StageStack):
         return _solve_stack(blocks)
@@ -400,23 +404,20 @@ def _first_indefinite(H: Array) -> int:
 
 
 def _stack_terms(stack: StageStack) -> StackTerms:
-    """Eliminate every sub-window of a stack in ``O((L + N) nx^3)``.
+    """Factor the chain of a stack in ``O((L + N) nx^3)``.
 
     The per-state Hessian blocks are factored in one batched Cholesky call.
-    ``R = C H^-1 C'`` is block-diagonal over the sub-windows and
-    block-tridiagonal within each, with diagonal blocks
-    ``D_k H_prev^-1 D_k' + H_next^-1`` and superdiagonal blocks
-    ``-H_next^-1 D_{k+1}'``, so all sub-windows share one banded factorization
-    of bandwidth ``2 nx - 1`` and one banded solve. Their right-hand sides
-    share columns: the sub-windows' rows are disjoint, and ``C H^-1 A'`` is
-    nonzero only in the first and last stage of each. The rank guard is the
-    squared pivot ratio of each sub-window's part of the factor, which bounds
-    ``1/cond(R_i)`` from above.
+    ``R = C H^-1 C'`` over the links is block-tridiagonal, with diagonal blocks
+    ``D_j H_j^-1 D_j' + H_{j+1}^-1`` and superdiagonal blocks
+    ``-H_{j+1}^-1 D_{j+1}'``, so it takes one banded factorization of
+    bandwidth ``2 nx - 1``. The rank guard is the squared pivot ratio over
+    each sub-window's stage links and the coupling link after it, which
+    bounds ``1/cond`` of that part of ``R`` from above.
     """
     _require_finite_stack(stack)
     lay = stack.layout
-    H, D = stack.H, stack.D
-    L, nx = D.shape[:2]
+    H = stack.H
+    n, nx = H.shape[:2]
     try:
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
@@ -427,22 +428,28 @@ def _stack_terms(stack: StageStack) -> StackTerms:
         ) from exc
     linv = np.linalg.inv(chol)
     hinv = np.swapaxes(linv, 1, 2) @ linv
-    hinv_g = (hinv @ stack.g[..., None])[..., 0]
+
+    joins = lay.last[:-1]
+    D = np.empty((n - 1, nx, nx))
+    D[lay.prev] = stack.D
+    D[joins] = np.eye(nx)
+    d = np.empty((n - 1, nx))
+    d[lay.prev] = stack.d
+    d[joins] = -stack.anchor.reshape(-1, nx)
 
     Dt = np.swapaxes(D, 1, 2)
-    h_next = hinv[lay.next]
-    band_rows = np.zeros((L, nx, 2 * nx))
-    band_rows[:, :, :nx] = D @ hinv[lay.prev] @ Dt + h_next
-    inner = lay.stage_block[1:] == lay.stage_block[:-1]  # R couples stages of one block only
-    band_rows[:-1, :, nx:][inner] = -(h_next[:-1] @ Dt[1:])[inner]
+    band_rows = np.zeros((n - 1, nx, 2 * nx))
+    band_rows[:, :, :nx] = D @ hinv[:-1] @ Dt + hinv[1:]
+    band_rows[:-1, :, nx:] = -(hinv[1:-1] @ Dt[1:])
     factor, info = scipy.linalg.lapack.dpbtrf(_banded(band_rows))
     if info:
-        i = int(lay.stage_block[(info - 1) // nx])
+        j = (info - 1) // nx  # the link's first state names the block
+        i = int(j - lay.time[j])
         raise RankDeficientConstraintsError(
             f"block {i}: constraint rows are rank deficient", block_index=i
         )
     pivots = factor[-1]
-    rows = lay.start * nx
+    rows = lay.first * nx
     ratio = (np.minimum.reduceat(pivots, rows) / np.maximum.reduceat(pivots, rows)) ** 2
     if (low := np.flatnonzero(ratio <= RANK_RCOND_LIMIT)).size:
         i = int(low[0])
@@ -450,79 +457,30 @@ def _stack_terms(stack: StageStack) -> StackTerms:
             f"block {i}: constraint rows are rank deficient (pivot ratio {ratio[i]:.3e})",
             block_index=i,
         )
-
-    # boundary c joins the last state of block c, in its last stage, to the
-    # first state of block c + 1, in its first stage
-    last, first = lay.last[:-1], lay.first[1:]
-    s_last, s_first = lay.start[1:] - 1, lay.start[1:]
-    El = hinv[last]  # the +I column on the last state, in its stage's rows
-    Pf = D[s_first] @ hinv[first]  # the -I column on the first state
-    rhs = np.zeros((L, nx, 1 + 2 * nx))
-    rhs[:, :, 0] = hinv_g[lay.next] - (D @ hinv_g[lay.prev][..., None])[..., 0] - stack.d
-    rhs[s_first, :, 1:nx + 1] = Pf
-    rhs[s_last, :, nx + 1:] = El
-    Z = scipy.linalg.cho_solve_banded(
-        (factor, False), rhs.reshape(L * nx, -1), check_finite=False
-    ).reshape(rhs.shape)
-    S = np.zeros((len(last), nx, 2 * nx))
-    if not len(last):
-        # one sub-window has no boundary; its empty array calls cost a fifth
-        # of a solve at L = 25
-        return StackTerms(S=S, p=np.zeros((0, nx)), hinv=hinv, Z=Z)
-    Zf, Zl = Z[:, :, 1:nx + 1], Z[:, :, nx + 1:]
-    ElT, PfT = np.swapaxes(El, 1, 2), np.swapaxes(Pf, 1, 2)
-
-    diag = (El - ElT @ Zl[s_last]) + (hinv[first] - PfT @ Zf[s_first])
-    S[:, :, :nx] = 0.5 * (diag + np.swapaxes(diag, 1, 2))
-    # block c + 1 couples rows c and c + 1 through its first and last states
-    upper = -(PfT[:-1] @ Zl[s_first[:-1]])
-    lower = -(ElT[1:] @ Zf[s_last[1:]])
-    S[:-1, :, nx:] = 0.5 * (upper + np.swapaxes(lower, 1, 2))
-    z = Z[:, :, 0, None]
-    p = (
-        stack.anchor.reshape(-1, nx)
-        + (-hinv_g[last] + (ElT @ z[s_last])[..., 0])
-        + (hinv_g[first] + (PfT @ z[s_first])[..., 0])
-    )
-    return StackTerms(S=S, p=p, hinv=hinv, Z=Z)
-
-
-def _solve_block_tridiagonal(S: Array, p: Array) -> tuple[Array, dict]:
-    """Banded Cholesky solve of the block-tridiagonal Schur system; the dense
-    :func:`_solve_schur`, with its pivoted fallback, if that fails."""
-    n, nx = p.shape
-    if not n:
-        return np.zeros(0), {"schur_factorization": "empty"}
-    try:
-        factor = scipy.linalg.cholesky_banded(_banded(S), check_finite=False)
-    except scipy.linalg.LinAlgError:
-        dense = np.zeros((n, nx, n, nx))
-        k = np.arange(n)
-        dense[k, :, k, :] = S[:, :, :nx]
-        dense[k[:-1], :, k[1:], :] = S[:-1, :, nx:]
-        dense[k[1:], :, k[:-1], :] = np.swapaxes(S[:-1, :, nx:], 1, 2)
-        return _solve_schur(dense.reshape(n * nx, n * nx), p.reshape(-1))
-    lam = scipy.linalg.cho_solve_banded((factor, False), p.reshape(-1), check_finite=False)
-    return lam, {"schur_factorization": "cholesky"}
+    return StackTerms(hinv=hinv, D=D, d=d, factor=factor, pivot_ratio=float(ratio.min()))
 
 
 def _solve_stack(stack: StageStack) -> QpSolution:
-    """Stacked elimination, the banded Schur solve and back-substitution,
-    in a fixed number of array calls whatever the number of sub-windows."""
+    """The link multipliers ``nu`` from one banded solve of
+    ``R nu = d - C H^-1 g``, then ``dX = -H^-1 (g + C' nu)``."""
     terms = schur_terms(stack)
-    lam, diagnostics = _solve_block_tridiagonal(terms.S, terms.p)
     lay = stack.layout
-    nx = stack.H.shape[1]
-    lam_rows = lam.reshape(-1, nx)
-    # each stage's sub-window couples its first state in row i - 1 and its
-    # last state in row i; the end rows of the chain are zero
-    padded = np.zeros((len(lay.lengths) + 1, nx))
-    padded[1:-1] = lam_rows
-    ends = np.concatenate([padded[lay.stage_block], padded[lay.stage_block + 1]], axis=1)
-    mu = -(terms.Z[:, :, 0] + (terms.Z[:, :, 1:] @ ends[..., None])[..., 0])
-    v = stack.g + stage_transpose(lay, stack.D, mu) + coupling_transpose(lay, lam_rows)
+    hinv_g = (terms.hinv @ stack.g[..., None])[..., 0]
+    rhs = terms.d - hinv_g[1:] + (terms.D @ hinv_g[:-1, :, None])[..., 0]
+    nu = scipy.linalg.cho_solve_banded(
+        (terms.factor, False), rhs.reshape(-1), check_finite=False
+    ).reshape(rhs.shape)
+    # link j puts -D_j' nu_j on state j and nu_j on state j + 1
+    v = stack.g.copy()
+    v[:-1] -= (np.swapaxes(terms.D, 1, 2) @ nu[..., None])[..., 0]
+    v[1:] += nu
     delta_x = -(terms.hinv @ v[..., None])[..., 0]
-    return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
+    return QpSolution(
+        lam=-nu[lay.last[:-1]].reshape(-1),  # a coupling link's row is minus its coupling row
+        mu=nu[lay.prev],
+        delta_x=delta_x,
+        diagnostics={"pivot_ratio": terms.pivot_ratio},
+    )
 
 
 def dense_kkt_oracle(blocks: list[QpBlock]) -> QpSolution:
@@ -596,8 +554,6 @@ def random_blocks(
     n_blocks: int,
     r: int,
     size_range: tuple[int, int] = (4, 12),
-    constrained: bool = True,
-    with_offsets: bool = True,
 ) -> list[QpBlock]:
     """Random strongly convex, LICQ-satisfying coupled-QP instances.
 
@@ -610,7 +566,7 @@ def random_blocks(
     sizes = [int(rng.integers(size_range[0], size_range[1] + 1)) for _ in range(n_blocks)]
     if sum(sizes) < r + 1:
         raise ValueError(f"{n_blocks} blocks of sizes {sizes} cannot support {r} coupling rows")
-    m_rows = [int(rng.integers(0, n - 1)) if constrained else 0 for n in sizes]
+    m_rows = [int(rng.integers(0, n - 1)) for n in sizes]
     free = sum(n - m for n, m in zip(sizes, m_rows))
     idx = 0
     while free < r + 1:
@@ -624,7 +580,7 @@ def random_blocks(
         M = rng.standard_normal((n, n))
         H = M.T @ M + np.eye(n)
         C = rng.standard_normal((m, n))
-        d = rng.standard_normal(m) if (with_offsets and m) else np.zeros(m)
+        d = rng.standard_normal(m)
         A = rng.standard_normal((r, n))
         anchor = A @ rng.standard_normal(n)
         blocks.append(QpBlock(H=H, g=rng.standard_normal(n), C=C, d=d, A=A, anchor=anchor))

@@ -109,7 +109,6 @@ class IterateState:
     y_blocks: list[Array]
     lam: Array
     mu_blocks: list[Array]
-    iteration: int = 0
 
 
 @dataclass(eq=False)
@@ -374,7 +373,6 @@ def _drive(
         y_blocks=[b.copy() for b in lay.split(y)],
         lam=lam.copy(),
         mu_blocks=[b.copy() for b in lay.split_stages(mu)],
-        iteration=len(records),
     )
     return SolveResult(
         trajectory=trajectory,

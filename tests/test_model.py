@@ -84,7 +84,7 @@ def test_curvature_contractions_symmetric_and_match_fd(robot):
 
 
 def test_fd_check_robot_below_tolerance(robot):
-    assert sm.fd_check(robot, num_points=100, eps=1e-6) <= 1e-6
+    assert sm.fd_check(robot, num_points=100) <= 1e-6
 
 
 def test_fd_check_flags_broken_jacobian(robot):

@@ -62,9 +62,9 @@ def test_schur_terms_match_dense_inverse():
 
 def test_schur_terms_offset_free_reduction():
     rng = np.random.Generator(np.random.PCG64(2))
-    (block,) = random_blocks(rng, 1, r=2, with_offsets=True)
+    (block,) = random_blocks(rng, 1, r=2)
     if not block.m:
-        (block,) = random_blocks(rng, 1, r=2, with_offsets=True, size_range=(8, 12))
+        (block,) = random_blocks(rng, 1, r=2, size_range=(8, 12))
     zeroed = sm.QpBlock(H=block.H, g=block.g, C=block.C, d=np.zeros(block.m), A=block.A, anchor=block.anchor)
     with_d = schur_terms(block)
     without_d = schur_terms(zeroed)
@@ -272,14 +272,55 @@ def test_stage_path_matches_dense_kkt_oracle():
     assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
 
 
-def test_stage_and_dense_paths_report_the_same_schur_diagnostics():
+def _chain_pivot_ratio(stack):
+    """Smallest squared pivot ratio of a sub-window's links, from a dense
+    Cholesky factor of the chain's ``C H^-1 C'``."""
+    lay = stack.layout
+    n, nx = stack.H.shape[:2]
+    C = np.zeros((n - 1, nx, n, nx))
+    for j in range(n - 1):
+        C[j, :, j + 1] = np.eye(nx)
+        C[j, :, j] = -np.eye(nx)  # a coupling link, unless a stage overwrites it
+    for k, j in enumerate(lay.prev):
+        C[j, :, j] = -stack.D[k]
+    C = C.reshape((n - 1) * nx, n * nx)
+    Hinv = np.linalg.inv(scipy.linalg.block_diag(*stack.H))
+    pivots = np.diag(np.linalg.cholesky(C @ Hinv @ C.T))
+    bounds = np.append(lay.first * nx, len(pivots))
+    return min(
+        (pivots[a:b].min() / pivots[a:b].max()) ** 2 for a, b in zip(bounds[:-1], bounds[1:])
+    )
+
+
+def test_stage_path_reports_its_pivot_ratio():
     rng = np.random.Generator(np.random.PCG64(14))
     for n_blocks in (1, 4):
         stack = random_stage_stack(rng, n_blocks, 3)
         stage = sm.solve_coupled_qp(stack)
         dense = sm.solve_coupled_qp(dense_blocks(stack))
-        assert stage.diagnostics == dense.diagnostics
+        assert set(stage.diagnostics) == {"pivot_ratio"}
+        assert stage.diagnostics["pivot_ratio"] == pytest.approx(
+            _chain_pivot_ratio(stack), rel=1e-10
+        )
         assert solution_deviation(stage, dense) <= 1e-10
+
+
+def test_stage_solve_is_one_banded_solve_with_one_column(monkeypatch):
+    calls = []
+    cho_solve_banded = scipy.linalg.cho_solve_banded
+
+    def spy(cb_and_lower, b, *args, **kwargs):
+        calls.append(np.shape(b))
+        return cho_solve_banded(cb_and_lower, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", spy)
+    rng = np.random.Generator(np.random.PCG64(23))
+    for n_blocks in (1, 4, 25):
+        stack = random_stage_stack(rng, n_blocks, 3)
+        calls.clear()
+        sm.solve_coupled_qp(stack)
+        links = stack.layout.n_states - 1
+        assert calls == [(links * 3,)], f"N = {n_blocks}"
 
 
 def test_stage_indefinite_state_block_raises_with_block_index():
@@ -356,19 +397,25 @@ def test_stacked_stage_path_matches_dense_kkt_oracle(nx, lengths, with_offsets, 
     assert solution_deviation(fast, oracle) <= 1e-9
 
 
-def test_stage_schur_fallback_reports_lu_and_matches_oracle(monkeypatch):
-    stack = random_stage_stack(np.random.Generator(np.random.PCG64(21)), 5, 3)
+def test_schur_fallback_reports_lu_and_matches_oracle(monkeypatch):
+    r = 7
+    blocks = random_blocks(np.random.Generator(np.random.PCG64(21)), 3, r, size_range=(4, 6))
+    cho_factor = scipy.linalg.cho_factor
+    forced = []
 
-    def not_spd(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("forced")
+    def not_spd(a, *args, **kwargs):
+        # every H_i and R_i is smaller than the r x r Schur matrix
+        if np.shape(a)[0] == r:
+            forced.append(np.shape(a))
+            raise scipy.linalg.LinAlgError("forced")
+        return cho_factor(a, *args, **kwargs)
 
-    # only the Schur solve takes a banded or dense Cholesky from scipy.linalg
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_spd)
     monkeypatch.setattr(scipy.linalg, "cho_factor", not_spd)
-    fast = sm.solve_coupled_qp(stack)
+    fast = sm.solve_coupled_qp(blocks)
+    assert forced == [(r, r)]
     assert fast.diagnostics["schur_factorization"] == "lu"
     assert fast.diagnostics["schur_condition"] > 1.0
-    oracle = sm.dense_kkt_oracle(dense_blocks(stack))
+    oracle = sm.dense_kkt_oracle(blocks)
     assert solution_deviation(fast, oracle) <= 1e-9
 
 

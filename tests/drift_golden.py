@@ -1,0 +1,64 @@
+"""Runs of the drift gate and the writer of its golden file.
+
+``tests/test_drift.py`` compares every cell below against
+``tests/drift_golden.json``: per window, the status, the iteration count and
+the newest state estimate. A change that is meant to move a cell regenerates
+the file with
+
+    PYTHONPATH=src python tests/drift_golden.py
+
+and says in CHANGES.md which cells moved and why.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import splitmhe as sm
+
+GOLDEN = Path(__file__).with_name("drift_golden.json")
+
+# every algorithm at a proximal weight on which it converges on these runs
+RHO = {"dsqp": 10.0, "centralized": 10.0, "sa_aladin": 10.0, "gn_aladin": 5.0}
+TOL, MAX_ITER = 1e-8, 60
+# receding horizon: short windows over a short scenario, two seeds
+RH_SEEDS, RH_STEPS, RH_HORIZON, RH_N = (0, 1), 13, 10, 4
+# one cold long window on a fixed iteration budget: gn_aladin does not
+# converge on it at this rho, and each of its iterations costs a tenth of
+# a second or more
+COLD_SEED, COLD_L, COLD_N, COLD_ITERS = 0, 100, 16, 2
+
+
+def _cell(outcome) -> dict:
+    return {
+        "status": outcome.status,
+        "iterations": outcome.iterations,
+        "estimate": [float(v) for v in outcome.estimate],
+    }
+
+
+def run_cells() -> dict[str, list[dict]]:
+    """Every cell of the gate, keyed ``<algorithm>/<run>``; a run lists its windows."""
+    cells = {}
+    for algorithm, rho in RHO.items():
+        cfg = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=TOL, max_iter=MAX_ITER)
+        for seed in RH_SEEDS:
+            scenario = sm.generate_scenario(steps=RH_STEPS, seed=seed)
+            outcomes = sm.run_receding_horizon(scenario, cfg, RH_N, RH_HORIZON)
+            cells[f"{algorithm}/rh-seed{seed}"] = [_cell(o) for o in outcomes]
+        scenario = sm.generate_scenario(steps=COLD_L, seed=COLD_SEED)
+        budget = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=0.0, max_iter=COLD_ITERS)
+        result = sm.solve_window(scenario, COLD_L, budget, COLD_N, COLD_L)
+        cold = sm.WindowOutcome(
+            window_end=COLD_L, status=result.status, iterations=result.iterations,
+            estimate=result.trajectory[-1], result=result,
+        )
+        cells[f"{algorithm}/cold-L{COLD_L}-N{COLD_N}"] = [_cell(cold)]
+    return cells
+
+
+if __name__ == "__main__":
+    # repr round-trips every float, so the file pins estimates bit for bit
+    GOLDEN.write_text(json.dumps(run_cells(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

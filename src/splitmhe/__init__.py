@@ -11,7 +11,6 @@ from .errors import (
     RankDeficientConstraintsError,
     ScenarioError,
     SingularKktError,
-    SingularSchurError,
     SplitMheError,
 )
 from .model import (
@@ -50,7 +49,6 @@ from .local_nlp import (
     LocalSolveResult,
     SensitivityPair,
     first_order_conditions,
-    kkt_residual,
     lagrangian_hessian,
     sensitivity_matrices,
     solve_local_subproblem,

@@ -8,7 +8,10 @@ class SplitMheError(Exception):
 
 
 class OriginSingularityError(SplitMheError):
-    """Range/bearing observation evaluated too close to the sensor origin."""
+    """Range/bearing observation evaluated too close to the sensor origin;
+    `state` indexes the first offending point handed to the model, if known."""
+
+    state: int | None = None
 
 
 class PartitionError(SplitMheError):
@@ -44,12 +47,9 @@ class RankDeficientConstraintsError(FactorizationError):
     """A block constraint Jacobian is not full row rank."""
 
 
-class SingularSchurError(FactorizationError):
-    """The coupling Schur matrix is singular or numerically near-singular."""
-
-
 class SingularKktError(FactorizationError):
-    """An assembled KKT matrix is singular."""
+    """An assembled KKT matrix, or the coupling Schur matrix, is singular or
+    numerically near-singular."""
 
 
 class LocalSolveError(SplitMheError):

@@ -1,6 +1,6 @@
-"""Per-sub-window solves, optimality residuals, and parametric sensitivities.
+"""Local solves, optimality residuals, and parametric sensitivities.
 
-The augmented sub-problem treated here is
+The augmented sub-problem of one sub-window is
 
     min over X   0.5 * ||b(X)||^2 + lam' A X + (rho/2) * ||X - Y||^2
     s.t.         F(X) = 0
@@ -9,31 +9,31 @@ where ``b`` stacks the sub-window's weighted residuals and ``F`` its dynamics
 defects. ``(Y, lam)`` act as parameters: the prox center and the coupling
 price. The solver is an equality-constrained SQP over this objective; the
 tangent predictor continues a solved ``(X, mu)`` pair to nearby parameter
-values through the Jacobians of the first-order conditions.
+values through the Jacobians of the first-order conditions. A
+:class:`~splitmhe.problem.SubProblem` is a run of consecutive sub-windows,
+whose sub-problems share no variable: every function here treats the run's
+lifted stack at once, and one sub-window is the run of one.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LocalSolveError, OriginSingularityError, SingularKktError
+from .errors import OriginSingularityError, SingularKktError
 from .problem import (
     StageEvaluation,
     SubProblem,
     block_diagonal_matrix,
     constraint_vector,
-    evaluate_block,
-    lifted_layout,
+    evaluate_stack,
     residual_vector,
     stage_constraint_matrix,
     stage_transpose,
 )
-
-logger = logging.getLogger(__name__)
+from .qp_core import solve_local_kkt
 
 Array = np.ndarray
 
@@ -57,13 +57,17 @@ class LocalSolveConfig:
 
 @dataclass(eq=False)
 class LocalSolveResult:
-    """Solution of one augmented sub-problem (best iterate when not converged)."""
+    """Solution of a run's augmented sub-problems (best iterates where not
+    converged). ``iterations`` counts lockstep rounds, the most KKT solves any
+    sub-window took; ``evaluation`` is the run's evaluation at ``x`` when the
+    last round evaluated there, else None."""
 
     x: Array
     mu: Array
     iterations: int
     converged: bool
     kkt_inf: float
+    evaluation: StageEvaluation | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -88,20 +92,25 @@ def first_order_conditions(
 
     Rows: the augmented-Lagrangian gradient (objective gradient plus coupling
     price, proximal pull, and constraint terms), then the dynamics defects.
-    Affine in the parameters ``(y_ref, lam)``. ``evaluation`` is the block's
+    Affine in the parameters ``(y_ref, lam)``. ``evaluation`` is the run's
     evaluation at ``x`` when the caller already has it.
     """
-    ev = evaluation or evaluate_block(sub, x)
+    ev = evaluation or evaluate_stack(sub, x)
     mu = np.reshape(mu, (sub.length, sub.model.nx))
-    at_mu = stage_transpose(lifted_layout((sub.length,)), ev.D, mu).reshape(-1)
+    at_mu = stage_transpose(sub.layout, ev.D, mu).reshape(-1)
     grad = ev.g.reshape(-1) + sub.apply_coupling_transpose(lam)
-    grad = grad + rho * (np.asarray(x, dtype=float) - y_ref) + at_mu
+    grad = grad + rho * (sub.states(x) - sub.states(y_ref)).reshape(-1) + at_mu
     return np.concatenate([grad, ev.F.reshape(-1)])
 
 
-def kkt_residual(sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float) -> float:
-    """Infinity norm of the augmented-Lagrangian gradient and the dynamics defects."""
-    return float(np.abs(first_order_conditions(sub, x, mu, lam, y_ref, rho)).max())
+def hessian_blocks(sub: SubProblem, x, mu, rho: float, ev: StageEvaluation, exact=True) -> Array:
+    """The ``(states, nx, nx)`` blocks of :func:`lagrangian_hessian`."""
+    H = rho * np.eye(sub.model.nx) + ev.W
+    if exact:
+        X, prev = sub.states(x), sub.layout.prev
+        H[sub.measured] += sub.model.d2h(X[sub.measured], ev.w)
+        H[prev] -= sub.model.d2f(X[prev], sub.controls, np.reshape(mu, (sub.length, -1)))
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
 def lagrangian_hessian(
@@ -115,20 +124,13 @@ def lagrangian_hessian(
     curvature (dynamics Hessians contracted with ``mu``). Every residual and
     every dynamics defect touches one state (the defects' curvature sits on
     the earlier state), so the matrix is block-diagonal per state. Always
-    symmetric. ``evaluation`` is the block's evaluation at ``x`` when the
+    symmetric. ``evaluation`` is the run's evaluation at ``x`` when the
     caller already has it.
     """
     if mode not in ("gauss_newton", "exact_lagrangian"):
         raise ValueError(f"unknown hessian mode {mode!r}")
-    ev = evaluation or evaluate_block(sub, x)
-    m = sub.model
-    H = rho * np.eye(m.nx) + ev.W
-    if mode == "exact_lagrangian":
-        states = sub.states(x)
-        offsets = list(sub.meas_offsets)
-        H[offsets] += m.d2h(states[offsets], ev.w)
-        H[:-1] -= m.d2f(states[:-1], sub.controls, np.reshape(mu, (sub.length, m.nx)))
-    return block_diagonal_matrix(0.5 * (H + np.swapaxes(H, 1, 2)))
+    ev = evaluation or evaluate_stack(sub, x)
+    return block_diagonal_matrix(hessian_blocks(sub, x, mu, rho, ev, mode == "exact_lagrangian"))
 
 
 def sensitivity_matrices(
@@ -138,17 +140,17 @@ def sensitivity_matrices(
 
     The parameters enter the conditions linearly, so ``N`` is constant and
     ``M`` depends on the solution point only; ``lam`` and ``y_ref`` document
-    the evaluation point. ``M`` is the local KKT matrix of
-    :func:`solve_local_kkt` with exact curvature.
+    the evaluation point. ``M`` is the dense form of the local KKT matrix that
+    :func:`~splitmhe.qp_core.solve_local_kkt` factors, with exact curvature.
     """
-    ev = evaluate_block(sub, x)
+    ev = evaluate_stack(sub, x)
     W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", ev)
-    n = sub.block_dim
-    r = sub.partition.r
-    N = np.zeros((n + sub.constraint_dim, n + r))
+    C = stage_constraint_matrix(sub.layout, ev.D)
+    n, m, r = sub.block_dim, sub.constraint_dim, sub.partition.r
+    N = np.zeros((n + m, n + r))
     N[:n, :n] = -rho * np.eye(n)
     N[:n, n:] = sub.apply_coupling_transpose(np.eye(r))
-    return SensitivityPair(M=_kkt_matrix(W, stage_constraint_matrix(ev.D)), N=N)
+    return SensitivityPair(M=np.block([[W, C.T], [C, np.zeros((m, m))]]), N=N)
 
 
 def tangent_predictor(s: Array, xi_old: Array, xi_new: Array, pair: SensitivityPair) -> Array:
@@ -167,63 +169,71 @@ def tangent_predictor(s: Array, xi_old: Array, xi_new: Array, pair: SensitivityP
     return s - step
 
 
-def _merit(sub, x, sigma, at_lam, y_ref, rho, values=None) -> float:
-    """l1 merit at ``x``; ``values`` is ``(b, F)`` there when the caller has it."""
+def _block_max(sub: SubProblem, state_rows: Array, stage_rows: Array) -> Array:
+    """Per-sub-window infinity norm of ``(states, nx)`` and ``(L, nx)`` rows."""
+    return np.maximum(
+        np.maximum.reduceat(np.abs(state_rows).max(axis=1), sub.layout.first),
+        np.maximum.reduceat(np.abs(stage_rows).max(axis=1), sub.layout.start),
+    )
+
+
+def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array):
+    """:func:`~splitmhe.qp_core.solve_local_kkt` for the sub-windows in the mask
+    ``blocks``, seeded by ``rho``; the others see ``H = I``, ``D = 0`` and a
+    zero right-hand side, a zero step that never reaches the shift ladder."""
+    lay = sub.layout
+    s, k = blocks[lay.state_block][:, None], blocks[lay.stage_block][:, None]
+    return solve_local_kkt(
+        lay, np.where(s[..., None], H, np.eye(sub.model.nx)), np.where(k[..., None], D, 0.0),
+        np.where(s, rhs_x, 0.0), np.where(k, rhs_mu, 0.0), rho,
+    )
+
+
+def _merits(sub, x, sigma, at_lam, y_ref, rho, values=None) -> Array:
+    """Per-sub-window l1 merits at the stack ``x``; ``values`` is ``(b, F)``
+    there when the caller has it."""
     b, F = values or (residual_vector(sub, x), constraint_vector(sub, x))
+    lay = sub.layout
     dx = x - y_ref
-    return float(0.5 * b @ b + at_lam @ x + 0.5 * rho * dx @ dx + sigma * np.abs(F).sum())
+    per_state = (at_lam * x).sum(axis=1) + 0.5 * rho * (dx * dx).sum(axis=1)
+    return (
+        0.5 * np.add.reduceat(b * b, sub.residual_rows)
+        + np.add.reduceat(per_state, lay.first)
+        + sigma * np.add.reduceat(np.abs(F).reshape(sub.length, -1).sum(axis=1), lay.start)
+    )
 
 
-def _kkt_matrix(H: Array, C: Array) -> Array:
-    """The local KKT matrix ``[[H, C'], [C, 0]]``."""
-    n = H.shape[0]
-    K = np.zeros((n + C.shape[0], n + C.shape[0]))
-    K[:n, :n] = H
-    K[:n, n:] = C.T
-    K[n:, :n] = C
-    return K
-
-
-def solve_local_kkt(H: Array, C: Array, rhs: Array, eps0: float) -> Array:
-    """Solve ``[[H, C'], [C, 0]] s = rhs``.
-
-    The inner SQP step and the ``sa_aladin`` predictor-corrector are both this
-    solve. A singular matrix is retried with ``H`` shifted by ``eps0 * 10**k``,
-    ``k = 0, 1, 2``, and raises :class:`LocalSolveError` if it stays singular.
-    """
-    n = H.shape[0]
-    K = _kkt_matrix(H, C)
-    for k in range(4):
+def _line_search(sub, x, dx, searching, sigma, at_lam, y_ref, rho, merit0, slack) -> Array:
+    """Halve each searching sub-window's step until its l1 merit decreases;
+    all trials are one stack, the others sitting at ``x``. Returns per
+    sub-window the step of the first trial below ``merit0 - slack``, else of
+    the best trial below ``merit0``, else 0. A trial at the observation
+    singularity halves only the step of the sub-window it names."""
+    lay = sub.layout
+    alpha = np.ones(len(lay.lengths))
+    best, best_merit = np.zeros_like(alpha), merit0.copy()
+    searching = searching.copy()
+    while True:
+        searching &= alpha >= _MIN_STEP_FRACTION
+        on = searching[lay.state_block][:, None]
+        trial = np.where(on, x + alpha[lay.state_block][:, None] * dx, x)
+        # where a trial rounds to x, so does every shorter step, with merit exactly merit0
+        searching &= np.logical_or.reduceat((trial != x).any(axis=1), lay.first)
+        if not searching.any():
+            return best
         try:
-            return np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            if k < 3:
-                shift = eps0 * 10.0 ** k
-                logger.warning("local KKT matrix singular; retrying with shift %.3e", shift)
-                K[:n, :n] = H + shift * np.eye(n)
-    raise LocalSolveError("local KKT matrix remained singular after regularization")
-
-
-def _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack):
-    """Halve the step until the l1 merit decreases; returns the best trial."""
-    alpha = 1.0
-    best_x, best_merit = None, merit0
-    while alpha >= _MIN_STEP_FRACTION:
-        trial = x + alpha * dx
-        if np.array_equal(trial, x):
-            # every shorter step rounds to x as well, with merit exactly merit0
-            break
-        try:
-            trial_merit = _merit(sub, trial, sigma, at_lam, y_ref, rho)
-        except OriginSingularityError:
-            alpha *= 0.5
+            merit = _merits(sub, trial, sigma, at_lam, y_ref, rho)
+        except OriginSingularityError as exc:
+            # the others sit at x, where the round's evaluation succeeded
+            hit = searching if exc.state is None else lay.state_block[sub.measured[exc.state]]
+            alpha[hit] *= 0.5
             continue
-        if trial_merit < merit0 - slack:
-            return trial, trial_merit
-        if trial_merit < best_merit:
-            best_x, best_merit = trial, trial_merit
-        alpha *= 0.5
-    return best_x, best_merit
+        accepted = searching & (merit < merit0 - slack)
+        better = searching & ~accepted & (merit < best_merit)
+        best[accepted | better] = alpha[accepted | better]
+        best_merit[better] = merit[better]
+        searching &= ~accepted
+        alpha[searching] *= 0.5
 
 
 def solve_local_subproblem(
@@ -234,7 +244,7 @@ def solve_local_subproblem(
     cfg: LocalSolveConfig | None = None,
     x0: Array | None = None,
 ) -> LocalSolveResult:
-    """Solve one augmented sub-problem to its first-order conditions.
+    """Solve a run's augmented sub-problems to their first-order conditions.
 
     Equality-constrained SQP: at each iterate the KKT system
     ``[[W, C'], [C, 0]]`` is solved for the full step, with ``W`` the exact
@@ -244,52 +254,80 @@ def solve_local_subproblem(
     when the curvature step finds no descent the iteration retries with the
     Gauss-Newton matrix ``J'J + rho*I``. Below a KKT residual of ``1e-3`` the
     full step is taken outright: merit differences there are at float
-    resolution and the SQP contraction stands on its own. Each step is one
-    :func:`solve_local_kkt`, whose ladder is seeded by ``rho``. The iteration
-    count reports the number of KKT solves taken.
+    resolution and the SQP contraction stands on its own.
+
+    The sub-windows step in lockstep: a round evaluates the run once and
+    takes one banded :func:`~splitmhe.qp_core.solve_local_kkt` (ladder seeded
+    by ``rho``), while the convergence test, merits, step lengths and retry
+    are per sub-window and a converged one stops moving, so each takes the
+    iterates of its own solve.
     """
     cfg = cfg or LocalSolveConfig()
     if not 0 < rho < math.inf:
         raise ValueError("proximal weight rho must be positive and finite")
-    y_ref = np.asarray(y_ref, dtype=float)
-    x = np.array(y_ref if x0 is None else x0, dtype=float)
-    mu = np.zeros(sub.constraint_dim)
-    at_lam = sub.apply_coupling_transpose(lam)
+    lay = sub.layout
+    y_ref = sub.states(y_ref)
+    x = np.array(y_ref if x0 is None else sub.states(x0))
+    mu = np.zeros((sub.length, sub.model.nx))
+    at_lam = sub.apply_coupling_transpose(lam).reshape(x.shape)
 
-    n = sub.block_dim
-    steps = 0
-    kkt = np.inf
+    active = np.ones(len(lay.lengths), dtype=bool)
+    steps = np.zeros(len(lay.lengths), dtype=int)
+    kkt = np.full(len(lay.lengths), np.inf)
     for _ in range(cfg.inner_max_iter):
-        ev = evaluate_block(sub, x)
-        F = ev.F.reshape(-1)
-        C = stage_constraint_matrix(ev.D)
-        grad = ev.g.reshape(-1) + at_lam + rho * (x - y_ref)
-        kkt = float(np.abs(grad + C.T @ mu).max())
-        if F.size:
-            kkt = max(kkt, float(np.abs(F).max()))
-        if kkt <= cfg.inner_tol:
-            return LocalSolveResult(x, mu, steps, converged=True, kkt_inf=kkt)
+        ev = evaluate_stack(sub, x)
+        grad = ev.g + at_lam + rho * (x - y_ref)
+        kkt[active] = _block_max(sub, grad + stage_transpose(lay, ev.D, mu), ev.F)[active]
+        active &= ~(kkt <= cfg.inner_tol)
+        if not active.any():
+            return LocalSolveResult(x.reshape(-1), mu.reshape(-1), int(steps.max()), True,
+                                    float(kkt.max()), ev)
 
-        rhs = np.concatenate([-grad, -F])
-        H = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", ev)
-        dx, mu_new = np.split(solve_local_kkt(H, C, rhs, rho), [n])
+        H = hessian_blocks(sub, x, mu, rho, ev)
+        dx, mu_new = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, active)
+        search = active & ~(kkt <= _FULL_STEP_TOL)  # a NaN residual searches too
+        step = (active & ~search).astype(float)
+        if search.any():
+            sigma = 1.0 + 2.0 * np.maximum.reduceat(np.abs(mu_new).max(axis=1), lay.start)
+            merit0 = _merits(sub, x, sigma, at_lam, y_ref, rho, (ev.b, ev.F))
+            slack = 1e-14 * np.maximum(1.0, np.abs(merit0))
+            found = _line_search(sub, x, dx, search, sigma, at_lam, y_ref, rho, merit0, slack)
+            # indefinite curvature can make the Newton step an ascent
+            # direction far from the solution; retry with Gauss-Newton
+            retry = search & (found == 0)
+            if retry.any():
+                H = hessian_blocks(sub, x, mu, rho, ev, exact=False)
+                dx_gn, mu_gn = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, retry)
+                dx = np.where(retry[lay.state_block][:, None], dx_gn, dx)
+                mu_new = np.where(retry[lay.stage_block][:, None], mu_gn, mu_new)
+                found += _line_search(sub, x, dx, retry, sigma, at_lam, y_ref, rho, merit0, slack)
+            step += found  # zero outside the searching sub-windows
+        moved = (step > 0)[lay.state_block][:, None]
+        x = np.where(moved, x + step[lay.state_block][:, None] * dx, x)
+        mu = np.where(active[lay.stage_block][:, None], mu_new, mu)
+        steps += active
 
-        if kkt <= _FULL_STEP_TOL:
-            x = x + dx
-        else:
-            sigma = 1.0 + 2.0 * float(np.abs(mu_new).max()) if mu_new.size else 1.0
-            merit0 = _merit(sub, x, sigma, at_lam, y_ref, rho, (ev.b, F))
-            slack = 1e-14 * max(1.0, abs(merit0))
-            trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
-            if trial is None:
-                # indefinite curvature can make the Newton step an ascent
-                # direction far from the solution; retry with Gauss-Newton
-                H = lagrangian_hessian(sub, x, mu, rho, "gauss_newton", ev)
-                dx, mu_new = np.split(solve_local_kkt(H, C, rhs, rho), [n])
-                trial, _ = _line_search(sub, x, dx, sigma, at_lam, y_ref, rho, merit0, slack)
-            if trial is not None:
-                x = trial
-        mu = mu_new
-        steps += 1
+    return LocalSolveResult(x.reshape(-1), mu.reshape(-1), int(steps.max()), False,
+                            float(kkt.max()))
 
-    return LocalSolveResult(x=x, mu=mu, iterations=steps, converged=False, kkt_inf=kkt)
+
+def predictor_corrector(
+    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
+    evaluation: StageEvaluation, tol: float,
+) -> tuple[Array, Array, Array]:
+    """Continue solved local pairs ``(x, mu)`` to new parameters ``(y_ref, lam)``.
+
+    The conditions are affine in the parameters, so the tangent move plus the
+    Newton correction of the current defect is one local KKT solve with exact
+    curvature at the pair, whose evaluation is ``evaluation``. Trusted only on
+    sub-windows with drift at most ``tol`` (NaN is not); returns the stacks,
+    unmoved where untrusted, and the trusted mask.
+    """
+    drift = first_order_conditions(sub, x, mu, lam, y_ref, rho, evaluation)
+    gx, gm = np.split(drift.reshape(-1, sub.model.nx), [sub.layout.n_states])
+    trusted = _block_max(sub, gx, gm) <= tol
+    if not trusted.any():
+        return x, mu, trusted
+    H = hessian_blocks(sub, x, mu, rho, evaluation)
+    dx, dmu = _kkt_step(sub, H, evaluation.D, gx, gm, rho, trusted)
+    return x - dx, mu - dmu, trusted

@@ -88,7 +88,8 @@ def robot_model(T: float = 0.2) -> SystemModel:
     ``(sqrt(phi^2 + psi^2), atan2(psi, phi))``; the two-argument arctangent
     keeps the bearing defined everywhere except the origin, where
     :class:`OriginSingularityError` is raised (threshold ``1e-12`` on
-    ``phi^2 + psi^2``) naming the first offending state of the stack.
+    ``phi^2 + psi^2``) naming the first offending state of the stack in its
+    message and in ``state``.
     """
 
     def _range_sq(x: Array) -> Array:
@@ -96,10 +97,12 @@ def robot_model(T: float = 0.2) -> SystemModel:
         if np.min(r2) < _ORIGIN_EPS:
             first = np.flatnonzero(r2 < _ORIGIN_EPS)[0]
             phi, psi = x.reshape(-1, 3)[first, :2]
-            raise OriginSingularityError(
+            error = OriginSingularityError(
                 f"observation undefined at state {first} ({phi:.3e}, {psi:.3e}): "
                 f"phi^2 + psi^2 < {_ORIGIN_EPS:g}"
             )
+            error.state = int(first)
+            raise error
         return r2
 
     def f(x: Array, u: Array) -> Array:

@@ -9,14 +9,15 @@ minus (initial state of sub-window c+2)``.
 
 The solvers hold the ``N`` blocks as one lifted stack of ``L + N`` states;
 :class:`LiftedLayout` says where every state and stage of a sub-window sits in
-it, and :func:`evaluate_stack` evaluates the whole stack in one call of each
-model callable.
+it. A :class:`SubProblem` is a run of consecutive sub-windows, one or all of
+them, and :func:`evaluate_stack` evaluates its stack in one call of each model
+callable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +79,8 @@ class LiftedLayout:
     ``next[k] = prev[k] + 1``. ``measured`` lists one copy of each of the
     ``L + 1`` window states in time order; the duplicated terminal states of
     interior sub-windows carry no measurement. ``time`` maps every stacked
-    state to its window state. All arrays are read-only.
+    state to its window state and ``state_block`` to its sub-window. All
+    arrays are read-only.
     """
 
     lengths: tuple[int, ...]
@@ -90,6 +92,7 @@ class LiftedLayout:
     next: Array
     measured: Array
     time: Array
+    state_block: Array
 
     @property
     def n_states(self) -> int:
@@ -123,15 +126,11 @@ def lifted_layout(lengths: tuple[int, ...]) -> LiftedLayout:
         next=prev + 1,
         measured=np.append(prev, n.sum() + n.size - 1),
         time=np.arange(n.sum() + n.size) - np.repeat(blocks, n + 1),
+        state_block=np.repeat(blocks, n + 1),
     )
     for a in maps.values():
         a.flags.writeable = False  # cached and shared by every caller
     return LiftedLayout(lengths=tuple(int(k) for k in n), **maps)
-
-
-def join_blocks(blocks: list[Array], nx: int) -> Array:
-    """The ``(states, nx)`` stack of flat block vectors, in block order."""
-    return np.concatenate([np.asarray(b, dtype=float).reshape(-1, nx) for b in blocks])
 
 
 def _as_stack(blocks, partition: Partition) -> Array:
@@ -150,7 +149,7 @@ def _as_stack(blocks, partition: Partition) -> Array:
             raise DimensionMismatchError(
                 f"block {i} has shape {np.shape(block)}, expected ({dim},)"
             )
-    return join_blocks(blocks, partition.nx)
+    return np.concatenate(blocks, dtype=float).reshape(-1, partition.nx)
 
 
 def build_partition(L: int, N: int, nx: int) -> Partition:
@@ -232,117 +231,115 @@ class MheInstance:
 
 @dataclass(eq=False)
 class SubProblem:
-    """Evaluation package for one sub-window of a split horizon.
+    """Evaluation package for a run of consecutive sub-windows of a split horizon.
 
-    The block variable stacks ``length + 1`` states: the duplicated initial
-    boundary state, the internal states, and the terminal state (a duplicated
-    boundary for interior sub-windows, the newest window state for the last
-    one). ``meas_offsets`` lists which block states carry measurement terms.
+    The block variable is the run's lifted stack, flat or ``(states, nx)``:
+    per sub-window its duplicated initial boundary state, internal states and
+    terminal state. ``measured`` lists the stacked states with measurement
+    terms, in time order. The run starts at sub-window ``offset`` of
+    ``partition``, whose coupling rows it shares.
     """
 
-    index: int  # 1-based sub-window index
     partition: Partition
+    offset: int
+    layout: LiftedLayout
     model: SystemModel
-    length: int
+    measured: Array
     measurements: Array
-    meas_offsets: tuple[int, ...]
     controls: Array
-    has_prior: bool
-    has_terminal_measurement: bool
     prior: Array | None
     p_inv_sqrt: Array | None
     v_inv_sqrt: Array
-    plus_row: int | None  # coupling block row carrying +I on the terminal state
-    minus_row: int | None  # coupling block row carrying -I on the initial state
+
+    @property
+    def length(self) -> int:
+        return len(self.layout.prev)
 
     @property
     def block_dim(self) -> int:
-        return (self.length + 1) * self.model.nx
+        return self.layout.n_states * self.model.nx
 
     @property
     def constraint_dim(self) -> int:
         return self.length * self.model.nx
 
     @property
-    def residual_dim(self) -> int:
-        n_meas = len(self.meas_offsets) * self.model.ny
-        return n_meas + (self.model.nx if self.has_prior else 0)
+    def has_prior(self) -> bool:
+        return self.prior is not None
+
+    @cached_property
+    def residual_rows(self) -> Array:
+        """First row of each sub-window's residuals in the stacked residual vector."""
+        lay, m = self.layout, self.model
+        counts = m.ny * np.bincount(lay.state_block[self.measured], minlength=len(lay.lengths))
+        counts[0] += m.nx * self.has_prior
+        return np.cumsum(counts) - counts
 
     def states(self, X: Array) -> Array:
-        return np.asarray(X, dtype=float).reshape(self.length + 1, self.model.nx)
+        """The ``(states, nx)`` stack of a flat block vector, or the stack itself."""
+        X = np.asarray(X, dtype=float)
+        shape = (self.layout.n_states, self.model.nx)
+        if X.shape not in ((self.block_dim,), shape):
+            raise DimensionMismatchError(f"expected a block of shape {shape}, got {X.shape}")
+        return X.reshape(shape)
 
     def coupling_matrix(self) -> Array:
-        """Dense materialization of this block's signed-identity coupling rows."""
-        nx = self.model.nx
-        A = np.zeros((self.partition.r, self.block_dim))
-        if self.plus_row is not None:
-            A[self.plus_row * nx:(self.plus_row + 1) * nx, self.block_dim - nx:] = np.eye(nx)
-        if self.minus_row is not None:
-            A[self.minus_row * nx:(self.minus_row + 1) * nx, :nx] = -np.eye(nx)
-        return A
+        """Dense materialization of the run's signed-identity coupling rows."""
+        return self.apply_coupling_transpose(np.eye(self.partition.r)).T
 
     def apply_coupling_transpose(self, lam: Array) -> Array:
-        """``A' lam``; a matrix ``lam`` is mapped column by column."""
-        nx = self.model.nx
-        out = np.zeros((self.block_dim,) + np.shape(lam)[1:])
-        if self.plus_row is not None:
-            out[self.block_dim - nx:] = lam[self.plus_row * nx:(self.plus_row + 1) * nx]
-        if self.minus_row is not None:
-            out[:nx] = -lam[self.minus_row * nx:(self.minus_row + 1) * nx]
-        return out
+        """``A' lam`` as a flat block vector; a matrix ``lam`` is mapped column by
+        column. Coupling block row ``c`` carries ``+I`` on the last state of
+        sub-window ``c`` and ``-I`` on the first state of sub-window ``c + 1``."""
+        lam = np.asarray(lam, dtype=float)
+        rows = lam.reshape((len(lam) // self.model.nx, self.model.nx) + lam.shape[1:])
+        lay = self.layout
+        blocks = self.offset + np.arange(len(lay.lengths))
+        out = np.zeros((lay.n_states,) + rows.shape[1:])
+        plus, minus = blocks < len(rows), blocks > 0
+        out[lay.last[plus]] = rows[blocks[plus]]
+        out[lay.first[minus]] -= rows[blocks[minus] - 1]
+        return out.reshape((-1,) + lam.shape[1:])
 
 
-def split_instance(instance: MheInstance, partition: Partition) -> list[SubProblem]:
-    """Build the N sub-problems whose summed objectives and stacked constraints
-    reproduce the centralized window problem."""
+def subproblem(instance: MheInstance, partition: Partition, blocks: range) -> SubProblem:
+    """The run of consecutive sub-windows ``blocks`` of the split instance."""
     m = instance.model
     if partition.L != instance.L or partition.nx != m.nx:
         raise DimensionMismatchError(
             f"partition built for (L={partition.L}, nx={partition.nx}) does not match "
             f"instance (L={instance.L}, nx={m.nx})"
         )
-    subs = []
-    for i in range(1, partition.N + 1):
-        start = partition.starts[i - 1]
-        length = partition.lengths[i - 1]
-        is_last = i == partition.N
-        # interior sub-windows measure their first `length` states; the last one
-        # additionally measures the terminal (newest) state of the window
-        offsets = tuple(range(length + 1)) if is_last else tuple(range(length))
-        subs.append(
-            SubProblem(
-                index=i,
-                partition=partition,
-                model=m,
-                length=length,
-                measurements=instance.measurements[[start + off for off in offsets]],
-                meas_offsets=offsets,
-                controls=instance.controls[start:start + length],
-                has_prior=(i == 1),
-                has_terminal_measurement=is_last,
-                prior=instance.prior.copy() if i == 1 else None,
-                p_inv_sqrt=instance.p_inv_sqrt if i == 1 else None,
-                v_inv_sqrt=instance.v_inv_sqrt,
-                plus_row=(i - 1) if i < partition.N else None,
-                minus_row=(i - 2) if i >= 2 else None,
-            )
-        )
-    return subs
+    layout = lifted_layout(partition.lengths[blocks.start:blocks.stop])
+    t0 = partition.starts[blocks.start]
+    t1 = t0 + len(layout.prev)
+    is_last = blocks.stop == partition.N
+    # an interior run's terminal state is a duplicated boundary: no measurement
+    measured = layout.measured if is_last else layout.measured[:-1]
+    return SubProblem(
+        partition=partition,
+        offset=blocks.start,
+        layout=layout,
+        model=m,
+        measured=measured,
+        measurements=instance.measurements[t0:t1 + is_last],
+        controls=instance.controls[t0:t1],
+        prior=instance.prior.copy() if blocks.start == 0 else None,
+        p_inv_sqrt=instance.p_inv_sqrt if blocks.start == 0 else None,
+        v_inv_sqrt=instance.v_inv_sqrt,
+    )
 
 
-def _check_block(sub: SubProblem, X: Array) -> Array:
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sub.block_dim,):
-        raise DimensionMismatchError(
-            f"sub-window {sub.index} expects a block of shape ({sub.block_dim},), got {X.shape}"
-        )
-    return X
+def split_instance(instance: MheInstance, partition: Partition) -> list[SubProblem]:
+    """Build the N one-sub-window problems whose summed objectives and stacked
+    constraints reproduce the centralized window problem."""
+    return [subproblem(instance, partition, range(i, i + 1)) for i in range(partition.N)]
 
 
 def residual_vector(sub: SubProblem, X: Array) -> Array:
     """Stacked weighted residuals (prior term first, then measurement terms)."""
-    states = sub.states(_check_block(sub, X))
-    dy = sub.model.h(states[list(sub.meas_offsets)]) - sub.measurements
+    states = sub.states(X)
+    dy = sub.model.h(states[sub.measured]) - sub.measurements
     b = (sub.v_inv_sqrt @ dy[..., None])[..., 0].reshape(-1)
     if sub.has_prior:
         b = np.concatenate([sub.p_inv_sqrt @ (states[0] - sub.prior), b])
@@ -358,23 +355,23 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     """
     b = residual_vector(sub, X)
     states = sub.states(X)
-    m = sub.model
-    offsets = list(sub.meas_offsets)
-    J = np.zeros((sub.residual_dim, sub.block_dim))
+    m, measured = sub.model, sub.measured
+    J = np.zeros((b.size, sub.block_dim))
     row = 0
     if sub.has_prior:
         J[:m.nx, :m.nx] = sub.p_inv_sqrt
         row = m.nx
-    # measurement k's rows touch only state meas_offsets[k]
-    Jm = J[row:].reshape(len(offsets), m.ny, sub.length + 1, m.nx)
-    Jm[np.arange(len(offsets)), :, offsets] = sub.v_inv_sqrt @ m.dh_dx(states[offsets])
+    # measurement k's rows touch only state measured[k]
+    Jm = J[row:].reshape(len(measured), m.ny, sub.layout.n_states, m.nx)
+    Jm[np.arange(len(measured)), :, measured] = sub.v_inv_sqrt @ m.dh_dx(states[measured])
     return b, J
 
 
 def constraint_vector(sub: SubProblem, X: Array) -> Array:
-    """Dynamics defects ``x_{k+1} - f(x_k, u_k)`` over the sub-window."""
-    states = sub.states(_check_block(sub, X))
-    return (states[1:] - sub.model.f(states[:-1], sub.controls)).reshape(-1)
+    """Dynamics defects ``x_{k+1} - f(x_k, u_k)`` over the run's stages."""
+    states = sub.states(X)
+    lay = sub.layout
+    return (states[lay.next] - sub.model.f(states[lay.prev], sub.controls)).reshape(-1)
 
 
 # Stage-form products, shared with qp_core. Like the lifted layout they live
@@ -392,14 +389,15 @@ def block_diagonal_matrix(blocks: Array) -> Array:
     return out.reshape(k * nx, k * nx)
 
 
-def stage_constraint_matrix(D: Array) -> Array:
-    """Dense block-bidiagonal Jacobian whose block row ``k`` is ``[-D_k, I]``."""
+def stage_constraint_matrix(layout: LiftedLayout, D: Array) -> Array:
+    """Dense Jacobian of a run's stages: block row ``k`` holds ``-D_k`` on state
+    ``prev[k]`` and ``I`` on state ``next[k]``."""
     t, nx, _ = D.shape
-    C = np.zeros((t, nx, t + 1, nx))
+    C = np.zeros((t, nx, layout.n_states, nx))
     k = np.arange(t)
-    C[k, :, k, :] = -D
-    C[k, :, k + 1, :] = np.eye(nx)
-    return C.reshape(t * nx, (t + 1) * nx)
+    C[k, :, layout.prev, :] = -D
+    C[k, :, layout.next, :] = np.eye(nx)
+    return C.reshape(t * nx, layout.n_states * nx)
 
 
 def stage_transpose(layout: LiftedLayout, D: Array, mu: Array) -> Array:
@@ -408,16 +406,6 @@ def stage_transpose(layout: LiftedLayout, D: Array, mu: Array) -> Array:
     out = np.zeros((layout.n_states, D.shape[1]))
     out[layout.prev] = -(np.swapaxes(D, 1, 2) @ mu[:, :, None])[..., 0]
     out[layout.next] += mu
-    return out
-
-
-def coupling_transpose(layout: LiftedLayout, lam: Array) -> Array:
-    """``A' lam`` on a lifted stack: coupling block row ``c`` carries ``+I`` on
-    the last state of sub-window ``c`` and ``-I`` on the first of ``c + 1``;
-    ``lam`` is ``(N - 1, nx)``."""
-    out = np.zeros((layout.n_states, lam.shape[1]))
-    out[layout.last[:-1]] = lam
-    out[layout.first[1:]] = -lam
     return out
 
 
@@ -442,79 +430,37 @@ class StageEvaluation(NamedTuple):
     D: Array
 
 
-def _evaluate(
-    model: SystemModel, X: Array, measured, measurements: Array, v_inv_sqrt: Array,
-    prior: tuple[Array, Array] | None, prev, nxt, controls: Array,
-) -> StageEvaluation:
-    """One ``h``, ``dh_dx``, ``f`` and ``df_dx`` call over a run of states.
-
-    ``prior`` is ``(anchor, P^-1/2)`` when the first state carries the prior.
-    """
-    Xm = X[measured]
-    bm = (v_inv_sqrt @ (model.h(Xm) - measurements)[..., None])[..., 0]
-    JmT = np.swapaxes(v_inv_sqrt @ model.dh_dx(Xm), 1, 2)
+def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
+    """:class:`StageEvaluation` of a run of sub-windows at its stack ``X``: one
+    ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
+    whole window. On the whole window ``b`` is the centralized residual vector
+    of the trajectory that the measured states form."""
+    X, model, lay = sub.states(X), sub.model, sub.layout
+    Xm = X[sub.measured]
+    bm = (sub.v_inv_sqrt @ (model.h(Xm) - sub.measurements)[..., None])[..., 0]
+    JmT = np.swapaxes(sub.v_inv_sqrt @ model.dh_dx(Xm), 1, 2)
     g = np.zeros(X.shape)
     W = np.zeros(X.shape + X.shape[-1:])
-    g[measured] = (JmT @ bm[..., None])[..., 0]
-    W[measured] = JmT @ np.swapaxes(JmT, 1, 2)
+    g[sub.measured] = (JmT @ bm[..., None])[..., 0]
+    W[sub.measured] = JmT @ np.swapaxes(JmT, 1, 2)
     b = bm.reshape(-1)
-    if prior is not None:
-        anchor, p_inv_sqrt = prior
-        bp = p_inv_sqrt @ (X[0] - anchor)
-        g[0] += p_inv_sqrt.T @ bp
-        W[0] += p_inv_sqrt.T @ p_inv_sqrt
+    if sub.has_prior:
+        bp = sub.p_inv_sqrt @ (X[0] - sub.prior)
+        g[0] += sub.p_inv_sqrt.T @ bp
+        W[0] += sub.p_inv_sqrt.T @ sub.p_inv_sqrt
         b = np.concatenate([bp, b])
-    w = (v_inv_sqrt.T @ bm[..., None])[..., 0]
-    Xp = X[prev]
-    F = X[nxt] - model.f(Xp, controls)
-    return StageEvaluation(b, g, W, w, F, model.df_dx(Xp, controls))
-
-
-def evaluate_block(sub: SubProblem, X: Array) -> StageEvaluation:
-    """:class:`StageEvaluation` of one sub-window at its block vector ``X``."""
-    states = sub.states(_check_block(sub, X))
-    stages = np.arange(sub.length)
-    return _evaluate(
-        sub.model, states, list(sub.meas_offsets), sub.measurements, sub.v_inv_sqrt,
-        (sub.prior, sub.p_inv_sqrt) if sub.has_prior else None,
-        stages, stages + 1, sub.controls,
-    )
-
-
-def evaluate_stack(instance: MheInstance, partition: Partition, Y: Array) -> StageEvaluation:
-    """:class:`StageEvaluation` of the whole lifted stack ``Y`` ``(L + N, nx)``.
-
-    Its measured states are the ``L + 1`` window states in time order, so
-    ``b`` is the centralized residual vector of the trajectory they form.
-    """
-    lay = partition.layout
-    return _evaluate(
-        instance.model, _as_stack(Y, partition), lay.measured, instance.measurements,
-        instance.v_inv_sqrt, (instance.prior, instance.p_inv_sqrt),
-        lay.prev, lay.next, instance.controls,
-    )
-
-
-def block_evaluation(ev: StageEvaluation, partition: Partition, i: int) -> StageEvaluation:
-    """Sub-window ``i``'s part of a stack evaluation: views, equal to
-    :func:`evaluate_block` at the block's states."""
-    lay = partition.layout
-    nx, ny = ev.g.shape[1], ev.w.shape[1]
-    t0 = lay.start[i]
-    t1 = t0 + lay.lengths[i] + (i == partition.N - 1)  # the last block measures its end
-    states = slice(lay.first[i], lay.last[i] + 1)
-    stages = slice(t0, t0 + lay.lengths[i])
-    rows = slice(0 if i == 0 else nx + ny * t0, nx + ny * t1)
-    return StageEvaluation(
-        ev.b[rows], ev.g[states], ev.W[states], ev.w[t0:t1], ev.F[stages], ev.D[stages]
-    )
+    w = (sub.v_inv_sqrt.T @ bm[..., None])[..., 0]
+    Xp = X[lay.prev]
+    F = X[lay.next] - model.f(Xp, sub.controls)
+    return StageEvaluation(b, g, W, w, F, model.df_dx(Xp, sub.controls))
 
 
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     """Dynamics defects and their exact Jacobian with respect to the block,
     whose block row ``k`` is ``[-D_k, I]`` with ``D_k = df/dx(x_k, u_k)``."""
     F = constraint_vector(sub, X)
-    return F, stage_constraint_matrix(sub.model.df_dx(sub.states(X)[:-1], sub.controls))
+    D = sub.model.df_dx(sub.states(X)[sub.layout.prev], sub.controls)
+    return F, stage_constraint_matrix(sub.layout, D)
 
 
 def sub_objective(sub: SubProblem, X: Array) -> float:
@@ -599,7 +545,7 @@ def centralized_kkt_residual(instance: MheInstance, trajectory: Array) -> float:
     grad[0] += np.linalg.solve(instance.P, x[0] - instance.prior)
     grad = grad.reshape(-1)
     F = x[1:] - m.f(x[:-1], instance.controls)
-    C = stage_constraint_matrix(m.df_dx(x[:-1], instance.controls))
+    C = stage_constraint_matrix(lifted_layout((instance.L,)), m.df_dx(x[:-1], instance.controls))
     nu, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
     stationarity = grad + C.T @ nu
     return float(max(np.abs(stationarity).max(), np.abs(F).max()))

@@ -46,11 +46,11 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
+    LocalSolveError,
     NonFiniteDataError,
     NotPositiveDefiniteError,
     RankDeficientConstraintsError,
     SingularKktError,
-    SingularSchurError,
 )
 from .problem import LiftedLayout
 
@@ -154,7 +154,6 @@ class SchurTerms:
     Q: Array
     R: Array
     s: Array
-    h_factor: tuple = field(repr=False, default=None)
     r_factor: tuple = field(repr=False, default=None)
     hinv_g: Array = field(repr=False, default=None)
     hinv_Ct: Array = field(repr=False, default=None)
@@ -212,9 +211,8 @@ def _require_finite_stack(stack: StageStack) -> None:
     if not bad:
         return
     lay = stack.layout
-    state_block = np.arange(lay.n_states) - lay.time
     rows = {
-        "H": state_block, "g": state_block, "D": lay.stage_block, "d": lay.stage_block,
+        "H": lay.state_block, "g": lay.state_block, "D": lay.stage_block, "d": lay.stage_block,
         "anchor": np.arange(len(lay.lengths) - 1),  # row c: the last state of block c
     }[bad[0]]
     finite = np.isfinite(getattr(stack, bad[0]).reshape(len(rows), -1)).all(axis=1)
@@ -287,7 +285,6 @@ def schur_terms(
         Q=Q,
         R=R,
         s=s,
-        h_factor=h_factor,
         r_factor=r_factor,
         hinv_g=hinv_g,
         hinv_Ct=hinv_Ct,
@@ -306,14 +303,14 @@ def _solve_schur(S: Array, p: Array) -> tuple[Array, dict]:
     cond = float(np.linalg.cond(S))
     logger.warning("Schur matrix not SPD; falling back to pivoted solve (cond=%.3e)", cond)
     if not np.isfinite(cond) or cond > SCHUR_CONDITION_LIMIT:
-        raise SingularSchurError(
+        raise SingularKktError(
             f"coupling Schur matrix is numerically singular (cond={cond:.3e})"
         )
     try:
         lu = scipy.linalg.lu_factor(S)
         lam = scipy.linalg.lu_solve(lu, p)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularSchurError("coupling Schur matrix is singular") from exc
+        raise SingularKktError("coupling Schur matrix is singular") from exc
     return lam, {"schur_factorization": "lu", "schur_condition": cond}
 
 
@@ -421,8 +418,7 @@ def _stack_terms(stack: StageStack) -> StackTerms:
     try:
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
-        j = _first_indefinite(H)
-        i = int(j - lay.time[j])
+        i = int(lay.state_block[_first_indefinite(H)])
         raise NotPositiveDefiniteError(
             f"block {i}: Hessian is not positive definite", block_index=i
         ) from exc
@@ -443,8 +439,7 @@ def _stack_terms(stack: StageStack) -> StackTerms:
     band_rows[:-1, :, nx:] = -(hinv[1:-1] @ Dt[1:])
     factor, info = scipy.linalg.lapack.dpbtrf(_banded(band_rows))
     if info:
-        j = (info - 1) // nx  # the link's first state names the block
-        i = int(j - lay.time[j])
+        i = int(lay.state_block[(info - 1) // nx])  # the link's first state names the block
         raise RankDeficientConstraintsError(
             f"block {i}: constraint rows are rank deficient", block_index=i
         )
@@ -481,6 +476,65 @@ def _solve_stack(stack: StageStack) -> QpSolution:
         delta_x=delta_x,
         diagnostics={"pivot_ratio": terms.pivot_ratio},
     )
+
+
+@lru_cache(maxsize=64)
+def _kkt_band_layout(lay: LiftedLayout, nx: int) -> tuple[Array, Array, Array]:
+    """Positions of a run's states and stages in its interleaved local KKT
+    system, and the ``gbtrf`` band slots of the blocks ``H_j``, ``-D_k``,
+    ``I``, ``-D_k'``, ``I``. State ``j`` sits at ``2 j - state_block[j]`` and
+    stage ``k`` right after state ``prev[k]``, so every sub-window reads
+    ``[x, mu, x, ..., mu, x]`` (Rao, Wright & Rawlings, JOTA 99(3), 1998) and
+    the band has ``2 nx - 1`` sub- and superdiagonals."""
+    xpos = 2 * np.arange(lay.n_states) - lay.state_block
+    mpos = xpos[lay.prev] + 1
+    rows = np.concatenate([xpos, mpos, mpos, xpos[lay.prev], xpos[lay.next]])[:, None, None]
+    cols = np.concatenate([xpos, xpos[lay.prev], xpos[lay.next], mpos, mpos])[:, None, None]
+    i, j = rows * nx + np.arange(nx)[:, None], cols * nx + np.arange(nx)
+    n, band = (len(xpos) + len(mpos)) * nx, 2 * nx - 1
+    dst = ((2 * band + i - j) * n + j).reshape(-1)
+    for arr in (xpos, mpos, dst):
+        arr.flags.writeable = False  # cached and shared by every caller
+    return xpos, mpos, dst
+
+
+def solve_local_kkt(
+    layout: LiftedLayout, H: Array, D: Array, rhs_x: Array, rhs_mu: Array, eps0: float
+) -> tuple[Array, Array]:
+    """Solve the local KKT systems ``[[H, C'], [C, 0]] (dx, mu) = (rhs_x, rhs_mu)``
+    of a run of unlinked sub-windows with one ``dgbtrf`` and one ``dgbtrs``.
+
+    ``H`` holds per-state blocks ``(states, nx, nx)`` of any inertia, and row
+    ``k`` of ``C`` is ``-D_k`` on state ``prev[k]`` and ``I`` on ``next[k]``.
+    A zero pivot names its sub-window, whose ``H`` alone is retried shifted
+    by ``eps0 * 10**k``, ``k = 0, 1, 2``; :class:`LocalSolveError` is raised
+    if it stays singular. Returns ``dx`` ``(states, nx)`` and ``mu`` ``(L, nx)``.
+    """
+    nx = H.shape[-1]
+    xpos, mpos, dst = _kkt_band_layout(layout, nx)
+    band, n = 2 * nx - 1, (len(xpos) + len(mpos)) * nx
+    eye = np.broadcast_to(np.eye(nx), D.shape)
+    rungs = np.zeros(len(layout.lengths), dtype=int)
+    shifted = H
+    while True:
+        ab = np.zeros((3 * band + 1, n))
+        ab.flat[dst] = np.concatenate([shifted, -D, eye, -np.swapaxes(D, 1, 2), eye]).ravel()
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, band, band)
+        if info <= 0:
+            break
+        # the zero pivot's position lies in the sub-window of the state at or before it
+        i = int(layout.state_block[np.searchsorted(xpos, (info - 1) // nx, "right") - 1])
+        if rungs[i] == 3:
+            raise LocalSolveError(f"block {i}: local KKT matrix singular after regularization")
+        shift = eps0 * 10.0 ** rungs[i]
+        logger.warning("block %d: local KKT matrix singular; retrying with shift %.3e", i, shift)
+        mine = (layout.state_block == i)[:, None, None]
+        shifted = np.where(mine, H + shift * np.eye(nx), shifted)
+        rungs[i] += 1
+    z = np.zeros((n // nx, nx))
+    z[xpos], z[mpos] = rhs_x, rhs_mu
+    sol = scipy.linalg.lapack.dgbtrs(lu, band, band, z.reshape(-1, 1), piv)[0].reshape(-1, nx)
+    return sol[xpos], sol[mpos]
 
 
 def dense_kkt_oracle(blocks: list[QpBlock]) -> QpSolution:

@@ -12,11 +12,13 @@ linearization point, the metrics evaluation doubles as the next iteration's QP
 data. Each of these steps is a fixed number of array calls, whatever the
 number of sub-windows, so runs are deterministic.
 
-The algorithms differ only in a per-block step around the coordination:
+The algorithms differ only in a local step around the coordination, taken
+for all blocks at once on the stack:
 
-* ``gn_aladin``  -- before the QP, an exact local solve per block; its QP data
-  take homogeneous constraint rows (the local solutions are feasible), and
-  its coupling metric is taken on the local solutions.
+* ``gn_aladin``  -- before the QP, an exact local solve of every block, all
+  in lockstep; its QP data take homogeneous constraint rows (the local
+  solutions are feasible) from the local solve's last evaluation, and its
+  coupling metric is taken on the local solutions.
 * ``sa_aladin``  -- after the QP, each local pair is continued to the new
   parameters by a tangent predictor-corrector wherever the continuation is
   trustworthy, and pinned to the coordination output elsewhere.
@@ -24,8 +26,6 @@ The algorithms differ only in a per-block step around the coordination:
   each iteration is one full-space SQP step expressed block-wise.
 * ``centralized`` -- ``dsqp`` on the degenerate single-window partition; used
   as the reference oracle for the distributed runs.
-
-The per-block steps see per-block views of the stacks.
 """
 
 from __future__ import annotations
@@ -37,29 +37,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SplitMheError
-from .local_nlp import (
-    first_order_conditions,
-    lagrangian_hessian,
-    solve_local_kkt,
-    solve_local_subproblem,
-)
+from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
     MheInstance,
     Partition,
     StageEvaluation,
     SubProblem,
-    block_evaluation,
     build_partition,
     centralized_objective,
     coupling_residual,
-    coupling_transpose,
     evaluate_stack,
     extract_trajectory,
-    join_blocks,
     lift,
-    split_instance,
-    stage_constraint_matrix,
     stage_transpose,
+    subproblem,
 )
 from .qp_core import StageStack, solve_coupled_qp
 
@@ -186,52 +177,26 @@ def _initial_iterate(
     """Stacked consensus states ``(L + N, nx)``, ``lam`` and stage multipliers ``(L, nx)``."""
     if warm is not None:
         _check_warm(warm, partition)
-        y = join_blocks(warm.y_blocks, partition.nx)
-        mu = join_blocks(warm.mu_blocks, partition.nx)
+        y = np.concatenate(warm.y_blocks, dtype=float).reshape(-1, partition.nx)
+        mu = np.concatenate(warm.mu_blocks, dtype=float).reshape(-1, partition.nx)
         return y, np.array(warm.lam, dtype=float), mu
     y = lift(instance.initial_guess, partition)
     return y, np.zeros(partition.r), np.zeros((partition.L, partition.nx))
 
 
-def _stage_stack(
-    partition: Partition, x: Array, ev: StageEvaluation, rho: float, with_offsets: bool
-) -> StageStack:
-    """Coordination-QP data of the whole stack, linearized at ``x``.
-
-    ``ev`` is the stack's evaluation at ``x``. The Hessian is the Gauss-Newton
-    curvature shifted by ``rho``; without offsets the constraint rows are
-    homogeneous.
-    """
-    H = rho * np.eye(partition.nx) + ev.W
-    return StageStack(
-        layout=partition.layout,
-        H=0.5 * (H + np.swapaxes(H, 1, 2)),
-        g=ev.g,
-        D=ev.D,
-        d=ev.F if with_offsets else np.zeros_like(ev.F),
-        anchor=coupling_residual(partition, x),
-    )
-
-
 def _iterate_metrics(
-    partition: Partition,
-    y_new: Array,
-    y_old: Array,
-    lam: Array,
-    mu: Array,
-    coupled: Array,
+    run: SubProblem, y_new: Array, y_old: Array, lam: Array, mu: Array, coupled: Array,
     ev: StageEvaluation,
 ) -> tuple[float, float, float, float]:
     """Step, coupling, dynamics and stationarity norms; ``ev`` is the stack's
     evaluation at ``y_new`` and ``coupled`` the stack whose coupling counts."""
     primal = float(np.abs(y_new - y_old).max())
     coupling = 0.0
-    if partition.r:
-        coupling = float(np.abs(coupling_residual(partition, coupled)).max())
-    lay = partition.layout
+    if run.partition.r:
+        coupling = float(np.abs(coupling_residual(run.partition, coupled)).max())
     stat = (
-        ev.g + stage_transpose(lay, ev.D, mu)
-        + coupling_transpose(lay, lam.reshape(-1, partition.nx))
+        ev.g + stage_transpose(run.layout, ev.D, mu)
+        + run.apply_coupling_transpose(lam).reshape(ev.g.shape)
     )
     return primal, coupling, float(np.abs(ev.F).max()), float(np.abs(stat).max())
 
@@ -262,33 +227,31 @@ def _drive(
     The QP data is the Gauss-Newton curvature shifted by ``rho``. Without
     hooks this is ``dsqp``: every block is linearized at its consensus block,
     with the dynamics defects as constraint offsets, and its new consensus
-    block is its next linearization point. The per-block steps of the ALADIN
-    variants, which see flat per-block views:
+    block is its next linearization point. The local steps of the ALADIN
+    variants take ``run``, the :class:`SubProblem` of all sub-windows, and
+    stacks; an evaluation they return is the run's at ``x``, or None:
 
-    * ``local_solve(sub, y_i, lam)`` (``gn_aladin``) returns the block's exact
-      local solution, its linearization point for this iteration. Local
-      solutions are feasible, so the QP takes homogeneous constraint rows, and
-      the coupling metric is measured on them.
-    * ``start(subs, y, lam, mu)`` (``sa_aladin``) returns the initial local
-      pairs ``(x, mu)`` as lists of blocks. ``advance(sub, x_i, mu_i, ev_i,
-      y_new_i, lam_new, mu_hat_i)`` returns the next local pair
-      ``(x_i, mu_i)`` of a block; ``ev_i`` is the block's part of the stack
-      evaluation at ``x``, and ``(y_new_i, lam_new, mu_hat_i)`` the
-      coordination output. An error in ``start`` is reported as iteration 0.
+    * ``local_solve(run, y, lam)`` (``gn_aladin``) returns the exact local
+      solutions ``x``, this iteration's linearization point, and an
+      evaluation. They are feasible, so the QP takes homogeneous constraint
+      rows, and the coupling metric is measured on them.
+    * ``start(run, y, lam, mu)`` (``sa_aladin``) returns the initial local
+      pairs ``(x, mu)`` and an evaluation; an error in it is reported as
+      iteration 0. ``advance(run, x, mu, ev, y_new, lam_new, mu_hat)``
+      returns the next pairs from the coordination output.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
-    subs = split_instance(instance, partition)
-    lay, nx = partition.layout, partition.nx
+    run = subproblem(instance, partition, range(partition.N))
+    lay = partition.layout
     y, lam, mu = _initial_iterate(instance, partition, warm)
     # ev: the stack's evaluation at x, carried from the last metrics
     x, ev = y, None
     if start:
         try:
-            x_blocks, mu_blocks = start(subs, lay.split(y), lam, lay.split_stages(mu))
+            x, mu, ev = start(run, y, lam, mu)
         except SplitMheError as exc:
             _wrap_iteration_error(exc, cfg.algorithm, 0)
-        x, mu = join_blocks(x_blocks, nx), join_blocks(mu_blocks, nx)
     records: list[ConvergenceRecord] = []
     status = "max_iter"
 
@@ -297,11 +260,16 @@ def _drive(
         try:
             t0 = time.perf_counter()
             if local_solve:
-                solved = [local_solve(sub, y_i, lam) for sub, y_i in zip(subs, lay.split(y))]
-                x, ev = join_blocks(solved, nx), None
+                x, ev = local_solve(run, y, lam)
             if ev is None:
-                ev = evaluate_stack(instance, partition, x)
-            stack = _stage_stack(partition, x, ev, cfg.rho, not local_solve)
+                ev = evaluate_stack(run, x)
+            # Gauss-Newton curvature shifted by rho; local solutions are
+            # feasible, so gn_aladin's constraint rows are homogeneous
+            stack = StageStack(
+                layout=lay, H=hessian_blocks(run, x, None, cfg.rho, ev, exact=False),
+                g=ev.g, D=ev.D, d=np.zeros_like(ev.F) if local_solve else ev.F,
+                anchor=coupling_residual(partition, x),
+            )
             local_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -311,22 +279,14 @@ def _drive(
 
             t0 = time.perf_counter()
             if advance:
-                pairs = [
-                    advance(sub, x_i, mu_i, block_evaluation(ev, partition, i), yn_i, sol.lam, mh_i)
-                    for i, (sub, x_i, mu_i, yn_i, mh_i) in enumerate(zip(
-                        subs, lay.split(x), lay.split_stages(mu),
-                        lay.split(y_new), lay.split_stages(sol.mu),
-                    ))
-                ]
-                x_new = join_blocks([p[0] for p in pairs], nx)
-                mu_new = join_blocks([p[1] for p in pairs], nx)
+                x_new, mu_new = advance(run, x, mu, ev, y_new, sol.lam, sol.mu)
             else:
                 x_new, mu_new = (x if local_solve else y_new), sol.mu
             local_s += time.perf_counter() - t0
 
-            ev_new = evaluate_stack(instance, partition, y_new)
+            ev_new = evaluate_stack(run, y_new)
             primal, coupling, dynamics, stationarity = _iterate_metrics(
-                partition, y_new, y, sol.lam, sol.mu, x if local_solve else y_new, ev_new
+                run, y_new, y, sol.lam, sol.mu, x if local_solve else y_new, ev_new
             )
             trajectory, _ = extract_trajectory(y_new, partition)
         except SplitMheError as exc:
@@ -410,8 +370,9 @@ def run_gauss_newton_aladin(
     """
     cfg = _checked(cfg, "gn_aladin")
 
-    def local_solve(sub: SubProblem, y: Array, lam: Array) -> Array:
-        return solve_local_subproblem(sub, lam, y, cfg.rho).x
+    def local_solve(run: SubProblem, y: Array, lam: Array):
+        res = solve_local_subproblem(run, lam, y, cfg.rho)
+        return res.x.reshape(y.shape), res.evaluation
 
     return _drive(instance, partition, cfg, warm, reference, local_solve=local_solve)
 
@@ -460,38 +421,34 @@ def run_sensitivity_aladin(
 
     Per iteration: evaluate gradients, Hessians, constraint values and
     Jacobians at the current local solution pairs; coordinate through the
-    offset form of the coupled QP; then continue each local solution to the
-    new parameters ``(Y, lam)`` by a predictor-corrector step: the conditions
-    are affine in the parameters, so the tangent move plus the Newton
-    correction of the current defect is one :func:`solve_local_kkt` against
-    the local KKT matrix that the exact local solve also uses, with exact
-    curvature at the current pair. The continuation is trusted only while
-    the current pair nearly satisfies the new first-order conditions (drift
-    at most ``1e-5``); otherwise the local pair falls back to the coordination
-    output itself. A cold start solves its initial local pairs exactly at the
-    initial parameters before the first coordination, with the default
-    :class:`LocalSolveConfig`; a warm start takes them from ``warm``.
+    offset form of the coupled QP; then continue the local pairs to the new
+    parameters ``(Y, lam)`` by :func:`~splitmhe.local_nlp.predictor_corrector`
+    on the blocks whose drift is at most ``1e-5``, and fall back to the
+    coordination output on the others. A cold start solves its initial local
+    pairs exactly at the initial parameters before the first coordination,
+    with the default :class:`LocalSolveConfig`; a warm start takes them from
+    ``warm``.
     """
     cfg = _checked(cfg, "sa_aladin")
     info = {"predictor_updates": 0, "coordination_fallbacks": 0}
 
-    def start(subs, y, lam, mu):
+    def start(run, y, lam, mu):
         if warm is not None:
-            return warm.x_blocks, mu
-        first = [solve_local_subproblem(sub, lam, y_i, cfg.rho) for sub, y_i in zip(subs, y)]
-        return [r.x for r in first], [r.mu for r in first]
+            return np.concatenate(warm.x_blocks, dtype=float).reshape(y.shape), mu, None
+        first = solve_local_subproblem(run, lam, y, cfg.rho)
+        return first.x.reshape(y.shape), first.mu.reshape(mu.shape), first.evaluation
 
-    def advance(sub, x, mu, ev, y_new, lam_new, mu_hat):
-        drift = first_order_conditions(sub, x, mu, lam_new, y_new, cfg.rho, evaluation=ev)
-        if not float(np.abs(drift).max()) <= _SA_SWITCH_TOL:  # NaN drift falls back too
-            info["coordination_fallbacks"] += 1
-            return y_new, mu_hat
-        # tangent move plus defect correction in one solve against the local
-        # KKT matrix: the conditions are affine in (Y, lam)
-        H = lagrangian_hessian(sub, x, mu, cfg.rho, "exact_lagrangian", ev)
-        step = solve_local_kkt(H, stage_constraint_matrix(ev.D), drift, cfg.rho)
-        info["predictor_updates"] += 1
-        return x - step[:sub.block_dim], mu - step[sub.block_dim:]
+    def advance(run, x, mu, ev, y_new, lam_new, mu_hat):
+        x_new, mu_new, trusted = predictor_corrector(
+            run, x, mu, lam_new, y_new, cfg.rho, ev, _SA_SWITCH_TOL
+        )
+        info["predictor_updates"] += int(trusted.sum())
+        info["coordination_fallbacks"] += int((~trusted).sum())
+        lay = run.layout
+        return (
+            np.where(trusted[lay.state_block][:, None], x_new, y_new),
+            np.where(trusted[lay.stage_block][:, None], mu_new, mu_hat),
+        )
 
     return _drive(
         instance, partition, cfg, warm, reference, info, start=start, advance=advance

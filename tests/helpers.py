@@ -180,3 +180,20 @@ def dense_blocks(stack):
             )
         )
     return blocks
+
+
+def dense_kkt(layout, H, D):
+    """The dense local KKT matrix ``[[H, C'], [C, 0]]`` of a run of sub-windows:
+    ``H`` block-diagonal per state, and stage ``k``'s row of ``C`` holding
+    ``-D_k`` on state ``prev[k]`` and ``I`` on state ``next[k]``."""
+    n, nx = H.shape[:2]
+    m = len(D)
+    K = np.zeros(((n + m) * nx, (n + m) * nx))
+    for j in range(n):
+        K[j * nx:(j + 1) * nx, j * nx:(j + 1) * nx] = H[j]
+    for k, (p, q) in enumerate(zip(layout.prev, layout.next)):
+        row = slice((n + k) * nx, (n + k + 1) * nx)
+        K[row, p * nx:(p + 1) * nx] = -D[k]
+        K[row, q * nx:(q + 1) * nx] = np.eye(nx)
+    K[:n * nx, n * nx:] = K[n * nx:, :n * nx].T
+    return K

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe import local_nlp
+from splitmhe import local_nlp, problem
 from splitmhe.errors import LocalSolveError
 from splitmhe.local_nlp import (
     LocalSolveConfig,
     first_order_conditions,
-    kkt_residual,
     lagrangian_hessian,
     sensitivity_matrices,
-    solve_local_kkt,
     solve_local_subproblem,
     tangent_predictor,
 )
-from splitmhe.problem import constraint_vector, split_instance
+from splitmhe.problem import constraint_vector, lifted_layout, split_instance, subproblem
+from splitmhe.qp_core import solve_local_kkt
 
-from helpers import fd_jacobian, rel_err
+from helpers import dense_kkt, fd_jacobian, rel_err
 
 
 def robot_sub(instance, n_sub=3, index=1):
@@ -24,6 +23,10 @@ def robot_sub(instance, n_sub=3, index=1):
     subs = split_instance(instance, partition)
     blocks = sm.lift_initial_guess(instance.initial_guess, partition)
     return subs[index], blocks[index], partition
+
+
+def kkt_inf(sub, x, mu, lam, y_ref, rho):
+    return float(np.abs(first_order_conditions(sub, x, mu, lam, y_ref, rho)).max())
 
 
 def linear_sub(linear_instance, index=0):
@@ -75,13 +78,13 @@ def test_robot_subproblem_reaches_inner_tolerance(benchmark_instance):
     res = solve_local_subproblem(sub, lam, y, rho=25.0, x0=start)
     assert res.converged
     assert res.kkt_inf <= 1e-10
-    assert kkt_residual(sub, res.x, res.mu, lam, y, 25.0) <= 1e-10
+    assert kkt_inf(sub, res.x, res.mu, lam, y, 25.0) <= 1e-10
 
 
 def test_kkt_residual_echoes_solver_certificate(benchmark_instance):
     sub, y, partition = robot_sub(benchmark_instance, n_sub=4, index=1)
     res = solve_local_subproblem(sub, np.zeros(partition.r), y, rho=25.0)
-    echo = kkt_residual(sub, res.x, res.mu, np.zeros(partition.r), y, 25.0)
+    echo = kkt_inf(sub, res.x, res.mu, np.zeros(partition.r), y, 25.0)
     assert echo == pytest.approx(res.kkt_inf, abs=1e-14)
 
 
@@ -94,7 +97,7 @@ def test_kkt_residual_grows_linearly_in_mu_perturbation(benchmark_instance):
     direction /= np.abs(direction).max()
     values = []
     for delta in (1e-4, 1e-3, 1e-2):
-        values.append(kkt_residual(sub, res.x, res.mu + delta * direction, lam, y, 25.0))
+        values.append(kkt_inf(sub, res.x, res.mu + delta * direction, lam, y, 25.0))
     assert values[1] == pytest.approx(10 * values[0], rel=1e-3)
     assert values[2] == pytest.approx(100 * values[0], rel=1e-3)
 
@@ -114,7 +117,7 @@ def test_kkt_residual_reduces_to_constraint_norm_without_penalties(benchmark_ins
             break
         x = x - np.linalg.solve(J.T @ J + 1e-3 * np.eye(x.size), grad)
     assert np.abs(grad).max() <= 1e-11
-    residual = kkt_residual(sub, x, np.zeros(sub.constraint_dim), np.zeros(partition.r), x, 0.0)
+    residual = kkt_inf(sub, x, np.zeros(sub.constraint_dim), np.zeros(partition.r), x, 0.0)
     assert residual == pytest.approx(np.abs(constraint_vector(sub, x)).max(), rel=1e-6)
 
 
@@ -278,36 +281,111 @@ def test_inner_solver_rejects_bad_rho(benchmark_instance):
         solve_local_subproblem(sub, np.zeros(partition.r), y, rho=0.0)
 
 
+
+
 def test_solve_local_kkt_shifts_a_singular_matrix():
     rng = np.random.Generator(np.random.PCG64(5))
-    n, m, eps0 = 6, 2, 0.5
-    C = rng.standard_normal((m, n))
-    rhs = rng.standard_normal(n + m)
-    # H = 0 with n > m leaves [[H, C'], [C, 0]] singular: the first rung shifts H
-    shifted = np.block([[eps0 * np.eye(n), C.T], [C, np.zeros((m, m))]])
-    np.testing.assert_array_equal(
-        solve_local_kkt(np.zeros((n, n)), C, rhs, eps0), np.linalg.solve(shifted, rhs)
-    )
-    # a rank-deficient C keeps it singular through every rung
-    C[1] = 0.0
-    with pytest.raises(LocalSolveError):
-        solve_local_kkt(np.eye(n), C, rhs, eps0)
+    nx, eps0 = 2, 0.5
+    lay = lifted_layout((3,))
+    D = rng.standard_normal((3, nx, nx))
+    rhs_x, rhs_mu = rng.standard_normal((4, nx)), rng.standard_normal((3, nx))
+    # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is
+    # singular, and the first rung shifts H
+    shifted = dense_kkt(lay, eps0 * np.broadcast_to(np.eye(nx), (4, nx, nx)), D)
+    dx, mu = solve_local_kkt(lay, np.zeros((4, nx, nx)), D, rhs_x, rhs_mu, eps0)
+    expected = np.linalg.solve(shifted, np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
+    assert rel_err(np.concatenate([dx.ravel(), mu.ravel()]), expected) < 1e-12
+    # a curvature 2^70 times the shifts swallows every rung: x0 and x1 = x0
+    # have curvature +2^70 and -2^70, so the reduced Hessian stays exactly 0
+    H = np.array([[[2.0 ** 70]], [[-2.0 ** 70]]])
+    with pytest.raises(LocalSolveError, match="block 0"):
+        solve_local_kkt(lifted_layout((1,)), H, np.ones((1, 1, 1)), np.ones((2, 1)),
+                        np.zeros((1, 1)), 1.0)
 
 
 def test_line_search_stops_once_the_trial_rounds_to_x(benchmark_instance, monkeypatch):
     # x + alpha * dx == x bitwise, and so is every shorter step: their merit is
     # exactly merit0, so no trial is evaluated (halving down to 2^-30 takes 31)
     sub, x, partition = robot_sub(benchmark_instance)
-    at_lam = sub.apply_coupling_transpose(np.ones(partition.r))
-    merit0 = local_nlp._merit(sub, x, 1.0, at_lam, x, 25.0)
+    x = sub.states(x)
+    at_lam = sub.apply_coupling_transpose(np.ones(partition.r)).reshape(x.shape)
+    one = np.ones(1)
+    merit0 = local_nlp._merits(sub, x, one, at_lam, x, 25.0)
     trials = []
 
     def counted(*args):
         trials.append(args[1])
         return merit(*args)
 
-    merit = local_nlp._merit
-    monkeypatch.setattr(local_nlp, "_merit", counted)
-    found = local_nlp._line_search(sub, x, 1e-30 * x, 1.0, at_lam, x, 25.0, merit0, 1e-14 * merit0)
-    assert found == (None, merit0)
+    merit = local_nlp._merits
+    monkeypatch.setattr(local_nlp, "_merits", counted)
+    found = local_nlp._line_search(
+        sub, x, 1e-30 * x, np.ones(1, dtype=bool), one, at_lam, x, 25.0, merit0, 1e-14 * merit0
+    )
+    assert found.tolist() == [0.0]
     assert trials == []
+
+
+def test_a_trial_at_the_origin_halves_only_its_own_block(benchmark_instance, monkeypatch):
+    """Three sub-windows search together; the full step of the middle one puts
+    a measured state on the observation singularity. Only that block's step
+    is halved, as its own search would do, and the others keep theirs."""
+    rng = np.random.Generator(np.random.PCG64(15))
+    partition = sm.build_partition(25, 3, 3)
+    run = subproblem(benchmark_instance, partition, range(partition.N))
+    x = problem.lift(benchmark_instance.initial_guess, partition)
+    dx = 0.01 * rng.standard_normal(x.shape)
+    target = run.layout.first[1] + 2  # a measured interior state of block 1
+    x[target, :2], dx[target, :2] = 1.0, -1.0
+    searching, sigma, at_lam = np.ones(3, dtype=bool), np.ones(3), np.zeros_like(x)
+    evaluated = []
+
+    def counted(*args):
+        evaluated.append(args[1])
+        return merit(*args)
+
+    merit = local_nlp._merits
+    monkeypatch.setattr(local_nlp, "_merits", counted)
+    # any finite merit is a decrease from 1e300
+    found = local_nlp._line_search(
+        run, x, dx, searching, sigma, at_lam, x, 1.0, np.full(3, 1e300), np.zeros(3)
+    )
+    assert found.tolist() == [1.0, 0.5, 1.0]
+    assert len(evaluated) == 2  # the full steps raised, then the halved block's trial
+    # the origin error named the stacked state through the measured states
+    with pytest.raises(sm.OriginSingularityError) as err:
+        problem.residual_vector(run, x + dx)
+    assert run.measured[err.value.state] == target
+    # the block searched alone takes the same step
+    sub = split_instance(benchmark_instance, partition)[1]
+    states = slice(run.layout.first[1], run.layout.last[1] + 1)
+    alone = local_nlp._line_search(
+        sub, x[states], dx[states], searching[:1], sigma[:1], at_lam[states], x[states], 1.0,
+        np.full(1, 1e300), np.zeros(1),
+    )
+    assert alone.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("n_sub", [1, 4, 7])
+def test_lockstep_solve_equals_the_solves_of_its_blocks(benchmark_instance, n_sub):
+    """A run's lockstep solve gives every block the iterate, the multipliers
+    and the iteration count of the block's own solve, bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(16))
+    partition = sm.build_partition(25, n_sub, 3)
+    run = subproblem(benchmark_instance, partition, range(partition.N))
+    y = problem.lift(benchmark_instance.initial_guess, partition)
+    lam = 0.5 * rng.standard_normal(partition.r)
+    together = solve_local_subproblem(run, lam, y, 5.0)
+    alone = [
+        solve_local_subproblem(sub, lam, y_i, 5.0)
+        for sub, y_i in zip(split_instance(benchmark_instance, partition), partition.layout.split(y))
+    ]
+    np.testing.assert_array_equal(together.x, np.concatenate([r.x for r in alone]))
+    np.testing.assert_array_equal(together.mu, np.concatenate([r.mu for r in alone]))
+    assert together.iterations == max(r.iterations for r in alone)
+    assert together.converged and all(r.converged for r in alone)
+    assert together.kkt_inf == max(r.kkt_inf for r in alone)
+    # the last round evaluated the run at its solution
+    for name, a, b in zip(together.evaluation._fields, together.evaluation,
+                          problem.evaluate_stack(run, together.x)):
+        np.testing.assert_array_equal(a, b, err_msg=name)

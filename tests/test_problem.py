@@ -48,10 +48,9 @@ def test_split_measurement_and_prior_layout(benchmark_instance):
     partition = sm.build_partition(25, 4, 3)
     subs = sm.split_instance(benchmark_instance, partition)
     assert [s.has_prior for s in subs] == [True, False, False, False]
-    assert [s.has_terminal_measurement for s in subs] == [False, False, False, True]
     # first sub-window measures offsets 0..5, the last one all 8 of its states
-    assert subs[0].meas_offsets == tuple(range(6))
-    assert subs[3].meas_offsets == tuple(range(8))
+    assert subs[0].measured.tolist() == list(range(6))
+    assert subs[3].measured.tolist() == list(range(8))
     np.testing.assert_array_equal(subs[0].measurements, benchmark_instance.measurements[0:6])
     np.testing.assert_array_equal(subs[3].measurements, benchmark_instance.measurements[18:26])
 
@@ -59,8 +58,8 @@ def test_split_measurement_and_prior_layout(benchmark_instance):
 def test_single_subwindow_is_centralized(benchmark_instance):
     partition = sm.build_partition(25, 1, 3)
     (sub,) = sm.split_instance(benchmark_instance, partition)
-    assert sub.has_prior and sub.has_terminal_measurement
-    assert sub.meas_offsets == tuple(range(26))
+    assert sub.has_prior
+    assert sub.measured.tolist() == list(range(26))
     traj = benchmark_instance.initial_guess
     block = sm.lift_initial_guess(traj, partition)[0]
     total = sub_objective(sub, block)
@@ -310,17 +309,25 @@ def test_lifted_layout_places_states_and_stages():
 
 @pytest.mark.parametrize("n_sub", [1, 4, 25])
 def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n_sub):
+    """The whole window's evaluation, cut at the sub-window boundaries, is the
+    evaluations of the one-sub-window runs, bit for bit."""
     rng = np.random.Generator(np.random.PCG64(14))
     partition = sm.build_partition(25, n_sub, 3)
     subs = sm.split_instance(benchmark_instance, partition)
+    run = problem.subproblem(benchmark_instance, partition, range(partition.N))
     y = problem.lift(benchmark_instance.initial_guess, partition)
     y = y + 0.05 * rng.standard_normal(y.shape)
-    ev = problem.evaluate_stack(benchmark_instance, partition, y)
-    for i, (sub, block) in enumerate(zip(subs, partition.layout.split(y))):
-        sliced = problem.block_evaluation(ev, partition, i)
-        direct = problem.evaluate_block(sub, block)
-        for name, a, b in zip(direct._fields, sliced, direct):
-            np.testing.assert_array_equal(a, b, err_msg=name)
+    ev = problem.evaluate_stack(run, y)
+    blocks = [problem.evaluate_stack(sub, block) for sub, block in zip(subs, partition.layout.split(y))]
+    cuts = {
+        "b": run.residual_rows, "g": run.layout.first, "W": run.layout.first,
+        "w": run.layout.start, "F": run.layout.start, "D": run.layout.start,
+    }
+    for name, whole in zip(ev._fields, ev):
+        parts = np.split(whole, cuts[name][1:])
+        for part, direct in zip(parts, (getattr(b, name) for b in blocks)):
+            np.testing.assert_array_equal(part, direct, err_msg=name)
+    for sub, block, direct in zip(subs, partition.layout.split(y), blocks):
         b_dense, J = eval_residual_stack(sub, block)
         np.testing.assert_array_equal(direct.b, b_dense)
         np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)

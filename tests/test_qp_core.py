@@ -1,9 +1,10 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import splitmhe as sm
@@ -12,9 +13,10 @@ from splitmhe.errors import (
     NotPositiveDefiniteError,
     RankDeficientConstraintsError,
 )
-from splitmhe.qp_core import random_blocks, schur_terms
+from splitmhe.problem import lifted_layout
+from splitmhe.qp_core import random_blocks, schur_terms, solve_local_kkt
 
-from helpers import dense_blocks, random_stage_stack
+from helpers import dense_blocks, dense_kkt, random_stage_stack
 
 
 def scalar_pair():
@@ -430,3 +432,47 @@ def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():
     with pytest.raises(RankDeficientConstraintsError) as err:
         sm.solve_coupled_qp(stack)
     assert err.value.block_index == 3
+
+
+def _random_local_kkt(rng, nx, lengths):
+    """A run's local KKT data with symmetric indefinite per-state blocks."""
+    lay = lifted_layout(tuple(lengths))
+    M = rng.standard_normal((lay.n_states, nx, nx))
+    D = np.eye(nx) + 0.3 * rng.standard_normal((len(lay.prev), nx, nx))
+    rhs = rng.standard_normal((lay.n_states, nx)), rng.standard_normal((len(lay.prev), nx))
+    return lay, M + np.swapaxes(M, 1, 2), D, rhs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(1, 3),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_local_kkt_matches_the_dense_solve(nx, lengths, seed):
+    lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(np.random.Generator(np.random.PCG64(seed)), nx, lengths)
+    K = dense_kkt(lay, H, D)
+    # two backward-stable solves agree to about cond(K) * 1e-16
+    assume(np.linalg.cond(K) < 1e5)
+    dx, mu = solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 1.0)
+    got = np.concatenate([dx.ravel(), mu.ravel()])
+    expected = np.linalg.solve(K, np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_local_kkt_ladder_shifts_only_the_singular_blocks(caplog):
+    lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(np.random.Generator(np.random.PCG64(23)), 2, (3, 4, 2, 5))
+    H[lay.state_block == 1] = 0.0  # H = 0: blocks 1 and 3 are singular
+    H[lay.state_block == 3] = 0.0
+    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
+        dx, mu = solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 0.5)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"block {i}: local KKT matrix singular; retrying with shift 5.000e-01" for i in (1, 3)
+    ]
+    shifted = H.copy()
+    shifted[np.isin(lay.state_block, (1, 3))] = 0.5 * np.eye(2)
+    expected = np.linalg.solve(
+        dense_kkt(lay, shifted, D), np.concatenate([rhs_x.ravel(), rhs_mu.ravel()])
+    )
+    got = np.concatenate([dx.ravel(), mu.ravel()])
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()

@@ -377,32 +377,46 @@ def test_outer_loops_never_materialise_dense_qp_data(linear_instance, monkeypatc
 
 
 def _count_evaluations(monkeypatch) -> Counter:
-    """Count the driver's stack evaluations and the local solves' block evaluations."""
+    """Count the driver's and the local solves' evaluations, and the sizes of
+    the runs evaluated."""
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args):
+    def counted(name):
+        def wrapper(sub, x):
             calls[name] += 1
-            return fn(*args)
+            calls[f"blocks={len(sub.layout.lengths)}"] += 1
+            return problem.evaluate_stack(sub, x)
         return wrapper
 
-    monkeypatch.setattr(solvers, "evaluate_stack", counted("stack", problem.evaluate_stack))
-    monkeypatch.setattr(local_nlp, "evaluate_block", counted("block", problem.evaluate_block))
+    monkeypatch.setattr(solvers, "evaluate_stack", counted("driver"))
+    monkeypatch.setattr(local_nlp, "evaluate_stack", counted("local"))
     return calls
 
 
-def test_gn_aladin_evaluates_the_stack_twice_per_iteration(benchmark_instance, monkeypatch):
-    """The outer loop evaluates the whole stack once at the local solutions and
-    once at the new consensus point; the local solves evaluate once per inner
-    iteration, sharing it between the convergence test and the curvature."""
+def test_gn_aladin_evaluates_the_stack_once_per_iteration_and_round(
+    benchmark_instance, monkeypatch
+):
+    """Every evaluation is of the whole stack. The outer loop evaluates it once,
+    at the new consensus point: the QP data come from the local solve's last
+    round, which evaluated the local solutions. The lockstep local solve
+    evaluates once per round, sharing it between the convergence test and the
+    curvature."""
     calls = _count_evaluations(monkeypatch)
+    rounds = []
+
+    def solve_local(*args, **kwargs):
+        rounds.append(local_nlp.solve_local_subproblem(*args, **kwargs))
+        return rounds[-1]
+
+    monkeypatch.setattr(solvers, "solve_local_subproblem", solve_local)
     cfg = sm.SolverConfig(algorithm="gn_aladin", tol=1e-8, max_iter=60)
     result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
     assert result.status == "converged"
-    assert calls["stack"] <= 2 * result.iterations
-    # 3.47 per block-iteration
-    per_block_iteration = calls["block"] / (4 * result.iterations)
-    assert per_block_iteration <= 3.49, per_block_iteration
+    assert calls["driver"] == result.iterations == len(rounds) == 16
+    assert all(r.converged for r in rounds)
+    # a converged solve of k rounds evaluates k + 1 times: 61 here
+    assert calls["local"] == sum(r.iterations + 1 for r in rounds) == 61
+    assert calls["blocks=4"] == calls["driver"] + calls["local"]
 
 
 @pytest.mark.parametrize(
@@ -434,18 +448,20 @@ def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, 
 def test_sa_aladin_evaluates_the_stack_at_most_twice_per_iteration(
     benchmark_instance, monkeypatch
 ):
-    """Only the four initial local solves evaluate blocks; the outer loop
-    evaluates the stack at the new consensus point, and again at the local
-    pairs only where a predictor update moved them off it."""
+    """Every evaluation is of the whole stack. Only the initial lockstep local
+    solve evaluates in local_nlp, once per round; the outer loop evaluates
+    the stack at the new consensus point, and again at the local pairs only
+    where a predictor update moved them off it."""
     calls = _count_evaluations(monkeypatch)
     cfg = sm.SolverConfig(algorithm="sa_aladin")
     result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
     assert result.iterations == 50
-    # the four initial solves take 22 inner iterations
-    assert calls["block"] <= 22, calls["block"]
-    # 64: 50 consensus points, the initial local pairs, and 13 iterations
-    # after a predictor update
-    assert calls["stack"] <= 64, calls["stack"]
+    # the initial solve takes 5 rounds and evaluates its solutions once more
+    assert calls["local"] == 6, calls["local"]
+    # 63: 50 consensus points and 13 iterations after a predictor update; the
+    # first QP reuses the initial solve's last evaluation
+    assert calls["driver"] == 63, calls["driver"]
+    assert calls["blocks=4"] == calls["driver"] + calls["local"]
 
 
 def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypatch, caplog):
@@ -453,14 +469,21 @@ def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypat
     as in the exact local solve, and stays a predictor update."""
 
     def zero_curvature(sub, *args, **kwargs):
-        return np.zeros((sub.block_dim, sub.block_dim))
+        return np.zeros((sub.layout.n_states, sub.model.nx, sub.model.nx))
 
-    # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is singular
-    monkeypatch.setattr(solvers, "lagrangian_hessian", zero_curvature)
+    # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is
+    # singular. A warm start skips the initial local solves, so only the
+    # trusted steps see the patched curvature.
+    monkeypatch.setattr(local_nlp, "hessian_blocks", zero_curvature)
     partition = sm.build_partition(linear_instance.L, 2, 2)
+    lifted = sm.lift_initial_guess(linear_instance.initial_guess, partition)
+    warm = sm.IterateState(
+        x_blocks=lifted, y_blocks=lifted, lam=np.zeros(partition.r),
+        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+    )
     cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=1e-12, max_iter=300)
-    with caplog.at_level(logging.WARNING, logger="splitmhe.local_nlp"):
-        result = sm.run_sensitivity_aladin(linear_instance, partition, cfg)
+    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
+        result = sm.run_sensitivity_aladin(linear_instance, partition, cfg, warm=warm)
     shifts = [r.getMessage() for r in caplog.records if "retrying with shift" in r.getMessage()]
     assert result.info["predictor_updates"] > 0
     assert len(shifts) == result.info["predictor_updates"]

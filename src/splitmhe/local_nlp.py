@@ -103,7 +103,7 @@ def first_order_conditions(
     return np.concatenate([grad, ev.F.reshape(-1)])
 
 
-def hessian_blocks(sub: SubProblem, x, mu, rho: float, ev: StageEvaluation, exact=True) -> Array:
+def hessian_blocks(sub: SubProblem, x, mu, rho: float, ev: StageEvaluation, exact: bool) -> Array:
     """The ``(states, nx, nx)`` blocks of :func:`lagrangian_hessian`."""
     H = rho * np.eye(sub.model.nx) + ev.W
     if exact:
@@ -283,7 +283,7 @@ def solve_local_subproblem(
             return LocalSolveResult(x.reshape(-1), mu.reshape(-1), int(steps.max()), True,
                                     float(kkt.max()), ev)
 
-        H = hessian_blocks(sub, x, mu, rho, ev)
+        H = hessian_blocks(sub, x, mu, rho, ev, True)
         dx, mu_new = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, active)
         search = active & ~(kkt <= _FULL_STEP_TOL)  # a NaN residual searches too
         step = (active & ~search).astype(float)
@@ -296,7 +296,7 @@ def solve_local_subproblem(
             # direction far from the solution; retry with Gauss-Newton
             retry = search & (found == 0)
             if retry.any():
-                H = hessian_blocks(sub, x, mu, rho, ev, exact=False)
+                H = hessian_blocks(sub, x, mu, rho, ev, False)
                 dx_gn, mu_gn = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, retry)
                 dx = np.where(retry[lay.state_block][:, None], dx_gn, dx)
                 mu_new = np.where(retry[lay.stage_block][:, None], mu_gn, mu_new)
@@ -328,6 +328,6 @@ def predictor_corrector(
     trusted = _block_max(sub, gx, gm) <= tol
     if not trusted.any():
         return x, mu, trusted
-    H = hessian_blocks(sub, x, mu, rho, evaluation)
+    H = hessian_blocks(sub, x, mu, rho, evaluation, True)
     dx, dmu = _kkt_step(sub, H, evaluation.D, gx, gm, rho, trusted)
     return x - dx, mu - dmu, trusted

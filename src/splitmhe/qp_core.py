@@ -31,8 +31,10 @@ the steps follow. A whole window costs ``O((L + N) nx^3)`` in a fixed number
 of LAPACK calls.
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
-verification oracle. This module never regularizes: a Hessian that is not
+verification oracle. The coupled QP is never regularized: a Hessian that is not
 positive definite raises :class:`NotPositiveDefiniteError` with its block index.
+:func:`solve_local_kkt` solves the sub-windows' uncoupled local KKT systems, of
+any inertia, as one band, and shifts only a singular sub-window's Hessian.
 """
 
 from __future__ import annotations

@@ -266,7 +266,7 @@ def _drive(
             # Gauss-Newton curvature shifted by rho; local solutions are
             # feasible, so gn_aladin's constraint rows are homogeneous
             stack = StageStack(
-                layout=lay, H=hessian_blocks(run, x, None, cfg.rho, ev, exact=False),
+                layout=lay, H=hessian_blocks(run, x, None, cfg.rho, ev, False),
                 g=ev.g, D=ev.D, d=np.zeros_like(ev.F) if local_solve else ev.F,
                 anchor=coupling_residual(partition, x),
             )

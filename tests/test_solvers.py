@@ -357,21 +357,21 @@ def _refuse(*args, **kwargs):
 
 
 def test_outer_loops_never_materialise_dense_qp_data(linear_instance, monkeypatch):
-    """No algorithm's outer loop forms dense coupling rows or takes the dense QP
-    path; the SQP loops also never form a dense block Hessian or Jacobian."""
+    """No algorithm forms dense coupling rows or takes the dense QP path, and
+    none, local solves and predictor included, forms a dense block Hessian or
+    Jacobian."""
     partition = sm.build_partition(linear_instance.L, 2, 2)
     monkeypatch.setattr(sm.SubProblem, "coupling_matrix", _refuse)
     monkeypatch.setattr(qp_core.QpBlock, "__post_init__", _refuse)
+    monkeypatch.setattr(problem, "stage_constraint_matrix", _refuse)
+    monkeypatch.setattr(local_nlp, "stage_constraint_matrix", _refuse)
+    monkeypatch.setattr(local_nlp, "block_diagonal_matrix", _refuse)
     runs = {}
     for algorithm in ("gn_aladin", "sa_aladin", "dsqp", "centralized"):
         cfg = sm.SolverConfig(algorithm=algorithm, rho=1.0, tol=1e-12, max_iter=300)
-        with monkeypatch.context() as dense:
-            if algorithm in ("dsqp", "centralized"):
-                dense.setattr(problem, "stage_constraint_matrix", _refuse)
-                dense.setattr(local_nlp, "block_diagonal_matrix", _refuse)
-            runs[algorithm] = sm.solve(
-                linear_instance, None if algorithm == "centralized" else partition, cfg
-            )
+        runs[algorithm] = sm.solve(
+            linear_instance, None if algorithm == "centralized" else partition, cfg
+        )
         assert runs[algorithm].status == "converged", algorithm
     assert runs["sa_aladin"].info["predictor_updates"] > 0
 

@@ -23,7 +23,6 @@ from .model import (
 )
 from .problem import (
     MheInstance,
-    Partition,
     SubProblem,
     build_partition,
     centralized_kkt_residual,

@@ -404,6 +404,19 @@ def _write_csv(header: list[str], rows: list[list], path: str | Path) -> Path:
     return path
 
 
+def _read_csv(path: str | Path, ints: tuple[str, ...], strs: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV log: an empty cell reads as None, the columns ``ints``
+    and ``strs`` as int and str, and every other column as float."""
+
+    def cell(key: str, value: str):
+        if value == "":
+            return None
+        return int(value) if key in ints else value if key in strs else float(value)
+
+    with Path(path).open(newline="") as fh:
+        return [{k: cell(k, v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
         "model": {
@@ -487,17 +500,7 @@ def write_convergence_csv(records: list[ConvergenceRecord], path: str | Path) ->
 
 
 def read_convergence_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            rec = {k: (None if v == "" else v) for k, v in row.items()}
-            rec["iter"] = int(rec["iter"])
-            for key in CONVERGENCE_HEADER[1:]:
-                if rec[key] is not None:
-                    rec[key] = float(rec[key])
-            out.append(rec)
-    return out
+    return _read_csv(path, ("iter",), ())
 
 
 def write_estimates_csv(
@@ -529,17 +532,7 @@ def write_estimates_csv(
 
 
 def read_estimates_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            rec = dict(row)
-            rec["step"] = int(rec["step"])
-            rec["iterations"] = int(rec["iterations"])
-            for key in ("phi", "psi", "theta", "true_phi", "true_psi", "true_theta", "err_inf"):
-                rec[key] = float(rec[key]) if rec[key] != "" else None
-            out.append(rec)
-    return out
+    return _read_csv(path, ("step", "iterations"), ("status",))
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> Path:
@@ -559,17 +552,7 @@ def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> Path:
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            rec = dict(row)
-            rec["N"] = int(rec["N"])
-            rec["iters_to_tol"] = int(rec["iters_to_tol"]) if rec["iters_to_tol"] != "" else None
-            for key in ("total_wall_ms", "mean_local_ms", "mean_qp_ms", "final_error"):
-                rec[key] = float(rec[key]) if rec[key] != "" else None
-            out.append(rec)
-    return out
+    return _read_csv(path, ("N", "iters_to_tol"), ("status",))
 
 
 # ---------------------------------------------------------------------------

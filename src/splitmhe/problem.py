@@ -7,9 +7,10 @@ between the duplicates is imposed through signed-identity coupling rows: block
 row ``c`` of the stacked coupling reads ``(terminal state of sub-window c+1)
 minus (initial state of sub-window c+2)``.
 
-The solvers hold the ``N`` blocks as one lifted stack of ``L + N`` states;
-:class:`LiftedLayout` says where every state and stage of a sub-window sits in
-it. A :class:`SubProblem` is a run of consecutive sub-windows, one or all of
+The solvers hold the ``N`` blocks as one lifted stack of ``L + N`` states.
+:func:`build_partition` returns the split as one cached :class:`LiftedLayout`,
+which also says where every state and stage of a sub-window sits in the
+stack. A :class:`SubProblem` is a run of consecutive sub-windows, one or all of
 them, and :func:`evaluate_stack` evaluates its stack in one call of each model
 callable.
 """
@@ -42,34 +43,10 @@ def inv_sqrt_spd(M: Array, name: str = "matrix") -> Array:
     return 0.5 * (out + out.T)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Index bookkeeping for a horizon split into N consecutive sub-windows."""
-
-    L: int
-    N: int
-    nx: int
-    t: int
-    t_last: int
-    starts: tuple[int, ...]
-    lengths: tuple[int, ...]
-    block_dims: tuple[int, ...]
-    constraint_dims: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        """Number of coupling rows: one state block per interior boundary."""
-        return (self.N - 1) * self.nx
-
-    @property
-    def layout(self) -> LiftedLayout:
-        """Where the sub-windows' states and stages sit in the lifted stack."""
-        return lifted_layout(self.lengths)
-
-
 @dataclass(frozen=True, eq=False)
 class LiftedLayout:
-    """Where the states and stages of chained sub-windows sit in the lifted stack.
+    """How ``L`` steps split into ``N`` chained sub-windows of ``nx`` states,
+    and where their states and stages sit in the lifted stack.
 
     Sub-window ``i`` has ``lengths[i]`` stages, starting at window step
     ``start[i]``, and owns stacked states ``first[i]`` to ``last[i]``; its last
@@ -84,6 +61,7 @@ class LiftedLayout:
     """
 
     lengths: tuple[int, ...]
+    nx: int
     start: Array
     first: Array
     last: Array
@@ -95,8 +73,29 @@ class LiftedLayout:
     state_block: Array
 
     @property
+    def L(self) -> int:
+        return len(self.prev)
+
+    @property
+    def N(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def r(self) -> int:
+        """Number of coupling rows: one state block per interior boundary."""
+        return (self.N - 1) * self.nx
+
+    @property
     def n_states(self) -> int:
         return len(self.time)
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple((n + 1) * self.nx for n in self.lengths)
+
+    @property
+    def constraint_dims(self) -> tuple[int, ...]:
+        return tuple(n * self.nx for n in self.lengths)
 
     def split(self, stack: Array) -> list[Array]:
         """Per-block flat views of a ``(L + N, ...)`` state stack."""
@@ -108,8 +107,9 @@ class LiftedLayout:
 
 
 @lru_cache(maxsize=64)
-def lifted_layout(lengths: tuple[int, ...]) -> LiftedLayout:
-    """The lifted layout of consecutive sub-windows with the given stage counts."""
+def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
+    """The lifted layout of consecutive sub-windows with the given stage counts
+    and ``nx`` states per step."""
     n = np.asarray(lengths, dtype=int)
     if n.ndim != 1 or not n.size or n.min() < 1:
         raise PartitionError(f"sub-window lengths must be positive, got {lengths}")
@@ -130,15 +130,15 @@ def lifted_layout(lengths: tuple[int, ...]) -> LiftedLayout:
     )
     for a in maps.values():
         a.flags.writeable = False  # cached and shared by every caller
-    return LiftedLayout(lengths=tuple(int(k) for k in n), **maps)
+    return LiftedLayout(lengths=tuple(int(k) for k in n), nx=nx, **maps)
 
 
-def _as_stack(blocks, partition: Partition) -> Array:
+def _as_stack(blocks, partition: LiftedLayout) -> Array:
     """The lifted stack of a list of block vectors, or the stack itself."""
     if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-        if blocks.shape != (partition.L + partition.N, partition.nx):
+        if blocks.shape != (partition.n_states, partition.nx):
             raise DimensionMismatchError(
-                f"lifted stack must be ({partition.L + partition.N}, {partition.nx}), "
+                f"lifted stack must be ({partition.n_states}, {partition.nx}), "
                 f"got {blocks.shape}"
             )
         return blocks
@@ -152,7 +152,7 @@ def _as_stack(blocks, partition: Partition) -> Array:
     return np.concatenate(blocks, dtype=float).reshape(-1, partition.nx)
 
 
-def build_partition(L: int, N: int, nx: int) -> Partition:
+def build_partition(L: int, N: int, nx: int) -> LiftedLayout:
     """Split ``L`` steps into ``N`` sub-windows of length ``floor(L/N)`` plus a remainder tail.
 
     ``N = 1`` yields the degenerate single-window partition with no coupling
@@ -163,20 +163,7 @@ def build_partition(L: int, N: int, nx: int) -> Partition:
     if nx < 1:
         raise PartitionError(f"state dimension must be positive, got nx={nx}")
     t = L // N
-    t_last = L - (N - 1) * t
-    lengths = (t,) * (N - 1) + (t_last,)
-    starts = tuple(i * t for i in range(N))
-    return Partition(
-        L=L,
-        N=N,
-        nx=nx,
-        t=t,
-        t_last=t_last,
-        starts=starts,
-        lengths=lengths,
-        block_dims=tuple((ln + 1) * nx for ln in lengths),
-        constraint_dims=tuple(ln * nx for ln in lengths),
-    )
+    return lifted_layout((t,) * (N - 1) + (L - (N - 1) * t,), nx)
 
 
 @dataclass(eq=False)
@@ -237,10 +224,10 @@ class SubProblem:
     per sub-window its duplicated initial boundary state, internal states and
     terminal state. ``measured`` lists the stacked states with measurement
     terms, in time order. The run starts at sub-window ``offset`` of
-    ``partition``, whose coupling rows it shares.
+    ``partition``, the whole window's layout, whose coupling rows it shares.
     """
 
-    partition: Partition
+    partition: LiftedLayout
     offset: int
     layout: LiftedLayout
     model: SystemModel
@@ -302,7 +289,7 @@ class SubProblem:
         return out.reshape((-1,) + lam.shape[1:])
 
 
-def subproblem(instance: MheInstance, partition: Partition, blocks: range) -> SubProblem:
+def subproblem(instance: MheInstance, partition: LiftedLayout, blocks: range) -> SubProblem:
     """The run of consecutive sub-windows ``blocks`` of the split instance."""
     m = instance.model
     if partition.L != instance.L or partition.nx != m.nx:
@@ -310,8 +297,8 @@ def subproblem(instance: MheInstance, partition: Partition, blocks: range) -> Su
             f"partition built for (L={partition.L}, nx={partition.nx}) does not match "
             f"instance (L={instance.L}, nx={m.nx})"
         )
-    layout = lifted_layout(partition.lengths[blocks.start:blocks.stop])
-    t0 = partition.starts[blocks.start]
+    layout = lifted_layout(partition.lengths[blocks.start:blocks.stop], m.nx)
+    t0 = partition.start[blocks.start]
     t1 = t0 + len(layout.prev)
     is_last = blocks.stop == partition.N
     # an interior run's terminal state is a duplicated boundary: no measurement
@@ -330,7 +317,7 @@ def subproblem(instance: MheInstance, partition: Partition, blocks: range) -> Su
     )
 
 
-def split_instance(instance: MheInstance, partition: Partition) -> list[SubProblem]:
+def split_instance(instance: MheInstance, partition: LiftedLayout) -> list[SubProblem]:
     """Build the N one-sub-window problems whose summed objectives and stacked
     constraints reproduce the centralized window problem."""
     return [subproblem(instance, partition, range(i, i + 1)) for i in range(partition.N)]
@@ -469,32 +456,31 @@ def sub_objective(sub: SubProblem, X: Array) -> float:
     return float(0.5 * b @ b)
 
 
-def coupling_residual(partition: Partition, blocks) -> Array:
+def coupling_residual(partition: LiftedLayout, blocks) -> Array:
     """Stacked boundary mismatches; zero exactly at consensus.
 
     ``blocks`` is a list of block vectors or the lifted ``(L + N, nx)`` stack.
     """
     stack = _as_stack(blocks, partition)
-    lay = partition.layout
-    return (stack[lay.last[:-1]] - stack[lay.first[1:]]).reshape(-1)
+    return (stack[partition.last[:-1]] - stack[partition.first[1:]]).reshape(-1)
 
 
-def lift_initial_guess(trajectory: Array, partition: Partition) -> list[Array]:
+def lift_initial_guess(trajectory: Array, partition: LiftedLayout) -> list[Array]:
     """Duplicate boundary states of a window trajectory into consecutive blocks."""
-    return partition.layout.split(lift(trajectory, partition))
+    return partition.split(lift(trajectory, partition))
 
 
-def lift(trajectory: Array, partition: Partition) -> Array:
+def lift(trajectory: Array, partition: LiftedLayout) -> Array:
     """The lifted ``(L + N, nx)`` stack of a window trajectory."""
     trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
     if trajectory.shape != (partition.L + 1, partition.nx):
         raise DimensionMismatchError(
             f"trajectory must be ({partition.L + 1}, {partition.nx}), got {trajectory.shape}"
         )
-    return trajectory[partition.layout.time]
+    return trajectory[partition.time]
 
 
-def extract_trajectory(blocks, partition: Partition) -> tuple[Array, float]:
+def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
     """Collapse blocks back to a window trajectory, averaging duplicated boundaries.
 
     ``blocks`` is a list of block vectors or the lifted stack. Returns the
@@ -502,12 +488,11 @@ def extract_trajectory(blocks, partition: Partition) -> tuple[Array, float]:
     residual); the two deduplication choices coincide at consensus.
     """
     stack = _as_stack(blocks, partition)
-    lay = partition.layout
-    trajectory = stack[lay.measured]
+    trajectory = stack[partition.measured]
     mismatch = 0.0
     if partition.N > 1:
-        ends, starts = stack[lay.last[:-1]], stack[lay.first[1:]]
-        trajectory[lay.start[1:]] = (ends + starts) / 2.0
+        ends, starts = stack[partition.last[:-1]], stack[partition.first[1:]]
+        trajectory[partition.start[1:]] = (ends + starts) / 2.0
         mismatch = float(np.abs(ends - starts).max())
     return trajectory, mismatch
 
@@ -545,7 +530,8 @@ def centralized_kkt_residual(instance: MheInstance, trajectory: Array) -> float:
     grad[0] += np.linalg.solve(instance.P, x[0] - instance.prior)
     grad = grad.reshape(-1)
     F = x[1:] - m.f(x[:-1], instance.controls)
-    C = stage_constraint_matrix(lifted_layout((instance.L,)), m.df_dx(x[:-1], instance.controls))
+    D = m.df_dx(x[:-1], instance.controls)
+    C = stage_constraint_matrix(lifted_layout((instance.L,), m.nx), D)
     nu, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
     stationarity = grad + C.T @ nu
     return float(max(np.abs(stationarity).max(), np.abs(F).max()))

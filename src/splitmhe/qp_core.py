@@ -60,8 +60,6 @@ logger = logging.getLogger(__name__)
 
 Array = np.ndarray
 
-# beyond this condition estimate the Schur solve is treated as singular
-SCHUR_CONDITION_LIMIT = 1e14
 # at or below this reciprocal condition estimate R_i counts as rank deficient
 RANK_RCOND_LIMIT = 1e-12
 
@@ -134,7 +132,7 @@ class StageStack:
 
     def __post_init__(self):
         lay = self.layout
-        nx = self.H.shape[-1]
+        nx = lay.nx
         shapes = {
             "H": (lay.n_states, nx, nx), "g": (lay.n_states, nx),
             "D": (len(lay.prev), nx, nx), "d": (len(lay.prev), nx),
@@ -294,26 +292,13 @@ def schur_terms(
     )
 
 
-def _solve_schur(S: Array, p: Array) -> tuple[Array, dict]:
-    """SPD solve of the Schur system with a one-shot pivoted fallback."""
-    S = 0.5 * (S + S.T)
+def _solve_schur(S: Array, p: Array) -> Array:
+    """Cholesky solve of the Schur system; a matrix that is not numerically
+    positive definite means dependent coupling rows."""
     try:
-        lam = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), p)
-        return lam, {"schur_factorization": "cholesky"}
-    except scipy.linalg.LinAlgError:
-        pass
-    cond = float(np.linalg.cond(S))
-    logger.warning("Schur matrix not SPD; falling back to pivoted solve (cond=%.3e)", cond)
-    if not np.isfinite(cond) or cond > SCHUR_CONDITION_LIMIT:
-        raise SingularKktError(
-            f"coupling Schur matrix is numerically singular (cond={cond:.3e})"
-        )
-    try:
-        lu = scipy.linalg.lu_factor(S)
-        lam = scipy.linalg.lu_solve(lu, p)
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True), p)
     except scipy.linalg.LinAlgError as exc:
         raise SingularKktError("coupling Schur matrix is singular") from exc
-    return lam, {"schur_factorization": "lu", "schur_condition": cond}
 
 
 def _check_coupling_rows(blocks: list) -> int:
@@ -349,7 +334,7 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
         else:
             S += t.G
         p += t.s
-    lam, diagnostics = _solve_schur(S, p) if r else (np.zeros(0), {"schur_factorization": "empty"})
+    lam = _solve_schur(S, p) if r else np.zeros(0)
 
     mu = []
     delta_x = []
@@ -363,7 +348,7 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
         mu.append(mu_i)
         delta_x.append(-(t.hinv_g + t.hinv_Ct @ mu_i + t.hinv_At @ lam))
 
-    return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics=diagnostics)
+    return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics={})
 
 
 @lru_cache(maxsize=128)
@@ -481,13 +466,14 @@ def _solve_stack(stack: StageStack) -> QpSolution:
 
 
 @lru_cache(maxsize=64)
-def _kkt_band_layout(lay: LiftedLayout, nx: int) -> tuple[Array, Array, Array]:
+def _kkt_band_layout(lay: LiftedLayout) -> tuple[Array, Array, Array]:
     """Positions of a run's states and stages in its interleaved local KKT
     system, and the ``gbtrf`` band slots of the blocks ``H_j``, ``-D_k``,
     ``I``, ``-D_k'``, ``I``. State ``j`` sits at ``2 j - state_block[j]`` and
     stage ``k`` right after state ``prev[k]``, so every sub-window reads
     ``[x, mu, x, ..., mu, x]`` (Rao, Wright & Rawlings, JOTA 99(3), 1998) and
     the band has ``2 nx - 1`` sub- and superdiagonals."""
+    nx = lay.nx
     xpos = 2 * np.arange(lay.n_states) - lay.state_block
     mpos = xpos[lay.prev] + 1
     rows = np.concatenate([xpos, mpos, mpos, xpos[lay.prev], xpos[lay.next]])[:, None, None]
@@ -512,8 +498,8 @@ def solve_local_kkt(
     by ``eps0 * 10**k``, ``k = 0, 1, 2``; :class:`LocalSolveError` is raised
     if it stays singular. Returns ``dx`` ``(states, nx)`` and ``mu`` ``(L, nx)``.
     """
-    nx = H.shape[-1]
-    xpos, mpos, dst = _kkt_band_layout(layout, nx)
+    nx = layout.nx
+    xpos, mpos, dst = _kkt_band_layout(layout)
     band, n = 2 * nx - 1, (len(xpos) + len(mpos)) * nx
     eye = np.broadcast_to(np.eye(nx), D.shape)
     rungs = np.zeros(len(layout.lengths), dtype=int)

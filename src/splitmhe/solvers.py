@@ -39,8 +39,8 @@ import numpy as np
 from .errors import SplitMheError
 from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
+    LiftedLayout,
     MheInstance,
-    Partition,
     StageEvaluation,
     SubProblem,
     build_partition,
@@ -153,7 +153,7 @@ def termination_check(record: ConvergenceRecord, cfg: SolverConfig) -> bool:
     return worst <= cfg.tol
 
 
-def _check_warm(warm: IterateState, partition: Partition) -> None:
+def _check_warm(warm: IterateState, partition: LiftedLayout) -> None:
     """Raise, naming the first misfit, unless ``warm`` has the partition's shapes."""
     if (shape := np.shape(warm.lam)) != (partition.r,):
         raise SplitMheError(f"warm start: lam has shape {shape}, expected ({partition.r},)")
@@ -172,7 +172,7 @@ def _check_warm(warm: IterateState, partition: Partition) -> None:
 
 
 def _initial_iterate(
-    instance: MheInstance, partition: Partition, warm: IterateState | None
+    instance: MheInstance, partition: LiftedLayout, warm: IterateState | None
 ) -> tuple[Array, Array, Array]:
     """Stacked consensus states ``(L + N, nx)``, ``lam`` and stage multipliers ``(L, nx)``."""
     if warm is not None:
@@ -212,7 +212,7 @@ def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
 
 def _drive(
     instance: MheInstance,
-    partition: Partition,
+    partition: LiftedLayout,
     cfg: SolverConfig,
     warm: IterateState | None,
     reference: Array | None,
@@ -243,7 +243,6 @@ def _drive(
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
     run = subproblem(instance, partition, range(partition.N))
-    lay = partition.layout
     y, lam, mu = _initial_iterate(instance, partition, warm)
     # ev: the stack's evaluation at x, carried from the last metrics
     x, ev = y, None
@@ -266,7 +265,7 @@ def _drive(
             # Gauss-Newton curvature shifted by rho; local solutions are
             # feasible, so gn_aladin's constraint rows are homogeneous
             stack = StageStack(
-                layout=lay, H=hessian_blocks(run, x, None, cfg.rho, ev, False),
+                layout=partition, H=hessian_blocks(run, x, None, cfg.rho, ev, False),
                 g=ev.g, D=ev.D, d=np.zeros_like(ev.F) if local_solve else ev.F,
                 anchor=coupling_residual(partition, x),
             )
@@ -329,10 +328,10 @@ def _drive(
             final_metrics["dist_to_ref"] = last.dist_to_ref
     final_metrics["boundary_mismatch"] = mismatch
     state = IterateState(
-        x_blocks=[b.copy() for b in lay.split(x)],
-        y_blocks=[b.copy() for b in lay.split(y)],
+        x_blocks=[b.copy() for b in partition.split(x)],
+        y_blocks=[b.copy() for b in partition.split(y)],
         lam=lam.copy(),
-        mu_blocks=[b.copy() for b in lay.split_stages(mu)],
+        mu_blocks=[b.copy() for b in partition.split_stages(mu)],
     )
     return SolveResult(
         trajectory=trajectory,
@@ -354,7 +353,7 @@ def _checked(cfg: SolverConfig | None, algorithm: str) -> SolverConfig:
 
 def run_gauss_newton_aladin(
     instance: MheInstance,
-    partition: Partition,
+    partition: LiftedLayout,
     cfg: SolverConfig | None = None,
     warm: IterateState | None = None,
     reference: Array | None = None,
@@ -366,20 +365,23 @@ def run_gauss_newton_aladin(
     ``rho`` to restore positive definiteness), coordinate through the
     closed-form coupled QP with homogeneous constraint rows, and take the full
     consensus update. The local solves run with the default
-    :class:`LocalSolveConfig`.
+    :class:`LocalSolveConfig`; ``info["unconverged_local_solves"]`` counts the
+    iterations whose local solve stopped unconverged.
     """
     cfg = _checked(cfg, "gn_aladin")
+    info = {"unconverged_local_solves": 0}
 
     def local_solve(run: SubProblem, y: Array, lam: Array):
         res = solve_local_subproblem(run, lam, y, cfg.rho)
+        info["unconverged_local_solves"] += not res.converged
         return res.x.reshape(y.shape), res.evaluation
 
-    return _drive(instance, partition, cfg, warm, reference, local_solve=local_solve)
+    return _drive(instance, partition, cfg, warm, reference, info, local_solve=local_solve)
 
 
 def run_distributed_sqp(
     instance: MheInstance,
-    partition: Partition,
+    partition: LiftedLayout,
     cfg: SolverConfig | None = None,
     warm: IterateState | None = None,
     reference: Array | None = None,
@@ -412,7 +414,7 @@ def run_centralized(
 
 def run_sensitivity_aladin(
     instance: MheInstance,
-    partition: Partition,
+    partition: LiftedLayout,
     cfg: SolverConfig | None = None,
     warm: IterateState | None = None,
     reference: Array | None = None,
@@ -426,16 +428,18 @@ def run_sensitivity_aladin(
     on the blocks whose drift is at most ``1e-5``, and fall back to the
     coordination output on the others. A cold start solves its initial local
     pairs exactly at the initial parameters before the first coordination,
-    with the default :class:`LocalSolveConfig`; a warm start takes them from
-    ``warm``.
+    with the default :class:`LocalSolveConfig`, and
+    ``info["unconverged_local_solves"]`` is 1 if that solve stopped
+    unconverged; a warm start takes them from ``warm``.
     """
     cfg = _checked(cfg, "sa_aladin")
-    info = {"predictor_updates": 0, "coordination_fallbacks": 0}
+    info = {"predictor_updates": 0, "coordination_fallbacks": 0, "unconverged_local_solves": 0}
 
     def start(run, y, lam, mu):
         if warm is not None:
             return np.concatenate(warm.x_blocks, dtype=float).reshape(y.shape), mu, None
         first = solve_local_subproblem(run, lam, y, cfg.rho)
+        info["unconverged_local_solves"] += not first.converged
         return first.x.reshape(y.shape), first.mu.reshape(mu.shape), first.evaluation
 
     def advance(run, x, mu, ev, y_new, lam_new, mu_hat):
@@ -457,7 +461,7 @@ def run_sensitivity_aladin(
 
 def solve(
     instance: MheInstance,
-    partition: Partition | None,
+    partition: LiftedLayout | None,
     cfg: SolverConfig,
     warm: IterateState | None = None,
     reference: Array | None = None,

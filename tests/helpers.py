@@ -133,7 +133,7 @@ def random_stage_stack(
         d.append(rng.standard_normal((t, nx)) if with_offsets else np.zeros((t, nx)))
         anchors.append(rng.standard_normal(r))
     return StageStack(
-        layout=lifted_layout(tuple(ts)),
+        layout=lifted_layout(tuple(ts), nx),
         H=np.concatenate(H),
         g=np.concatenate(g),
         D=np.concatenate(D),

@@ -275,6 +275,53 @@ def test_tangent_predictor_second_order_on_robot(benchmark_instance):
     assert 2.8 <= e1 / e2 <= 5.5
 
 
+def test_predictor_corrector_step_is_the_tangent_predictor(benchmark_instance):
+    """At a solved pair the conditions vanish, so sa_aladin's one banded KKT
+    solve steps to new parameters exactly as the dense tangent predictor."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    partition = sm.build_partition(25, 4, 3)
+    rho, tight, lam = 25.0, LocalSolveConfig(inner_tol=1e-12), np.zeros(partition.r)
+    subs = split_instance(benchmark_instance, partition)
+    for sub, y in zip(subs, sm.lift_initial_guess(benchmark_instance.initial_guess, partition)):
+        res = solve_local_subproblem(sub, lam, y, rho, tight)
+        assert res.converged
+        y_new = y + 0.1 * rng.standard_normal(y.size)
+        lam_new = lam + 0.1 * rng.standard_normal(lam.size)
+        x, mu = sub.states(res.x), res.mu.reshape(sub.length, -1)
+        x_new, mu_new, trusted = local_nlp.predictor_corrector(
+            sub, x, mu, lam_new, y_new, rho, res.evaluation, np.inf
+        )
+        assert trusted.tolist() == [True]
+        s = np.concatenate([res.x, res.mu])
+        pair = sensitivity_matrices(sub, res.x, res.mu, lam, y, rho)
+        tangent = tangent_predictor(
+            s, np.concatenate([y, lam]), np.concatenate([y_new, lam_new]), pair
+        ) - s
+        step = np.concatenate([x_new.ravel(), mu_new.ravel()]) - s
+        assert np.abs(step - tangent).max() <= 1e-10 * np.abs(tangent).max()
+
+
+def test_predictor_corrector_leaves_an_untrusted_block_unmoved(benchmark_instance):
+    rng = np.random.Generator(np.random.PCG64(18))
+    partition = sm.build_partition(25, 4, 3)
+    run = subproblem(benchmark_instance, partition, range(partition.N))
+    rho, lam = 25.0, np.zeros(partition.r)
+    y = problem.lift(benchmark_instance.initial_guess, partition)
+    res = solve_local_subproblem(run, lam, y, rho, LocalSolveConfig(inner_tol=1e-12))
+    x, mu = run.states(res.x), res.mu.reshape(run.length, -1)
+    # block 2's prox center moves far, the others' barely
+    far = partition.state_block == 2
+    y_new = y + np.where(far[:, None], 1.0, 1e-6) * rng.standard_normal(y.shape)
+    x_new, mu_new, trusted = local_nlp.predictor_corrector(
+        run, x, mu, lam, y_new, rho, res.evaluation, 1e-3
+    )
+    assert trusted.tolist() == [True, True, False, True]
+    np.testing.assert_array_equal(x_new[far], x[far])
+    stages = partition.stage_block == 2
+    np.testing.assert_array_equal(mu_new[stages], mu[stages])
+    assert (x_new[~far] != x[~far]).any()
+
+
 def test_inner_solver_rejects_bad_rho(benchmark_instance):
     sub, y, partition = robot_sub(benchmark_instance)
     with pytest.raises(ValueError):
@@ -286,7 +333,7 @@ def test_inner_solver_rejects_bad_rho(benchmark_instance):
 def test_solve_local_kkt_shifts_a_singular_matrix():
     rng = np.random.Generator(np.random.PCG64(5))
     nx, eps0 = 2, 0.5
-    lay = lifted_layout((3,))
+    lay = lifted_layout((3,), nx)
     D = rng.standard_normal((3, nx, nx))
     rhs_x, rhs_mu = rng.standard_normal((4, nx)), rng.standard_normal((3, nx))
     # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is
@@ -299,7 +346,7 @@ def test_solve_local_kkt_shifts_a_singular_matrix():
     # have curvature +2^70 and -2^70, so the reduced Hessian stays exactly 0
     H = np.array([[[2.0 ** 70]], [[-2.0 ** 70]]])
     with pytest.raises(LocalSolveError, match="block 0"):
-        solve_local_kkt(lifted_layout((1,)), H, np.ones((1, 1, 1)), np.ones((2, 1)),
+        solve_local_kkt(lifted_layout((1,), 1), H, np.ones((1, 1, 1)), np.ones((2, 1)),
                         np.zeros((1, 1)), 1.0)
 
 
@@ -378,7 +425,7 @@ def test_lockstep_solve_equals_the_solves_of_its_blocks(benchmark_instance, n_su
     together = solve_local_subproblem(run, lam, y, 5.0)
     alone = [
         solve_local_subproblem(sub, lam, y_i, 5.0)
-        for sub, y_i in zip(split_instance(benchmark_instance, partition), partition.layout.split(y))
+        for sub, y_i in zip(split_instance(benchmark_instance, partition), partition.split(y))
     ]
     np.testing.assert_array_equal(together.x, np.concatenate([r.x for r in alone]))
     np.testing.assert_array_equal(together.mu, np.concatenate([r.mu for r in alone]))

@@ -19,7 +19,8 @@ from helpers import fd_jacobian, rel_err
 
 def test_partition_benchmark_shape():
     p = sm.build_partition(25, 4, 3)
-    assert (p.t, p.t_last, p.r) == (6, 7, 9)
+    assert p is problem.lifted_layout((6, 6, 6, 7), 3)
+    assert (p.lengths, p.r) == ((6, 6, 6, 7), 9)
     assert p.block_dims == (21, 21, 21, 24)
     assert p.constraint_dims == (18, 18, 18, 21)
     assert sum(p.block_dims) == (25 + 4) * 3
@@ -27,13 +28,13 @@ def test_partition_benchmark_shape():
 
 def test_partition_even_split():
     p = sm.build_partition(25, 5, 3)
-    assert (p.t, p.t_last) == (5, 5)
-    assert p.starts == (0, 5, 10, 15, 20)
+    assert p.lengths == (5, 5, 5, 5, 5)
+    assert p.start.tolist() == [0, 5, 10, 15, 20]
 
 
 def test_partition_single_window_degenerate():
     p = sm.build_partition(6, 1, 2)
-    assert (p.t, p.t_last, p.r) == (6, 6, 0)
+    assert (p.lengths, p.r) == ((6,), 0)
     assert p.block_dims == (14,)
 
 
@@ -290,8 +291,7 @@ def test_block_evaluation_calls_the_model_once_per_callable(benchmark_instance):
 
 
 def test_lifted_layout_places_states_and_stages():
-    partition = sm.build_partition(25, 4, 3)
-    lay = partition.layout
+    lay = sm.build_partition(25, 4, 3)
     assert lay.first.tolist() == [0, 7, 14, 21] and lay.last.tolist() == [6, 13, 20, 28]
     np.testing.assert_array_equal(lay.stage_block, np.repeat([0, 1, 2, 3], [6, 6, 6, 7]))
     np.testing.assert_array_equal(lay.next, lay.prev + 1)
@@ -299,11 +299,11 @@ def test_lifted_layout_places_states_and_stages():
     assert len(lay.measured) == 26
     assert not set(lay.last[:-1]) & set(lay.measured)
     traj = np.arange(26.0 * 3).reshape(26, 3)
-    stack = problem.lift(traj, partition)
+    stack = problem.lift(traj, lay)
     np.testing.assert_array_equal(stack[lay.measured], traj)
     np.testing.assert_array_equal(stack[lay.last[:-1]], stack[lay.first[1:]])
     assert [b.tolist() for b in lay.split(stack)] == [
-        b.tolist() for b in sm.lift_initial_guess(traj, partition)
+        b.tolist() for b in sm.lift_initial_guess(traj, lay)
     ]
 
 
@@ -318,7 +318,7 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
     y = problem.lift(benchmark_instance.initial_guess, partition)
     y = y + 0.05 * rng.standard_normal(y.shape)
     ev = problem.evaluate_stack(run, y)
-    blocks = [problem.evaluate_stack(sub, block) for sub, block in zip(subs, partition.layout.split(y))]
+    blocks = [problem.evaluate_stack(sub, block) for sub, block in zip(subs, partition.split(y))]
     cuts = {
         "b": run.residual_rows, "g": run.layout.first, "W": run.layout.first,
         "w": run.layout.start, "F": run.layout.start, "D": run.layout.start,
@@ -327,7 +327,7 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
         parts = np.split(whole, cuts[name][1:])
         for part, direct in zip(parts, (getattr(b, name) for b in blocks)):
             np.testing.assert_array_equal(part, direct, err_msg=name)
-    for sub, block, direct in zip(subs, partition.layout.split(y), blocks):
+    for sub, block, direct in zip(subs, partition.split(y), blocks):
         b_dense, J = eval_residual_stack(sub, block)
         np.testing.assert_array_equal(direct.b, b_dense)
         np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)

@@ -12,6 +12,7 @@ from splitmhe.errors import (
     NonFiniteDataError,
     NotPositiveDefiniteError,
     RankDeficientConstraintsError,
+    SingularKktError,
 )
 from splitmhe.problem import lifted_layout
 from splitmhe.qp_core import random_blocks, schur_terms, solve_local_kkt
@@ -399,26 +400,18 @@ def test_stacked_stage_path_matches_dense_kkt_oracle(nx, lengths, with_offsets, 
     assert solution_deviation(fast, oracle) <= 1e-9
 
 
-def test_schur_fallback_reports_lu_and_matches_oracle(monkeypatch):
-    r = 7
-    blocks = random_blocks(np.random.Generator(np.random.PCG64(21)), 3, r, size_range=(4, 6))
-    cho_factor = scipy.linalg.cho_factor
-    forced = []
-
-    def not_spd(a, *args, **kwargs):
-        # every H_i and R_i is smaller than the r x r Schur matrix
-        if np.shape(a)[0] == r:
-            forced.append(np.shape(a))
-            raise scipy.linalg.LinAlgError("forced")
-        return cho_factor(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", not_spd)
-    fast = sm.solve_coupled_qp(blocks)
-    assert forced == [(r, r)]
-    assert fast.diagnostics["schur_factorization"] == "lu"
-    assert fast.diagnostics["schur_condition"] > 1.0
-    oracle = sm.dense_kkt_oracle(blocks)
-    assert solution_deviation(fast, oracle) <= 1e-9
+def test_duplicated_coupling_rows_raise_singular_kkt():
+    # H = 2 I and unit coupling rows keep every Schur entry exact: S is the
+    # all-ones 2 x 2 matrix, whose second Cholesky pivot is exactly 0
+    A = np.zeros((2, 3))
+    A[:, 0] = 1.0
+    blocks = [
+        sm.QpBlock(H=2.0 * np.eye(3), g=np.ones(3), C=np.zeros((0, 3)), d=np.zeros(0),
+                   A=sign * A, anchor=np.ones(2))
+        for sign in (1.0, -1.0)
+    ]
+    with pytest.raises(SingularKktError, match="Schur"):
+        sm.solve_coupled_qp(blocks)
 
 
 def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():
@@ -436,7 +429,7 @@ def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():
 
 def _random_local_kkt(rng, nx, lengths):
     """A run's local KKT data with symmetric indefinite per-state blocks."""
-    lay = lifted_layout(tuple(lengths))
+    lay = lifted_layout(tuple(lengths), nx)
     M = rng.standard_normal((lay.n_states, nx, nx))
     D = np.eye(nx) + 0.3 * rng.standard_normal((len(lay.prev), nx, nx))
     rhs = rng.standard_normal((lay.n_states, nx)), rng.standard_normal((len(lay.prev), nx))

@@ -419,6 +419,18 @@ def test_gn_aladin_evaluates_the_stack_once_per_iteration_and_round(
     assert calls["blocks=4"] == calls["driver"] + calls["local"]
 
 
+def test_unconverged_local_solves_are_counted(benchmark_runs):
+    gn = benchmark_runs["gn_aladin"]
+    assert (gn.iterations, gn.info["unconverged_local_solves"]) == (16, 0)
+    assert benchmark_runs["sa_aladin"].info["unconverged_local_solves"] == 0
+    # the drift gate's cold window: iteration 2's lockstep solve stops at the
+    # 50-round cap, and the count says so without changing the iterate
+    scenario = sm.generate_scenario(steps=100, seed=0)
+    cfg = sm.SolverConfig(algorithm="gn_aladin", rho=5.0, tol=0.0, max_iter=2)
+    result = sm.solve_window(scenario, 100, cfg, 16, 100)
+    assert result.info["unconverged_local_solves"] == 1
+
+
 @pytest.mark.parametrize(
     "field, index, size",
     [("x_blocks", 0, 5), ("y_blocks", 1, 5), ("mu_blocks", 2, 3), ("mu_blocks", None, None)],

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -417,8 +417,8 @@ def _read_csv(path: str | Path, ints: tuple[str, ...], strs: tuple[str, ...]) ->
         return [{k: cell(k, v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
+def write_scenario(scenario: Scenario, path: str | Path) -> Path:
+    payload = {
         "model": {
             "T": scenario.T,
             "sigma_r": scenario.sigma_r,
@@ -429,10 +429,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "true_states": scenario.true_states,
         "measurements": scenario.measurements,
     }
-
-
-def write_scenario(scenario: Scenario, path: str | Path) -> Path:
-    return _write_json(scenario_to_dict(scenario), path)
+    return _write_json(payload, path)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -461,8 +458,8 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def result_to_dict(result: SolveResult, config_echo: dict) -> dict:
-    return {
+def write_result(result: SolveResult, config_echo: dict, path: str | Path) -> Path:
+    payload = {
         "config": config_echo,
         "status": result.status,
         "trajectory": result.trajectory,
@@ -470,10 +467,7 @@ def result_to_dict(result: SolveResult, config_echo: dict) -> dict:
         "iterations": result.iterations,
         "final_metrics": result.final_metrics,
     }
-
-
-def write_result(result: SolveResult, config_echo: dict, path: str | Path) -> Path:
-    return _write_json(result_to_dict(result, config_echo), path)
+    return _write_json(payload, path)
 
 
 def load_result(path: str | Path) -> dict:
@@ -483,19 +477,8 @@ def load_result(path: str | Path) -> dict:
 
 
 def write_convergence_csv(records: list[ConvergenceRecord], path: str | Path) -> Path:
-    rows = [
-        [
-            rec.iteration,
-            rec.primal_step_inf,
-            rec.coupling_inf,
-            rec.dynamics_inf,
-            rec.stationarity_inf,
-            rec.dist_to_ref,
-            rec.objective,
-            rec.wall_ms,
-        ]
-        for rec in records
-    ]
+    # the header names the first eight fields, in field order
+    rows = [astuple(rec)[:len(CONVERGENCE_HEADER)] for rec in records]
     return _write_csv(CONVERGENCE_HEADER, rows, path)
 
 
@@ -536,19 +519,7 @@ def read_estimates_csv(path: str | Path) -> list[dict]:
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> Path:
-    table = [
-        [
-            row.n_subwindows,
-            row.iters_to_tol,
-            row.total_wall_ms,
-            row.mean_local_ms,
-            row.mean_qp_ms,
-            row.final_error,
-            row.status,
-        ]
-        for row in rows
-    ]
-    return _write_csv(SWEEP_HEADER, table, path)
+    return _write_csv(SWEEP_HEADER, [astuple(row) for row in rows], path)
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:

@@ -290,7 +290,15 @@ class SubProblem:
 
 
 def subproblem(instance: MheInstance, partition: LiftedLayout, blocks: range) -> SubProblem:
-    """The run of consecutive sub-windows ``blocks`` of the split instance."""
+    """The run of consecutive sub-windows ``blocks``, a non-empty step-1 range
+    within ``0..N``, of the split instance."""
+    if not (
+        isinstance(blocks, range) and blocks.step == 1
+        and 0 <= blocks.start < blocks.stop <= partition.N
+    ):
+        raise PartitionError(
+            f"blocks must be a non-empty step-1 range within 0..{partition.N}, got {blocks!r}"
+        )
     m = instance.model
     if partition.L != instance.L or partition.nx != m.nx:
         raise DimensionMismatchError(
@@ -422,24 +430,21 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
     whole window. On the whole window ``b`` is the centralized residual vector
     of the trajectory that the measured states form."""
+    b = residual_vector(sub, X)
     X, model, lay = sub.states(X), sub.model, sub.layout
-    Xm = X[sub.measured]
-    bm = (sub.v_inv_sqrt @ (model.h(Xm) - sub.measurements)[..., None])[..., 0]
-    JmT = np.swapaxes(sub.v_inv_sqrt @ model.dh_dx(Xm), 1, 2)
+    nx = model.nx
+    bm = b[nx * sub.has_prior:].reshape(len(sub.measured), -1)
+    JmT = np.swapaxes(sub.v_inv_sqrt @ model.dh_dx(X[sub.measured]), 1, 2)
     g = np.zeros(X.shape)
     W = np.zeros(X.shape + X.shape[-1:])
     g[sub.measured] = (JmT @ bm[..., None])[..., 0]
     W[sub.measured] = JmT @ np.swapaxes(JmT, 1, 2)
-    b = bm.reshape(-1)
     if sub.has_prior:
-        bp = sub.p_inv_sqrt @ (X[0] - sub.prior)
-        g[0] += sub.p_inv_sqrt.T @ bp
+        g[0] += sub.p_inv_sqrt.T @ b[:nx]
         W[0] += sub.p_inv_sqrt.T @ sub.p_inv_sqrt
-        b = np.concatenate([bp, b])
     w = (sub.v_inv_sqrt.T @ bm[..., None])[..., 0]
-    Xp = X[lay.prev]
-    F = X[lay.next] - model.f(Xp, sub.controls)
-    return StageEvaluation(b, g, W, w, F, model.df_dx(Xp, sub.controls))
+    F = constraint_vector(sub, X).reshape(-1, nx)
+    return StageEvaluation(b, g, W, w, F, model.df_dx(X[lay.prev], sub.controls))
 
 
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:

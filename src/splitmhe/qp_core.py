@@ -6,15 +6,18 @@ The problem solved here is
     s.t.              C_i dX_i + d_i = 0                (multipliers mu_i)
                       sum_i A_i (X_i^+ + dX_i) = 0      (multiplier lambda)
 
-with every ``H_i`` positive definite and every ``C_i`` full row rank. Blocks
-are eliminated through cached Cholesky factors, leaving a Schur system in the
-shared multiplier:
+with every ``H_i`` positive definite and every ``C_i`` full row rank. Through
+one Cholesky factor of ``H_i`` and one of ``R_i = C_i H_i^-1 C_i'``, each
+block becomes an affine map of ``z = (1, lambda)``, and the coupling rows
+leave a Schur system in the shared multiplier:
 
-    G_i = A_i H_i^-1 A_i',  Q_i = A_i H_i^-1 C_i',  R_i = C_i H_i^-1 C_i'
-    S   = sum_i (G_i - Q_i R_i^-1 Q_i')
-    S lambda = sum_i s_i,   with per-block right-hand contributions s_i
-    mu_i = -R_i^-1 (C_i H_i^-1 g_i + Q_i' lambda - d_i)
-    dX_i = -H_i^-1 (g_i + C_i' mu_i + A_i' lambda)
+    V_i = R_i^-1 (C_i H_i^-1 [g_i, A_i'] - [d_i, 0]),  U_i = H_i^-1 ([g_i, A_i'] - C_i' V_i)
+    dX_i = -U_i z,  mu_i = -V_i z
+    S lambda = sum_i s_i,  S = sum_i A_i U_i[:, 1:],  s_i = A_i X_i^+ - A_i U_i[:, 0]
+
+Here ``A_i U_i[:, 1:]`` is ``A_i H_i^-1 A_i' - A_i H_i^-1 C_i' R_i^-1 C_i H_i^-1 A_i'``,
+and ``s_i`` carries the anchor, the gradient term and the constraint-offset
+term ``-A_i H_i^-1 C_i' R_i^-1 d_i``.
 
 The QP comes in two forms. A list of :class:`QpBlock` holds general dense
 data and is eliminated exactly as written above, one block at a time, around
@@ -40,7 +43,7 @@ any inertia, as one band, and shifts only a singular sub-window's Hessian.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -148,16 +151,14 @@ class StageStack:
 
 @dataclass(eq=False)
 class SchurTerms:
-    """Per-block Schur data plus the cached factorizations used to finish the solve."""
+    """One block as an affine map of ``z = (1, lambda)``: its step is ``-U z``
+    and its local multipliers ``-V z``; ``S`` and ``s`` are its contributions
+    to the Schur matrix and right-hand side."""
 
-    G: Array
-    Q: Array
-    R: Array
+    S: Array
     s: Array
-    r_factor: tuple = field(repr=False, default=None)
-    hinv_g: Array = field(repr=False, default=None)
-    hinv_Ct: Array = field(repr=False, default=None)
-    hinv_At: Array = field(repr=False, default=None)
+    U: Array
+    V: Array
 
 
 @dataclass(eq=False)
@@ -227,11 +228,10 @@ def schur_terms(
 ) -> SchurTerms | StackTerms:
     """Eliminate one block through its Hessian factorization.
 
-    Returns ``G``, ``Q``, ``R`` and the block's additive contribution ``s`` to
-    the Schur right-hand side, which folds in the anchor, the gradient term,
-    and the constraint-offset term. All applications of ``H^-1`` reuse a single
-    Cholesky factorization; no inverse is ever formed. A :class:`StageStack`
-    is factored as one chain and yields :class:`StackTerms`.
+    Returns the block as the affine map :class:`SchurTerms`. One Cholesky solve
+    gives ``H^-1 [g, A', C']``; no inverse is ever formed. A
+    :class:`StageStack` is factored as one chain and yields
+    :class:`StackTerms`.
     """
     if isinstance(block, StageStack):
         return _stack_terms(block)
@@ -247,49 +247,32 @@ def schur_terms(
             f"{where}: Hessian is not positive definite", block_index=index
         ) from exc
 
-    hinv_g = scipy.linalg.cho_solve(h_factor, block.g)
-    hinv_At = scipy.linalg.cho_solve(h_factor, block.A.T) if block.r else np.zeros((block.n, 0))
-    G = block.A @ hinv_At
-    G = 0.5 * (G + G.T)
-
+    # U = H^-1 [g, A'] and W = H^-1 C'
+    Y = scipy.linalg.cho_solve(h_factor, np.column_stack([block.g, block.A.T, block.C.T]))
+    U, W = Y[:, :1 + block.r], Y[:, 1 + block.r:]
+    V = np.zeros((0, 1 + block.r))
     if block.m:
-        hinv_Ct = scipy.linalg.cho_solve(h_factor, block.C.T)
-        Q = block.A @ hinv_Ct
-        R = block.C @ hinv_Ct
+        R = block.C @ W
         R = 0.5 * (R + R.T)
         try:
-            r_factor = scipy.linalg.cho_factor(R, lower=True)
+            factor = scipy.linalg.cho_factor(R, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise RankDeficientConstraintsError(
                 f"{where}: constraint rows are rank deficient", block_index=index
             ) from exc
         # 1-norm condition estimate from the factor already at hand
-        rcond, _ = scipy.linalg.lapack.dpocon(r_factor[0], np.abs(R).sum(axis=0).max(), uplo="L")
+        rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.abs(R).sum(axis=0).max(), uplo="L")
         if rcond <= RANK_RCOND_LIMIT:
             raise RankDeficientConstraintsError(
                 f"{where}: constraint rows are rank deficient (rcond={rcond:.3e})",
                 block_index=index,
             )
-        s = block.anchor - block.A @ hinv_g + Q @ scipy.linalg.cho_solve(
-            r_factor, block.C @ hinv_g - block.d
-        )
-    else:
-        hinv_Ct = np.zeros((block.n, 0))
-        Q = np.zeros((block.r, 0))
-        R = np.zeros((0, 0))
-        r_factor = None
-        s = block.anchor - block.A @ hinv_g
-
-    return SchurTerms(
-        G=G,
-        Q=Q,
-        R=R,
-        s=s,
-        r_factor=r_factor,
-        hinv_g=hinv_g,
-        hinv_Ct=hinv_Ct,
-        hinv_At=hinv_At,
-    )
+        offset = block.C @ U
+        offset[:, 0] -= block.d
+        V = scipy.linalg.cho_solve(factor, offset)
+        U = U - W @ V
+    S = block.A @ U[:, 1:]
+    return SchurTerms(S=0.5 * (S + S.T), s=block.anchor - block.A @ U[:, 0], U=U, V=V)
 
 
 def _solve_schur(S: Array, p: Array) -> Array:
@@ -329,26 +312,12 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     S = np.zeros((r, r))
     p = np.zeros(r)
     for t in terms:
-        if t.R.shape[0]:
-            S += t.G - t.Q @ scipy.linalg.cho_solve(t.r_factor, t.Q.T)
-        else:
-            S += t.G
+        S += t.S
         p += t.s
-    lam = _solve_schur(S, p) if r else np.zeros(0)
-
-    mu = []
-    delta_x = []
-    for t, block in zip(terms, blocks):
-        if block.m:
-            mu_i = -scipy.linalg.cho_solve(
-                t.r_factor, block.C @ t.hinv_g + t.Q.T @ lam - block.d
-            )
-        else:
-            mu_i = np.zeros(0)
-        mu.append(mu_i)
-        delta_x.append(-(t.hinv_g + t.hinv_Ct @ mu_i + t.hinv_At @ lam))
-
-    return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics={})
+    z = np.concatenate([[1.0], _solve_schur(S, p) if r else []])
+    return QpSolution(
+        lam=z[1:], mu=[-t.V @ z for t in terms], delta_x=[-t.U @ z for t in terms], diagnostics={}
+    )
 
 
 @lru_cache(maxsize=128)
@@ -447,8 +416,8 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     ``R nu = d - C H^-1 g``, then ``dX = -H^-1 (g + C' nu)``."""
     terms = schur_terms(stack)
     lay = stack.layout
-    hinv_g = (terms.hinv @ stack.g[..., None])[..., 0]
-    rhs = terms.d - hinv_g[1:] + (terms.D @ hinv_g[:-1, :, None])[..., 0]
+    hg = (terms.hinv @ stack.g[..., None])[..., 0]
+    rhs = terms.d - hg[1:] + (terms.D @ hg[:-1, :, None])[..., 0]
     nu = scipy.linalg.cho_solve_banded(
         (terms.factor, False), rhs.reshape(-1), check_finite=False
     ).reshape(rhs.shape)

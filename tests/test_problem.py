@@ -45,6 +45,17 @@ def test_partition_rejects_bad_counts():
         sm.build_partition(5, 0, 3)
 
 
+@pytest.mark.parametrize("blocks", [range(2, 10), range(0, 4, 2), range(-1, 4), range(2, 2)])
+def test_subproblem_rejects_a_block_range_outside_the_partition(benchmark_instance, blocks):
+    """A range past ``N`` would drop the run's terminal measurement and a step
+    would be ignored, so both are refused."""
+    partition = sm.build_partition(25, 4, 3)
+    with pytest.raises(PartitionError):
+        problem.subproblem(benchmark_instance, partition, blocks)
+    run = problem.subproblem(benchmark_instance, partition, range(2, 4))
+    assert len(run.measured) == 14
+
+
 def test_split_measurement_and_prior_layout(benchmark_instance):
     partition = sm.build_partition(25, 4, 3)
     subs = sm.split_instance(benchmark_instance, partition)

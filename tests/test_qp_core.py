@@ -39,6 +39,18 @@ def solution_deviation(a, b):
     return max(np.abs(p).max() if p.size else 0.0 for p in parts) / scale
 
 
+def _dense_schur(block):
+    """Dense ``Q = A H^-1 C'`` and ``R = C H^-1 C'`` of a block, and its Schur
+    contribution ``A H^-1 A' - Q R^-1 Q'``."""
+    Hinv = np.linalg.inv(block.H)
+    Q = block.A @ Hinv @ block.C.T
+    R = block.C @ Hinv @ block.C.T
+    S = block.A @ Hinv @ block.A.T
+    if block.m:
+        S = S - Q @ np.linalg.solve(R, Q.T)
+    return Hinv, Q, R, S
+
+
 def test_schur_terms_identity_hessian_no_constraints():
     rng = np.random.Generator(np.random.PCG64(0))
     A = rng.standard_normal((2, 5))
@@ -46,9 +58,11 @@ def test_schur_terms_identity_hessian_no_constraints():
     anchor = rng.standard_normal(2)
     block = sm.QpBlock(H=np.eye(5), g=g, C=np.zeros((0, 5)), d=[], A=A, anchor=anchor)
     terms = schur_terms(block)
-    np.testing.assert_allclose(terms.G, A @ A.T, atol=1e-14)
-    assert terms.Q.shape == (2, 0) and terms.R.shape == (0, 0)
+    np.testing.assert_allclose(terms.S, A @ A.T, atol=1e-14)
     np.testing.assert_allclose(terms.s, anchor - A @ g, atol=1e-14)
+    # with H = I and no constraint rows the map is [g, A'] itself
+    np.testing.assert_allclose(terms.U, np.column_stack([g, A.T]), atol=1e-14)
+    assert terms.V.shape == (0, 3)
 
 
 def test_schur_terms_match_dense_inverse():
@@ -56,11 +70,14 @@ def test_schur_terms_match_dense_inverse():
     for _ in range(10):
         (block,) = random_blocks(rng, 1, r=3)
         terms = schur_terms(block)
-        Hinv = np.linalg.inv(block.H)
-        np.testing.assert_allclose(terms.G, block.A @ Hinv @ block.A.T, atol=1e-10)
+        Hinv, Q, R, S = _dense_schur(block)
+        np.testing.assert_allclose(terms.S, S, atol=1e-10)
+        rhs = np.column_stack([block.g, block.A.T])
+        V = np.zeros((0, 4))
         if block.m:
-            np.testing.assert_allclose(terms.Q, block.A @ Hinv @ block.C.T, atol=1e-10)
-            np.testing.assert_allclose(terms.R, block.C @ Hinv @ block.C.T, atol=1e-10)
+            V = np.linalg.solve(R, block.C @ Hinv @ rhs - np.outer(block.d, [1, 0, 0, 0]))
+        np.testing.assert_allclose(terms.V, V, atol=1e-10)
+        np.testing.assert_allclose(terms.U, Hinv @ (rhs - block.C.T @ V), atol=1e-10)
 
 
 def test_schur_terms_offset_free_reduction():
@@ -71,16 +88,14 @@ def test_schur_terms_offset_free_reduction():
     zeroed = sm.QpBlock(H=block.H, g=block.g, C=block.C, d=np.zeros(block.m), A=block.A, anchor=block.anchor)
     with_d = schur_terms(block)
     without_d = schur_terms(zeroed)
-    Hinv = np.linalg.inv(block.H)
-    q_term = zeroed.anchor + (with_d.Q @ np.linalg.solve(with_d.R, block.C @ Hinv @ block.g)
+    Hinv, Q, R, _ = _dense_schur(block)
+    q_term = zeroed.anchor + (Q @ np.linalg.solve(R, block.C @ Hinv @ block.g)
                               if block.m else 0.0) - block.A @ Hinv @ block.g
     np.testing.assert_allclose(without_d.s, q_term, atol=1e-10)
     # the d-dependent part of s is exactly -Q R^-1 d
     if block.m:
         diff = with_d.s - without_d.s
-        np.testing.assert_allclose(
-            diff, -with_d.Q @ np.linalg.solve(with_d.R, block.d), atol=1e-10
-        )
+        np.testing.assert_allclose(diff, -Q @ np.linalg.solve(R, block.d), atol=1e-10)
 
 
 def test_scalar_consensus_hand_solved():
@@ -189,10 +204,8 @@ def test_degenerate_no_coupling():
 def test_schur_matrix_symmetry_and_conditioning():
     rng = np.random.Generator(np.random.PCG64(9))
     blocks = random_blocks(rng, 4, r=6)
-    terms = [schur_terms(b, i) for i, b in enumerate(blocks)]
-    S = np.zeros((6, 6))
-    for t, b in zip(terms, blocks):
-        S += t.G - (t.Q @ np.linalg.solve(t.R, t.Q.T) if b.m else 0.0)
+    S = sum(schur_terms(b, i).S for i, b in enumerate(blocks))
+    np.testing.assert_allclose(S, sum(_dense_schur(b)[3] for b in blocks), atol=1e-10)
     assert np.abs(S - S.T).max() <= 1e-12 * (1 + np.abs(S).max())
     assert np.linalg.eigvalsh(S).min() > 0
 

@@ -14,6 +14,7 @@ import sys
 from .errors import DimensionMismatchError, PartitionError, ScenarioError
 from .harness import (
     DEFAULT_HORIZON,
+    DEFAULT_SUB_WINDOWS,
     NUMERICAL_ERRORS,
     generate_scenario,
     load_scenario,
@@ -87,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "--sub-windows", type=_int_list, default=[3, 4, 5, 6], metavar="N1,N2,..."
             )
         else:
-            p.add_argument("--sub-windows", type=int, default=4)
+            p.add_argument("--sub-windows", type=int, default=DEFAULT_SUB_WINDOWS)
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
         p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=50)
+        p.add_argument("--tol", type=float, default=SolverConfig.tol)
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
     slv = sub.add_parser("solve", help="solve one estimation window")
     add_solver_options(slv)
@@ -131,12 +132,7 @@ def _config_echo(args, cfg: SolverConfig, scenario, window_end=None) -> dict:
         "sub_windows": args.sub_windows,
         "horizon": args.horizon,
         "scenario_seed": scenario.seed,
-        "weights": {
-            "P": "identity",
-            "V": "identity"
-            if not (scenario.sigma_r > 0 and scenario.sigma_alpha > 0)
-            else [scenario.sigma_r ** 2, scenario.sigma_alpha ** 2],
-        },
+        "weights": {"P": "identity", "V": scenario.measurement_variances or "identity"},
     }
     if window_end is not None:
         echo["window_end"] = window_end

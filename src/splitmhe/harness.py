@@ -34,6 +34,7 @@ Array = np.ndarray
 
 ROBOT_START = (0.1, 0.1, 0.0)
 DEFAULT_HORIZON = 25
+DEFAULT_SUB_WINDOWS = 4
 
 CONVERGENCE_HEADER = [
     "iter",
@@ -86,6 +87,14 @@ class Scenario:
     @property
     def steps(self) -> int:
         return len(self.controls)
+
+    @property
+    def measurement_variances(self) -> list[float] | None:
+        """Diagonal of the measurement weight ``V``; None where ``V`` is the
+        identity, which it is unless both noise levels are positive."""
+        if self.sigma_r > 0 and self.sigma_alpha > 0:
+            return [self.sigma_r ** 2, self.sigma_alpha ** 2]
+        return None
 
 
 @dataclass
@@ -182,7 +191,7 @@ def window_instance(
     Defaults follow the benchmark convention: the initial guess lifts the true
     positions with zeroed heading, the prior anchor is the guess's oldest
     state, the prior weight is the identity, and the measurement weight is
-    ``diag(sigma_r^2, sigma_alpha^2)`` (identity when a noise level is zero).
+    ``diag(sigma_r^2, sigma_alpha^2)`` (see :attr:`Scenario.measurement_variances`).
     """
     if window_end < horizon or window_end > scenario.steps:
         raise ScenarioError(
@@ -195,10 +204,8 @@ def window_instance(
         initial_guess[:, 2] = 0.0
     if prior is None:
         prior = np.asarray(initial_guess, dtype=float)[0]
-    if scenario.sigma_r > 0 and scenario.sigma_alpha > 0:
-        V = np.diag([scenario.sigma_r ** 2, scenario.sigma_alpha ** 2])
-    else:
-        V = np.eye(2)
+    variances = scenario.measurement_variances
+    V = np.eye(2) if variances is None else np.diag(variances)
     return MheInstance(
         L=horizon,
         window_start=lo,
@@ -216,7 +223,7 @@ def solve_window(
     scenario: Scenario,
     window_end: int,
     cfg: SolverConfig,
-    n_subwindows: int = 4,
+    n_subwindows: int = DEFAULT_SUB_WINDOWS,
     horizon: int = DEFAULT_HORIZON,
     prior: Array | None = None,
     initial_guess: Array | None = None,
@@ -233,7 +240,7 @@ def solve_window(
 def run_receding_horizon(
     scenario: Scenario,
     cfg: SolverConfig,
-    n_subwindows: int = 4,
+    n_subwindows: int = DEFAULT_SUB_WINDOWS,
     horizon: int = DEFAULT_HORIZON,
 ) -> list[WindowOutcome]:
     """Slide the window over the scenario, warm-starting each solve.
@@ -447,6 +454,11 @@ def load_scenario(path: str | Path) -> Scenario:
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
+    if scenario.controls.ndim != 2 or scenario.controls.shape[1] != 2:
+        raise ScenarioError(
+            f"malformed scenario file {path}: control schedule must be (steps, 2), "
+            f"got {scenario.controls.shape}"
+        )
     if scenario.true_states.shape != (scenario.steps + 1, 3):
         raise ScenarioError(f"inconsistent scenario arrays in {path}")
     if scenario.measurements.shape != (scenario.steps + 1, 2):

@@ -1,11 +1,12 @@
 """Horizon windows, time-split sub-problems, and coupling bookkeeping.
 
-A window of ``L`` dynamics steps is split into ``N`` consecutive sub-windows;
-the first ``N-1`` have ``t = L // N`` steps and the last has the remainder.
-Each sub-window owns a duplicated copy of its boundary states, and consensus
-between the duplicates is imposed through signed-identity coupling rows: block
-row ``c`` of the stacked coupling reads ``(terminal state of sub-window c+1)
-minus (initial state of sub-window c+2)``.
+A window of ``L`` dynamics steps is split into ``N`` consecutive sub-windows,
+numbered from 0; the first ``N - 1`` have ``t = L // N`` steps and the last
+has ``L - (N - 1) t``. Each sub-window owns a duplicated copy of its boundary
+states, and consensus between the duplicates is imposed through signed-identity
+coupling rows: block row ``c`` of the stacked coupling, also numbered from 0,
+reads the last state of sub-window ``c`` minus the first state of sub-window
+``c + 1``.
 
 The solvers hold the ``N`` blocks as one lifted stack of ``L + N`` states.
 :func:`build_partition` returns the split as one cached :class:`LiftedLayout`,

@@ -8,12 +8,20 @@ the file with
     PYTHONPATH=src python tests/drift_golden.py
 
 and says in CHANGES.md which cells moved and why.
+
+    PYTHONPATH=src python tests/drift_golden.py --diff
+
+runs the cells and prints, for each golden cell, any status or iteration
+mismatch and the largest estimate deviation, without rewriting the file.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
+
+import numpy as np
 
 import splitmhe as sm
 
@@ -58,7 +66,40 @@ def run_cells() -> dict[str, list[dict]]:
     return cells
 
 
+def diff_lines(cells: dict[str, list[dict]], golden: dict[str, list[dict]]) -> list[str]:
+    """One line per golden cell: its status and iteration mismatches, by window,
+    and the largest absolute estimate deviation from the golden file."""
+    lines = []
+    for name, want in golden.items():
+        got = cells.get(name)
+        if got is None:
+            lines.append(f"{name}: not run")
+            continue
+        notes = [
+            f"window {k} {w['status']}/{w['iterations']} -> {g['status']}/{g['iterations']}"
+            for k, (g, w) in enumerate(zip(got, want))
+            if (g["status"], g["iterations"]) != (w["status"], w["iterations"])
+        ]
+        if len(got) != len(want):
+            notes.append(f"{len(got)} windows, golden {len(want)}")
+        deviation = max(
+            (float(np.abs(np.subtract(g["estimate"], w["estimate"])).max())
+             for g, w in zip(got, want)),
+            default=0.0,
+        )
+        lines.append(f"{name}: estimate deviation {deviation:.3e}; " + ("; ".join(notes) or "ok"))
+    return lines
+
+
 if __name__ == "__main__":
-    # repr round-trips every float, so the file pins estimates bit for bit
-    GOLDEN.write_text(json.dumps(run_cells(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff", action="store_true",
+        help="print each cell's drift from the golden file instead of rewriting it",
+    )
+    if parser.parse_args().diff:
+        print("\n".join(diff_lines(run_cells(), json.loads(GOLDEN.read_text()))))
+    else:
+        # repr round-trips every float, so the file pins estimates bit for bit
+        GOLDEN.write_text(json.dumps(run_cells(), indent=1) + "\n")
+        print(f"wrote {GOLDEN}")

@@ -62,6 +62,24 @@ def test_solve_writes_result_and_log(scenario_file, tmp_path):
     assert len(rows) == payload["iterations"]
 
 
+def test_config_echo_of_a_noise_free_scenario(tmp_path):
+    scenario, out = tmp_path / "scenario.json", tmp_path / "result.json"
+    simulate = ["simulate", "--steps", "25", "--sigma-r", "0", "--sigma-alpha", "0"]
+    assert main(simulate + ["--out", str(scenario)]) == 0
+    assert main(["solve", "--scenario", str(scenario), "--out", str(out)]) in (0, 2)
+    assert json.loads(out.read_text())["config"] == {
+        "algorithm": "dsqp",
+        "rho": 1e3,
+        "tol": 1e-8,
+        "max_iter": 50,
+        "sub_windows": 4,
+        "horizon": 25,
+        "scenario_seed": 0,
+        "weights": {"P": "identity", "V": "identity"},
+        "window_end": 25,
+    }
+
+
 def test_solve_exit_code_two_on_max_iter(scenario_file, tmp_path):
     code = main(
         [

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ def test_malformed_scenario_file_raises(tmp_path):
     path.write_text('{"model": {"T": 0.2}}')
     with pytest.raises(ScenarioError):
         sm.load_scenario(path)
+    # controls of three columns or one dimension, with consistent other arrays
+    good = tmp_path / "good.json"
+    write_scenario(sm.generate_scenario(steps=6, seed=1), good)
+    for controls in (np.zeros((6, 3)), np.zeros(6)):
+        payload = json.loads(good.read_text())
+        payload["controls"] = controls.tolist()
+        path.write_text(json.dumps(payload))
+        message = f"bad.json: control schedule must be (steps, 2), got {controls.shape}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            sm.load_scenario(path)
 
 
 def test_result_file_round_trip(tmp_path, benchmark_runs):

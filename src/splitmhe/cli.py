@@ -28,19 +28,14 @@ from .harness import (
     write_scenario,
     write_sweep_csv,
 )
-from .solvers import SolverConfig
+from .solvers import ALGORITHMS, SolverConfig
 
 EXIT_OK = 0
 EXIT_MAX_ITER = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
-_ALGORITHM_NAMES = {
-    "gn-aladin": "gn_aladin",
-    "sa-aladin": "sa_aladin",
-    "dsqp": "dsqp",
-    "centralized": "centralized",
-}
+_ALGORITHM_NAMES = {name.replace("_", "-"): name for name in ALGORITHMS}
 
 _INPUT_ERRORS = (PartitionError, DimensionMismatchError, ScenarioError, OSError, ValueError)
 

@@ -52,5 +52,5 @@ class SingularKktError(FactorizationError):
     numerically near-singular."""
 
 
-class LocalSolveError(SplitMheError):
+class LocalSolveError(FactorizationError):
     """The inner sub-problem solver failed even after regularization."""

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FactorizationError, LocalSolveError, OriginSingularityError, ScenarioError
+from .errors import FactorizationError, OriginSingularityError, ScenarioError
 from .model import gaussian_draws, robot_model, rollout, fd_check
 from .problem import (
     MheInstance,
@@ -69,7 +69,7 @@ SWEEP_HEADER = [
 ]
 
 # the failures a solve can meet on valid input; callers record or report them
-NUMERICAL_ERRORS = (FactorizationError, LocalSolveError, OriginSingularityError)
+NUMERICAL_ERRORS = (FactorizationError, OriginSingularityError)
 
 
 @dataclass(eq=False)
@@ -83,6 +83,10 @@ class Scenario:
     controls: Array
     true_states: Array
     measurements: Array
+
+    def __post_init__(self):
+        if not (0 <= self.sigma_r < np.inf and 0 <= self.sigma_alpha < np.inf):
+            raise ScenarioError("noise magnitudes must be nonnegative and finite")
 
     @property
     def steps(self) -> int:
@@ -144,8 +148,6 @@ def generate_scenario(
     """
     if steps < 1:
         raise ScenarioError(f"need at least one step, got {steps}")
-    if not (0 <= sigma_r < np.inf and 0 <= sigma_alpha < np.inf):
-        raise ScenarioError("noise magnitudes must be nonnegative and finite")
     model = robot_model(T=T)
     control = np.asarray(control, dtype=float)
     if control.ndim == 1:
@@ -452,7 +454,7 @@ def load_scenario(path: str | Path) -> Scenario:
             true_states=np.asarray(payload["true_states"], dtype=float),
             measurements=np.asarray(payload["measurements"], dtype=float),
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, json.JSONDecodeError, ScenarioError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     if scenario.controls.ndim != 2 or scenario.controls.shape[1] != 2:
         raise ScenarioError(
@@ -463,9 +465,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"inconsistent scenario arrays in {path}")
     if scenario.measurements.shape != (scenario.steps + 1, 2):
         raise ScenarioError(f"inconsistent scenario arrays in {path}")
-    values = (scenario.T, scenario.sigma_r, scenario.sigma_alpha)
     arrays = (scenario.controls, scenario.true_states, scenario.measurements)
-    if not (np.isfinite(values).all() and all(np.isfinite(a).all() for a in arrays)):
+    if not (np.isfinite(scenario.T) and all(np.isfinite(a).all() for a in arrays)):
         raise ScenarioError(f"non-finite values in scenario file {path}")
     return scenario
 

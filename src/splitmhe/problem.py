@@ -370,10 +370,10 @@ def constraint_vector(sub: SubProblem, X: Array) -> Array:
     return (states[lay.next] - sub.model.f(states[lay.prev], sub.controls)).reshape(-1)
 
 
-# Stage-form products, shared with qp_core. Like the lifted layout they live
-# here, not in qp_core, so that importing this module does not import scipy:
-# with scipy imported from inside this module, `import splitmhe` in a fresh
-# interpreter took about 10 % longer.
+# Stage-form products, used here and by local_nlp and solvers; qp_core uses
+# none of them. Like the lifted layout they need no scipy, which this module
+# does not import: with scipy imported from inside it, `import splitmhe` in a
+# fresh interpreter took about 10 % longer.
 
 
 def block_diagonal_matrix(blocks: Array) -> Array:

@@ -482,7 +482,9 @@ def solve_local_kkt(
         # the zero pivot's position lies in the sub-window of the state at or before it
         i = int(layout.state_block[np.searchsorted(xpos, (info - 1) // nx, "right") - 1])
         if rungs[i] == 3:
-            raise LocalSolveError(f"block {i}: local KKT matrix singular after regularization")
+            raise LocalSolveError(
+                f"block {i}: local KKT matrix singular after regularization", block_index=i
+            )
         shift = eps0 * 10.0 ** rungs[i]
         logger.warning("block %d: local KKT matrix singular; retrying with shift %.3e", i, shift)
         mine = (layout.state_block == i)[:, None, None]

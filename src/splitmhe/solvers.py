@@ -6,19 +6,18 @@ of all sub-windows as one stack of ``L + N`` states (see
 stack once at its linearization point, assembles the stage-form coordination
 QP from that evaluation, with Gauss-Newton Hessians shifted by ``rho``, solves
 it in closed form as one :class:`~splitmhe.qp_core.StageStack`, takes the
-consensus update, and records convergence metrics from one evaluation of the
-stack at the new consensus iterate. Wherever that iterate is the next
-linearization point, the metrics evaluation doubles as the next iteration's QP
-data. Each of these steps is a fixed number of array calls, whatever the
-number of sub-windows, so runs are deterministic.
+consensus update, and records the metrics of a :class:`ConvergenceRecord`.
+Wherever the new consensus iterate is the next linearization point, its
+metrics evaluation doubles as the next iteration's QP data. Each of these
+steps is a fixed number of array calls, whatever the number of sub-windows,
+so runs are deterministic.
 
 The algorithms differ only in a local step around the coordination, taken
 for all blocks at once on the stack:
 
 * ``gn_aladin``  -- before the QP, an exact local solve of every block, all
   in lockstep; its QP data take homogeneous constraint rows (the local
-  solutions are feasible) from the local solve's last evaluation, and its
-  coupling metric is taken on the local solutions.
+  solutions are feasible) from the local solve's last evaluation.
 * ``sa_aladin``  -- after the QP, each local pair is continued to the new
   parameters by a tangent predictor-corrector wherever the continuation is
   trustworthy, and pinned to the coordination output elsewhere.
@@ -62,6 +61,9 @@ _DEFAULT_RHO = {"gn_aladin": 25.0, "sa_aladin": 1e3, "dsqp": 1e3, "centralized":
 # stationarity drift below which sa_aladin trusts its predictor-corrector
 _SA_SWITCH_TOL = 1e-5
 
+# the termination metrics of a ConvergenceRecord, in result.json order
+_METRICS = ("primal_step_inf", "coupling_inf", "dynamics_inf", "stationarity_inf")
+
 
 @dataclass
 class SolverConfig:
@@ -103,9 +105,13 @@ class IterateState:
 
 @dataclass(eq=False)
 class ConvergenceRecord:
-    """Per-iteration progress metrics; norms are infinity norms. ``objective``
-    is ``0.5 ‖b‖²`` at the new consensus iterate, ``b`` being the whole-window
-    residual vector of the stack evaluation that the other metrics read.
+    """Per-iteration progress metrics; norms are infinity norms. ``coupling_inf``
+    is the consensus violation at the QP's linearization point, its ``anchor``:
+    the local solutions for the ALADIN variants, the consensus iterate before
+    the step for ``dsqp`` and ``centralized``. ``dynamics_inf``,
+    ``stationarity_inf`` and ``objective``, ``0.5 ‖b‖²`` of the whole-window
+    residual vector ``b``, are read from one stack evaluation at the new
+    consensus iterate.
 
     The timings mean the same for every algorithm. ``local_ms`` is all
     per-block work: local solves, the ``sa_aladin`` predictor, evaluation at
@@ -144,14 +150,9 @@ class SolveResult:
 
 
 def termination_check(record: ConvergenceRecord, cfg: SolverConfig) -> bool:
-    """Converged iff every internal metric is at or below the outer tolerance."""
-    worst = max(
-        record.primal_step_inf,
-        record.coupling_inf,
-        record.dynamics_inf,
-        record.stationarity_inf,
-    )
-    return worst <= cfg.tol
+    """Converged iff every metric is at or below the outer tolerance; a NaN
+    metric never is."""
+    return all(getattr(record, name) <= cfg.tol for name in _METRICS)
 
 
 def _check_warm(warm: IterateState, partition: LiftedLayout) -> None:
@@ -218,7 +219,7 @@ def _drive(
     * ``local_solve(run, y, lam)`` (``gn_aladin``) returns the exact local
       solutions ``x``, this iteration's linearization point, and an
       evaluation. They are feasible, so the QP takes homogeneous constraint
-      rows, and the coupling metric is measured on them.
+      rows.
     * ``start(run, y, lam, mu)`` (``sa_aladin``) returns the initial local
       pairs ``(x, mu)`` and an evaluation; an error in it is reported as
       iteration 0. ``advance(run, x, mu, ev, y_new, lam_new, mu_hat)``
@@ -272,8 +273,6 @@ def _drive(
                 ev_new.g + stage_transpose(run.layout, ev_new.D, sol.mu)
                 + run.apply_coupling_transpose(sol.lam).reshape(ev_new.g.shape)
             )
-            # gn_aladin measures coupling on its local solutions: the QP's anchor
-            coupled = stack.anchor if local_solve else coupling_residual(partition, y_new)
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())
@@ -283,7 +282,7 @@ def _drive(
             ConvergenceRecord(
                 iteration=it,
                 primal_step_inf=float(np.abs(y_new - y).max()),
-                coupling_inf=float(np.abs(coupled).max(initial=0.0)),
+                coupling_inf=float(np.abs(stack.anchor).max(initial=0.0)),
                 dynamics_inf=float(np.abs(ev_new.F).max()),
                 stationarity_inf=float(np.abs(stat).max()),
                 dist_to_ref=dist,
@@ -305,12 +304,7 @@ def _drive(
     final_metrics = {}
     if records:
         last = records[-1]
-        final_metrics = {
-            "primal_step_inf": last.primal_step_inf,
-            "coupling_inf": last.coupling_inf,
-            "dynamics_inf": last.dynamics_inf,
-            "stationarity_inf": last.stationarity_inf,
-        }
+        final_metrics = {name: getattr(last, name) for name in _METRICS}
         if last.dist_to_ref is not None:
             final_metrics["dist_to_ref"] = last.dist_to_ref
     final_metrics["boundary_mismatch"] = mismatch

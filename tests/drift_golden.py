@@ -13,11 +13,21 @@ and says in CHANGES.md which cells moved and why.
 
 runs the cells and prints, for each golden cell, any status or iteration
 mismatch and the largest estimate deviation, without rewriting the file.
+
+    PYTHONPATH=src python tests/drift_golden.py --digest
+
+prints one SHA-256 per algorithm and proximal weight (its default and the
+gate's) over every window of two full receding horizons (60 steps at seed 0,
+40 at seed 1, horizon 25, N = 4): each window's status, iteration count,
+estimate bytes, trajectory bytes and ``SolveResult.objective``. It rewrites
+nothing; run it against two source trees, e.g. ``PYTHONPATH=<tree>/src``, to
+compare their solutions bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,6 +46,8 @@ RH_SEEDS, RH_STEPS, RH_HORIZON, RH_N = (0, 1), 13, 10, 4
 # converge on it at this rho, and each of its iterations costs a tenth of
 # a second or more
 COLD_SEED, COLD_L, COLD_N, COLD_ITERS = 0, 100, 16, 2
+# the digest's receding horizons: (seed, steps) at the default horizon
+DIGEST_RUNS = ((0, 60), (1, 40))
 
 
 def _cell(outcome) -> dict:
@@ -91,14 +103,42 @@ def diff_lines(cells: dict[str, list[dict]], golden: dict[str, list[dict]]) -> l
     return lines
 
 
+def digest_lines() -> list[str]:
+    """One SHA-256 per algorithm and ``rho`` (its default, then the gate's)
+    over every window of :data:`DIGEST_RUNS`."""
+    lines = []
+    for algorithm, gate_rho in RHO.items():
+        for rho in (sm.SolverConfig(algorithm=algorithm).rho, gate_rho):
+            cfg = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=TOL, max_iter=MAX_ITER)
+            digest = hashlib.sha256()
+            for seed, steps in DIGEST_RUNS:
+                scenario = sm.generate_scenario(steps=steps, seed=seed)
+                for window in sm.run_receding_horizon(scenario, cfg, RH_N):
+                    digest.update(f"{window.status}/{window.iterations}/{window.error}".encode())
+                    digest.update(np.asarray(window.estimate, dtype=float).tobytes())
+                    if window.result is not None:
+                        digest.update(window.result.trajectory.tobytes())
+                        digest.update(np.float64(window.result.objective).tobytes())
+            lines.append(f"{algorithm} rho={rho:g}: {digest.hexdigest()}")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--diff", action="store_true",
         help="print each cell's drift from the golden file instead of rewriting it",
     )
-    if parser.parse_args().diff:
+    mode.add_argument(
+        "--digest", action="store_true",
+        help="print one SHA-256 of full receding-horizon runs per algorithm and rho",
+    )
+    args = parser.parse_args()
+    if args.diff:
         print("\n".join(diff_lines(run_cells(), json.loads(GOLDEN.read_text()))))
+    elif args.digest:
+        print("\n".join(digest_lines()))
     else:
         # repr round-trips every float, so the file pins estimates bit for bit
         GOLDEN.write_text(json.dumps(run_cells(), indent=1) + "\n")

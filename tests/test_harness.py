@@ -182,6 +182,13 @@ def test_malformed_scenario_file_raises(tmp_path):
         message = f"bad.json: control schedule must be (steps, 2), got {controls.shape}"
         with pytest.raises(ScenarioError, match=re.escape(message)):
             sm.load_scenario(path)
+    # negative noise levels, which generate_scenario rejects too
+    payload = json.loads(good.read_text())
+    payload["model"].update(sigma_r=-0.05, sigma_alpha=-0.01)
+    path.write_text(json.dumps(payload))
+    message = "bad.json: noise magnitudes must be nonnegative and finite"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        sm.load_scenario(path)
 
 
 def test_result_file_round_trip(tmp_path, benchmark_runs):

@@ -345,9 +345,10 @@ def test_solve_local_kkt_shifts_a_singular_matrix():
     # a curvature 2^70 times the shifts swallows every rung: x0 and x1 = x0
     # have curvature +2^70 and -2^70, so the reduced Hessian stays exactly 0
     H = np.array([[[2.0 ** 70]], [[-2.0 ** 70]]])
-    with pytest.raises(LocalSolveError, match="block 0"):
+    with pytest.raises(LocalSolveError, match="block 0") as err:
         solve_local_kkt(lifted_layout((1,), 1), H, np.ones((1, 1, 1)), np.ones((2, 1)),
                         np.zeros((1, 1)), 1.0)
+    assert err.value.block_index == 0
 
 
 def test_line_search_stops_once_the_trial_rounds_to_x(benchmark_instance, monkeypatch):

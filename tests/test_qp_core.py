@@ -438,6 +438,21 @@ def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():
     with pytest.raises(RankDeficientConstraintsError) as err:
         sm.solve_coupled_qp(stack)
     assert err.value.block_index == 3
+    # one soft state among stiff ones leaves a link pivot that is not
+    # positive, so the banded factorization itself fails, before any pivot
+    # ratio, and the link's first state names the block
+    lay = lifted_layout((2, 2, 2), 1)
+    for k in range(1, 8):
+        H = np.full((9, 1, 1), 1e20)
+        H[k] = 1e-16
+        chain = sm.StageStack(
+            layout=lay, H=H, g=np.zeros((9, 1)), D=np.ones((6, 1, 1)), d=np.zeros((6, 1)),
+            anchor=np.zeros(2),
+        )
+        with pytest.raises(RankDeficientConstraintsError) as err:
+            sm.solve_coupled_qp(chain)
+        assert err.value.block_index == lay.state_block[k]
+        assert "pivot ratio" not in str(err.value)
 
 
 def _random_local_kkt(rng, nx, lengths):

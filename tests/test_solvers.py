@@ -55,6 +55,14 @@ def test_termination_inclusive_at_tol():
     assert termination_check(rec, cfg)
 
 
+@pytest.mark.parametrize(
+    "metric", ["primal_step_inf", "coupling_inf", "dynamics_inf", "stationarity_inf"]
+)
+def test_termination_never_accepts_a_nan_metric(metric):
+    cfg = sm.SolverConfig(algorithm="dsqp", tol=1e-8)
+    assert not termination_check(make_record(**{metric: math.nan}), cfg)
+
+
 def test_config_defaults_per_algorithm():
     assert sm.SolverConfig(algorithm="gn_aladin").rho == 25.0
     assert sm.SolverConfig(algorithm="sa_aladin").rho == 1e3
@@ -279,6 +287,30 @@ def test_gn_aladin_measures_coupling_on_its_local_solutions(benchmark_instance):
     local = np.abs(sm.coupling_residual(partition, result.final_state.x_blocks)).max()
     consensus = np.abs(sm.coupling_residual(partition, result.final_state.y_blocks)).max()
     assert result.records[-1].coupling_inf == local > 1e3 * consensus
+
+
+@pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
+def test_coupling_is_evaluated_once_per_iteration_at_the_qp_anchor(
+    benchmark_instance, algorithm, monkeypatch
+):
+    """Each iteration evaluates the coupling once, at the QP's linearization
+    point, and its record's ``coupling_inf`` is that evaluation's norm."""
+    anchors = []
+
+    def counted(partition, x):
+        anchors.append(problem.coupling_residual(partition, x))
+        return anchors[-1]
+
+    monkeypatch.setattr(solvers, "coupling_residual", counted)
+    cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=4)
+    result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
+    assert len(anchors) == result.iterations == 4
+    assert [r.coupling_inf for r in result.records] == [
+        float(np.abs(a).max(initial=0.0)) for a in anchors
+    ]
+    if algorithm == "dsqp":
+        # a cold start lifts one trajectory, whose sub-windows agree exactly
+        assert result.records[0].coupling_inf == 0.0
 
 
 def test_solver_errors_carry_iteration_context(linear_model):

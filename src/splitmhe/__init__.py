@@ -39,7 +39,6 @@ from .qp_core import (
     QpSolution,
     StageStack,
     dense_kkt_oracle,
-    kkt_residual_qp,
     schur_terms,
     solve_coupled_qp,
 )

@@ -85,6 +85,8 @@ class Scenario:
     measurements: Array
 
     def __post_init__(self):
+        if not 0 < self.T < np.inf:
+            raise ScenarioError("sampling time must be positive and finite")
         if not (0 <= self.sigma_r < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ScenarioError("noise magnitudes must be nonnegative and finite")
 
@@ -466,7 +468,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if scenario.measurements.shape != (scenario.steps + 1, 2):
         raise ScenarioError(f"inconsistent scenario arrays in {path}")
     arrays = (scenario.controls, scenario.true_states, scenario.measurements)
-    if not (np.isfinite(scenario.T) and all(np.isfinite(a).all() for a in arrays)):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ScenarioError(f"non-finite values in scenario file {path}")
     return scenario
 

@@ -59,8 +59,8 @@ class LocalSolveConfig:
 class LocalSolveResult:
     """Solution of a run's augmented sub-problems (best iterates where not
     converged). ``iterations`` counts lockstep rounds, the most KKT solves any
-    sub-window took; ``evaluation`` is the run's evaluation at ``x`` when the
-    last round evaluated there, else None."""
+    sub-window took; ``evaluation`` is the run's evaluation at ``x`` if the
+    solve converged, taken in its last round, else None."""
 
     x: Array
     mu: Array
@@ -262,6 +262,12 @@ def solve_local_subproblem(
     are per sub-window and a converged one stops moving, so each takes the
     iterates of its own solve.
     """
+    return _lockstep_solve(sub, lam, y_ref, rho, cfg, x0, None)
+
+
+def _lockstep_solve(sub, lam, y_ref, rho, cfg, x0, ev) -> LocalSolveResult:
+    """:func:`solve_local_subproblem` whose first round takes ``ev``, the run's
+    evaluation at the start point, unless it is None."""
     cfg = cfg or LocalSolveConfig()
     if not 0 < rho < math.inf:
         raise ValueError("proximal weight rho must be positive and finite")
@@ -274,8 +280,9 @@ def solve_local_subproblem(
     active = np.ones(len(lay.lengths), dtype=bool)
     steps = np.zeros(len(lay.lengths), dtype=int)
     kkt = np.full(len(lay.lengths), np.inf)
-    for _ in range(cfg.inner_max_iter):
-        ev = evaluate_stack(sub, x)
+    for k in range(cfg.inner_max_iter):
+        if k or ev is None:
+            ev = evaluate_stack(sub, x)
         grad = ev.g + at_lam + rho * (x - y_ref)
         kkt[active] = _block_max(sub, grad + stage_transpose(lay, ev.D, mu), ev.F)[active]
         active &= ~(kkt <= cfg.inner_tol)

@@ -547,21 +547,6 @@ def dense_kkt_oracle(blocks: list[QpBlock]) -> QpSolution:
     return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics={"method": "dense_kkt"})
 
 
-def kkt_residual_qp(blocks: list[QpBlock], solution: QpSolution) -> float:
-    """Infinity norm of the stacked first-order conditions of the coupled QP."""
-    worst = 0.0
-    coupling = np.zeros(blocks[0].r)
-    for b, dx, mu_i in zip(blocks, solution.delta_x, solution.mu):
-        stationarity = b.H @ dx + b.g + b.C.T @ mu_i + b.A.T @ solution.lam
-        worst = max(worst, float(np.abs(stationarity).max()))
-        if b.m:
-            worst = max(worst, float(np.abs(b.C @ dx + b.d).max()))
-        coupling += b.anchor + b.A @ dx
-    if coupling.size:
-        worst = max(worst, float(np.abs(coupling).max()))
-    return worst
-
-
 def random_blocks(
     rng: np.random.Generator,
     n_blocks: int,

@@ -16,8 +16,8 @@ The algorithms differ only in a local step around the coordination, taken
 for all blocks at once on the stack:
 
 * ``gn_aladin``  -- before the QP, an exact local solve of every block, all
-  in lockstep; its QP data take homogeneous constraint rows (the local
-  solutions are feasible) from the local solve's last evaluation.
+  in lockstep from the consensus iterate, whose first round takes the last
+  metrics evaluation; the QP data come from the local solve's last round.
 * ``sa_aladin``  -- after the QP, each local pair is continued to the new
   parameters by a tangent predictor-corrector wherever the continuation is
   trustworthy, and pinned to the coordination output elsewhere.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SplitMheError
-from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
+from .local_nlp import _lockstep_solve, hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
     LiftedLayout,
     MheInstance,
@@ -95,7 +95,9 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class IterateState:
-    """Primal blocks, consensus blocks, and multipliers of one outer iterate."""
+    """Primal blocks, consensus blocks, and multipliers of one outer iterate.
+    ``x_blocks`` is where the next iteration's local step starts: the advanced
+    local pairs for ``sa_aladin``, the consensus iterate otherwise."""
 
     x_blocks: list[Array]
     y_blocks: list[Array]
@@ -209,17 +211,17 @@ def _drive(
 ) -> SolveResult:
     """The outer iteration of all four algorithms.
 
-    The QP data is the Gauss-Newton curvature shifted by ``rho``. Without
-    hooks this is ``dsqp``: every block is linearized at its consensus block,
-    with the dynamics defects as constraint offsets, and its new consensus
-    block is its next linearization point. The local steps of the ALADIN
-    variants take ``run``, the :class:`SubProblem` of all sub-windows, and
-    stacks; an evaluation they return is the run's at ``x``, or None:
+    The QP data of every algorithm come from the linearization point ``x``
+    and the stack's evaluation there: Gauss-Newton curvature shifted by
+    ``rho``, with the dynamics defects as constraint offsets. Without hooks
+    this is ``dsqp``: every block is linearized at its consensus block, and
+    its new consensus block is its next linearization point. The ALADIN local
+    steps take ``run``, the :class:`SubProblem` of all sub-windows, and
+    stacks; an evaluation they take or return is the run's at ``x``, or None:
 
-    * ``local_solve(run, y, lam)`` (``gn_aladin``) returns the exact local
-      solutions ``x``, this iteration's linearization point, and an
-      evaluation. They are feasible, so the QP takes homogeneous constraint
-      rows.
+    * ``local_solve(run, y, lam, ev)`` (``gn_aladin``) starts at ``y``, where
+      ``ev`` is evaluated, and returns the local solutions ``x``, this
+      iteration's linearization point, and an evaluation.
     * ``start(run, y, lam, mu)`` (``sa_aladin``) returns the initial local
       pairs ``(x, mu)`` and an evaluation; an error in it is reported as
       iteration 0. ``advance(run, x, mu, ev, y_new, lam_new, mu_hat)``
@@ -244,15 +246,12 @@ def _drive(
         try:
             t0 = time.perf_counter()
             if local_solve:
-                x, ev = local_solve(run, y, lam)
+                x, ev = local_solve(run, y, lam, ev)
             if ev is None:
                 ev = evaluate_stack(run, x)
-            # Gauss-Newton curvature shifted by rho; local solutions are
-            # feasible, so gn_aladin's constraint rows are homogeneous
             stack = StageStack(
                 layout=partition, H=hessian_blocks(run, x, None, cfg.rho, ev, False),
-                g=ev.g, D=ev.D, d=np.zeros_like(ev.F) if local_solve else ev.F,
-                anchor=coupling_residual(partition, x),
+                g=ev.g, D=ev.D, d=ev.F, anchor=coupling_residual(partition, x),
             )
             local_s = time.perf_counter() - t0
 
@@ -262,10 +261,9 @@ def _drive(
             qp_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
+            x_new, mu_new = y_new, sol.mu
             if advance:
                 x_new, mu_new = advance(run, x, mu, ev, y_new, sol.lam, sol.mu)
-            else:
-                x_new, mu_new = (x if local_solve else y_new), sol.mu
             local_s += time.perf_counter() - t0
 
             ev_new = evaluate_stack(run, y_new)
@@ -292,8 +290,8 @@ def _drive(
                 qp_ms=1e3 * qp_s,
             )
         )
-        # where the next linearization point is the new consensus iterate,
-        # the metrics evaluation there is the next QP data
+        # where the next iteration starts at the new consensus iterate, the
+        # metrics evaluation there is its QP data or its local solve's start
         ev = ev_new if np.array_equal(x_new, y_new) else None
         x, mu, y, lam = x_new, mu_new, y_new, sol.lam
         if termination_check(records[-1], cfg):
@@ -341,19 +339,19 @@ def run_gauss_newton_aladin(
 ) -> SolveResult:
     """Splitting solver with exact local solves and Gauss-Newton coordination.
 
-    Per iteration: solve every augmented sub-problem exactly in parallel,
-    assemble residual-based gradients and Gauss-Newton Hessians (shifted by
-    ``rho`` to restore positive definiteness), coordinate through the
-    closed-form coupled QP with homogeneous constraint rows, and take the full
-    consensus update. The local solves run with the default
-    :class:`LocalSolveConfig`; ``info["unconverged_local_solves"]`` counts the
-    iterations whose local solve stopped unconverged.
+    Per iteration: solve every augmented sub-problem exactly in parallel from
+    the consensus iterate, linearize at the local solutions (gradients,
+    dynamics defects and Gauss-Newton Hessians shifted by ``rho``), coordinate
+    through the closed-form coupled QP, and take the full consensus update.
+    The local solves run with the default :class:`LocalSolveConfig`;
+    ``info["unconverged_local_solves"]`` counts the iterations whose local
+    solve stopped unconverged.
     """
     cfg = _checked(cfg, "gn_aladin")
     info = {"unconverged_local_solves": 0}
 
-    def local_solve(run: SubProblem, y: Array, lam: Array):
-        res = solve_local_subproblem(run, lam, y, cfg.rho)
+    def local_solve(run: SubProblem, y: Array, lam: Array, ev):
+        res = _lockstep_solve(run, lam, y, cfg.rho, None, None, ev)
         info["unconverged_local_solves"] += not res.converged
         return res.x.reshape(y.shape), res.evaluation
 

@@ -12,7 +12,8 @@ and says in CHANGES.md which cells moved and why.
     PYTHONPATH=src python tests/drift_golden.py --diff
 
 runs the cells and prints, for each golden cell, any status or iteration
-mismatch and the largest estimate deviation, without rewriting the file.
+mismatch and the largest estimate deviation, without rewriting the file. A
+cell that the gate would fail is marked FAIL, and the script then exits 1.
 
     PYTHONPATH=src python tests/drift_golden.py --digest
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,8 @@ GOLDEN = Path(__file__).with_name("drift_golden.json")
 # every algorithm at a proximal weight on which it converges on these runs
 RHO = {"dsqp": 10.0, "centralized": 10.0, "sa_aladin": 10.0, "gn_aladin": 5.0}
 TOL, MAX_ITER = 1e-8, 60
+# the gate's relative and absolute tolerance on every estimate
+ESTIMATE_TOL = 1e-10
 # receding horizon: short windows over a short scenario, two seeds
 RH_SEEDS, RH_STEPS, RH_HORIZON, RH_N = (0, 1), 13, 10, 4
 # one cold long window on a fixed iteration budget: gn_aladin does not
@@ -78,14 +82,18 @@ def run_cells() -> dict[str, list[dict]]:
     return cells
 
 
-def diff_lines(cells: dict[str, list[dict]], golden: dict[str, list[dict]]) -> list[str]:
-    """One line per golden cell: its status and iteration mismatches, by window,
-    and the largest absolute estimate deviation from the golden file."""
-    lines = []
+def diff_lines(
+    cells: dict[str, list[dict]], golden: dict[str, list[dict]]
+) -> tuple[list[str], bool]:
+    """One line per cell: its status and iteration mismatches, by window, the
+    windows whose estimates miss the golden file by more than the gate's
+    :data:`ESTIMATE_TOL`, and the largest absolute estimate deviation. A cell
+    that the gate fails is marked FAIL; the flag says whether any is."""
+    lines = [f"FAIL {name}: not in the golden file" for name in cells if name not in golden]
     for name, want in golden.items():
         got = cells.get(name)
         if got is None:
-            lines.append(f"{name}: not run")
+            lines.append(f"FAIL {name}: not run")
             continue
         notes = [
             f"window {k} {w['status']}/{w['iterations']} -> {g['status']}/{g['iterations']}"
@@ -94,13 +102,20 @@ def diff_lines(cells: dict[str, list[dict]], golden: dict[str, list[dict]]) -> l
         ]
         if len(got) != len(want):
             notes.append(f"{len(got)} windows, golden {len(want)}")
+        notes += [
+            f"window {k} estimate beyond {ESTIMATE_TOL:g}"
+            for k, (g, w) in enumerate(zip(got, want))
+            if not np.allclose(g["estimate"], w["estimate"], ESTIMATE_TOL, ESTIMATE_TOL, True)
+        ]
         deviation = max(
             (float(np.abs(np.subtract(g["estimate"], w["estimate"])).max())
              for g, w in zip(got, want)),
             default=0.0,
         )
-        lines.append(f"{name}: estimate deviation {deviation:.3e}; " + ("; ".join(notes) or "ok"))
-    return lines
+        mark = "FAIL " if notes else ""
+        lines.append(f"{mark}{name}: estimate deviation {deviation:.3e}; "
+                     + ("; ".join(notes) or "ok"))
+    return lines, any(line.startswith("FAIL") for line in lines)
 
 
 def digest_lines() -> list[str]:
@@ -136,7 +151,9 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     if args.diff:
-        print("\n".join(diff_lines(run_cells(), json.loads(GOLDEN.read_text()))))
+        lines, failed = diff_lines(run_cells(), json.loads(GOLDEN.read_text()))
+        print("\n".join(lines))
+        sys.exit(1 if failed else 0)
     elif args.digest:
         print("\n".join(digest_lines()))
     else:

@@ -197,3 +197,30 @@ def dense_kkt(layout, H, D):
         K[row, q * nx:(q + 1) * nx] = np.eye(nx)
     K[:n * nx, n * nx:] = K[n * nx:, :n * nx].T
     return K
+
+
+def kkt_residual_qp(blocks, solution):
+    """Infinity norm of the stacked first-order conditions of a coupled QP
+    over ``QpBlock`` lists, the check of a solution's optimality."""
+    worst = 0.0
+    coupling = np.zeros(blocks[0].r)
+    for b, dx, mu_i in zip(blocks, solution.delta_x, solution.mu):
+        stationarity = b.H @ dx + b.g + b.C.T @ mu_i + b.A.T @ solution.lam
+        worst = max(worst, float(np.abs(stationarity).max()))
+        if b.m:
+            worst = max(worst, float(np.abs(b.C @ dx + b.d).max()))
+        coupling += b.anchor + b.A @ dx
+    if coupling.size:
+        worst = max(worst, float(np.abs(coupling).max()))
+    return worst
+
+
+def failing_for(solve_window, n_subwindows, error):
+    """``solve_window`` that raises ``error`` in place of a solve with
+    ``n_subwindows`` sub-windows, the fourth positional argument."""
+
+    def wrapper(*args, **kwargs):
+        if args[3:4] == (n_subwindows,):
+            raise error
+        return solve_window(*args, **kwargs)
+    return wrapper

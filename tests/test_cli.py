@@ -5,7 +5,10 @@ import pytest
 
 import splitmhe as sm
 from splitmhe.cli import main
+from splitmhe.errors import FactorizationError
 from splitmhe.harness import read_convergence_csv, read_estimates_csv, read_sweep_csv
+
+from helpers import failing_for
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +215,25 @@ def test_sweep_writes_rows(scenario_file, tmp_path):
     rows = read_sweep_csv(out)
     assert [row["N"] for row in rows] == [3, 5]
     assert all(row["total_wall_ms"] > 0 for row in rows)
+
+
+def test_sweep_exits_numerical_when_a_count_fails(scenario_file, tmp_path, monkeypatch):
+    failure = FactorizationError("forced failure")
+    monkeypatch.setattr(sm.harness, "solve_window", failing_for(sm.solve_window, 5, failure))
+    out = tmp_path / "sweep.csv"
+    code = main(
+        [
+            "sweep",
+            "--scenario", str(scenario_file),
+            "--algorithm", "dsqp",
+            "--sub-windows", "3,5",
+            "--iters", "5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 4
+    rows = read_sweep_csv(out)
+    assert [(row["N"], row["status"]) for row in rows] == [(3, "max_iter"), (5, "error")]
 
 
 def test_check_subcommand_passes(capsys):

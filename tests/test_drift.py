@@ -1,7 +1,8 @@
 """Drift gate: every algorithm's per-window results against a checked-in golden file.
 
-Statuses and iteration counts must match exactly, estimates to 1e-10. The
-runs and the regeneration command are in ``tests/drift_golden.py``.
+Statuses and iteration counts must match exactly, estimates to
+``ESTIMATE_TOL``. The runs, the tolerance and the regeneration command are in
+``tests/drift_golden.py``.
 """
 
 import json
@@ -9,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from drift_golden import GOLDEN, run_cells
+from drift_golden import ESTIMATE_TOL, GOLDEN, run_cells
 
 GOLDEN_CELLS = json.loads(GOLDEN.read_text())
 
@@ -31,5 +32,6 @@ def test_windows_match_the_golden_file(cells, name):
     ]
     for k, (a, b) in enumerate(zip(got, want)):
         np.testing.assert_allclose(
-            a["estimate"], b["estimate"], rtol=1e-10, atol=1e-10, err_msg=f"window {k}"
+            a["estimate"], b["estimate"], rtol=ESTIMATE_TOL, atol=ESTIMATE_TOL,
+            err_msg=f"window {k}",
         )

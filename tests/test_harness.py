@@ -1,11 +1,12 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe.errors import ScenarioError
+from splitmhe.errors import FactorizationError, ScenarioError
 from splitmhe.harness import (
     CONVERGENCE_HEADER,
     ESTIMATES_HEADER,
@@ -20,6 +21,8 @@ from splitmhe.harness import (
     write_scenario,
     write_sweep_csv,
 )
+
+from helpers import failing_for
 
 
 def test_scenario_noise_free_measurements_exact(robot):
@@ -146,6 +149,27 @@ def test_sweep_rows_and_invariance(benchmark_scenario):
         assert row.mean_local_ms >= 0.0 and row.mean_qp_ms >= 0.0
 
 
+def test_sweep_records_a_numerical_failure_as_an_error_row(
+    benchmark_scenario, tmp_path, monkeypatch
+):
+    failure = FactorizationError("forced failure")
+    monkeypatch.setattr(sm.harness, "solve_window", failing_for(sm.solve_window, 5, failure))
+    cfg = sm.SolverConfig(algorithm="dsqp", tol=1e-8)
+    rows = sm.sweep_subwindows(benchmark_scenario, 25, [4, 5], cfg, iters=5)
+    assert [(row.n_subwindows, row.status) for row in rows] == [(4, "max_iter"), (5, "error")]
+    error = rows[1]
+    assert error.iters_to_tol is None and error.final_error is None
+    assert math.isnan(error.mean_local_ms) and math.isnan(error.mean_qp_ms)
+    assert error.total_wall_ms >= 0.0
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    cells = dict(zip(SWEEP_HEADER, path.read_text().splitlines()[2].split(",")))
+    assert cells == dict(
+        N="5", iters_to_tol="", total_wall_ms=cells["total_wall_ms"],
+        mean_local_ms="nan", mean_qp_ms="nan", final_error="", status="error",
+    )
+
+
 def test_scenario_file_round_trip(tmp_path, benchmark_scenario):
     path = tmp_path / "scenario.json"
     write_scenario(benchmark_scenario, path)
@@ -189,6 +213,21 @@ def test_malformed_scenario_file_raises(tmp_path):
     message = "bad.json: noise magnitudes must be nonnegative and finite"
     with pytest.raises(ScenarioError, match=re.escape(message)):
         sm.load_scenario(path)
+    # a sampling time that is not positive, named with the file
+    for T in (-0.2, 0.0):
+        payload = json.loads(good.read_text())
+        payload["model"]["T"] = T
+        path.write_text(json.dumps(payload))
+        message = "bad.json: sampling time must be positive and finite"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            sm.load_scenario(path)
+    # true states or measurements of the wrong length for the controls
+    for key in ("true_states", "measurements"):
+        payload = json.loads(good.read_text())
+        payload[key] = payload[key][:-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ScenarioError, match="inconsistent scenario arrays in .*bad.json"):
+            sm.load_scenario(path)
 
 
 def test_result_file_round_trip(tmp_path, benchmark_runs):

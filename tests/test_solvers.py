@@ -280,11 +280,30 @@ def test_records_are_deterministic(benchmark_instance, algorithm):
     assert a.records[-1].objective == pytest.approx(a.objective, rel=1e-12)
 
 
-def test_gn_aladin_measures_coupling_on_its_local_solutions(benchmark_instance):
+def _record_local_solves(monkeypatch) -> list:
+    """Record every ``gn_aladin`` local solve as ``(handed, result)``, where
+    ``handed`` says whether the driver handed it an evaluation, which must be
+    the one at its start point."""
+    solves = []
+
+    def recorded(run, lam, y, rho, cfg, x0, ev):
+        if ev is not None:
+            at_start = problem.evaluate_stack(run, y)
+            np.testing.assert_array_equal(ev.b, at_start.b)
+            np.testing.assert_array_equal(ev.F, at_start.F)
+        solves.append((ev is not None, local_nlp._lockstep_solve(run, lam, y, rho, cfg, x0, ev)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(solvers, "_lockstep_solve", recorded)
+    return solves
+
+
+def test_gn_aladin_measures_coupling_on_its_local_solutions(benchmark_instance, monkeypatch):
+    solves = _record_local_solves(monkeypatch)
     partition = sm.build_partition(25, 4, 3)
     cfg = sm.SolverConfig(algorithm="gn_aladin", tol=0.0, max_iter=2)
     result = sm.solve(benchmark_instance, partition, cfg)
-    local = np.abs(sm.coupling_residual(partition, result.final_state.x_blocks)).max()
+    local = np.abs(sm.coupling_residual(partition, solves[-1][1].x.reshape(-1, 3))).max()
     consensus = np.abs(sm.coupling_residual(partition, result.final_state.y_blocks)).max()
     assert result.records[-1].coupling_inf == local > 1e3 * consensus
 
@@ -311,6 +330,34 @@ def test_coupling_is_evaluated_once_per_iteration_at_the_qp_anchor(
     if algorithm == "dsqp":
         # a cold start lifts one trajectory, whose sub-windows agree exactly
         assert result.records[0].coupling_inf == 0.0
+
+
+@pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
+def test_every_qp_takes_the_dynamics_defects_at_its_linearization_point(
+    benchmark_instance, algorithm, monkeypatch
+):
+    """All four algorithms assemble the QP from ``(x, ev)`` alone: its
+    constraint offsets ``d`` are ``F`` at the linearization point ``x``, the
+    local solutions included, and its anchor is the coupling there."""
+    points, stacks = [], []
+
+    def hessian(run, x, *args):
+        points.append((run, x.copy()))
+        return local_nlp.hessian_blocks(run, x, *args)
+
+    def coupled_qp(stack):
+        stacks.append(stack)
+        return qp_core.solve_coupled_qp(stack)
+
+    monkeypatch.setattr(solvers, "hessian_blocks", hessian)
+    monkeypatch.setattr(solvers, "solve_coupled_qp", coupled_qp)
+    cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=3)
+    partition = sm.build_partition(25, 4, 3)
+    result = sm.solve(benchmark_instance, partition, cfg)
+    assert len(points) == len(stacks) == result.iterations == 3
+    for (run, x), stack in zip(points, stacks):
+        np.testing.assert_array_equal(stack.d, problem.evaluate_stack(run, x).F)
+        np.testing.assert_array_equal(stack.anchor, sm.coupling_residual(stack.layout, x))
 
 
 def test_solver_errors_carry_iteration_context(linear_model):
@@ -438,27 +485,26 @@ def _count_evaluations(monkeypatch) -> Counter:
 def test_gn_aladin_evaluates_the_stack_once_per_iteration_and_round(
     benchmark_instance, monkeypatch
 ):
-    """Every evaluation is of the whole stack. The outer loop evaluates it once,
-    at the new consensus point: the QP data come from the local solve's last
-    round, which evaluated the local solutions. The lockstep local solve
-    evaluates once per round, sharing it between the convergence test and the
+    """Every evaluation is of the whole stack, and no point is evaluated
+    twice. The outer loop evaluates it once, at the new consensus point, and
+    the next iteration's local solve starts there and takes that evaluation
+    as its first round; the QP data come from the local solve's last round,
+    which evaluated the local solutions. The lockstep local solve evaluates
+    once per round, sharing it between the convergence test and the
     curvature."""
     calls = _count_evaluations(monkeypatch)
-    rounds = []
-
-    def solve_local(*args, **kwargs):
-        rounds.append(local_nlp.solve_local_subproblem(*args, **kwargs))
-        return rounds[-1]
-
-    monkeypatch.setattr(solvers, "solve_local_subproblem", solve_local)
+    solves = _record_local_solves(monkeypatch)
     cfg = sm.SolverConfig(algorithm="gn_aladin", tol=1e-8, max_iter=60)
     result = sm.solve(benchmark_instance, sm.build_partition(25, 4, 3), cfg)
     assert result.status == "converged"
-    assert calls["driver"] == result.iterations == len(rounds) == 16
-    assert all(r.converged for r in rounds)
-    # a converged solve of k rounds evaluates k + 1 times: 61 here
-    assert calls["local"] == sum(r.iterations + 1 for r in rounds) == 61
-    assert calls["blocks=4"] == calls["driver"] + calls["local"]
+    assert calls["driver"] == result.iterations == len(solves) == 16
+    assert all(r.converged for _, r in solves)
+    # iterations 2-16 start from the driver's evaluation
+    assert [handed for handed, _ in solves] == [False] + [True] * 15
+    # a converged solve of k rounds evaluates k + 1 times, once fewer when
+    # handed its first round: 61 - 15 here
+    assert calls["local"] == sum(r.iterations + 1 for _, r in solves) - 15 == 46
+    assert calls["blocks=4"] == calls["driver"] + calls["local"] == 62
 
 
 def test_unconverged_local_solves_are_counted(benchmark_runs):
@@ -475,7 +521,10 @@ def test_unconverged_local_solves_are_counted(benchmark_runs):
 
 @pytest.mark.parametrize(
     "field, index, size",
-    [("x_blocks", 0, 5), ("y_blocks", 1, 5), ("mu_blocks", 2, 3), ("mu_blocks", None, None)],
+    [
+        ("x_blocks", 0, 5), ("y_blocks", 1, 5), ("mu_blocks", 2, 3), ("mu_blocks", None, None),
+        ("lam", None, None),
+    ],
 )
 @pytest.mark.parametrize("algorithm", ["gn_aladin", "sa_aladin", "dsqp"])
 def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, index, size):
@@ -483,16 +532,19 @@ def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, 
     partition = sm.build_partition(6, 3, 2)
     y = sm.lift_initial_guess(instance.initial_guess, partition)
     blocks = dict(
-        x_blocks=list(y), y_blocks=list(y),
+        x_blocks=list(y), y_blocks=list(y), lam=np.zeros(partition.r),
         mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
     )
     if index is None:
-        blocks[field] = blocks[field][:-1]  # one block short
-        expected = "2 mu_blocks for 3 sub-windows"
+        blocks[field] = blocks[field][:-1]  # one block or coupling row short
+        expected = {
+            "mu_blocks": "2 mu_blocks for 3 sub-windows",
+            "lam": re.escape("lam has shape (3,), expected (4,)"),
+        }[field]
     else:
         blocks[field][index] = blocks[field][index][:size]
         expected = re.escape(f"{field}[{index}] has shape ({size},), expected ")
-    bad = sm.IterateState(lam=np.zeros(partition.r), **blocks)
+    bad = sm.IterateState(**blocks)
     cfg = sm.SolverConfig(algorithm=algorithm, rho=1.0, max_iter=5)
     with pytest.raises(SplitMheError, match=expected) as err:
         sm.solve(instance, partition, cfg, warm=bad)

@@ -1,8 +1,10 @@
 """Benchmark harness: scenario generation, window solves, sweeps, and file I/O.
 
-Scenario files, result files and the CSV logs are written with fixed float
-formatting (17 significant digits), so identical seeds and configurations
-produce byte-identical files apart from wall-clock columns.
+Scenario files, result files and the CSV logs write every float as its
+``repr``, the shortest text that reads back to the same double, and JSON
+files write non-finite values as ``NaN`` and ``Infinity``, which
+``json.loads`` reads back. Identical seeds and configurations produce
+byte-identical files apart from wall-clock columns.
 """
 
 from __future__ import annotations
@@ -364,34 +366,20 @@ def sweep_subwindows(
 
 
 # ---------------------------------------------------------------------------
-# file emission: fixed-format JSON and CSV writers plus matching readers
+# file emission: JSON and CSV writers plus matching readers
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_fmt(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+def _plain(value):
+    """The Python value of a numpy array or scalar, for ``json.dumps``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _write_json(payload: dict, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(_fmt(payload) + "\n")
+    path.write_text(json.dumps(payload, default=_plain) + "\n")
     return path
 
 
@@ -402,7 +390,7 @@ def _csv_cell(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return repr(float(value))
 
 
 def _write_csv(header: list[str], rows: list[list], path: str | Path) -> Path:
@@ -564,14 +552,10 @@ def run_self_check(seed: int = 7) -> list[tuple[str, bool, str]]:
         fast = solve_coupled_qp(blocks)
         oracle = dense_kkt_oracle(blocks)
         scale = 1.0 + max(np.abs(np.concatenate(oracle.delta_x)).max(), 1.0)
-        err = max(
-            np.abs(fast.lam - oracle.lam).max() if r else 0.0,
-            max(
-                np.abs(a - b).max() if a.size else 0.0
-                for a, b in zip(fast.mu, oracle.mu)
-            ),
-            max(np.abs(a - b).max() for a, b in zip(fast.delta_x, oracle.delta_x)),
+        pairs = zip(
+            [fast.lam, *fast.mu, *fast.delta_x], [oracle.lam, *oracle.mu, *oracle.delta_x]
         )
+        err = np.abs(np.concatenate([a - b for a, b in pairs])).max()
         worst_qp = max(worst_qp, err / scale)
     checks.append(
         ("qp-oracle", worst_qp <= 1e-9, f"max relative deviation {worst_qp:.3e} (limit 1e-9)")

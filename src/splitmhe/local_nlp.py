@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import OriginSingularityError, SingularKktError
 from .problem import (
     StageEvaluation,
     SubProblem,
-    block_diagonal_matrix,
     constraint_vector,
     evaluate_stack,
     residual_vector,
@@ -51,8 +51,10 @@ class LocalSolveConfig:
     inner_max_iter: int = 50
 
     def __post_init__(self):
-        if not 0 < self.inner_tol < math.inf or self.inner_max_iter < 1:
-            raise ValueError("inner tolerances must be positive and finite")
+        if not 0 < self.inner_tol < math.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
+        if self.inner_max_iter < 1:
+            raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
 
 
 @dataclass(eq=False)
@@ -130,7 +132,8 @@ def lagrangian_hessian(
     if mode not in ("gauss_newton", "exact_lagrangian"):
         raise ValueError(f"unknown hessian mode {mode!r}")
     ev = evaluation or evaluate_stack(sub, x)
-    return block_diagonal_matrix(hessian_blocks(sub, x, mu, rho, ev, mode == "exact_lagrangian"))
+    blocks = hessian_blocks(sub, x, mu, rho, ev, mode == "exact_lagrangian")
+    return scipy.linalg.block_diag(*blocks)
 
 
 def sensitivity_matrices(

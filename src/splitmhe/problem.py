@@ -376,15 +376,6 @@ def constraint_vector(sub: SubProblem, X: Array) -> Array:
 # fresh interpreter took about 10 % longer.
 
 
-def block_diagonal_matrix(blocks: Array) -> Array:
-    """Dense matrix with the ``(k, nx, nx)`` stack ``blocks`` on its diagonal."""
-    k, nx, _ = blocks.shape
-    out = np.zeros((k, nx, k, nx))
-    idx = np.arange(k)
-    out[idx, :, idx, :] = blocks
-    return out.reshape(k * nx, k * nx)
-
-
 def stage_constraint_matrix(layout: LiftedLayout, D: Array) -> Array:
     """Dense Jacobian of a run's stages: block row ``k`` holds ``-D_k`` on state
     ``prev[k]`` and ``I`` on state ``next[k]``."""

@@ -502,48 +502,26 @@ def dense_kkt_oracle(blocks: list[QpBlock]) -> QpSolution:
     Used as an independent cross-check of :func:`solve_coupled_qp`; the two
     agree to roundoff on every well-posed instance.
     """
-    r = _check_coupling_rows(blocks)
-    n_tot = sum(b.n for b in blocks)
-    m_tot = sum(b.m for b in blocks)
-    dim = n_tot + m_tot + r
-    K = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-
-    x_off = 0
-    mu_off = n_tot
-    for b in blocks:
-        xs = slice(x_off, x_off + b.n)
-        K[xs, xs] = b.H
-        rhs[xs] = -b.g
-        if b.m:
-            ms = slice(mu_off, mu_off + b.m)
-            K[ms, xs] = b.C
-            K[xs, ms] = b.C.T
-            rhs[ms] = -b.d
-        if r:
-            ls = slice(n_tot + m_tot, dim)
-            K[ls, xs] += b.A
-            K[xs, ls] += b.A.T
-        x_off += b.n
-        mu_off += b.m
-    if r:
-        rhs[n_tot + m_tot:] = -sum(b.anchor for b in blocks)
-
+    _check_coupling_rows(blocks)
+    # constraint rows, then coupling rows, against the stacked block variables
+    rows = np.vstack([
+        scipy.linalg.block_diag(*(b.C for b in blocks)), np.hstack([b.A for b in blocks])
+    ])
+    K = np.block([
+        [scipy.linalg.block_diag(*(b.H for b in blocks)), rows.T],
+        [rows, np.zeros((len(rows), len(rows)))],
+    ])
+    rhs = -np.concatenate(
+        [b.g for b in blocks] + [b.d for b in blocks] + [sum(b.anchor for b in blocks)]
+    )
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularKktError("assembled KKT matrix is singular") from exc
 
-    lam = sol[n_tot + m_tot:]
-    mu = []
-    delta_x = []
-    x_off = 0
-    mu_off = n_tot
-    for b in blocks:
-        delta_x.append(sol[x_off:x_off + b.n])
-        mu.append(sol[mu_off:mu_off + b.m])
-        x_off += b.n
-        mu_off += b.m
+    cuts = np.cumsum([b.n for b in blocks] + [b.m for b in blocks])
+    *parts, lam = np.split(sol, cuts)
+    delta_x, mu = parts[:len(blocks)], parts[len(blocks):]
     return QpSolution(lam=lam, mu=mu, delta_x=delta_x, diagnostics={"method": "dense_kkt"})
 
 

@@ -164,6 +164,21 @@ def test_non_finite_simulate_inputs_are_input_errors(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "--control", "1"], "expected 'v,omega', got '1'"),
+        (["sweep", "--scenario", "s.json", "--sub-windows", "3,x"],
+         "expected comma-separated integers, got '3,x'"),
+    ],
+)
+def test_malformed_option_lists_are_input_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_writes_csv(scenario_file, tmp_path):
     out = tmp_path / "estimates.csv"
     code = main(

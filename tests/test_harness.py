@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ def test_scenario_rejects_bad_schedule():
         sm.generate_scenario(steps=0)
     with pytest.raises(ScenarioError):
         sm.generate_scenario(steps=5, sigma_r=-1.0)
+
+
+def test_scenario_takes_a_full_control_schedule():
+    pair = sm.generate_scenario(steps=15, control=(0.8, 0.3), seed=2)
+    schedule = sm.generate_scenario(steps=15, control=np.tile([0.8, 0.3], (15, 1)), seed=2)
+    for name in ("controls", "true_states", "measurements"):
+        np.testing.assert_array_equal(getattr(schedule, name), getattr(pair, name))
+    with pytest.raises(ScenarioError, match=re.escape("must be (steps, 2), got (15, 3)")):
+        sm.generate_scenario(steps=15, control=np.ones((15, 3)))
 
 
 def test_window_instance_defaults(benchmark_scenario):
@@ -241,6 +251,16 @@ def test_result_file_round_trip(tmp_path, benchmark_runs):
     assert loaded["iterations"] == result.iterations
     np.testing.assert_array_equal(loaded["trajectory"], result.trajectory)
     assert loaded["objective"] == result.objective
+
+
+def test_result_file_round_trips_non_finite_metrics(tmp_path, benchmark_runs):
+    metrics = {"primal_step_inf": math.nan, "coupling_inf": math.inf, "dynamics_inf": -math.inf}
+    result = replace(benchmark_runs["dsqp"], final_metrics=metrics)
+    path = write_result(result, {"algorithm": "dsqp"}, tmp_path / "result.json")
+    loaded = load_result(path)["final_metrics"]
+    assert loaded.keys() == metrics.keys()
+    assert math.isnan(loaded["primal_step_inf"])
+    assert (loaded["coupling_inf"], loaded["dynamics_inf"]) == (math.inf, -math.inf)
 
 
 def test_convergence_csv_round_trip(tmp_path, benchmark_runs):

@@ -328,6 +328,25 @@ def test_inner_solver_rejects_bad_rho(benchmark_instance):
         solve_local_subproblem(sub, np.zeros(partition.r), y, rho=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("inner_tol", 0.0, "inner_tol must be positive and finite, got 0.0"),
+        ("inner_tol", float("inf"), "inner_tol must be positive and finite, got inf"),
+        ("inner_max_iter", 0, "inner_max_iter must be at least 1, got 0"),
+    ],
+)
+def test_local_solve_config_names_the_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        LocalSolveConfig(**{field: value})
+
+
+def test_lagrangian_hessian_rejects_an_unknown_mode(benchmark_instance):
+    sub, x, _ = robot_sub(benchmark_instance)
+    with pytest.raises(ValueError, match="unknown hessian mode 'bogus'"):
+        lagrangian_hessian(sub, x, np.zeros(sub.length * 3), 1.0, mode="bogus")
+
+
 
 
 def test_solve_local_kkt_shifts_a_singular_matrix():

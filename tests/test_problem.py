@@ -1,5 +1,7 @@
+import ast
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +344,13 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
         b_dense, J = eval_residual_stack(sub, block)
         np.testing.assert_array_equal(direct.b, b_dense)
         np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)
+
+
+def test_problem_module_imports_no_scipy():
+    # importing scipy from inside problem.py slows `import splitmhe` by about
+    # a tenth; every scipy call lives in qp_core and local_nlp
+    tree = ast.parse(Path(problem.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in names if name.split(".")[0] == "scipy"], names

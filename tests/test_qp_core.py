@@ -425,6 +425,18 @@ def test_duplicated_coupling_rows_raise_singular_kkt():
     ]
     with pytest.raises(SingularKktError, match="Schur"):
         sm.solve_coupled_qp(blocks)
+    # the two coupling rows of K are equal, so its LU meets an exact zero pivot
+    with pytest.raises(SingularKktError, match="assembled KKT matrix is singular"):
+        sm.dense_kkt_oracle(blocks)
+
+
+def test_coupled_qp_rejects_no_blocks_and_unequal_coupling_rows():
+    with pytest.raises(sm.DimensionMismatchError, match="at least one block"):
+        sm.solve_coupled_qp([])
+    rng = np.random.Generator(np.random.PCG64(20))
+    blocks = random_blocks(rng, 1, 3) + random_blocks(rng, 1, 2)
+    with pytest.raises(sm.DimensionMismatchError, match="share the coupling row count"):
+        sm.solve_coupled_qp(blocks)
 
 
 def test_stage_rank_guard_names_an_interior_block_by_its_own_pivots():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import splitmhe as sm
 from splitmhe import local_nlp, problem, qp_core, solvers
@@ -88,6 +89,14 @@ def test_config_rejects_out_of_range_values(kwargs):
     config = sm.SolverConfig if "algorithm" in kwargs else sm.LocalSolveConfig
     with pytest.raises(ValueError):
         config(**kwargs)
+
+
+def test_distributed_runs_need_a_partition_and_their_own_config(linear_instance):
+    with pytest.raises(ValueError, match="distributed algorithms need a partition"):
+        sm.solve(linear_instance, None, sm.SolverConfig("dsqp"))
+    partition = sm.build_partition(linear_instance.L, 2, 2)
+    with pytest.raises(ValueError, match="config selects 'gn_aladin', expected 'dsqp'"):
+        sm.run_distributed_sqp(linear_instance, partition, sm.SolverConfig("gn_aladin"))
 
 
 def test_benchmark_runs_reach_reference(benchmark_runs):
@@ -454,7 +463,7 @@ def test_outer_loops_never_materialise_dense_qp_data(linear_instance, monkeypatc
     monkeypatch.setattr(qp_core.QpBlock, "__post_init__", _refuse)
     monkeypatch.setattr(problem, "stage_constraint_matrix", _refuse)
     monkeypatch.setattr(local_nlp, "stage_constraint_matrix", _refuse)
-    monkeypatch.setattr(local_nlp, "block_diagonal_matrix", _refuse)
+    monkeypatch.setattr(scipy.linalg, "block_diag", _refuse)
     runs = {}
     for algorithm in ("gn_aladin", "sa_aladin", "dsqp", "centralized"):
         cfg = sm.SolverConfig(algorithm=algorithm, rho=1.0, tol=1e-12, max_iter=300)

@@ -92,9 +92,12 @@ def robot_model(T: float = 0.2) -> SystemModel:
     message and in ``state``.
     """
 
+    eye = np.eye(3)
+
     def _range_sq(x: Array) -> Array:
-        r2 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
-        if np.min(r2) < _ORIGIN_EPS:
+        phi, psi = x[..., 0], x[..., 1]
+        r2 = phi * phi + psi * psi
+        if r2.min() < _ORIGIN_EPS:
             first = np.flatnonzero(r2 < _ORIGIN_EPS)[0]
             phi, psi = x.reshape(-1, 3)[first, :2]
             error = OriginSingularityError(
@@ -115,11 +118,14 @@ def robot_model(T: float = 0.2) -> SystemModel:
 
     def h(x: Array) -> Array:
         r2 = _range_sq(x)
-        return np.stack([np.sqrt(r2), np.arctan2(x[..., 1], x[..., 0])], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = np.sqrt(r2)
+        out[..., 1] = np.arctan2(x[..., 1], x[..., 0])
+        return out
 
     def df_dx(x: Array, u: Array) -> Array:
         theta, v = x[..., 2], T * u[..., 0]
-        return _fill(np.eye(3), x, {(0, 2): -v * np.sin(theta), (1, 2): v * np.cos(theta)})
+        return _fill(eye, x, {(0, 2): -v * np.sin(theta), (1, 2): v * np.cos(theta)})
 
     def df_du(x: Array, u: Array) -> Array:
         cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
@@ -129,8 +135,12 @@ def robot_model(T: float = 0.2) -> SystemModel:
         r2 = _range_sq(x)
         r = np.sqrt(r2)
         phi, psi = x[..., 0], x[..., 1]
-        entries = {(0, 0): phi / r, (0, 1): psi / r, (1, 0): -psi / r2, (1, 1): phi / r2}
-        return _fill(np.zeros((2, 3)), x, entries)
+        out = np.zeros(x.shape[:-1] + (2, 3))
+        out[..., 0, 0] = phi / r
+        out[..., 0, 1] = psi / r
+        out[..., 1, 0] = -psi / r2
+        out[..., 1, 1] = phi / r2
+        return out
 
     def d2f(x: Array, u: Array, w: Array) -> Array:
         theta = x[..., 2]

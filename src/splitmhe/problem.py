@@ -422,21 +422,27 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
     whole window. On the whole window ``b`` is the centralized residual vector
     of the trajectory that the measured states form."""
-    b = residual_vector(sub, X)
     X, model, lay = sub.states(X), sub.model, sub.layout
     nx = model.nx
-    bm = b[nx * sub.has_prior:].reshape(len(sub.measured), -1)
-    JmT = np.swapaxes(sub.v_inv_sqrt @ model.dh_dx(X[sub.measured]), 1, 2)
+    Xm, Xp = X[sub.measured], X[lay.prev]
+    dy = model.h(Xm) - sub.measurements
+    bm = (sub.v_inv_sqrt @ dy[..., None])[..., 0]
+    b = bm.reshape(-1)
+    if sub.has_prior:
+        b = np.concatenate([sub.p_inv_sqrt @ (X[0] - sub.prior), b])
+    Jm = sub.v_inv_sqrt @ model.dh_dx(Xm)
+    JmT = np.swapaxes(Jm, 1, 2)
     g = np.zeros(X.shape)
     W = np.zeros(X.shape + X.shape[-1:])
     g[sub.measured] = (JmT @ bm[..., None])[..., 0]
-    W[sub.measured] = JmT @ np.swapaxes(JmT, 1, 2)
+    # J'J on a contiguous J' takes about a third of the time, bit for bit the same
+    W[sub.measured] = np.ascontiguousarray(JmT) @ Jm
     if sub.has_prior:
         g[0] += sub.p_inv_sqrt.T @ b[:nx]
         W[0] += sub.p_inv_sqrt.T @ sub.p_inv_sqrt
     w = (sub.v_inv_sqrt.T @ bm[..., None])[..., 0]
-    F = constraint_vector(sub, X).reshape(-1, nx)
-    return StageEvaluation(b, g, W, w, F, model.df_dx(X[lay.prev], sub.controls))
+    F = X[lay.next] - model.f(Xp, sub.controls)
+    return StageEvaluation(b, g, W, w, F, model.df_dx(Xp, sub.controls))
 
 
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:

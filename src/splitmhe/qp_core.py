@@ -28,6 +28,8 @@ coupling between the last state of one sub-window and the first state of the
 next. Those two states sit next to each other in the stack, so a coupling
 row, negated, is one more link ``[-I, I]`` between consecutive states, and
 stages and coupling rows together form one chain of ``L + N - 1`` links. The
+per-state Hessian blocks are factored as one block-diagonal band, and one
+banded solve against stacked identity blocks gives every ``H_j^-1``. The
 chain's ``C H^-1 C'`` is block-tridiagonal over the links: one banded
 Cholesky factorization and one banded solve give every link multiplier, and
 the steps follow. A whole window costs ``O((L + N) nx^3)`` in a fixed number
@@ -320,50 +322,81 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     )
 
 
+# the zero that every unused slot of a banded matrix takes
+_ZERO = np.zeros(1)
+
+
 @lru_cache(maxsize=128)
-def _band_layout(t: int, nx: int) -> tuple[Array, Array]:
-    """Flat positions that move the block rows ``[R_kk, R_k,k+1]`` of a
-    ``(t, nx, 2 nx)`` stack into LAPACK upper banded storage ``(2 nx, t nx)``."""
-    m, u = t * nx, 2 * nx - 1
-    a, c = np.triu_indices(nx, 0, 2 * nx)
+def _band_index(t: int, nx: int, width: int) -> Array:
+    """Take index of the LAPACK upper banded storage ``(width, t nx)`` of a
+    symmetric matrix with ``t`` diagonal ``nx x nx`` blocks and, for ``width``
+    ``2 nx``, ``t - 1`` superdiagonal blocks, from the flat concatenation
+    ``[diagonal blocks, superdiagonal blocks, 0]``."""
+    m, u, size = t * nx, width - 1, nx * nx
+    tridiagonal = width > nx
+    a, c = np.triu_indices(nx)
     k = np.arange(t)[:, None]
-    col = k * nx + c
-    keep = col < m
-    dst = (u + a - c) * m + col
-    src = k * (2 * nx * nx) + a * (2 * nx) + c
-    dst, src = dst[keep], src[keep]
-    # cached and shared by every caller
-    dst.flags.writeable = src.flags.writeable = False
-    return dst, src
+    index = np.full(width * m, (2 * t - 1 if tridiagonal else t) * size, dtype=np.intp)
+    index[((u + a - c) * m + k * nx + c).ravel()] = (k * size + a * nx + c).ravel()
+    if tridiagonal:
+        a, c = np.divmod(np.arange(size), nx)
+        k = k[:-1]
+        dst = (u - nx + a - c) * m + (k + 1) * nx + c
+        index[dst.ravel()] = ((t + k) * size + a * nx + c).ravel()
+    index.flags.writeable = False  # cached and shared by every caller
+    return index.reshape(width, m)
 
 
-def _banded(rows: Array) -> Array:
-    """Upper banded storage of the block-tridiagonal matrix with block rows ``rows``."""
-    t, nx, _ = rows.shape
-    dst, src = _band_layout(t, nx)
-    band = np.zeros((2 * nx, t * nx))
-    band.flat[dst] = rows.flat[src]
-    return band
+def _banded(index: Array, *blocks: Array) -> Array:
+    """The banded storage that ``index``, a :func:`_band_index`, takes from ``blocks``."""
+    return np.concatenate([b.reshape(-1) for b in blocks] + [_ZERO]).take(index)
 
 
-def _first_indefinite(H: Array) -> int:
-    """Index of the first block of a stack without a Cholesky factor."""
-    for j, h in enumerate(H):
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            return j
-    raise AssertionError("every block factors")
+@lru_cache(maxsize=64)
+def _link_index(lay: LiftedLayout) -> tuple[Array, Array]:
+    """Link ``j``'s row in ``[stages, coupling rows]``: stage ``k`` is link
+    ``prev[k]`` and coupling row ``c`` link ``last[c]``; and the ``N - 1``
+    identity blocks ``D`` of the coupling links."""
+    index = np.empty(lay.n_states - 1, dtype=np.intp)
+    index[lay.prev] = np.arange(lay.L)
+    index[lay.last[:-1]] = lay.L + np.arange(lay.N - 1)
+    index.flags.writeable = False  # cached and shared by every caller
+    return index, np.broadcast_to(np.eye(lay.nx), (lay.N - 1, lay.nx, lay.nx))
+
+
+@lru_cache(maxsize=128)
+def _block_identity(t: int, nx: int) -> Array:
+    """``t`` identity blocks stacked, ``(t nx, nx)``: the right-hand side whose
+    solve against a block-diagonal factor gives every block's inverse."""
+    eye = np.tile(np.eye(nx), (t, 1))
+    eye.flags.writeable = False  # cached and shared by every caller
+    return eye
+
+
+def _block_inverses(H: Array, state_block: Array) -> Array:
+    """The inverses of the symmetric blocks ``H`` ``(t, nx, nx)``: one banded
+    Cholesky factorization of the block-diagonal matrix, of half-bandwidth
+    ``nx - 1``, and one banded solve against :func:`_block_identity`. A block
+    that is not positive definite raises, named by ``state_block``."""
+    t, nx = H.shape[:2]
+    factor, info = scipy.linalg.lapack.dpbtrf(_banded(_band_index(t, nx, nx), H))
+    if info:
+        i = int(state_block[(info - 1) // nx])  # the first state without a pivot
+        raise NotPositiveDefiniteError(
+            f"block {i}: Hessian is not positive definite", block_index=i
+        )
+    return scipy.linalg.lapack.dpbtrs(factor, _block_identity(t, nx))[0].reshape(t, nx, nx)
 
 
 def _stack_terms(stack: StageStack) -> StackTerms:
     """Factor the chain of a stack in ``O((L + N) nx^3)``.
 
-    The per-state Hessian blocks are factored in one batched Cholesky call.
-    ``R = C H^-1 C'`` over the links is block-tridiagonal, with diagonal blocks
-    ``D_j H_j^-1 D_j' + H_{j+1}^-1`` and superdiagonal blocks
-    ``-H_{j+1}^-1 D_{j+1}'``, so it takes one banded factorization of
-    bandwidth ``2 nx - 1``. The rank guard is the squared pivot ratio over
+    The per-state Hessian blocks are inverted through one banded Cholesky
+    factorization of their block-diagonal band, of half-bandwidth ``nx - 1``
+    (:func:`_block_inverses`). ``R = C H^-1 C'`` over the links is
+    block-tridiagonal, with diagonal blocks ``D_j H_j^-1 D_j' + H_{j+1}^-1``
+    and superdiagonal blocks ``-H_{j+1}^-1 D_{j+1}'``, so it takes one banded
+    factorization of bandwidth ``2 nx - 1``. The rank guard is the squared pivot ratio over
     each sub-window's stage links and the coupling link after it, which
     bounds ``1/cond`` of that part of ``R`` from above.
     """
@@ -371,29 +404,17 @@ def _stack_terms(stack: StageStack) -> StackTerms:
     lay = stack.layout
     H = stack.H
     n, nx = H.shape[:2]
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        i = int(lay.state_block[_first_indefinite(H)])
-        raise NotPositiveDefiniteError(
-            f"block {i}: Hessian is not positive definite", block_index=i
-        ) from exc
-    linv = np.linalg.inv(chol)
-    hinv = np.swapaxes(linv, 1, 2) @ linv
+    hinv = _block_inverses(H, lay.state_block)
+    links, eyes = _link_index(lay)
+    D = np.concatenate((stack.D, eyes)).take(links, 0)
+    d = np.concatenate((stack.d, -stack.anchor.reshape(-1, nx))).take(links, 0)
 
-    joins = lay.last[:-1]
-    D = np.empty((n - 1, nx, nx))
-    D[lay.prev] = stack.D
-    D[joins] = np.eye(nx)
-    d = np.empty((n - 1, nx))
-    d[lay.prev] = stack.d
-    d[joins] = -stack.anchor.reshape(-1, nx)
-
-    Dt = np.swapaxes(D, 1, 2)
-    band_rows = np.zeros((n - 1, nx, 2 * nx))
-    band_rows[:, :, :nx] = D @ hinv[:-1] @ Dt + hinv[1:]
-    band_rows[:-1, :, nx:] = -(hinv[1:-1] @ Dt[1:])
-    factor, info = scipy.linalg.lapack.dpbtrf(_banded(band_rows))
+    # on a contiguous D' the products below take half the time, bit for bit the same
+    Dt = np.ascontiguousarray(np.swapaxes(D, 1, 2))
+    diagonal = D @ hinv[:-1] @ Dt + hinv[1:]
+    upper = -(hinv[1:-1] @ Dt[1:])
+    band = _banded(_band_index(n - 1, nx, 2 * nx), diagonal, upper)
+    factor, info = scipy.linalg.lapack.dpbtrf(band)
     if info:
         i = int(lay.state_block[(info - 1) // nx])  # the link's first state names the block
         raise RankDeficientConstraintsError(
@@ -402,13 +423,13 @@ def _stack_terms(stack: StageStack) -> StackTerms:
     pivots = factor[-1]
     rows = lay.first * nx
     ratio = (np.minimum.reduceat(pivots, rows) / np.maximum.reduceat(pivots, rows)) ** 2
-    if (low := np.flatnonzero(ratio <= RANK_RCOND_LIMIT)).size:
-        i = int(low[0])
+    if (worst := float(ratio.min())) <= RANK_RCOND_LIMIT:
+        i = int(np.flatnonzero(ratio <= RANK_RCOND_LIMIT)[0])
         raise RankDeficientConstraintsError(
             f"block {i}: constraint rows are rank deficient (pivot ratio {ratio[i]:.3e})",
             block_index=i,
         )
-    return StackTerms(hinv=hinv, D=D, d=d, factor=factor, pivot_ratio=float(ratio.min()))
+    return StackTerms(hinv=hinv, D=D, d=d, factor=factor, pivot_ratio=worst)
 
 
 def _solve_stack(stack: StageStack) -> QpSolution:
@@ -418,9 +439,7 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     lay = stack.layout
     hg = (terms.hinv @ stack.g[..., None])[..., 0]
     rhs = terms.d - hg[1:] + (terms.D @ hg[:-1, :, None])[..., 0]
-    nu = scipy.linalg.cho_solve_banded(
-        (terms.factor, False), rhs.reshape(-1), check_finite=False
-    ).reshape(rhs.shape)
+    nu = scipy.linalg.lapack.dpbtrs(terms.factor, rhs.reshape(-1))[0].reshape(rhs.shape)
     # link j puts -D_j' nu_j on state j and nu_j on state j + 1
     v = stack.g.copy()
     v[:-1] -= (np.swapaxes(terms.D, 1, 2) @ nu[..., None])[..., 0]

@@ -267,10 +267,12 @@ def _drive(
             local_s += time.perf_counter() - t0
 
             ev_new = evaluate_stack(run, y_new)
-            stat = (
-                ev_new.g + stage_transpose(run.layout, ev_new.D, sol.mu)
-                + run.apply_coupling_transpose(sol.lam).reshape(ev_new.g.shape)
-            )
+            # A' lam puts +lam_c on the last state of sub-window c, -lam_c on
+            # the first state of sub-window c + 1
+            stat = ev_new.g + stage_transpose(run.layout, ev_new.D, sol.mu)
+            lam_rows = sol.lam.reshape(-1, partition.nx)
+            stat[partition.last[:-1]] += lam_rows
+            stat[partition.first[1:]] -= lam_rows
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())
@@ -292,7 +294,7 @@ def _drive(
         )
         # where the next iteration starts at the new consensus iterate, the
         # metrics evaluation there is its QP data or its local solve's start
-        ev = ev_new if np.array_equal(x_new, y_new) else None
+        ev = ev_new if x_new is y_new or np.array_equal(x_new, y_new) else None
         x, mu, y, lam = x_new, mu_new, y_new, sol.lam
         if termination_check(records[-1], cfg):
             status = "converged"

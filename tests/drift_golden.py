@@ -20,9 +20,12 @@ cell that the gate would fail is marked FAIL, and the script then exits 1.
 prints one SHA-256 per algorithm and proximal weight (its default and the
 gate's) over every window of two full receding horizons (60 steps at seed 0,
 40 at seed 1, horizon 25, N = 4): each window's status, iteration count,
-estimate bytes, trajectory bytes and ``SolveResult.objective``. It rewrites
-nothing; run it against two source trees, e.g. ``PYTHONPATH=<tree>/src``, to
-compare their solutions bit for bit.
+estimate bytes, trajectory bytes and ``SolveResult.objective``. Two more
+lines hash the same of the benchmark's long windows: one cold window of
+``L = 400`` at seed 0 on a 4-iteration budget with ``tol`` 0, solved by
+``centralized`` and by ``dsqp`` at ``N = 66``, both at their default ``rho``.
+It rewrites nothing; run it against two source trees, e.g.
+``PYTHONPATH=<tree>/src``, to compare their solutions bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ RH_SEEDS, RH_STEPS, RH_HORIZON, RH_N = (0, 1), 13, 10, 4
 COLD_SEED, COLD_L, COLD_N, COLD_ITERS = 0, 100, 16, 2
 # the digest's receding horizons: (seed, steps) at the default horizon
 DIGEST_RUNS = ((0, 60), (1, 40))
+# the digest's long windows: seed, L, iteration budget and (algorithm, N) pairs
+LONG_SEED, LONG_L, LONG_ITERS = 0, 400, 4
+LONG_RUNS = (("centralized", 1), ("dsqp", 66))
 
 
 def _cell(outcome) -> dict:
@@ -118,9 +124,18 @@ def diff_lines(
     return lines, any(line.startswith("FAIL") for line in lines)
 
 
+def _hash_window(digest, window) -> None:
+    digest.update(f"{window.status}/{window.iterations}/{window.error}".encode())
+    digest.update(np.asarray(window.estimate, dtype=float).tobytes())
+    if window.result is not None:
+        digest.update(window.result.trajectory.tobytes())
+        digest.update(np.float64(window.result.objective).tobytes())
+
+
 def digest_lines() -> list[str]:
     """One SHA-256 per algorithm and ``rho`` (its default, then the gate's)
-    over every window of :data:`DIGEST_RUNS`."""
+    over every window of :data:`DIGEST_RUNS`, then one per long window of
+    :data:`LONG_RUNS`."""
     lines = []
     for algorithm, gate_rho in RHO.items():
         for rho in (sm.SolverConfig(algorithm=algorithm).rho, gate_rho):
@@ -129,12 +144,18 @@ def digest_lines() -> list[str]:
             for seed, steps in DIGEST_RUNS:
                 scenario = sm.generate_scenario(steps=steps, seed=seed)
                 for window in sm.run_receding_horizon(scenario, cfg, RH_N):
-                    digest.update(f"{window.status}/{window.iterations}/{window.error}".encode())
-                    digest.update(np.asarray(window.estimate, dtype=float).tobytes())
-                    if window.result is not None:
-                        digest.update(window.result.trajectory.tobytes())
-                        digest.update(np.float64(window.result.objective).tobytes())
+                    _hash_window(digest, window)
             lines.append(f"{algorithm} rho={rho:g}: {digest.hexdigest()}")
+    scenario = sm.generate_scenario(steps=LONG_L, seed=LONG_SEED)
+    for algorithm, n in LONG_RUNS:
+        cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=LONG_ITERS)
+        result = sm.solve_window(scenario, LONG_L, cfg, n, LONG_L)
+        digest = hashlib.sha256()
+        _hash_window(digest, sm.WindowOutcome(
+            window_end=LONG_L, status=result.status, iterations=result.iterations,
+            estimate=result.trajectory[-1], result=result,
+        ))
+        lines.append(f"{algorithm} L={LONG_L} N={n} rho={cfg.rho:g}: {digest.hexdigest()}")
     return lines
 
 

@@ -14,8 +14,9 @@ from splitmhe.errors import (
     RankDeficientConstraintsError,
     SingularKktError,
 )
-from splitmhe.problem import lifted_layout
-from splitmhe.qp_core import random_blocks, schur_terms, solve_local_kkt
+from splitmhe.local_nlp import hessian_blocks
+from splitmhe.problem import evaluate_stack, lift, lifted_layout, subproblem
+from splitmhe.qp_core import _block_inverses, random_blocks, schur_terms, solve_local_kkt
 
 from helpers import dense_blocks, dense_kkt, kkt_residual_qp, random_stage_stack
 
@@ -323,13 +324,15 @@ def test_stage_path_reports_its_pivot_ratio():
 
 def test_stage_solve_is_one_banded_solve_with_one_column(monkeypatch):
     calls = []
-    cho_solve_banded = scipy.linalg.cho_solve_banded
+    dpbtrs = scipy.linalg.lapack.dpbtrs
 
-    def spy(cb_and_lower, b, *args, **kwargs):
-        calls.append(np.shape(b))
-        return cho_solve_banded(cb_and_lower, b, *args, **kwargs)
+    def spy(ab, b, *args, **kwargs):
+        # solves against the chain's band, 2 nx rows; the Hessian blocks' has nx
+        if len(ab) == 2 * 3:
+            calls.append(np.shape(b))
+        return dpbtrs(ab, b, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", spy)
     rng = np.random.Generator(np.random.PCG64(23))
     for n_blocks in (1, 4, 25):
         stack = random_stage_stack(rng, n_blocks, 3)
@@ -345,6 +348,71 @@ def test_stage_indefinite_state_block_raises_with_block_index():
     with pytest.raises(NotPositiveDefiniteError) as err:
         sm.solve_coupled_qp(stack)
     assert err.value.block_index == 2
+
+
+def test_stage_hessian_factor_names_the_block_of_a_state_failing_at_its_second_pivot():
+    # positive first pivot, negative second: only the band factor's second step fails
+    second_pivot_fails = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    rng = np.random.Generator(np.random.PCG64(24))
+    for where in ("first", "interior", "last"):
+        stack = random_stage_stack(rng, 4, 3)
+        lay = stack.layout
+        state, block = {
+            "first": (0, 0), "interior": (lay.last[2], 2), "last": (lay.n_states - 1, 3),
+        }[where]
+        stack.H[state] = second_pivot_fails
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            sm.solve_coupled_qp(stack)
+        assert err.value.block_index == block, where
+        # a NaN anywhere is named before any block that fails to factor
+        stack.H[lay.first[1], 0, 0] = np.nan
+        with pytest.raises(NonFiniteDataError) as err:
+            sm.solve_coupled_qp(stack)
+        assert err.value.block_index == 1, where
+
+
+def test_stage_hessian_inverses_match_dense_inverses():
+    rng = np.random.Generator(np.random.PCG64(25))
+    for nx in (1, 2, 3, 5):
+        Q = np.linalg.qr(rng.standard_normal((30, nx, nx)))[0]
+        for cond in (1e2, 1e5, 1e8):
+            spread = np.logspace(0, np.log10(cond), nx) if nx > 1 else np.ones(1)
+            eigenvalues = spread * 10.0 ** rng.uniform(-3, 3, (30, 1))
+            H = (Q * eigenvalues[:, None, :]) @ np.swapaxes(Q, 1, 2)
+            H = 0.5 * (H + np.swapaxes(H, 1, 2))
+            hinv = _block_inverses(H, np.zeros(30, dtype=int))
+            ref = np.linalg.inv(H)
+            scale = np.abs(ref).max(axis=(1, 2))
+            # two backward-stable inverses agree to about cond * eps, no closer
+            deviation = np.abs(hinv - ref).max(axis=(1, 2)) / scale
+            assert deviation.max() <= 1e-14 * cond, (nx, cond)
+            residual = np.abs(H @ hinv - np.eye(nx)).max(axis=(1, 2))
+            assert (residual / (np.abs(H).max(axis=(1, 2)) * scale)).max() <= 1e-14, (nx, cond)
+
+
+def _cold_stack(L, N, rho=1e3):
+    """The ``dsqp`` QP of the cold seed-0 window of ``L`` steps split ``N`` ways."""
+    instance = sm.window_instance(sm.generate_scenario(steps=L, seed=0), L, horizon=L)
+    lay = sm.build_partition(L, N, 3)
+    run = subproblem(instance, lay, range(N))
+    x = lift(instance.initial_guess, lay)
+    ev = evaluate_stack(run, x)
+    return sm.StageStack(
+        layout=lay, H=hessian_blocks(run, x, None, rho, ev, False), g=ev.g, D=ev.D, d=ev.F,
+        anchor=sm.coupling_residual(lay, x),
+    )
+
+
+@pytest.mark.parametrize("L, N, bound", [(25, 4, 1e-13), (400, 1, 1e-8), (400, 66, 1e-8)])
+def test_stage_solve_feasibility_on_the_benchmark_windows(L, N, bound):
+    # measured 5.7e-15 to 8.6e-15 at L = 25 and 1.4e-9 to 1.7e-9 at L = 400;
+    # the chain loses feasibility with L while its pivot-ratio guard stays silent
+    stack = _cold_stack(L, N)
+    lay, dX = stack.layout, sm.solve_coupled_qp(stack).delta_x
+    stages = dX[lay.next] - (stack.D @ dX[lay.prev][..., None])[..., 0] + stack.d
+    coupling = stack.anchor.reshape(-1, 3) + dX[lay.last[:-1]] - dX[lay.first[1:]]
+    worst = max(np.abs(stages).max(), np.abs(coupling).max(initial=0.0))
+    assert worst / (1.0 + np.abs(stack.d).max()) <= bound
 
 
 @pytest.mark.parametrize("field", ["H", "g", "D", "d", "anchor"])

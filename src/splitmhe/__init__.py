@@ -39,14 +39,12 @@ from .qp_core import (
     QpSolution,
     StageStack,
     dense_kkt_oracle,
-    schur_terms,
     solve_coupled_qp,
 )
 from .local_nlp import (
     LocalSolveConfig,
     LocalSolveResult,
     SensitivityPair,
-    first_order_conditions,
     lagrangian_hessian,
     sensitivity_matrices,
     solve_local_subproblem,
@@ -62,7 +60,6 @@ from .solvers import (
     run_gauss_newton_aladin,
     run_sensitivity_aladin,
     solve,
-    termination_check,
 )
 from .harness import (
     Scenario,

@@ -246,6 +246,7 @@ def solve_local_subproblem(
     rho: float,
     cfg: LocalSolveConfig | None = None,
     x0: Array | None = None,
+    evaluation: StageEvaluation | None = None,
 ) -> LocalSolveResult:
     """Solve a run's augmented sub-problems to their first-order conditions.
 
@@ -263,14 +264,10 @@ def solve_local_subproblem(
     takes one banded :func:`~splitmhe.qp_core.solve_local_kkt` (ladder seeded
     by ``rho``), while the convergence test, merits, step lengths and retry
     are per sub-window and a converged one stops moving, so each takes the
-    iterates of its own solve.
+    iterates of its own solve. ``evaluation`` is the run's evaluation at the
+    start point, ``x0`` or else ``y_ref``, when the caller already has it; the
+    first round takes it in place of its own.
     """
-    return _lockstep_solve(sub, lam, y_ref, rho, cfg, x0, None)
-
-
-def _lockstep_solve(sub, lam, y_ref, rho, cfg, x0, ev) -> LocalSolveResult:
-    """:func:`solve_local_subproblem` whose first round takes ``ev``, the run's
-    evaluation at the start point, unless it is None."""
     cfg = cfg or LocalSolveConfig()
     if not 0 < rho < math.inf:
         raise ValueError("proximal weight rho must be positive and finite")
@@ -284,8 +281,7 @@ def _lockstep_solve(sub, lam, y_ref, rho, cfg, x0, ev) -> LocalSolveResult:
     steps = np.zeros(len(lay.lengths), dtype=int)
     kkt = np.full(len(lay.lengths), np.inf)
     for k in range(cfg.inner_max_iter):
-        if k or ev is None:
-            ev = evaluate_stack(sub, x)
+        ev = evaluate_stack(sub, x) if k or evaluation is None else evaluation
         grad = ev.g + at_lam + rho * (x - y_ref)
         kkt[active] = _block_max(sub, grad + stage_transpose(lay, ev.D, mu), ev.F)[active]
         active &= ~(kkt <= cfg.inner_tol)

@@ -134,22 +134,22 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
     return LiftedLayout(lengths=tuple(int(k) for k in n), nx=nx, **maps)
 
 
-def _as_stack(blocks, partition: LiftedLayout) -> Array:
-    """The lifted stack of a list of block vectors, or the stack itself."""
+def as_stack(blocks, partition: LiftedLayout, name: str = "blocks", dims=None) -> Array:
+    """The stack of a list of flat blocks of sizes ``dims``, by default
+    ``partition.block_dims``; a 2-D stack passes through after a shape check.
+    Pass ``partition.constraint_dims`` for stage multipliers, whose stack is
+    ``(L, nx)``. Errors name the list as ``name``."""
+    dims = partition.block_dims if dims is None else dims
     if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-        if blocks.shape != (partition.n_states, partition.nx):
-            raise DimensionMismatchError(
-                f"lifted stack must be ({partition.n_states}, {partition.nx}), "
-                f"got {blocks.shape}"
-            )
-        return blocks
+        shape = (sum(dims) // partition.nx, partition.nx)
+        if blocks.shape != shape:
+            raise DimensionMismatchError(f"{name} stack must be {shape}, got {blocks.shape}")
+        return np.asarray(blocks, dtype=float)
     if len(blocks) != partition.N:
-        raise DimensionMismatchError(f"expected {partition.N} blocks, got {len(blocks)}")
-    for i, (block, dim) in enumerate(zip(blocks, partition.block_dims)):
-        if np.shape(block) != (dim,):
-            raise DimensionMismatchError(
-                f"block {i} has shape {np.shape(block)}, expected ({dim},)"
-            )
+        raise DimensionMismatchError(f"{len(blocks)} {name} for {partition.N} sub-windows")
+    for i, (block, n) in enumerate(zip(blocks, dims)):
+        if (shape := np.shape(block)) != (n,):
+            raise DimensionMismatchError(f"{name}[{i}] has shape {shape}, expected ({n},)")
     return np.concatenate(blocks, dtype=float).reshape(-1, partition.nx)
 
 
@@ -464,7 +464,7 @@ def coupling_residual(partition: LiftedLayout, blocks) -> Array:
 
     ``blocks`` is a list of block vectors or the lifted ``(L + N, nx)`` stack.
     """
-    stack = _as_stack(blocks, partition)
+    stack = as_stack(blocks, partition)
     return (stack[partition.last[:-1]] - stack[partition.first[1:]]).reshape(-1)
 
 
@@ -475,12 +475,7 @@ def lift_initial_guess(trajectory: Array, partition: LiftedLayout) -> list[Array
 
 def lift(trajectory: Array, partition: LiftedLayout) -> Array:
     """The lifted ``(L + N, nx)`` stack of a window trajectory."""
-    trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if trajectory.shape != (partition.L + 1, partition.nx):
-        raise DimensionMismatchError(
-            f"trajectory must be ({partition.L + 1}, {partition.nx}), got {trajectory.shape}"
-        )
-    return trajectory[partition.time]
+    return _trajectory(trajectory, partition.L, partition.nx)[partition.time]
 
 
 def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
@@ -490,7 +485,7 @@ def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
     trajectory and the max boundary mismatch (infinity norm of the coupling
     residual); the two deduplication choices coincide at consensus.
     """
-    stack = _as_stack(blocks, partition)
+    stack = as_stack(blocks, partition)
     trajectory = stack[partition.measured]
     mismatch = 0.0
     if partition.N > 1:
@@ -500,18 +495,17 @@ def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
     return trajectory, mismatch
 
 
-def _window_states(instance: MheInstance, trajectory: Array) -> Array:
+def _trajectory(trajectory: Array, L: int, nx: int) -> Array:
+    """``trajectory`` as a float ``(L + 1, nx)`` array; raise if it is not one."""
     x = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if x.shape != (instance.L + 1, instance.model.nx):
-        raise DimensionMismatchError(
-            f"trajectory must be ({instance.L + 1}, {instance.model.nx}), got {x.shape}"
-        )
+    if x.shape != (L + 1, nx):
+        raise DimensionMismatchError(f"trajectory must be ({L + 1}, {nx}), got {x.shape}")
     return x
 
 
 def centralized_objective(instance: MheInstance, trajectory: Array) -> float:
     """Window objective: prior penalty plus all weighted measurement penalties."""
-    x = _window_states(instance, trajectory)
+    x = _trajectory(trajectory, instance.L, instance.model.nx)
     dx = x[0] - instance.prior
     dy = (instance.model.h(x) - instance.measurements)[..., None]
     meas = np.swapaxes(dy, 1, 2) @ np.linalg.solve(instance.V, dy)
@@ -527,7 +521,7 @@ def centralized_kkt_residual(instance: MheInstance, trajectory: Array) -> float:
     the window data enter.
     """
     m = instance.model
-    x = _window_states(instance, trajectory)
+    x = _trajectory(trajectory, instance.L, instance.model.nx)
     dy = (m.h(x) - instance.measurements)[..., None]
     grad = (np.swapaxes(m.dh_dx(x), 1, 2) @ np.linalg.solve(instance.V, dy))[..., 0]
     grad[0] += np.linalg.solve(instance.P, x[0] - instance.prior)

@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SplitMheError
-from .local_nlp import _lockstep_solve, hessian_blocks, predictor_corrector, solve_local_subproblem
+from .errors import DimensionMismatchError, SplitMheError
+from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
     LiftedLayout,
     MheInstance,
     SubProblem,
+    as_stack,
     build_partition,
     centralized_objective,
     coupling_residual,
@@ -97,7 +98,8 @@ class SolverConfig:
 class IterateState:
     """Primal blocks, consensus blocks, and multipliers of one outer iterate.
     ``x_blocks`` is where the next iteration's local step starts: the advanced
-    local pairs for ``sa_aladin``, the consensus iterate otherwise."""
+    local pairs for ``sa_aladin``, the consensus iterate otherwise. A warm
+    start may hand any list as its stack (:func:`~splitmhe.problem.as_stack`)."""
 
     x_blocks: list[Array]
     y_blocks: list[Array]
@@ -157,35 +159,22 @@ def termination_check(record: ConvergenceRecord, cfg: SolverConfig) -> bool:
     return all(getattr(record, name) <= cfg.tol for name in _METRICS)
 
 
-def _check_warm(warm: IterateState, partition: LiftedLayout) -> None:
-    """Raise, naming the first misfit, unless ``warm`` has the partition's shapes."""
-    if (shape := np.shape(warm.lam)) != (partition.r,):
-        raise SplitMheError(f"warm start: lam has shape {shape}, expected ({partition.r},)")
-    sizes = {
-        "x_blocks": partition.block_dims,
-        "y_blocks": partition.block_dims,
-        "mu_blocks": partition.constraint_dims,
-    }
-    for name, dims in sizes.items():
-        blocks = getattr(warm, name)
-        if len(blocks) != partition.N:
-            raise SplitMheError(f"warm start: {len(blocks)} {name} for {partition.N} sub-windows")
-        for i, (block, n) in enumerate(zip(blocks, dims)):
-            if (shape := np.shape(block)) != (n,):
-                raise SplitMheError(f"warm start: {name}[{i}] has shape {shape}, expected ({n},)")
-
-
 def _initial_iterate(
     instance: MheInstance, partition: LiftedLayout, warm: IterateState | None
-) -> tuple[Array, Array, Array]:
-    """Stacked consensus states ``(L + N, nx)``, ``lam`` and stage multipliers ``(L, nx)``."""
-    if warm is not None:
-        _check_warm(warm, partition)
-        y = np.concatenate(warm.y_blocks, dtype=float).reshape(-1, partition.nx)
-        mu = np.concatenate(warm.mu_blocks, dtype=float).reshape(-1, partition.nx)
-        return y, np.array(warm.lam, dtype=float), mu
-    y = lift(instance.initial_guess, partition)
-    return y, np.zeros(partition.r), np.zeros((partition.L, partition.nx))
+) -> tuple[Array | None, Array, Array, Array]:
+    """The stacks of the local pairs' states (None on a cold start), the
+    consensus states ``(L + N, nx)``, ``lam`` and the stage multipliers ``(L, nx)``."""
+    if warm is None:
+        y = lift(instance.initial_guess, partition)
+        return None, y, np.zeros(partition.r), np.zeros((partition.L, partition.nx))
+    if (shape := np.shape(warm.lam)) != (partition.r,):
+        raise DimensionMismatchError(f"lam has shape {shape}, expected ({partition.r},)")
+    return (
+        as_stack(warm.x_blocks, partition, "x_blocks"),
+        as_stack(warm.y_blocks, partition, "y_blocks"),
+        np.array(warm.lam, dtype=float),
+        as_stack(warm.mu_blocks, partition, "mu_blocks", partition.constraint_dims),
+    )
 
 
 def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
@@ -222,20 +211,21 @@ def _drive(
     * ``local_solve(run, y, lam, ev)`` (``gn_aladin``) starts at ``y``, where
       ``ev`` is evaluated, and returns the local solutions ``x``, this
       iteration's linearization point, and an evaluation.
-    * ``start(run, y, lam, mu)`` (``sa_aladin``) returns the initial local
-      pairs ``(x, mu)`` and an evaluation; an error in it is reported as
-      iteration 0. ``advance(run, x, mu, ev, y_new, lam_new, mu_hat)``
-      returns the next pairs from the coordination output.
+    * ``start(run, x, y, lam, mu)`` (``sa_aladin``) returns the initial local
+      pairs ``(x, mu)`` and an evaluation, where ``x`` is the warm start's
+      local states or None; an error in it is reported as iteration 0.
+      ``advance(run, x, mu, ev, y_new, lam_new, mu_hat)`` returns the next
+      pairs from the coordination output.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
     run = subproblem(instance, partition, range(partition.N))
-    y, lam, mu = _initial_iterate(instance, partition, warm)
+    x_warm, y, lam, mu = _initial_iterate(instance, partition, warm)
     # ev: the stack's evaluation at x, carried from the last metrics
     x, ev = y, None
     if start:
         try:
-            x, mu, ev = start(run, y, lam, mu)
+            x, mu, ev = start(run, x_warm, y, lam, mu)
         except SplitMheError as exc:
             _wrap_iteration_error(exc, cfg.algorithm, 0)
     records: list[ConvergenceRecord] = []
@@ -353,7 +343,7 @@ def run_gauss_newton_aladin(
     info = {"unconverged_local_solves": 0}
 
     def local_solve(run: SubProblem, y: Array, lam: Array, ev):
-        res = _lockstep_solve(run, lam, y, cfg.rho, None, None, ev)
+        res = solve_local_subproblem(run, lam, y, cfg.rho, evaluation=ev)
         info["unconverged_local_solves"] += not res.converged
         return res.x.reshape(y.shape), res.evaluation
 
@@ -416,9 +406,9 @@ def run_sensitivity_aladin(
     cfg = _checked(cfg, "sa_aladin")
     info = {"predictor_updates": 0, "coordination_fallbacks": 0, "unconverged_local_solves": 0}
 
-    def start(run, y, lam, mu):
-        if warm is not None:
-            return np.concatenate(warm.x_blocks, dtype=float).reshape(y.shape), mu, None
+    def start(run, x, y, lam, mu):
+        if x is not None:
+            return x, mu, None
         first = solve_local_subproblem(run, lam, y, cfg.rho)
         info["unconverged_local_solves"] += not first.converged
         return first.x.reshape(y.shape), first.mu.reshape(mu.shape), first.evaluation

@@ -433,6 +433,32 @@ def test_a_trial_at_the_origin_halves_only_its_own_block(benchmark_instance, mon
     assert alone.tolist() == [0.5]
 
 
+def test_a_handed_evaluation_saves_the_first_rounds_evaluation(benchmark_instance, monkeypatch):
+    """``evaluation=``, the run's evaluation at the start point, gives the
+    same solve bit for bit with one evaluation fewer."""
+    rng = np.random.Generator(np.random.PCG64(20))
+    partition = sm.build_partition(25, 4, 3)
+    run = subproblem(benchmark_instance, partition, range(partition.N))
+    y = problem.lift(benchmark_instance.initial_guess, partition)
+    lam = 0.5 * rng.standard_normal(partition.r)
+    at_start = problem.evaluate_stack(run, y)
+    calls = []
+
+    def counted(sub, x):
+        calls.append(1)
+        return problem.evaluate_stack(sub, x)
+
+    monkeypatch.setattr(local_nlp, "evaluate_stack", counted)
+    plain = solve_local_subproblem(run, lam, y, 5.0)
+    n_plain = len(calls)
+    handed = solve_local_subproblem(run, lam, y, 5.0, evaluation=at_start)
+    assert len(calls) - n_plain == n_plain - 1
+    np.testing.assert_array_equal(handed.x, plain.x)
+    np.testing.assert_array_equal(handed.mu, plain.mu)
+    assert handed.iterations == plain.iterations
+    assert handed.converged and plain.converged
+
+
 @pytest.mark.parametrize("n_sub", [1, 4, 7])
 def test_lockstep_solve_equals_the_solves_of_its_blocks(benchmark_instance, n_sub):
     """A run's lockstep solve gives every block the iterate, the multipliers

@@ -10,7 +10,12 @@ import scipy.linalg
 
 import splitmhe as sm
 from splitmhe import local_nlp, problem, qp_core, solvers
-from splitmhe.errors import NonFiniteDataError, NotPositiveDefiniteError, SplitMheError
+from splitmhe.errors import (
+    DimensionMismatchError,
+    NonFiniteDataError,
+    NotPositiveDefiniteError,
+    SplitMheError,
+)
 from splitmhe.local_nlp import lagrangian_hessian
 from splitmhe.problem import eval_constraints, eval_residual_stack, split_instance
 from splitmhe.solvers import (
@@ -295,15 +300,16 @@ def _record_local_solves(monkeypatch) -> list:
     the one at its start point."""
     solves = []
 
-    def recorded(run, lam, y, rho, cfg, x0, ev):
-        if ev is not None:
+    def recorded(run, lam, y, rho, cfg=None, x0=None, evaluation=None):
+        if evaluation is not None:
             at_start = problem.evaluate_stack(run, y)
-            np.testing.assert_array_equal(ev.b, at_start.b)
-            np.testing.assert_array_equal(ev.F, at_start.F)
-        solves.append((ev is not None, local_nlp._lockstep_solve(run, lam, y, rho, cfg, x0, ev)))
-        return solves[-1][1]
+            np.testing.assert_array_equal(evaluation.b, at_start.b)
+            np.testing.assert_array_equal(evaluation.F, at_start.F)
+        result = local_nlp.solve_local_subproblem(run, lam, y, rho, cfg, x0, evaluation)
+        solves.append((evaluation is not None, result))
+        return result
 
-    monkeypatch.setattr(solvers, "_lockstep_solve", recorded)
+    monkeypatch.setattr(solvers, "solve_local_subproblem", recorded)
     return solves
 
 
@@ -558,6 +564,38 @@ def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, 
     with pytest.raises(SplitMheError, match=expected) as err:
         sm.solve(instance, partition, cfg, warm=bad)
     assert not hasattr(err.value, "iteration")
+
+
+@pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
+def test_a_warm_restart_continues_the_run_bit_for_bit(benchmark_instance, algorithm):
+    """Two iterations warm started from the final state of three cold ones
+    are the last two of five cold ones, whether the state is handed as block
+    lists or as stacks."""
+    partition = sm.build_partition(25, 4, 3)
+    rho = 5.0 if algorithm == "gn_aladin" else 10.0
+
+    def run(iters, warm=None):
+        cfg = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=0.0, max_iter=iters)
+        return sm.solve(benchmark_instance, partition, cfg, warm=warm)
+
+    whole = run(5)
+    state = run(3).final_state
+    stacked = sm.IterateState(
+        x_blocks=np.concatenate(state.x_blocks).reshape(-1, 3),
+        y_blocks=np.concatenate(state.y_blocks).reshape(-1, 3),
+        lam=state.lam,
+        mu_blocks=np.concatenate(state.mu_blocks).reshape(-1, 3),
+    )
+    for warm in (state, stacked):
+        rest = run(2, warm)
+        np.testing.assert_array_equal(rest.trajectory, whole.trajectory)
+        assert rest.objective == whole.objective
+        for a, b in zip(rest.records, whole.records[3:], strict=True):
+            for name in solvers._METRICS:
+                assert getattr(a, name) == getattr(b, name), (a.iteration, name)
+    short = replace(stacked, mu_blocks=stacked.mu_blocks[:-1])
+    with pytest.raises(DimensionMismatchError, match=re.escape("mu_blocks stack must be (25, 3)")):
+        run(2, short)
 
 
 def test_sa_aladin_evaluates_the_stack_at_most_twice_per_iteration(

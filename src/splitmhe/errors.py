@@ -40,7 +40,8 @@ class NonFiniteDataError(FactorizationError):
 
 
 class NotPositiveDefiniteError(FactorizationError):
-    """A block Hessian is not positive definite."""
+    """A block Hessian, or a stage stack's reduced Hessian, is not positive
+    definite."""
 
 
 class RankDeficientConstraintsError(FactorizationError):

@@ -27,17 +27,25 @@ blocks, the ``L`` stages with rows ``[-D_k, I]``, and signed-identity
 coupling between the last state of one sub-window and the first state of the
 next. Those two states sit next to each other in the stack, so a coupling
 row, negated, is one more link ``[-I, I]`` between consecutive states, and
-stages and coupling rows together form one chain of ``L + N - 1`` links. The
-per-state Hessian blocks are factored as one block-diagonal band, and one
-banded solve against stacked identity blocks gives every ``H_j^-1``. The
-chain's ``C H^-1 C'`` is block-tridiagonal over the links: one banded
-Cholesky factorization and one banded solve give every link multiplier, and
-the steps follow. A whole window costs ``O((L + N) nx^3)`` in a fixed number
-of LAPACK calls.
+stages and coupling rows together form one chain of ``L + N - 1`` links.
+Every step then follows from the first one, ``dX_{j+1} = D_j dX_j - d_j``,
+and the stack is condensed onto ``dX_0`` (the inputless case of the stage
+recursions of Rao, Wright & Rawlings, JOTA 99(3), 1998). With the links as
+the unit lower block-bidiagonal matrix ``B``, one banded triangular solve
+gives ``dX = Z dX_0 + e``; one Cholesky factorization of the ``nx x nx``
+reduced Hessian ``Z' H Z`` gives ``dX_0``, refined once against the reduced
+gradient; and one transposed triangular solve gives every link multiplier.
+A whole window costs ``O((L + N) nx^3)`` in a fixed number of LAPACK calls,
+and no per-state Hessian is ever factored: only the reduced Hessian must be
+positive definite, and the links have full row rank by construction. The
+condensed map's conditioning follows the products of the ``D_j``, so it is
+accurate on the contracting or polynomially growing dynamics of a sampled
+system and loses digits on chains that expand geometrically.
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. The coupled QP is never regularized: a Hessian that is not
-positive definite raises :class:`NotPositiveDefiniteError` with its block index.
+positive definite raises :class:`NotPositiveDefiniteError` with its block index,
+block 0 for a stack's reduced Hessian.
 :func:`solve_local_kkt` solves the sub-windows' uncoupled local KKT systems, of
 any inertia, as one band, and shifts only a singular sub-window's Hessian.
 """
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -126,6 +134,9 @@ class StageStack:
     ``d`` ``(L, nx)``. Coupling block row ``c`` reads the last state of
     sub-window ``c`` minus the first state of sub-window ``c + 1``; ``anchor``
     ``((N - 1) nx,)`` is its value at the linearization point.
+
+    The per-state blocks ``H`` may be indefinite: :func:`solve_coupled_qp`
+    needs only the reduced Hessian over ``dX_0`` to be positive definite.
     """
 
     layout: LiftedLayout
@@ -155,32 +166,19 @@ class StageStack:
 class SchurTerms:
     """One block as an affine map of ``z = (1, lambda)``: its step is ``-U z``
     and its local multipliers ``-V z``; ``S`` and ``s`` are its contributions
-    to the Schur matrix and right-hand side."""
+    to the Schur matrix and right-hand side.
+
+    A condensed :class:`StageStack` is the same map of ``z = (1, dX_0)``: ``S``
+    is the reduced Hessian and ``S dX_0 = s``, ``V z`` is the stationarity
+    residual ``H dX + g``, and ``band``, the banded link matrix ``B``, gives the
+    link multipliers ``-B^-T V z``.
+    """
 
     S: Array
     s: Array
     U: Array
     V: Array
-
-
-@dataclass(eq=False)
-class StackTerms:
-    """The factored chain of a :class:`StageStack`.
-
-    Link ``j`` joins stacked states ``j`` and ``j + 1`` by the row
-    ``dX[j + 1] - D[j] dX[j] + d[j] = 0``: stage ``k`` is link ``prev[k]``, and
-    coupling row ``c``, negated, is link ``last[c]`` with ``D = I`` and
-    ``d = -anchor_c``. ``D`` is ``(L + N - 1, nx, nx)`` and ``d``
-    ``(L + N - 1, nx)``. ``factor`` is the upper banded Cholesky factor of
-    ``C H^-1 C'`` over the links and ``pivot_ratio`` the smallest squared
-    pivot ratio of a sub-window's links.
-    """
-
-    hinv: Array
-    D: Array
-    d: Array
-    factor: Array
-    pivot_ratio: float
+    band: Array | None = None
 
 
 @dataclass(eq=False)
@@ -225,18 +223,17 @@ def _require_finite_stack(stack: StageStack) -> None:
     )
 
 
-def schur_terms(
-    block: QpBlock | StageStack, index: int | None = None
-) -> SchurTerms | StackTerms:
+def schur_terms(block: QpBlock | StageStack, index: int | None = None) -> SchurTerms:
     """Eliminate one block through its Hessian factorization.
 
     Returns the block as the affine map :class:`SchurTerms`. One Cholesky solve
     gives ``H^-1 [g, A', C']``; no inverse is ever formed. A
-    :class:`StageStack` is factored as one chain and yields
-    :class:`StackTerms`.
+    :class:`StageStack` is condensed onto its first state instead, with no
+    Hessian factorization (:func:`_condense`).
     """
     if isinstance(block, StageStack):
-        return _stack_terms(block)
+        _require_finite_stack(block)
+        return _condense(block)
     where = f"block {index}" if index is not None else "block"
     _require_finite(
         where, index,
@@ -301,7 +298,11 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     A list of :class:`QpBlock` is eliminated block by block around the dense
     ``r x r`` Schur solve, with contributions summed in index order so results
     are reproducible. A :class:`StageStack`, the chained sub-windows of a
-    split horizon, is solved as one chain of links.
+    split horizon, is condensed onto its first state and solved as one chain
+    of links. Its ``diagnostics`` hold ``reduced_gradient``, the infinity norm
+    of the reduced gradient after refinement relative to one plus the largest
+    link multiplier: about ``1e-16`` on a well-conditioned chain, larger where
+    the products of the ``D_j`` grow. The stage path has no pivot ratio.
     """
     if isinstance(blocks, StageStack):
         return _solve_stack(blocks)
@@ -322,134 +323,89 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     )
 
 
-# the zero that every unused slot of a banded matrix takes
-_ZERO = np.zeros(1)
-
-
-@lru_cache(maxsize=128)
-def _band_index(t: int, nx: int, width: int) -> Array:
-    """Take index of the LAPACK upper banded storage ``(width, t nx)`` of a
-    symmetric matrix with ``t`` diagonal ``nx x nx`` blocks and, for ``width``
-    ``2 nx``, ``t - 1`` superdiagonal blocks, from the flat concatenation
-    ``[diagonal blocks, superdiagonal blocks, 0]``."""
-    m, u, size = t * nx, width - 1, nx * nx
-    tridiagonal = width > nx
-    a, c = np.triu_indices(nx)
-    k = np.arange(t)[:, None]
-    index = np.full(width * m, (2 * t - 1 if tridiagonal else t) * size, dtype=np.intp)
-    index[((u + a - c) * m + k * nx + c).ravel()] = (k * size + a * nx + c).ravel()
-    if tridiagonal:
-        a, c = np.divmod(np.arange(size), nx)
-        k = k[:-1]
-        dst = (u - nx + a - c) * m + (k + 1) * nx + c
-        index[dst.ravel()] = ((t + k) * size + a * nx + c).ravel()
-    index.flags.writeable = False  # cached and shared by every caller
-    return index.reshape(width, m)
-
-
-def _banded(index: Array, *blocks: Array) -> Array:
-    """The banded storage that ``index``, a :func:`_band_index`, takes from ``blocks``."""
-    return np.concatenate([b.reshape(-1) for b in blocks] + [_ZERO]).take(index)
-
-
 @lru_cache(maxsize=64)
-def _link_index(lay: LiftedLayout) -> tuple[Array, Array]:
+def _link_index(lay: LiftedLayout) -> Array:
     """Link ``j``'s row in ``[stages, coupling rows]``: stage ``k`` is link
-    ``prev[k]`` and coupling row ``c`` link ``last[c]``; and the ``N - 1``
-    identity blocks ``D`` of the coupling links."""
+    ``prev[k]`` and coupling row ``c`` link ``last[c]``."""
     index = np.empty(lay.n_states - 1, dtype=np.intp)
     index[lay.prev] = np.arange(lay.L)
     index[lay.last[:-1]] = lay.L + np.arange(lay.N - 1)
     index.flags.writeable = False  # cached and shared by every caller
-    return index, np.broadcast_to(np.eye(lay.nx), (lay.N - 1, lay.nx, lay.nx))
+    return index
 
 
-@lru_cache(maxsize=128)
-def _block_identity(t: int, nx: int) -> Array:
-    """``t`` identity blocks stacked, ``(t nx, nx)``: the right-hand side whose
-    solve against a block-diagonal factor gives every block's inverse."""
-    eye = np.tile(np.eye(nx), (t, 1))
-    eye.flags.writeable = False  # cached and shared by every caller
-    return eye
+@lru_cache(maxsize=64)
+def _chain_band_index(lay: LiftedLayout) -> Array:
+    """Take index, from ``[D.ravel(), I.ravel(), 0]``, of the transposed LAPACK
+    lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``.
+
+    Block row 0 of ``B`` is ``[I, 0, ...]`` and block row ``j + 1`` is link
+    ``j``, ``-D_j`` on state ``j`` and ``I`` on state ``j + 1``; a coupling
+    link takes the one identity block. The unit diagonal is implied, so
+    every slot but the ``-D_j`` entries takes the trailing zero."""
+    nx, size = lay.nx, lay.nx * lay.nx
+    source = np.minimum(_link_index(lay), lay.L) * size  # coupling links share one I
+    j = np.arange(lay.n_states - 1)[:, None, None]
+    a, c = np.arange(nx)[:, None], np.arange(nx)
+    index = np.full((lay.n_states * nx, 2 * nx), (lay.L + 1) * size, dtype=np.intp)
+    index[j * nx + c, nx + a - c] = source[j] + a * nx + c
+    index.flags.writeable = False  # cached and shared by every caller
+    return index
 
 
-def _block_inverses(H: Array, state_block: Array) -> Array:
-    """The inverses of the symmetric blocks ``H`` ``(t, nx, nx)``: one banded
-    Cholesky factorization of the block-diagonal matrix, of half-bandwidth
-    ``nx - 1``, and one banded solve against :func:`_block_identity`. A block
-    that is not positive definite raises, named by ``state_block``."""
-    t, nx = H.shape[:2]
-    factor, info = scipy.linalg.lapack.dpbtrf(_banded(_band_index(t, nx, nx), H))
-    if info:
-        i = int(state_block[(info - 1) // nx])  # the first state without a pivot
-        raise NotPositiveDefiniteError(
-            f"block {i}: Hessian is not positive definite", block_index=i
-        )
-    return scipy.linalg.lapack.dpbtrs(factor, _block_identity(t, nx))[0].reshape(t, nx, nx)
+def _condense(stack: StageStack) -> SchurTerms:
+    """The stack as an affine map of ``z = (1, dX_0)``, in ``O((L + N) nx^3)``.
 
-
-def _stack_terms(stack: StageStack) -> StackTerms:
-    """Factor the chain of a stack in ``O((L + N) nx^3)``.
-
-    The per-state Hessian blocks are inverted through one banded Cholesky
-    factorization of their block-diagonal band, of half-bandwidth ``nx - 1``
-    (:func:`_block_inverses`). ``R = C H^-1 C'`` over the links is
-    block-tridiagonal, with diagonal blocks ``D_j H_j^-1 D_j' + H_{j+1}^-1``
-    and superdiagonal blocks ``-H_{j+1}^-1 D_{j+1}'``, so it takes one banded
-    factorization of bandwidth ``2 nx - 1``. The rank guard is the squared pivot ratio over
-    each sub-window's stage links and the coupling link after it, which
-    bounds ``1/cond`` of that part of ``R`` from above.
+    With ``B`` the link matrix of :func:`_chain_band_index`, every step is
+    ``dX = B^-1 (dX_0; -d)``: one unit lower triangular banded solve
+    (``dtbtrs``) against ``[(0; d), -E_0]`` gives ``U = -[e, Z]``, so that
+    ``dX = -U z``. Then ``V = [H e + g, H Z]`` is the stationarity map,
+    ``H dX + g = V z``, and ``U' V`` holds the reduced Hessian
+    ``S = Z' H Z`` and right-hand side ``s = -Z' (H e + g)``.
     """
-    _require_finite_stack(stack)
     lay = stack.layout
-    H = stack.H
-    n, nx = H.shape[:2]
-    hinv = _block_inverses(H, lay.state_block)
-    links, eyes = _link_index(lay)
-    D = np.concatenate((stack.D, eyes)).take(links, 0)
-    d = np.concatenate((stack.d, -stack.anchor.reshape(-1, nx))).take(links, 0)
-
-    # on a contiguous D' the products below take half the time, bit for bit the same
-    Dt = np.ascontiguousarray(np.swapaxes(D, 1, 2))
-    diagonal = D @ hinv[:-1] @ Dt + hinv[1:]
-    upper = -(hinv[1:-1] @ Dt[1:])
-    band = _banded(_band_index(n - 1, nx, 2 * nx), diagonal, upper)
-    factor, info = scipy.linalg.lapack.dpbtrf(band)
-    if info:
-        i = int(lay.state_block[(info - 1) // nx])  # the link's first state names the block
-        raise RankDeficientConstraintsError(
-            f"block {i}: constraint rows are rank deficient", block_index=i
-        )
-    pivots = factor[-1]
-    rows = lay.first * nx
-    ratio = (np.minimum.reduceat(pivots, rows) / np.maximum.reduceat(pivots, rows)) ** 2
-    if (worst := float(ratio.min())) <= RANK_RCOND_LIMIT:
-        i = int(np.flatnonzero(ratio <= RANK_RCOND_LIMIT)[0])
-        raise RankDeficientConstraintsError(
-            f"block {i}: constraint rows are rank deficient (pivot ratio {ratio[i]:.3e})",
-            block_index=i,
-        )
-    return StackTerms(hinv=hinv, D=D, d=d, factor=factor, pivot_ratio=worst)
+    n, nx = stack.H.shape[:2]
+    links = _link_index(lay)
+    source = np.concatenate((stack.D.reshape(-1), np.eye(nx).reshape(-1), [0.0]))
+    band = -source.take(_chain_band_index(lay)).T  # Fortran order, as LAPACK takes it
+    rhs = np.zeros((nx + 1, n * nx))
+    rhs[0, nx:] = np.concatenate((stack.d, -stack.anchor.reshape(-1, nx))).take(links, 0).ravel()
+    rhs[1:, :nx] = -np.eye(nx)
+    U = scipy.linalg.lapack.dtbtrs(band, rhs.T, uplo="L", diag="U", overwrite_b=1)[0]
+    U = U.reshape(n, nx, nx + 1)
+    V = -(stack.H @ U)
+    V[..., 0] += stack.g
+    U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
+    reduced = U[:, 1:].T @ V
+    S = -reduced[:, 1:]
+    return SchurTerms(S=0.5 * (S + S.T), s=reduced[:, 0], U=U, V=V, band=band)
 
 
 def _solve_stack(stack: StageStack) -> QpSolution:
-    """The link multipliers ``nu`` from one banded solve of
-    ``R nu = d - C H^-1 g``, then ``dX = -H^-1 (g + C' nu)``."""
+    """``dX_0`` from one Cholesky solve of ``S dX_0 = s``; then the steps, and
+    the link multipliers ``nu = -B^-T (H dX + g)`` from one transposed banded
+    solve. Row block 0 of ``B^-T (H dX + g)`` is the reduced gradient
+    ``Z' (H dX + g)``, so one refinement step of ``dX_0`` costs one
+    ``dpotrs``, one product and one more transposed solve."""
     terms = schur_terms(stack)
-    lay = stack.layout
-    hg = (terms.hinv @ stack.g[..., None])[..., 0]
-    rhs = terms.d - hg[1:] + (terms.D @ hg[:-1, :, None])[..., 0]
-    nu = scipy.linalg.lapack.dpbtrs(terms.factor, rhs.reshape(-1))[0].reshape(rhs.shape)
-    # link j puts -D_j' nu_j on state j and nu_j on state j + 1
-    v = stack.g.copy()
-    v[:-1] -= (np.swapaxes(terms.D, 1, 2) @ nu[..., None])[..., 0]
-    v[1:] += nu
-    delta_x = -(terms.hinv @ v[..., None])[..., 0]
+    lay, nx = stack.layout, stack.layout.nx
+    factor, info = scipy.linalg.lapack.dpotrf(terms.S, lower=1)
+    if info:
+        raise NotPositiveDefiniteError(
+            "block 0: reduced Hessian is not positive definite", block_index=0
+        )
+    solve = partial(scipy.linalg.lapack.dpotrs, factor, lower=1)
+    back = partial(scipy.linalg.lapack.dtbtrs, terms.band, uplo="L", trans="T", diag="U")
+    z = np.append(1.0, solve(terms.s)[0])
+    z[1:] -= solve(back(terms.V @ z)[0][:nx])[0]
+    nu = -back(terms.V @ z)[0].reshape(-1, nx)
+    links = nu[1:]
     return QpSolution(
-        lam=-nu[lay.last[:-1]].reshape(-1),  # a coupling link's row is minus its coupling row
-        mu=nu[lay.prev],
-        delta_x=delta_x,
-        diagnostics={"pivot_ratio": terms.pivot_ratio},
+        lam=-links[lay.last[:-1]].reshape(-1),  # a coupling link's row is minus its coupling row
+        mu=links[lay.prev],
+        delta_x=-(terms.U @ z).reshape(-1, nx),
+        # the refined reduced gradient, relative to the multipliers' scale
+        diagnostics={"reduced_gradient": float(np.abs(nu[0]).max() / (1.0 + np.abs(nu).max()))},
     )
 
 

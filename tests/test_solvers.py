@@ -646,3 +646,14 @@ def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypat
     # the shifted steps still head for the optimum (2.5e-8 away at max_iter)
     reference = linear_window_optimum(linear_instance)
     assert np.abs(result.trajectory - reference).max() <= 1e-6
+
+
+@pytest.mark.parametrize("L, N", [(400, 66), (1600, 266)])
+def test_dsqp_converges_on_cold_long_windows_at_small_rho(L, N):
+    """The stage solve's accuracy does not floor the outer iteration: cold
+    ``dsqp`` at ``rho`` 0.1 converges in 29 (L = 400) and 13 (L = 1600)
+    iterations."""
+    cfg = sm.SolverConfig(algorithm="dsqp", rho=0.1, tol=1e-8, max_iter=60)
+    result = sm.solve_window(sm.generate_scenario(steps=L, seed=0), L, cfg, N, L)
+    assert result.status == "converged"
+    assert result.iterations <= 60

@@ -143,8 +143,8 @@ def sensitivity_matrices(
 
     The parameters enter the conditions linearly, so ``N`` is constant and
     ``M`` depends on the solution point only; ``lam`` and ``y_ref`` document
-    the evaluation point. ``M`` is the dense form of the local KKT matrix that
-    :func:`~splitmhe.qp_core.solve_local_kkt` factors, with exact curvature.
+    the evaluation point. ``M`` is the dense form of the local KKT matrix whose
+    system :func:`~splitmhe.qp_core.solve_local_kkt` condenses, with exact curvature.
     """
     ev = evaluate_stack(sub, x)
     W = lagrangian_hessian(sub, x, mu, rho, "exact_lagrangian", ev)
@@ -261,7 +261,7 @@ def solve_local_subproblem(
     resolution and the SQP contraction stands on its own.
 
     The sub-windows step in lockstep: a round evaluates the run once and
-    takes one banded :func:`~splitmhe.qp_core.solve_local_kkt` (ladder seeded
+    takes one condensed :func:`~splitmhe.qp_core.solve_local_kkt` (ladder seeded
     by ``rho``), while the convergence test, merits, step lengths and retry
     are per sub-window and a converged one stops moving, so each takes the
     iterates of its own solve. ``evaluation`` is the run's evaluation at the

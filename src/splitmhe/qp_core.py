@@ -45,9 +45,9 @@ system and loses digits on chains that expand geometrically.
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. The coupled QP is never regularized: a Hessian that is not
 positive definite raises :class:`NotPositiveDefiniteError` with its block index,
-block 0 for a stack's reduced Hessian.
-:func:`solve_local_kkt` solves the sub-windows' uncoupled local KKT systems, of
-any inertia, as one band, and shifts only a singular sub-window's Hessian.
+block 0 for a stack's reduced Hessian. :func:`solve_local_kkt` condenses each
+unlinked sub-window's local KKT system, of any inertia, through the same band,
+with an LU of its ``nx x nx`` reduced system and a shift that refactors nothing.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def _solve_schur(S: Array, p: Array) -> Array:
     """Cholesky solve of the Schur system; a matrix that is not numerically
     positive definite means dependent coupling rows."""
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True), p)
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), p)
     except scipy.linalg.LinAlgError as exc:
         raise SingularKktError("coupling Schur matrix is singular") from exc
 
@@ -336,15 +336,15 @@ def _link_index(lay: LiftedLayout) -> Array:
 
 @lru_cache(maxsize=64)
 def _chain_band_index(lay: LiftedLayout) -> Array:
-    """Take index, from ``[D.ravel(), I.ravel(), 0]``, of the transposed LAPACK
-    lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``.
+    """Take index, from ``[D.ravel(), coupling.ravel(), 0]``, of the transposed
+    LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``.
 
     Block row 0 of ``B`` is ``[I, 0, ...]`` and block row ``j + 1`` is link
     ``j``, ``-D_j`` on state ``j`` and ``I`` on state ``j + 1``; a coupling
-    link takes the one identity block. The unit diagonal is implied, so
+    link takes the one ``coupling`` block. The unit diagonal is implied, so
     every slot but the ``-D_j`` entries takes the trailing zero."""
     nx, size = lay.nx, lay.nx * lay.nx
-    source = np.minimum(_link_index(lay), lay.L) * size  # coupling links share one I
+    source = np.minimum(_link_index(lay), lay.L) * size  # coupling links share one block
     j = np.arange(lay.n_states - 1)[:, None, None]
     a, c = np.arange(nx)[:, None], np.arange(nx)
     index = np.full((lay.n_states * nx, 2 * nx), (lay.L + 1) * size, dtype=np.intp)
@@ -353,27 +353,39 @@ def _chain_band_index(lay: LiftedLayout) -> Array:
     return index
 
 
+def _chain_solve(
+    lay: LiftedLayout, D: Array, coupling: Array, offsets: Array, starts: Array | slice
+) -> tuple[Array, Array]:
+    """The band of the link matrix ``B`` of :func:`_chain_band_index`, whose
+    coupling links take the block ``coupling``, and ``B^-1 [(0; offsets) | E]``
+    ``(L + N, nx, nx + 1)`` from one unit lower triangular banded solve
+    (``dtbtrs``): ``offsets`` ``(L + N - 1, nx)`` sit on the link rows, and
+    ``E`` holds an identity block on the row of every state in ``starts``."""
+    n, nx = lay.n_states, lay.nx
+    source = np.concatenate((D.reshape(-1), coupling.reshape(-1), [0.0]))
+    band = -source.take(_chain_band_index(lay)).T  # Fortran order, as LAPACK takes it
+    rhs = np.zeros((nx + 1, n, nx))
+    rhs[0, 1:] = offsets
+    rhs[1:, starts] = np.eye(nx)[:, None]
+    rhs = rhs.reshape(nx + 1, -1).T
+    sol = scipy.linalg.lapack.dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)[0]
+    return band, sol.reshape(n, nx, nx + 1)
+
+
 def _condense(stack: StageStack) -> SchurTerms:
     """The stack as an affine map of ``z = (1, dX_0)``, in ``O((L + N) nx^3)``.
 
     With ``B`` the link matrix of :func:`_chain_band_index`, every step is
-    ``dX = B^-1 (dX_0; -d)``: one unit lower triangular banded solve
-    (``dtbtrs``) against ``[(0; d), -E_0]`` gives ``U = -[e, Z]``, so that
-    ``dX = -U z``. Then ``V = [H e + g, H Z]`` is the stationarity map,
-    ``H dX + g = V z``, and ``U' V`` holds the reduced Hessian
-    ``S = Z' H Z`` and right-hand side ``s = -Z' (H e + g)``.
+    ``dX = B^-1 (dX_0; -d)``: :func:`_chain_solve` against ``[(0; -d), E_0]``
+    gives ``W = [e, Z]`` and ``U = -W``, so that ``dX = -U z``. Then
+    ``V = [H e + g, H Z]`` is the stationarity map, ``H dX + g = V z``, and
+    ``U' V`` holds the reduced Hessian ``S = Z' H Z`` and right-hand side
+    ``s = -Z' (H e + g)``.
     """
-    lay = stack.layout
-    n, nx = stack.H.shape[:2]
-    links = _link_index(lay)
-    source = np.concatenate((stack.D.reshape(-1), np.eye(nx).reshape(-1), [0.0]))
-    band = -source.take(_chain_band_index(lay)).T  # Fortran order, as LAPACK takes it
-    rhs = np.zeros((nx + 1, n * nx))
-    rhs[0, nx:] = np.concatenate((stack.d, -stack.anchor.reshape(-1, nx))).take(links, 0).ravel()
-    rhs[1:, :nx] = -np.eye(nx)
-    U = scipy.linalg.lapack.dtbtrs(band, rhs.T, uplo="L", diag="U", overwrite_b=1)[0]
-    U = U.reshape(n, nx, nx + 1)
-    V = -(stack.H @ U)
+    lay, nx = stack.layout, stack.layout.nx
+    offsets = np.concatenate((-stack.d, stack.anchor.reshape(-1, nx))).take(_link_index(lay), 0)
+    band, W = _chain_solve(lay, stack.D, np.eye(nx), offsets, slice(1))
+    U, V = -W, stack.H @ W
     V[..., 0] += stack.g
     U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
     reduced = U[:, 1:].T @ V
@@ -409,66 +421,53 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     )
 
 
-@lru_cache(maxsize=64)
-def _kkt_band_layout(lay: LiftedLayout) -> tuple[Array, Array, Array]:
-    """Positions of a run's states and stages in its interleaved local KKT
-    system, and the ``gbtrf`` band slots of the blocks ``H_j``, ``-D_k``,
-    ``I``, ``-D_k'``, ``I``. State ``j`` sits at ``2 j - state_block[j]`` and
-    stage ``k`` right after state ``prev[k]``, so every sub-window reads
-    ``[x, mu, x, ..., mu, x]`` (Rao, Wright & Rawlings, JOTA 99(3), 1998) and
-    the band has ``2 nx - 1`` sub- and superdiagonals."""
-    nx = lay.nx
-    xpos = 2 * np.arange(lay.n_states) - lay.state_block
-    mpos = xpos[lay.prev] + 1
-    rows = np.concatenate([xpos, mpos, mpos, xpos[lay.prev], xpos[lay.next]])[:, None, None]
-    cols = np.concatenate([xpos, xpos[lay.prev], xpos[lay.next], mpos, mpos])[:, None, None]
-    i, j = rows * nx + np.arange(nx)[:, None], cols * nx + np.arange(nx)
-    n, band = (len(xpos) + len(mpos)) * nx, 2 * nx - 1
-    dst = ((2 * band + i - j) * n + j).reshape(-1)
-    for arr in (xpos, mpos, dst):
-        arr.flags.writeable = False  # cached and shared by every caller
-    return xpos, mpos, dst
-
-
 def solve_local_kkt(
     layout: LiftedLayout, H: Array, D: Array, rhs_x: Array, rhs_mu: Array, eps0: float
 ) -> tuple[Array, Array]:
     """Solve the local KKT systems ``[[H, C'], [C, 0]] (dx, mu) = (rhs_x, rhs_mu)``
-    of a run of unlinked sub-windows with one ``dgbtrf`` and one ``dgbtrs``.
+    of a run of unlinked sub-windows, each condensed onto its first state.
 
     ``H`` holds per-state blocks ``(states, nx, nx)`` of any inertia, and row
     ``k`` of ``C`` is ``-D_k`` on state ``prev[k]`` and ``I`` on ``next[k]``.
-    A zero pivot names its sub-window, whose ``H`` alone is retried shifted
-    by ``eps0 * 10**k``, ``k = 0, 1, 2``; :class:`LocalSolveError` is raised
-    if it stays singular. Returns ``dx`` ``(states, nx)`` and ``mu`` ``(L, nx)``.
+    With zero coupling blocks, :func:`_chain_solve` gives ``dx = e + Z dx_first``
+    for every sub-window at once; the ``nx x nx`` reduced systems
+    ``Z' H Z dx_first = Z' (rhs_x - H e)`` take one batched LU solve, and
+    ``mu`` is the stage rows of one transposed banded solve of ``rhs_x - H dx``.
+    A singular reduced system, named by its own zero LU pivot, has its
+    sub-window's ``H`` alone shifted by ``eps0 * 10**k``, ``k = 0, 1, 2``, before
+    :class:`LocalSolveError` is raised; a retry redoes only the product and the
+    reduction, as ``e`` and ``Z`` do not depend on ``H``. Returns ``dx``
+    ``(states, nx)`` and ``mu`` ``(L, nx)``.
     """
-    nx = layout.nx
-    xpos, mpos, dst = _kkt_band_layout(layout)
-    band, n = 2 * nx - 1, (len(xpos) + len(mpos)) * nx
-    eye = np.broadcast_to(np.eye(nx), D.shape)
-    rungs = np.zeros(len(layout.lengths), dtype=int)
-    shifted = H
+    lay, nx = layout, layout.nx
+    offsets = np.concatenate((rhs_mu, np.zeros((lay.N - 1, nx)))).take(_link_index(lay), 0)
+    band, U = _chain_solve(lay, D, np.zeros((nx, nx)), offsets, lay.first)
+    rungs, shifted = [0] * len(lay.lengths), H
     while True:
-        ab = np.zeros((3 * band + 1, n))
-        ab.flat[dst] = np.concatenate([shifted, -D, eye, -np.swapaxes(D, 1, 2), eye]).ravel()
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, band, band)
-        if info <= 0:
+        V = shifted @ U
+        V[..., 0] -= rhs_x
+        reduced = np.add.reduceat(np.swapaxes(U[..., 1:], 1, 2) @ V, lay.first)
+        try:
+            step = np.linalg.solve(reduced[..., 1:], reduced[..., :1])  # -dx_first
             break
-        # the zero pivot's position lies in the sub-window of the state at or before it
-        i = int(layout.state_block[np.searchsorted(xpos, (info - 1) // nx, "right") - 1])
-        if rungs[i] == 3:
-            raise LocalSolveError(
-                f"block {i}: local KKT matrix singular after regularization", block_index=i
-            )
-        shift = eps0 * 10.0 ** rungs[i]
-        logger.warning("block %d: local KKT matrix singular; retrying with shift %.3e", i, shift)
-        mine = (layout.state_block == i)[:, None, None]
-        shifted = np.where(mine, H + shift * np.eye(nx), shifted)
-        rungs[i] += 1
-    z = np.zeros((n // nx, nx))
-    z[xpos], z[mpos] = rhs_x, rhs_mu
-    sol = scipy.linalg.lapack.dgbtrs(lu, band, band, z.reshape(-1, 1), piv)[0].reshape(-1, nx)
-    return sol[xpos], sol[mpos]
+        except np.linalg.LinAlgError:
+            singular = [i for i, P in enumerate(reduced) if scipy.linalg.lapack.dgetrf(P[:, 1:])[2]]
+        if not singular:
+            raise LocalSolveError("local KKT matrix singular, yet no sub-window has a zero pivot")
+        for i in singular:
+            if rungs[i] == 3:
+                raise LocalSolveError(
+                    f"block {i}: local KKT matrix singular after regularization", block_index=i
+                )
+            eps = eps0 * 10.0 ** rungs[i]
+            logger.warning("block %d: local KKT matrix singular; retrying with shift %.3e", i, eps)
+            shifted = np.where((lay.state_block == i)[:, None, None], H + eps * np.eye(nx), shifted)
+            rungs[i] += 1
+    # z = -(1, dx_first), so that U z = -dx and V z = rhs_x - H dx
+    z = np.concatenate((np.full((len(step), 1, 1), -1.0), step), axis=1)[lay.state_block]
+    Vz = (V @ z).reshape(-1)
+    nu = scipy.linalg.lapack.dtbtrs(band, Vz, uplo="L", trans="T", diag="U", overwrite_b=1)[0]
+    return -(U @ z)[..., 0], nu.reshape(-1, nx)[lay.next]
 
 
 def dense_kkt_oracle(blocks: list[QpBlock]) -> QpSolution:

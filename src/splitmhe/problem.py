@@ -94,17 +94,9 @@ class LiftedLayout:
     def block_dims(self) -> tuple[int, ...]:
         return tuple((n + 1) * self.nx for n in self.lengths)
 
-    @property
-    def constraint_dims(self) -> tuple[int, ...]:
-        return tuple(n * self.nx for n in self.lengths)
-
     def split(self, stack: Array) -> list[Array]:
         """Per-block flat views of a ``(L + N, ...)`` state stack."""
         return [stack[f:l + 1].reshape(-1) for f, l in zip(self.first, self.last)]
-
-    def split_stages(self, stages: Array) -> list[Array]:
-        """Per-block flat views of a ``(L, ...)`` stage stack."""
-        return [stages[s:s + n].reshape(-1) for s, n in zip(self.start, self.lengths)]
 
 
 @lru_cache(maxsize=64)
@@ -134,22 +126,19 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
     return LiftedLayout(lengths=tuple(int(k) for k in n), nx=nx, **maps)
 
 
-def as_stack(blocks, partition: LiftedLayout, name: str = "blocks", dims=None) -> Array:
-    """The stack of a list of flat blocks of sizes ``dims``, by default
-    ``partition.block_dims``; a 2-D stack passes through after a shape check.
-    Pass ``partition.constraint_dims`` for stage multipliers, whose stack is
-    ``(L, nx)``. Errors name the list as ``name``."""
-    dims = partition.block_dims if dims is None else dims
+def _as_stack(blocks, partition: LiftedLayout) -> Array:
+    """The ``(L + N, nx)`` stack of a list of flat blocks of sizes
+    ``partition.block_dims``; a 2-D stack passes through after a shape check."""
     if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-        shape = (sum(dims) // partition.nx, partition.nx)
+        shape = (partition.n_states, partition.nx)
         if blocks.shape != shape:
-            raise DimensionMismatchError(f"{name} stack must be {shape}, got {blocks.shape}")
+            raise DimensionMismatchError(f"blocks stack must be {shape}, got {blocks.shape}")
         return np.asarray(blocks, dtype=float)
     if len(blocks) != partition.N:
-        raise DimensionMismatchError(f"{len(blocks)} {name} for {partition.N} sub-windows")
-    for i, (block, n) in enumerate(zip(blocks, dims)):
+        raise DimensionMismatchError(f"{len(blocks)} blocks for {partition.N} sub-windows")
+    for i, (block, n) in enumerate(zip(blocks, partition.block_dims)):
         if (shape := np.shape(block)) != (n,):
-            raise DimensionMismatchError(f"{name}[{i}] has shape {shape}, expected ({n},)")
+            raise DimensionMismatchError(f"blocks[{i}] has shape {shape}, expected ({n},)")
     return np.concatenate(blocks, dtype=float).reshape(-1, partition.nx)
 
 
@@ -464,7 +453,7 @@ def coupling_residual(partition: LiftedLayout, blocks) -> Array:
 
     ``blocks`` is a list of block vectors or the lifted ``(L + N, nx)`` stack.
     """
-    stack = as_stack(blocks, partition)
+    stack = _as_stack(blocks, partition)
     return (stack[partition.last[:-1]] - stack[partition.first[1:]]).reshape(-1)
 
 
@@ -485,7 +474,7 @@ def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
     trajectory and the max boundary mismatch (infinity norm of the coupling
     residual); the two deduplication choices coincide at consensus.
     """
-    stack = as_stack(blocks, partition)
+    stack = _as_stack(blocks, partition)
     trajectory = stack[partition.measured]
     mismatch = 0.0
     if partition.N > 1:

@@ -30,6 +30,7 @@ for all blocks at once on the stack:
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -41,7 +42,6 @@ from .problem import (
     LiftedLayout,
     MheInstance,
     SubProblem,
-    as_stack,
     build_partition,
     centralized_objective,
     coupling_residual,
@@ -90,21 +90,28 @@ class SolverConfig:
             raise ValueError("rho must be positive and finite")
         if not 0 <= self.tol < math.inf:
             raise ValueError("tol must be nonnegative and finite")
+        try:
+            operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
 
 @dataclass(eq=False)
 class IterateState:
-    """Primal blocks, consensus blocks, and multipliers of one outer iterate.
+    """The lifted stacks of one outer iterate: local states ``x_blocks`` and
+    consensus states ``y_blocks``, both ``(L + N, nx)``, the coupling price
+    ``lam`` ``(r,)`` and the stage multipliers ``mu_blocks`` ``(L, nx)``.
     ``x_blocks`` is where the next iteration's local step starts: the advanced
     local pairs for ``sa_aladin``, the consensus iterate otherwise. A warm
-    start may hand any list as its stack (:func:`~splitmhe.problem.as_stack`)."""
+    start takes these arrays only: a field of another shape, or no array,
+    raises :class:`~splitmhe.errors.DimensionMismatchError` naming it."""
 
-    x_blocks: list[Array]
-    y_blocks: list[Array]
+    x_blocks: Array
+    y_blocks: Array
     lam: Array
-    mu_blocks: list[Array]
+    mu_blocks: Array
 
 
 @dataclass(eq=False)
@@ -162,19 +169,19 @@ def termination_check(record: ConvergenceRecord, cfg: SolverConfig) -> bool:
 def _initial_iterate(
     instance: MheInstance, partition: LiftedLayout, warm: IterateState | None
 ) -> tuple[Array | None, Array, Array, Array]:
-    """The stacks of the local pairs' states (None on a cold start), the
-    consensus states ``(L + N, nx)``, ``lam`` and the stage multipliers ``(L, nx)``."""
+    """The fields of :class:`IterateState` (``x_blocks`` None on a cold start)."""
+    stages = (partition.L, partition.nx)
     if warm is None:
         y = lift(instance.initial_guess, partition)
-        return None, y, np.zeros(partition.r), np.zeros((partition.L, partition.nx))
-    if (shape := np.shape(warm.lam)) != (partition.r,):
-        raise DimensionMismatchError(f"lam has shape {shape}, expected ({partition.r},)")
-    return (
-        as_stack(warm.x_blocks, partition, "x_blocks"),
-        as_stack(warm.y_blocks, partition, "y_blocks"),
-        np.array(warm.lam, dtype=float),
-        as_stack(warm.mu_blocks, partition, "mu_blocks", partition.constraint_dims),
-    )
+        return None, y, np.zeros(partition.r), np.zeros(stages)
+    states = (partition.n_states, partition.nx)
+    shapes = dict(x_blocks=states, y_blocks=states, lam=(partition.r,), mu_blocks=stages)
+    for name, shape in shapes.items():
+        value = getattr(warm, name)
+        if not isinstance(value, np.ndarray) or value.shape != shape:
+            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+            raise DimensionMismatchError(f"{name} must be an array of shape {shape}, got {got}")
+    return tuple(np.asarray(getattr(warm, name), dtype=float) for name in shapes)
 
 
 def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
@@ -298,19 +305,13 @@ def _drive(
         if last.dist_to_ref is not None:
             final_metrics["dist_to_ref"] = last.dist_to_ref
     final_metrics["boundary_mismatch"] = mismatch
-    state = IterateState(
-        x_blocks=[b.copy() for b in partition.split(x)],
-        y_blocks=[b.copy() for b in partition.split(y)],
-        lam=lam.copy(),
-        mu_blocks=[b.copy() for b in partition.split_stages(mu)],
-    )
     return SolveResult(
         trajectory=trajectory,
         objective=centralized_objective(instance, trajectory),
         records=records,
         status=status,
         final_metrics=final_metrics,
-        final_state=state,
+        final_state=IterateState(x.copy(), y.copy(), lam.copy(), mu.copy()),
         info={} if info is None else info,
     )
 

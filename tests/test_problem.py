@@ -24,7 +24,6 @@ def test_partition_benchmark_shape():
     assert p is problem.lifted_layout((6, 6, 6, 7), 3)
     assert (p.lengths, p.r) == ((6, 6, 6, 7), 9)
     assert p.block_dims == (21, 21, 21, 24)
-    assert p.constraint_dims == (18, 18, 18, 21)
     assert sum(p.block_dims) == (25 + 4) * 3
 
 

@@ -96,6 +96,15 @@ def test_config_rejects_out_of_range_values(kwargs):
         config(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "config, field", [(sm.SolverConfig, "max_iter"), (sm.LocalSolveConfig, "inner_max_iter")]
+)
+def test_iteration_budgets_must_be_integers(config, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+        config(**{field: 2.5})
+    assert getattr(config(**{field: np.int64(3)}), field) == 3
+
+
 def test_distributed_runs_need_a_partition_and_their_own_config(linear_instance):
     with pytest.raises(ValueError, match="distributed algorithms need a partition"):
         sm.solve(linear_instance, None, sm.SolverConfig("dsqp"))
@@ -168,12 +177,12 @@ def test_sa_matches_dsqp_while_falling_back(linear_instance):
     partition = sm.build_partition(linear_instance.L, 2, 2)
     # the cold start's iterate, handed in as a warm start, skips the initial
     # exact local solves
-    lifted = sm.lift_initial_guess(linear_instance.initial_guess, partition)
+    lifted = problem.lift(linear_instance.initial_guess, partition)
     cold = sm.IterateState(
         x_blocks=lifted,
         y_blocks=lifted,
         lam=np.zeros(partition.r),
-        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+        mu_blocks=np.zeros((linear_instance.L, 2)),
     )
     for iters in (1, 3, 5):
         sa_cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=0.0, max_iter=iters)
@@ -381,10 +390,10 @@ def test_solver_errors_carry_iteration_context(linear_model):
     instance = build_linear_instance(linear_model, L=4, seed=2)
     partition = sm.build_partition(4, 2, 2)
     bad = sm.IterateState(
-        x_blocks=[np.full(6, np.nan), np.full(6, np.nan)],
-        y_blocks=[np.full(6, np.nan), np.full(6, np.nan)],
+        x_blocks=np.full((6, 2), np.nan),
+        y_blocks=np.full((6, 2), np.nan),
         lam=np.zeros(2),
-        mu_blocks=[np.zeros(4), np.zeros(4)],
+        mu_blocks=np.zeros((4, 2)),
     )
     with pytest.raises(SplitMheError) as err:
         sm.run_distributed_sqp(
@@ -416,11 +425,10 @@ def test_wrapped_iteration_error_keeps_block_index():
 def test_solver_errors_name_the_failing_block(linear_model, algorithm):
     instance = build_linear_instance(linear_model, L=6, seed=2)
     partition = sm.build_partition(6, 3, 2)
-    y = sm.lift_initial_guess(instance.initial_guess, partition)
-    y[1] = np.full_like(y[1], np.nan)
+    y = problem.lift(instance.initial_guess, partition)
+    y[partition.state_block == 1] = np.nan
     bad = sm.IterateState(
-        x_blocks=y, y_blocks=y, lam=np.zeros(partition.r),
-        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+        x_blocks=y, y_blocks=y, lam=np.zeros(partition.r), mu_blocks=np.zeros((6, 2))
     )
     with pytest.raises(NonFiniteDataError) as err:
         sm.solve(instance, partition, sm.SolverConfig(algorithm=algorithm, rho=1.0), warm=bad)
@@ -535,42 +543,60 @@ def test_unconverged_local_solves_are_counted(benchmark_runs):
 
 
 @pytest.mark.parametrize(
-    "field, index, size",
+    "field, axis, size",
     [
         ("x_blocks", 0, 5), ("y_blocks", 1, 5), ("mu_blocks", 2, 3), ("mu_blocks", None, None),
         ("lam", None, None),
     ],
 )
 @pytest.mark.parametrize("algorithm", ["gn_aladin", "sa_aladin", "dsqp"])
-def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, index, size):
+def test_warm_start_shapes_are_checked_up_front(linear_model, algorithm, field, axis, size):
+    """A field whose axis ``axis`` has length ``size`` (5 of 9 states, 5 of 2
+    columns, a third axis), or that is one stage or coupling row short, is
+    named before any iteration runs."""
     instance = build_linear_instance(linear_model, L=6, seed=2)
     partition = sm.build_partition(6, 3, 2)
-    y = sm.lift_initial_guess(instance.initial_guess, partition)
-    blocks = dict(
-        x_blocks=list(y), y_blocks=list(y), lam=np.zeros(partition.r),
-        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
-    )
-    if index is None:
-        blocks[field] = blocks[field][:-1]  # one block or coupling row short
-        expected = {
-            "mu_blocks": "2 mu_blocks for 3 sub-windows",
-            "lam": re.escape("lam has shape (3,), expected (4,)"),
-        }[field]
+    y = problem.lift(instance.initial_guess, partition)
+    state = dict(x_blocks=y, y_blocks=y, lam=np.zeros(partition.r), mu_blocks=np.zeros((6, 2)))
+    expected = state[field].shape
+    if axis is None:
+        state[field] = state[field][:-1]
     else:
-        blocks[field][index] = blocks[field][index][:size]
-        expected = re.escape(f"{field}[{index}] has shape ({size},), expected ")
-    bad = sm.IterateState(**blocks)
+        state[field] = np.zeros(expected[:axis] + (size,) + expected[axis + 1:])
+    message = f"{field} must be an array of shape {expected}, got {state[field].shape}"
     cfg = sm.SolverConfig(algorithm=algorithm, rho=1.0, max_iter=5)
-    with pytest.raises(SplitMheError, match=expected) as err:
-        sm.solve(instance, partition, cfg, warm=bad)
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)) as err:
+        sm.solve(instance, partition, cfg, warm=sm.IterateState(**state))
     assert not hasattr(err.value, "iteration")
+
+
+@pytest.mark.parametrize("n_blocks", [4, 5])
+@pytest.mark.parametrize("field", ["x_blocks", "y_blocks", "mu_blocks"])
+def test_warm_start_takes_no_block_lists(benchmark_instance, field, n_blocks):
+    """Warm state is arrays only. A block list, ragged at N = 4 (state blocks
+    of 21, 21, 21 and 24 values) or not at N = 5 (five of 18), and even the
+    rows of the right stack as a list, raise the field's DimensionMismatchError."""
+    guess = benchmark_instance.initial_guess
+    partition = sm.build_partition(25, n_blocks, 3)
+    y = problem.lift(guess, partition)
+    state = dict(x_blocks=y, y_blocks=y, lam=np.zeros(partition.r), mu_blocks=np.zeros((25, 3)))
+    if field == "mu_blocks":
+        blocks = [np.zeros(3 * n) for n in partition.lengths]
+    else:
+        blocks = sm.lift_initial_guess(guess, partition)
+    assert (len({b.size for b in blocks}) > 1) == (n_blocks == 4)
+    message = f"{field} must be an array of shape {state[field].shape}, got list"
+    cfg = sm.SolverConfig(algorithm="dsqp", max_iter=5)
+    for value in (blocks, state[field].tolist()):
+        bad = sm.IterateState(**{**state, field: value})
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            sm.solve(benchmark_instance, partition, cfg, warm=bad)
 
 
 @pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
 def test_a_warm_restart_continues_the_run_bit_for_bit(benchmark_instance, algorithm):
-    """Two iterations warm started from the final state of three cold ones
-    are the last two of five cold ones, whether the state is handed as block
-    lists or as stacks."""
+    """Two iterations warm started from the final state of three cold ones,
+    the lifted stacks, are the last two of five cold ones."""
     partition = sm.build_partition(25, 4, 3)
     rho = 5.0 if algorithm == "gn_aladin" else 10.0
 
@@ -580,21 +606,18 @@ def test_a_warm_restart_continues_the_run_bit_for_bit(benchmark_instance, algori
 
     whole = run(5)
     state = run(3).final_state
-    stacked = sm.IterateState(
-        x_blocks=np.concatenate(state.x_blocks).reshape(-1, 3),
-        y_blocks=np.concatenate(state.y_blocks).reshape(-1, 3),
-        lam=state.lam,
-        mu_blocks=np.concatenate(state.mu_blocks).reshape(-1, 3),
-    )
-    for warm in (state, stacked):
-        rest = run(2, warm)
-        np.testing.assert_array_equal(rest.trajectory, whole.trajectory)
-        assert rest.objective == whole.objective
-        for a, b in zip(rest.records, whole.records[3:], strict=True):
-            for name in solvers._METRICS:
-                assert getattr(a, name) == getattr(b, name), (a.iteration, name)
-    short = replace(stacked, mu_blocks=stacked.mu_blocks[:-1])
-    with pytest.raises(DimensionMismatchError, match=re.escape("mu_blocks stack must be (25, 3)")):
+    n_blocks = 1 if algorithm == "centralized" else 4
+    assert state.x_blocks.shape == state.y_blocks.shape == (25 + n_blocks, 3)
+    assert (state.lam.shape, state.mu_blocks.shape) == ((3 * n_blocks - 3,), (25, 3))
+    rest = run(2, state)
+    np.testing.assert_array_equal(rest.trajectory, whole.trajectory)
+    assert rest.objective == whole.objective
+    for a, b in zip(rest.records, whole.records[3:], strict=True):
+        for name in solvers._METRICS:
+            assert getattr(a, name) == getattr(b, name), (a.iteration, name)
+    short = replace(state, mu_blocks=state.mu_blocks[:-1])
+    message = "mu_blocks must be an array of shape (25, 3), got (24, 3)"
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
         run(2, short)
 
 
@@ -629,10 +652,10 @@ def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypat
     # trusted steps see the patched curvature.
     monkeypatch.setattr(local_nlp, "hessian_blocks", zero_curvature)
     partition = sm.build_partition(linear_instance.L, 2, 2)
-    lifted = sm.lift_initial_guess(linear_instance.initial_guess, partition)
+    lifted = problem.lift(linear_instance.initial_guess, partition)
     warm = sm.IterateState(
         x_blocks=lifted, y_blocks=lifted, lam=np.zeros(partition.r),
-        mu_blocks=[np.zeros(m) for m in partition.constraint_dims],
+        mu_blocks=np.zeros((linear_instance.L, 2)),
     )
     cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=1e-12, max_iter=300)
     with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):

@@ -37,6 +37,9 @@ Array = np.ndarray
 ROBOT_START = (0.1, 0.1, 0.0)
 DEFAULT_HORIZON = 25
 DEFAULT_SUB_WINDOWS = 4
+# a scenario file: the "model" fields with their parsers, then the arrays
+_SCENARIO_MODEL = {"T": float, "sigma_r": float, "sigma_alpha": float, "seed": int}
+_SCENARIO_ARRAYS = ("controls", "true_states", "measurements")
 
 CONVERGENCE_HEADER = [
     "iter",
@@ -91,6 +94,20 @@ class Scenario:
             raise ScenarioError("sampling time must be positive and finite")
         if not (0 <= self.sigma_r < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ScenarioError("noise magnitudes must be nonnegative and finite")
+        schedule = np.shape(self.controls)
+        if len(schedule) != 2 or schedule[1] != 2:
+            raise ScenarioError(f"control schedule must be (steps, 2), got {schedule}")
+        k = schedule[0]
+        for name, shape in zip(_SCENARIO_ARRAYS, (schedule, (k + 1, 3), (k + 1, 2))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ScenarioError(
+                    f"inconsistent scenario arrays: {name} must be {shape} for {k} steps, "
+                    f"got {value.shape}"
+                )
+            if not np.isfinite(value).all():
+                raise ScenarioError(f"non-finite values in {name}")
+            setattr(self, name, value)
 
     @property
     def steps(self) -> int:
@@ -153,27 +170,24 @@ def generate_scenario(
     if steps < 1:
         raise ScenarioError(f"need at least one step, got {steps}")
     model = robot_model(T=T)
-    control = np.asarray(control, dtype=float)
-    if control.ndim == 1:
-        controls = np.tile(control, (steps, 1))
-    else:
-        controls = control.copy()
+    controls = np.array(control, dtype=float)
+    if controls.ndim == 1:
+        controls = np.tile(controls, (steps, 1))
     if controls.shape != (steps, 2):
         raise ScenarioError(f"control schedule must be (steps, 2), got {controls.shape}")
     if not np.isfinite(controls).all():
         raise ScenarioError("control schedule must be finite")
 
     states = rollout(model, np.asarray(x0, dtype=float), controls)
-    range_sq = states[:, 0] ** 2 + states[:, 1] ** 2
-    if range_sq.min() < 1e-12:
+    try:
+        clean = model.h(states)
+    except OriginSingularityError as exc:
         raise ScenarioError(
             "true trajectory passes through the observation singularity at the origin; "
             "choose a different control schedule or start state"
-        )
-
+        ) from exc
     noise = gaussian_draws(seed, 2 * (steps + 1)).reshape(steps + 1, 2)
-    noise = noise * np.array([sigma_r, sigma_alpha])
-    measurements = model.h(states) + noise
+    measurements = clean + noise * np.array([sigma_r, sigma_alpha])
     return Scenario(
         T=T,
         sigma_r=sigma_r,
@@ -418,15 +432,8 @@ def _read_csv(path: str | Path, ints: tuple[str, ...], strs: tuple[str, ...]) ->
 
 def write_scenario(scenario: Scenario, path: str | Path) -> Path:
     payload = {
-        "model": {
-            "T": scenario.T,
-            "sigma_r": scenario.sigma_r,
-            "sigma_alpha": scenario.sigma_alpha,
-            "seed": scenario.seed,
-        },
-        "controls": scenario.controls,
-        "true_states": scenario.true_states,
-        "measurements": scenario.measurements,
+        "model": {name: getattr(scenario, name) for name in _SCENARIO_MODEL},
+        **{name: getattr(scenario, name) for name in _SCENARIO_ARRAYS},
     }
     return _write_json(payload, path)
 
@@ -434,31 +441,12 @@ def write_scenario(scenario: Scenario, path: str | Path) -> Path:
 def load_scenario(path: str | Path) -> Scenario:
     try:
         payload = json.loads(Path(path).read_text())
-        model = payload["model"]
-        scenario = Scenario(
-            T=float(model["T"]),
-            sigma_r=float(model["sigma_r"]),
-            sigma_alpha=float(model["sigma_alpha"]),
-            seed=int(model["seed"]),
-            controls=np.asarray(payload["controls"], dtype=float),
-            true_states=np.asarray(payload["true_states"], dtype=float),
-            measurements=np.asarray(payload["measurements"], dtype=float),
+        return Scenario(
+            **{name: parse(payload["model"][name]) for name, parse in _SCENARIO_MODEL.items()},
+            **{name: payload[name] for name in _SCENARIO_ARRAYS},
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError, ScenarioError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
-    if scenario.controls.ndim != 2 or scenario.controls.shape[1] != 2:
-        raise ScenarioError(
-            f"malformed scenario file {path}: control schedule must be (steps, 2), "
-            f"got {scenario.controls.shape}"
-        )
-    if scenario.true_states.shape != (scenario.steps + 1, 3):
-        raise ScenarioError(f"inconsistent scenario arrays in {path}")
-    if scenario.measurements.shape != (scenario.steps + 1, 2):
-        raise ScenarioError(f"inconsistent scenario arrays in {path}")
-    arrays = (scenario.controls, scenario.true_states, scenario.measurements)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ScenarioError(f"non-finite values in scenario file {path}")
-    return scenario
 
 
 def write_result(result: SolveResult, config_echo: dict, path: str | Path) -> Path:

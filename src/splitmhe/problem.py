@@ -276,7 +276,7 @@ class SubProblem:
         plus, minus = blocks < len(rows), blocks > 0
         out[lay.last[plus]] = rows[blocks[plus]]
         out[lay.first[minus]] -= rows[blocks[minus] - 1]
-        return out.reshape((-1,) + lam.shape[1:])
+        return out.reshape((self.block_dim,) + lam.shape[1:])
 
 
 def subproblem(instance: MheInstance, partition: LiftedLayout, blocks: range) -> SubProblem:

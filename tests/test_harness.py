@@ -60,8 +60,70 @@ def test_scenario_noise_statistics(robot):
 
 def test_scenario_rejects_origin_crossing():
     # driving straight through the origin from the negative axis
-    with pytest.raises(ScenarioError):
+    message = "true trajectory passes through the observation singularity at the origin"
+    with pytest.raises(ScenarioError, match=message) as info:
         sm.generate_scenario(steps=20, control=(1.0, 0.0), x0=(-1.0, 0.0, 0.0), seed=0)
+    # the rule is the model's: its error names the state at the origin
+    assert isinstance(info.value.__cause__, sm.OriginSingularityError)
+    assert info.value.__cause__.state == 5
+
+
+def _scenario_fields(steps=6, seed=1):
+    """The constructor arguments of a generated scenario."""
+    scenario = sm.generate_scenario(steps=steps, seed=seed)
+    return {k: getattr(scenario, k) for k in sm.Scenario.__dataclass_fields__}
+
+
+def test_directly_built_scenario_holds_float_arrays():
+    fields = _scenario_fields()
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    scenario = sm.Scenario(**lists)
+    for name in ("controls", "true_states", "measurements"):
+        value = getattr(scenario, name)
+        assert isinstance(value, np.ndarray) and value.dtype == float
+        np.testing.assert_array_equal(value, fields[name])
+    assert scenario.steps == 6
+
+
+@pytest.mark.parametrize(
+    "name, value", [("measurements", np.nan), ("true_states", np.inf), ("controls", -np.inf)]
+)
+def test_directly_built_scenario_rejects_non_finite_arrays(name, value):
+    fields = _scenario_fields(steps=30, seed=0)
+    fields[name] = fields[name].copy()
+    fields[name][12, 1] = value
+    with pytest.raises(ScenarioError, match=f"non-finite values in {name}"):
+        sm.Scenario(**fields)
+
+
+@pytest.mark.parametrize(
+    "name, cut, message",
+    [
+        ("true_states", np.s_[:-1], "true_states must be (7, 3) for 6 steps, got (6, 3)"),
+        ("measurements", np.s_[:, :1], "measurements must be (7, 2) for 6 steps, got (7, 1)"),
+        ("controls", np.s_[:-1], "true_states must be (6, 3) for 5 steps, got (7, 3)"),
+    ],
+)
+def test_directly_built_scenario_rejects_inconsistent_arrays(name, cut, message):
+    fields = _scenario_fields()
+    fields[name] = fields[name][cut]
+    with pytest.raises(ScenarioError, match=re.escape(f"inconsistent scenario arrays: {message}")):
+        sm.Scenario(**fields)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (6,), (2, 6, 2)])
+def test_directly_built_scenario_rejects_a_malformed_schedule(shape):
+    fields = _scenario_fields()
+    fields["controls"] = np.zeros(shape)
+    with pytest.raises(ScenarioError, match=re.escape(f"must be (steps, 2), got {shape}")):
+        sm.Scenario(**fields)
+
+
+def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):
+    # only generate_scenario refuses the origin; a file may hold any trajectory
+    loaded = sm.load_scenario(write_scenario(origin_scenario, tmp_path / "origin.json"))
+    np.testing.assert_array_equal(loaded.true_states, origin_scenario.true_states)
+    assert not loaded.true_states[5, :2].any()
 
 
 def test_scenario_rejects_bad_schedule():
@@ -236,7 +298,8 @@ def test_malformed_scenario_file_raises(tmp_path):
         payload = json.loads(good.read_text())
         payload[key] = payload[key][:-1]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ScenarioError, match="inconsistent scenario arrays in .*bad.json"):
+        message = rf"malformed scenario file .*bad\.json: inconsistent scenario arrays: {key} "
+        with pytest.raises(ScenarioError, match=message):
             sm.load_scenario(path)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import splitmhe as sm
 from splitmhe import local_nlp, problem
-from splitmhe.errors import LocalSolveError
+from splitmhe.errors import LocalSolveError, SingularKktError
 from splitmhe.local_nlp import (
     LocalSolveConfig,
     first_order_conditions,
@@ -15,7 +15,7 @@ from splitmhe.local_nlp import (
 from splitmhe.problem import constraint_vector, lifted_layout, split_instance, subproblem
 from splitmhe.qp_core import solve_local_kkt
 
-from helpers import dense_kkt, fd_jacobian, rel_err
+from helpers import dense_kkt, fd_jacobian, refined_solve, rel_err
 
 
 def robot_sub(instance, n_sub=3, index=1):
@@ -169,6 +169,18 @@ def test_gauss_newton_equals_exact_at_zero_residual_zero_mu(small_robot_instance
     np.testing.assert_allclose(gn, exact, atol=1e-9)
 
 
+def test_sensitivity_of_a_single_window_partition(benchmark_instance):
+    # N = 1 has no coupling rows: A is (0, 78) and N carries no lam columns
+    sub, y, partition = robot_sub(benchmark_instance, n_sub=1, index=0)
+    assert partition.r == 0
+    assert sub.coupling_matrix().shape == (0, 78)
+    assert sub.apply_coupling_transpose(np.zeros(0)).shape == (78,)
+    mu = np.zeros(sub.constraint_dim)
+    pair = sensitivity_matrices(sub, y, mu, np.zeros(0), y, 5.0)
+    assert pair.N.shape == (153, 78)
+    np.testing.assert_array_equal(pair.N[:78], -5.0 * np.eye(78))
+
+
 def test_sensitivity_structure(benchmark_instance):
     rng = np.random.Generator(np.random.PCG64(6))
     sub, y, partition = robot_sub(benchmark_instance, n_sub=4, index=1)
@@ -224,6 +236,36 @@ def test_tangent_predictor_zero_step(benchmark_instance):
     xi = np.concatenate([y, np.zeros(partition.r)])
     pair = sensitivity_matrices(sub, res.x, res.mu, np.zeros(partition.r), y, 25.0)
     np.testing.assert_array_equal(tangent_predictor(s, xi, xi, pair), s)
+
+
+def test_tangent_predictor_on_a_long_cold_sub_window():
+    """Sub-window 0 of L = 800, N = 2 (400 stages) at the cold guess: ``M``
+    has cond 2.3e16, where a plain dense solve is off by up to 2.5e-8; one
+    refinement step with the same LU factor matches a refined reference."""
+    L = 800
+    instance = sm.window_instance(sm.generate_scenario(steps=L, seed=0), L, horizon=L)
+    sub, y, partition = robot_sub(instance, n_sub=2, index=0)
+    rng = np.random.Generator(np.random.PCG64(3))
+    mu, lam = np.zeros(sub.constraint_dim), np.zeros(partition.r)
+    s, xi = np.concatenate([y, mu]), np.concatenate([y, lam])
+    for rho in (10.0, 0.1):
+        pair = sensitivity_matrices(sub, y, mu, lam, y, rho)
+        xi_new = xi + 1e-3 * rng.standard_normal(xi.size)
+        step = refined_solve(pair.M, pair.N @ (xi_new - xi))
+        predicted = tangent_predictor(s, xi, xi_new, pair)
+        # measured 4.9e-15 and 1.2e-15; the plain solve 2.5e-8 and 1.0e-11
+        assert np.abs(predicted - (s - step)).max() <= 1e-13 * np.abs(step).max()
+
+
+def test_tangent_predictor_raises_on_a_singular_kkt_matrix(linear_instance):
+    sub, y, partition = linear_sub(linear_instance)
+    mu, lam = np.zeros(sub.constraint_dim), np.zeros(partition.r)
+    pair = sensitivity_matrices(sub, y, mu, lam, y, 1.0)
+    M = pair.M.copy()
+    M[:, 3] = M[3, :] = 0.0
+    s, xi = np.concatenate([y, mu]), np.concatenate([y, lam])
+    with pytest.raises(SingularKktError, match="sensitivity KKT matrix is singular"):
+        tangent_predictor(s, xi, xi + 0.1, local_nlp.SensitivityPair(M, pair.N))
 
 
 def test_tangent_predictor_exact_on_affine_manifold(linear_instance):

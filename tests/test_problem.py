@@ -345,6 +345,24 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
         np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_sub", [1, 4, 25])
+def test_value_functions_are_the_stack_evaluation_bit_for_bit(benchmark_instance, n_sub):
+    """``residual_vector`` and ``constraint_vector`` repeat the formulas of
+    ``evaluate_stack``: the local line search compares trial merits from the
+    former with ``merit0`` from the latter, so the two copies must agree."""
+    rng = np.random.Generator(np.random.PCG64(15))
+    partition = sm.build_partition(25, n_sub, 3)
+    run = problem.subproblem(benchmark_instance, partition, range(partition.N))
+    subs = sm.split_instance(benchmark_instance, partition)
+    guess = problem.lift(benchmark_instance.initial_guess, partition)
+    for scale in (0.0, 0.05, 0.5):
+        y = guess + scale * rng.standard_normal(guess.shape)
+        for sub, x in [(run, y), *zip(subs, partition.split(y))]:
+            ev = problem.evaluate_stack(sub, x)
+            np.testing.assert_array_equal(residual_vector(sub, x), ev.b)
+            np.testing.assert_array_equal(constraint_vector(sub, x), ev.F.reshape(-1))
+
+
 def test_problem_module_imports_no_scipy():
     # importing scipy from inside problem.py slows `import splitmhe` by about
     # a tenth; every scipy call lives in qp_core and local_nlp

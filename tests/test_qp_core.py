@@ -19,7 +19,7 @@ from splitmhe.local_nlp import hessian_blocks
 from splitmhe.problem import evaluate_stack, lift, lifted_layout, subproblem
 from splitmhe.qp_core import random_blocks, schur_terms, solve_local_kkt
 
-from helpers import dense_blocks, dense_kkt, kkt_residual_qp, random_stage_stack
+from helpers import dense_blocks, dense_kkt, kkt_residual_qp, random_stage_stack, refined_solve
 
 
 def scalar_pair():
@@ -568,17 +568,6 @@ def test_local_kkt_ladder_stops_when_no_block_has_a_zero_pivot(monkeypatch, capl
     assert not caplog.records
 
 
-def _refined_solve(K, b):
-    """``K^-1 b`` from one LU with two steps of iterative refinement: the
-    robot's local KKT matrices are badly scaled (cond 2e16), and the plain
-    dense solve is off by up to 4.3e-8 where the refined one settles."""
-    lu = scipy.linalg.lu_factor(K)
-    x = scipy.linalg.lu_solve(lu, b)
-    for _ in range(2):
-        x += scipy.linalg.lu_solve(lu, b - K @ x)
-    return x
-
-
 def test_local_condensing_accuracy_follows_the_growth_of_the_chain():
     """The known limit of condensing a local solve: ``Z`` holds the products
     of the ``D_k`` along a sub-window, so on expanding chains the solution
@@ -589,7 +578,7 @@ def test_local_condensing_accuracy_follows_the_growth_of_the_chain():
     for _ in range(5):
         lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 3, (90, 90, 90))
         rhs = np.concatenate([rhs_x.ravel(), rhs_mu.ravel()])
-        expected = _refined_solve(dense_kkt(lay, H, D), rhs)
+        expected = refined_solve(dense_kkt(lay, H, D), rhs)
         dx, mu = solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 1.0)
         got = np.concatenate([dx.ravel(), mu.ravel()])
         worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
@@ -610,7 +599,7 @@ def test_local_kkt_on_the_cold_robot_window():
         H = hessian_blocks(run, x, np.zeros((L, 3)), rho, ev, True)
         dx, mu = solve_local_kkt(lay, H, ev.D, -ev.g, -ev.F, 1.0)
         rhs = -np.concatenate([ev.g.ravel(), ev.F.ravel()])
-        expected = _refined_solve(dense_kkt(lay, H, ev.D), rhs)
+        expected = refined_solve(dense_kkt(lay, H, ev.D), rhs)
         for got, want in ((dx.ravel(), expected[:dx.size]), (mu.ravel(), expected[dx.size:])):
             # measured 2.9e-14 on dx and 3.6e-14 on mu, whose entries reach 3e9
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -196,11 +196,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(_args) -> int:
     checks = run_self_check()
-    failed = False
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        failed = failed or not passed
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_NUMERICAL
 
 
 def main(argv: list[str] | None = None) -> int:

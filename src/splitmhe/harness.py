@@ -77,6 +77,11 @@ SWEEP_HEADER = [
 NUMERICAL_ERRORS = (FactorizationError, OriginSingularityError)
 
 
+def _check_sampling_time(T: float) -> None:
+    if not 0 < T < np.inf:
+        raise ScenarioError("sampling time must be positive and finite")
+
+
 @dataclass(eq=False)
 class Scenario:
     """A simulated run of the benchmark robot with noisy measurements."""
@@ -90,16 +95,20 @@ class Scenario:
     measurements: Array
 
     def __post_init__(self):
-        if not 0 < self.T < np.inf:
-            raise ScenarioError("sampling time must be positive and finite")
+        _check_sampling_time(self.T)
         if not (0 <= self.sigma_r < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ScenarioError("noise magnitudes must be nonnegative and finite")
-        schedule = np.shape(self.controls)
+        for name in _SCENARIO_ARRAYS:
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError) as exc:  # ragged or not numeric
+                raise ScenarioError(f"{name} is not a numeric array: {exc}") from None
+        schedule = self.controls.shape
         if len(schedule) != 2 or schedule[1] != 2:
             raise ScenarioError(f"control schedule must be (steps, 2), got {schedule}")
         k = schedule[0]
         for name, shape in zip(_SCENARIO_ARRAYS, (schedule, (k + 1, 3), (k + 1, 2))):
-            value = np.asarray(getattr(self, name), dtype=float)
+            value = getattr(self, name)
             if value.shape != shape:
                 raise ScenarioError(
                     f"inconsistent scenario arrays: {name} must be {shape} for {k} steps, "
@@ -107,7 +116,6 @@ class Scenario:
                 )
             if not np.isfinite(value).all():
                 raise ScenarioError(f"non-finite values in {name}")
-            setattr(self, name, value)
 
     @property
     def steps(self) -> int:
@@ -169,6 +177,7 @@ def generate_scenario(
     """
     if steps < 1:
         raise ScenarioError(f"need at least one step, got {steps}")
+    _check_sampling_time(T)
     model = robot_model(T=T)
     controls = np.array(control, dtype=float)
     if controls.ndim == 1:
@@ -294,8 +303,7 @@ def run_receding_horizon(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
-            guess = None
-            prior = None
+            guess = prior = None
             continue
         outcomes.append(
             WindowOutcome(
@@ -483,25 +491,8 @@ def write_estimates_csv(
     rows = []
     for oc in outcomes:
         truth = scenario.true_states[oc.window_end]
-        err = (
-            float(np.abs(oc.estimate - truth).max())
-            if np.all(np.isfinite(oc.estimate))
-            else None
-        )
-        rows.append(
-            [
-                oc.window_end,
-                oc.estimate[0],
-                oc.estimate[1],
-                oc.estimate[2],
-                truth[0],
-                truth[1],
-                truth[2],
-                err,
-                oc.iterations,
-                oc.status,
-            ]
-        )
+        err = float(np.abs(oc.estimate - truth).max()) if np.isfinite(oc.estimate).all() else None
+        rows.append([oc.window_end, *oc.estimate, *truth, err, oc.iterations, oc.status])
     return _write_csv(ESTIMATES_HEADER, rows, path)
 
 

@@ -113,13 +113,17 @@ def first_order_conditions(
 
 
 def hessian_blocks(sub: SubProblem, x, mu, rho: float, ev: StageEvaluation, exact: bool) -> Array:
-    """The ``(states, nx, nx)`` blocks of :func:`lagrangian_hessian`."""
-    H = rho * np.eye(sub.model.nx) + ev.W
-    if exact:
-        X, prev = sub.states(x), sub.layout.prev
-        H[sub.measured] += sub.model.d2h(X[sub.measured], ev.w)
-        H[prev] -= sub.model.d2f(X[prev], sub.controls, np.reshape(mu, (sub.length, -1)))
-    return 0.5 * (H + np.swapaxes(H, 1, 2))
+    """The ``(states, nx, nx)`` blocks of :func:`lagrangian_hessian`; the
+    Gauss-Newton blocks ``rho I + J'J`` are symmetric as formed."""
+    H = rho * sub.layout.eye + ev.W
+    if not exact:
+        return H
+    X, prev, m = sub.states(x), sub.layout.prev, sub.model
+    # the observation curvature's weights V^-1/2' b, per measured state
+    w = (sub.v_inv_sqrt.T @ ev.b[m.nx * sub.has_prior:].reshape(-1, m.ny, 1))[..., 0]
+    H[sub.measured] += m.d2h(X[sub.measured], w)
+    H[prev] -= m.d2f(X[prev], sub.controls, np.reshape(mu, (sub.length, -1)))
+    return 0.5 * (H + H.swapaxes(1, 2))
 
 
 def lagrangian_hessian(
@@ -194,8 +198,11 @@ def _block_max(sub: SubProblem, state_rows: Array, stage_rows: Array) -> Array:
 def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array):
     """:func:`~splitmhe.qp_core.solve_local_kkt` for the sub-windows in the mask
     ``blocks``, seeded by ``rho``; the others see ``H = I``, ``D = 0`` and a
-    zero right-hand side, a zero step that never reaches the shift ladder."""
+    zero right-hand side, a zero step that never reaches the shift ladder.
+    With every sub-window in ``blocks`` the data pass through unmasked."""
     lay = sub.layout
+    if blocks.all():
+        return solve_local_kkt(lay, H, D, rhs_x, rhs_mu, rho)
     s, k = blocks[lay.state_block][:, None], blocks[lay.stage_block][:, None]
     return solve_local_kkt(
         lay, np.where(s[..., None], H, np.eye(sub.model.nx)), np.where(k[..., None], D, 0.0),

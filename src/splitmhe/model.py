@@ -109,18 +109,18 @@ def robot_model(T: float = 0.2) -> SystemModel:
         return r2
 
     def f(x: Array, u: Array) -> Array:
-        theta, v = x[..., 2], T * u[..., 0]
+        theta, Tu = x[..., 2], T * u
         step = np.empty(np.shape(x))
-        step[..., 0] = v * np.cos(theta)
-        step[..., 1] = v * np.sin(theta)
-        step[..., 2] = T * u[..., 1]
+        np.multiply(Tu[..., 0], np.cos(theta), out=step[..., 0])
+        np.multiply(Tu[..., 0], np.sin(theta), out=step[..., 1])
+        step[..., 2] = Tu[..., 1]
         return x + step
 
     def h(x: Array) -> Array:
         r2 = _range_sq(x)
         out = np.empty(x.shape[:-1] + (2,))
-        out[..., 0] = np.sqrt(r2)
-        out[..., 1] = np.arctan2(x[..., 1], x[..., 0])
+        np.sqrt(r2, out=out[..., 0])
+        np.arctan2(x[..., 1], x[..., 0], out=out[..., 1])
         return out
 
     def df_dx(x: Array, u: Array) -> Array:
@@ -136,10 +136,10 @@ def robot_model(T: float = 0.2) -> SystemModel:
         r = np.sqrt(r2)
         phi, psi = x[..., 0], x[..., 1]
         out = np.zeros(x.shape[:-1] + (2, 3))
-        out[..., 0, 0] = phi / r
-        out[..., 0, 1] = psi / r
-        out[..., 1, 0] = -psi / r2
-        out[..., 1, 1] = phi / r2
+        np.divide(phi, r, out=out[..., 0, 0])
+        np.divide(psi, r, out=out[..., 0, 1])
+        np.divide(-psi, r2, out=out[..., 1, 0])
+        np.divide(phi, r2, out=out[..., 1, 1])
         return out
 
     def d2f(x: Array, u: Array, w: Array) -> Array:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -206,11 +206,12 @@ def _require_finite(where: str, index: int | None, **arrays: Array) -> None:
 
 def _require_finite_stack(stack: StageStack) -> None:
     """Raise on non-finite stack data, naming the block of the first bad field's
-    first bad row."""
-    fields = ("H", "g", "D", "d", "anchor")
-    bad = [name for name in fields if not np.isfinite(getattr(stack, name)).all()]
-    if not bad:
+    first bad row. One pass over all fields clears finite data."""
+    arrays = (stack.H, stack.g, stack.D, stack.d, stack.anchor)
+    if np.isfinite(np.concatenate(arrays, axis=None)).all():
         return
+    names = ("H", "g", "D", "d", "anchor")
+    bad = [name for name, a in zip(names, arrays) if not np.isfinite(a).all()]
     lay = stack.layout
     rows = {
         "H": lay.state_block, "g": lay.state_block, "D": lay.stage_block, "d": lay.stage_block,
@@ -324,17 +325,6 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
 
 
 @lru_cache(maxsize=64)
-def _link_index(lay: LiftedLayout) -> Array:
-    """Link ``j``'s row in ``[stages, coupling rows]``: stage ``k`` is link
-    ``prev[k]`` and coupling row ``c`` link ``last[c]``."""
-    index = np.empty(lay.n_states - 1, dtype=np.intp)
-    index[lay.prev] = np.arange(lay.L)
-    index[lay.last[:-1]] = lay.L + np.arange(lay.N - 1)
-    index.flags.writeable = False  # cached and shared by every caller
-    return index
-
-
-@lru_cache(maxsize=64)
 def _chain_band_index(lay: LiftedLayout) -> Array:
     """Take index, from ``[D.ravel(), coupling.ravel(), 0]``, of the transposed
     LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``.
@@ -344,7 +334,9 @@ def _chain_band_index(lay: LiftedLayout) -> Array:
     link takes the one ``coupling`` block. The unit diagonal is implied, so
     every slot but the ``-D_j`` entries takes the trailing zero."""
     nx, size = lay.nx, lay.nx * lay.nx
-    source = np.minimum(_link_index(lay), lay.L) * size  # coupling links share one block
+    # stage k is link prev[k]; coupling row c is link last[c], and all share one block
+    source = np.full(lay.n_states - 1, lay.L * size)
+    source[lay.prev] = np.arange(lay.L) * size
     j = np.arange(lay.n_states - 1)[:, None, None]
     a, c = np.arange(nx)[:, None], np.arange(nx)
     index = np.full((lay.n_states * nx, 2 * nx), (lay.L + 1) * size, dtype=np.intp)
@@ -354,19 +346,25 @@ def _chain_band_index(lay: LiftedLayout) -> Array:
 
 
 def _chain_solve(
-    lay: LiftedLayout, D: Array, coupling: Array, offsets: Array, starts: Array | slice
+    lay: LiftedLayout, D: Array, d: Array, anchor: Array | None, starts: Array | slice
 ) -> tuple[Array, Array]:
-    """The band of the link matrix ``B`` of :func:`_chain_band_index`, whose
-    coupling links take the block ``coupling``, and ``B^-1 [(0; offsets) | E]``
-    ``(L + N, nx, nx + 1)`` from one unit lower triangular banded solve
-    (``dtbtrs``): ``offsets`` ``(L + N - 1, nx)`` sit on the link rows, and
-    ``E`` holds an identity block on the row of every state in ``starts``."""
-    n, nx = lay.n_states, lay.nx
+    """The band of the link matrix ``B`` of :func:`_chain_band_index` and
+    ``B^-1 [(0; offsets) | E]`` ``(L + N, nx, nx + 1)`` from one unit lower
+    triangular banded solve (``dtbtrs``). Link ``j`` sits on row ``j + 1``, so
+    the stage offsets ``d`` ``(L, nx)`` sit on the rows ``next`` and the
+    coupling offsets ``anchor`` ``(N - 1, nx)`` on the rows ``first[1:]``; with
+    ``anchor`` None the coupling blocks and offsets are zero, which unlinks the
+    sub-windows. ``E`` holds an identity block on the row of every state in
+    ``starts``."""
+    n, nx, eye = lay.n_states, lay.nx, lay.eye
+    coupling = eye if anchor is not None else np.zeros_like(eye)
     source = np.concatenate((D.reshape(-1), coupling.reshape(-1), [0.0]))
     band = -source.take(_chain_band_index(lay)).T  # Fortran order, as LAPACK takes it
     rhs = np.zeros((nx + 1, n, nx))
-    rhs[0, 1:] = offsets
-    rhs[1:, starts] = np.eye(nx)[:, None]
+    rhs[0, lay.next] = d
+    if anchor is not None:
+        rhs[0, lay.first[1:]] = anchor
+    rhs[1:, starts] = eye[:, None]
     rhs = rhs.reshape(nx + 1, -1).T
     sol = scipy.linalg.lapack.dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)[0]
     return band, sol.reshape(n, nx, nx + 1)
@@ -383,9 +381,10 @@ def _condense(stack: StageStack) -> SchurTerms:
     ``s = -Z' (H e + g)``.
     """
     lay, nx = stack.layout, stack.layout.nx
-    offsets = np.concatenate((-stack.d, stack.anchor.reshape(-1, nx))).take(_link_index(lay), 0)
-    band, W = _chain_solve(lay, stack.D, np.eye(nx), offsets, slice(1))
-    U, V = -W, stack.H @ W
+    band, W = _chain_solve(lay, stack.D, -stack.d, stack.anchor.reshape(-1, nx), slice(1))
+    # the batched product on a C-ordered copy of the LAPACK output takes about
+    # two thirds of the time, bit for bit the same
+    U, V = -W, stack.H @ np.ascontiguousarray(W)
     V[..., 0] += stack.g
     U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
     reduced = U[:, 1:].T @ V
@@ -400,24 +399,25 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     ``Z' (H dX + g)``, so one refinement step of ``dX_0`` costs one
     ``dpotrs``, one product and one more transposed solve."""
     terms = schur_terms(stack)
-    lay, nx = stack.layout, stack.layout.nx
-    factor, info = scipy.linalg.lapack.dpotrf(terms.S, lower=1)
+    lay, nx, lapack = stack.layout, stack.layout.nx, scipy.linalg.lapack
+    factor, info = lapack.dpotrf(terms.S, lower=1)
     if info:
         raise NotPositiveDefiniteError(
             "block 0: reduced Hessian is not positive definite", block_index=0
         )
-    solve = partial(scipy.linalg.lapack.dpotrs, factor, lower=1)
-    back = partial(scipy.linalg.lapack.dtbtrs, terms.band, uplo="L", trans="T", diag="U")
-    z = np.append(1.0, solve(terms.s)[0])
-    z[1:] -= solve(back(terms.V @ z)[0][:nx])[0]
-    nu = -back(terms.V @ z)[0].reshape(-1, nx)
-    links = nu[1:]
+    z = np.concatenate(([1.0], lapack.dpotrs(factor, terms.s, lower=1)[0]))
+    back = lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0]
+    z[1:] -= lapack.dpotrs(factor, back[:nx], lower=1)[0]
+    nu = -lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0].reshape(-1, nx)
+    abs_nu = np.abs(nu)
+    # link j is row j + 1 of nu: stage k is link prev[k], and coupling row c is
+    # link last[c], whose multiplier is minus the coupling row's
     return QpSolution(
-        lam=-links[lay.last[:-1]].reshape(-1),  # a coupling link's row is minus its coupling row
-        mu=links[lay.prev],
+        lam=-nu.take(lay.first[1:], 0).reshape(-1),
+        mu=nu.take(lay.next, 0),
         delta_x=-(terms.U @ z).reshape(-1, nx),
         # the refined reduced gradient, relative to the multipliers' scale
-        diagnostics={"reduced_gradient": float(np.abs(nu[0]).max() / (1.0 + np.abs(nu).max()))},
+        diagnostics={"reduced_gradient": float(abs_nu[0].max()) / (1.0 + float(abs_nu.max()))},
     )
 
 
@@ -440,13 +440,12 @@ def solve_local_kkt(
     ``(states, nx)`` and ``mu`` ``(L, nx)``.
     """
     lay, nx = layout, layout.nx
-    offsets = np.concatenate((rhs_mu, np.zeros((lay.N - 1, nx)))).take(_link_index(lay), 0)
-    band, U = _chain_solve(lay, D, np.zeros((nx, nx)), offsets, lay.first)
+    band, U = _chain_solve(lay, D, rhs_mu, None, lay.first)
     rungs, shifted = [0] * len(lay.lengths), H
     while True:
-        V = shifted @ U
+        V = shifted @ np.ascontiguousarray(U)
         V[..., 0] -= rhs_x
-        reduced = np.add.reduceat(np.swapaxes(U[..., 1:], 1, 2) @ V, lay.first)
+        reduced = np.add.reduceat(U[..., 1:].swapaxes(1, 2) @ V, lay.first)
         try:
             step = np.linalg.solve(reduced[..., 1:], reduced[..., :1])  # -dx_first
             break

@@ -237,6 +237,11 @@ def _drive(
             _wrap_iteration_error(exc, cfg.algorithm, 0)
     records: list[ConvergenceRecord] = []
     status = "max_iter"
+    # A' lam puts +lam_c on state last[c] and -lam_c on first[c + 1]: rows of [0; lam; -lam]
+    zero = np.zeros((1, partition.nx))
+    signed = np.zeros(partition.n_states, dtype=int)
+    signed[partition.last[:-1]] = np.arange(1, partition.N)
+    signed[partition.first[1:]] = np.arange(partition.N, 2 * partition.N - 1)
 
     for it in range(1, cfg.max_iter + 1):
         t_iter = time.perf_counter()
@@ -264,12 +269,9 @@ def _drive(
             local_s += time.perf_counter() - t0
 
             ev_new = evaluate_stack(run, y_new)
-            # A' lam puts +lam_c on the last state of sub-window c, -lam_c on
-            # the first state of sub-window c + 1
             stat = ev_new.g + stage_transpose(run.layout, ev_new.D, sol.mu)
             lam_rows = sol.lam.reshape(-1, partition.nx)
-            stat[partition.last[:-1]] += lam_rows
-            stat[partition.first[1:]] -= lam_rows
+            stat += np.concatenate((zero, lam_rows, -lam_rows)).take(signed, 0)
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())

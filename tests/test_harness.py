@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,25 @@ def test_directly_built_scenario_rejects_a_malformed_schedule(shape):
     fields["controls"] = np.zeros(shape)
     with pytest.raises(ScenarioError, match=re.escape(f"must be (steps, 2), got {shape}")):
         sm.Scenario(**fields)
+
+
+@pytest.mark.parametrize("name", ["controls", "true_states", "measurements"])
+def test_directly_built_scenario_rejects_a_ragged_array(name):
+    fields = _scenario_fields()
+    fields[name] = [[1.0, 2.0], [3.0]]
+    with pytest.raises(ScenarioError, match=f"{name} is not a numeric array"):
+        sm.Scenario(**fields)
+
+
+@pytest.mark.parametrize("T", [-0.2, 0.0, np.inf, np.nan])
+def test_generate_scenario_checks_the_sampling_time_before_simulating(T):
+    """As under ``python -W error``: a rollout at ``T = inf`` would warn before
+    the scenario contract could reject it, and ``T < 0`` would fail in the
+    model with a plain ``ValueError``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="sampling time must be positive and finite"):
+            sm.generate_scenario(steps=5, T=T)
 
 
 def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):

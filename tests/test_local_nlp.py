@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from splitmhe.local_nlp import (
 from splitmhe.problem import constraint_vector, lifted_layout, split_instance, subproblem
 from splitmhe.qp_core import solve_local_kkt
 
+from conftest import build_linear_instance
 from helpers import dense_kkt, fd_jacobian, refined_solve, rel_err
 
 
@@ -143,6 +146,27 @@ def test_lagrangian_hessian_matches_fd(benchmark_instance):
 
     assert rel_err(exact, fd_jacobian(grad, x)) < 1e-5
     assert np.abs(exact - exact.T).max() == 0.0
+
+
+def test_gauss_newton_blocks_are_exactly_symmetric(benchmark_instance):
+    """The Gauss-Newton blocks ``rho I + J'J`` are returned as formed, so they
+    must be symmetric bit for bit: on the benchmark window, and on a linear
+    model with more outputs than states under full prior and measurement
+    weights."""
+    rng = np.random.Generator(np.random.PCG64(6))
+    A, B, C = rng.standard_normal((2, 2)), rng.standard_normal((2, 1)), rng.standard_normal((3, 2))
+    P, V = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+    linear = build_linear_instance(sm.make_linear_model(A, B, C), L=8, seed=3)
+    linear = replace(linear, P=P @ P.T + np.eye(2), V=V @ V.T + np.eye(3))
+    for instance, n_sub in ((benchmark_instance, 4), (linear, 3)):
+        nx = instance.model.nx
+        partition = sm.build_partition(instance.L, n_sub, nx)
+        run = subproblem(instance, partition, range(n_sub))
+        x = problem.lift(instance.initial_guess, partition)
+        x += 0.01 * rng.standard_normal(x.shape)
+        H = local_nlp.hessian_blocks(run, x, None, 7.0, problem.evaluate_stack(run, x), False)
+        assert H.shape == (partition.n_states, nx, nx)
+        np.testing.assert_array_equal(H, np.swapaxes(H, 1, 2))
 
 
 def test_gauss_newton_equals_exact_at_zero_residual_zero_mu(small_robot_instance):

@@ -1,4 +1,5 @@
 import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import splitmhe as sm
+from splitmhe import qp_core
 from splitmhe.errors import (
     LocalSolveError,
     NonFiniteDataError,
@@ -426,6 +428,21 @@ def test_stage_path_rejects_non_finite_data(field):
         sm.solve_coupled_qp(stack)
     assert err.value.block_index == 1
     assert field in str(err.value)
+
+
+def test_stage_finiteness_check_passes_finite_data_whose_sum_overflows():
+    """The one pass over finite stack data neither rejects entries whose sum
+    overflows nor warns about them; a non-finite entry is still named."""
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(16)), 3, 2)
+    stack.H[::2] = 1e308
+    stack.H[1::2] = -1e308
+    stack.g[:] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qp_core._require_finite_stack(stack)
+        stack.g[-1, -1] = np.inf
+        with pytest.raises(NonFiniteDataError, match="non-finite entries in g"):
+            qp_core._require_finite_stack(stack)
 
 
 def test_stage_stack_validates_shapes():

@@ -464,6 +464,32 @@ def test_sqp_evaluates_each_block_once_per_point(benchmark_instance, algorithm):
         assert calls["h"] <= k + 2, f"h ran {calls['h']} times at N={n_blocks}"
 
 
+@pytest.mark.parametrize("algorithm", ["dsqp", "centralized"])
+def test_sqp_work_per_iteration_is_pinned(benchmark_instance, algorithm, monkeypatch):
+    """The work counts of an SQP iteration on the benchmark window, exactly:
+    one call of each model callable (plus the first evaluation and the
+    result's objective), one Cholesky factor of the reduced Hessian with two
+    solves against it, and three banded triangular solves. A change that adds
+    work on this path moves these counts."""
+    k = 5
+    calls = Counter()
+    instance = replace(benchmark_instance, model=counting_model(benchmark_instance.model, calls))
+    for name in ("dtbtrs", "dpotrf", "dpotrs"):
+        routine = getattr(scipy.linalg.lapack, name)
+
+        def counted(*args, _name=name, _routine=routine, **kwargs):
+            calls[_name] += 1
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    partition = None if algorithm == "centralized" else sm.build_partition(25, 4, 3)
+    cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=k)
+    assert sm.solve(instance, partition, cfg).iterations == k
+    assert calls == {
+        "h": k + 2, "dh_dx": k + 1, "f": k + 1, "df_dx": k + 1,
+        "dpotrf": k, "dpotrs": 2 * k, "dtbtrs": 3 * k,
+    }
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("dense materialisation in an outer loop")
 

@@ -175,8 +175,9 @@ def generate_scenario(
     of :func:`gaussian_draws` in time order (range, bearing), so the scenario
     is a pure function of its arguments.
     """
-    if steps < 1:
-        raise ScenarioError(f"need at least one step, got {steps}")
+    for name, value, least in (("steps", steps, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
     _check_sampling_time(T)
     model = robot_model(T=T)
     controls = np.array(control, dtype=float)

@@ -271,19 +271,23 @@ class SubProblem:
         """Dense materialization of the run's signed-identity coupling rows."""
         return self.apply_coupling_transpose(np.eye(self.partition.r)).T
 
+    @cached_property
+    def _signed(self) -> Array:
+        """Per stacked state, its row of ``[0; lam; -lam]`` in ``A' lam``."""
+        p, first = self.partition, self.partition.first[self.offset]
+        signed = np.zeros(p.n_states, dtype=int)
+        signed[p.last[:-1]] = np.arange(1, p.N)
+        signed[p.first[1:]] = np.arange(p.N, 2 * p.N - 1)
+        return signed[first:first + self.layout.n_states]
+
     def apply_coupling_transpose(self, lam: Array) -> Array:
         """``A' lam`` as a flat block vector; a matrix ``lam`` is mapped column by
         column. Coupling block row ``c`` carries ``+I`` on the last state of
         sub-window ``c`` and ``-I`` on the first state of sub-window ``c + 1``."""
         lam = np.asarray(lam, dtype=float)
         rows = lam.reshape((len(lam) // self.model.nx, self.model.nx) + lam.shape[1:])
-        lay = self.layout
-        blocks = self.offset + np.arange(len(lay.lengths))
-        out = np.zeros((lay.n_states,) + rows.shape[1:])
-        plus, minus = blocks < len(rows), blocks > 0
-        out[lay.last[plus]] = rows[blocks[plus]]
-        out[lay.first[minus]] -= rows[blocks[minus] - 1]
-        return out.reshape((self.block_dim,) + lam.shape[1:])
+        table = np.concatenate((np.zeros((1,) + rows.shape[1:]), rows, -rows))
+        return table.take(self._signed, 0).reshape((self.block_dim,) + lam.shape[1:])
 
 
 def subproblem(instance: MheInstance, partition: LiftedLayout, blocks: range) -> SubProblem:
@@ -328,14 +332,26 @@ def split_instance(instance: MheInstance, partition: LiftedLayout) -> list[SubPr
     return [subproblem(instance, partition, range(i, i + 1)) for i in range(partition.N)]
 
 
-def residual_vector(sub: SubProblem, X: Array) -> Array:
-    """Stacked weighted residuals (prior term first, then measurement terms)."""
-    states = sub.states(X)
-    dy = sub.model.h(states[sub.measured]) - sub.measurements
+def _residuals(sub: SubProblem, X: Array) -> tuple[Array, Array]:
+    """``b`` at a ``(states, nx)`` stack, ``P^-1/2 (x_0 - prior)`` first and then
+    ``V^-1/2 (h(x) - y)`` per measured state in time order; and those states."""
+    Xm = X.take(sub.measured, 0)
+    dy = sub.model.h(Xm) - sub.measurements
     b = (sub.v_inv_sqrt @ dy[..., None])[..., 0].reshape(-1)
     if sub.has_prior:
-        b = np.concatenate([sub.p_inv_sqrt @ (states[0] - sub.prior), b])
-    return b
+        b = np.concatenate([sub.p_inv_sqrt @ (X[0] - sub.prior), b])
+    return b, Xm
+
+
+def _defects(sub: SubProblem, X: Array) -> tuple[Array, Array]:
+    """The ``(stages, nx)`` defects ``x_{k+1} - f(x_k, u_k)`` at a stack, and the ``x_k``."""
+    Xp = X.take(sub.layout.prev, 0)
+    return X.take(sub.layout.next, 0) - sub.model.f(Xp, sub.controls), Xp
+
+
+def residual_vector(sub: SubProblem, X: Array) -> Array:
+    """Stacked weighted residuals (prior term first, then measurement terms)."""
+    return _residuals(sub, sub.states(X))[0]
 
 
 def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
@@ -345,25 +361,21 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``0.5 * ||b||^2``, its gradient ``J.T @ b`` and its Gauss-Newton Hessian
     ``J.T @ J``.
     """
-    b = residual_vector(sub, X)
-    states = sub.states(X)
+    b, Xm = _residuals(sub, sub.states(X))
     m, measured = sub.model, sub.measured
     J = np.zeros((b.size, sub.block_dim))
-    row = 0
+    row = m.nx * sub.has_prior
     if sub.has_prior:
-        J[:m.nx, :m.nx] = sub.p_inv_sqrt
-        row = m.nx
+        J[:row, :row] = sub.p_inv_sqrt
     # measurement k's rows touch only state measured[k]
     Jm = J[row:].reshape(len(measured), m.ny, sub.layout.n_states, m.nx)
-    Jm[np.arange(len(measured)), :, measured] = sub.v_inv_sqrt @ m.dh_dx(states[measured])
+    Jm[np.arange(len(measured)), :, measured] = sub.v_inv_sqrt @ m.dh_dx(Xm)
     return b, J
 
 
 def constraint_vector(sub: SubProblem, X: Array) -> Array:
     """Dynamics defects ``x_{k+1} - f(x_k, u_k)`` over the run's stages."""
-    states = sub.states(X)
-    lay = sub.layout
-    return (states[lay.next] - sub.model.f(states[lay.prev], sub.controls)).reshape(-1)
+    return _defects(sub, sub.states(X))[0].reshape(-1)
 
 
 # Stage-form products, used here and by local_nlp and solvers; qp_core uses
@@ -415,33 +427,26 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
     whole window. On the whole window ``b`` is the centralized residual vector
     of the trajectory that the measured states form."""
-    X, model, lay = sub.states(X), sub.model, sub.layout
-    Xm, Xp = X.take(sub.measured, 0), X.take(lay.prev, 0)
-    dy = model.h(Xm) - sub.measurements
-    bm = (sub.v_inv_sqrt @ dy[..., None])[..., 0]
-    b = bm.reshape(-1)
+    X, model = sub.states(X), sub.model
+    (b, Xm), (F, Xp) = _residuals(sub, X), _defects(sub, X)
     Jm = sub.v_inv_sqrt @ model.dh_dx(Xm)
     JmT = Jm.swapaxes(1, 2)
-    g = np.zeros(X.shape)
-    W = np.zeros(X.shape + X.shape[-1:])
-    g[sub.measured] = (JmT @ bm[..., None])[..., 0]
+    g, W = np.zeros(X.shape), np.zeros(X.shape + X.shape[-1:])
+    k = model.nx * sub.has_prior
+    g[sub.measured] = (JmT @ b[k:].reshape(-1, model.ny, 1))[..., 0]
     # J'J on a contiguous J' takes about a third of the time, bit for bit the same
     W[sub.measured] = np.ascontiguousarray(JmT) @ Jm
     if sub.has_prior:
-        prior = sub.p_inv_sqrt @ (X[0] - sub.prior)
-        b = np.concatenate([prior, b])
-        g[0] += sub.p_inv_sqrt.T @ prior
+        g[0] += sub.p_inv_sqrt.T @ b[:k]
         W[0] += sub.prior_curvature
-    F = X.take(lay.next, 0) - model.f(Xp, sub.controls)
     return StageEvaluation(b, g, W, F, model.df_dx(Xp, sub.controls))
 
 
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     """Dynamics defects and their exact Jacobian with respect to the block,
     whose block row ``k`` is ``[-D_k, I]`` with ``D_k = df/dx(x_k, u_k)``."""
-    F = constraint_vector(sub, X)
-    D = sub.model.df_dx(sub.states(X)[sub.layout.prev], sub.controls)
-    return F, stage_constraint_matrix(sub.layout, D)
+    F, Xp = _defects(sub, sub.states(X))
+    return F.reshape(-1), stage_constraint_matrix(sub.layout, sub.model.df_dx(Xp, sub.controls))
 
 
 def sub_objective(sub: SubProblem, X: Array) -> float:

@@ -237,11 +237,6 @@ def _drive(
             _wrap_iteration_error(exc, cfg.algorithm, 0)
     records: list[ConvergenceRecord] = []
     status = "max_iter"
-    # A' lam puts +lam_c on state last[c] and -lam_c on first[c + 1]: rows of [0; lam; -lam]
-    zero = np.zeros((1, partition.nx))
-    signed = np.zeros(partition.n_states, dtype=int)
-    signed[partition.last[:-1]] = np.arange(1, partition.N)
-    signed[partition.first[1:]] = np.arange(partition.N, 2 * partition.N - 1)
 
     for it in range(1, cfg.max_iter + 1):
         t_iter = time.perf_counter()
@@ -270,8 +265,7 @@ def _drive(
 
             ev_new = evaluate_stack(run, y_new)
             stat = ev_new.g + stage_transpose(run.layout, ev_new.D, sol.mu)
-            lam_rows = sol.lam.reshape(-1, partition.nx)
-            stat += np.concatenate((zero, lam_rows, -lam_rows)).take(signed, 0)
+            stat += run.apply_coupling_transpose(sol.lam).reshape(stat.shape)
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())

@@ -139,6 +139,21 @@ def test_generate_scenario_checks_the_sampling_time_before_simulating(T):
             sm.generate_scenario(steps=5, T=T)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"steps": 2.5}, "steps must be an integer >= 1, got 2.5"),
+    ({"steps": 0}, "steps must be an integer >= 1, got 0"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+])
+def test_generate_scenario_checks_steps_and_seed_before_simulating(kwargs, message, monkeypatch):
+    """Unchecked, ``steps=2.5`` fails in ``np.tile`` with a ``TypeError``,
+    ``seed=-1`` in the PCG64 stream with a ``ValueError`` and ``seed=1.5`` with
+    a ``TypeError``."""
+    monkeypatch.setattr(sm.harness, "rollout", None)  # calling it would raise TypeError
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        sm.generate_scenario(**{"steps": 5, **kwargs})
+
+
 def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):
     # only generate_scenario refuses the origin; a file may hold any trajectory
     loaded = sm.load_scenario(write_scenario(origin_scenario, tmp_path / "origin.json"))

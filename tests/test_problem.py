@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe import problem
+from splitmhe import local_nlp, problem
 from splitmhe.errors import DimensionMismatchError, PartitionError
 from splitmhe.problem import (
     constraint_vector,
@@ -16,7 +16,7 @@ from splitmhe.problem import (
     sub_objective,
 )
 
-from helpers import fd_jacobian, rel_err
+from helpers import counting_model, fd_jacobian, rel_err
 
 
 def test_partition_benchmark_shape():
@@ -333,8 +333,9 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
     blocks = [problem.evaluate_stack(sub, block) for sub, block in zip(subs, partition.split(y))]
     cuts = {
         "b": run.residual_rows, "g": run.layout.first, "W": run.layout.first,
-        "w": run.layout.start, "F": run.layout.start, "D": run.layout.start,
+        "F": run.layout.start, "D": run.layout.start,
     }
+    assert set(cuts) == set(ev._fields)
     for name, whole in zip(ev._fields, ev):
         parts = np.split(whole, cuts[name][1:])
         for part, direct in zip(parts, (getattr(b, name) for b in blocks)):
@@ -347,9 +348,9 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
 
 @pytest.mark.parametrize("n_sub", [1, 4, 25])
 def test_value_functions_are_the_stack_evaluation_bit_for_bit(benchmark_instance, n_sub):
-    """``residual_vector`` and ``constraint_vector`` repeat the formulas of
-    ``evaluate_stack``: the local line search compares trial merits from the
-    former with ``merit0`` from the latter, so the two copies must agree."""
+    """``residual_vector`` and ``constraint_vector`` read the residual kernels
+    that ``evaluate_stack`` reads: the local line search compares trial merits
+    from the former with ``merit0`` from the latter, so the two must agree."""
     rng = np.random.Generator(np.random.PCG64(15))
     partition = sm.build_partition(25, n_sub, 3)
     run = problem.subproblem(benchmark_instance, partition, range(partition.N))
@@ -361,6 +362,42 @@ def test_value_functions_are_the_stack_evaluation_bit_for_bit(benchmark_instance
             ev = problem.evaluate_stack(sub, x)
             np.testing.assert_array_equal(residual_vector(sub, x), ev.b)
             np.testing.assert_array_equal(constraint_vector(sub, x), ev.F.reshape(-1))
+
+
+def test_each_form_makes_only_the_model_calls_it_needs(benchmark_instance):
+    """A value form calls neither a Jacobian nor the other residual's callable,
+    so a line-search trial merit stays one ``h`` and one ``f`` call."""
+    calls = Counter()
+    instance = replace(benchmark_instance, model=counting_model(benchmark_instance.model, calls))
+    partition = sm.build_partition(25, 4, 3)
+    run = problem.subproblem(instance, partition, range(partition.N))
+    y = problem.lift(instance.initial_guess, partition)
+    forms = {
+        residual_vector: Counter(h=1),
+        sub_objective: Counter(h=1),
+        constraint_vector: Counter(f=1),
+        eval_residual_stack: Counter(h=1, dh_dx=1),
+        sm.eval_constraints: Counter(f=1, df_dx=1),
+        problem.evaluate_stack: Counter(h=1, dh_dx=1, f=1, df_dx=1),
+        lambda sub, x: local_nlp._merits(sub, x, 1.0, np.zeros_like(x), x, 1.0): Counter(h=1, f=1),
+    }
+    for form, expected in forms.items():
+        calls.clear()
+        form(run, y)
+        assert calls == expected, form
+
+
+def test_problem_calls_h_and_f_in_one_function_each():
+    # b and F are each formed in one kernel, so a change to a residual edits
+    # one place; the centralized certificates stay independent of the kernels
+    certificates = {"centralized_objective", "centralized_kkt_residual"}
+    sites = {"h": [], "f": []}
+    for fn in ast.walk(ast.parse(Path(problem.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef) and fn.name not in certificates:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in sites:
+                    sites[node.func.attr].append(fn.name)
+    assert sites == {"h": ["_residuals"], "f": ["_defects"]}
 
 
 def test_problem_module_imports_no_scipy():

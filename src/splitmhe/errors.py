@@ -1,6 +1,9 @@
-"""Exception hierarchy for the solver toolkit."""
+"""Exception hierarchy for the solver toolkit, and :func:`check_count`, the one
+rule for every count the package takes: lengths, budgets, dimensions, seeds."""
 
 from __future__ import annotations
+
+import operator
 
 
 class SplitMheError(Exception):
@@ -55,3 +58,15 @@ class SingularKktError(FactorizationError):
 
 class LocalSolveError(FactorizationError):
     """The inner sub-problem solver failed even after regularization."""
+
+
+def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> int:
+    """``value`` as an ``int`` if it is an integer of at least ``least``; else
+    raise ``error("<name> must be an integer >= <least>, got <value!r>")``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return count

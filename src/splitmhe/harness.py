@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FactorizationError, OriginSingularityError, ScenarioError
+from .errors import FactorizationError, OriginSingularityError, ScenarioError, check_count
 from .model import gaussian_draws, robot_model, rollout, fd_check
 from .problem import (
     MheInstance,
@@ -37,8 +37,8 @@ Array = np.ndarray
 ROBOT_START = (0.1, 0.1, 0.0)
 DEFAULT_HORIZON = 25
 DEFAULT_SUB_WINDOWS = 4
-# a scenario file: the "model" fields with their parsers, then the arrays
-_SCENARIO_MODEL = {"T": float, "sigma_r": float, "sigma_alpha": float, "seed": int}
+# a scenario file: the "model" fields, then the arrays
+_SCENARIO_MODEL = ("T", "sigma_r", "sigma_alpha", "seed")
 _SCENARIO_ARRAYS = ("controls", "true_states", "measurements")
 
 CONVERGENCE_HEADER = [
@@ -98,6 +98,7 @@ class Scenario:
         _check_sampling_time(self.T)
         if not (0 <= self.sigma_r < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ScenarioError("noise magnitudes must be nonnegative and finite")
+        check_count("seed", self.seed, 0, ScenarioError)
         for name in _SCENARIO_ARRAYS:
             try:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -175,9 +176,8 @@ def generate_scenario(
     of :func:`gaussian_draws` in time order (range, bearing), so the scenario
     is a pure function of its arguments.
     """
-    for name, value, least in (("steps", steps, 1), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or value < least:
-            raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
+    check_count("steps", steps, 1, ScenarioError)
+    check_count("seed", seed, 0, ScenarioError)
     _check_sampling_time(T)
     model = robot_model(T=T)
     controls = np.array(control, dtype=float)
@@ -223,10 +223,9 @@ def window_instance(
     state, the prior weight is the identity, and the measurement weight is
     ``diag(sigma_r^2, sigma_alpha^2)`` (see :attr:`Scenario.measurement_variances`).
     """
-    if window_end < horizon or window_end > scenario.steps:
-        raise ScenarioError(
-            f"window end must satisfy {horizon} <= l <= {scenario.steps}, got {window_end}"
-        )
+    check_count("horizon", horizon, 1, ScenarioError)
+    check_count("window_end", window_end, horizon, ScenarioError)
+    check_count("scenario steps", scenario.steps, window_end, ScenarioError)
     model = robot_model(T=scenario.T)
     lo = window_end - horizon
     if initial_guess is None:
@@ -280,10 +279,8 @@ def run_receding_horizon(
     window's smoothed estimate of the state leaving the window. Windows that
     fail numerically are recorded with their error and the loop restarts cold.
     """
-    if scenario.steps < horizon:
-        raise ScenarioError(
-            f"scenario has {scenario.steps} steps, need at least {horizon}"
-        )
+    check_count("horizon", horizon, 1, ScenarioError)
+    check_count("scenario steps", scenario.steps, horizon, ScenarioError)
     model = robot_model(T=scenario.T)
     outcomes: list[WindowOutcome] = []
     guess: Array | None = None
@@ -338,8 +335,7 @@ def sweep_subwindows(
     columns report wall-clock means that are machine-dependent by nature.
     Raises ``ValueError`` unless ``iters >= 1`` and ``n_values`` is nonempty.
     """
-    if iters < 1:
-        raise ValueError(f"sweep needs at least one iteration, got iters={iters}")
+    check_count("iters", iters, 1)
     if not n_values:
         raise ValueError("sweep needs at least one sub-window count")
     baseline_cfg = SolverConfig(
@@ -451,7 +447,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         payload = json.loads(Path(path).read_text())
         return Scenario(
-            **{name: parse(payload["model"][name]) for name, parse in _SCENARIO_MODEL.items()},
+            **{name: payload["model"][name] for name in _SCENARIO_MODEL},
             **{name: payload[name] for name in _SCENARIO_ARRAYS},
         )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError, ScenarioError) as exc:

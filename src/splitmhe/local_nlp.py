@@ -18,13 +18,12 @@ lifted stack at once, and one sub-window is the run of one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import OriginSingularityError, SingularKktError
+from .errors import OriginSingularityError, SingularKktError, check_count
 from .problem import (
     StageEvaluation,
     SubProblem,
@@ -54,14 +53,7 @@ class LocalSolveConfig:
     def __post_init__(self):
         if not 0 < self.inner_tol < math.inf:
             raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
-        try:
-            operator.index(self.inner_max_iter)
-        except TypeError:
-            raise ValueError(
-                f"inner_max_iter must be an integer, got {self.inner_max_iter!r}"
-            ) from None
-        if self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be at least 1, got {self.inner_max_iter}")
+        check_count("inner_max_iter", self.inner_max_iter, 1)
 
 
 @dataclass(eq=False)

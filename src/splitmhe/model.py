@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OriginSingularityError
+from .errors import OriginSingularityError, check_count
 
 Array = np.ndarray
 
@@ -53,10 +53,10 @@ class SystemModel:
     name: str = "model"
 
     def __post_init__(self):
-        if min(self.nx, self.nu, self.ny) < 1:
-            raise ValueError("state, input and output dimensions must all be >= 1")
-        if not self.T > 0:
-            raise ValueError("sampling time must be positive")
+        for name in ("nx", "nu", "ny"):
+            check_count(name, getattr(self, name), 1)
+        if not 0 < self.T < np.inf:
+            raise ValueError("sampling time must be positive and finite")
 
 
 def rollout(model: SystemModel, x0: Array, controls: Array) -> Array:
@@ -231,8 +231,7 @@ def fd_check(model: SystemModel, num_points: int = 100, seed: int = 0) -> float:
     the robot observation singularity) and ``u in [-1, 1]^nu``, differenced
     with the default step of :func:`central_jacobian`.
     """
-    if num_points < 1:
-        raise ValueError("num_points must be >= 1")
+    check_count("num_points", num_points, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     worst = 0.0

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PartitionError
+from .errors import DimensionMismatchError, PartitionError, check_count
 from .model import SystemModel
 
 Array = np.ndarray
@@ -104,9 +104,12 @@ class LiftedLayout:
 def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
     """The lifted layout of consecutive sub-windows with the given stage counts
     and ``nx`` states per step."""
-    n = np.asarray(lengths, dtype=int)
-    if n.ndim != 1 or not n.size or n.min() < 1:
-        raise PartitionError(f"sub-window lengths must be positive, got {lengths}")
+    check_count("number of sub-windows", len(lengths), 1, PartitionError)
+    lengths = tuple(
+        check_count(f"lengths[{i}]", n, 1, PartitionError) for i, n in enumerate(lengths)
+    )
+    check_count("nx", nx, 1, PartitionError)
+    n = np.array(lengths)
     blocks = np.arange(n.size)
     start = np.concatenate([[0], np.cumsum(n)[:-1]])
     stage_block = np.repeat(blocks, n)
@@ -125,7 +128,7 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
     )
     for a in maps.values():
         a.flags.writeable = False  # cached and shared by every caller
-    return LiftedLayout(lengths=tuple(int(k) for k in n), nx=nx, **maps)
+    return LiftedLayout(lengths=lengths, nx=nx, **maps)
 
 
 def _as_stack(blocks, partition: LiftedLayout) -> Array:
@@ -150,10 +153,10 @@ def build_partition(L: int, N: int, nx: int) -> LiftedLayout:
     ``N = 1`` yields the degenerate single-window partition with no coupling
     rows, which is how the centralized baseline is represented.
     """
-    if N < 1 or N > L:
+    check_count("L", L, 1, PartitionError)
+    check_count("N", N, 1, PartitionError)
+    if N > L:
         raise PartitionError(f"sub-window count must satisfy 1 <= N <= L, got N={N}, L={L}")
-    if nx < 1:
-        raise PartitionError(f"state dimension must be positive, got nx={nx}")
     t = L // N
     return lifted_layout((t,) * (N - 1) + (L - (N - 1) * t,), nx)
 
@@ -188,8 +191,7 @@ class MheInstance:
         self.initial_guess = np.atleast_2d(np.asarray(self.initial_guess, dtype=float))
         self.P = np.asarray(self.P, dtype=float)
         self.V = np.asarray(self.V, dtype=float)
-        if self.L < 1:
-            raise DimensionMismatchError(f"horizon length must be >= 1, got {self.L}")
+        check_count("L", self.L, 1, DimensionMismatchError)
         if self.measurements.shape != (self.L + 1, m.ny):
             raise DimensionMismatchError(
                 f"measurements must be ({self.L + 1}, {m.ny}), got {self.measurements.shape}"

@@ -30,13 +30,12 @@ for all blocks at once on the stack:
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SplitMheError
+from .errors import DimensionMismatchError, SplitMheError, check_count
 from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
     LiftedLayout,
@@ -90,12 +89,7 @@ class SolverConfig:
             raise ValueError("rho must be positive and finite")
         if not 0 <= self.tol < math.inf:
             raise ValueError("tol must be nonnegative and finite")
-        try:
-            operator.index(self.max_iter)
-        except TypeError:
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        check_count("max_iter", self.max_iter, 0)
 
 
 @dataclass(eq=False)
@@ -222,7 +216,8 @@ def _drive(
       pairs ``(x, mu)`` and an evaluation, where ``x`` is the warm start's
       local states or None; an error in it is reported as iteration 0.
       ``advance(run, x, mu, ev, y_new, lam_new, mu_hat)`` returns the next
-      pairs from the coordination output.
+      pairs from the coordination output; only where it returns ``y_new``
+      itself is the metrics evaluation at ``y_new`` reused.
 
     ``info`` becomes the result's ``info``; the hooks may update it.
     """
@@ -285,9 +280,8 @@ def _drive(
                 qp_ms=1e3 * qp_s,
             )
         )
-        # where the next iteration starts at the new consensus iterate, the
-        # metrics evaluation there is its QP data or its local solve's start
-        ev = ev_new if x_new is y_new or np.array_equal(x_new, y_new) else None
+        # where the next x is y_new itself, the next iteration reuses its metrics evaluation
+        ev = ev_new if x_new is y_new else None
         x, mu, y, lam = x_new, mu_new, y_new, sol.lam
         if termination_check(records[-1], cfg):
             status = "converged"
@@ -416,6 +410,8 @@ def run_sensitivity_aladin(
         )
         info["predictor_updates"] += int(trusted.sum())
         info["coordination_fallbacks"] += int((~trusted).sum())
+        if not trusted.any():
+            return y_new, mu_hat
         lay = run.layout
         return (
             np.where(trusted[lay.state_block][:, None], x_new, y_new),

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe.errors import FactorizationError, ScenarioError
+from splitmhe.errors import (
+    DimensionMismatchError,
+    FactorizationError,
+    PartitionError,
+    ScenarioError,
+)
 from splitmhe.harness import (
     CONVERGENCE_HEADER,
     ESTIMATES_HEADER,
@@ -23,6 +28,7 @@ from splitmhe.harness import (
     write_scenario,
     write_sweep_csv,
 )
+from splitmhe.problem import lifted_layout
 
 from helpers import failing_for
 
@@ -152,6 +158,77 @@ def test_generate_scenario_checks_steps_and_seed_before_simulating(kwargs, messa
     monkeypatch.setattr(sm.harness, "rollout", None)  # calling it would raise TypeError
     with pytest.raises(ScenarioError, match=re.escape(message)):
         sm.generate_scenario(**{"steps": 5, **kwargs})
+
+
+def _count_cases(entry, name, least, error, call):
+    """A fractional count and one below ``least``, each with its message."""
+    return [
+        pytest.param(call, value, error, f"{name} must be an integer >= {least}, got {value!r}",
+                     id=f"{entry}-{name}={value!r}")
+        for value in (2.5, least - 1)
+    ]
+
+
+_ROBOT = sm.robot_model()
+_COUNT_CASES = [
+    *_count_cases("SolverConfig", "max_iter", 0, ValueError,
+                  lambda s, v: sm.SolverConfig(max_iter=v)),
+    *_count_cases("LocalSolveConfig", "inner_max_iter", 1, ValueError,
+                  lambda s, v: sm.LocalSolveConfig(inner_max_iter=v)),
+    *_count_cases("SystemModel", "nx", 1, ValueError, lambda s, v: replace(_ROBOT, nx=v)),
+    *_count_cases("SystemModel", "nu", 1, ValueError, lambda s, v: replace(_ROBOT, nu=v)),
+    *_count_cases("SystemModel", "ny", 1, ValueError, lambda s, v: replace(_ROBOT, ny=v)),
+    *_count_cases("fd_check", "num_points", 1, ValueError,
+                  lambda s, v: sm.fd_check(_ROBOT, num_points=v)),
+    *_count_cases("build_partition", "L", 1, PartitionError,
+                  lambda s, v: sm.build_partition(v, 1, 3)),
+    *_count_cases("build_partition", "N", 1, PartitionError,
+                  lambda s, v: sm.build_partition(25, v, 3)),
+    *_count_cases("build_partition", "nx", 1, PartitionError,
+                  lambda s, v: sm.build_partition(25, 4, v)),
+    *_count_cases("lifted_layout", "lengths[1]", 1, PartitionError,
+                  lambda s, v: lifted_layout((5, v), 3)),
+    *_count_cases("lifted_layout", "nx", 1, PartitionError, lambda s, v: lifted_layout((5,), v)),
+    *_count_cases("MheInstance", "L", 1, DimensionMismatchError,
+                  lambda s, v: sm.MheInstance(v, 0, [], [], [], np.eye(3), np.eye(2), [], _ROBOT)),
+    *_count_cases("Scenario", "seed", 0, ScenarioError, lambda s, v: replace(s, seed=v)),
+    *_count_cases("window_instance", "horizon", 1, ScenarioError,
+                  lambda s, v: sm.window_instance(s, 5, horizon=v)),
+    *_count_cases("window_instance", "window_end", 25, ScenarioError,
+                  lambda s, v: sm.window_instance(s, v)),
+    *_count_cases("run_receding_horizon", "horizon", 1, ScenarioError,
+                  lambda s, v: sm.run_receding_horizon(s, sm.SolverConfig(), horizon=v)),
+    *_count_cases("sweep_subwindows", "iters", 1, ValueError,
+                  lambda s, v: sm.sweep_subwindows(s, 25, [4], sm.SolverConfig(), iters=v)),
+    # fractional counts that a sweep over N = L/6 or a hand-made layout produces
+    pytest.param(lambda s, v: sm.build_partition(400, v, 3), 400 / 6, PartitionError,
+                 "N must be an integer >= 1, got 66.66666666666667", id="build_partition-N=L/6"),
+    pytest.param(lambda s, v: lifted_layout(v, 3), (5.5, 5), PartitionError,
+                 "lengths[0] must be an integer >= 1, got 5.5", id="lifted_layout-lengths[0]=5.5"),
+    pytest.param(lambda s, v: sm.window_instance(s, v), 25.5, ScenarioError,
+                 "window_end must be an integer >= 25, got 25.5", id="window_instance-25.5"),
+    # the other bounds of the same counts
+    pytest.param(lambda s, v: lifted_layout(v, 3), (), PartitionError,
+                 "number of sub-windows must be an integer >= 1, got 0", id="lifted_layout-()"),
+    pytest.param(lambda s, v: sm.window_instance(s, v), 61, ScenarioError,
+                 "scenario steps must be an integer >= 61, got 60", id="window_instance-61"),
+    pytest.param(lambda s, v: sm.run_receding_horizon(s, sm.SolverConfig(), horizon=v), 61,
+                 ScenarioError, "scenario steps must be an integer >= 61, got 60",
+                 id="run_receding_horizon-61"),
+]
+
+
+@pytest.mark.parametrize("call, value, error, message", _COUNT_CASES)
+def test_every_count_takes_one_rule(benchmark_scenario, call, value, error, message):
+    """Each entry point refuses a count that is not an integer of at least
+    its least value with its own error type and the message of
+    ``errors.check_count``, before doing any work. ``generate_scenario``'s
+    ``steps`` and ``seed`` are the cases of
+    ``test_generate_scenario_checks_steps_and_seed_before_simulating``."""
+    with pytest.raises(error) as err:
+        call(benchmark_scenario, value)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):
@@ -409,6 +486,19 @@ def test_self_check_passes():
     checks = sm.harness.run_self_check()
     for name, passed, detail in checks:
         assert passed, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("seed", [-1.5, 2.7])
+def test_a_scenario_file_seed_is_not_coerced(tmp_path, seed):
+    """The file's seed reaches the scenario contract as written; ``int()``
+    would read -1.5 as seed -1 and 2.7 as seed 2."""
+    path = write_scenario(sm.generate_scenario(steps=6, seed=1), tmp_path / "seed.json")
+    payload = json.loads(path.read_text())
+    payload["model"]["seed"] = seed
+    path.write_text(json.dumps(payload))
+    message = f"malformed scenario file {path}: seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        sm.load_scenario(path)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -399,7 +399,7 @@ def test_inner_solver_rejects_bad_rho(benchmark_instance):
     [
         ("inner_tol", 0.0, "inner_tol must be positive and finite, got 0.0"),
         ("inner_tol", float("inf"), "inner_tol must be positive and finite, got inf"),
-        ("inner_max_iter", 0, "inner_max_iter must be at least 1, got 0"),
+        ("inner_max_iter", 0, "inner_max_iter must be an integer >= 1, got 0"),
     ],
 )
 def test_local_solve_config_names_the_bad_field(field, value, message):

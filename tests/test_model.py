@@ -123,8 +123,10 @@ def test_rollout_obeys_dynamics(robot):
 
 
 def test_model_dimension_validation():
-    with pytest.raises(ValueError):
-        sm.robot_model(T=0.0)
+    # T = inf would build, and f would then warn on an inf * 0 product
+    for T in (0.0, np.inf):
+        with pytest.raises(ValueError, match="sampling time must be positive and finite"):
+            sm.robot_model(T=T)
 
 
 def test_gaussian_draws_deterministic_and_standard():

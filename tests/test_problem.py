@@ -410,6 +410,23 @@ def test_problem_module_imports_no_scipy():
     assert not [name for name in names if name.split(".")[0] == "scipy"], names
 
 
+def test_only_errors_calls_operator_index():
+    # every count the package takes passes errors.check_count, so the rule
+    # for a valid integer, and its message, live in one place
+    sites = []
+    for path in sorted(Path(problem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = isinstance(node, ast.ImportFrom) and node.module == "operator" and any(
+                alias.name == "index" for alias in node.names
+            )
+            called = isinstance(node, ast.Attribute) and node.attr == "index" and (
+                getattr(node.value, "id", None) == "operator"
+            )
+            if imported or called:
+                sites.append(path.name)
+    assert sites == ["errors.py"], sites
+
+
 def test_no_module_imports_a_private_name_of_a_sibling():
     # the benchmark tracer (bench/tracer.py) wraps only the public functions
     # of each module, so a call through a sibling's private name escapes its

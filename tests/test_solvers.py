@@ -100,7 +100,8 @@ def test_config_rejects_out_of_range_values(kwargs):
     "config, field", [(sm.SolverConfig, "max_iter"), (sm.LocalSolveConfig, "inner_max_iter")]
 )
 def test_iteration_budgets_must_be_integers(config, field):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+    least = {"max_iter": 0, "inner_max_iter": 1}[field]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, got 2.5$"):
         config(**{field: 2.5})
     assert getattr(config(**{field: np.int64(3)}), field) == 3
 

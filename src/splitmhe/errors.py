@@ -1,8 +1,11 @@
-"""Exception hierarchy for the solver toolkit, and :func:`check_count`, the one
-rule for every count the package takes: lengths, budgets, dimensions, seeds."""
+"""Exception hierarchy for the solver toolkit, with :func:`check_count`, the one
+rule for every count the package takes (lengths, budgets, dimensions, seeds),
+and :func:`check_real`, the one rule for its real-valued inputs."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 
@@ -70,3 +73,11 @@ def check_count(name: str, value, least: int, error: type[Exception] = ValueErro
     if count is None or count < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return count
+
+
+def check_real(name: str, value, error: type[Exception] = ValueError, zero: bool = False) -> None:
+    """Raise ``error("<name> must be positive and finite, got <value!r>")`` unless
+    ``value`` is a real number in ``(0, inf)``; with ``zero``, in ``[0, inf)``."""
+    if not (isinstance(value, numbers.Real) and (zero or value != 0) and 0 <= value < math.inf):
+        bound = "nonnegative" if zero else "positive"
+        raise error(f"{name} must be {bound} and finite, got {value!r}")

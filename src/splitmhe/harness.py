@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FactorizationError, OriginSingularityError, ScenarioError, check_count
+from .errors import (
+    FactorizationError, OriginSingularityError, ScenarioError, check_count, check_real,
+)
 from .model import gaussian_draws, robot_model, rollout, fd_check
 from .problem import (
     MheInstance,
@@ -77,11 +79,6 @@ SWEEP_HEADER = [
 NUMERICAL_ERRORS = (FactorizationError, OriginSingularityError)
 
 
-def _check_sampling_time(T: float) -> None:
-    if not 0 < T < np.inf:
-        raise ScenarioError("sampling time must be positive and finite")
-
-
 @dataclass(eq=False)
 class Scenario:
     """A simulated run of the benchmark robot with noisy measurements."""
@@ -95,9 +92,9 @@ class Scenario:
     measurements: Array
 
     def __post_init__(self):
-        _check_sampling_time(self.T)
-        if not (0 <= self.sigma_r < np.inf and 0 <= self.sigma_alpha < np.inf):
-            raise ScenarioError("noise magnitudes must be nonnegative and finite")
+        check_real("sampling time", self.T, ScenarioError)
+        check_real("noise magnitudes", self.sigma_r, ScenarioError, zero=True)
+        check_real("noise magnitudes", self.sigma_alpha, ScenarioError, zero=True)
         check_count("seed", self.seed, 0, ScenarioError)
         for name in _SCENARIO_ARRAYS:
             try:
@@ -178,7 +175,7 @@ def generate_scenario(
     """
     check_count("steps", steps, 1, ScenarioError)
     check_count("seed", seed, 0, ScenarioError)
-    _check_sampling_time(T)
+    check_real("sampling time", T, ScenarioError)
     model = robot_model(T=T)
     controls = np.array(control, dtype=float)
     if controls.ndim == 1:

@@ -17,13 +17,12 @@ lifted stack at once, and one sub-window is the run of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import OriginSingularityError, SingularKktError, check_count
+from .errors import OriginSingularityError, SingularKktError, check_count, check_real
 from .problem import (
     StageEvaluation,
     SubProblem,
@@ -51,8 +50,7 @@ class LocalSolveConfig:
     inner_max_iter: int = 50
 
     def __post_init__(self):
-        if not 0 < self.inner_tol < math.inf:
-            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
+        check_real("inner_tol", self.inner_tol)
         check_count("inner_max_iter", self.inner_max_iter, 1)
 
 
@@ -279,8 +277,7 @@ def solve_local_subproblem(
     first round takes it in place of its own.
     """
     cfg = cfg or LocalSolveConfig()
-    if not 0 < rho < math.inf:
-        raise ValueError("proximal weight rho must be positive and finite")
+    check_real("proximal weight rho", rho)
     lay = sub.layout
     y_ref = sub.states(y_ref)
     x = np.array(y_ref if x0 is None else sub.states(x0))

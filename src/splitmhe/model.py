@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OriginSingularityError, check_count
+from .errors import OriginSingularityError, check_count, check_real
 
 Array = np.ndarray
 
@@ -55,8 +55,7 @@ class SystemModel:
     def __post_init__(self):
         for name in ("nx", "nu", "ny"):
             check_count(name, getattr(self, name), 1)
-        if not 0 < self.T < np.inf:
-            raise ValueError("sampling time must be positive and finite")
+        check_real("sampling time", self.T)
 
 
 def rollout(model: SystemModel, x0: Array, controls: Array) -> Array:
@@ -72,7 +71,7 @@ def rollout(model: SystemModel, x0: Array, controls: Array) -> Array:
 def _fill(base: Array, x: Array, entries: dict) -> Array:
     """``base`` repeated over the leading (stack) axes of the points ``x``, with
     entry ``(i, j)`` of every copy set to the matching element of ``entries[i, j]``."""
-    out = np.empty(np.shape(x)[:-1] + base.shape)
+    out = np.empty(x.shape[:-1] + base.shape)
     out[...] = base
     for (i, j), value in entries.items():
         out[..., i, j] = value
@@ -97,7 +96,7 @@ def robot_model(T: float = 0.2) -> SystemModel:
     def _range_sq(x: Array) -> Array:
         phi, psi = x[..., 0], x[..., 1]
         r2 = phi * phi + psi * psi
-        if r2.min() < _ORIGIN_EPS:
+        if np.minimum.reduce(r2, axis=None) < _ORIGIN_EPS:
             first = np.flatnonzero(r2 < _ORIGIN_EPS)[0]
             phi, psi = x.reshape(-1, 3)[first, :2]
             error = OriginSingularityError(
@@ -110,7 +109,7 @@ def robot_model(T: float = 0.2) -> SystemModel:
 
     def f(x: Array, u: Array) -> Array:
         theta, Tu = x[..., 2], T * u
-        step = np.empty(np.shape(x))
+        step = np.empty(x.shape)
         np.multiply(Tu[..., 0], np.cos(theta), out=step[..., 0])
         np.multiply(Tu[..., 0], np.sin(theta), out=step[..., 1])
         step[..., 2] = Tu[..., 1]

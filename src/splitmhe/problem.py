@@ -31,10 +31,17 @@ Array = np.ndarray
 
 
 def inv_sqrt_spd(M: Array, name: str = "matrix") -> Array:
-    """Symmetric inverse square root of an SPD matrix via eigendecomposition."""
+    """Symmetric inverse square root of an SPD matrix via eigendecomposition,
+    taken once per distinct matrix; every call returns a new array."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {M.shape}")
+    return _inv_sqrt_spd(M.tobytes(), len(M), name).copy()
+
+
+@lru_cache(maxsize=64)
+def _inv_sqrt_spd(data: bytes, n: int, name: str) -> Array:
+    M = np.frombuffer(data).reshape(n, n)
     if np.abs(M - M.T).max() > 1e-10 * (1.0 + np.abs(M).max()):
         raise ValueError(f"{name} must be symmetric")
     w, U = np.linalg.eigh(M)
@@ -47,7 +54,8 @@ def inv_sqrt_spd(M: Array, name: str = "matrix") -> Array:
 @dataclass(frozen=True, eq=False)
 class LiftedLayout:
     """How ``L`` steps split into ``N`` chained sub-windows of ``nx`` states,
-    and where their states and stages sit in the lifted stack.
+    and where their ``n_states = L + N`` states and stages sit in the lifted
+    stack, with ``r = (N - 1) nx`` coupling rows.
 
     Sub-window ``i`` has ``lengths[i]`` stages, starting at window step
     ``start[i]``, and owns stacked states ``first[i]`` to ``last[i]``; its last
@@ -58,11 +66,21 @@ class LiftedLayout:
     ``L + 1`` window states in time order; the duplicated terminal states of
     interior sub-windows carry no measurement. ``time`` maps every stacked
     state to its window state and ``state_block`` to its sub-window, and
-    ``eye`` is the ``nx x nx`` identity. All arrays are read-only.
+    ``eye`` is the ``nx x nx`` identity. State ``j`` takes row ``as_prev[j]``
+    and row ``as_next[j]`` of :func:`stage_transpose`'s ``[0; -(mu D); mu]``:
+    ``1 + k`` for the stage with ``prev[k] = j``, ``1 + L + k`` for the one
+    with ``next[k] = j``, 0 for none. ``shapes`` are ``(L + N, nx, nx)``,
+    ``(L + N, nx)``, ``(L, nx, nx)``, ``(L, nx)`` and ``(r,)``: per-state blocks
+    and rows, per-stage blocks and rows, coupling rows. Arrays are read-only.
     """
 
     lengths: tuple[int, ...]
     nx: int
+    L: int
+    N: int
+    r: int
+    n_states: int
+    shapes: tuple[tuple[int, ...], ...]
     start: Array
     first: Array
     last: Array
@@ -73,23 +91,8 @@ class LiftedLayout:
     time: Array
     state_block: Array
     eye: Array
-
-    @property
-    def L(self) -> int:
-        return len(self.prev)
-
-    @property
-    def N(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def r(self) -> int:
-        """Number of coupling rows: one state block per interior boundary."""
-        return (self.N - 1) * self.nx
-
-    @property
-    def n_states(self) -> int:
-        return len(self.time)
+    as_prev: Array
+    as_next: Array
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -110,10 +113,12 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
     )
     check_count("nx", nx, 1, PartitionError)
     n = np.array(lengths)
-    blocks = np.arange(n.size)
+    L, N, blocks = sum(lengths), len(lengths), np.arange(n.size)
     start = np.concatenate([[0], np.cumsum(n)[:-1]])
     stage_block = np.repeat(blocks, n)
-    prev = np.arange(n.sum()) + stage_block
+    prev = np.arange(L) + stage_block
+    rows = np.zeros((2, L + N), dtype=np.intp)
+    rows[0, prev], rows[1, prev + 1] = np.arange(1, L + 1), np.arange(L + 1, 2 * L + 1)
     maps = dict(
         start=start,
         first=start + blocks,
@@ -121,22 +126,23 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
         stage_block=stage_block,
         prev=prev,
         next=prev + 1,
-        measured=np.append(prev, n.sum() + n.size - 1),
-        time=np.arange(n.sum() + n.size) - np.repeat(blocks, n + 1),
+        measured=np.append(prev, L + N - 1),
+        time=np.arange(L + N) - np.repeat(blocks, n + 1),
         state_block=np.repeat(blocks, n + 1),
         eye=np.eye(nx),
+        as_prev=rows[0], as_next=rows[1],
     )
     for a in maps.values():
         a.flags.writeable = False  # cached and shared by every caller
-    return LiftedLayout(lengths=lengths, nx=nx, **maps)
+    shapes = ((L + N, nx, nx), (L + N, nx), (L, nx, nx), (L, nx), ((N - 1) * nx,))
+    return LiftedLayout(lengths, nx, L, N, (N - 1) * nx, L + N, shapes, **maps)
 
 
 def _as_stack(blocks, partition: LiftedLayout) -> Array:
     """The ``(L + N, nx)`` stack of a list of flat blocks of sizes
     ``partition.block_dims``; a 2-D stack passes through after a shape check."""
     if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-        shape = (partition.n_states, partition.nx)
-        if blocks.shape != shape:
+        if (shape := partition.shapes[1]) != blocks.shape:
             raise DimensionMismatchError(f"blocks stack must be {shape}, got {blocks.shape}")
         return np.asarray(blocks, dtype=float)
     if len(blocks) != partition.N:
@@ -236,7 +242,7 @@ class SubProblem:
     def length(self) -> int:
         return len(self.layout.prev)
 
-    @property
+    @cached_property
     def block_dim(self) -> int:
         return self.layout.n_states * self.model.nx
 
@@ -244,7 +250,7 @@ class SubProblem:
     def constraint_dim(self) -> int:
         return self.length * self.model.nx
 
-    @property
+    @cached_property
     def has_prior(self) -> bool:
         return self.prior is not None
 
@@ -264,8 +270,9 @@ class SubProblem:
     def states(self, X: Array) -> Array:
         """The ``(states, nx)`` stack of a flat block vector, or the stack itself."""
         X = np.asarray(X, dtype=float)
-        shape = (self.layout.n_states, self.model.nx)
-        if X.shape not in ((self.block_dim,), shape):
+        if (shape := self.layout.shapes[1]) == X.shape:
+            return X
+        if X.shape != (self.block_dim,):
             raise DimensionMismatchError(f"expected a block of shape {shape}, got {X.shape}")
         return X.reshape(shape)
 
@@ -400,10 +407,8 @@ def stage_constraint_matrix(layout: LiftedLayout, D: Array) -> Array:
 def stage_transpose(layout: LiftedLayout, D: Array, mu: Array) -> Array:
     """``C' mu`` on a lifted stack: stage ``k`` contributes ``-D_k' mu_k`` to
     state ``prev[k]`` and ``mu_k`` to state ``next[k]``; ``mu`` is ``(L, nx)``."""
-    out = np.zeros((layout.n_states, D.shape[1]))
-    out[layout.prev] = -(mu[:, None, :] @ D)[:, 0]
-    out[layout.next] += mu
-    return out
+    table = np.concatenate((np.zeros((1, mu.shape[1])), -(mu[:, None, :] @ D)[:, 0], mu))
+    return table.take(layout.as_prev, 0) + table.take(layout.as_next, 0)
 
 
 class StageEvaluation(NamedTuple):
@@ -433,7 +438,7 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     (b, Xm), (F, Xp) = _residuals(sub, X), _defects(sub, X)
     Jm = sub.v_inv_sqrt @ model.dh_dx(Xm)
     JmT = Jm.swapaxes(1, 2)
-    g, W = np.zeros(X.shape), np.zeros(X.shape + X.shape[-1:])
+    g, W = np.zeros(sub.layout.shapes[1]), np.zeros(sub.layout.shapes[0])
     k = model.nx * sub.has_prior
     g[sub.measured] = (JmT @ b[k:].reshape(-1, model.ny, 1))[..., 0]
     # J'J on a contiguous J' takes about a third of the time, bit for bit the same

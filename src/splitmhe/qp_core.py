@@ -75,6 +75,7 @@ Array = np.ndarray
 
 # at or below this reciprocal condition estimate R_i counts as rank deficient
 RANK_RCOND_LIMIT = 1e-12
+_ONE = np.ones(1)  # the leading 1 of z, not converted from a list on every call
 
 
 @dataclass(eq=False)
@@ -147,14 +148,13 @@ class StageStack:
     anchor: Array
 
     def __post_init__(self):
-        lay = self.layout
-        nx = lay.nx
-        shapes = {
-            "H": (lay.n_states, nx, nx), "g": (lay.n_states, nx),
-            "D": (len(lay.prev), nx, nx), "d": (len(lay.prev), nx),
-            "anchor": ((len(lay.lengths) - 1) * nx,),
-        }
-        for name, shape in shapes.items():
+        try:
+            shapes = (self.H.shape, self.g.shape, self.D.shape, self.d.shape, self.anchor.shape)
+        except AttributeError:  # not all arrays: compared field by field below
+            shapes = None
+        if shapes == self.layout.shapes:
+            return
+        for name, shape in zip(("H", "g", "D", "d", "anchor"), self.layout.shapes):
             if np.shape(getattr(self, name)) != shape:
                 raise DimensionMismatchError(
                     f"stage stack: {name} has shape {np.shape(getattr(self, name))}, "
@@ -208,7 +208,7 @@ def _require_finite_stack(stack: StageStack) -> None:
     """Raise on non-finite stack data, naming the block of the first bad field's
     first bad row. One pass over all fields clears finite data."""
     arrays = (stack.H, stack.g, stack.D, stack.d, stack.anchor)
-    if np.isfinite(np.concatenate(arrays, axis=None)).all():
+    if np.logical_and.reduce(np.isfinite(np.concatenate(arrays, axis=None))):
         return
     names = ("H", "g", "D", "d", "anchor")
     bad = [name for name, a in zip(names, arrays) if not np.isfinite(a).all()]
@@ -324,10 +324,12 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     )
 
 
-@lru_cache(maxsize=64)
-def _chain_band_index(lay: LiftedLayout) -> Array:
+@lru_cache(maxsize=128)
+def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array, Array]:
     """Take index, from ``[D.ravel(), coupling.ravel(), 0]``, of the transposed
-    LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``.
+    LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``;
+    the tail ``[coupling.ravel(), 0]``, ``I`` if ``linked`` else zero; the rows
+    of the offsets; and the right-hand side with zero offsets and ``E``.
 
     Block row 0 of ``B`` is ``[I, 0, ...]`` and block row ``j + 1`` is link
     ``j``, ``-D_j`` on state ``j`` and ``I`` on state ``j + 1``; a coupling
@@ -341,30 +343,29 @@ def _chain_band_index(lay: LiftedLayout) -> Array:
     a, c = np.arange(nx)[:, None], np.arange(nx)
     index = np.full((lay.n_states * nx, 2 * nx), (lay.L + 1) * size, dtype=np.intp)
     index[j * nx + c, nx + a - c] = source[j] + a * nx + c
-    index.flags.writeable = False  # cached and shared by every caller
-    return index
+    tail = np.append(lay.eye.reshape(-1) * linked, 0.0)
+    rows = np.concatenate((lay.next, lay.first[1:])) if linked else lay.next
+    rhs = np.zeros((nx + 1, lay.n_states, nx))
+    rhs[1:, lay.first[:1] if linked else lay.first] = lay.eye[:, None]
+    for table in (index, tail, rows, rhs):
+        table.flags.writeable = False  # cached and shared by every caller
+    return index, tail, rows, rhs
 
 
-def _chain_solve(
-    lay: LiftedLayout, D: Array, d: Array, anchor: Array | None, starts: Array | slice
-) -> tuple[Array, Array]:
-    """The band of the link matrix ``B`` of :func:`_chain_band_index` and
+def _chain_solve(lay: LiftedLayout, D: Array, offsets: Array, linked: bool) -> tuple[Array, Array]:
+    """The band of the link matrix ``B`` of :func:`_chain_tables` and
     ``B^-1 [(0; offsets) | E]`` ``(L + N, nx, nx + 1)`` from one unit lower
     triangular banded solve (``dtbtrs``). Link ``j`` sits on row ``j + 1``, so
-    the stage offsets ``d`` ``(L, nx)`` sit on the rows ``next`` and the
-    coupling offsets ``anchor`` ``(N - 1, nx)`` on the rows ``first[1:]``; with
-    ``anchor`` None the coupling blocks and offsets are zero, which unlinks the
-    sub-windows. ``E`` holds an identity block on the row of every state in
-    ``starts``."""
-    n, nx, eye = lay.n_states, lay.nx, lay.eye
-    coupling = eye if anchor is not None else np.zeros_like(eye)
-    source = np.concatenate((D.reshape(-1), coupling.reshape(-1), [0.0]))
-    band = -source.take(_chain_band_index(lay)).T  # Fortran order, as LAPACK takes it
-    rhs = np.zeros((nx + 1, n, nx))
-    rhs[0, lay.next] = d
-    if anchor is not None:
-        rhs[0, lay.first[1:]] = anchor
-    rhs[1:, starts] = eye[:, None]
+    the ``L`` stage offsets sit on the rows ``next``; if ``linked``, the
+    ``N - 1`` coupling offsets follow on the rows ``first[1:]``, and otherwise
+    the coupling blocks are zero, which unlinks the sub-windows. ``E`` holds
+    an identity block on the first state, or on every sub-window's first
+    state if not ``linked``."""
+    n, nx = lay.n_states, lay.nx
+    index, tail, rows, rhs = _chain_tables(lay, linked)
+    band = -np.concatenate((D.reshape(-1), tail)).take(index).T  # Fortran order, as LAPACK takes it
+    rhs = rhs.copy()
+    rhs[0, rows] = offsets
     rhs = rhs.reshape(nx + 1, -1).T
     sol = scipy.linalg.lapack.dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)[0]
     return band, sol.reshape(n, nx, nx + 1)
@@ -373,7 +374,7 @@ def _chain_solve(
 def _condense(stack: StageStack) -> SchurTerms:
     """The stack as an affine map of ``z = (1, dX_0)``, in ``O((L + N) nx^3)``.
 
-    With ``B`` the link matrix of :func:`_chain_band_index`, every step is
+    With ``B`` the link matrix of :func:`_chain_tables`, every step is
     ``dX = B^-1 (dX_0; -d)``: :func:`_chain_solve` against ``[(0; -d), E_0]``
     gives ``W = [e, Z]`` and ``U = -W``, so that ``dX = -U z``. Then
     ``V = [H e + g, H Z]`` is the stationarity map, ``H dX + g = V z``, and
@@ -381,7 +382,8 @@ def _condense(stack: StageStack) -> SchurTerms:
     ``s = -Z' (H e + g)``.
     """
     lay, nx = stack.layout, stack.layout.nx
-    band, W = _chain_solve(lay, stack.D, -stack.d, stack.anchor.reshape(-1, nx), slice(1))
+    offsets = np.concatenate((-stack.d, stack.anchor.reshape(-1, nx)))
+    band, W = _chain_solve(lay, stack.D, offsets, True)
     # the batched product on a C-ordered copy of the LAPACK output takes about
     # two thirds of the time, bit for bit the same
     U, V = -W, stack.H @ np.ascontiguousarray(W)
@@ -405,7 +407,7 @@ def _solve_stack(stack: StageStack) -> QpSolution:
         raise NotPositiveDefiniteError(
             "block 0: reduced Hessian is not positive definite", block_index=0
         )
-    z = np.concatenate(([1.0], lapack.dpotrs(factor, terms.s, lower=1)[0]))
+    z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, lower=1)[0]))
     back = lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0]
     z[1:] -= lapack.dpotrs(factor, back[:nx], lower=1)[0]
     nu = -lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0].reshape(-1, nx)
@@ -440,7 +442,7 @@ def solve_local_kkt(
     ``(states, nx)`` and ``mu`` ``(L, nx)``.
     """
     lay, nx = layout, layout.nx
-    band, U = _chain_solve(lay, D, rhs_mu, None, lay.first)
+    band, U = _chain_solve(lay, D, rhs_mu, False)
     rungs, shifted = [0] * len(lay.lengths), H
     while True:
         V = shifted @ np.ascontiguousarray(U)

@@ -29,13 +29,12 @@ for all blocks at once on the stack:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SplitMheError, check_count
+from .errors import DimensionMismatchError, SplitMheError, check_count, check_real
 from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
     LiftedLayout,
@@ -63,6 +62,7 @@ _SA_SWITCH_TOL = 1e-5
 
 # the termination metrics of a ConvergenceRecord, in result.json order
 _METRICS = ("primal_step_inf", "coupling_inf", "dynamics_inf", "stationarity_inf")
+_largest = np.maximum.reduce  # ndarray.max without its Python wrapper
 
 
 @dataclass
@@ -85,10 +85,8 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.rho is None:
             self.rho = _DEFAULT_RHO[self.algorithm]
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
-        if not 0 <= self.tol < math.inf:
-            raise ValueError("tol must be nonnegative and finite")
+        check_real("rho", self.rho)
+        check_real("tol", self.tol, zero=True)
         check_count("max_iter", self.max_iter, 0)
 
 
@@ -157,7 +155,8 @@ class SolveResult:
 def termination_check(record: ConvergenceRecord, cfg: SolverConfig) -> bool:
     """Converged iff every metric is at or below the outer tolerance; a NaN
     metric never is."""
-    return all(getattr(record, name) <= cfg.tol for name in _METRICS)
+    r, t = record, cfg.tol
+    return r.primal_step_inf <= t >= r.coupling_inf and r.dynamics_inf <= t >= r.stationarity_inf
 
 
 def _initial_iterate(
@@ -269,10 +268,10 @@ def _drive(
         records.append(
             ConvergenceRecord(
                 iteration=it,
-                primal_step_inf=float(np.abs(y_new - y).max()),
-                coupling_inf=float(np.abs(stack.anchor).max(initial=0.0)),
-                dynamics_inf=float(np.abs(ev_new.F).max()),
-                stationarity_inf=float(np.abs(stat).max()),
+                primal_step_inf=float(_largest(np.abs(y_new - y), axis=None)),
+                coupling_inf=float(_largest(np.abs(stack.anchor), axis=None, initial=0.0)),
+                dynamics_inf=float(_largest(np.abs(ev_new.F), axis=None)),
+                stationarity_inf=float(_largest(np.abs(stat), axis=None)),
                 dist_to_ref=dist,
                 objective=float(0.5 * ev_new.b @ ev_new.b),
                 wall_ms=1e3 * (time.perf_counter() - t_iter),

@@ -20,7 +20,9 @@ cell that the gate would fail is marked FAIL, and the script then exits 1.
 prints one SHA-256 per algorithm and proximal weight (its default and the
 gate's) over every window of two full receding horizons (60 steps at seed 0,
 40 at seed 1, horizon 25, N = 4): each window's status, iteration count,
-estimate bytes, trajectory bytes and ``SolveResult.objective``. Two more
+estimate bytes, trajectory bytes and ``SolveResult.objective``, and every
+record's four termination metrics and ``objective`` (:data:`RECORD_FIELDS`),
+so a change to a metric alone shows too. Two more
 lines hash the same of the benchmark's long windows: one cold window of
 ``L = 400`` at seed 0 on a 4-iteration budget with ``tol`` 0, solved by
 ``centralized`` and by ``dsqp`` at ``N = 66``, both at their default ``rho``.
@@ -58,6 +60,10 @@ DIGEST_RUNS = ((0, 60), (1, 40))
 # the digest's long windows: seed, L, iteration budget and (algorithm, N) pairs
 LONG_SEED, LONG_L, LONG_ITERS = 0, 400, 4
 LONG_RUNS = (("centralized", 1), ("dsqp", 66))
+# the fields of every ConvergenceRecord that the digest hashes: no wall times
+RECORD_FIELDS = (
+    "primal_step_inf", "coupling_inf", "dynamics_inf", "stationarity_inf", "objective",
+)
 
 
 def _cell(outcome) -> dict:
@@ -130,6 +136,8 @@ def _hash_window(digest, window) -> None:
     if window.result is not None:
         digest.update(window.result.trajectory.tobytes())
         digest.update(np.float64(window.result.objective).tobytes())
+        for record in window.result.records:
+            digest.update(np.array([getattr(record, f) for f in RECORD_FIELDS]).tobytes())
 
 
 def digest_lines() -> list[str]:

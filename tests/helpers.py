@@ -41,6 +41,16 @@ def counting_model(model, calls):
     return replace(model, **{name: counted(name) for name in names})
 
 
+def stage_transpose_reference(layout, D, mu):
+    """``C' mu`` on a lifted stack by scatter, the reference for the ``take``
+    form of ``problem.stage_transpose``: stage ``k`` sets ``-D_k' mu_k`` on
+    state ``prev[k]``, then adds ``mu_k`` to state ``next[k]``."""
+    out = np.zeros((layout.n_states, D.shape[1]))
+    out[layout.prev] = -(mu[:, None, :] @ D)[:, 0]
+    out[layout.next] += mu
+    return out
+
+
 def rel_err(a, b):
     """Relative deviation with the usual 1 + |b| guard."""
     a = np.asarray(a, dtype=float)

@@ -28,7 +28,7 @@ from splitmhe.harness import (
     write_scenario,
     write_sweep_csv,
 )
-from splitmhe.problem import lifted_layout
+from splitmhe.problem import lift, lifted_layout, subproblem
 
 from helpers import failing_for
 
@@ -229,6 +229,67 @@ def test_every_count_takes_one_rule(benchmark_scenario, call, value, error, mess
         call(benchmark_scenario, value)
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def _local_solve(scenario, rho):
+    instance = sm.window_instance(scenario, 25)
+    partition = sm.build_partition(25, 4, 3)
+    run = subproblem(instance, partition, range(4))
+    y = lift(instance.initial_guess, partition)
+    return sm.solve_local_subproblem(run, np.zeros(partition.r), y, rho)
+
+
+def _real_cases(entry, name, zero, error, call, values=("0.2", None, math.nan, math.inf, -1.0)):
+    """A string, None, NaN, infinity and a value below the bound, each with
+    its message; a positive input also refuses zero."""
+    bound = "nonnegative" if zero else "positive"
+    return [
+        pytest.param(call, value, error, f"{name} must be {bound} and finite, got {value!r}",
+                     id=f"{entry}-{name}={value!r}")
+        for value in values + (() if zero else (0.0,))
+    ]
+
+
+_REAL_CASES = [
+    *_real_cases("Scenario", "sampling time", False, ScenarioError, lambda s, v: replace(s, T=v)),
+    *_real_cases("Scenario", "noise magnitudes", True, ScenarioError,
+                 lambda s, v: replace(s, sigma_r=v)),
+    *_real_cases("Scenario", "noise magnitudes", True, ScenarioError,
+                 lambda s, v: replace(s, sigma_alpha=v)),
+    *_real_cases("generate_scenario", "sampling time", False, ScenarioError,
+                 lambda s, v: sm.generate_scenario(steps=5, T=v)),
+    *_real_cases("robot_model", "sampling time", False, ValueError,
+                 lambda s, v: sm.robot_model(T=v)),
+    # rho=None selects the algorithm's default
+    *_real_cases("SolverConfig", "rho", False, ValueError, lambda s, v: sm.SolverConfig(rho=v),
+                 values=("1", math.nan, math.inf, -1.0)),
+    *_real_cases("SolverConfig", "tol", True, ValueError, lambda s, v: sm.SolverConfig(tol=v)),
+    *_real_cases("LocalSolveConfig", "inner_tol", False, ValueError,
+                 lambda s, v: sm.LocalSolveConfig(inner_tol=v)),
+    *_real_cases("solve_local_subproblem", "proximal weight rho", False, ValueError,
+                 _local_solve),
+]
+
+
+@pytest.mark.parametrize("call, value, error, message", _REAL_CASES)
+def test_every_real_input_takes_one_rule(benchmark_scenario, call, value, error, message):
+    """Each entry point refuses a real-valued input that is not a real number
+    within its bounds with its own error type and the message of
+    ``errors.check_real``; a string or None no longer escapes as the
+    ``TypeError`` of a comparison."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            call(benchmark_scenario, value)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_real_inputs_keep_their_type(benchmark_scenario):
+    # the rule checks and converts nothing: numpy scalars and integers pass as given
+    assert sm.SolverConfig(rho=np.float64(5.0), tol=0).tol == 0
+    assert type(sm.SolverConfig(rho=np.float64(5.0)).rho) is np.float64
+    assert replace(benchmark_scenario, sigma_r=0).sigma_r == 0
 
 
 def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitmhe as sm
 from splitmhe import local_nlp, problem
@@ -12,11 +14,15 @@ from splitmhe.errors import DimensionMismatchError, PartitionError
 from splitmhe.problem import (
     constraint_vector,
     eval_residual_stack,
+    inv_sqrt_spd,
+    lifted_layout,
     residual_vector,
+    stage_constraint_matrix,
+    stage_transpose,
     sub_objective,
 )
 
-from helpers import counting_model, fd_jacobian, rel_err
+from helpers import counting_model, fd_jacobian, rel_err, stage_transpose_reference
 
 
 def test_partition_benchmark_shape():
@@ -266,6 +272,39 @@ def test_instance_validation(robot):
         )
 
 
+def test_windows_get_independent_inverse_square_roots(benchmark_scenario):
+    """``P^-1/2`` and ``V^-1/2`` repeat in every window and are computed once,
+    but each instance owns its arrays: mutating one window's leaves the next
+    window's unchanged."""
+    first = sm.window_instance(benchmark_scenario, 25)
+    p, v = first.p_inv_sqrt.copy(), first.v_inv_sqrt.copy()
+    first.p_inv_sqrt[:] = 7.0
+    first.v_inv_sqrt[0, 0] = -1.0
+    second = sm.window_instance(benchmark_scenario, 26)
+    np.testing.assert_array_equal(second.p_inv_sqrt, p)
+    np.testing.assert_array_equal(second.v_inv_sqrt, v)
+    third = sm.window_instance(benchmark_scenario, 27)
+    assert not np.shares_memory(second.v_inv_sqrt, third.v_inv_sqrt)
+
+
+def test_inverse_square_root_is_checked_and_exact_after_the_cache():
+    good = np.array([[2.0, 0.5], [0.5, 1.0]])
+    w, U = np.linalg.eigh(good)
+    expected = (U * (1.0 / np.sqrt(w))) @ U.T
+    expected = 0.5 * (expected + expected.T)
+    for _ in range(2):
+        assert np.array_equal(inv_sqrt_spd(good, "P"), expected)
+    skewed = good.copy()
+    skewed[0, 1] += 1e-3
+    for _ in range(2):  # a bad matrix raises every time, never cached
+        with pytest.raises(ValueError, match="^P must be symmetric$"):
+            inv_sqrt_spd(skewed, "P")
+        with pytest.raises(ValueError, match="^P must be positive definite"):
+            inv_sqrt_spd(-good, "P")
+    with pytest.raises(DimensionMismatchError, match=r"^V must be square, got shape \(2,\)$"):
+        inv_sqrt_spd(np.ones(2), "V")
+
+
 def test_centralized_kkt_residual_at_linear_optimum(linear_instance):
     from helpers import linear_window_optimum
 
@@ -317,6 +356,37 @@ def test_lifted_layout_places_states_and_stages():
     assert [b.tolist() for b in lay.split(stack)] == [
         b.tolist() for b in sm.lift_initial_guess(traj, lay)
     ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(1, 3),
+    lengths=st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        st.integers(1, 12).map(lambda L: [L]),  # N = 1
+        st.integers(1, 12).map(lambda L: [1] * L),  # N = L, one-stage sub-windows
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stage_transpose_take_form_is_the_scatter_form(nx, lengths, seed):
+    """``C' mu`` from two takes of ``[0; -(mu D); mu]`` is the scatter form
+    bit for bit, and both are the dense product."""
+    lay = lifted_layout(tuple(lengths), nx)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    D, mu = rng.standard_normal((lay.L, nx, nx)), rng.standard_normal((lay.L, nx))
+    got = stage_transpose(lay, D, mu)
+    assert np.array_equal(got, stage_transpose_reference(lay, D, mu))
+    dense = (stage_constraint_matrix(lay, D).T @ mu.reshape(-1)).reshape(lay.n_states, nx)
+    assert np.abs(got - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
+
+
+def test_layout_caches_the_shapes_it_checks():
+    lay = sm.build_partition(25, 4, 3)
+    assert (lay.L, lay.N, lay.r, lay.n_states) == (25, 4, 9, 29)
+    assert lay.shapes == ((29, 3, 3), (29, 3), (25, 3, 3), (25, 3), (9,))
+    assert lay.as_prev.tolist()[:8] == [1, 2, 3, 4, 5, 6, 0, 7]
+    assert lay.as_next.tolist()[:8] == [0, 26, 27, 28, 29, 30, 31, 0]
+    assert not lay.as_prev.flags.writeable and not lay.as_next.flags.writeable
 
 
 @pytest.mark.parametrize("n_sub", [1, 4, 25])

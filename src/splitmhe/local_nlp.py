@@ -30,9 +30,8 @@ from .problem import (
     evaluate_stack,
     residual_vector,
     stage_constraint_matrix,
-    stage_transpose,
 )
-from .qp_core import solve_local_kkt
+from .qp_core import link_band, link_transpose, solve_local_kkt
 
 Array = np.ndarray
 
@@ -95,11 +94,17 @@ def first_order_conditions(
     evaluation at ``x`` when the caller already has it.
     """
     ev = evaluation or evaluate_stack(sub, x)
-    mu = np.reshape(mu, (sub.length, sub.model.nx))
-    at_mu = stage_transpose(sub.layout, ev.D, mu).reshape(-1)
+    at_mu = _at_mu(sub, link_band(sub.layout, ev.D, False), mu).reshape(-1)
     grad = ev.g.reshape(-1) + sub.apply_coupling_transpose(lam)
     grad = grad + rho * (sub.states(x) - sub.states(y_ref)).reshape(-1) + at_mu
     return np.concatenate([grad, ev.F.reshape(-1)])
+
+
+def _at_mu(sub: SubProblem, band: Array, mu) -> Array:
+    """``C' mu`` through the run's unlinked ``band``: ``mu`` on the stage rows."""
+    nu = np.zeros(sub.layout.shapes[1])
+    nu[sub.layout.next] = np.reshape(mu, (sub.length, -1))
+    return link_transpose(band, nu).reshape(nu.shape)
 
 
 def hessian_blocks(sub: SubProblem, x, mu, rho: float, ev: StageEvaluation, exact: bool) -> Array:
@@ -185,14 +190,14 @@ def _block_max(sub: SubProblem, state_rows: Array, stage_rows: Array) -> Array:
     )
 
 
-def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array):
+def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array, band=None):
     """:func:`~splitmhe.qp_core.solve_local_kkt` for the sub-windows in the mask
     ``blocks``, seeded by ``rho``; the others see ``H = I``, ``D = 0`` and a
     zero right-hand side, a zero step that never reaches the shift ladder.
-    With every sub-window in ``blocks`` the data pass through unmasked."""
+    With every sub-window in ``blocks`` the data, and ``band``, pass unmasked."""
     lay = sub.layout
     if blocks.all():
-        return solve_local_kkt(lay, H, D, rhs_x, rhs_mu, rho)
+        return solve_local_kkt(lay, H, D, rhs_x, rhs_mu, rho, band)
     s, k = blocks[lay.state_block][:, None], blocks[lay.stage_block][:, None]
     return solve_local_kkt(
         lay, np.where(s[..., None], H, np.eye(sub.model.nx)), np.where(k[..., None], D, 0.0),
@@ -289,15 +294,16 @@ def solve_local_subproblem(
     kkt = np.full(len(lay.lengths), np.inf)
     for k in range(cfg.inner_max_iter):
         ev = evaluate_stack(sub, x) if k or evaluation is None else evaluation
+        band = link_band(lay, ev.D, False)
         grad = ev.g + at_lam + rho * (x - y_ref)
-        kkt[active] = _block_max(sub, grad + stage_transpose(lay, ev.D, mu), ev.F)[active]
+        kkt[active] = _block_max(sub, grad + _at_mu(sub, band, mu), ev.F)[active]
         active &= ~(kkt <= cfg.inner_tol)
         if not active.any():
             return LocalSolveResult(x.reshape(-1), mu.reshape(-1), int(steps.max()), True,
                                     float(kkt.max()), ev)
 
         H = hessian_blocks(sub, x, mu, rho, ev, True)
-        dx, mu_new = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, active)
+        dx, mu_new = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, active, band)
         search = active & ~(kkt <= _FULL_STEP_TOL)  # a NaN residual searches too
         step = (active & ~search).astype(float)
         if search.any():
@@ -310,7 +316,7 @@ def solve_local_subproblem(
             retry = search & (found == 0)
             if retry.any():
                 H = hessian_blocks(sub, x, mu, rho, ev, False)
-                dx_gn, mu_gn = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, retry)
+                dx_gn, mu_gn = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, retry, band)
                 dx = np.where(retry[lay.state_block][:, None], dx_gn, dx)
                 mu_new = np.where(retry[lay.stage_block][:, None], mu_gn, mu_new)
                 found += _line_search(sub, x, dx, retry, sigma, at_lam, y_ref, rho, merit0, slack)

@@ -66,10 +66,7 @@ class LiftedLayout:
     ``L + 1`` window states in time order; the duplicated terminal states of
     interior sub-windows carry no measurement. ``time`` maps every stacked
     state to its window state and ``state_block`` to its sub-window, and
-    ``eye`` is the ``nx x nx`` identity. State ``j`` takes row ``as_prev[j]``
-    and row ``as_next[j]`` of :func:`stage_transpose`'s ``[0; -(mu D); mu]``:
-    ``1 + k`` for the stage with ``prev[k] = j``, ``1 + L + k`` for the one
-    with ``next[k] = j``, 0 for none. ``shapes`` are ``(L + N, nx, nx)``,
+    ``eye`` is the ``nx x nx`` identity. ``shapes`` are ``(L + N, nx, nx)``,
     ``(L + N, nx)``, ``(L, nx, nx)``, ``(L, nx)`` and ``(r,)``: per-state blocks
     and rows, per-stage blocks and rows, coupling rows. Arrays are read-only.
     """
@@ -91,8 +88,6 @@ class LiftedLayout:
     time: Array
     state_block: Array
     eye: Array
-    as_prev: Array
-    as_next: Array
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -117,8 +112,6 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
     start = np.concatenate([[0], np.cumsum(n)[:-1]])
     stage_block = np.repeat(blocks, n)
     prev = np.arange(L) + stage_block
-    rows = np.zeros((2, L + N), dtype=np.intp)
-    rows[0, prev], rows[1, prev + 1] = np.arange(1, L + 1), np.arange(L + 1, 2 * L + 1)
     maps = dict(
         start=start,
         first=start + blocks,
@@ -130,7 +123,6 @@ def lifted_layout(lengths: tuple[int, ...], nx: int) -> LiftedLayout:
         time=np.arange(L + N) - np.repeat(blocks, n + 1),
         state_block=np.repeat(blocks, n + 1),
         eye=np.eye(nx),
-        as_prev=rows[0], as_next=rows[1],
     )
     for a in maps.values():
         a.flags.writeable = False  # cached and shared by every caller
@@ -387,10 +379,9 @@ def constraint_vector(sub: SubProblem, X: Array) -> Array:
     return _defects(sub, sub.states(X))[0].reshape(-1)
 
 
-# Stage-form products, used here and by local_nlp and solvers; qp_core uses
-# none of them. Like the lifted layout they need no scipy, which this module
-# does not import: with scipy imported from inside it, `import splitmhe` in a
-# fresh interpreter took about 10 % longer.
+# The dense stage Jacobian, like the lifted layout, needs no scipy, which this
+# module does not import: with scipy imported from inside it, `import splitmhe`
+# in a fresh interpreter took about 10 % longer.
 
 
 def stage_constraint_matrix(layout: LiftedLayout, D: Array) -> Array:
@@ -402,13 +393,6 @@ def stage_constraint_matrix(layout: LiftedLayout, D: Array) -> Array:
     C[k, :, layout.prev, :] = -D
     C[k, :, layout.next, :] = np.eye(nx)
     return C.reshape(t * nx, layout.n_states * nx)
-
-
-def stage_transpose(layout: LiftedLayout, D: Array, mu: Array) -> Array:
-    """``C' mu`` on a lifted stack: stage ``k`` contributes ``-D_k' mu_k`` to
-    state ``prev[k]`` and ``mu_k`` to state ``next[k]``; ``mu`` is ``(L, nx)``."""
-    table = np.concatenate((np.zeros((1, mu.shape[1])), -(mu[:, None, :] @ D)[:, 0], mu))
-    return table.take(layout.as_prev, 0) + table.take(layout.as_next, 0)
 
 
 class StageEvaluation(NamedTuple):

@@ -34,13 +34,15 @@ recursions of Rao, Wright & Rawlings, JOTA 99(3), 1998). With the links as
 the unit lower block-bidiagonal matrix ``B``, one banded triangular solve
 gives ``dX = Z dX_0 + e``; one Cholesky factorization of the ``nx x nx``
 reduced Hessian ``Z' H Z`` gives ``dX_0``, refined once against the reduced
-gradient; and one transposed triangular solve gives every link multiplier.
-A whole window costs ``O((L + N) nx^3)`` in a fixed number of LAPACK calls,
-and no per-state Hessian is ever factored: only the reduced Hessian must be
-positive definite, and the links have full row rank by construction. The
-condensed map's conditioning follows the products of the ``D_j``, so it is
-accurate on the contracting or polynomially growing dynamics of a sampled
-system and loses digits on chains that expand geometrically.
+gradient; and one transposed triangular solve gives every link multiplier
+``nu``. A whole window costs ``O((L + N) nx^3)`` in a fixed number of LAPACK
+calls, and no per-state Hessian is ever factored: only the reduced Hessian
+must be positive definite, and the links have full row rank by construction.
+The condensed map's conditioning follows the products of the ``D_j``, so it
+is accurate on the contracting or polynomially growing dynamics of a sampled
+system and loses digits on chains that expand geometrically. The band of
+``B`` (:func:`link_band`) also gives the stationarity ``C' mu + A' lam`` as
+one product ``B' nu``, row 0 of ``nu`` zeroed (:func:`link_transpose`).
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. The coupled QP is never regularized: a Hessian that is not
@@ -76,6 +78,7 @@ Array = np.ndarray
 # at or below this reciprocal condition estimate R_i counts as rank deficient
 RANK_RCOND_LIMIT = 1e-12
 _ONE = np.ones(1)  # the leading 1 of z, not converted from a list on every call
+_largest = np.maximum.reduce  # ndarray.max without its Python wrapper
 
 
 @dataclass(eq=False)
@@ -146,6 +149,7 @@ class StageStack:
     D: Array
     d: Array
     anchor: Array
+    band: Array | None = None  # link_band(layout, D, True), or None to build it
 
     def __post_init__(self):
         try:
@@ -169,9 +173,9 @@ class SchurTerms:
     to the Schur matrix and right-hand side.
 
     A condensed :class:`StageStack` is the same map of ``z = (1, dX_0)``: ``S``
-    is the reduced Hessian and ``S dX_0 = s``, ``V z`` is the stationarity
-    residual ``H dX + g``, and ``band``, the banded link matrix ``B``, gives the
-    link multipliers ``-B^-T V z``.
+    is the unsymmetrised reduced Hessian, whose factor reads the lower triangle,
+    ``S dX_0 = s``, ``V z`` is the stationarity residual ``H dX + g``, and
+    ``band``, the banded link matrix ``B``, gives the link multipliers ``-B^-T V z``.
     """
 
     S: Array
@@ -194,6 +198,7 @@ class QpSolution:
     mu: list[Array] | Array
     delta_x: list[Array] | Array
     diagnostics: dict
+    nu: Array | None = None  # a stack's link multipliers, row 0 zeroed
 
 
 def _require_finite(where: str, index: int | None, **arrays: Array) -> None:
@@ -326,15 +331,15 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
 
 @lru_cache(maxsize=128)
 def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array, Array]:
-    """Take index, from ``[D.ravel(), coupling.ravel(), 0]``, of the transposed
-    LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``;
-    the tail ``[coupling.ravel(), 0]``, ``I`` if ``linked`` else zero; the rows
-    of the offsets; and the right-hand side with zero offsets and ``E``.
+    """Take index, from ``[D.ravel(), coupling.ravel(), 0, -1]``, of the transposed
+    LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``-B``;
+    the tail ``[coupling.ravel(), 0, -1]``, ``I`` if ``linked`` else zero; the
+    rows of the offsets; and the right-hand side with zero offsets and ``E``.
 
     Block row 0 of ``B`` is ``[I, 0, ...]`` and block row ``j + 1`` is link
     ``j``, ``-D_j`` on state ``j`` and ``I`` on state ``j + 1``; a coupling
-    link takes the one ``coupling`` block. The unit diagonal is implied, so
-    every slot but the ``-D_j`` entries takes the trailing zero."""
+    link takes the one ``coupling`` block. The diagonal takes the ``-1`` and
+    every other slot but the ``-D_j`` entries the zero."""
     nx, size = lay.nx, lay.nx * lay.nx
     # stage k is link prev[k]; coupling row c is link last[c], and all share one block
     source = np.full(lay.n_states - 1, lay.L * size)
@@ -342,8 +347,9 @@ def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array,
     j = np.arange(lay.n_states - 1)[:, None, None]
     a, c = np.arange(nx)[:, None], np.arange(nx)
     index = np.full((lay.n_states * nx, 2 * nx), (lay.L + 1) * size, dtype=np.intp)
+    index[:, 0] += 1
     index[j * nx + c, nx + a - c] = source[j] + a * nx + c
-    tail = np.append(lay.eye.reshape(-1) * linked, 0.0)
+    tail = np.append(lay.eye.reshape(-1) * linked, (0.0, -1.0))
     rows = np.concatenate((lay.next, lay.first[1:])) if linked else lay.next
     rhs = np.zeros((nx + 1, lay.n_states, nx))
     rhs[1:, lay.first[:1] if linked else lay.first] = lay.eye[:, None]
@@ -352,18 +358,30 @@ def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array,
     return index, tail, rows, rhs
 
 
-def _chain_solve(lay: LiftedLayout, D: Array, offsets: Array, linked: bool) -> tuple[Array, Array]:
-    """The band of the link matrix ``B`` of :func:`_chain_tables` and
-    ``B^-1 [(0; offsets) | E]`` ``(L + N, nx, nx + 1)`` from one unit lower
-    triangular banded solve (``dtbtrs``). Link ``j`` sits on row ``j + 1``, so
-    the ``L`` stage offsets sit on the rows ``next``; if ``linked``, the
-    ``N - 1`` coupling offsets follow on the rows ``first[1:]``, and otherwise
-    the coupling blocks are zero, which unlinks the sub-windows. ``E`` holds
-    an identity block on the first state, or on every sub-window's first
-    state if not ``linked``."""
+def link_band(lay: LiftedLayout, D: Array, linked: bool) -> Array:
+    """``B`` of :func:`_chain_tables` at ``D`` in LAPACK lower band storage, Fortran-ordered
+    ``(2 nx, (L + N) nx)``; if not ``linked``, zero coupling blocks unlink the sub-windows."""
+    index, tail = _chain_tables(lay, linked)[:2]
+    return -np.concatenate((D.reshape(-1), tail)).take(index).T
+
+
+def link_transpose(band: Array, nu: Array) -> Array:
+    """``B' nu``, flat, in one banded product: ``C' mu + A' lam`` for the link multipliers
+    of :class:`QpSolution`, ``C' mu`` if unlinked and every first row zero. ``dgbmv``, as
+    OpenBLAS threads every ``dtbmv``: 3 to 9 times slower on two threads here."""
+    flat = nu.reshape(-1)
+    return scipy.linalg.blas.dgbmv(nu.size, nu.size, len(band) - 1, 0, 1.0, band, flat, trans=1)
+
+
+def _chain_solve(lay: LiftedLayout, D, offsets, linked: bool, band) -> tuple[Array, Array]:
+    """``band``, or :func:`link_band` if None, and ``B^-1 [(0; offsets) | E]``
+    ``(L + N, nx, nx + 1)`` from one unit lower triangular banded solve (``dtbtrs``).
+    Link ``j`` sits on row ``j + 1``: the ``L`` stage offsets on the rows ``next`` and,
+    if ``linked``, the ``N - 1`` coupling offsets on the rows ``first[1:]``. ``E`` holds
+    an identity block on the first state, or on every sub-window's first state if not."""
     n, nx = lay.n_states, lay.nx
-    index, tail, rows, rhs = _chain_tables(lay, linked)
-    band = -np.concatenate((D.reshape(-1), tail)).take(index).T  # Fortran order, as LAPACK takes it
+    band = link_band(lay, D, linked) if band is None else band
+    rows, rhs = _chain_tables(lay, linked)[2:]
     rhs = rhs.copy()
     rhs[0, rows] = offsets
     rhs = rhs.reshape(nx + 1, -1).T
@@ -383,15 +401,14 @@ def _condense(stack: StageStack) -> SchurTerms:
     """
     lay, nx = stack.layout, stack.layout.nx
     offsets = np.concatenate((-stack.d, stack.anchor.reshape(-1, nx)))
-    band, W = _chain_solve(lay, stack.D, offsets, True)
+    band, W = _chain_solve(lay, stack.D, offsets, True, stack.band)
     # the batched product on a C-ordered copy of the LAPACK output takes about
     # two thirds of the time, bit for bit the same
     U, V = -W, stack.H @ np.ascontiguousarray(W)
     V[..., 0] += stack.g
     U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
     reduced = U[:, 1:].T @ V
-    S = -reduced[:, 1:]
-    return SchurTerms(S=0.5 * (S + S.T), s=reduced[:, 0], U=U, V=V, band=band)
+    return SchurTerms(S=-reduced[:, 1:], s=reduced[:, 0], U=U, V=V, band=band)
 
 
 def _solve_stack(stack: StageStack) -> QpSolution:
@@ -412,19 +429,22 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     z[1:] -= lapack.dpotrs(factor, back[:nx], lower=1)[0]
     nu = -lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0].reshape(-1, nx)
     abs_nu = np.abs(nu)
+    # the refined reduced gradient, relative to the multipliers' scale
+    reduced_gradient = float(_largest(abs_nu[0])) / (1.0 + float(_largest(abs_nu, axis=None)))
+    nu[0] = 0.0
     # link j is row j + 1 of nu: stage k is link prev[k], and coupling row c is
     # link last[c], whose multiplier is minus the coupling row's
     return QpSolution(
         lam=-nu.take(lay.first[1:], 0).reshape(-1),
         mu=nu.take(lay.next, 0),
         delta_x=-(terms.U @ z).reshape(-1, nx),
-        # the refined reduced gradient, relative to the multipliers' scale
-        diagnostics={"reduced_gradient": float(abs_nu[0].max()) / (1.0 + float(abs_nu.max()))},
+        diagnostics={"reduced_gradient": reduced_gradient},
+        nu=nu,
     )
 
 
 def solve_local_kkt(
-    layout: LiftedLayout, H: Array, D: Array, rhs_x: Array, rhs_mu: Array, eps0: float
+    layout: LiftedLayout, H: Array, D: Array, rhs_x: Array, rhs_mu: Array, eps0: float, band=None
 ) -> tuple[Array, Array]:
     """Solve the local KKT systems ``[[H, C'], [C, 0]] (dx, mu) = (rhs_x, rhs_mu)``
     of a run of unlinked sub-windows, each condensed onto its first state.
@@ -438,11 +458,11 @@ def solve_local_kkt(
     A singular reduced system, named by its own zero LU pivot, has its
     sub-window's ``H`` alone shifted by ``eps0 * 10**k``, ``k = 0, 1, 2``, before
     :class:`LocalSolveError` is raised; a retry redoes only the product and the
-    reduction, as ``e`` and ``Z`` do not depend on ``H``. Returns ``dx``
-    ``(states, nx)`` and ``mu`` ``(L, nx)``.
+    reduction, as ``e`` and ``Z`` do not depend on ``H``. ``band`` is
+    ``link_band(layout, D, False)`` or None. Returns ``dx`` and ``mu`` ``(L, nx)``.
     """
     lay, nx = layout, layout.nx
-    band, U = _chain_solve(lay, D, rhs_mu, False)
+    band, U = _chain_solve(lay, D, rhs_mu, False, band)
     rungs, shifted = [0] * len(lay.lengths), H
     while True:
         V = shifted @ np.ascontiguousarray(U)

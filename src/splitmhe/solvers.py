@@ -8,9 +8,9 @@ QP from that evaluation, with Gauss-Newton Hessians shifted by ``rho``, solves
 it in closed form as one :class:`~splitmhe.qp_core.StageStack`, takes the
 consensus update, and records the metrics of a :class:`ConvergenceRecord`.
 Wherever the new consensus iterate is the next linearization point, its
-metrics evaluation doubles as the next iteration's QP data. Each of these
-steps is a fixed number of array calls, whatever the number of sub-windows,
-so runs are deterministic.
+metrics evaluation and link band double as the next iteration's QP data.
+Each of these steps is a fixed number of array calls, whatever the number of
+sub-windows, so runs are deterministic.
 
 The algorithms differ only in a local step around the coordination, taken
 for all blocks at once on the stack:
@@ -46,10 +46,9 @@ from .problem import (
     evaluate_stack,
     extract_trajectory,
     lift,
-    stage_transpose,
     subproblem,
 )
-from .qp_core import StageStack, solve_coupled_qp
+from .qp_core import StageStack, link_band, link_transpose, solve_coupled_qp
 
 Array = np.ndarray
 
@@ -222,8 +221,8 @@ def _drive(
     """
     run = subproblem(instance, partition, range(partition.N))
     x_warm, y, lam, mu = _initial_iterate(instance, partition, warm)
-    # ev: the stack's evaluation at x, carried from the last metrics
-    x, ev = y, None
+    # ev: the stack's evaluation at x, carried from the last metrics (ev_band, with its band)
+    x, ev, ev_band = y, None, (None, None)
     if start:
         try:
             x, mu, ev = start(run, x_warm, y, lam, mu)
@@ -243,6 +242,7 @@ def _drive(
             stack = StageStack(
                 layout=partition, H=hessian_blocks(run, x, None, cfg.rho, ev, False),
                 g=ev.g, D=ev.D, d=ev.F, anchor=coupling_residual(partition, x),
+                band=ev_band[1] if ev_band[0] is ev else None,
             )
             local_s = time.perf_counter() - t0
 
@@ -258,8 +258,8 @@ def _drive(
             local_s += time.perf_counter() - t0
 
             ev_new = evaluate_stack(run, y_new)
-            stat = ev_new.g + stage_transpose(run.layout, ev_new.D, sol.mu)
-            stat += run.apply_coupling_transpose(sol.lam).reshape(stat.shape)
+            ev_band = ev_new, link_band(partition, ev_new.D, True)
+            stat = ev_new.g.reshape(-1) + link_transpose(ev_band[1], sol.nu)
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())

@@ -2,8 +2,9 @@
 
 ``tests/test_drift.py`` compares every cell below against
 ``tests/drift_golden.json``: per window, the status, the iteration count and
-the newest state estimate. A change that is meant to move a cell regenerates
-the file with
+the newest state estimate. The file also holds every record's
+:data:`RECORD_FIELDS`, which the gate does not compare. A change that is
+meant to move a cell regenerates the file with
 
     PYTHONPATH=src python tests/drift_golden.py
 
@@ -12,20 +13,24 @@ and says in CHANGES.md which cells moved and why.
     PYTHONPATH=src python tests/drift_golden.py --diff
 
 runs the cells and prints, for each golden cell, any status or iteration
-mismatch and the largest estimate deviation, without rewriting the file. A
-cell that the gate would fail is marked FAIL, and the script then exits 1.
+mismatch, the largest estimate deviation and the largest record-metric
+deviation, relative to the golden value or the outer tolerance, whichever is
+larger, over the iterations both runs have. It rewrites nothing. A cell that
+the gate would fail is marked FAIL, and the script then exits 1.
 
     PYTHONPATH=src python tests/drift_golden.py --digest
 
-prints one SHA-256 per algorithm and proximal weight (its default and the
-gate's) over every window of two full receding horizons (60 steps at seed 0,
-40 at seed 1, horizon 25, N = 4): each window's status, iteration count,
-estimate bytes, trajectory bytes and ``SolveResult.objective``, and every
+prints, per algorithm and proximal weight (its default and the gate's), two
+SHA-256s, each cut to 32 hex digits, over every window of two full receding
+horizons (60 steps at seed 0, 40 at seed 1, horizon 25, N = 4). The first
+hashes the solutions: each window's status, iteration count, estimate bytes,
+trajectory bytes and ``SolveResult.objective``. The second hashes every
 record's four termination metrics and ``objective`` (:data:`RECORD_FIELDS`),
-so a change to a metric alone shows too. Two more
-lines hash the same of the benchmark's long windows: one cold window of
-``L = 400`` at seed 0 on a 4-iteration budget with ``tol`` 0, solved by
-``centralized`` and by ``dsqp`` at ``N = 66``, both at their default ``rho``.
+so a change that moves a metric at roundoff and leaves the solutions bit for
+bit shows as such. Two more lines hash the same of the benchmark's long
+windows: one cold window of ``L = 400`` at seed 0 on a 4-iteration budget
+with ``tol`` 0, solved by ``centralized`` and by ``dsqp`` at ``N = 66``, both
+at their default ``rho``.
 It rewrites nothing; run it against two source trees, e.g.
 ``PYTHONPATH=<tree>/src``, to compare their solutions bit for bit.
 """
@@ -71,6 +76,7 @@ def _cell(outcome) -> dict:
         "status": outcome.status,
         "iterations": outcome.iterations,
         "estimate": [float(v) for v in outcome.estimate],
+        "records": [] if outcome.result is None else _record_metrics(outcome.result).tolist(),
     }
 
 
@@ -99,8 +105,9 @@ def diff_lines(
 ) -> tuple[list[str], bool]:
     """One line per cell: its status and iteration mismatches, by window, the
     windows whose estimates miss the golden file by more than the gate's
-    :data:`ESTIMATE_TOL`, and the largest absolute estimate deviation. A cell
-    that the gate fails is marked FAIL; the flag says whether any is."""
+    :data:`ESTIMATE_TOL`, the largest absolute estimate deviation and the
+    largest record-metric deviation (:func:`record_deviation`). A cell that
+    the gate fails is marked FAIL; the flag says whether any is."""
     lines = [f"FAIL {name}: not in the golden file" for name in cells if name not in golden]
     for name, want in golden.items():
         got = cells.get(name)
@@ -124,46 +131,73 @@ def diff_lines(
              for g, w in zip(got, want)),
             default=0.0,
         )
+        records = max((record_deviation(g, w) for g, w in zip(got, want)), default=0.0)
         mark = "FAIL " if notes else ""
-        lines.append(f"{mark}{name}: estimate deviation {deviation:.3e}; "
-                     + ("; ".join(notes) or "ok"))
+        lines.append(f"{mark}{name}: estimate deviation {deviation:.3e}, record deviation "
+                     f"{records:.3e}; " + ("; ".join(notes) or "ok"))
     return lines, any(line.startswith("FAIL") for line in lines)
 
 
-def _hash_window(digest, window) -> None:
-    digest.update(f"{window.status}/{window.iterations}/{window.error}".encode())
-    digest.update(np.asarray(window.estimate, dtype=float).tobytes())
+def record_deviation(got: dict, want: dict) -> float:
+    """The largest deviation of a window's record metrics from the golden ones,
+    relative to the golden value or :data:`TOL`, whichever is larger, over the
+    iterations both have; 0 where the golden window holds no records."""
+    k = min(len(got["records"]), len(want.get("records", ())))
+    if not k:
+        return 0.0
+    g, w = np.array(got["records"][:k]), np.array(want["records"][:k])
+    return float((np.abs(g - w) / np.maximum(np.abs(w), TOL)).max())
+
+
+def _hash_window(solutions, records, window) -> None:
+    solutions.update(f"{window.status}/{window.iterations}/{window.error}".encode())
+    solutions.update(np.asarray(window.estimate, dtype=float).tobytes())
     if window.result is not None:
-        digest.update(window.result.trajectory.tobytes())
-        digest.update(np.float64(window.result.objective).tobytes())
-        for record in window.result.records:
-            digest.update(np.array([getattr(record, f) for f in RECORD_FIELDS]).tobytes())
+        solutions.update(window.result.trajectory.tobytes())
+        solutions.update(np.float64(window.result.objective).tobytes())
+        records.update(_record_metrics(window.result).tobytes())
+
+
+def _record_metrics(result) -> np.ndarray:
+    """The :data:`RECORD_FIELDS` of every record, one row per iteration."""
+    return np.array([[getattr(r, f) for f in RECORD_FIELDS] for r in result.records]).reshape(
+        -1, len(RECORD_FIELDS)
+    )
 
 
 def digest_lines() -> list[str]:
-    """One SHA-256 per algorithm and ``rho`` (its default, then the gate's)
-    over every window of :data:`DIGEST_RUNS`, then one per long window of
-    :data:`LONG_RUNS`."""
-    lines = []
+    """Per algorithm and ``rho`` (its default, then the gate's) over every
+    window of :data:`DIGEST_RUNS`, then per long window of :data:`LONG_RUNS`,
+    one line of two SHA-256s: of the solutions and of the record metrics."""
+    runs = []
     for algorithm, gate_rho in RHO.items():
         for rho in (sm.SolverConfig(algorithm=algorithm).rho, gate_rho):
             cfg = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=TOL, max_iter=MAX_ITER)
-            digest = hashlib.sha256()
-            for seed, steps in DIGEST_RUNS:
-                scenario = sm.generate_scenario(steps=steps, seed=seed)
-                for window in sm.run_receding_horizon(scenario, cfg, RH_N):
-                    _hash_window(digest, window)
-            lines.append(f"{algorithm} rho={rho:g}: {digest.hexdigest()}")
+            windows = [
+                window
+                for seed, steps in DIGEST_RUNS
+                for window in sm.run_receding_horizon(
+                    sm.generate_scenario(steps=steps, seed=seed), cfg, RH_N
+                )
+            ]
+            runs.append((f"{algorithm} rho={rho:g}", windows))
     scenario = sm.generate_scenario(steps=LONG_L, seed=LONG_SEED)
     for algorithm, n in LONG_RUNS:
         cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=LONG_ITERS)
         result = sm.solve_window(scenario, LONG_L, cfg, n, LONG_L)
-        digest = hashlib.sha256()
-        _hash_window(digest, sm.WindowOutcome(
+        window = sm.WindowOutcome(
             window_end=LONG_L, status=result.status, iterations=result.iterations,
             estimate=result.trajectory[-1], result=result,
-        ))
-        lines.append(f"{algorithm} L={LONG_L} N={n} rho={cfg.rho:g}: {digest.hexdigest()}")
+        )
+        runs.append((f"{algorithm} L={LONG_L} N={n} rho={cfg.rho:g}", [window]))
+    lines = []
+    for name, windows in runs:
+        solutions, records = hashlib.sha256(), hashlib.sha256()
+        for window in windows:
+            _hash_window(solutions, records, window)
+        lines.append(
+            f"{name}: solutions {solutions.hexdigest()[:32]} records {records.hexdigest()[:32]}"
+        )
     return lines
 
 

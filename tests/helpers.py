@@ -42,8 +42,8 @@ def counting_model(model, calls):
 
 
 def stage_transpose_reference(layout, D, mu):
-    """``C' mu`` on a lifted stack by scatter, the reference for the ``take``
-    form of ``problem.stage_transpose``: stage ``k`` sets ``-D_k' mu_k`` on
+    """``C' mu`` on a lifted stack by scatter, the reference for the banded
+    product ``qp_core.link_transpose``: stage ``k`` sets ``-D_k' mu_k`` on
     state ``prev[k]``, then adds ``mu_k`` to state ``next[k]``."""
     out = np.zeros((layout.n_states, D.shape[1]))
     out[layout.prev] = -(mu[:, None, :] @ D)[:, 0]

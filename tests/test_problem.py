@@ -5,8 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import splitmhe as sm
 from splitmhe import local_nlp, problem
@@ -15,14 +13,11 @@ from splitmhe.problem import (
     constraint_vector,
     eval_residual_stack,
     inv_sqrt_spd,
-    lifted_layout,
     residual_vector,
-    stage_constraint_matrix,
-    stage_transpose,
     sub_objective,
 )
 
-from helpers import counting_model, fd_jacobian, rel_err, stage_transpose_reference
+from helpers import counting_model, fd_jacobian, rel_err
 
 
 def test_partition_benchmark_shape():
@@ -358,35 +353,10 @@ def test_lifted_layout_places_states_and_stages():
     ]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    nx=st.integers(1, 3),
-    lengths=st.one_of(
-        st.lists(st.integers(1, 6), min_size=1, max_size=12),
-        st.integers(1, 12).map(lambda L: [L]),  # N = 1
-        st.integers(1, 12).map(lambda L: [1] * L),  # N = L, one-stage sub-windows
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_stage_transpose_take_form_is_the_scatter_form(nx, lengths, seed):
-    """``C' mu`` from two takes of ``[0; -(mu D); mu]`` is the scatter form
-    bit for bit, and both are the dense product."""
-    lay = lifted_layout(tuple(lengths), nx)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    D, mu = rng.standard_normal((lay.L, nx, nx)), rng.standard_normal((lay.L, nx))
-    got = stage_transpose(lay, D, mu)
-    assert np.array_equal(got, stage_transpose_reference(lay, D, mu))
-    dense = (stage_constraint_matrix(lay, D).T @ mu.reshape(-1)).reshape(lay.n_states, nx)
-    assert np.abs(got - dense).max() <= 1e-12 * (1.0 + np.abs(dense).max())
-
-
 def test_layout_caches_the_shapes_it_checks():
     lay = sm.build_partition(25, 4, 3)
     assert (lay.L, lay.N, lay.r, lay.n_states) == (25, 4, 9, 29)
     assert lay.shapes == ((29, 3, 3), (29, 3), (25, 3, 3), (25, 3), (9,))
-    assert lay.as_prev.tolist()[:8] == [1, 2, 3, 4, 5, 6, 0, 7]
-    assert lay.as_next.tolist()[:8] == [0, 26, 27, 28, 29, 30, 31, 0]
-    assert not lay.as_prev.flags.writeable and not lay.as_next.flags.writeable
 
 
 @pytest.mark.parametrize("n_sub", [1, 4, 25])

@@ -19,9 +19,18 @@ from splitmhe.errors import (
 )
 from splitmhe.local_nlp import hessian_blocks
 from splitmhe.problem import evaluate_stack, lift, lifted_layout, subproblem
-from splitmhe.qp_core import random_blocks, schur_terms, solve_local_kkt
+from splitmhe.qp_core import link_band, link_transpose, random_blocks, schur_terms, solve_local_kkt
 
-from helpers import dense_blocks, dense_kkt, kkt_residual_qp, random_stage_stack, refined_solve
+from conftest import build_linear_instance
+from helpers import (
+    dense_blocks,
+    dense_kkt,
+    kkt_residual_qp,
+    random_stage_stack,
+    refined_solve,
+    rel_err,
+    stage_transpose_reference,
+)
 
 
 def scalar_pair():
@@ -392,6 +401,48 @@ def test_stage_solve_is_one_banded_triangular_chain_solve(monkeypatch):
         assert calls == [
             ("dtbtrs", "N", (rows, 4)), ("dtbtrs", "T", (rows,)), ("dtbtrs", "T", (rows,))
         ], f"N = {n_blocks}"
+
+
+@pytest.mark.parametrize("linked", [True, False])
+@pytest.mark.parametrize("lengths", [(7,), (3, 4, 2, 5)])
+@pytest.mark.parametrize("nx", [2, 3])
+def test_link_band_product_is_the_stage_and_coupling_transpose(nx, lengths, linked):
+    """``B' nu`` on the link band is ``C' mu + A' lam`` for the multipliers that
+    ``nu`` holds, row 0 zero: the scatter form of ``C' mu`` plus the dense
+    coupling rows. On the unlinked band, with every first row of ``nu`` zero,
+    it is ``C' mu`` alone."""
+    lay = lifted_layout(lengths, nx)
+    model = sm.make_linear_model(np.eye(nx), np.ones((nx, 1)), np.ones((1, nx)))
+    run = subproblem(build_linear_instance(model, L=lay.L), lay, range(lay.N))
+    rng = np.random.Generator(np.random.PCG64(7))
+    D, nu = rng.standard_normal((lay.L, nx, nx)), rng.standard_normal(lay.shapes[1])
+    nu[lay.first[:1] if linked else lay.first] = 0.0
+    want = stage_transpose_reference(lay, D, nu[lay.next])
+    if linked:
+        lam = -nu[lay.first[1:]].reshape(-1)
+        want += (run.coupling_matrix().T @ lam).reshape(want.shape)
+    given = nu.copy()
+    got = link_transpose(link_band(lay, D, linked), nu)
+    assert rel_err(got, want.reshape(-1)) <= 1e-15
+    assert np.array_equal(nu, given)  # the product does not overwrite its input
+
+
+def test_a_supplied_band_solves_bit_for_bit_as_the_built_one():
+    """A stack that brings its evaluation's band solves exactly as one that
+    builds the band from ``D``."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    for n_blocks in (1, 4, 25):
+        stack = random_stage_stack(rng, n_blocks, 3)
+        built = sm.solve_coupled_qp(stack)
+        supplied = sm.solve_coupled_qp(replace(stack, band=link_band(stack.layout, stack.D, True)))
+        for name in ("lam", "mu", "delta_x", "nu"):
+            assert np.array_equal(getattr(built, name), getattr(supplied, name)), name
+        assert built.diagnostics == supplied.diagnostics
+        # the link multipliers hold the stage and coupling multipliers, row 0 zero
+        lay = stack.layout
+        assert not built.nu[0].any()
+        assert np.array_equal(built.nu[lay.next], built.mu)
+        assert np.array_equal(-built.nu[lay.first[1:]].reshape(-1), built.lam)
 
 
 def test_stage_condensing_accuracy_follows_the_growth_of_the_chain():

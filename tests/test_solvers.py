@@ -25,6 +25,7 @@ from splitmhe.solvers import (
 )
 
 from conftest import build_linear_instance
+from drift_golden import RECORD_FIELDS
 from helpers import counting_model, linear_window_optimum
 
 
@@ -470,25 +471,62 @@ def test_sqp_work_per_iteration_is_pinned(benchmark_instance, algorithm, monkeyp
     """The work counts of an SQP iteration on the benchmark window, exactly:
     one call of each model callable (plus the first evaluation and the
     result's objective), one Cholesky factor of the reduced Hessian with two
-    solves against it, and three banded triangular solves. A change that adds
-    work on this path moves these counts."""
+    solves against it, three banded triangular solves, and one banded product
+    (``dgbmv``) for the stationarity. A change that adds work on this path moves these
+    counts."""
     k = 5
     calls = Counter()
     instance = replace(benchmark_instance, model=counting_model(benchmark_instance.model, calls))
-    for name in ("dtbtrs", "dpotrf", "dpotrs"):
-        routine = getattr(scipy.linalg.lapack, name)
+    for module, name in [(scipy.linalg.lapack, n) for n in ("dtbtrs", "dpotrf", "dpotrs")] + [
+        (scipy.linalg.blas, "dgbmv")
+    ]:
+        routine = getattr(module, name)
 
         def counted(*args, _name=name, _routine=routine, **kwargs):
             calls[_name] += 1
             return _routine(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        monkeypatch.setattr(module, name, counted)
     partition = None if algorithm == "centralized" else sm.build_partition(25, 4, 3)
     cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=k)
     assert sm.solve(instance, partition, cfg).iterations == k
     assert calls == {
         "h": k + 2, "dh_dx": k + 1, "f": k + 1, "df_dx": k + 1,
-        "dpotrf": k, "dpotrs": 2 * k, "dtbtrs": 3 * k,
+        "dpotrf": k, "dpotrs": 2 * k, "dtbtrs": 3 * k, "dgbmv": k,
     }
+
+
+@pytest.mark.parametrize("algorithm", ["gn_aladin", "sa_aladin", "dsqp"])
+def test_a_shared_band_is_the_band_of_its_qp_evaluation(benchmark_instance, algorithm, monkeypatch):
+    """Where ``_drive`` hands the metrics evaluation's link band to the next
+    QP, that QP solves bit for bit as one that builds its band from its own
+    ``D``, on every path: a band carried past its evaluation, such as into the
+    QP at a local solve's or a predictor's points, would move the iterates."""
+    partition = sm.build_partition(25, 4, 3)
+    cfg = sm.SolverConfig(algorithm=algorithm, tol=1e-8, max_iter=60)
+    builds = Counter()
+
+    def run():
+        builds.clear()
+        result = sm.solve(benchmark_instance, partition, cfg)
+        metrics = [[getattr(r, f) for f in RECORD_FIELDS] for r in result.records]
+        return result, np.array(metrics), builds["band"]
+
+    def counted_band(*args, _build=qp_core.link_band):
+        builds["band"] += 1
+        return _build(*args)
+
+    for module in (qp_core, solvers, local_nlp):
+        monkeypatch.setattr(module, "link_band", counted_band)
+    shared, shared_metrics, shared_builds = run()
+    monkeypatch.setattr(
+        solvers, "StageStack", lambda band, **fields: qp_core.StageStack(**fields)
+    )
+    built, built_metrics, built_builds = run()
+    assert shared.status == built.status == "converged"
+    assert np.array_equal(shared.trajectory, built.trajectory)
+    assert np.array_equal(shared_metrics, built_metrics)
+    if algorithm == "dsqp":  # each QP but the first takes the last metrics' band
+        assert built_builds - shared_builds == shared.iterations - 1
 
 
 def _refuse(*args, **kwargs):

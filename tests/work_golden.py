@@ -3,8 +3,9 @@
 ``tests/test_work.py`` compares every cell below against
 ``tests/work_golden.json``. A cell is one solve, and it records the
 iterations, the stack evaluations (``problem.evaluate_stack``), the calls of
-each model callable, the LAPACK calls by routine, the ``np.linalg.solve``
-calls, and the calls of ``qp_core.schur_terms`` and
+each model callable, the LAPACK calls by routine, the BLAS banded products
+(``dgbmv``), the link band builds (``qp_core.link_band``), the
+``np.linalg.solve`` calls, and the calls of ``qp_core.schur_terms`` and
 ``qp_core.solve_coupled_qp``. Each count is taken where callers look the
 function up, as the benchmark's tracer wraps it, so a call that goes round a
 wrapped name reads as a moved count. Counts do not move with the host, so the
@@ -63,6 +64,10 @@ def _counted(calls: Counter, name: str, fn):
 
 # (owner, attribute, count name): each name where the package looks it up
 SITES = [(scipy.linalg.lapack, name, f"lapack.{name}") for name in LAPACK] + [
+    (scipy.linalg.blas, "dgbmv", "blas.dgbmv"),
+    (qp_core, "link_band", "qp_core.link_band"),
+    (solvers, "link_band", "qp_core.link_band"),
+    (local_nlp, "link_band", "qp_core.link_band"),
     (np.linalg, "solve", "np.linalg.solve"),
     (solvers, "evaluate_stack", "problem.evaluate_stack"),
     (local_nlp, "evaluate_stack", "problem.evaluate_stack"),

@@ -194,14 +194,17 @@ def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array, b
     """:func:`~splitmhe.qp_core.solve_local_kkt` for the sub-windows in the mask
     ``blocks``, seeded by ``rho``; the others see ``H = I``, ``D = 0`` and a
     zero right-hand side, a zero step that never reaches the shift ladder.
-    With every sub-window in ``blocks`` the data, and ``band``, pass unmasked."""
+    With every sub-window in ``blocks`` the data and ``band`` (``link_band(lay, D, False)``
+    or None) pass unmasked; else a copy of the band has the others' states' links zeroed."""
     lay = sub.layout
     if blocks.all():
         return solve_local_kkt(lay, H, D, rhs_x, rhs_mu, rho, band)
     s, k = blocks[lay.state_block][:, None], blocks[lay.stage_block][:, None]
+    band = (link_band(lay, D, False) if band is None else band).copy(order="K")
+    band[1:, ~s.repeat(lay.nx)] = 0.0
     return solve_local_kkt(
-        lay, np.where(s[..., None], H, np.eye(sub.model.nx)), np.where(k[..., None], D, 0.0),
-        np.where(s, rhs_x, 0.0), np.where(k, rhs_mu, 0.0), rho,
+        lay, np.where(s[..., None], H, lay.eye), D, np.where(s, rhs_x, 0.0),
+        np.where(k, rhs_mu, 0.0), rho, band,
     )
 
 

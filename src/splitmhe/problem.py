@@ -259,6 +259,13 @@ class SubProblem:
         counts[0] += m.nx * self.has_prior
         return np.cumsum(counts) - counts
 
+    @cached_property
+    def measured_rows(self) -> Array:
+        """Per stacked state, its index in ``measured``, or ``len(measured)`` if unmeasured."""
+        rows = np.full(self.layout.n_states, len(self.measured))
+        rows[self.measured] = np.arange(len(self.measured))
+        return rows
+
     def states(self, X: Array) -> Array:
         """The ``(states, nx)`` stack of a flat block vector, or the stack itself."""
         X = np.asarray(X, dtype=float)
@@ -338,7 +345,7 @@ def _residuals(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``V^-1/2 (h(x) - y)`` per measured state in time order; and those states."""
     Xm = X.take(sub.measured, 0)
     dy = sub.model.h(Xm) - sub.measurements
-    b = (sub.v_inv_sqrt @ dy[..., None])[..., 0].reshape(-1)
+    b = (dy @ sub.v_inv_sqrt.T).reshape(-1)
     if sub.has_prior:
         b = np.concatenate([sub.p_inv_sqrt @ (X[0] - sub.prior), b])
     return b, Xm
@@ -417,16 +424,17 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     """:class:`StageEvaluation` of a run of sub-windows at its stack ``X``: one
     ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
     whole window. On the whole window ``b`` is the centralized residual vector
-    of the trajectory that the measured states form."""
+    of the trajectory that the measured states form. Measured states' ``J'b`` and ``J'J``
+    fill buffers with one trailing zero row, spread by one ``take`` of ``measured_rows``."""
     X, model = sub.states(X), sub.model
     (b, Xm), (F, Xp) = _residuals(sub, X), _defects(sub, X)
     Jm = sub.v_inv_sqrt @ model.dh_dx(Xm)
-    JmT = Jm.swapaxes(1, 2)
-    g, W = np.zeros(sub.layout.shapes[1]), np.zeros(sub.layout.shapes[0])
-    k = model.nx * sub.has_prior
-    g[sub.measured] = (JmT @ b[k:].reshape(-1, model.ny, 1))[..., 0]
+    JmT, nx, k = Jm.swapaxes(1, 2), model.nx, model.nx * sub.has_prior
+    g, W = np.zeros((len(Jm) + 1, nx, 1)), np.zeros((len(Jm) + 1, nx, nx))
+    np.matmul(JmT, b[k:].reshape(-1, model.ny, 1), out=g[:-1])
     # J'J on a contiguous J' takes about a third of the time, bit for bit the same
-    W[sub.measured] = np.ascontiguousarray(JmT) @ Jm
+    np.matmul(np.ascontiguousarray(JmT), Jm, out=W[:-1])
+    g, W = g.take(sub.measured_rows, 0).reshape(-1, nx), W.take(sub.measured_rows, 0)
     if sub.has_prior:
         g[0] += sub.p_inv_sqrt.T @ b[:k]
         W[0] += sub.prior_curvature
@@ -462,7 +470,7 @@ def lift_initial_guess(trajectory: Array, partition: LiftedLayout) -> list[Array
 
 def lift(trajectory: Array, partition: LiftedLayout) -> Array:
     """The lifted ``(L + N, nx)`` stack of a window trajectory."""
-    return _trajectory(trajectory, partition.L, partition.nx)[partition.time]
+    return _trajectory(trajectory, partition.L, partition.nx).take(partition.time, 0)
 
 
 def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
@@ -473,10 +481,10 @@ def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
     residual); the two deduplication choices coincide at consensus.
     """
     stack = _as_stack(blocks, partition)
-    trajectory = stack[partition.measured]
+    trajectory = stack.take(partition.measured, 0)
     mismatch = 0.0
     if partition.N > 1:
-        ends, starts = stack[partition.last[:-1]], stack[partition.first[1:]]
+        ends, starts = stack.take(partition.last[:-1], 0), stack.take(partition.first[1:], 0)
         trajectory[partition.start[1:]] = (ends + starts) / 2.0
         mismatch = float(np.abs(ends - starts).max())
     return trajectory, mismatch
@@ -491,11 +499,11 @@ def _trajectory(trajectory: Array, L: int, nx: int) -> Array:
 
 
 def centralized_objective(instance: MheInstance, trajectory: Array) -> float:
-    """Window objective: prior penalty plus all weighted measurement penalties."""
+    """Window objective: prior penalty plus all weighted measurement penalties (one V solve)."""
     x = _trajectory(trajectory, instance.L, instance.model.nx)
     dx = x[0] - instance.prior
-    dy = (instance.model.h(x) - instance.measurements)[..., None]
-    meas = np.swapaxes(dy, 1, 2) @ np.linalg.solve(instance.V, dy)
+    dy = instance.model.h(x) - instance.measurements
+    meas = (dy * np.linalg.solve(instance.V, dy.T).T).sum(axis=1)
     return float(0.5 * dx @ np.linalg.solve(instance.P, dx) + 0.5 * meas.sum())
 
 

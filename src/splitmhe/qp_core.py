@@ -172,10 +172,10 @@ class SchurTerms:
     and its local multipliers ``-V z``; ``S`` and ``s`` are its contributions
     to the Schur matrix and right-hand side.
 
-    A condensed :class:`StageStack` is the same map of ``z = (1, dX_0)``: ``S``
-    is the unsymmetrised reduced Hessian, whose factor reads the lower triangle,
-    ``S dX_0 = s``, ``V z`` is the stationarity residual ``H dX + g``, and
-    ``band``, the banded link matrix ``B``, gives the link multipliers ``-B^-T V z``.
+    A condensed :class:`StageStack` maps ``z = (1, dX_0)`` to the step ``+U z``,
+    ``U = [e, Z]``: ``S`` is the unsymmetrised reduced Hessian, whose factor reads
+    the lower triangle, ``S dX_0 = s``, ``V z`` is the stationarity residual
+    ``H dX + g``, and ``band``, the banded link matrix ``B``, gives ``nu = -B^-T V z``.
     """
 
     S: Array
@@ -331,14 +331,14 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
 
 @lru_cache(maxsize=128)
 def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array, Array]:
-    """Take index, from ``[D.ravel(), coupling.ravel(), 0, -1]``, of the transposed
-    LAPACK lower band storage ``((L + N) nx, 2 nx)`` of the link matrix ``-B``;
-    the tail ``[coupling.ravel(), 0, -1]``, ``I`` if ``linked`` else zero; the
-    rows of the offsets; and the right-hand side with zero offsets and ``E``.
+    """Take index, from ``[-D.ravel(), tail]``, of the transposed LAPACK lower
+    band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``; the tail, stored
+    negated, ``-[coupling.ravel(), 0, -1]`` with ``coupling = I`` if ``linked`` else
+    zero; the rows of the offsets; and the right-hand side with zero offsets and ``E``.
 
     Block row 0 of ``B`` is ``[I, 0, ...]`` and block row ``j + 1`` is link
     ``j``, ``-D_j`` on state ``j`` and ``I`` on state ``j + 1``; a coupling
-    link takes the one ``coupling`` block. The diagonal takes the ``-1`` and
+    link takes the one ``-coupling`` block. The diagonal takes the ``1`` and
     every other slot but the ``-D_j`` entries the zero."""
     nx, size = lay.nx, lay.nx * lay.nx
     # stage k is link prev[k]; coupling row c is link last[c], and all share one block
@@ -349,7 +349,7 @@ def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array,
     index = np.full((lay.n_states * nx, 2 * nx), (lay.L + 1) * size, dtype=np.intp)
     index[:, 0] += 1
     index[j * nx + c, nx + a - c] = source[j] + a * nx + c
-    tail = np.append(lay.eye.reshape(-1) * linked, (0.0, -1.0))
+    tail = -np.append(lay.eye.reshape(-1) * linked, (0.0, -1.0))
     rows = np.concatenate((lay.next, lay.first[1:])) if linked else lay.next
     rhs = np.zeros((nx + 1, lay.n_states, nx))
     rhs[1:, lay.first[:1] if linked else lay.first] = lay.eye[:, None]
@@ -359,10 +359,10 @@ def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array,
 
 
 def link_band(lay: LiftedLayout, D: Array, linked: bool) -> Array:
-    """``B`` of :func:`_chain_tables` at ``D`` in LAPACK lower band storage, Fortran-ordered
-    ``(2 nx, (L + N) nx)``; if not ``linked``, zero coupling blocks unlink the sub-windows."""
+    """``B`` of :func:`_chain_tables` at ``D``, of which only ``D`` is negated, in LAPACK lower
+    band storage ``(2 nx, (L + N) nx)``, Fortran-ordered; unlinked: zero coupling blocks."""
     index, tail = _chain_tables(lay, linked)[:2]
-    return -np.concatenate((D.reshape(-1), tail)).take(index).T
+    return np.concatenate((-D.reshape(-1), tail)).take(index).T
 
 
 def link_transpose(band: Array, nu: Array) -> Array:
@@ -394,21 +394,20 @@ def _condense(stack: StageStack) -> SchurTerms:
 
     With ``B`` the link matrix of :func:`_chain_tables`, every step is
     ``dX = B^-1 (dX_0; -d)``: :func:`_chain_solve` against ``[(0; -d), E_0]``
-    gives ``W = [e, Z]`` and ``U = -W``, so that ``dX = -U z``. Then
-    ``V = [H e + g, H Z]`` is the stationarity map, ``H dX + g = V z``, and
-    ``U' V`` holds the reduced Hessian ``S = Z' H Z`` and right-hand side
-    ``s = -Z' (H e + g)``.
+    gives ``U = [e, Z]``, so that ``dX = U z``. Then ``V = [H e + g, H Z]`` is
+    the stationarity map, ``H dX + g = V z``, and ``Z' V`` holds the reduced
+    Hessian ``S = Z' H Z`` and, negated, the right-hand side ``s = -Z' (H e + g)``.
     """
     lay, nx = stack.layout, stack.layout.nx
     offsets = np.concatenate((-stack.d, stack.anchor.reshape(-1, nx)))
-    band, W = _chain_solve(lay, stack.D, offsets, True, stack.band)
+    band, U = _chain_solve(lay, stack.D, offsets, True, stack.band)
     # the batched product on a C-ordered copy of the LAPACK output takes about
     # two thirds of the time, bit for bit the same
-    U, V = -W, stack.H @ np.ascontiguousarray(W)
+    V = stack.H @ np.ascontiguousarray(U)
     V[..., 0] += stack.g
     U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
     reduced = U[:, 1:].T @ V
-    return SchurTerms(S=-reduced[:, 1:], s=reduced[:, 0], U=U, V=V, band=band)
+    return SchurTerms(S=reduced[:, 1:], s=-reduced[:, 0], U=U, V=V, band=band)
 
 
 def _solve_stack(stack: StageStack) -> QpSolution:
@@ -437,7 +436,7 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     return QpSolution(
         lam=-nu.take(lay.first[1:], 0).reshape(-1),
         mu=nu.take(lay.next, 0),
-        delta_x=-(terms.U @ z).reshape(-1, nx),
+        delta_x=(terms.U @ z).reshape(-1, nx),
         diagnostics={"reduced_gradient": reduced_gradient},
         nu=nu,
     )

@@ -20,14 +20,15 @@ the gate would fail is marked FAIL, and the script then exits 1.
 
     PYTHONPATH=src python tests/drift_golden.py --digest
 
-prints, per algorithm and proximal weight (its default and the gate's), two
+prints, per algorithm and proximal weight (its default and the gate's), three
 SHA-256s, each cut to 32 hex digits, over every window of two full receding
 horizons (60 steps at seed 0, 40 at seed 1, horizon 25, N = 4). The first
-hashes the solutions: each window's status, iteration count, estimate bytes,
-trajectory bytes and ``SolveResult.objective``. The second hashes every
-record's four termination metrics and ``objective`` (:data:`RECORD_FIELDS`),
-so a change that moves a metric at roundoff and leaves the solutions bit for
-bit shows as such. Two more lines hash the same of the benchmark's long
+hashes the solutions: each window's status, iteration count, estimate bytes
+and trajectory bytes. The second hashes the certificate,
+``SolveResult.objective``, and the third every record's four termination
+metrics and ``objective`` (:data:`RECORD_FIELDS`), so a change that moves a
+certificate or a metric at roundoff and leaves the solutions bit for bit
+shows as such. Two more lines hash the same of the benchmark's long
 windows: one cold window of ``L = 400`` at seed 0 on a 4-iteration budget
 with ``tol`` 0, solved by ``centralized`` and by ``dsqp`` at ``N = 66``, both
 at their default ``rho``.
@@ -149,12 +150,12 @@ def record_deviation(got: dict, want: dict) -> float:
     return float((np.abs(g - w) / np.maximum(np.abs(w), TOL)).max())
 
 
-def _hash_window(solutions, records, window) -> None:
+def _hash_window(solutions, objective, records, window) -> None:
     solutions.update(f"{window.status}/{window.iterations}/{window.error}".encode())
     solutions.update(np.asarray(window.estimate, dtype=float).tobytes())
     if window.result is not None:
         solutions.update(window.result.trajectory.tobytes())
-        solutions.update(np.float64(window.result.objective).tobytes())
+        objective.update(np.float64(window.result.objective).tobytes())
         records.update(_record_metrics(window.result).tobytes())
 
 
@@ -168,7 +169,8 @@ def _record_metrics(result) -> np.ndarray:
 def digest_lines() -> list[str]:
     """Per algorithm and ``rho`` (its default, then the gate's) over every
     window of :data:`DIGEST_RUNS`, then per long window of :data:`LONG_RUNS`,
-    one line of two SHA-256s: of the solutions and of the record metrics."""
+    one line of three SHA-256s: of the solutions, the certificate objective
+    and the record metrics."""
     runs = []
     for algorithm, gate_rho in RHO.items():
         for rho in (sm.SolverConfig(algorithm=algorithm).rho, gate_rho):
@@ -192,12 +194,10 @@ def digest_lines() -> list[str]:
         runs.append((f"{algorithm} L={LONG_L} N={n} rho={cfg.rho:g}", [window]))
     lines = []
     for name, windows in runs:
-        solutions, records = hashlib.sha256(), hashlib.sha256()
+        hashes = {key: hashlib.sha256() for key in ("solutions", "objective", "records")}
         for window in windows:
-            _hash_window(solutions, records, window)
-        lines.append(
-            f"{name}: solutions {solutions.hexdigest()[:32]} records {records.hexdigest()[:32]}"
-        )
+            _hash_window(*hashes.values(), window)
+        lines.append(f"{name}: " + " ".join(f"{k} {h.hexdigest()[:32]}" for k, h in hashes.items()))
     return lines
 
 
@@ -210,7 +210,7 @@ if __name__ == "__main__":
     )
     mode.add_argument(
         "--digest", action="store_true",
-        help="print one SHA-256 of full receding-horizon runs per algorithm and rho",
+        help="print SHA-256s of full receding-horizon runs per algorithm and rho",
     )
     args = parser.parse_args()
     if args.diff:

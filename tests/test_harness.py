@@ -2,12 +2,14 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import splitmhe as sm
+from splitmhe import harness
 from splitmhe.errors import (
     DimensionMismatchError,
     FactorizationError,
@@ -30,7 +32,7 @@ from splitmhe.harness import (
 )
 from splitmhe.problem import lift, lifted_layout, subproblem
 
-from helpers import failing_for
+from helpers import counting_model, failing_for
 
 
 def test_scenario_noise_free_measurements_exact(robot):
@@ -342,6 +344,27 @@ def test_solve_window_distributed_matches_centralized(benchmark_scenario):
 def receding_dsqp(benchmark_scenario):
     cfg = sm.SolverConfig(algorithm="dsqp", tol=1e-8, max_iter=120)
     return sm.run_receding_horizon(benchmark_scenario, cfg, n_subwindows=4)
+
+
+def test_every_window_solves_on_a_model_built_for_it_by_robot_model(monkeypatch):
+    """The benchmark's tracer counts model calls by wrapping
+    ``harness.robot_model``: if a window's solve used a model built before
+    (a cached one, say), its ``model.*`` metrics would read zero."""
+    built = []
+
+    def factory(T=0.2, _build=harness.robot_model):
+        built.append(Counter())
+        return counting_model(_build(T=T), built[-1])
+
+    monkeypatch.setattr(harness, "robot_model", factory)
+    scenario = sm.generate_scenario(steps=12, seed=0)
+    cfg = sm.SolverConfig(algorithm="dsqp", max_iter=2)
+    built.clear()
+    sm.solve_window(scenario, 10, cfg, 2, 10)
+    assert len(built) == 1 and built[0]["h"] > 0
+    built.clear()
+    outcomes = sm.run_receding_horizon(scenario, cfg, 2, 10)
+    assert len(outcomes) == 3 and sum(calls["h"] > 0 for calls in built) == 3
 
 
 def test_receding_horizon_noise_free_tracks_truth():

@@ -548,3 +548,26 @@ def test_lockstep_solve_equals_the_solves_of_its_blocks(benchmark_instance, n_su
     for name, a, b in zip(together.evaluation._fields, together.evaluation,
                           problem.evaluate_stack(run, together.x)):
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_a_masked_sub_window_sees_no_links(benchmark_instance):
+    """A KKT step over some sub-windows zeroes the others' links in a copy of
+    the round's band: their data, even non-finite, leave the step finite and
+    zero there and the other sub-windows' steps bit for bit unchanged."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    partition = sm.build_partition(25, 4, 3)
+    run = subproblem(benchmark_instance, partition, range(4))
+    x = problem.lift(benchmark_instance.initial_guess, partition)
+    ev = problem.evaluate_stack(run, x)
+    H = local_nlp.hessian_blocks(run, x, None, 5.0, ev, False)
+    rhs_x, rhs_mu = rng.standard_normal(x.shape), rng.standard_normal(ev.F.shape)
+    blocks = np.array([True, False, True, True])
+    broken = np.where((partition.stage_block == 1)[:, None, None], np.nan, ev.D)
+    band = local_nlp.link_band(partition, broken, False)
+    kept = band.copy()
+    got = local_nlp._kkt_step(run, H, broken, rhs_x, rhs_mu, 5.0, blocks, band)
+    np.testing.assert_array_equal(band, kept)  # the round's band is not masked in place
+    want = local_nlp._kkt_step(run, H, ev.D, rhs_x, rhs_mu, 5.0, blocks)
+    for a, b, rows in zip(got, want, (partition.state_block, partition.stage_block)):
+        np.testing.assert_array_equal(a, b)
+        assert not a[rows == 1].any()

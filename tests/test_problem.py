@@ -362,28 +362,55 @@ def test_layout_caches_the_shapes_it_checks():
 @pytest.mark.parametrize("n_sub", [1, 4, 25])
 def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n_sub):
     """The whole window's evaluation, cut at the sub-window boundaries, is the
-    evaluations of the one-sub-window runs, bit for bit."""
+    evaluations of the one-sub-window runs, bit for bit under the benchmark's
+    diagonal weights. Under those and under full prior and measurement weights,
+    ``g`` and ``W`` are the dense ``J'b`` and ``J'J``, the unmeasured boundary
+    copies included, the prior's block sits on state 0 alone, and with one
+    sub-window ``0.5 ||b||^2`` is the centralized objective."""
     rng = np.random.Generator(np.random.PCG64(14))
+    P, V = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
+    full = replace(benchmark_instance, P=P @ P.T + np.eye(3), V=V @ V.T + 0.1 * np.eye(2))
+    assert (full.v_inv_sqrt != np.diag(np.diag(full.v_inv_sqrt))).any()
     partition = sm.build_partition(25, n_sub, 3)
-    subs = sm.split_instance(benchmark_instance, partition)
-    run = problem.subproblem(benchmark_instance, partition, range(partition.N))
-    y = problem.lift(benchmark_instance.initial_guess, partition)
-    y = y + 0.05 * rng.standard_normal(y.shape)
-    ev = problem.evaluate_stack(run, y)
-    blocks = [problem.evaluate_stack(sub, block) for sub, block in zip(subs, partition.split(y))]
-    cuts = {
-        "b": run.residual_rows, "g": run.layout.first, "W": run.layout.first,
-        "F": run.layout.start, "D": run.layout.start,
-    }
-    assert set(cuts) == set(ev._fields)
-    for name, whole in zip(ev._fields, ev):
-        parts = np.split(whole, cuts[name][1:])
-        for part, direct in zip(parts, (getattr(b, name) for b in blocks)):
-            np.testing.assert_array_equal(part, direct, err_msg=name)
-    for sub, block, direct in zip(subs, partition.split(y), blocks):
-        b_dense, J = eval_residual_stack(sub, block)
-        np.testing.assert_array_equal(direct.b, b_dense)
-        np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)
+    n, nx = partition.n_states, 3
+    for instance in (benchmark_instance, full):
+        subs = sm.split_instance(instance, partition)
+        run = problem.subproblem(instance, partition, range(partition.N))
+        y = problem.lift(instance.initial_guess, partition)
+        y = y + 0.05 * rng.standard_normal(y.shape)
+        ev = problem.evaluate_stack(run, y)
+        blocks = [problem.evaluate_stack(sub, x) for sub, x in zip(subs, partition.split(y))]
+        cuts = {
+            "b": run.residual_rows, "g": run.layout.first, "W": run.layout.first,
+            "F": run.layout.start, "D": run.layout.start,
+        }
+        assert set(cuts) == set(ev._fields)
+        # under full weights numpy takes a one-measurement sub-window's product
+        # V^-1/2 dy through another BLAS kernel: equal to roundoff only
+        tol = 0.0 if instance is benchmark_instance else 1e-15
+        for name, whole in zip(ev._fields, ev):
+            parts = np.split(whole, cuts[name][1:])
+            for part, direct in zip(parts, (getattr(b, name) for b in blocks)):
+                np.testing.assert_allclose(part, direct, rtol=tol, atol=tol, err_msg=name)
+        for sub, block, direct in zip(subs, partition.split(y), blocks):
+            b_dense, J = eval_residual_stack(sub, block)
+            np.testing.assert_array_equal(direct.b, b_dense)
+            np.testing.assert_allclose(direct.g.reshape(-1), J.T @ b_dense, rtol=1e-13, atol=1e-12)
+
+        b, J = eval_residual_stack(run, y)
+        dense = np.zeros((n, nx, n, nx))
+        dense[np.arange(n), :, np.arange(n)] = ev.W
+        scale = np.abs(ev.W).max()
+        np.testing.assert_allclose(ev.g.reshape(-1), J.T @ b, rtol=1e-13, atol=1e-13 * scale)
+        np.testing.assert_allclose(dense.reshape(n * nx, -1), J.T @ J, rtol=1e-13,
+                                   atol=1e-13 * scale)
+        measurements = J[nx:].T @ J[nx:]
+        prior = ev.W - measurements.reshape(n, nx, n, nx)[np.arange(n), :, np.arange(n)]
+        np.testing.assert_allclose(prior[0], run.prior_curvature, rtol=1e-13, atol=1e-13 * scale)
+        np.testing.assert_allclose(prior[1:], 0.0, atol=1e-13 * scale)
+        if n_sub == 1:
+            central = sm.centralized_objective(instance, y)
+            assert abs(0.5 * ev.b @ ev.b - central) <= 1e-13 * central
 
 
 @pytest.mark.parametrize("n_sub", [1, 4, 25])

@@ -94,7 +94,12 @@ def first_order_conditions(
     evaluation at ``x`` when the caller already has it.
     """
     ev = evaluation or evaluate_stack(sub, x)
-    at_mu = _at_mu(sub, link_band(sub.layout, ev.D, False), mu).reshape(-1)
+    return _conditions(sub, x, mu, lam, y_ref, rho, ev, link_band(sub.layout, ev.D, False))
+
+
+def _conditions(sub: SubProblem, x, mu, lam, y_ref, rho: float, ev, band: Array) -> Array:
+    """:func:`first_order_conditions` at the evaluation ``ev`` and unlinked ``band`` of ``x``."""
+    at_mu = _at_mu(sub, band, mu).reshape(-1)
     grad = ev.g.reshape(-1) + sub.apply_coupling_transpose(lam)
     grad = grad + rho * (sub.states(x) - sub.states(y_ref)).reshape(-1) + at_mu
     return np.concatenate([grad, ev.F.reshape(-1)])
@@ -345,11 +350,12 @@ def predictor_corrector(
     sub-windows with drift at most ``tol`` (NaN is not); returns the stacks,
     unmoved where untrusted, and the trusted mask.
     """
-    drift = first_order_conditions(sub, x, mu, lam, y_ref, rho, evaluation)
+    band = link_band(sub.layout, evaluation.D, False)
+    drift = _conditions(sub, x, mu, lam, y_ref, rho, evaluation, band)
     gx, gm = np.split(drift.reshape(-1, sub.model.nx), [sub.layout.n_states])
     trusted = _block_max(sub, gx, gm) <= tol
     if not trusted.any():
         return x, mu, trusted
     H = hessian_blocks(sub, x, mu, rho, evaluation, True)
-    dx, dmu = _kkt_step(sub, H, evaluation.D, gx, gm, rho, trusted)
+    dx, dmu = _kkt_step(sub, H, evaluation.D, gx, gm, rho, trusted, band)
     return x - dx, mu - dmu, trusted

@@ -345,9 +345,9 @@ def _residuals(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``V^-1/2 (h(x) - y)`` per measured state in time order; and those states."""
     Xm = X.take(sub.measured, 0)
     dy = sub.model.h(Xm) - sub.measurements
-    b = (dy @ sub.v_inv_sqrt.T).reshape(-1)
+    b = dy.dot(sub.v_inv_sqrt.T).reshape(-1)  # .dot, as in qp_core: @ at less cost
     if sub.has_prior:
-        b = np.concatenate([sub.p_inv_sqrt @ (X[0] - sub.prior), b])
+        b = np.concatenate([sub.p_inv_sqrt.dot(X[0] - sub.prior), b])
     return b, Xm
 
 
@@ -436,7 +436,7 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     np.matmul(np.ascontiguousarray(JmT), Jm, out=W[:-1])
     g, W = g.take(sub.measured_rows, 0).reshape(-1, nx), W.take(sub.measured_rows, 0)
     if sub.has_prior:
-        g[0] += sub.p_inv_sqrt.T @ b[:k]
+        g[0] += sub.p_inv_sqrt.T.dot(b[:k])
         W[0] += sub.prior_curvature
     return StageEvaluation(b, g, W, F, model.df_dx(Xp, sub.controls))
 

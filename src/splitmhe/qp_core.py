@@ -78,7 +78,7 @@ Array = np.ndarray
 # at or below this reciprocal condition estimate R_i counts as rank deficient
 RANK_RCOND_LIMIT = 1e-12
 _ONE = np.ones(1)  # the leading 1 of z, not converted from a list on every call
-_largest = np.maximum.reduce  # ndarray.max without its Python wrapper
+_ZERO_ONE = np.array((0.0, 1.0))  # the entries of a chain right-hand side after its offsets
 
 
 @dataclass(eq=False)
@@ -213,7 +213,8 @@ def _require_finite_stack(stack: StageStack) -> None:
     """Raise on non-finite stack data, naming the block of the first bad field's
     first bad row. One pass over all fields clears finite data."""
     arrays = (stack.H, stack.g, stack.D, stack.d, stack.anchor)
-    if np.logical_and.reduce(np.isfinite(np.concatenate(arrays, axis=None))):
+    flat = np.concatenate(arrays, axis=None)
+    if np.count_nonzero(np.isfinite(flat)) == flat.size:  # faster than logical_and.reduce
         return
     names = ("H", "g", "D", "d", "anchor")
     bad = [name for name, a in zip(names, arrays) if not np.isfinite(a).all()]
@@ -333,8 +334,8 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
 def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array, Array]:
     """Take index, from ``[-D.ravel(), tail]``, of the transposed LAPACK lower
     band storage ``((L + N) nx, 2 nx)`` of the link matrix ``B``; the tail, stored
-    negated, ``-[coupling.ravel(), 0, -1]`` with ``coupling = I`` if ``linked`` else
-    zero; the rows of the offsets; and the right-hand side with zero offsets and ``E``.
+    negated, ``-[coupling.ravel(), 0, -1]``, ``coupling = I`` if ``linked`` else zero; the
+    rows of the offsets; and the take index of ``[(0; offsets) | E]'`` from ``[offsets, 0, 1]``.
 
     Block row 0 of ``B`` is ``[I, 0, ...]`` and block row ``j + 1`` is link
     ``j``, ``-D_j`` on state ``j`` and ``I`` on state ``j + 1``; a coupling
@@ -351,11 +352,13 @@ def _chain_tables(lay: LiftedLayout, linked: bool) -> tuple[Array, Array, Array,
     index[j * nx + c, nx + a - c] = source[j] + a * nx + c
     tail = -np.append(lay.eye.reshape(-1) * linked, (0.0, -1.0))
     rows = np.concatenate((lay.next, lay.first[1:])) if linked else lay.next
-    rhs = np.zeros((nx + 1, lay.n_states, nx))
-    rhs[1:, lay.first[:1] if linked else lay.first] = lay.eye[:, None]
+    m = len(rows) * nx  # the zero's position in the source, the one's is m + 1
+    rhs = np.full((nx + 1, lay.n_states, nx), m, dtype=np.intp)
+    rhs[0, rows] = np.arange(m).reshape(-1, nx)
+    rhs[1:, lay.first[:1] if linked else lay.first] = m + lay.eye[:, None]
     for table in (index, tail, rows, rhs):
         table.flags.writeable = False  # cached and shared by every caller
-    return index, tail, rows, rhs
+    return index, tail, rows, rhs.reshape(nx + 1, -1)
 
 
 def link_band(lay: LiftedLayout, D: Array, linked: bool) -> Array:
@@ -370,23 +373,20 @@ def link_transpose(band: Array, nu: Array) -> Array:
     of :class:`QpSolution`, ``C' mu`` if unlinked and every first row zero. ``dgbmv``, as
     OpenBLAS threads every ``dtbmv``: 3 to 9 times slower on two threads here."""
     flat = nu.reshape(-1)
-    return scipy.linalg.blas.dgbmv(nu.size, nu.size, len(band) - 1, 0, 1.0, band, flat, trans=1)
+    return scipy.linalg.blas.dgbmv(  # positional, as f2py parses keywords slower: trans 1 last
+        nu.size, nu.size, len(band) - 1, 0, 1.0, band, flat, 1, 0, 0.0, None, 1, 0, 1)
 
 
 def _chain_solve(lay: LiftedLayout, D, offsets, linked: bool, band) -> tuple[Array, Array]:
-    """``band``, or :func:`link_band` if None, and ``B^-1 [(0; offsets) | E]``
-    ``(L + N, nx, nx + 1)`` from one unit lower triangular banded solve (``dtbtrs``).
+    """``band``, or :func:`link_band` if None, and ``B^-1 [(0; offsets) | E]`` ``(L + N, nx,
+    nx + 1)``, the arrays ``offsets`` and ``[0, 1]`` taken into one banded solve (``dtbtrs``).
     Link ``j`` sits on row ``j + 1``: the ``L`` stage offsets on the rows ``next`` and,
     if ``linked``, the ``N - 1`` coupling offsets on the rows ``first[1:]``. ``E`` holds
     an identity block on the first state, or on every sub-window's first state if not."""
-    n, nx = lay.n_states, lay.nx
     band = link_band(lay, D, linked) if band is None else band
-    rows, rhs = _chain_tables(lay, linked)[2:]
-    rhs = rhs.copy()
-    rhs[0, rows] = offsets
-    rhs = rhs.reshape(nx + 1, -1).T
-    sol = scipy.linalg.lapack.dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)[0]
-    return band, sol.reshape(n, nx, nx + 1)
+    rhs = np.concatenate((*offsets, _ZERO_ONE), axis=None).take(_chain_tables(lay, linked)[3]).T
+    sol = scipy.linalg.lapack.dtbtrs(band, rhs, "L", "N", "U", 1)[0]  # positional: see _solve_stack
+    return band, sol.reshape(lay.n_states, lay.nx, lay.nx + 1)
 
 
 def _condense(stack: StageStack) -> SchurTerms:
@@ -398,15 +398,14 @@ def _condense(stack: StageStack) -> SchurTerms:
     the stationarity map, ``H dX + g = V z``, and ``Z' V`` holds the reduced
     Hessian ``S = Z' H Z`` and, negated, the right-hand side ``s = -Z' (H e + g)``.
     """
-    lay, nx = stack.layout, stack.layout.nx
-    offsets = np.concatenate((-stack.d, stack.anchor.reshape(-1, nx)))
-    band, U = _chain_solve(lay, stack.D, offsets, True, stack.band)
+    nx = stack.layout.nx
+    band, U = _chain_solve(stack.layout, stack.D, (-stack.d, stack.anchor), True, stack.band)
     # the batched product on a C-ordered copy of the LAPACK output takes about
     # two thirds of the time, bit for bit the same
     V = stack.H @ np.ascontiguousarray(U)
     V[..., 0] += stack.g
     U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
-    reduced = U[:, 1:].T @ V
+    reduced = U[:, 1:].T.dot(V)  # ndarray.dot: the BLAS call of @ without its ufunc cost
     return SchurTerms(S=reduced[:, 1:], s=-reduced[:, 0], U=U, V=V, band=band)
 
 
@@ -418,26 +417,28 @@ def _solve_stack(stack: StageStack) -> QpSolution:
     ``dpotrs``, one product and one more transposed solve."""
     terms = schur_terms(stack)
     lay, nx, lapack = stack.layout, stack.layout.nx, scipy.linalg.lapack
-    factor, info = lapack.dpotrf(terms.S, lower=1)
+    # f2py parses positional arguments faster than keywords: lower 1; uplo "L", trans "T", diag "U"
+    factor, info = lapack.dpotrf(terms.S, 1)
     if info:
         raise NotPositiveDefiniteError(
             "block 0: reduced Hessian is not positive definite", block_index=0
         )
-    z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, lower=1)[0]))
-    back = lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0]
-    z[1:] -= lapack.dpotrs(factor, back[:nx], lower=1)[0]
-    nu = -lapack.dtbtrs(terms.band, terms.V @ z, uplo="L", trans="T", diag="U")[0].reshape(-1, nx)
-    abs_nu = np.abs(nu)
-    # the refined reduced gradient, relative to the multipliers' scale
-    reduced_gradient = float(_largest(abs_nu[0])) / (1.0 + float(_largest(abs_nu, axis=None)))
+    z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, 1)[0]))
+    back = lapack.dtbtrs(terms.band, terms.V.dot(z), "L", "T", "U")[0]
+    z[1:] -= lapack.dpotrs(factor, back[:nx], 1)[0]
+    nu = -lapack.dtbtrs(terms.band, terms.V.dot(z), "L", "T", "U")[0]
+    # the refined reduced gradient, row 0 of nu, relative to the multipliers' scale
+    first, top = np.maximum.accumulate(np.maximum.reduceat(np.abs(nu), (0, nx))).tolist()
+    nu = nu.reshape(-1, nx)
     nu[0] = 0.0
     # link j is row j + 1 of nu: stage k is link prev[k], and coupling row c is
     # link last[c], whose multiplier is minus the coupling row's
+    links = nu.take(_chain_tables(lay, True)[2], 0)
     return QpSolution(
-        lam=-nu.take(lay.first[1:], 0).reshape(-1),
-        mu=nu.take(lay.next, 0),
-        delta_x=(terms.U @ z).reshape(-1, nx),
-        diagnostics={"reduced_gradient": reduced_gradient},
+        lam=-links[lay.L:].reshape(-1),
+        mu=links[:lay.L],
+        delta_x=terms.U.dot(z).reshape(-1, nx),
+        diagnostics={"reduced_gradient": first / (1.0 + top)},
         nu=nu,
     )
 
@@ -461,7 +462,7 @@ def solve_local_kkt(
     ``link_band(layout, D, False)`` or None. Returns ``dx`` and ``mu`` ``(L, nx)``.
     """
     lay, nx = layout, layout.nx
-    band, U = _chain_solve(lay, D, rhs_mu, False, band)
+    band, U = _chain_solve(lay, D, (rhs_mu,), False, band)
     rungs, shifted = [0] * len(lay.lengths), H
     while True:
         V = shifted @ np.ascontiguousarray(U)

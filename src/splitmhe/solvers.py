@@ -61,7 +61,7 @@ _SA_SWITCH_TOL = 1e-5
 
 # the termination metrics of a ConvergenceRecord, in result.json order
 _METRICS = ("primal_step_inf", "coupling_inf", "dynamics_inf", "stationarity_inf")
-_largest = np.maximum.reduce  # ndarray.max without its Python wrapper
+_ZERO = np.zeros(1)
 
 
 @dataclass
@@ -185,6 +185,20 @@ def _wrap_iteration_error(exc: SplitMheError, algorithm: str, iteration: int):
     raise wrapped from exc
 
 
+def _record(it, step, anchor, ev, stat, dist, t_iter, local_s, qp_s) -> ConvergenceRecord:
+    """Iteration ``it``'s record from the consensus ``step``, the QP ``anchor``, and ``ev`` and
+    ``stat`` at the new consensus iterate. The norms are one reduction over ``(step, F, stat,
+    anchor, 0)``: the zero reads the anchor of one sub-window, empty, as 0; a NaN stays NaN."""
+    s, f = step.size, ev.F.size
+    parts = np.abs(np.concatenate((step, ev.F, stat, anchor, _ZERO), axis=None))
+    starts = (0, s, s + f, 2 * s + f)  # the stationarity has the step's size
+    primal, dynamics, stationarity, coupling = np.maximum.reduceat(parts, starts).tolist()
+    return ConvergenceRecord(
+        it, primal, coupling, dynamics, stationarity, dist, 0.5 * float(ev.b.dot(ev.b)),
+        1e3 * (time.perf_counter() - t_iter), 1e3 * local_s, 1e3 * qp_s,
+    )
+
+
 def _drive(
     instance: MheInstance,
     partition: LiftedLayout,
@@ -251,11 +265,11 @@ def _drive(
             y_new = x + sol.delta_x
             qp_s = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
             x_new, mu_new = y_new, sol.mu
             if advance:
+                t0 = time.perf_counter()
                 x_new, mu_new = advance(run, x, mu, ev, y_new, sol.lam, sol.mu)
-            local_s += time.perf_counter() - t0
+                local_s += time.perf_counter() - t0
 
             ev_new = evaluate_stack(run, y_new)
             ev_band = ev_new, link_band(partition, ev_new.D, True)
@@ -266,18 +280,7 @@ def _drive(
         except SplitMheError as exc:
             _wrap_iteration_error(exc, cfg.algorithm, it)
         records.append(
-            ConvergenceRecord(
-                iteration=it,
-                primal_step_inf=float(_largest(np.abs(y_new - y), axis=None)),
-                coupling_inf=float(_largest(np.abs(stack.anchor), axis=None, initial=0.0)),
-                dynamics_inf=float(_largest(np.abs(ev_new.F), axis=None)),
-                stationarity_inf=float(_largest(np.abs(stat), axis=None)),
-                dist_to_ref=dist,
-                objective=float(0.5 * ev_new.b @ ev_new.b),
-                wall_ms=1e3 * (time.perf_counter() - t_iter),
-                local_ms=1e3 * local_s,
-                qp_ms=1e3 * qp_s,
-            )
+            _record(it, y_new - y, stack.anchor, ev_new, stat, dist, t_iter, local_s, qp_s)
         )
         # where the next x is y_new itself, the next iteration reuses its metrics evaluation
         ev = ev_new if x_new is y_new else None

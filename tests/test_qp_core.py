@@ -379,7 +379,9 @@ def _lapack_spy(monkeypatch, *names):
 
         def recorded(a, *args, **kwargs):
             shape = np.shape(args[0] if name.endswith("trs") else a)
-            calls.append((name, kwargs.get("trans", "N"), shape))
+            # dtbtrs(ab, b, uplo, trans, ...): trans by keyword or by position
+            trans = kwargs.get("trans", args[2] if name == "dtbtrs" and len(args) > 2 else "N")
+            calls.append((name, trans, shape))
             return routine(a, *args, **kwargs)
         return recorded
 
@@ -401,6 +403,48 @@ def test_stage_solve_is_one_banded_triangular_chain_solve(monkeypatch):
         assert calls == [
             ("dtbtrs", "N", (rows, 4)), ("dtbtrs", "T", (rows,)), ("dtbtrs", "T", (rows,))
         ], f"N = {n_blocks}"
+
+
+def _transposed_solves(monkeypatch, nan_at=None) -> list:
+    """Keep a copy of the solution of every transposed ``dtbtrs``; with ``nan_at``,
+    a flat index, the second one, the multipliers' solve, returns a NaN there."""
+    solves, routine = [], scipy.linalg.lapack.dtbtrs
+
+    def recorded(ab, b, *args, **kwargs):
+        x, info = routine(ab, b, *args, **kwargs)
+        if kwargs.get("trans", args[1] if len(args) > 1 else "N") == "T":
+            solves.append(x.copy())
+            if nan_at is not None and len(solves) == 2:
+                x[nan_at] = np.nan
+        return x, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", recorded)
+    return solves
+
+
+def test_reduced_gradient_is_row_0_of_the_multipliers_over_their_scale(monkeypatch):
+    """The diagnostic is ``max|nu[0]| / (1 + max|nu|)`` on the multipliers'
+    solve before its row 0 is zeroed, exactly as the two maxima taken apart."""
+    solves = _transposed_solves(monkeypatch)
+    rng = np.random.Generator(np.random.PCG64(41))
+    for n_blocks in (1, 4, 25):
+        stack = random_stage_stack(rng, n_blocks, 3)
+        solves.clear()
+        sol = sm.solve_coupled_qp(stack)
+        assert len(solves) == 2
+        nu = -solves[-1].reshape(-1, 3)
+        want = float(np.abs(nu[0]).max()) / (1.0 + float(np.abs(nu).max()))
+        assert sol.diagnostics["reduced_gradient"] == want, f"N = {n_blocks}"
+        assert np.array_equal(sol.nu[1:], nu[1:]) and not sol.nu[0].any()
+
+
+@pytest.mark.parametrize("row", [0, 1, -1])
+def test_a_nan_multiplier_makes_the_reduced_gradient_nan(monkeypatch, row):
+    """A NaN in row 0 of the multipliers or in any other row reads as a NaN
+    diagnostic, never as a number."""
+    stack = random_stage_stack(np.random.Generator(np.random.PCG64(43)), 4, 3)
+    _transposed_solves(monkeypatch, nan_at=row % stack.layout.n_states * 3 + 1)
+    assert np.isnan(sm.solve_coupled_qp(stack).diagnostics["reduced_gradient"])
 
 
 @pytest.mark.parametrize("linked", [True, False])

@@ -359,6 +359,49 @@ def test_coupling_is_evaluated_once_per_iteration_at_the_qp_anchor(
 
 
 @pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
+def test_record_norms_are_each_arrays_own_infinity_norm(benchmark_instance, algorithm, monkeypatch):
+    """A record takes its four norms in one reduction; each equals, exactly, the
+    infinity norm formed alone from the array the driver hands it. The
+    centralized run has no coupling rows, so its ``coupling_inf`` reads 0."""
+    handed, record = [], solvers._record
+
+    def recorded(it, step, anchor, ev, stat, *rest):
+        handed.append((step, anchor, ev.F, stat))
+        return record(it, step, anchor, ev, stat, *rest)
+
+    monkeypatch.setattr(solvers, "_record", recorded)
+    partition = None if algorithm == "centralized" else sm.build_partition(25, 4, 3)
+    cfg = sm.SolverConfig(algorithm=algorithm, tol=1e-8, max_iter=30)
+    result = sm.solve(benchmark_instance, partition, cfg)
+    assert len(handed) == result.iterations > 0
+    for r, (step, anchor, F, stat) in zip(result.records, handed):
+        assert r.primal_step_inf == float(np.abs(step).max())
+        assert r.coupling_inf == float(np.abs(anchor).max(initial=0.0))
+        assert r.dynamics_inf == float(np.abs(F).max())
+        assert r.stationarity_inf == float(np.abs(stat).max())
+    if algorithm == "centralized":
+        assert {r.coupling_inf for r in result.records} == {0.0}
+
+
+@pytest.mark.parametrize("at", [0, -1])
+@pytest.mark.parametrize(
+    "part, n_anchor", [(0, 0), (1, 0), (2, 0), (0, 9), (1, 9), (2, 9), (3, 9)]
+)
+def test_a_nan_in_one_part_of_the_record_reduction_is_that_metric_alone(part, n_anchor, at):
+    """A NaN at either end of the step, ``F``, the stationarity or the anchor
+    makes exactly that part's metric NaN; no anchor (one sub-window) reads 0."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    step, F, stat, anchor = (rng.standard_normal(n) for n in (87, 75, 87, n_anchor))
+    [step, F, stat, anchor][part][at] = np.nan
+    ev = problem.StageEvaluation(b=np.ones(2), g=None, W=None, F=F.reshape(-1, 3), D=None)
+    r = solvers._record(1, step.reshape(-1, 3), anchor, ev, stat, None, 0.0, 0.0, 0.0)
+    norms = [r.primal_step_inf, r.dynamics_inf, r.stationarity_inf, r.coupling_inf]
+    assert [math.isnan(v) for v in norms] == [k == part for k in range(4)]
+    if not n_anchor:
+        assert r.coupling_inf == 0.0
+
+
+@pytest.mark.parametrize("algorithm", sm.solvers.ALGORITHMS)
 def test_every_qp_takes_the_dynamics_defects_at_its_linearization_point(
     benchmark_instance, algorithm, monkeypatch
 ):

@@ -1,12 +1,15 @@
 """Exception hierarchy for the solver toolkit, with :func:`check_count`, the one
 rule for every count the package takes (lengths, budgets, dimensions, seeds),
-and :func:`check_real`, the one rule for its real-valued inputs."""
+:func:`check_real`, the one rule for its real-valued inputs, and
+:func:`check_shape`, the one rule for its fixed-shape array inputs."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class SplitMheError(Exception):
@@ -81,3 +84,12 @@ def check_real(name: str, value, error: type[Exception] = ValueError, zero: bool
     if not (isinstance(value, numbers.Real) and (zero or value != 0) and 0 <= value < math.inf):
         bound = "nonnegative" if zero else "positive"
         raise error(f"{name} must be {bound} and finite, got {value!r}")
+
+
+def check_shape(name: str, value, shape: tuple, error: type[Exception] = DimensionMismatchError):
+    """Raise ``error("<name> must be an array of shape <shape>, got <got>")``
+    unless ``value`` is a numpy array of exactly ``shape``; ``got`` is its
+    shape, or the type name of anything else. Converts nothing."""
+    if not isinstance(value, np.ndarray) or value.shape != shape:
+        got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+        raise error(f"{name} must be an array of shape {shape}, got {got}")

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    FactorizationError, OriginSingularityError, ScenarioError, check_count, check_real,
+    FactorizationError, OriginSingularityError, ScenarioError,
+    check_count, check_real, check_shape,
 )
 from .model import gaussian_draws, robot_model, rollout, fd_check
 from .problem import (
@@ -107,11 +108,7 @@ class Scenario:
         k = schedule[0]
         for name, shape in zip(_SCENARIO_ARRAYS, (schedule, (k + 1, 3), (k + 1, 2))):
             value = getattr(self, name)
-            if value.shape != shape:
-                raise ScenarioError(
-                    f"inconsistent scenario arrays: {name} must be {shape} for {k} steps, "
-                    f"got {value.shape}"
-                )
+            check_shape(f"{name} for {k} steps", value, shape, ScenarioError)
             if not np.isfinite(value).all():
                 raise ScenarioError(f"non-finite values in {name}")
 
@@ -180,8 +177,7 @@ def generate_scenario(
     controls = np.array(control, dtype=float)
     if controls.ndim == 1:
         controls = np.tile(controls, (steps, 1))
-    if controls.shape != (steps, 2):
-        raise ScenarioError(f"control schedule must be (steps, 2), got {controls.shape}")
+    check_shape("control schedule", controls, (steps, 2), ScenarioError)
     if not np.isfinite(controls).all():
         raise ScenarioError("control schedule must be finite")
 

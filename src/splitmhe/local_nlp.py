@@ -83,17 +83,15 @@ class SensitivityPair:
 
 
 def first_order_conditions(
-    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float,
-    evaluation: StageEvaluation | None = None,
+    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float
 ) -> Array:
     """Stacked first-order conditions of the augmented sub-problem.
 
     Rows: the augmented-Lagrangian gradient (objective gradient plus coupling
     price, proximal pull, and constraint terms), then the dynamics defects.
-    Affine in the parameters ``(y_ref, lam)``. ``evaluation`` is the run's
-    evaluation at ``x`` when the caller already has it.
+    Affine in the parameters ``(y_ref, lam)``.
     """
-    ev = evaluation or evaluate_stack(sub, x)
+    ev = evaluate_stack(sub, x)
     return _conditions(sub, x, mu, lam, y_ref, rho, ev, link_band(sub.layout, ev.D, False))
 
 
@@ -195,17 +193,17 @@ def _block_max(sub: SubProblem, state_rows: Array, stage_rows: Array) -> Array:
     )
 
 
-def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array, band=None):
+def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array, band: Array):
     """:func:`~splitmhe.qp_core.solve_local_kkt` for the sub-windows in the mask
     ``blocks``, seeded by ``rho``; the others see ``H = I``, ``D = 0`` and a
     zero right-hand side, a zero step that never reaches the shift ladder.
-    With every sub-window in ``blocks`` the data and ``band`` (``link_band(lay, D, False)``
-    or None) pass unmasked; else a copy of the band has the others' states' links zeroed."""
+    With every sub-window in ``blocks`` the data and ``band`` (``link_band(lay, D, False)``)
+    pass unmasked; else a copy of the band has the others' states' links zeroed."""
     lay = sub.layout
     if blocks.all():
         return solve_local_kkt(lay, H, D, rhs_x, rhs_mu, rho, band)
     s, k = blocks[lay.state_block][:, None], blocks[lay.stage_block][:, None]
-    band = (link_band(lay, D, False) if band is None else band).copy(order="K")
+    band = band.copy(order="K")
     band[1:, ~s.repeat(lay.nx)] = 0.0
     return solve_local_kkt(
         lay, np.where(s[..., None], H, lay.eye), D, np.where(s, rhs_x, 0.0),

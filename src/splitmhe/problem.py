@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PartitionError, check_count
+from .errors import DimensionMismatchError, PartitionError, check_count, check_shape
 from .model import SystemModel
 
 Array = np.ndarray
@@ -134,8 +134,7 @@ def _as_stack(blocks, partition: LiftedLayout) -> Array:
     """The ``(L + N, nx)`` stack of a list of flat blocks of sizes
     ``partition.block_dims``; a 2-D stack passes through after a shape check."""
     if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
-        if (shape := partition.shapes[1]) != blocks.shape:
-            raise DimensionMismatchError(f"blocks stack must be {shape}, got {blocks.shape}")
+        check_shape("blocks stack", blocks, partition.shapes[1])
         return np.asarray(blocks, dtype=float)
     if len(blocks) != partition.N:
         raise DimensionMismatchError(f"{len(blocks)} blocks for {partition.N} sub-windows")
@@ -165,8 +164,10 @@ class MheInstance:
 
     ``measurements`` holds the ``L+1`` outputs of the window, ``controls`` the
     ``L`` known inputs, and ``window_start`` the absolute time index of the
-    oldest state. ``P`` weights the prior term and ``V`` every measurement
-    term; both must be symmetric positive definite.
+    oldest state. ``P`` (``nx x nx``) weights the prior term and ``V``
+    (``ny x ny``) every measurement term; both must be symmetric positive
+    definite. Every field is converted to a float array and then checked by
+    :func:`~splitmhe.errors.check_shape`, so lists of rows are accepted.
     """
 
     L: int
@@ -182,28 +183,12 @@ class MheInstance:
     v_inv_sqrt: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.model
-        self.measurements = np.atleast_2d(np.asarray(self.measurements, dtype=float))
-        self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
-        self.prior = np.asarray(self.prior, dtype=float)
-        self.initial_guess = np.atleast_2d(np.asarray(self.initial_guess, dtype=float))
-        self.P = np.asarray(self.P, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-        check_count("L", self.L, 1, DimensionMismatchError)
-        if self.measurements.shape != (self.L + 1, m.ny):
-            raise DimensionMismatchError(
-                f"measurements must be ({self.L + 1}, {m.ny}), got {self.measurements.shape}"
-            )
-        if self.controls.shape != (self.L, m.nu):
-            raise DimensionMismatchError(
-                f"controls must be ({self.L}, {m.nu}), got {self.controls.shape}"
-            )
-        if self.prior.shape != (m.nx,):
-            raise DimensionMismatchError(f"prior must be ({m.nx},), got {self.prior.shape}")
-        if self.initial_guess.shape != (self.L + 1, m.nx):
-            raise DimensionMismatchError(
-                f"initial guess must be ({self.L + 1}, {m.nx}), got {self.initial_guess.shape}"
-            )
+        m, L = self.model, check_count("L", self.L, 1, DimensionMismatchError)
+        shapes = dict(measurements=(L + 1, m.ny), controls=(L, m.nu), prior=(m.nx,),
+                      P=(m.nx, m.nx), V=(m.ny, m.ny), initial_guess=(L + 1, m.nx))
+        for name, shape in shapes.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            check_shape(name, getattr(self, name), shape)
         self.p_inv_sqrt = inv_sqrt_spd(self.P, "P")
         self.v_inv_sqrt = inv_sqrt_spd(self.V, "V")
 
@@ -492,9 +477,8 @@ def extract_trajectory(blocks, partition: LiftedLayout) -> tuple[Array, float]:
 
 def _trajectory(trajectory: Array, L: int, nx: int) -> Array:
     """``trajectory`` as a float ``(L + 1, nx)`` array; raise if it is not one."""
-    x = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if x.shape != (L + 1, nx):
-        raise DimensionMismatchError(f"trajectory must be ({L + 1}, {nx}), got {x.shape}")
+    x = np.asarray(trajectory, dtype=float)
+    check_shape("trajectory", x, (L + 1, nx))
     return x
 
 

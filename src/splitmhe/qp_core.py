@@ -68,6 +68,7 @@ from .errors import (
     NotPositiveDefiniteError,
     RankDeficientConstraintsError,
     SingularKktError,
+    check_shape,
 )
 from .problem import LiftedLayout
 
@@ -99,20 +100,14 @@ class QpBlock:
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
+        n = self.n
         self.g = np.asarray(self.g, dtype=float)
-        self.C = np.asarray(self.C, dtype=float).reshape(-1, self.H.shape[0])
+        self.C = np.asarray(self.C, dtype=float).reshape(-1, n)
         self.d = np.asarray(self.d, dtype=float).reshape(-1)
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, self.H.shape[0])
+        self.A = np.asarray(self.A, dtype=float).reshape(-1, n)
         self.anchor = np.asarray(self.anchor, dtype=float).reshape(-1)
-        n = self.H.shape[0]
-        if self.H.shape != (n, n) or self.g.shape != (n,):
-            raise DimensionMismatchError(f"inconsistent H/g shapes: {self.H.shape}, {self.g.shape}")
-        if self.d.shape[0] != self.C.shape[0]:
-            raise DimensionMismatchError(f"d has {self.d.shape[0]} rows, C has {self.C.shape[0]}")
-        if self.anchor.shape[0] != self.A.shape[0]:
-            raise DimensionMismatchError(
-                f"anchor has {self.anchor.shape[0]} rows, A has {self.A.shape[0]}"
-            )
+        for name, shape in dict(H=(n, n), g=(n,), d=(self.m,), anchor=(self.r,)).items():
+            check_shape(name, getattr(self, name), shape)
 
     @property
     def n(self) -> int:
@@ -159,11 +154,7 @@ class StageStack:
         if shapes == self.layout.shapes:
             return
         for name, shape in zip(("H", "g", "D", "d", "anchor"), self.layout.shapes):
-            if np.shape(getattr(self, name)) != shape:
-                raise DimensionMismatchError(
-                    f"stage stack: {name} has shape {np.shape(getattr(self, name))}, "
-                    f"expected {shape}"
-                )
+            check_shape(name, getattr(self, name), shape)
 
 
 @dataclass(eq=False)
@@ -487,7 +478,7 @@ def solve_local_kkt(
     # z = -(1, dx_first), so that U z = -dx and V z = rhs_x - H dx
     z = np.concatenate((np.full((len(step), 1, 1), -1.0), step), axis=1)[lay.state_block]
     Vz = (V @ z).reshape(-1)
-    nu = scipy.linalg.lapack.dtbtrs(band, Vz, uplo="L", trans="T", diag="U", overwrite_b=1)[0]
+    nu = scipy.linalg.lapack.dtbtrs(band, Vz, "L", "T", "U", 1)[0]
     return -(U @ z)[..., 0], nu.reshape(-1, nx)[lay.next]
 
 

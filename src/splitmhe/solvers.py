@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SplitMheError, check_count, check_real
+from .errors import SplitMheError, check_count, check_real, check_shape
 from .local_nlp import hessian_blocks, predictor_corrector, solve_local_subproblem
 from .problem import (
     LiftedLayout,
@@ -162,17 +162,12 @@ def _initial_iterate(
     instance: MheInstance, partition: LiftedLayout, warm: IterateState | None
 ) -> tuple[Array | None, Array, Array, Array]:
     """The fields of :class:`IterateState` (``x_blocks`` None on a cold start)."""
-    stages = (partition.L, partition.nx)
+    _, states, _, stages, r = partition.shapes
     if warm is None:
-        y = lift(instance.initial_guess, partition)
-        return None, y, np.zeros(partition.r), np.zeros(stages)
-    states = (partition.n_states, partition.nx)
-    shapes = dict(x_blocks=states, y_blocks=states, lam=(partition.r,), mu_blocks=stages)
+        return None, lift(instance.initial_guess, partition), np.zeros(r), np.zeros(stages)
+    shapes = dict(x_blocks=states, y_blocks=states, lam=r, mu_blocks=stages)
     for name, shape in shapes.items():
-        value = getattr(warm, name)
-        if not isinstance(value, np.ndarray) or value.shape != shape:
-            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
-            raise DimensionMismatchError(f"{name} must be an array of shape {shape}, got {got}")
+        check_shape(name, getattr(warm, name), shape)
     return tuple(np.asarray(getattr(warm, name), dtype=float) for name in shapes)
 
 

@@ -108,15 +108,18 @@ def test_directly_built_scenario_rejects_non_finite_arrays(name, value):
 @pytest.mark.parametrize(
     "name, cut, message",
     [
-        ("true_states", np.s_[:-1], "true_states must be (7, 3) for 6 steps, got (6, 3)"),
-        ("measurements", np.s_[:, :1], "measurements must be (7, 2) for 6 steps, got (7, 1)"),
-        ("controls", np.s_[:-1], "true_states must be (6, 3) for 5 steps, got (7, 3)"),
+        ("true_states", np.s_[:-1],
+         "true_states for 6 steps must be an array of shape (7, 3), got (6, 3)"),
+        ("measurements", np.s_[:, :1],
+         "measurements for 6 steps must be an array of shape (7, 2), got (7, 1)"),
+        ("controls", np.s_[:-1],
+         "true_states for 5 steps must be an array of shape (6, 3), got (7, 3)"),
     ],
 )
 def test_directly_built_scenario_rejects_inconsistent_arrays(name, cut, message):
     fields = _scenario_fields()
     fields[name] = fields[name][cut]
-    with pytest.raises(ScenarioError, match=re.escape(f"inconsistent scenario arrays: {message}")):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         sm.Scenario(**fields)
 
 
@@ -294,6 +297,119 @@ def test_real_inputs_keep_their_type(benchmark_scenario):
     assert replace(benchmark_scenario, sigma_r=0).sigma_r == 0
 
 
+_LAYOUT = sm.build_partition(25, 4, 3)  # states (29, 3), stages (25, 3), r = 9
+
+
+def _warm_solve(s, **fields):
+    state = dict(x_blocks=np.zeros((29, 3)), y_blocks=np.zeros((29, 3)), lam=np.zeros(9),
+                 mu_blocks=np.zeros((25, 3)))
+    warm = sm.IterateState(**{**state, **fields})
+    return sm.solve(sm.window_instance(s, 25), _LAYOUT, sm.SolverConfig(max_iter=1), warm=warm)
+
+
+def _stage_stack(s, **fields):
+    zeros = dict(zip(("H", "g", "D", "d", "anchor"), map(np.zeros, _LAYOUT.shapes)))
+    return sm.StageStack(_LAYOUT, **{**zeros, **fields})
+
+
+def _qp_block(s, **fields):
+    block = dict(H=np.eye(3), g=np.zeros(3), C=np.zeros((1, 3)), d=np.zeros(1),
+                 A=np.zeros((2, 3)), anchor=np.zeros(2))
+    return sm.QpBlock(**{**block, **fields})
+
+
+def _shape_case(entry, name, call, value, shape, error=DimensionMismatchError):
+    """``call(scenario, value)`` raises ``error`` with the message of
+    ``errors.check_shape``: the value's shape, or the type name of a list."""
+    got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+    return pytest.param(call, value, error, f"{name} must be an array of shape {shape}, got {got}",
+                        id=f"{entry}-{name}-{got}")
+
+
+def _field_cases(entry, build, rows):
+    """One row per ``(field, value, shape)`` of ``build(scenario, **{field: value})``."""
+    return [_shape_case(entry, name, lambda s, v, name=name: build(s, **{name: v}), value, shape)
+            for name, value, shape in rows]
+
+
+_ARRAY_CASES = [
+    *_field_cases("MheInstance", lambda s, **f: replace(sm.window_instance(s, 25), **f), [
+        ("measurements", np.zeros((25, 2)), (26, 2)),
+        ("controls", np.zeros((25, 3)), (25, 2)),
+        ("prior", np.zeros(2), (3,)),
+        ("P", np.eye(2), (3, 3)),
+        ("V", np.eye(3), (2, 2)),
+        ("initial_guess", np.zeros(3), (26, 3)),
+    ]),
+    # a 1-D control row is no longer read as the one row of an L = 1 window
+    _shape_case("MheInstance-L=1", "controls",
+                lambda s, v: sm.MheInstance(1, 0, np.zeros((2, 2)), v, np.zeros(3), np.eye(3),
+                                            np.eye(2), np.zeros((2, 3)), _ROBOT),
+                np.zeros(2), (1, 2)),
+    *_field_cases("solve-warm", _warm_solve, [
+        ("x_blocks", np.zeros((28, 3)), (29, 3)),
+        ("y_blocks", np.zeros((29, 2)), (29, 3)),
+        ("lam", np.zeros(8), (9,)),
+        ("mu_blocks", np.zeros((24, 3)), (25, 3)),
+        ("x_blocks", np.zeros((29, 3)).tolist(), (29, 3)),  # the rows as a list: arrays only
+    ]),
+    *_field_cases("StageStack", _stage_stack, [
+        ("H", np.zeros((29, 3)), (29, 3, 3)),
+        ("g", np.zeros((28, 3)), (29, 3)),
+        ("D", np.zeros((25, 3, 2)), (25, 3, 3)),
+        ("d", np.zeros((25, 2)), (25, 3)),
+        ("anchor", np.zeros(6), (9,)),
+        ("H", np.zeros((29, 3, 3)).tolist(), (29, 3, 3)),  # the right shape as a list: arrays only
+    ]),
+    *_field_cases("QpBlock", _qp_block, [
+        ("H", np.eye(3)[:, :2], (3, 3)),
+        ("g", np.zeros(2), (3,)),
+        ("d", np.zeros(2), (1,)),
+        ("anchor", np.zeros(3), (2,)),
+    ]),
+    _shape_case("coupling_residual", "blocks stack",
+                lambda s, v: sm.coupling_residual(_LAYOUT, v), np.zeros((28, 3)), (29, 3)),
+    _shape_case("extract_trajectory", "blocks stack",
+                lambda s, v: sm.extract_trajectory(v, _LAYOUT), np.zeros((29, 2)), (29, 3)),
+    _shape_case("lift", "trajectory", lambda s, v: lift(v, _LAYOUT), np.zeros((25, 3)), (26, 3)),
+    _shape_case("centralized_objective", "trajectory",
+                lambda s, v: sm.centralized_objective(sm.window_instance(s, 25), v),
+                np.zeros(3), (26, 3)),
+    _shape_case("Scenario", "true_states for 60 steps", lambda s, v: replace(s, true_states=v),
+                np.zeros((60, 3)), (61, 3), ScenarioError),
+    _shape_case("Scenario", "measurements for 60 steps", lambda s, v: replace(s, measurements=v),
+                np.zeros((61, 3)), (61, 2), ScenarioError),
+    _shape_case("generate_scenario", "control schedule",
+                lambda s, v: sm.generate_scenario(steps=5, control=v), np.ones((5, 3)), (5, 2),
+                ScenarioError),
+    _shape_case("generate_scenario", "control schedule",
+                lambda s, v: sm.generate_scenario(steps=5, control=v), np.ones((4, 2)), (5, 2),
+                ScenarioError),
+]
+
+
+@pytest.mark.parametrize("call, value, error, message", _ARRAY_CASES)
+def test_every_array_input_takes_one_rule(benchmark_scenario, call, value, error, message):
+    """Each entry point refuses a fixed-shape array input of another shape, or
+    a list where it takes arrays only, with its own error type and the message
+    of ``errors.check_shape``, before doing any work."""
+    with pytest.raises(error) as err:
+        call(benchmark_scenario, value)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_an_instance_takes_lists_of_rows(benchmark_scenario):
+    # MheInstance converts what it is given, so the rows of every field as
+    # lists build the same window as the arrays
+    arrays = sm.window_instance(benchmark_scenario, 25)
+    names = ("measurements", "controls", "prior", "P", "V", "initial_guess")
+    lists = replace(arrays, **{name: getattr(arrays, name).tolist() for name in names})
+    for name in names + ("p_inv_sqrt", "v_inv_sqrt"):
+        np.testing.assert_array_equal(getattr(lists, name), getattr(arrays, name))
+        assert getattr(lists, name).dtype == float
+
+
 def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):
     # only generate_scenario refuses the origin; a file may hold any trajectory
     loaded = sm.load_scenario(write_scenario(origin_scenario, tmp_path / "origin.json"))
@@ -313,7 +429,8 @@ def test_scenario_takes_a_full_control_schedule():
     schedule = sm.generate_scenario(steps=15, control=np.tile([0.8, 0.3], (15, 1)), seed=2)
     for name in ("controls", "true_states", "measurements"):
         np.testing.assert_array_equal(getattr(schedule, name), getattr(pair, name))
-    with pytest.raises(ScenarioError, match=re.escape("must be (steps, 2), got (15, 3)")):
+    message = "control schedule must be an array of shape (15, 2), got (15, 3)"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         sm.generate_scenario(steps=15, control=np.ones((15, 3)))
 
 
@@ -494,7 +611,7 @@ def test_malformed_scenario_file_raises(tmp_path):
         payload = json.loads(good.read_text())
         payload[key] = payload[key][:-1]
         path.write_text(json.dumps(payload))
-        message = rf"malformed scenario file .*bad\.json: inconsistent scenario arrays: {key} "
+        message = rf"malformed scenario file .*bad\.json: {key} for 6 steps must be an array of "
         with pytest.raises(ScenarioError, match=message):
             sm.load_scenario(path)
 

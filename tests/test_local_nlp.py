@@ -567,7 +567,9 @@ def test_a_masked_sub_window_sees_no_links(benchmark_instance):
     kept = band.copy()
     got = local_nlp._kkt_step(run, H, broken, rhs_x, rhs_mu, 5.0, blocks, band)
     np.testing.assert_array_equal(band, kept)  # the round's band is not masked in place
-    want = local_nlp._kkt_step(run, H, ev.D, rhs_x, rhs_mu, 5.0, blocks)
+    want = local_nlp._kkt_step(
+        run, H, ev.D, rhs_x, rhs_mu, 5.0, blocks, local_nlp.link_band(partition, ev.D, False)
+    )
     for a, b, rows in zip(got, want, (partition.state_block, partition.stage_block)):
         np.testing.assert_array_equal(a, b)
         assert not a[rows == 1].any()

@@ -267,6 +267,25 @@ def test_instance_validation(robot):
         )
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("P", np.eye(2), "P must be an array of shape (3, 3), got (2, 2)"),
+        ("V", np.eye(3), "V must be an array of shape (2, 2), got (3, 3)"),
+        ("V", np.eye(1), "V must be an array of shape (2, 2), got (1, 1)"),
+    ],
+)
+def test_a_mis_sized_weight_fails_when_the_instance_is_built(
+    benchmark_scenario, name, value, message
+):
+    """``P`` and ``V`` are checked against ``nx`` and ``ny`` like the other
+    fields: a square SPD weight of the wrong size never reaches a solve,
+    where it would fail as numpy's ``ValueError`` outside the error hierarchy."""
+    with pytest.raises(DimensionMismatchError) as err:
+        replace(sm.window_instance(benchmark_scenario, 25), **{name: value})
+    assert str(err.value) == message
+
+
 def test_windows_get_independent_inverse_square_roots(benchmark_scenario):
     """``P^-1/2`` and ``V^-1/2`` repeat in every window and are computed once,
     but each instance owns its arrays: mutating one window's leaves the next
@@ -492,6 +511,45 @@ def test_only_errors_calls_operator_index():
             if imported or called:
                 sites.append(path.name)
     assert sites == ["errors.py"], sites
+
+
+# the checks that accept more than one shape, or learn the shape from the
+# input, so that errors.check_shape cannot state them
+_SHAPE_CHECKS = {
+    ("model.py", "make_linear_model"): "learns nx, nu and ny from A, B and C",
+    ("problem.py", "inv_sqrt_spd"): "a square matrix of any size, called directly too",
+    ("problem.py", "_as_stack"): "a list of flat blocks, each named with its own length",
+    ("problem.py", "states"): "a flat block vector or its (states, nx) stack",
+}
+
+
+def _compares_a_shape(test: ast.expr) -> bool:
+    """Whether ``test`` holds a ``!=`` with ``.shape`` or ``np.shape(...)`` on a side."""
+    return any(
+        isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops)
+        and any(isinstance(n, ast.Attribute) and n.attr == "shape"
+                for side in (node.left, *node.comparators) for n in ast.walk(side))
+        for node in ast.walk(test)
+    )
+
+
+def test_only_errors_writes_a_shape_check():
+    # every fixed-shape array input passes errors.check_shape, so its rule and
+    # message live in one place; a new hand-written check fails here
+    sites = {}
+    for path in sorted(Path(problem.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        # ast.walk is breadth first, so an inner function overwrites its outer one
+        owner = {}
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update({node: fn.name for node in ast.walk(fn) if isinstance(node, ast.If)})
+        for node, name in owner.items():
+            raises = any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+            if raises and _compares_a_shape(node.test):
+                sites[(path.name, name)] = node.lineno
+    assert set(sites) == set(_SHAPE_CHECKS), sites
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

@@ -84,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("--sub-windows", type=int, default=DEFAULT_SUB_WINDOWS)
+            p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
         p.add_argument("--rho", type=float, default=None)
         p.add_argument("--tol", type=float, default=SolverConfig.tol)
-        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
     slv = sub.add_parser("solve", help="solve one estimation window")
     add_solver_options(slv)
@@ -103,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_options(swp, sweep=True)
     swp.add_argument("--window-end", type=int, default=None)
     swp.add_argument("--iters", type=int, default=50)
+    swp.set_defaults(max_iter=SolverConfig.max_iter)  # unused: every run takes --iters
     swp.add_argument("--out", required=True)
 
     sub.add_parser("check", help="run the internal consistency suite")

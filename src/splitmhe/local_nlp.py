@@ -193,24 +193,6 @@ def _block_max(sub: SubProblem, state_rows: Array, stage_rows: Array) -> Array:
     )
 
 
-def _kkt_step(sub: SubProblem, H, D, rhs_x, rhs_mu, rho: float, blocks: Array, band: Array):
-    """:func:`~splitmhe.qp_core.solve_local_kkt` for the sub-windows in the mask
-    ``blocks``, seeded by ``rho``; the others see ``H = I``, ``D = 0`` and a
-    zero right-hand side, a zero step that never reaches the shift ladder.
-    With every sub-window in ``blocks`` the data and ``band`` (``link_band(lay, D, False)``)
-    pass unmasked; else a copy of the band has the others' states' links zeroed."""
-    lay = sub.layout
-    if blocks.all():
-        return solve_local_kkt(lay, H, D, rhs_x, rhs_mu, rho, band)
-    s, k = blocks[lay.state_block][:, None], blocks[lay.stage_block][:, None]
-    band = band.copy(order="K")
-    band[1:, ~s.repeat(lay.nx)] = 0.0
-    return solve_local_kkt(
-        lay, np.where(s[..., None], H, lay.eye), D, np.where(s, rhs_x, 0.0),
-        np.where(k, rhs_mu, 0.0), rho, band,
-    )
-
-
 def _merits(sub, x, sigma, at_lam, y_ref, rho, values=None) -> Array:
     """Per-sub-window l1 merits at the stack ``x``; ``values`` is ``(b, F)``
     there when the caller has it."""
@@ -309,7 +291,7 @@ def solve_local_subproblem(
                                     float(kkt.max()), ev)
 
         H = hessian_blocks(sub, x, mu, rho, ev, True)
-        dx, mu_new = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, active, band)
+        dx, mu_new = solve_local_kkt(lay, H, band, -grad, -ev.F, rho, active)
         search = active & ~(kkt <= _FULL_STEP_TOL)  # a NaN residual searches too
         step = (active & ~search).astype(float)
         if search.any():
@@ -322,7 +304,7 @@ def solve_local_subproblem(
             retry = search & (found == 0)
             if retry.any():
                 H = hessian_blocks(sub, x, mu, rho, ev, False)
-                dx_gn, mu_gn = _kkt_step(sub, H, ev.D, -grad, -ev.F, rho, retry, band)
+                dx_gn, mu_gn = solve_local_kkt(lay, H, band, -grad, -ev.F, rho, retry)
                 dx = np.where(retry[lay.state_block][:, None], dx_gn, dx)
                 mu_new = np.where(retry[lay.stage_block][:, None], mu_gn, mu_new)
                 found += _line_search(sub, x, dx, retry, sigma, at_lam, y_ref, rho, merit0, slack)
@@ -355,5 +337,5 @@ def predictor_corrector(
     if not trusted.any():
         return x, mu, trusted
     H = hessian_blocks(sub, x, mu, rho, evaluation, True)
-    dx, dmu = _kkt_step(sub, H, evaluation.D, gx, gm, rho, trusted, band)
+    dx, dmu = solve_local_kkt(sub.layout, H, band, gx, gm, rho, trusted)
     return x - dx, mu - dmu, trusted

@@ -40,16 +40,17 @@ calls, and no per-state Hessian is ever factored: only the reduced Hessian
 must be positive definite, and the links have full row rank by construction.
 The condensed map's conditioning follows the products of the ``D_j``, so it
 is accurate on the contracting or polynomially growing dynamics of a sampled
-system and loses digits on chains that expand geometrically. The band of
-``B`` (:func:`link_band`) also gives the stationarity ``C' mu + A' lam`` as
-one product ``B' nu``, row 0 of ``nu`` zeroed (:func:`link_transpose`).
+system and loses digits on chains that expand geometrically. This module
+alone builds, masks and indexes the band of ``B`` (:func:`link_band`), which a
+stack holds and which also gives the stationarity ``C' mu + A' lam`` as one
+product ``B' nu``, row 0 of ``nu`` zeroed (:func:`link_transpose`).
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
 verification oracle. The coupled QP is never regularized: a Hessian that is not
 positive definite raises :class:`NotPositiveDefiniteError` with its block index,
-block 0 for a stack's reduced Hessian. :func:`solve_local_kkt` condenses each
-unlinked sub-window's local KKT system, of any inertia, through the same band,
-with an LU of its ``nx x nx`` reduced system and a shift that refactors nothing.
+block 0 for a stack's reduced Hessian. :func:`solve_local_kkt` condenses the local
+KKT systems, of any inertia, of a mask of unlinked sub-windows through their band,
+with an LU of each ``nx x nx`` reduced system and a shift that refactors nothing.
 """
 
 from __future__ import annotations
@@ -99,14 +100,13 @@ class QpBlock:
     anchor: Array
 
     def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        n = self.n
-        self.g = np.asarray(self.g, dtype=float)
-        self.C = np.asarray(self.C, dtype=float).reshape(-1, n)
+        for name in ("H", "g", "C", "A"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         self.d = np.asarray(self.d, dtype=float).reshape(-1)
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, n)
         self.anchor = np.asarray(self.anchor, dtype=float).reshape(-1)
-        for name, shape in dict(H=(n, n), g=(n,), d=(self.m,), anchor=(self.r,)).items():
+        # the leading sizes; a 0-d array counts as one row
+        n, m, r = ((a.shape or (1,))[0] for a in (self.H, self.C, self.A))
+        for name, shape in dict(H=(n, n), g=(n,), C=(m, n), d=(m,), A=(r, n), anchor=(r,)).items():
             check_shape(name, getattr(self, name), shape)
 
     @property
@@ -136,6 +136,8 @@ class StageStack:
 
     The per-state blocks ``H`` may be indefinite: :func:`solve_coupled_qp`
     needs only the reduced Hessian over ``dX_0`` to be positive definite.
+    ``band`` is ``link_band(layout, D, True)``, the chain's link matrix ``B``:
+    passed in where the caller built it at the same ``D``, else built here.
     """
 
     layout: LiftedLayout
@@ -144,17 +146,18 @@ class StageStack:
     D: Array
     d: Array
     anchor: Array
-    band: Array | None = None  # link_band(layout, D, True), or None to build it
+    band: Array | None = None
 
     def __post_init__(self):
         try:
             shapes = (self.H.shape, self.g.shape, self.D.shape, self.d.shape, self.anchor.shape)
         except AttributeError:  # not all arrays: compared field by field below
             shapes = None
-        if shapes == self.layout.shapes:
-            return
-        for name, shape in zip(("H", "g", "D", "d", "anchor"), self.layout.shapes):
-            check_shape(name, getattr(self, name), shape)
+        if shapes != self.layout.shapes:
+            for name, shape in zip(("H", "g", "D", "d", "anchor"), self.layout.shapes):
+                check_shape(name, getattr(self, name), shape)
+        if self.band is None:
+            self.band = link_band(self.layout, self.D, True)
 
 
 @dataclass(eq=False)
@@ -165,15 +168,14 @@ class SchurTerms:
 
     A condensed :class:`StageStack` maps ``z = (1, dX_0)`` to the step ``+U z``,
     ``U = [e, Z]``: ``S`` is the unsymmetrised reduced Hessian, whose factor reads
-    the lower triangle, ``S dX_0 = s``, ``V z`` is the stationarity residual
-    ``H dX + g``, and ``band``, the banded link matrix ``B``, gives ``nu = -B^-T V z``.
+    the lower triangle, ``S dX_0 = s``, and ``V z`` is the stationarity residual
+    ``H dX + g``, whose link multipliers are ``nu = -B^-T V z`` on the stack's band.
     """
 
     S: Array
     s: Array
     U: Array
     V: Array
-    band: Array | None = None
 
 
 @dataclass(eq=False)
@@ -368,16 +370,15 @@ def link_transpose(band: Array, nu: Array) -> Array:
         nu.size, nu.size, len(band) - 1, 0, 1.0, band, flat, 1, 0, 0.0, None, 1, 0, 1)
 
 
-def _chain_solve(lay: LiftedLayout, D, offsets, linked: bool, band) -> tuple[Array, Array]:
-    """``band``, or :func:`link_band` if None, and ``B^-1 [(0; offsets) | E]`` ``(L + N, nx,
-    nx + 1)``, the arrays ``offsets`` and ``[0, 1]`` taken into one banded solve (``dtbtrs``).
+def _chain_solve(lay: LiftedLayout, offsets, linked: bool, band: Array) -> Array:
+    """``B^-1 [(0; offsets) | E]`` ``(L + N, nx, nx + 1)`` on the link ``band`` of ``B``, the
+    arrays ``offsets`` and ``[0, 1]`` taken into one banded solve (``dtbtrs``).
     Link ``j`` sits on row ``j + 1``: the ``L`` stage offsets on the rows ``next`` and,
     if ``linked``, the ``N - 1`` coupling offsets on the rows ``first[1:]``. ``E`` holds
     an identity block on the first state, or on every sub-window's first state if not."""
-    band = link_band(lay, D, linked) if band is None else band
     rhs = np.concatenate((*offsets, _ZERO_ONE), axis=None).take(_chain_tables(lay, linked)[3]).T
     sol = scipy.linalg.lapack.dtbtrs(band, rhs, "L", "N", "U", 1)[0]  # positional: see _solve_stack
-    return band, sol.reshape(lay.n_states, lay.nx, lay.nx + 1)
+    return sol.reshape(lay.n_states, lay.nx, lay.nx + 1)
 
 
 def _condense(stack: StageStack) -> SchurTerms:
@@ -390,14 +391,14 @@ def _condense(stack: StageStack) -> SchurTerms:
     Hessian ``S = Z' H Z`` and, negated, the right-hand side ``s = -Z' (H e + g)``.
     """
     nx = stack.layout.nx
-    band, U = _chain_solve(stack.layout, stack.D, (-stack.d, stack.anchor), True, stack.band)
+    U = _chain_solve(stack.layout, (-stack.d, stack.anchor), True, stack.band)
     # the batched product on a C-ordered copy of the LAPACK output takes about
     # two thirds of the time, bit for bit the same
     V = stack.H @ np.ascontiguousarray(U)
     V[..., 0] += stack.g
     U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
     reduced = U[:, 1:].T.dot(V)  # ndarray.dot: the BLAS call of @ without its ufunc cost
-    return SchurTerms(S=reduced[:, 1:], s=-reduced[:, 0], U=U, V=V, band=band)
+    return SchurTerms(S=reduced[:, 1:], s=-reduced[:, 0], U=U, V=V)
 
 
 def _solve_stack(stack: StageStack) -> QpSolution:
@@ -415,9 +416,9 @@ def _solve_stack(stack: StageStack) -> QpSolution:
             "block 0: reduced Hessian is not positive definite", block_index=0
         )
     z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, 1)[0]))
-    back = lapack.dtbtrs(terms.band, terms.V.dot(z), "L", "T", "U")[0]
+    back = lapack.dtbtrs(stack.band, terms.V.dot(z), "L", "T", "U")[0]
     z[1:] -= lapack.dpotrs(factor, back[:nx], 1)[0]
-    nu = -lapack.dtbtrs(terms.band, terms.V.dot(z), "L", "T", "U")[0]
+    nu = -lapack.dtbtrs(stack.band, terms.V.dot(z), "L", "T", "U")[0]
     # the refined reduced gradient, row 0 of nu, relative to the multipliers' scale
     first, top = np.maximum.accumulate(np.maximum.reduceat(np.abs(nu), (0, nx))).tolist()
     nu = nu.reshape(-1, nx)
@@ -435,25 +436,33 @@ def _solve_stack(stack: StageStack) -> QpSolution:
 
 
 def solve_local_kkt(
-    layout: LiftedLayout, H: Array, D: Array, rhs_x: Array, rhs_mu: Array, eps0: float, band=None
+    layout: LiftedLayout, H: Array, band: Array, rhs_x: Array, rhs_mu: Array, eps0: float,
+    active: Array,
 ) -> tuple[Array, Array]:
     """Solve the local KKT systems ``[[H, C'], [C, 0]] (dx, mu) = (rhs_x, rhs_mu)``
-    of a run of unlinked sub-windows, each condensed onto its first state.
+    of the unlinked sub-windows in the mask ``active``, each condensed onto its first state.
 
-    ``H`` holds per-state blocks ``(states, nx, nx)`` of any inertia, and row
-    ``k`` of ``C`` is ``-D_k`` on state ``prev[k]`` and ``I`` on ``next[k]``.
-    With zero coupling blocks, :func:`_chain_solve` gives ``dx = e + Z dx_first``
-    for every sub-window at once; the ``nx x nx`` reduced systems
-    ``Z' H Z dx_first = Z' (rhs_x - H e)`` take one batched LU solve, and
-    ``mu`` is the stage rows of one transposed banded solve of ``rhs_x - H dx``.
-    A singular reduced system, named by its own zero LU pivot, has its
-    sub-window's ``H`` alone shifted by ``eps0 * 10**k``, ``k = 0, 1, 2``, before
-    :class:`LocalSolveError` is raised; a retry redoes only the product and the
-    reduction, as ``e`` and ``Z`` do not depend on ``H``. ``band`` is
-    ``link_band(layout, D, False)`` or None. Returns ``dx`` and ``mu`` ``(L, nx)``.
+    ``H`` holds per-state blocks ``(states, nx, nx)`` of any inertia, row ``k`` of
+    ``C`` is ``-D_k`` on state ``prev[k]`` and ``I`` on ``next[k]``, and ``band`` is
+    ``link_band(layout, D, False)``. Outside ``active``, ``H = I``, the links of a
+    copy of ``band`` are zero and so is the right-hand side: a zero step, never shifted.
+    :func:`_chain_solve` gives ``dx = e + Z dx_first`` for every sub-window at once;
+    the reduced systems ``Z' H Z dx_first = Z' (rhs_x - H e)`` take one batched LU
+    solve, and ``mu`` is the stage rows of one transposed banded solve of
+    ``rhs_x - H dx``. A singular reduced system, named by its own zero LU pivot,
+    has its sub-window's ``H`` alone shifted by ``eps0 * 10**k``, ``k = 0, 1, 2``,
+    before :class:`LocalSolveError` is raised; a retry redoes only the product and
+    the reduction, as ``e`` and ``Z`` do not depend on ``H``. Returns ``dx`` and
+    ``mu`` ``(L, nx)``.
     """
     lay, nx = layout, layout.nx
-    band, U = _chain_solve(lay, D, (rhs_mu,), False, band)
+    if not active.all():
+        s = active[lay.state_block][:, None]
+        band = band.copy(order="K")
+        band[1:, ~s.repeat(nx)] = 0.0
+        H, rhs_x = np.where(s[..., None], H, lay.eye), np.where(s, rhs_x, 0.0)
+        rhs_mu = np.where(active[lay.stage_block][:, None], rhs_mu, 0.0)
+    U = _chain_solve(lay, (rhs_mu,), False, band)
     rungs, shifted = [0] * len(lay.lengths), H
     while True:
         V = shifted @ np.ascontiguousarray(U)

@@ -230,8 +230,8 @@ def _drive(
     """
     run = subproblem(instance, partition, range(partition.N))
     x_warm, y, lam, mu = _initial_iterate(instance, partition, warm)
-    # ev: the stack's evaluation at x, carried from the last metrics (ev_band, with its band)
-    x, ev, ev_band = y, None, (None, None)
+    # ev: the stack's evaluation at x, carried from the last metrics; band: band_ev's link band
+    x, ev, band_ev, band = y, None, None, None
     if start:
         try:
             x, mu, ev = start(run, x_warm, y, lam, mu)
@@ -251,7 +251,7 @@ def _drive(
             stack = StageStack(
                 layout=partition, H=hessian_blocks(run, x, None, cfg.rho, ev, False),
                 g=ev.g, D=ev.D, d=ev.F, anchor=coupling_residual(partition, x),
-                band=ev_band[1] if ev_band[0] is ev else None,
+                band=band if band_ev is ev else None,
             )
             local_s = time.perf_counter() - t0
 
@@ -267,8 +267,8 @@ def _drive(
                 local_s += time.perf_counter() - t0
 
             ev_new = evaluate_stack(run, y_new)
-            ev_band = ev_new, link_band(partition, ev_new.D, True)
-            stat = ev_new.g.reshape(-1) + link_transpose(ev_band[1], sol.nu)
+            band_ev, band = ev_new, link_band(partition, ev_new.D, True)
+            stat = ev_new.g.reshape(-1) + link_transpose(band, sol.nu)
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())

@@ -170,6 +170,9 @@ def test_non_finite_simulate_inputs_are_input_errors(tmp_path, capsys, args):
         (["simulate", "--control", "1"], "expected 'v,omega', got '1'"),
         (["sweep", "--scenario", "s.json", "--sub-windows", "3,x"],
          "expected comma-separated integers, got '3,x'"),
+        # the sweep's budget is --iters, so it takes no --max-iter
+        (["sweep", "--scenario", "s.json", "--max-iter", "1"],
+         "unrecognized arguments: --max-iter 1"),
     ],
 )
 def test_malformed_option_lists_are_input_errors(tmp_path, capsys, args, message):

@@ -366,7 +366,13 @@ _ARRAY_CASES = [
         ("g", np.zeros(2), (3,)),
         ("d", np.zeros(2), (1,)),
         ("anchor", np.zeros(3), (2,)),
+        ("C", np.zeros((1, 2)), (1, 3)),
+        ("A", np.zeros((2, 2)), (2, 3)),
+        ("H", np.array(1.0), (1, 1)),  # 0-d: one row
     ]),
+    # a transposed C is no longer read, through a reshape, as the rows of its two offsets
+    _shape_case("QpBlock-m=2", "C", lambda s, v: _qp_block(s, C=v, d=np.zeros(2)),
+                np.arange(6.0).reshape(3, 2), (3, 3)),
     _shape_case("coupling_residual", "blocks stack",
                 lambda s, v: sm.coupling_residual(_LAYOUT, v), np.zeros((28, 3)), (29, 3)),
     _shape_case("extract_trajectory", "blocks stack",

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from splitmhe.local_nlp import (
     tangent_predictor,
 )
 from splitmhe.problem import constraint_vector, lifted_layout, split_instance, subproblem
-from splitmhe.qp_core import solve_local_kkt
+from splitmhe.qp_core import link_band, solve_local_kkt
 
 from conftest import build_linear_instance
 from helpers import dense_kkt, fd_jacobian, refined_solve, rel_err
@@ -424,15 +425,18 @@ def test_solve_local_kkt_shifts_a_singular_matrix():
     # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is
     # singular, and the first rung shifts H
     shifted = dense_kkt(lay, eps0 * np.broadcast_to(np.eye(nx), (4, nx, nx)), D)
-    dx, mu = solve_local_kkt(lay, np.zeros((4, nx, nx)), D, rhs_x, rhs_mu, eps0)
+    dx, mu = solve_local_kkt(
+        lay, np.zeros((4, nx, nx)), link_band(lay, D, False), rhs_x, rhs_mu, eps0, np.ones(1, bool)
+    )
     expected = np.linalg.solve(shifted, np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
     assert rel_err(np.concatenate([dx.ravel(), mu.ravel()]), expected) < 1e-12
     # a curvature 2^70 times the shifts swallows every rung: x0 and x1 = x0
     # have curvature +2^70 and -2^70, so the reduced Hessian stays exactly 0
     H = np.array([[[2.0 ** 70]], [[-2.0 ** 70]]])
+    lay = lifted_layout((1,), 1)
     with pytest.raises(LocalSolveError, match="block 0") as err:
-        solve_local_kkt(lifted_layout((1,), 1), H, np.ones((1, 1, 1)), np.ones((2, 1)),
-                        np.zeros((1, 1)), 1.0)
+        solve_local_kkt(lay, H, link_band(lay, np.ones((1, 1, 1)), False), np.ones((2, 1)),
+                        np.zeros((1, 1)), 1.0, np.ones(1, bool))
     assert err.value.block_index == 0
 
 
@@ -550,10 +554,11 @@ def test_lockstep_solve_equals_the_solves_of_its_blocks(benchmark_instance, n_su
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-def test_a_masked_sub_window_sees_no_links(benchmark_instance):
+def test_a_masked_sub_window_sees_no_links(benchmark_instance, caplog):
     """A KKT step over some sub-windows zeroes the others' links in a copy of
-    the round's band: their data, even non-finite, leave the step finite and
-    zero there and the other sub-windows' steps bit for bit unchanged."""
+    the round's band: their data, even non-finite or a singular zero ``H``,
+    leave the step finite and zero there, with no shift, and the other
+    sub-windows' steps bit for bit unchanged."""
     rng = np.random.Generator(np.random.PCG64(17))
     partition = sm.build_partition(25, 4, 3)
     run = subproblem(benchmark_instance, partition, range(4))
@@ -565,11 +570,17 @@ def test_a_masked_sub_window_sees_no_links(benchmark_instance):
     broken = np.where((partition.stage_block == 1)[:, None, None], np.nan, ev.D)
     band = local_nlp.link_band(partition, broken, False)
     kept = band.copy()
-    got = local_nlp._kkt_step(run, H, broken, rhs_x, rhs_mu, 5.0, blocks, band)
+    got = solve_local_kkt(partition, H, band, rhs_x, rhs_mu, 5.0, blocks)
     np.testing.assert_array_equal(band, kept)  # the round's band is not masked in place
-    want = local_nlp._kkt_step(
-        run, H, ev.D, rhs_x, rhs_mu, 5.0, blocks, local_nlp.link_band(partition, ev.D, False)
+    want = solve_local_kkt(
+        partition, H, local_nlp.link_band(partition, ev.D, False), rhs_x, rhs_mu, 5.0, blocks
     )
-    for a, b, rows in zip(got, want, (partition.state_block, partition.stage_block)):
+    # H = 0 alone makes sub-window 1's reduced system singular; masked, it is never shifted
+    zero = np.where((partition.state_block == 1)[:, None, None], 0.0, H)
+    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
+        unshifted = solve_local_kkt(partition, zero, band, rhs_x, rhs_mu, 5.0, blocks)
+    assert not caplog.records
+    for a, b, c, rows in zip(got, want, unshifted, (partition.state_block, partition.stage_block)):
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(c, b)
         assert not a[rows == 1].any()

@@ -619,7 +619,9 @@ def test_banded_local_kkt_matches_the_dense_solve(nx, lengths, seed):
     K = dense_kkt(lay, H, D)
     # two backward-stable solves agree to about cond(K) * 1e-16
     assume(np.linalg.cond(K) < 1e5)
-    dx, mu = solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 1.0)
+    dx, mu = solve_local_kkt(
+        lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 1.0, np.ones(lay.N, bool)
+    )
     got = np.concatenate([dx.ravel(), mu.ravel()])
     expected = np.linalg.solve(K, np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -630,7 +632,9 @@ def test_local_kkt_ladder_shifts_only_the_singular_blocks(caplog):
     H[lay.state_block == 1] = 0.0  # H = 0: blocks 1 and 3 are singular
     H[lay.state_block == 3] = 0.0
     with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
-        dx, mu = solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 0.5)
+        dx, mu = solve_local_kkt(
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 0.5, np.ones(lay.N, bool)
+        )
     assert [r.getMessage() for r in caplog.records] == [
         f"block {i}: local KKT matrix singular; retrying with shift 5.000e-01" for i in (1, 3)
     ]
@@ -649,7 +653,9 @@ def test_local_kkt_is_one_forward_and_one_transposed_chain_solve(monkeypatch):
     for lengths in ((5,), (3, 4, 2, 5), (1,) * 12):
         lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 3, lengths)
         calls.clear()
-        solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 1.0)
+        solve_local_kkt(
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 1.0, np.ones(lay.N, bool)
+        )
         rows = lay.n_states * 3
         # no band LU: the forward solve for [e, Z] and the multipliers' solve
         assert calls == [("dtbtrs", "N", (rows, 4)), ("dtbtrs", "T", (rows,))], lengths
@@ -658,7 +664,9 @@ def test_local_kkt_is_one_forward_and_one_transposed_chain_solve(monkeypatch):
     lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 2, (3, 4, 2, 5))
     H[np.isin(lay.state_block, (1, 3))] = 0.0
     calls.clear()
-    solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 0.5)
+    solve_local_kkt(
+        lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 0.5, np.ones(lay.N, bool)
+    )
     rows = lay.n_states * 2
     assert calls == [
         ("dtbtrs", "N", (rows, 3)), *[("dgetrf", "N", (2, 2))] * 4, ("dtbtrs", "T", (rows,))
@@ -675,7 +683,9 @@ def test_local_kkt_ladder_stops_when_no_block_has_a_zero_pivot(monkeypatch, capl
     monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lambda a: (*getrf(a)[:2], 0))
     with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
         with pytest.raises(LocalSolveError, match="no sub-window has a zero pivot") as err:
-            solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 0.5)
+            solve_local_kkt(
+                lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 0.5, np.ones(lay.N, bool)
+            )
     assert err.value.block_index is None
     assert not caplog.records
 
@@ -691,7 +701,9 @@ def test_local_condensing_accuracy_follows_the_growth_of_the_chain():
         lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 3, (90, 90, 90))
         rhs = np.concatenate([rhs_x.ravel(), rhs_mu.ravel()])
         expected = refined_solve(dense_kkt(lay, H, D), rhs)
-        dx, mu = solve_local_kkt(lay, H, D, rhs_x, rhs_mu, 1.0)
+        dx, mu = solve_local_kkt(
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 1.0, np.ones(lay.N, bool)
+        )
         got = np.concatenate([dx.ravel(), mu.ravel()])
         worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
     # measured 2.6e-9
@@ -709,7 +721,9 @@ def test_local_kkt_on_the_cold_robot_window():
     ev = evaluate_stack(run, x)
     for rho in (10.0, 0.1):
         H = hessian_blocks(run, x, np.zeros((L, 3)), rho, ev, True)
-        dx, mu = solve_local_kkt(lay, H, ev.D, -ev.g, -ev.F, 1.0)
+        dx, mu = solve_local_kkt(
+            lay, H, link_band(lay, ev.D, False), -ev.g, -ev.F, 1.0, np.ones(lay.N, bool)
+        )
         rhs = -np.concatenate([ev.g.ravel(), ev.F.ravel()])
         expected = refined_solve(dense_kkt(lay, H, ev.D), rhs)
         for got, want in ((dx.ravel(), expected[:dx.size]), (mu.ravel(), expected[dx.size:])):

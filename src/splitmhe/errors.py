@@ -67,10 +67,10 @@ class LocalSolveError(FactorizationError):
 
 
 def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> int:
-    """``value`` as an ``int`` if it is an integer of at least ``least``; else
-    raise ``error("<name> must be an integer >= <least>, got <value!r>")``."""
+    """``value`` as an ``int`` if it is an integer of at least ``least``, and not a
+    ``bool``; else raise ``error("<name> must be an integer >= <least>, got <value!r>")``."""
     try:
-        count = operator.index(value)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = None
     if count is None or count < least:
@@ -80,8 +80,9 @@ def check_count(name: str, value, least: int, error: type[Exception] = ValueErro
 
 def check_real(name: str, value, error: type[Exception] = ValueError, zero: bool = False) -> None:
     """Raise ``error("<name> must be positive and finite, got <value!r>")`` unless
-    ``value`` is a real number in ``(0, inf)``; with ``zero``, in ``[0, inf)``."""
-    if not (isinstance(value, numbers.Real) and (zero or value != 0) and 0 <= value < math.inf):
+    ``value`` is a real number, not a ``bool``, in ``(0, inf)``; with ``zero``, in ``[0, inf)``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (zero or value != 0) and 0 <= value < math.inf):
         bound = "nonnegative" if zero else "positive"
         raise error(f"{name} must be {bound} and finite, got {value!r}")
 

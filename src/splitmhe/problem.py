@@ -330,9 +330,9 @@ def _residuals(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``V^-1/2 (h(x) - y)`` per measured state in time order; and those states."""
     Xm = X.take(sub.measured, 0)
     dy = sub.model.h(Xm) - sub.measurements
-    b = dy.dot(sub.v_inv_sqrt.T).reshape(-1)  # .dot, as in qp_core: @ at less cost
+    b = dy.dot(sub.v_inv_sqrt.T).ravel()  # .dot, as in qp_core: @ at less cost
     if sub.has_prior:
-        b = np.concatenate([sub.p_inv_sqrt.dot(X[0] - sub.prior), b])
+        b = np.concatenate((sub.p_inv_sqrt.dot(X[0] - sub.prior), b))
     return b, Xm
 
 
@@ -409,18 +409,19 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     """:class:`StageEvaluation` of a run of sub-windows at its stack ``X``: one
     ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
     whole window. On the whole window ``b`` is the centralized residual vector
-    of the trajectory that the measured states form. Measured states' ``J'b`` and ``J'J``
-    fill buffers with one trailing zero row, spread by one ``take`` of ``measured_rows``."""
+    of the trajectory that the measured states form. Measured states' ``[b, J]' J`` fill a
+    buffer with one trailing zero row, spread by a ``take`` of ``measured_rows`` per part."""
     X, model = sub.states(X), sub.model
     (b, Xm), (F, Xp) = _residuals(sub, X), _defects(sub, X)
     Jm = sub.v_inv_sqrt @ model.dh_dx(Xm)
-    JmT, nx, k = Jm.swapaxes(1, 2), model.nx, model.nx * sub.has_prior
-    g, W = np.zeros((len(Jm) + 1, nx, 1)), np.zeros((len(Jm) + 1, nx, nx))
-    np.matmul(JmT, b[k:].reshape(-1, model.ny, 1), out=g[:-1])
-    # J'J on a contiguous J' takes about a third of the time, bit for bit the same
-    np.matmul(np.ascontiguousarray(JmT), Jm, out=W[:-1])
-    g, W = g.take(sub.measured_rows, 0).reshape(-1, nx), W.take(sub.measured_rows, 0)
-    if sub.has_prior:
+    nx, k, rows = model.nx, model.nx * sub.has_prior, sub.measured_rows
+    gW = np.zeros((len(Xm) + 1, nx + 1, nx))
+    # [b, J]' J as one product on a contiguous [b, J]', bit for bit b'J and J'J taken
+    # apart; the output by position, as ufuncs parse keywords slower
+    bJ = np.concatenate((b[k:].reshape(-1, 1, model.ny), Jm.swapaxes(1, 2)), 1)
+    np.matmul(bJ, Jm, gW[:-1])
+    g, W = gW[:, 0].take(rows, 0), gW[:, 1:].take(rows, 0)
+    if k:
         g[0] += sub.p_inv_sqrt.T.dot(b[:k])
         W[0] += sub.prior_curvature
     return StageEvaluation(b, g, W, F, model.df_dx(Xp, sub.controls))
@@ -445,7 +446,7 @@ def coupling_residual(partition: LiftedLayout, blocks) -> Array:
     ``blocks`` is a list of block vectors or the lifted ``(L + N, nx)`` stack.
     """
     stack = _as_stack(blocks, partition)
-    return (stack.take(partition.last[:-1], 0) - stack.take(partition.first[1:], 0)).reshape(-1)
+    return (stack.take(partition.last[:-1], 0) - stack.take(partition.first[1:], 0)).ravel()
 
 
 def lift_initial_guess(trajectory: Array, partition: LiftedLayout) -> list[Array]:

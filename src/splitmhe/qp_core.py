@@ -204,13 +204,11 @@ def _require_finite(where: str, index: int | None, **arrays: Array) -> None:
 
 def _require_finite_stack(stack: StageStack) -> None:
     """Raise on non-finite stack data, naming the block of the first bad field's
-    first bad row. One pass over all fields clears finite data."""
-    arrays = (stack.H, stack.g, stack.D, stack.d, stack.anchor)
-    flat = np.concatenate(arrays, axis=None)
-    if np.count_nonzero(np.isfinite(flat)) == flat.size:  # faster than logical_and.reduce
-        return
+    first bad row; return on finite data."""
     names = ("H", "g", "D", "d", "anchor")
-    bad = [name for name, a in zip(names, arrays) if not np.isfinite(a).all()]
+    bad = [name for name in names if not np.isfinite(getattr(stack, name)).all()]
+    if not bad:
+        return
     lay = stack.layout
     rows = {
         "H": lay.state_block, "g": lay.state_block, "D": lay.stage_block, "d": lay.stage_block,
@@ -224,16 +222,42 @@ def _require_finite_stack(stack: StageStack) -> None:
 
 
 def schur_terms(block: QpBlock | StageStack, index: int | None = None) -> SchurTerms:
-    """Eliminate one block through its Hessian factorization.
+    """Eliminate one block, returned as the affine map :class:`SchurTerms`.
 
-    Returns the block as the affine map :class:`SchurTerms`. One Cholesky solve
-    gives ``H^-1 [g, A', C']``; no inverse is ever formed. A
-    :class:`StageStack` is condensed onto its first state instead, with no
-    Hessian factorization (:func:`_condense`).
+    A :class:`QpBlock` is eliminated through its Hessian factorization: one
+    Cholesky solve gives ``H^-1 [g, A', C']``; no inverse is ever formed. A
+    :class:`StageStack` is condensed onto its first state instead, in
+    ``O((L + N) nx^3)`` with no Hessian factorization. With ``B`` the link
+    matrix of :func:`_chain_tables`, every step is ``dX = B^-1 (dX_0; -d)``:
+    :func:`_chain_solve` against ``[(0; -d), E_0]`` gives ``U = [e, Z]``, so
+    that ``dX = U z``. Then ``V = [H e + g, H Z]`` is the stationarity map,
+    ``H dX + g = V z``, and ``Z' V`` holds the reduced Hessian ``S = Z' H Z``
+    and, negated, the right-hand side ``s = -Z' (H e + g)``. The chain solve's
+    source array also holds ``H``, ``g`` and ``D``, so one finiteness pass over
+    it clears finite data; on any other, :func:`_require_finite_stack` names the
+    block.
     """
-    if isinstance(block, StageStack):
+    if not isinstance(block, StageStack):
+        return _eliminate(block, index)
+    lay, H, g = block.layout, block.H, block.g
+    nx = lay.nx
+    source = np.concatenate(
+        ((-block.d).ravel(), block.anchor, _ZERO_ONE, H.ravel(), g.ravel(), block.D.ravel())
+    )
+    if np.count_nonzero(np.isfinite(source)) != source.size:  # faster than logical_and.reduce
         _require_finite_stack(block)
-        return _condense(block)
+    U = _chain_solve(lay, source, True, block.band)
+    # the batched product on a C-ordered copy of the LAPACK output takes about
+    # two thirds of the time, bit for bit the same
+    V = H @ np.ascontiguousarray(U)
+    V[..., 0] += g
+    U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
+    reduced = U[:, 1:].T.dot(V)  # ndarray.dot: the BLAS call of @ without its ufunc cost
+    return SchurTerms(reduced[:, 1:], -reduced[:, 0], U, V)
+
+
+def _eliminate(block: QpBlock, index: int | None) -> SchurTerms:
+    """:func:`schur_terms` of one :class:`QpBlock`."""
     where = f"block {index}" if index is not None else "block"
     _require_finite(
         where, index,
@@ -299,13 +323,48 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     ``r x r`` Schur solve, with contributions summed in index order so results
     are reproducible. A :class:`StageStack`, the chained sub-windows of a
     split horizon, is condensed onto its first state and solved as one chain
-    of links. Its ``diagnostics`` hold ``reduced_gradient``, the infinity norm
-    of the reduced gradient after refinement relative to one plus the largest
-    link multiplier: about ``1e-16`` on a well-conditioned chain, larger where
-    the products of the ``D_j`` grow. The stage path has no pivot ratio.
+    of links: ``dX_0`` from one Cholesky solve of ``S dX_0 = s``, then the
+    steps, and the link multipliers ``nu = -B^-T (H dX + g)`` from one
+    transposed banded solve. Row block 0 of ``B^-T (H dX + g)`` is the reduced
+    gradient ``Z' (H dX + g)``, so one refinement step of ``dX_0`` costs one
+    ``dpotrs``, one product and one more transposed solve. Its ``diagnostics``
+    hold ``reduced_gradient``, the infinity norm of the reduced gradient after
+    refinement relative to one plus the largest link multiplier: about
+    ``1e-16`` on a well-conditioned chain, larger where the products of the
+    ``D_j`` grow. The stage path has no pivot ratio.
     """
-    if isinstance(blocks, StageStack):
-        return _solve_stack(blocks)
+    if not isinstance(blocks, StageStack):
+        return _solve_blocks(blocks)
+    terms = schur_terms(blocks)
+    lay, band, lapack = blocks.layout, blocks.band, scipy.linalg.lapack
+    nx = lay.nx
+    # f2py parses positional arguments faster than keywords: lower 1; uplo "L", trans "T", diag "U"
+    factor, info = lapack.dpotrf(terms.S, 1)
+    if info:
+        raise NotPositiveDefiniteError(
+            "block 0: reduced Hessian is not positive definite", block_index=0
+        )
+    z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, 1)[0]))
+    back = lapack.dtbtrs(band, terms.V.dot(z), "L", "T", "U")[0]
+    z[1:] -= lapack.dpotrs(factor, back[:nx], 1)[0]
+    nu = -lapack.dtbtrs(band, terms.V.dot(z), "L", "T", "U")[0]
+    # the refined reduced gradient, row 0 of nu, relative to the multipliers' scale;
+    # the comparison keeps a NaN in the rest as np.maximum does
+    first, rest = np.maximum.reduceat(np.abs(nu), (0, nx)).tolist()
+    top = first if first >= rest else rest
+    nu = nu.reshape(-1, nx)
+    nu[0] = 0.0
+    # link j is row j + 1 of nu: stage k is link prev[k], and coupling row c is
+    # link last[c], whose multiplier is minus the coupling row's
+    links = nu.take(_chain_tables(lay, True)[2], 0)
+    return QpSolution(
+        -links[lay.L:].ravel(), links[:lay.L], terms.U.dot(z).reshape(-1, nx),
+        {"reduced_gradient": first / (1.0 + top)}, nu,
+    )
+
+
+def _solve_blocks(blocks: list[QpBlock]) -> QpSolution:
+    """:func:`solve_coupled_qp` of a list of :class:`QpBlock`."""
     if not all(isinstance(b, QpBlock) for b in blocks):
         raise TypeError("blocks must be a StageStack or a list of QpBlock")
     r = _check_coupling_rows(blocks)
@@ -358,81 +417,28 @@ def link_band(lay: LiftedLayout, D: Array, linked: bool) -> Array:
     """``B`` of :func:`_chain_tables` at ``D``, of which only ``D`` is negated, in LAPACK lower
     band storage ``(2 nx, (L + N) nx)``, Fortran-ordered; unlinked: zero coupling blocks."""
     index, tail = _chain_tables(lay, linked)[:2]
-    return np.concatenate((-D.reshape(-1), tail)).take(index).T
+    return np.concatenate((-D.ravel(), tail)).take(index).T
 
 
 def link_transpose(band: Array, nu: Array) -> Array:
     """``B' nu``, flat, in one banded product: ``C' mu + A' lam`` for the link multipliers
     of :class:`QpSolution`, ``C' mu`` if unlinked and every first row zero. ``dgbmv``, as
     OpenBLAS threads every ``dtbmv``: 3 to 9 times slower on two threads here."""
-    flat = nu.reshape(-1)
+    flat = nu.ravel()
     return scipy.linalg.blas.dgbmv(  # positional, as f2py parses keywords slower: trans 1 last
         nu.size, nu.size, len(band) - 1, 0, 1.0, band, flat, 1, 0, 0.0, None, 1, 0, 1)
 
 
-def _chain_solve(lay: LiftedLayout, offsets, linked: bool, band: Array) -> Array:
+def _chain_solve(lay: LiftedLayout, source: Array, linked: bool, band: Array) -> Array:
     """``B^-1 [(0; offsets) | E]`` ``(L + N, nx, nx + 1)`` on the link ``band`` of ``B``, the
-    arrays ``offsets`` and ``[0, 1]`` taken into one banded solve (``dtbtrs``).
-    Link ``j`` sits on row ``j + 1``: the ``L`` stage offsets on the rows ``next`` and,
-    if ``linked``, the ``N - 1`` coupling offsets on the rows ``first[1:]``. ``E`` holds
-    an identity block on the first state, or on every sub-window's first state if not."""
-    rhs = np.concatenate((*offsets, _ZERO_ONE), axis=None).take(_chain_tables(lay, linked)[3]).T
-    sol = scipy.linalg.lapack.dtbtrs(band, rhs, "L", "N", "U", 1)[0]  # positional: see _solve_stack
+    flat ``source`` ``[offsets, 0, 1, ...]`` taken into one banded solve (``dtbtrs``); what
+    follows its ``1`` is not read. Link ``j`` sits on row ``j + 1``: the ``L`` stage offsets on
+    the rows ``next`` and, if ``linked``, the ``N - 1`` coupling offsets on the rows
+    ``first[1:]``. ``E`` holds an identity block on the first state, or on every sub-window's
+    first state if not."""
+    rhs = source.take(_chain_tables(lay, linked)[3]).T
+    sol = scipy.linalg.lapack.dtbtrs(band, rhs, "L", "N", "U", 1)[0]  # flags by position, as above
     return sol.reshape(lay.n_states, lay.nx, lay.nx + 1)
-
-
-def _condense(stack: StageStack) -> SchurTerms:
-    """The stack as an affine map of ``z = (1, dX_0)``, in ``O((L + N) nx^3)``.
-
-    With ``B`` the link matrix of :func:`_chain_tables`, every step is
-    ``dX = B^-1 (dX_0; -d)``: :func:`_chain_solve` against ``[(0; -d), E_0]``
-    gives ``U = [e, Z]``, so that ``dX = U z``. Then ``V = [H e + g, H Z]`` is
-    the stationarity map, ``H dX + g = V z``, and ``Z' V`` holds the reduced
-    Hessian ``S = Z' H Z`` and, negated, the right-hand side ``s = -Z' (H e + g)``.
-    """
-    nx = stack.layout.nx
-    U = _chain_solve(stack.layout, (-stack.d, stack.anchor), True, stack.band)
-    # the batched product on a C-ordered copy of the LAPACK output takes about
-    # two thirds of the time, bit for bit the same
-    V = stack.H @ np.ascontiguousarray(U)
-    V[..., 0] += stack.g
-    U, V = U.reshape(-1, nx + 1), V.reshape(-1, nx + 1)
-    reduced = U[:, 1:].T.dot(V)  # ndarray.dot: the BLAS call of @ without its ufunc cost
-    return SchurTerms(S=reduced[:, 1:], s=-reduced[:, 0], U=U, V=V)
-
-
-def _solve_stack(stack: StageStack) -> QpSolution:
-    """``dX_0`` from one Cholesky solve of ``S dX_0 = s``; then the steps, and
-    the link multipliers ``nu = -B^-T (H dX + g)`` from one transposed banded
-    solve. Row block 0 of ``B^-T (H dX + g)`` is the reduced gradient
-    ``Z' (H dX + g)``, so one refinement step of ``dX_0`` costs one
-    ``dpotrs``, one product and one more transposed solve."""
-    terms = schur_terms(stack)
-    lay, nx, lapack = stack.layout, stack.layout.nx, scipy.linalg.lapack
-    # f2py parses positional arguments faster than keywords: lower 1; uplo "L", trans "T", diag "U"
-    factor, info = lapack.dpotrf(terms.S, 1)
-    if info:
-        raise NotPositiveDefiniteError(
-            "block 0: reduced Hessian is not positive definite", block_index=0
-        )
-    z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, 1)[0]))
-    back = lapack.dtbtrs(stack.band, terms.V.dot(z), "L", "T", "U")[0]
-    z[1:] -= lapack.dpotrs(factor, back[:nx], 1)[0]
-    nu = -lapack.dtbtrs(stack.band, terms.V.dot(z), "L", "T", "U")[0]
-    # the refined reduced gradient, row 0 of nu, relative to the multipliers' scale
-    first, top = np.maximum.accumulate(np.maximum.reduceat(np.abs(nu), (0, nx))).tolist()
-    nu = nu.reshape(-1, nx)
-    nu[0] = 0.0
-    # link j is row j + 1 of nu: stage k is link prev[k], and coupling row c is
-    # link last[c], whose multiplier is minus the coupling row's
-    links = nu.take(_chain_tables(lay, True)[2], 0)
-    return QpSolution(
-        lam=-links[lay.L:].reshape(-1),
-        mu=links[:lay.L],
-        delta_x=terms.U.dot(z).reshape(-1, nx),
-        diagnostics={"reduced_gradient": first / (1.0 + top)},
-        nu=nu,
-    )
 
 
 def solve_local_kkt(
@@ -462,7 +468,7 @@ def solve_local_kkt(
         band[1:, ~s.repeat(nx)] = 0.0
         H, rhs_x = np.where(s[..., None], H, lay.eye), np.where(s, rhs_x, 0.0)
         rhs_mu = np.where(active[lay.stage_block][:, None], rhs_mu, 0.0)
-    U = _chain_solve(lay, (rhs_mu,), False, band)
+    U = _chain_solve(lay, np.concatenate((rhs_mu.ravel(), _ZERO_ONE)), False, band)
     rungs, shifted = [0] * len(lay.lengths), H
     while True:
         V = shifted @ np.ascontiguousarray(U)

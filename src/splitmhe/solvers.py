@@ -185,7 +185,7 @@ def _record(it, step, anchor, ev, stat, dist, t_iter, local_s, qp_s) -> Converge
     ``stat`` at the new consensus iterate. The norms are one reduction over ``(step, F, stat,
     anchor, 0)``: the zero reads the anchor of one sub-window, empty, as 0; a NaN stays NaN."""
     s, f = step.size, ev.F.size
-    parts = np.abs(np.concatenate((step, ev.F, stat, anchor, _ZERO), axis=None))
+    parts = np.abs(np.concatenate((step.ravel(), ev.F.ravel(), stat, anchor, _ZERO)))
     starts = (0, s, s + f, 2 * s + f)  # the stationarity has the step's size
     primal, dynamics, stationarity, coupling = np.maximum.reduceat(parts, starts).tolist()
     return ConvergenceRecord(
@@ -226,9 +226,13 @@ def _drive(
       pairs from the coordination output; only where it returns ``y_new``
       itself is the metrics evaluation at ``y_new`` reused.
 
-    ``info`` becomes the result's ``info``; the hooks may update it.
+    ``info`` becomes the result's ``info``; the hooks may update it. A
+    ``reference`` trajectory ``(L + 1, nx)``, checked before the first
+    iteration, gives each record's ``dist_to_ref``.
     """
     run = subproblem(instance, partition, range(partition.N))
+    if reference is not None:
+        check_shape("reference", reference, (partition.L + 1, partition.nx))
     x_warm, y, lam, mu = _initial_iterate(instance, partition, warm)
     # ev: the stack's evaluation at x, carried from the last metrics; band: band_ev's link band
     x, ev, band_ev, band = y, None, None, None
@@ -241,9 +245,9 @@ def _drive(
     status = "max_iter"
 
     for it in range(1, cfg.max_iter + 1):
+        # three clock reads time the three phases: local, QP and the metrics in _record
         t_iter = time.perf_counter()
         try:
-            t0 = time.perf_counter()
             if local_solve:
                 x, ev = local_solve(run, y, lam, ev)
             if ev is None:
@@ -253,30 +257,28 @@ def _drive(
                 g=ev.g, D=ev.D, d=ev.F, anchor=coupling_residual(partition, x),
                 band=band if band_ev is ev else None,
             )
-            local_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
+            t_qp = time.perf_counter()
+            local_s = t_qp - t_iter
             sol = solve_coupled_qp(stack)
             y_new = x + sol.delta_x
-            qp_s = time.perf_counter() - t0
+            t_step = time.perf_counter()
 
             x_new, mu_new = y_new, sol.mu
             if advance:
-                t0 = time.perf_counter()
                 x_new, mu_new = advance(run, x, mu, ev, y_new, sol.lam, sol.mu)
-                local_s += time.perf_counter() - t0
+                local_s += time.perf_counter() - t_step
 
             ev_new = evaluate_stack(run, y_new)
             band_ev, band = ev_new, link_band(partition, ev_new.D, True)
-            stat = ev_new.g.reshape(-1) + link_transpose(band, sol.nu)
+            stat = ev_new.g.ravel() + link_transpose(band, sol.nu)
             dist = None
             if reference is not None:
                 dist = float(np.abs(extract_trajectory(y_new, partition)[0] - reference).max())
         except SplitMheError as exc:
             _wrap_iteration_error(exc, cfg.algorithm, it)
-        records.append(
-            _record(it, y_new - y, stack.anchor, ev_new, stat, dist, t_iter, local_s, qp_s)
-        )
+        records.append(_record(
+            it, y_new - y, stack.anchor, ev_new, stat, dist, t_iter, local_s, t_step - t_qp
+        ))
         # where the next x is y_new itself, the next iteration reuses its metrics evaluation
         ev = ev_new if x_new is y_new else None
         x, mu, y, lam = x_new, mu_new, y_new, sol.lam

@@ -18,9 +18,15 @@ timed alone on the data of the first iteration of a cold seed-0 window at
 
 ``iteration`` is a whole iteration inside ``run_distributed_sqp`` at ``tol``
 0: the median of the records' ``wall_ms`` over a solve of ``k = max(calls //
-10, 2)`` iterations, the first left out, best of ``repeats`` solves. The first
-line is the machine, as ``bench/run.py`` prints it; the BLAS thread count is
-the environment's.
+10, 2)`` iterations, the first left out, best of ``repeats`` solves. Then come
+the phases' sum and the driver's ``remainder``, ``iteration`` minus that sum:
+what the driver does around the phases, and what a phase costs in the loop
+beyond its cost alone. As a median less a sum of minima it reads below zero
+where the host's speed drifts within a run. Last come the ``Python calls``
+and ``C calls`` per iteration: the ``call`` and ``c_call`` events of
+``sys.setprofile`` over a 20-iteration solve minus a 10-iteration one,
+divided by 10. The first line is the machine, as ``bench/run.py`` prints it;
+the BLAS thread count is the environment's.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ import argparse
 import importlib.util
 import json
 import statistics
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import splitmhe as sm
@@ -37,6 +45,8 @@ from splitmhe import qp_core, solvers
 from splitmhe.problem import coupling_residual, evaluate_stack, lift, subproblem
 
 PHASES = ("evaluation", "stack", "qp", "band", "stationarity", "record", "iteration")
+# the lines after the phases: their sum, the driver's remainder and the calls per iteration
+TOTALS = ("phases, sum", "remainder", "Python calls", "C calls")
 # (L, N) of the benchmark's rh-dsqp window and of its long-n66 window
 SHAPES = ((25, 4), (400, 66))
 RHO = 1e3
@@ -62,6 +72,24 @@ def _iteration_us(instance, partition, k: int, repeats: int) -> float:
         records = sm.run_distributed_sqp(instance, partition, cfg).records
         best = min(best, statistics.median(r.wall_ms for r in records[1:] or records))
     return 1e3 * best
+
+
+def calls_per_iteration(instance, partition) -> tuple[float, float]:
+    """Python-level and C-level calls per ``dsqp`` iteration: ``sys.setprofile``
+    events over a 20-iteration solve minus those over a 10-iteration one."""
+
+    def events(k: int) -> Counter:
+        cfg = sm.SolverConfig(algorithm="dsqp", rho=RHO, tol=0.0, max_iter=k)
+        counts = Counter()
+        sys.setprofile(lambda frame, event, arg: counts.update((event,)))
+        try:
+            sm.run_distributed_sqp(instance, partition, cfg)
+        finally:
+            sys.setprofile(None)
+        return counts
+
+    more, fewer = events(20), events(10)
+    return (more["call"] - fewer["call"]) / 10, (more["c_call"] - fewer["c_call"]) / 10
 
 
 def phase_split(L: int, N: int, calls: int, repeats: int) -> dict[str, float]:
@@ -102,6 +130,9 @@ def phase_split(L: int, N: int, calls: int, repeats: int) -> dict[str, float]:
     }
     split = {name: _best_us(fn, calls, repeats) for name, fn in phases.items()}
     split["iteration"] = _iteration_us(instance, lay, max(calls // 10, 2), repeats)
+    split["phases, sum"] = sum(split[name] for name in PHASES[:-1])
+    split["remainder"] = split["iteration"] - split["phases, sum"]
+    split["Python calls"], split["C calls"] = calls_per_iteration(instance, lay)
     return split
 
 
@@ -115,13 +146,12 @@ def machine_line() -> str:
 
 
 def report(calls: int, repeats: int) -> list[str]:
-    """The machine line, then per shape one line per phase."""
+    """The machine line, then per shape one line per phase and per total."""
     lines = [machine_line()]
     for L, N in SHAPES:
         split = phase_split(L, N, calls, repeats)
         lines.append(f"L = {L}, N = {N}: best of {repeats} x {calls} calls, µs per call")
-        lines += [f"  {name:<13}{split[name]:9.2f}" for name in PHASES]
-        lines.append(f"  {'phases, sum':<13}{sum(split[n] for n in PHASES[:-1]):9.2f}")
+        lines += [f"  {name:<13}{split[name]:9.2f}" for name in PHASES + TOTALS]
     return lines
 
 

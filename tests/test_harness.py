@@ -155,6 +155,7 @@ def test_generate_scenario_checks_the_sampling_time_before_simulating(T):
     ({"steps": 0}, "steps must be an integer >= 1, got 0"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"steps": True}, "steps must be an integer >= 1, got True"),
 ])
 def test_generate_scenario_checks_steps_and_seed_before_simulating(kwargs, message, monkeypatch):
     """Unchecked, ``steps=2.5`` fails in ``np.tile`` with a ``TypeError``,
@@ -166,11 +167,11 @@ def test_generate_scenario_checks_steps_and_seed_before_simulating(kwargs, messa
 
 
 def _count_cases(entry, name, least, error, call):
-    """A fractional count and one below ``least``, each with its message."""
+    """A fractional count, one below ``least`` and a ``bool``, each with its message."""
     return [
         pytest.param(call, value, error, f"{name} must be an integer >= {least}, got {value!r}",
                      id=f"{entry}-{name}={value!r}")
-        for value in (2.5, least - 1)
+        for value in (2.5, least - 1, True)
     ]
 
 
@@ -245,13 +246,13 @@ def _local_solve(scenario, rho):
 
 
 def _real_cases(entry, name, zero, error, call, values=("0.2", None, math.nan, math.inf, -1.0)):
-    """A string, None, NaN, infinity and a value below the bound, each with
-    its message; a positive input also refuses zero."""
+    """A string, None, NaN, infinity, a value below the bound and a ``bool``,
+    each with its message; a positive input also refuses zero."""
     bound = "nonnegative" if zero else "positive"
     return [
         pytest.param(call, value, error, f"{name} must be {bound} and finite, got {value!r}",
                      id=f"{entry}-{name}={value!r}")
-        for value in values + (() if zero else (0.0,))
+        for value in values + (True,) + (() if zero else (0.0,))
     ]
 
 
@@ -305,6 +306,11 @@ def _warm_solve(s, **fields):
                  mu_blocks=np.zeros((25, 3)))
     warm = sm.IterateState(**{**state, **fields})
     return sm.solve(sm.window_instance(s, 25), _LAYOUT, sm.SolverConfig(max_iter=1), warm=warm)
+
+
+def _reference_solve(s, reference):
+    return sm.solve(sm.window_instance(s, 25), _LAYOUT, sm.SolverConfig(max_iter=1),
+                    reference=reference)
 
 
 def _stage_stack(s, **fields):
@@ -373,6 +379,12 @@ _ARRAY_CASES = [
     # a transposed C is no longer read, through a reshape, as the rows of its two offsets
     _shape_case("QpBlock-m=2", "C", lambda s, v: _qp_block(s, C=v, d=np.zeros(2)),
                 np.arange(6.0).reshape(3, 2), (3, 3)),
+    # the dist_to_ref trajectory, checked once before the first iteration: unchecked,
+    # (2,) failed in iteration 1 with numpy's ValueError and a list of nx broadcast
+    *_field_cases("solve", _reference_solve, [
+        ("reference", np.zeros(2), (26, 3)),
+        ("reference", [0, 0, 0], (26, 3)),
+    ]),
     _shape_case("coupling_residual", "blocks stack",
                 lambda s, v: sm.coupling_residual(_LAYOUT, v), np.zeros((28, 3)), (29, 3)),
     _shape_case("extract_trajectory", "blocks stack",

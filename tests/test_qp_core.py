@@ -511,14 +511,27 @@ def test_stage_condensing_accuracy_follows_the_growth_of_the_chain():
     assert max(reported) >= 1e-8
 
 
-@pytest.mark.parametrize("field", ["H", "g", "D", "d", "anchor"])
-def test_stage_path_rejects_non_finite_data(field):
+def _non_finite_cases():
+    """NaN, +inf and -inf in each field of a stack. Each field's first case, NaN
+    (-inf for ``D``), keeps the field alone as its id."""
+    return [
+        pytest.param(field, value, id=field if name == first else f"{field}={name}")
+        for field, first in (("H", "nan"), ("g", "nan"), ("D", "-inf"), ("d", "nan"),
+                             ("anchor", "nan"))
+        for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+    ]
+
+
+@pytest.mark.parametrize("field, value", _non_finite_cases())
+def test_stage_path_rejects_non_finite_data(field, value):
+    """Every sign of a non-finite entry, in every field, fails the one finiteness
+    pass over the stack and names the field and its block."""
     stack = random_stage_stack(np.random.Generator(np.random.PCG64(16)), 3, 2)
     lay = stack.layout
     # the last state, stage or coupling row of block 1
     row = {"H": lay.last[1], "g": lay.last[1], "D": lay.start[2] - 1, "d": lay.start[2] - 1,
            "anchor": slice(2, 4)}[field]
-    getattr(stack, field)[row].flat[-1] = -np.inf if field == "D" else np.nan
+    getattr(stack, field)[row].flat[-1] = value
     with pytest.raises(NonFiniteDataError) as err:
         sm.solve_coupled_qp(stack)
     assert err.value.block_index == 1

@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
-    except (_CliInputError, argparse.ArgumentTypeError) as exc:
+    except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

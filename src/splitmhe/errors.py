@@ -45,7 +45,8 @@ class FactorizationError(SplitMheError):
 
 
 class NonFiniteDataError(FactorizationError):
-    """QP data handed to a factorization contains NaN or infinite entries."""
+    """QP data handed to a factorization, or the data of an estimation window,
+    contains NaN or infinite entries."""
 
 
 class NotPositiveDefiniteError(FactorizationError):

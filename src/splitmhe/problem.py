@@ -24,7 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PartitionError, check_count, check_shape
+from .errors import (
+    DimensionMismatchError, NonFiniteDataError, PartitionError, check_count, check_shape,
+)
 from .model import SystemModel
 
 Array = np.ndarray
@@ -167,7 +169,8 @@ class MheInstance:
     oldest state. ``P`` (``nx x nx``) weights the prior term and ``V``
     (``ny x ny``) every measurement term; both must be symmetric positive
     definite. Every field is converted to a float array and then checked by
-    :func:`~splitmhe.errors.check_shape`, so lists of rows are accepted.
+    :func:`~splitmhe.errors.check_shape`, so lists of rows are accepted; a NaN
+    or infinite entry raises :class:`~splitmhe.errors.NonFiniteDataError`.
     """
 
     L: int
@@ -187,8 +190,10 @@ class MheInstance:
         shapes = dict(measurements=(L + 1, m.ny), controls=(L, m.nu), prior=(m.nx,),
                       P=(m.nx, m.nx), V=(m.ny, m.ny), initial_guess=(L + 1, m.nx))
         for name, shape in shapes.items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-            check_shape(name, getattr(self, name), shape)
+            setattr(self, name, value := np.asarray(getattr(self, name), dtype=float))
+            check_shape(name, value, shape)
+            if not np.isfinite(value).all():
+                raise NonFiniteDataError(f"{name} must be finite")
         self.p_inv_sqrt = inv_sqrt_spd(self.P, "P")
         self.v_inv_sqrt = inv_sqrt_spd(self.V, "V")
 

@@ -162,14 +162,15 @@ class StageStack:
 
 @dataclass(eq=False)
 class SchurTerms:
-    """One block as an affine map of ``z = (1, lambda)``: its step is ``-U z``
-    and its local multipliers ``-V z``; ``S`` and ``s`` are its contributions
-    to the Schur matrix and right-hand side.
+    """One :class:`QpBlock`, eliminated by :func:`_eliminate`, as an affine map of
+    ``z = (1, lambda)``: its step is ``-U z`` and its local multipliers ``-V z``;
+    ``S`` and ``s`` are its contributions to the Schur matrix and right-hand side.
 
-    A condensed :class:`StageStack` maps ``z = (1, dX_0)`` to the step ``+U z``,
-    ``U = [e, Z]``: ``S`` is the unsymmetrised reduced Hessian, whose factor reads
-    the lower triangle, ``S dX_0 = s``, and ``V z`` is the stationarity residual
-    ``H dX + g``, whose link multipliers are ``nu = -B^-T V z`` on the stack's band.
+    A :class:`StageStack`, condensed by :func:`schur_terms`, maps ``z = (1, dX_0)``
+    to the step ``+U z``, ``U = [e, Z]``: ``S`` is the unsymmetrised reduced Hessian,
+    whose factor reads the lower triangle, ``S dX_0 = s``, and ``V z`` is the
+    stationarity residual ``H dX + g``, whose link multipliers are ``nu = -B^-T V z``
+    on the stack's band.
     """
 
     S: Array
@@ -194,14 +195,6 @@ class QpSolution:
     nu: Array | None = None  # a stack's link multipliers, row 0 zeroed
 
 
-def _require_finite(where: str, index: int | None, **arrays: Array) -> None:
-    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
-    if bad:
-        raise NonFiniteDataError(
-            f"{where}: non-finite entries in {', '.join(bad)}", block_index=index
-        )
-
-
 def _require_finite_stack(stack: StageStack) -> None:
     """Raise on non-finite stack data, naming the block of the first bad field's
     first bad row; return on finite data."""
@@ -221,32 +214,27 @@ def _require_finite_stack(stack: StageStack) -> None:
     )
 
 
-def schur_terms(block: QpBlock | StageStack, index: int | None = None) -> SchurTerms:
-    """Eliminate one block, returned as the affine map :class:`SchurTerms`.
+def schur_terms(stack: StageStack) -> SchurTerms:
+    """Condense a :class:`StageStack` onto its first state, returned as the affine
+    map :class:`SchurTerms`, in ``O((L + N) nx^3)`` with no Hessian factorization.
 
-    A :class:`QpBlock` is eliminated through its Hessian factorization: one
-    Cholesky solve gives ``H^-1 [g, A', C']``; no inverse is ever formed. A
-    :class:`StageStack` is condensed onto its first state instead, in
-    ``O((L + N) nx^3)`` with no Hessian factorization. With ``B`` the link
-    matrix of :func:`_chain_tables`, every step is ``dX = B^-1 (dX_0; -d)``:
-    :func:`_chain_solve` against ``[(0; -d), E_0]`` gives ``U = [e, Z]``, so
-    that ``dX = U z``. Then ``V = [H e + g, H Z]`` is the stationarity map,
-    ``H dX + g = V z``, and ``Z' V`` holds the reduced Hessian ``S = Z' H Z``
-    and, negated, the right-hand side ``s = -Z' (H e + g)``. The chain solve's
-    source array also holds ``H``, ``g`` and ``D``, so one finiteness pass over
-    it clears finite data; on any other, :func:`_require_finite_stack` names the
-    block.
+    With ``B`` the link matrix of :func:`_chain_tables`, every step is
+    ``dX = B^-1 (dX_0; -d)``: :func:`_chain_solve` against ``[(0; -d), E_0]``
+    gives ``U = [e, Z]``, so that ``dX = U z``. Then ``V = [H e + g, H Z]`` is
+    the stationarity map, ``H dX + g = V z``, and ``Z' V`` holds the reduced
+    Hessian ``S = Z' H Z`` and, negated, the right-hand side ``s = -Z' (H e + g)``.
+    The chain solve's source array also holds ``H``, ``g`` and ``D``, so one
+    finiteness pass over it clears finite data; on any other,
+    :func:`_require_finite_stack` names the block.
     """
-    if not isinstance(block, StageStack):
-        return _eliminate(block, index)
-    lay, H, g = block.layout, block.H, block.g
+    lay, H, g = stack.layout, stack.H, stack.g
     nx = lay.nx
     source = np.concatenate(
-        ((-block.d).ravel(), block.anchor, _ZERO_ONE, H.ravel(), g.ravel(), block.D.ravel())
+        ((-stack.d).ravel(), stack.anchor, _ZERO_ONE, H.ravel(), g.ravel(), stack.D.ravel())
     )
     if np.count_nonzero(np.isfinite(source)) != source.size:  # faster than logical_and.reduce
-        _require_finite_stack(block)
-    U = _chain_solve(lay, source, True, block.band)
+        _require_finite_stack(stack)
+    U = _chain_solve(lay, source, True, stack.band)
     # the batched product on a C-ordered copy of the LAPACK output takes about
     # two thirds of the time, bit for bit the same
     V = H @ np.ascontiguousarray(U)
@@ -256,13 +244,15 @@ def schur_terms(block: QpBlock | StageStack, index: int | None = None) -> SchurT
     return SchurTerms(reduced[:, 1:], -reduced[:, 0], U, V)
 
 
-def _eliminate(block: QpBlock, index: int | None) -> SchurTerms:
-    """:func:`schur_terms` of one :class:`QpBlock`."""
-    where = f"block {index}" if index is not None else "block"
-    _require_finite(
-        where, index,
-        H=block.H, g=block.g, C=block.C, d=block.d, A=block.A, anchor=block.anchor,
-    )
+def _eliminate(block: QpBlock, index: int) -> SchurTerms:
+    """Block ``index`` of the dense path as the affine map :class:`SchurTerms`, its
+    step ``-U z``, through its Hessian factorization: one Cholesky solve gives
+    ``H^-1 [g, A', C']``; no inverse is ever formed."""
+    where, fields = f"block {index}", ("H", "g", "C", "d", "A", "anchor")
+    if bad := [name for name in fields if not np.isfinite(getattr(block, name)).all()]:
+        raise NonFiniteDataError(
+            f"{where}: non-finite entries in {', '.join(bad)}", block_index=index
+        )
     try:
         h_factor = scipy.linalg.cho_factor(block.H, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -298,22 +288,11 @@ def _eliminate(block: QpBlock, index: int | None) -> SchurTerms:
     return SchurTerms(S=0.5 * (S + S.T), s=block.anchor - block.A @ U[:, 0], U=U, V=V)
 
 
-def _solve_schur(S: Array, p: Array) -> Array:
-    """Cholesky solve of the Schur system; a matrix that is not numerically
-    positive definite means dependent coupling rows."""
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), p)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularKktError("coupling Schur matrix is singular") from exc
-
-
-def _check_coupling_rows(blocks: list) -> int:
+def _check_coupling_rows(blocks: list) -> None:
     if not blocks:
         raise DimensionMismatchError("need at least one block")
-    r = blocks[0].r
-    if any(b.r != r for b in blocks):
+    if any(b.r != blocks[0].r for b in blocks):
         raise DimensionMismatchError("all blocks must share the coupling row count")
-    return r
 
 
 def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
@@ -367,16 +346,14 @@ def _solve_blocks(blocks: list[QpBlock]) -> QpSolution:
     """:func:`solve_coupled_qp` of a list of :class:`QpBlock`."""
     if not all(isinstance(b, QpBlock) for b in blocks):
         raise TypeError("blocks must be a StageStack or a list of QpBlock")
-    r = _check_coupling_rows(blocks)
-
-    terms = [schur_terms(block, index=i) for i, block in enumerate(blocks)]
-
-    S = np.zeros((r, r))
-    p = np.zeros(r)
-    for t in terms:
-        S += t.S
-        p += t.s
-    z = np.concatenate([[1.0], _solve_schur(S, p) if r else []])
+    _check_coupling_rows(blocks)
+    terms = [_eliminate(block, i) for i, block in enumerate(blocks)]
+    S, p = sum(t.S for t in terms), sum(t.s for t in terms)
+    try:  # a Schur matrix that is not numerically positive definite: dependent coupling rows
+        lam = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S, lower=True), p)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularKktError("coupling Schur matrix is singular") from exc
+    z = np.concatenate(([1.0], lam))
     return QpSolution(
         lam=z[1:], mu=[-t.V @ z for t in terms], delta_x=[-t.U @ z for t in terms], diagnostics={}
     )

@@ -69,9 +69,11 @@ class SolverConfig:
     """Algorithm selection and outer-loop parameters.
 
     ``rho`` defaults per algorithm (25 for ``gn_aladin``, 1e3 otherwise). Every
-    algorithm coordinates with Gauss-Newton Hessians shifted by ``rho``, which
-    keeps each per-state block positive definite. ``rho`` and ``tol`` must be
-    finite.
+    algorithm coordinates with Gauss-Newton Hessians shifted by ``rho``. Only the
+    QP's reduced Hessian must be positive definite, and for Gauss-Newton blocks
+    the prior makes it at least ``P^-1``, so ``dsqp`` and ``centralized`` take
+    ``rho = 0``, plain Gauss-Newton; the ALADIN variants, whose local problems
+    are proximal, need ``rho > 0``. ``rho`` and ``tol`` must be finite.
     """
 
     algorithm: str = "dsqp"
@@ -84,7 +86,7 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.rho is None:
             self.rho = _DEFAULT_RHO[self.algorithm]
-        check_real("rho", self.rho)
+        check_real("rho", self.rho, zero=self.algorithm in ("dsqp", "centralized"))
         check_real("tol", self.tol, zero=True)
         check_count("max_iter", self.max_iter, 0)
 

@@ -173,6 +173,9 @@ def test_non_finite_simulate_inputs_are_input_errors(tmp_path, capsys, args):
         # the sweep's budget is --iters, so it takes no --max-iter
         (["sweep", "--scenario", "s.json", "--max-iter", "1"],
          "unrecognized arguments: --max-iter 1"),
+        # a type function's ArgumentTypeError reaches main as argparse's own error
+        (["simulate", "--control", "1,2,3"],
+         "argument --control: expected 'v,omega', got '1,2,3'"),
     ],
 )
 def test_malformed_option_lists_are_input_errors(tmp_path, capsys, args, message):

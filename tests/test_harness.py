@@ -13,6 +13,7 @@ from splitmhe import harness
 from splitmhe.errors import (
     DimensionMismatchError,
     FactorizationError,
+    NonFiniteDataError,
     PartitionError,
     ScenarioError,
 )
@@ -266,9 +267,14 @@ _REAL_CASES = [
                  lambda s, v: sm.generate_scenario(steps=5, T=v)),
     *_real_cases("robot_model", "sampling time", False, ValueError,
                  lambda s, v: sm.robot_model(T=v)),
-    # rho=None selects the algorithm's default
-    *_real_cases("SolverConfig", "rho", False, ValueError, lambda s, v: sm.SolverConfig(rho=v),
+    # rho=None selects the algorithm's default; the SQP path takes rho = 0, and
+    # the ALADIN variants, whose local problems are proximal, refuse it
+    *_real_cases("SolverConfig", "rho", True, ValueError, lambda s, v: sm.SolverConfig(rho=v),
                  values=("1", math.nan, math.inf, -1.0)),
+    *_real_cases("SolverConfig(gn_aladin)", "rho", False, ValueError,
+                 lambda s, v: sm.SolverConfig("gn_aladin", rho=v), values=("1", math.nan, -1.0)),
+    *_real_cases("SolverConfig(sa_aladin)", "rho", False, ValueError,
+                 lambda s, v: sm.SolverConfig("sa_aladin", rho=v), values=("1", math.inf, -1.0)),
     *_real_cases("SolverConfig", "tol", True, ValueError, lambda s, v: sm.SolverConfig(tol=v)),
     *_real_cases("LocalSolveConfig", "inner_tol", False, ValueError,
                  lambda s, v: sm.LocalSolveConfig(inner_tol=v)),
@@ -295,6 +301,7 @@ def test_real_inputs_keep_their_type(benchmark_scenario):
     # the rule checks and converts nothing: numpy scalars and integers pass as given
     assert sm.SolverConfig(rho=np.float64(5.0), tol=0).tol == 0
     assert type(sm.SolverConfig(rho=np.float64(5.0)).rho) is np.float64
+    assert sm.SolverConfig("dsqp", rho=0.0).rho == sm.SolverConfig("centralized", rho=0).rho == 0
     assert replace(benchmark_scenario, sigma_r=0).sigma_r == 0
 
 
@@ -426,6 +433,33 @@ def test_an_instance_takes_lists_of_rows(benchmark_scenario):
     for name in names + ("p_inv_sqrt", "v_inv_sqrt"):
         np.testing.assert_array_equal(getattr(lists, name), getattr(arrays, name))
         assert getattr(lists, name).dtype == float
+
+
+@pytest.mark.parametrize("field, at, value", [
+    pytest.param(field, at, value, id=f"{field}={value}") for field, at, value in (
+        ("measurements", (3, 1), math.nan),
+        ("controls", (0, 0), math.nan),
+        ("prior", (2,), math.nan),
+        ("P", ..., math.nan),
+        ("V", (0, 0), math.inf),
+        ("initial_guess", (4, 0), math.inf),
+    )
+])
+def test_an_instance_refuses_non_finite_data(benchmark_scenario, field, at, value):
+    """A NaN or infinite entry in any array of a window raises one
+    ``NonFiniteDataError`` naming the field when the instance is built, with no
+    numpy warning: a ``P`` full of NaN escaped as numpy's ``LinAlgError``, an
+    ``inf`` in the initial guess warned before iteration 1 failed, and the other
+    fields failed only in iteration 1."""
+    instance = sm.window_instance(benchmark_scenario, 25)
+    bad = getattr(instance, field).copy()
+    bad[at] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDataError) as err:
+            replace(instance, **{field: bad})
+    assert str(err.value) == f"{field} must be finite"
+    assert isinstance(err.value, harness.NUMERICAL_ERRORS)
 
 
 def test_a_scenario_file_crossing_the_origin_still_loads(origin_scenario, tmp_path):
@@ -655,6 +689,15 @@ def test_result_file_round_trips_non_finite_metrics(tmp_path, benchmark_runs):
     assert loaded.keys() == metrics.keys()
     assert math.isnan(loaded["primal_step_inf"])
     assert (loaded["coupling_inf"], loaded["dynamics_inf"]) == (math.inf, -math.inf)
+
+
+def test_result_file_refuses_a_config_echo_it_cannot_write(tmp_path, benchmark_runs):
+    # numpy values go out as plain numbers; any other object stops json.dumps
+    # before the file is opened, so nothing half-written is left behind
+    path = tmp_path / "result.json"
+    with pytest.raises(TypeError, match=r"^cannot serialize <class 'set'>$"):
+        write_result(benchmark_runs["dsqp"], {"algorithm": "dsqp", "sub_windows": {4}}, path)
+    assert not path.exists()
 
 
 def test_convergence_csv_round_trip(tmp_path, benchmark_runs):

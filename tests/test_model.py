@@ -127,6 +127,9 @@ def test_model_dimension_validation():
     for T in (0.0, np.inf):
         with pytest.raises(ValueError, match="sampling time must be positive and finite"):
             sm.robot_model(T=T)
+    # B with three rows for two states
+    with pytest.raises(ValueError, match="^inconsistent linear model dimensions$"):
+        sm.make_linear_model(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
 
 
 def test_gaussian_draws_deterministic_and_standard():

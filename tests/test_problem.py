@@ -15,6 +15,7 @@ from splitmhe.problem import (
     inv_sqrt_spd,
     residual_vector,
     sub_objective,
+    subproblem,
 )
 
 from helpers import counting_model, fd_jacobian, rel_err
@@ -56,6 +57,22 @@ def test_subproblem_rejects_a_block_range_outside_the_partition(benchmark_instan
         problem.subproblem(benchmark_instance, partition, blocks)
     run = problem.subproblem(benchmark_instance, partition, range(2, 4))
     assert len(run.measured) == 14
+
+
+def test_subproblem_refuses_a_partition_of_another_window(benchmark_instance):
+    message = r"^partition built for \(L=24, nx=3\) does not match instance \(L=25, nx=3\)$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        subproblem(benchmark_instance, sm.build_partition(24, 4, 3), range(0, 1))
+
+
+def test_subproblem_states_take_a_flat_block_or_the_stack_only(benchmark_instance):
+    sub = sm.split_instance(benchmark_instance, sm.build_partition(25, 4, 3))[0]
+    stack = np.arange(21.0).reshape(7, 3)
+    assert sub.states(stack) is stack
+    np.testing.assert_array_equal(sub.states(stack.ravel()), stack)
+    message = r"^expected a block of shape \(7, 3\), got \(5,\)$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        sub.states(np.zeros(5))
 
 
 def test_split_measurement_and_prior_layout(benchmark_instance):
@@ -220,8 +237,9 @@ def test_lift_extract_round_trip(benchmark_instance):
         ((8, 6), r"blocks\[1\] has shape \(6,\), expected \(8,\)"),
         # the right total: only a per-block check catches it
         ((10, 6), r"blocks\[0\] has shape \(10,\), expected \(8,\)"),
+        ((8, 6, 6), r"^3 blocks for 2 sub-windows$"),
     ],
-    ids=["short", "right-total"],
+    ids=["short", "right-total", "one-too-many"],
 )
 def test_blocks_of_the_wrong_sizes_are_rejected(sizes, message):
     partition = sm.build_partition(6, 2, 2)

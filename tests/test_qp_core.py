@@ -19,7 +19,7 @@ from splitmhe.errors import (
 )
 from splitmhe.local_nlp import hessian_blocks
 from splitmhe.problem import evaluate_stack, lift, lifted_layout, subproblem
-from splitmhe.qp_core import link_band, link_transpose, random_blocks, schur_terms, solve_local_kkt
+from splitmhe.qp_core import link_band, link_transpose, random_blocks, solve_local_kkt
 
 from conftest import build_linear_instance
 from helpers import (
@@ -70,7 +70,7 @@ def test_schur_terms_identity_hessian_no_constraints():
     g = rng.standard_normal(5)
     anchor = rng.standard_normal(2)
     block = sm.QpBlock(H=np.eye(5), g=g, C=np.zeros((0, 5)), d=[], A=A, anchor=anchor)
-    terms = schur_terms(block)
+    terms = qp_core._eliminate(block, 0)
     np.testing.assert_allclose(terms.S, A @ A.T, atol=1e-14)
     np.testing.assert_allclose(terms.s, anchor - A @ g, atol=1e-14)
     # with H = I and no constraint rows the map is [g, A'] itself
@@ -82,7 +82,7 @@ def test_schur_terms_match_dense_inverse():
     rng = np.random.Generator(np.random.PCG64(1))
     for _ in range(10):
         (block,) = random_blocks(rng, 1, r=3)
-        terms = schur_terms(block)
+        terms = qp_core._eliminate(block, 0)
         Hinv, Q, R, S = _dense_schur(block)
         np.testing.assert_allclose(terms.S, S, atol=1e-10)
         rhs = np.column_stack([block.g, block.A.T])
@@ -99,8 +99,8 @@ def test_schur_terms_offset_free_reduction():
     if not block.m:
         (block,) = random_blocks(rng, 1, r=2, size_range=(8, 12))
     zeroed = sm.QpBlock(H=block.H, g=block.g, C=block.C, d=np.zeros(block.m), A=block.A, anchor=block.anchor)
-    with_d = schur_terms(block)
-    without_d = schur_terms(zeroed)
+    with_d = qp_core._eliminate(block, 0)
+    without_d = qp_core._eliminate(zeroed, 0)
     Hinv, Q, R, _ = _dense_schur(block)
     q_term = zeroed.anchor + (Q @ np.linalg.solve(R, block.C @ Hinv @ block.g)
                               if block.m else 0.0) - block.A @ Hinv @ block.g
@@ -214,10 +214,17 @@ def test_degenerate_no_coupling():
     assert solution_deviation(sol, oracle) <= 1e-10
 
 
+def test_random_blocks_refuse_more_coupling_rows_than_their_dimensions():
+    # at most 12 dimensions in one block: 50 coupling rows cannot be independent
+    message = r"^1 blocks of sizes \[\d+\] cannot support 50 coupling rows$"
+    with pytest.raises(ValueError, match=message):
+        random_blocks(np.random.Generator(np.random.PCG64(0)), 1, r=50)
+
+
 def test_schur_matrix_symmetry_and_conditioning():
     rng = np.random.Generator(np.random.PCG64(9))
     blocks = random_blocks(rng, 4, r=6)
-    S = sum(schur_terms(b, i).S for i, b in enumerate(blocks))
+    S = sum(qp_core._eliminate(b, i).S for i, b in enumerate(blocks))
     np.testing.assert_allclose(S, sum(_dense_schur(b)[3] for b in blocks), atol=1e-10)
     assert np.abs(S - S.T).max() <= 1e-12 * (1 + np.abs(S).max())
     assert np.linalg.eigvalsh(S).min() > 0
@@ -246,8 +253,16 @@ def test_rank_deficient_constraints_raise():
         A=rng.standard_normal((2, n)),
         anchor=np.zeros(2),
     )
-    with pytest.raises(RankDeficientConstraintsError):
+    # R is singular up to roundoff: its Cholesky factor holds, the condition estimate does not
+    with pytest.raises(RankDeficientConstraintsError, match="rcond="):
         sm.solve_coupled_qp([block])
+    # with H = I and a unit row twice, R = [[1, 1], [1, 1]] exactly: the factorization fails
+    unit = np.eye(1, n)
+    block = replace(block, H=np.eye(n), C=np.vstack([unit, unit]))
+    with pytest.raises(RankDeficientConstraintsError) as err:
+        sm.solve_coupled_qp([random_blocks(rng, 1, r=2)[0], block])
+    assert str(err.value) == "block 1: constraint rows are rank deficient"
+    assert err.value.block_index == 1
 
 
 def test_near_singular_constraint_rows_raise_from_condition_estimate():
@@ -264,7 +279,7 @@ def test_near_singular_constraint_rows_raise_from_condition_estimate():
         anchor=np.zeros(2),
     )
     with pytest.raises(RankDeficientConstraintsError) as err:
-        schur_terms(block, index=4)
+        qp_core._eliminate(block, 4)
     assert err.value.block_index == 4
 
 
@@ -751,7 +766,7 @@ def test_schur_solve_takes_the_summed_schur_matrix_as_it_is():
     rng = np.random.Generator(np.random.PCG64(41))
     for _ in range(200):
         blocks = random_blocks(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
-        terms = [schur_terms(block, index=i) for i, block in enumerate(blocks)]
+        terms = [qp_core._eliminate(block, i) for i, block in enumerate(blocks)]
         S, p = sum(t.S for t in terms), sum(t.s for t in terms)
         assert np.array_equal(S, S.T)
         symmetrised = scipy.linalg.cho_factor(0.5 * (S + S.T), lower=True)

@@ -10,7 +10,8 @@ The differential-drive robot of the benchmark is provided by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,12 @@ class SystemModel:
     to ``(k, nx, nx)``, and a single point is the stack with no leading axis.
     The package evaluates a whole sub-window in one call, so a model written
     for single points only does not work with it.
+
+    The optional init-only kernels ``f_kernel(x, u) -> (f, df_dx)`` and
+    ``h_kernel(x) -> (h, dh_dx)`` share work between a function and its
+    Jacobian and must match the separate callables bit for bit. They are kept
+    as ``f_and_jac`` and ``h_and_jac``, composed of the separate callables where
+    none is given, and anew by :func:`dataclasses.replace`.
     """
 
     nx: int
@@ -51,11 +58,18 @@ class SystemModel:
     d2f: Callable[[Array, Array, Array], Array]
     d2h: Callable[[Array, Array], Array]
     name: str = "model"
+    f_kernel: InitVar[Callable[[Array, Array], tuple[Array, Array]] | None] = None
+    h_kernel: InitVar[Callable[[Array], tuple[Array, Array]] | None] = None
+    f_and_jac: Callable[[Array, Array], tuple[Array, Array]] = field(init=False, repr=False)
+    h_and_jac: Callable[[Array], tuple[Array, Array]] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, f_kernel, h_kernel):
         for name in ("nx", "nu", "ny"):
             check_count(name, getattr(self, name), 1)
         check_real("sampling time", self.T)
+        f, df_dx, h, dh_dx = self.f, self.df_dx, self.h, self.dh_dx
+        object.__setattr__(self, "f_and_jac", f_kernel or (lambda x, u: (f(x, u), df_dx(x, u))))
+        object.__setattr__(self, "h_and_jac", h_kernel or (lambda x: (h(x), dh_dx(x))))
 
 
 def rollout(model: SystemModel, x0: Array, controls: Array) -> Array:
@@ -107,39 +121,36 @@ def robot_model(T: float = 0.2) -> SystemModel:
             raise error
         return r2
 
-    def f(x: Array, u: Array) -> Array:
+    def _dynamics(jac: bool, x: Array, u: Array):
+        """``f``, and with ``jac`` also ``df_dx``, from one ``cos`` and ``sin`` of the heading."""
         theta, Tu = x[..., 2], T * u
-        step = np.empty(x.shape)
-        np.multiply(Tu[..., 0], np.cos(theta), out=step[..., 0])
-        np.multiply(Tu[..., 0], np.sin(theta), out=step[..., 1])
+        cos, sin, step = np.cos(theta), np.sin(theta), np.empty(x.shape)
+        np.multiply(Tu[..., 0], cos, out=step[..., 0])
+        np.multiply(Tu[..., 0], sin, out=step[..., 1])
         step[..., 2] = Tu[..., 1]
-        return x + step
+        if not jac:
+            return x + step
+        return x + step, _fill(eye, x, {(0, 2): -Tu[..., 0] * sin, (1, 2): Tu[..., 0] * cos})
 
-    def h(x: Array) -> Array:
+    def _observation(jac: bool, x: Array):
+        """``h``, and with ``jac`` also ``dh_dx``, from one origin check and range."""
         r2 = _range_sq(x)
         out = np.empty(x.shape[:-1] + (2,))
         np.sqrt(r2, out=out[..., 0])
         np.arctan2(x[..., 1], x[..., 0], out=out[..., 1])
-        return out
-
-    def df_dx(x: Array, u: Array) -> Array:
-        theta, v = x[..., 2], T * u[..., 0]
-        return _fill(eye, x, {(0, 2): -v * np.sin(theta), (1, 2): v * np.cos(theta)})
+        if not jac:
+            return out
+        r, phi, psi = out[..., 0], x[..., 0], x[..., 1]
+        J = np.zeros(x.shape[:-1] + (2, 3))
+        np.divide(phi, r, out=J[..., 0, 0])
+        np.divide(psi, r, out=J[..., 0, 1])
+        np.divide(-psi, r2, out=J[..., 1, 0])
+        np.divide(phi, r2, out=J[..., 1, 1])
+        return out, J
 
     def df_du(x: Array, u: Array) -> Array:
         cos, sin = np.cos(x[..., 2]), np.sin(x[..., 2])
         return T * _fill(np.zeros((3, 2)), x, {(0, 0): cos, (1, 0): sin, (2, 1): 1.0})
-
-    def dh_dx(x: Array) -> Array:
-        r2 = _range_sq(x)
-        r = np.sqrt(r2)
-        phi, psi = x[..., 0], x[..., 1]
-        out = np.zeros(x.shape[:-1] + (2, 3))
-        np.divide(phi, r, out=out[..., 0, 0])
-        np.divide(psi, r, out=out[..., 0, 1])
-        np.divide(-psi, r2, out=out[..., 1, 0])
-        np.divide(phi, r2, out=out[..., 1, 1])
-        return out
 
     def d2f(x: Array, u: Array, w: Array) -> Array:
         theta = x[..., 2]
@@ -159,7 +170,12 @@ def robot_model(T: float = 0.2) -> SystemModel:
             + w[..., 1, None, None] * _fill(np.zeros((3, 3)), x, bearing_curv)
         )
 
-    return SystemModel(3, 2, 2, T, f, h, df_dx, df_du, dh_dx, d2f, d2h, name="robot")
+    f_kernel, h_kernel = partial(_dynamics, True), partial(_observation, True)
+    return SystemModel(
+        3, 2, 2, T, partial(_dynamics, False), partial(_observation, False),
+        lambda x, u: f_kernel(x, u)[1], df_du, lambda x: h_kernel(x)[1], d2f, d2h,
+        name="robot", f_kernel=f_kernel, h_kernel=h_kernel,
+    )
 
 
 def make_linear_model(A: Array, B: Array, C: Array) -> SystemModel:
@@ -169,7 +185,7 @@ def make_linear_model(A: Array, B: Array, C: Array) -> SystemModel:
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
     nx = A.shape[0]
-    if A.shape != (nx, nx) or B.shape[0] != nx or C.shape[1] != nx:
+    if A.shape != (nx, nx) or B.ndim != 2 or C.ndim != 2 or B.shape[0] != nx or C.shape[1] != nx:
         raise ValueError("inconsistent linear model dimensions")
     return SystemModel(
         nx=nx,
@@ -228,7 +244,8 @@ def fd_check(model: SystemModel, num_points: int = 100, seed: int = 0) -> float:
     contractions are differenced from the analytic Jacobians, so the whole
     derivative chain is validated. Samples are ``x in [0.5, 1.5]^nx`` (clear of
     the robot observation singularity) and ``u in [-1, 1]^nu``, differenced
-    with the default step of :func:`central_jacobian`.
+    with the default step of :func:`central_jacobian`; the kernels are compared
+    against the separate callables at every sample.
     """
     check_count("num_points", num_points, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -237,6 +254,9 @@ def fd_check(model: SystemModel, num_points: int = 100, seed: int = 0) -> float:
     for _ in range(num_points):
         x = rng.uniform(0.5, 1.5, model.nx)
         u = rng.uniform(-1.0, 1.0, model.nu)
+        pairs = zip(model.f_and_jac(x, u) + model.h_and_jac(x),
+                    (model.f(x, u), model.df_dx(x, u), model.h(x), model.dh_dx(x)))
+        worst = max(worst, *(_relative_error(a, b) for a, b in pairs))
         fd = central_jacobian(lambda z: model.f(z, u), x)
         worst = max(worst, _relative_error(model.df_dx(x, u), fd))
         fd = central_jacobian(lambda z: model.f(x, z), u)

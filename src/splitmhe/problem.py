@@ -12,8 +12,7 @@ The solvers hold the ``N`` blocks as one lifted stack of ``L + N`` states.
 :func:`build_partition` returns the split as one cached :class:`LiftedLayout`,
 which also says where every state and stage of a sub-window sits in the
 stack. A :class:`SubProblem` is a run of consecutive sub-windows, one or all of
-them, and :func:`evaluate_stack` evaluates its stack in one call of each model
-callable.
+them, and :func:`evaluate_stack` evaluates its stack in two model calls.
 """
 
 from __future__ import annotations
@@ -262,7 +261,8 @@ class SubProblem:
         if (shape := self.layout.shapes[1]) == X.shape:
             return X
         if X.shape != (self.block_dim,):
-            raise DimensionMismatchError(f"expected a block of shape {shape}, got {X.shape}")
+            raise DimensionMismatchError(f"expected a block of shape {shape} or "
+                                         f"({self.block_dim},), got {X.shape}")
         return X.reshape(shape)
 
     def coupling_matrix(self) -> Array:
@@ -330,21 +330,24 @@ def split_instance(instance: MheInstance, partition: LiftedLayout) -> list[SubPr
     return [subproblem(instance, partition, range(i, i + 1)) for i in range(partition.N)]
 
 
-def _residuals(sub: SubProblem, X: Array) -> tuple[Array, Array]:
+def _residuals(sub: SubProblem, X: Array, jac: bool = False) -> tuple[Array, Array | None]:
     """``b`` at a ``(states, nx)`` stack, ``P^-1/2 (x_0 - prior)`` first and then
-    ``V^-1/2 (h(x) - y)`` per measured state in time order; and those states."""
+    ``V^-1/2 (h(x) - y)`` per measured state in time order; and with ``jac``
+    ``dh_dx`` at those states, from the same model call, else None."""
     Xm = X.take(sub.measured, 0)
-    dy = sub.model.h(Xm) - sub.measurements
-    b = dy.dot(sub.v_inv_sqrt.T).ravel()  # .dot, as in qp_core: @ at less cost
+    hx, H = sub.model.h_and_jac(Xm) if jac else (sub.model.h(Xm), None)
+    b = (hx - sub.measurements).dot(sub.v_inv_sqrt.T).ravel()  # .dot, as in qp_core: @ at less cost
     if sub.has_prior:
         b = np.concatenate((sub.p_inv_sqrt.dot(X[0] - sub.prior), b))
-    return b, Xm
+    return b, H
 
 
-def _defects(sub: SubProblem, X: Array) -> tuple[Array, Array]:
-    """The ``(stages, nx)`` defects ``x_{k+1} - f(x_k, u_k)`` at a stack, and the ``x_k``."""
+def _defects(sub: SubProblem, X: Array, jac: bool = False) -> tuple[Array, Array | None]:
+    """The ``(stages, nx)`` defects ``x_{k+1} - f(x_k, u_k)`` at a stack; and with
+    ``jac`` their ``df_dx``, from the same model call, else None."""
     Xp = X.take(sub.layout.prev, 0)
-    return X.take(sub.layout.next, 0) - sub.model.f(Xp, sub.controls), Xp
+    fx, D = sub.model.f_and_jac(Xp, sub.controls) if jac else (sub.model.f(Xp, sub.controls), None)
+    return X.take(sub.layout.next, 0) - fx, D
 
 
 def residual_vector(sub: SubProblem, X: Array) -> Array:
@@ -359,7 +362,7 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``0.5 * ||b||^2``, its gradient ``J.T @ b`` and its Gauss-Newton Hessian
     ``J.T @ J``.
     """
-    b, Xm = _residuals(sub, sub.states(X))
+    b, H = _residuals(sub, sub.states(X), jac=True)
     m, measured = sub.model, sub.measured
     J = np.zeros((b.size, sub.block_dim))
     row = m.nx * sub.has_prior
@@ -367,7 +370,7 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
         J[:row, :row] = sub.p_inv_sqrt
     # measurement k's rows touch only state measured[k]
     Jm = J[row:].reshape(len(measured), m.ny, sub.layout.n_states, m.nx)
-    Jm[np.arange(len(measured)), :, measured] = sub.v_inv_sqrt @ m.dh_dx(Xm)
+    Jm[np.arange(len(measured)), :, measured] = sub.v_inv_sqrt @ H
     return b, J
 
 
@@ -411,16 +414,18 @@ class StageEvaluation(NamedTuple):
 
 
 def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
-    """:class:`StageEvaluation` of a run of sub-windows at its stack ``X``: one
-    ``h``, ``dh_dx``, ``f`` and ``df_dx`` call each, for one sub-window or the
-    whole window. On the whole window ``b`` is the centralized residual vector
-    of the trajectory that the measured states form. Measured states' ``[b, J]' J`` fill a
-    buffer with one trailing zero row, spread by a ``take`` of ``measured_rows`` per part."""
+    """:class:`StageEvaluation` of a run of sub-windows at its stack ``X`` in two
+    model calls, ``h_and_jac`` and ``f_and_jac``, for one sub-window or the whole
+    window. On the whole window ``b`` is the centralized residual vector of the
+    trajectory that the measured states form, and under a diagonal ``V`` only it
+    equals the per-block rows bit for bit (numpy takes a one-row product through
+    another BLAS kernel). Measured states' ``[b, J]' J`` fill a buffer with one
+    trailing zero row, spread by a ``take`` of ``measured_rows`` per part."""
     X, model = sub.states(X), sub.model
-    (b, Xm), (F, Xp) = _residuals(sub, X), _defects(sub, X)
-    Jm = sub.v_inv_sqrt @ model.dh_dx(Xm)
+    (b, H), (F, D) = _residuals(sub, X, jac=True), _defects(sub, X, jac=True)
+    Jm = sub.v_inv_sqrt @ H
     nx, k, rows = model.nx, model.nx * sub.has_prior, sub.measured_rows
-    gW = np.zeros((len(Xm) + 1, nx + 1, nx))
+    gW = np.zeros((len(H) + 1, nx + 1, nx))
     # [b, J]' J as one product on a contiguous [b, J]', bit for bit b'J and J'J taken
     # apart; the output by position, as ufuncs parse keywords slower
     bJ = np.concatenate((b[k:].reshape(-1, 1, model.ny), Jm.swapaxes(1, 2)), 1)
@@ -429,14 +434,14 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     if k:
         g[0] += sub.p_inv_sqrt.T.dot(b[:k])
         W[0] += sub.prior_curvature
-    return StageEvaluation(b, g, W, F, model.df_dx(Xp, sub.controls))
+    return StageEvaluation(b, g, W, F, D)
 
 
 def eval_constraints(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     """Dynamics defects and their exact Jacobian with respect to the block,
     whose block row ``k`` is ``[-D_k, I]`` with ``D_k = df/dx(x_k, u_k)``."""
-    F, Xp = _defects(sub, sub.states(X))
-    return F.reshape(-1), stage_constraint_matrix(sub.layout, sub.model.df_dx(Xp, sub.controls))
+    F, D = _defects(sub, sub.states(X), jac=True)
+    return F.reshape(-1), stage_constraint_matrix(sub.layout, D)
 
 
 def sub_objective(sub: SubProblem, X: Array) -> float:

@@ -26,19 +26,20 @@ def fd_jacobian(func, x, eps=1e-6):
     return out
 
 
+def counted(calls, name, fn):
+    """``fn`` counting its calls under ``name`` in the Counter ``calls``."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 def counting_model(model, calls):
-    """``model`` with every callable counting its calls in the Counter ``calls``."""
+    """``model`` with every callable counting its calls in the Counter ``calls``;
+    ``replace`` composes its kernels of the counted callables, so a kernel call
+    counts as one call of each callable it pairs."""
     names = ("f", "h", "df_dx", "df_du", "dh_dx", "d2f", "d2h")
-
-    def counted(name):
-        fn = getattr(model, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    return replace(model, **{name: counted(name) for name in names})
+    return replace(model, **{name: counted(calls, name, getattr(model, name)) for name in names})
 
 
 def stage_transpose_reference(layout, D, mu):

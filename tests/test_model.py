@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,18 @@ def test_fd_check_robot_below_tolerance(robot):
 
 
 def test_fd_check_flags_broken_jacobian(robot):
-    from dataclasses import replace
-
     broken = replace(robot, df_dx=lambda x, u: np.eye(3) * 1.05)
     assert sm.fd_check(broken, num_points=10) > 1e-2
+
+
+@pytest.mark.parametrize("kernel", ["f_kernel", "h_kernel"])
+def test_fd_check_flags_a_kernel_that_disagrees_with_its_callables(robot, kernel):
+    # each separate callable is exact, so only the kernel comparison can flag it
+    skewed = {
+        "f_kernel": lambda x, u: (robot.f(x, u), 1.05 * robot.df_dx(x, u)),
+        "h_kernel": lambda x: (robot.h(x) + 0.05, robot.dh_dx(x)),
+    }
+    assert sm.fd_check(replace(robot, **{kernel: skewed[kernel]}), num_points=10) > 1e-2
 
 
 def test_fd_check_trivial_model_near_zero():
@@ -127,9 +137,11 @@ def test_model_dimension_validation():
     for T in (0.0, np.inf):
         with pytest.raises(ValueError, match="sampling time must be positive and finite"):
             sm.robot_model(T=T)
-    # B with three rows for two states
-    with pytest.raises(ValueError, match="^inconsistent linear model dimensions$"):
-        sm.make_linear_model(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
+    # B with three rows for two states; a 1-D B or C
+    for B, C in [(np.ones((3, 1)), np.ones((1, 2))), (np.ones(2), np.ones((1, 2))),
+                 (np.ones((2, 1)), np.ones(2))]:
+        with pytest.raises(ValueError, match="^inconsistent linear model dimensions$"):
+            sm.make_linear_model(np.eye(2), B, C)
 
 
 def test_gaussian_draws_deterministic_and_standard():
@@ -171,3 +183,47 @@ def test_stacked_origin_raises_naming_the_state(robot, name):
     args = (X,) if name != "d2h" else (X, np.ones((4, 2)))
     with pytest.raises(OriginSingularityError, match=r"state 2 \("):
         getattr(robot, name)(*args)
+
+
+def _robot_reference(x, u, T=0.2):
+    """The robot's ``f``, ``df_dx``, ``h`` and ``dh_dx`` written out term by term."""
+    phi, psi, theta = x[..., 0], x[..., 1], x[..., 2]
+    Tu = T * u
+    cos, sin, r2 = np.cos(theta), np.sin(theta), phi * phi + psi * psi
+    r, zero, one = np.sqrt(r2), np.zeros_like(phi), np.ones_like(phi)
+    f = np.stack([phi + Tu[..., 0] * cos, psi + Tu[..., 0] * sin, theta + Tu[..., 1]], -1)
+    df_dx = np.stack([np.stack([one, zero, -Tu[..., 0] * sin], -1),
+                      np.stack([zero, one, Tu[..., 0] * cos], -1),
+                      np.stack([zero, zero, one], -1)], -2)
+    h = np.stack([r, np.arctan2(psi, phi)], -1)
+    dh_dx = np.stack([np.stack([phi / r, psi / r, zero], -1),
+                      np.stack([-psi / r2, phi / r2, zero], -1)], -2)
+    return f, df_dx, h, dh_dx
+
+
+def test_robot_kernels_match_the_separate_callables_bit_for_bit(robot):
+    rng = np.random.Generator(np.random.PCG64(21))
+    X = rng.uniform(-2.0, 2.0, (40, 3))
+    X[:, 2] = rng.uniform(-12.0, 12.0, 40)  # headings well outside (-pi, pi]
+    U = rng.uniform(-1.0, 1.0, (40, 2))
+    for x, u in [(X, U), (X[7], U[7])]:
+        expected = _robot_reference(x, u)
+        got = (*robot.f_and_jac(x, u), *robot.h_and_jac(x))
+        separate = (robot.f(x, u), robot.df_dx(x, u), robot.h(x), robot.dh_dx(x))
+        for name, a, b, c in zip(("f", "df_dx", "h", "dh_dx"), got, separate, expected):
+            assert a.shape == b.shape == c.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            np.testing.assert_array_equal(a, c, err_msg=name)
+
+
+@pytest.mark.parametrize("x, state", [
+    (np.array([[1.0, 0.5, 0.0], [0.3, 0.2, 0.1], [0.0, 0.0, 0.4], [0.0, 0.0, 0.9]]), 2),
+    (np.array([0.0, 0.0, 0.4]), 0),
+])
+def test_robot_observation_kernel_raises_as_h_does_at_the_origin(robot, x, state):
+    raised = []
+    for call in (robot.h, robot.dh_dx, robot.h_and_jac):
+        with pytest.raises(OriginSingularityError) as info:
+            call(x)
+        raised.append((str(info.value), info.value.state))
+    assert raised == [raised[0]] * 3 and raised[0][1] == state

@@ -1,4 +1,5 @@
 import ast
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from splitmhe.problem import (
     subproblem,
 )
 
-from helpers import counting_model, fd_jacobian, rel_err
+from helpers import counted, counting_model, fd_jacobian, rel_err
 
 
 def test_partition_benchmark_shape():
@@ -70,7 +71,7 @@ def test_subproblem_states_take_a_flat_block_or_the_stack_only(benchmark_instanc
     stack = np.arange(21.0).reshape(7, 3)
     assert sub.states(stack) is stack
     np.testing.assert_array_equal(sub.states(stack.ravel()), stack)
-    message = r"^expected a block of shape \(7, 3\), got \(5,\)$"
+    message = r"^expected a block of shape \(7, 3\) or \(21,\), got \(5,\)$"
     with pytest.raises(DimensionMismatchError, match=message):
         sub.states(np.zeros(5))
 
@@ -491,17 +492,89 @@ def test_each_form_makes_only_the_model_calls_it_needs(benchmark_instance):
         assert calls == expected, form
 
 
+def _kernel_counting_instance(instance, calls, **changes):
+    """``instance`` whose model counts its four separate callables and its two
+    kernels, wrapped at construction, in the Counter ``calls``."""
+    model = replace(instance.model, **changes)
+    separate = {n: counted(calls, n, getattr(model, n)) for n in ("f", "h", "df_dx", "dh_dx")}
+    return replace(instance, model=replace(
+        model, **separate, f_kernel=counted(calls, "f_and_jac", model.f_and_jac),
+        h_kernel=counted(calls, "h_and_jac", model.h_and_jac),
+    ))
+
+
+def test_each_jacobian_form_calls_one_kernel_per_function(benchmark_instance):
+    calls = Counter()
+    instance = _kernel_counting_instance(benchmark_instance, calls)
+    partition = sm.build_partition(25, 4, 3)
+    run = problem.subproblem(instance, partition, range(partition.N))
+    y = problem.lift(instance.initial_guess, partition)
+    forms = {
+        problem.evaluate_stack: Counter(h_and_jac=1, f_and_jac=1),
+        eval_residual_stack: Counter(h_and_jac=1),
+        sm.eval_constraints: Counter(f_and_jac=1),
+        residual_vector: Counter(h=1),
+        constraint_vector: Counter(f=1),
+    }
+    for form, expected in forms.items():
+        calls.clear()
+        form(run, y)
+        assert calls == expected, form
+
+
+def test_robot_stack_evaluation_makes_two_model_calls(benchmark_instance):
+    # the robot's kernels check the origin once per evaluation, not per callable
+    partition = sm.build_partition(25, 4, 3)
+    run = problem.subproblem(benchmark_instance, partition, range(partition.N))
+    y = problem.lift(benchmark_instance.initial_guess, partition)
+    model_file, calls = sm.model.__file__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == model_file:
+            calls.append((frame.f_back.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        problem.evaluate_stack(run, y)
+    finally:
+        sys.setprofile(None)
+    assert len([name for caller, name in calls if caller == problem.__file__]) == 2
+    assert [name for _, name in calls].count("_range_sq") == 1
+
+
+def test_replaced_callables_reach_the_stack_evaluation(benchmark_instance):
+    # replace composes the kernels anew, so the robot's own kernels are not run
+    calls = Counter()
+    robot = benchmark_instance.model
+    g = lambda x, u: robot.f(x, u) + 0.5  # noqa: E731
+    k = lambda x: robot.h(x) - 0.25  # noqa: E731
+    instance = _kernel_counting_instance(benchmark_instance, calls, f=g, h=k)
+    partition = sm.build_partition(25, 4, 3)
+    y = problem.lift(instance.initial_guess, partition)
+    run, plain = (problem.subproblem(i, partition, range(partition.N))
+                  for i in (instance, benchmark_instance))
+    ev, ev0 = problem.evaluate_stack(run, y), problem.evaluate_stack(plain, y)
+    assert calls == Counter(h_and_jac=1, f_and_jac=1)
+    np.testing.assert_array_equal(ev.F.reshape(-1), constraint_vector(run, y))
+    np.testing.assert_array_equal(ev.b, residual_vector(run, y))
+    assert np.abs(ev.F - ev0.F).min() > 0.1 and np.abs(ev.b - ev0.b).max() > 0.1
+    np.testing.assert_array_equal(ev.D, ev0.D)
+
+
 def test_problem_calls_h_and_f_in_one_function_each():
     # b and F are each formed in one kernel, so a change to a residual edits
     # one place; the centralized certificates stay independent of the kernels
     certificates = {"centralized_objective", "centralized_kkt_residual"}
-    sites = {"h": [], "f": []}
+    sites = {"h": [], "f": [], "h_and_jac": [], "f_and_jac": []}
     for fn in ast.walk(ast.parse(Path(problem.__file__).read_text())):
         if isinstance(fn, ast.FunctionDef) and fn.name not in certificates:
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in sites:
                     sites[node.func.attr].append(fn.name)
-    assert sites == {"h": ["_residuals"], "f": ["_defects"]}
+    assert sites == {
+        "h": ["_residuals"], "f": ["_defects"], "h_and_jac": ["_residuals"],
+        "f_and_jac": ["_defects"],
+    }
 
 
 def test_problem_module_imports_no_scipy():

@@ -33,10 +33,11 @@ and the stack is condensed onto ``dX_0`` (the inputless case of the stage
 recursions of Rao, Wright & Rawlings, JOTA 99(3), 1998). With the links as
 the unit lower block-bidiagonal matrix ``B``, one banded triangular solve
 gives ``dX = Z dX_0 + e``; one Cholesky factorization of the ``nx x nx``
-reduced Hessian ``Z' H Z`` gives ``dX_0``, refined once against the reduced
-gradient; and one transposed triangular solve gives every link multiplier
-``nu``. A whole window costs ``O((L + N) nx^3)`` in a fixed number of LAPACK
-calls, and no per-state Hessian is ever factored: only the reduced Hessian
+reduced Hessian ``Z' H Z`` gives ``dX_0``; and one transposed triangular solve
+gives every link multiplier ``nu``, whose first row is the reduced gradient.
+Above roundoff, ``dX_0`` is refined once against it and a second transposed
+solve gives ``nu``. A whole window costs ``O((L + N) nx^3)`` in at most six
+LAPACK calls, and no per-state Hessian is ever factored: only the reduced Hessian
 must be positive definite, and the links have full row rank by construction.
 The condensed map's conditioning follows the products of the ``D_j``, so it
 is accurate on the contracting or polynomially growing dynamics of a sampled
@@ -79,6 +80,8 @@ Array = np.ndarray
 
 # at or below this reciprocal condition estimate R_i counts as rank deficient
 RANK_RCOND_LIMIT = 1e-12
+# at or below this reduced gradient a condensed step is at roundoff and not refined, as in dporfs
+REFINE_LIMIT = 16 * np.finfo(float).eps
 _ONE = np.ones(1)  # the leading 1 of z, not converted from a list on every call
 _ZERO_ONE = np.array((0.0, 1.0))  # the entries of a chain right-hand side after its offsets
 
@@ -305,12 +308,14 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     of links: ``dX_0`` from one Cholesky solve of ``S dX_0 = s``, then the
     steps, and the link multipliers ``nu = -B^-T (H dX + g)`` from one
     transposed banded solve. Row block 0 of ``B^-T (H dX + g)`` is the reduced
-    gradient ``Z' (H dX + g)``, so one refinement step of ``dX_0`` costs one
-    ``dpotrs``, one product and one more transposed solve. Its ``diagnostics``
-    hold ``reduced_gradient``, the infinity norm of the reduced gradient after
-    refinement relative to one plus the largest link multiplier: about
-    ``1e-16`` on a well-conditioned chain, larger where the products of the
-    ``D_j`` grow. The stage path has no pivot ratio.
+    gradient ``Z' (H dX + g)``; its infinity norm relative to one plus the
+    largest link multiplier is ``diagnostics["reduced_gradient"]``. At or below
+    :data:`REFINE_LIMIT`, ``16 eps``, the step is at roundoff and is returned as
+    it is; above it, or NaN, one refinement step of ``dX_0`` costs one
+    ``dpotrs``, one product and a second transposed solve, as LAPACK's
+    ``dporfs`` stops refining at machine precision. The reported figure is that
+    of the returned step: about ``1e-16`` on a well-conditioned chain, larger
+    where the products of the ``D_j`` grow. The stage path has no pivot ratio.
     """
     if not isinstance(blocks, StageStack):
         return _solve_blocks(blocks)
@@ -324,13 +329,15 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
             "block 0: reduced Hessian is not positive definite", block_index=0
         )
     z = np.concatenate((_ONE, lapack.dpotrs(factor, terms.s, 1)[0]))
-    back = lapack.dtbtrs(band, terms.V.dot(z), "L", "T", "U")[0]
-    z[1:] -= lapack.dpotrs(factor, back[:nx], 1)[0]
-    nu = -lapack.dtbtrs(band, terms.V.dot(z), "L", "T", "U")[0]
-    # the refined reduced gradient, row 0 of nu, relative to the multipliers' scale;
-    # the comparison keeps a NaN in the rest as np.maximum does
-    first, rest = np.maximum.reduceat(np.abs(nu), (0, nx)).tolist()
-    top = first if first >= rest else rest
+    for refined in (False, True):
+        nu = -lapack.dtbtrs(band, terms.V.dot(z), "L", "T", "U")[0]
+        # the reduced gradient, row 0 of nu, relative to the multipliers' scale;
+        # the comparison keeps a NaN in the rest as np.maximum does
+        first, rest = np.maximum.reduceat(np.abs(nu), (0, nx)).tolist()
+        gradient = first / (1.0 + (first if first >= rest else rest))
+        if refined or gradient <= REFINE_LIMIT:  # a NaN refines
+            break
+        z[1:] += lapack.dpotrs(factor, nu[:nx], 1)[0]
     nu = nu.reshape(-1, nx)
     nu[0] = 0.0
     # link j is row j + 1 of nu: stage k is link prev[k], and coupling row c is
@@ -338,7 +345,7 @@ def solve_coupled_qp(blocks: list[QpBlock] | StageStack) -> QpSolution:
     links = nu.take(_chain_tables(lay, True)[2], 0)
     return QpSolution(
         -links[lay.L:].ravel(), links[:lay.L], terms.U.dot(z).reshape(-1, nx),
-        {"reduced_gradient": first / (1.0 + top)}, nu,
+        {"reduced_gradient": gradient}, nu,
     )
 
 

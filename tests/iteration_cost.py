@@ -11,7 +11,9 @@ timed alone on the data of the first iteration of a cold seed-0 window at
 * ``evaluation``  -- ``evaluate_stack`` at the linearization point;
 * ``stack``       -- ``hessian_blocks``, the anchor ``coupling_residual`` and
   the ``StageStack``, with the band of the last metrics evaluation;
-* ``qp``          -- ``solve_coupled_qp`` and the consensus step;
+* ``qp``          -- ``solve_coupled_qp`` and the consensus step, followed by
+  the number of transposed ``dtbtrs`` calls the timed solve makes: one where
+  its condensed step is at roundoff, two where it is refined;
 * ``band``        -- ``link_band`` of the metrics evaluation;
 * ``stationarity`` -- ``g + B' nu`` through ``link_transpose``;
 * ``record``      -- the ``ConvergenceRecord`` and the termination test.
@@ -32,6 +34,7 @@ the BLAS thread count is the environment's.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import statistics
@@ -39,6 +42,8 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+import scipy.linalg
 
 import splitmhe as sm
 from splitmhe import qp_core, solvers
@@ -92,8 +97,26 @@ def calls_per_iteration(instance, partition) -> tuple[float, float]:
     return (more["call"] - fewer["call"]) / 10, (more["c_call"] - fewer["c_call"]) / 10
 
 
+@contextlib.contextmanager
+def transposed_solves():
+    """Count, in the yielded :class:`Counter`, the transposed ``dtbtrs`` calls
+    made inside the block."""
+    counts, routine = Counter(), scipy.linalg.lapack.dtbtrs
+
+    def counted(ab, b, *args, **kwargs):
+        counts["T"] += kwargs.get("trans", args[1] if len(args) > 1 else "N") == "T"
+        return routine(ab, b, *args, **kwargs)
+
+    scipy.linalg.lapack.dtbtrs = counted
+    try:
+        yield counts
+    finally:
+        scipy.linalg.lapack.dtbtrs = routine
+
+
 def phase_split(L: int, N: int, calls: int, repeats: int) -> dict[str, float]:
-    """µs per call of every name in :data:`PHASES` at ``(L, N)``."""
+    """µs per call of every name in :data:`PHASES` at ``(L, N)``, and under
+    ``transposed`` the transposed ``dtbtrs`` calls of the ``qp`` phase's solve."""
     instance = sm.window_instance(sm.generate_scenario(steps=L, seed=0), L, L)
     lay = sm.build_partition(L, N, instance.model.nx)
     run = subproblem(instance, lay, range(N))
@@ -108,7 +131,8 @@ def phase_split(L: int, N: int, calls: int, repeats: int) -> dict[str, float]:
         )
 
     qp = stack()
-    sol = qp_core.solve_coupled_qp(qp)
+    with transposed_solves() as counts:
+        sol = qp_core.solve_coupled_qp(qp)
     y_new = x + sol.delta_x
     ev_new = evaluate_stack(run, y_new)
     band_new = qp_core.link_band(lay, ev_new.D, True)
@@ -129,6 +153,7 @@ def phase_split(L: int, N: int, calls: int, repeats: int) -> dict[str, float]:
         "record": record,
     }
     split = {name: _best_us(fn, calls, repeats) for name, fn in phases.items()}
+    split["transposed"] = counts["T"]
     split["iteration"] = _iteration_us(instance, lay, max(calls // 10, 2), repeats)
     split["phases, sum"] = sum(split[name] for name in PHASES[:-1])
     split["remainder"] = split["iteration"] - split["phases, sum"]
@@ -151,7 +176,8 @@ def report(calls: int, repeats: int) -> list[str]:
     for L, N in SHAPES:
         split = phase_split(L, N, calls, repeats)
         lines.append(f"L = {L}, N = {N}: best of {repeats} x {calls} calls, µs per call")
-        lines += [f"  {name:<13}{split[name]:9.2f}" for name in PHASES + TOTALS]
+        note = {"qp": f"   ({split['transposed']} transposed dtbtrs)"}
+        lines += [f"  {name:<13}{split[name]:9.2f}{note.get(name, '')}" for name in PHASES + TOTALS]
     return lines
 
 

@@ -408,28 +408,29 @@ def _lapack_spy(monkeypatch, *names):
 def test_stage_solve_is_one_banded_triangular_chain_solve(monkeypatch):
     calls = _lapack_spy(monkeypatch, "dpbtrf", "dpbtrs", "dtbtrs")
     rng = np.random.Generator(np.random.PCG64(23))
-    for n_blocks in (1, 4, 25):
+    for n_blocks, refined in ((1, 0), (4, 0), (25, 1)):
         stack = random_stage_stack(rng, n_blocks, 3)
         calls.clear()
         sm.solve_coupled_qp(stack)
         rows = stack.layout.n_states * 3
-        # no Hessian band factor: one forward solve for U = -[e, Z] and two
-        # transposed one-column solves, the refinement's and the multipliers'
-        assert calls == [
-            ("dtbtrs", "N", (rows, 4)), ("dtbtrs", "T", (rows,)), ("dtbtrs", "T", (rows,))
-        ], f"N = {n_blocks}"
+        # no Hessian band factor: one forward solve for U = -[e, Z] and one
+        # transposed one-column solve for the multipliers; a second follows the
+        # refinement, which only the 76 expanding stages of N = 25 need
+        assert calls == [("dtbtrs", "N", (rows, 4))] + [("dtbtrs", "T", (rows,))] * (
+            1 + refined
+        ), f"N = {n_blocks}"
 
 
 def _transposed_solves(monkeypatch, nan_at=None) -> list:
     """Keep a copy of the solution of every transposed ``dtbtrs``; with ``nan_at``,
-    a flat index, the second one, the multipliers' solve, returns a NaN there."""
+    a flat index, every one returns a NaN there."""
     solves, routine = [], scipy.linalg.lapack.dtbtrs
 
     def recorded(ab, b, *args, **kwargs):
         x, info = routine(ab, b, *args, **kwargs)
         if kwargs.get("trans", args[1] if len(args) > 1 else "N") == "T":
             solves.append(x.copy())
-            if nan_at is not None and len(solves) == 2:
+            if nan_at is not None:
                 x[nan_at] = np.nan
         return x, info
 
@@ -438,28 +439,43 @@ def _transposed_solves(monkeypatch, nan_at=None) -> list:
 
 
 def test_reduced_gradient_is_row_0_of_the_multipliers_over_their_scale(monkeypatch):
-    """The diagnostic is ``max|nu[0]| / (1 + max|nu|)`` on the multipliers'
-    solve before its row 0 is zeroed, exactly as the two maxima taken apart."""
+    """The diagnostic is ``max|nu[0]| / (1 + max|nu|)`` on the last multipliers'
+    solve before its row 0 is zeroed, exactly as the two maxima taken apart. A
+    step whose first solve reads at most ``16 eps`` is at roundoff and keeps
+    that one transposed solve; above it, the step is refined once, and a second
+    transposed solve gives the multipliers of the refined step."""
+    assert qp_core.REFINE_LIMIT == 16 * np.finfo(float).eps
     solves = _transposed_solves(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(41))
-    for n_blocks in (1, 4, 25):
-        stack = random_stage_stack(rng, n_blocks, 3)
+    cases = [(random_stage_stack(rng, n_blocks, 3), count) for n_blocks, count in
+             ((1, 1), (4, 1), (25, 2))]
+    # N = 25 draws 85 expanding stages; the first 180-stage expanding chain of
+    # test_stage_condensing_accuracy_follows_the_growth_of_the_chain
+    expanding = random_stage_stack(
+        np.random.Generator(np.random.PCG64(31)), 3, 3, lengths=(60, 60, 60)
+    )
+    for stack, count in cases + [(expanding, 2)]:
         solves.clear()
         sol = sm.solve_coupled_qp(stack)
-        assert len(solves) == 2
+        assert len(solves) == count, f"{stack.layout.lengths}"
+        grads = [
+            float(np.abs(x[:3]).max()) / (1.0 + float(np.abs(x).max())) for x in solves
+        ]
+        assert (grads[0] <= qp_core.REFINE_LIMIT) == (count == 1)
         nu = -solves[-1].reshape(-1, 3)
-        want = float(np.abs(nu[0]).max()) / (1.0 + float(np.abs(nu).max()))
-        assert sol.diagnostics["reduced_gradient"] == want, f"N = {n_blocks}"
+        assert sol.diagnostics["reduced_gradient"] == grads[-1]
         assert np.array_equal(sol.nu[1:], nu[1:]) and not sol.nu[0].any()
 
 
 @pytest.mark.parametrize("row", [0, 1, -1])
 def test_a_nan_multiplier_makes_the_reduced_gradient_nan(monkeypatch, row):
     """A NaN in row 0 of the multipliers or in any other row reads as a NaN
-    diagnostic, never as a number."""
+    diagnostic, never as a number: a NaN is never at roundoff, so the step is
+    refined, and the refined multipliers carry the NaN too."""
     stack = random_stage_stack(np.random.Generator(np.random.PCG64(43)), 4, 3)
-    _transposed_solves(monkeypatch, nan_at=row % stack.layout.n_states * 3 + 1)
+    solves = _transposed_solves(monkeypatch, nan_at=row % stack.layout.n_states * 3 + 1)
     assert np.isnan(sm.solve_coupled_qp(stack).diagnostics["reduced_gradient"])
+    assert len(solves) == 2
 
 
 @pytest.mark.parametrize("linked", [True, False])

@@ -64,7 +64,7 @@ class SingularKktError(FactorizationError):
 
 
 class LocalSolveError(FactorizationError):
-    """The inner sub-problem solver failed even after regularization."""
+    """A local KKT system of the inner sub-problem solver is singular."""
 
 
 def check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> int:

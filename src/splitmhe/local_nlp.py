@@ -55,10 +55,11 @@ class LocalSolveConfig:
 
 @dataclass(eq=False)
 class LocalSolveResult:
-    """Solution of a run's augmented sub-problems (best iterates where not
-    converged). ``iterations`` counts lockstep rounds, the most KKT solves any
-    sub-window took; ``evaluation`` is the run's evaluation at ``x`` if the
-    solve converged, taken in its last round, else None."""
+    """Solution of a run's augmented sub-problems. ``iterations`` counts
+    lockstep rounds, the most KKT solves any sub-window took; ``evaluation`` is
+    the run's evaluation at ``x`` if the solve converged, taken in its last
+    round, else None. An unconverged solve returns its last iterates, and its
+    ``kkt_inf`` was measured before their last step."""
 
     x: Array
     mu: Array
@@ -262,12 +263,12 @@ def solve_local_subproblem(
     resolution and the SQP contraction stands on its own.
 
     The sub-windows step in lockstep: a round evaluates the run once and
-    takes one condensed :func:`~splitmhe.qp_core.solve_local_kkt` (ladder seeded
-    by ``rho``), while the convergence test, merits, step lengths and retry
-    are per sub-window and a converged one stops moving, so each takes the
-    iterates of its own solve. ``evaluation`` is the run's evaluation at the
-    start point, ``x0`` or else ``y_ref``, when the caller already has it; the
-    first round takes it in place of its own.
+    takes one condensed :func:`~splitmhe.qp_core.solve_local_kkt`, while the
+    convergence test, merits, step lengths and retry are per sub-window and
+    a converged one stops moving, so each takes the iterates of its own
+    solve. ``evaluation`` is the run's evaluation at the start point, ``x0``
+    or else ``y_ref``, when the caller already has it; the first round takes
+    it in place of its own.
     """
     cfg = cfg or LocalSolveConfig()
     check_real("proximal weight rho", rho)
@@ -291,7 +292,7 @@ def solve_local_subproblem(
                                     float(kkt.max()), ev)
 
         H = hessian_blocks(sub, x, mu, rho, ev, True)
-        dx, mu_new = solve_local_kkt(lay, H, band, -grad, -ev.F, rho, active)
+        dx, mu_new = solve_local_kkt(lay, H, band, -grad, -ev.F, active)
         search = active & ~(kkt <= _FULL_STEP_TOL)  # a NaN residual searches too
         step = (active & ~search).astype(float)
         if search.any():
@@ -304,7 +305,7 @@ def solve_local_subproblem(
             retry = search & (found == 0)
             if retry.any():
                 H = hessian_blocks(sub, x, mu, rho, ev, False)
-                dx_gn, mu_gn = solve_local_kkt(lay, H, band, -grad, -ev.F, rho, retry)
+                dx_gn, mu_gn = solve_local_kkt(lay, H, band, -grad, -ev.F, retry)
                 dx = np.where(retry[lay.state_block][:, None], dx_gn, dx)
                 mu_new = np.where(retry[lay.stage_block][:, None], mu_gn, mu_new)
                 found += _line_search(sub, x, dx, retry, sigma, at_lam, y_ref, rho, merit0, slack)
@@ -337,5 +338,5 @@ def predictor_corrector(
     if not trusted.any():
         return x, mu, trusted
     H = hessian_blocks(sub, x, mu, rho, evaluation, True)
-    dx, dmu = solve_local_kkt(sub.layout, H, band, gx, gm, rho, trusted)
+    dx, dmu = solve_local_kkt(sub.layout, H, band, gx, gm, trusted)
     return x - dx, mu - dmu, trusted

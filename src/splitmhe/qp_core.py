@@ -47,16 +47,16 @@ stack holds and which also gives the stationarity ``C' mu + A' lam`` as one
 product ``B' nu``, row 0 of ``nu`` zeroed (:func:`link_transpose`).
 
 A dense full-KKT solve over ``(dX, mu, lambda)`` is provided as an independent
-verification oracle. The coupled QP is never regularized: a Hessian that is not
+verification oracle. No QP here is regularized: a coupled-QP Hessian that is not
 positive definite raises :class:`NotPositiveDefiniteError` with its block index,
 block 0 for a stack's reduced Hessian. :func:`solve_local_kkt` condenses the local
 KKT systems, of any inertia, of a mask of unlinked sub-windows through their band,
-with an LU of each ``nx x nx`` reduced system and a shift that refactors nothing.
+with an LU of each ``nx x nx`` reduced system, and a singular one raises
+:class:`LocalSolveError` with its block index.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,8 +73,6 @@ from .errors import (
     check_shape,
 )
 from .problem import LiftedLayout
-
-logger = logging.getLogger(__name__)
 
 Array = np.ndarray
 
@@ -426,8 +424,7 @@ def _chain_solve(lay: LiftedLayout, source: Array, linked: bool, band: Array) ->
 
 
 def solve_local_kkt(
-    layout: LiftedLayout, H: Array, band: Array, rhs_x: Array, rhs_mu: Array, eps0: float,
-    active: Array,
+    layout: LiftedLayout, H: Array, band: Array, rhs_x: Array, rhs_mu: Array, active: Array
 ) -> tuple[Array, Array]:
     """Solve the local KKT systems ``[[H, C'], [C, 0]] (dx, mu) = (rhs_x, rhs_mu)``
     of the unlinked sub-windows in the mask ``active``, each condensed onto its first state.
@@ -435,15 +432,13 @@ def solve_local_kkt(
     ``H`` holds per-state blocks ``(states, nx, nx)`` of any inertia, row ``k`` of
     ``C`` is ``-D_k`` on state ``prev[k]`` and ``I`` on ``next[k]``, and ``band`` is
     ``link_band(layout, D, False)``. Outside ``active``, ``H = I``, the links of a
-    copy of ``band`` are zero and so is the right-hand side: a zero step, never shifted.
+    copy of ``band`` are zero and so is the right-hand side: a zero step.
     :func:`_chain_solve` gives ``dx = e + Z dx_first`` for every sub-window at once;
     the reduced systems ``Z' H Z dx_first = Z' (rhs_x - H e)`` take one batched LU
     solve, and ``mu`` is the stage rows of one transposed banded solve of
-    ``rhs_x - H dx``. A singular reduced system, named by its own zero LU pivot,
-    has its sub-window's ``H`` alone shifted by ``eps0 * 10**k``, ``k = 0, 1, 2``,
-    before :class:`LocalSolveError` is raised; a retry redoes only the product and
-    the reduction, as ``e`` and ``Z`` do not depend on ``H``. Returns ``dx`` and
-    ``mu`` ``(L, nx)``.
+    ``rhs_x - H dx``. A singular reduced system raises :class:`LocalSolveError` with
+    the first sub-window whose own LU meets a zero pivot, or None if none does.
+    Returns ``dx`` and ``mu`` ``(L, nx)``.
     """
     lay, nx = layout, layout.nx
     if not active.all():
@@ -453,27 +448,15 @@ def solve_local_kkt(
         H, rhs_x = np.where(s[..., None], H, lay.eye), np.where(s, rhs_x, 0.0)
         rhs_mu = np.where(active[lay.stage_block][:, None], rhs_mu, 0.0)
     U = _chain_solve(lay, np.concatenate((rhs_mu.ravel(), _ZERO_ONE)), False, band)
-    rungs, shifted = [0] * len(lay.lengths), H
-    while True:
-        V = shifted @ np.ascontiguousarray(U)
-        V[..., 0] -= rhs_x
-        reduced = np.add.reduceat(U[..., 1:].swapaxes(1, 2) @ V, lay.first)
-        try:
-            step = np.linalg.solve(reduced[..., 1:], reduced[..., :1])  # -dx_first
-            break
-        except np.linalg.LinAlgError:
-            singular = [i for i, P in enumerate(reduced) if scipy.linalg.lapack.dgetrf(P[:, 1:])[2]]
-        if not singular:
-            raise LocalSolveError("local KKT matrix singular, yet no sub-window has a zero pivot")
-        for i in singular:
-            if rungs[i] == 3:
-                raise LocalSolveError(
-                    f"block {i}: local KKT matrix singular after regularization", block_index=i
-                )
-            eps = eps0 * 10.0 ** rungs[i]
-            logger.warning("block %d: local KKT matrix singular; retrying with shift %.3e", i, eps)
-            shifted = np.where((lay.state_block == i)[:, None, None], H + eps * np.eye(nx), shifted)
-            rungs[i] += 1
+    V = H @ np.ascontiguousarray(U)
+    V[..., 0] -= rhs_x
+    reduced = np.add.reduceat(U[..., 1:].swapaxes(1, 2) @ V, lay.first)
+    try:
+        step = np.linalg.solve(reduced[..., 1:], reduced[..., :1])  # -dx_first
+    except np.linalg.LinAlgError as exc:
+        lu = scipy.linalg.lapack.dgetrf
+        i = next((i for i, P in enumerate(reduced) if lu(P[:, 1:])[2]), None)
+        raise LocalSolveError(f"block {i}: local KKT matrix singular", block_index=i) from exc
     # z = -(1, dx_first), so that U z = -dx and V z = rhs_x - H dx
     z = np.concatenate((np.full((len(step), 1, 1), -1.0), step), axis=1)[lay.state_block]
     Vz = (V @ z).reshape(-1)

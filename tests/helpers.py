@@ -238,6 +238,12 @@ def failing_for(solve_window, n_subwindows, error):
     return wrapper
 
 
+def zero_curvature(sub, *args, **kwargs):
+    """``local_nlp.hessian_blocks`` patched to ``H = 0``: with more variables than
+    constraints, every local KKT matrix ``[[H, C'], [C, 0]]`` is singular."""
+    return np.zeros((sub.layout.n_states, sub.model.nx, sub.model.nx))
+
+
 def refined_solve(K, b):
     """``K^-1 b`` from one LU with two steps of iterative refinement: the
     robot's local KKT matrices are badly scaled (cond 2e16), and the plain

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import splitmhe as sm
-from splitmhe import harness
+from splitmhe import harness, local_nlp
 from splitmhe.errors import (
     DimensionMismatchError,
     FactorizationError,
@@ -33,7 +33,7 @@ from splitmhe.harness import (
 )
 from splitmhe.problem import lift, lifted_layout, subproblem
 
-from helpers import counting_model, failing_for
+from helpers import counting_model, failing_for, zero_curvature
 
 
 def test_scenario_noise_free_measurements_exact(robot):
@@ -584,6 +584,32 @@ def test_sweep_rows_and_invariance(benchmark_scenario):
         assert row.iters_to_tol is not None and row.iters_to_tol <= 50
         assert row.total_wall_ms >= 0.0
         assert row.mean_local_ms >= 0.0 and row.mean_qp_ms >= 0.0
+
+
+def test_receding_horizon_records_a_singular_local_solve_and_restarts_cold(monkeypatch):
+    """A ``gn_aladin`` window whose local KKT matrices are singular (``H = 0``
+    from a patched ``local_nlp.hessian_blocks``) is recorded as an error
+    naming ``LocalSolveError``, and the next window starts cold."""
+    starts = []
+
+    def solve_window(scenario, l, *args, prior=None, initial_guess=None):
+        starts.append((prior, initial_guess))
+        with monkeypatch.context() as patch:
+            if l == 11:
+                patch.setattr(local_nlp, "hessian_blocks", zero_curvature)
+            return sm.solve_window(scenario, l, *args, prior=prior, initial_guess=initial_guess)
+
+    monkeypatch.setattr(harness, "solve_window", solve_window)
+    cfg = sm.SolverConfig(algorithm="gn_aladin", rho=5.0, max_iter=3)
+    outcomes = sm.run_receding_horizon(sm.generate_scenario(steps=12, seed=0), cfg, 2, 10)
+    assert [oc.status for oc in outcomes] == ["max_iter", "error", "max_iter"]
+    failed = outcomes[1]
+    assert failed.error.startswith("LocalSolveError: gn_aladin iteration 1: block 0: ")
+    assert failed.iterations == 0 and failed.result is None
+    assert np.isnan(failed.estimate).all()
+    # the failed window started warm; the next one starts cold
+    assert all(a is not None for a in starts[1])
+    assert starts[2] == (None, None)
 
 
 def test_sweep_records_a_numerical_failure_as_an_error_row(

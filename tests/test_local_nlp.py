@@ -1,4 +1,3 @@
-import logging
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +82,23 @@ def test_robot_subproblem_reaches_inner_tolerance(benchmark_instance):
     assert res.converged
     assert res.kkt_inf <= 1e-10
     assert kkt_inf(sub, res.x, res.mu, lam, y, 25.0) <= 1e-10
+
+
+def test_an_unconverged_solve_reports_the_residual_before_its_last_step(benchmark_instance):
+    """A solve that runs out of rounds returns its last iterates, whose KKT
+    residual it never measured: ``kkt_inf`` is that of the iterates one round
+    earlier, which a budget one round shorter returns."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    sub, y, partition = robot_sub(benchmark_instance, n_sub=4, index=2)
+    lam = 0.5 * rng.standard_normal(partition.r)
+    start = y + 0.05 * rng.standard_normal(y.size)
+    short, last = (
+        solve_local_subproblem(sub, lam, y, 25.0, LocalSolveConfig(inner_max_iter=k), x0=start)
+        for k in (1, 2)
+    )
+    assert not last.converged and last.iterations == 2 and last.evaluation is None
+    assert last.kkt_inf == kkt_inf(sub, short.x, short.mu, lam, y, 25.0)
+    assert kkt_inf(sub, last.x, last.mu, lam, y, 25.0) < last.kkt_inf
 
 
 def test_kkt_residual_echoes_solver_certificate(benchmark_instance):
@@ -416,27 +432,29 @@ def test_lagrangian_hessian_rejects_an_unknown_mode(benchmark_instance):
 
 
 
-def test_solve_local_kkt_shifts_a_singular_matrix():
+def test_solve_local_kkt_raises_on_a_singular_matrix():
     rng = np.random.Generator(np.random.PCG64(5))
-    nx, eps0 = 2, 0.5
+    nx = 2
     lay = lifted_layout((3,), nx)
     D = rng.standard_normal((3, nx, nx))
+    band = link_band(lay, D, False)
     rhs_x, rhs_mu = rng.standard_normal((4, nx)), rng.standard_normal((3, nx))
     # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is
-    # singular, and the first rung shifts H
-    shifted = dense_kkt(lay, eps0 * np.broadcast_to(np.eye(nx), (4, nx, nx)), D)
-    dx, mu = solve_local_kkt(
-        lay, np.zeros((4, nx, nx)), link_band(lay, D, False), rhs_x, rhs_mu, eps0, np.ones(1, bool)
-    )
-    expected = np.linalg.solve(shifted, np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
+    # singular, and the solve raises instead of shifting H
+    with pytest.raises(LocalSolveError, match="^block 0: local KKT matrix singular$") as err:
+        solve_local_kkt(lay, np.zeros((4, nx, nx)), band, rhs_x, rhs_mu, np.ones(1, bool))
+    assert err.value.block_index == 0
+    # the caller's own shift of H makes the same system regular
+    H = 0.5 * np.broadcast_to(np.eye(nx), (4, nx, nx))
+    dx, mu = solve_local_kkt(lay, H, band, rhs_x, rhs_mu, np.ones(1, bool))
+    expected = np.linalg.solve(dense_kkt(lay, H, D), np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
     assert rel_err(np.concatenate([dx.ravel(), mu.ravel()]), expected) < 1e-12
-    # a curvature 2^70 times the shifts swallows every rung: x0 and x1 = x0
-    # have curvature +2^70 and -2^70, so the reduced Hessian stays exactly 0
+    # x0 and x1 = x0 have curvature +2^70 and -2^70, so the reduced Hessian is exactly 0
     H = np.array([[[2.0 ** 70]], [[-2.0 ** 70]]])
     lay = lifted_layout((1,), 1)
     with pytest.raises(LocalSolveError, match="block 0") as err:
         solve_local_kkt(lay, H, link_band(lay, np.ones((1, 1, 1)), False), np.ones((2, 1)),
-                        np.zeros((1, 1)), 1.0, np.ones(1, bool))
+                        np.zeros((1, 1)), np.ones(1, bool))
     assert err.value.block_index == 0
 
 
@@ -554,10 +572,10 @@ def test_lockstep_solve_equals_the_solves_of_its_blocks(benchmark_instance, n_su
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-def test_a_masked_sub_window_sees_no_links(benchmark_instance, caplog):
+def test_a_masked_sub_window_sees_no_links(benchmark_instance):
     """A KKT step over some sub-windows zeroes the others' links in a copy of
     the round's band: their data, even non-finite or a singular zero ``H``,
-    leave the step finite and zero there, with no shift, and the other
+    leave the step finite and zero there, with no error, and the other
     sub-windows' steps bit for bit unchanged."""
     rng = np.random.Generator(np.random.PCG64(17))
     partition = sm.build_partition(25, 4, 3)
@@ -570,17 +588,15 @@ def test_a_masked_sub_window_sees_no_links(benchmark_instance, caplog):
     broken = np.where((partition.stage_block == 1)[:, None, None], np.nan, ev.D)
     band = local_nlp.link_band(partition, broken, False)
     kept = band.copy()
-    got = solve_local_kkt(partition, H, band, rhs_x, rhs_mu, 5.0, blocks)
+    got = solve_local_kkt(partition, H, band, rhs_x, rhs_mu, blocks)
     np.testing.assert_array_equal(band, kept)  # the round's band is not masked in place
     want = solve_local_kkt(
-        partition, H, local_nlp.link_band(partition, ev.D, False), rhs_x, rhs_mu, 5.0, blocks
+        partition, H, local_nlp.link_band(partition, ev.D, False), rhs_x, rhs_mu, blocks
     )
-    # H = 0 alone makes sub-window 1's reduced system singular; masked, it is never shifted
+    # H = 0 alone makes sub-window 1's reduced system singular; masked, it raises nothing
     zero = np.where((partition.state_block == 1)[:, None, None], 0.0, H)
-    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
-        unshifted = solve_local_kkt(partition, zero, band, rhs_x, rhs_mu, 5.0, blocks)
-    assert not caplog.records
-    for a, b, c, rows in zip(got, want, unshifted, (partition.state_block, partition.stage_block)):
+    masked = solve_local_kkt(partition, zero, band, rhs_x, rhs_mu, blocks)
+    for a, b, c, rows in zip(got, want, masked, (partition.state_block, partition.stage_block)):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(c, b)
         assert not a[rows == 1].any()

@@ -1,4 +1,3 @@
-import logging
 import warnings
 from dataclasses import replace
 
@@ -664,26 +663,28 @@ def test_banded_local_kkt_matches_the_dense_solve(nx, lengths, seed):
     # two backward-stable solves agree to about cond(K) * 1e-16
     assume(np.linalg.cond(K) < 1e5)
     dx, mu = solve_local_kkt(
-        lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 1.0, np.ones(lay.N, bool)
+        lay, H, link_band(lay, D, False), rhs_x, rhs_mu, np.ones(lay.N, bool)
     )
     got = np.concatenate([dx.ravel(), mu.ravel()])
     expected = np.linalg.solve(K, np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
     assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
-def test_local_kkt_ladder_shifts_only_the_singular_blocks(caplog):
+def test_local_kkt_names_the_first_singular_block():
+    """A singular reduced system raises at once, naming the first sub-window
+    whose own LU meets a zero pivot; a masked sub-window is never named."""
     lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(np.random.Generator(np.random.PCG64(23)), 2, (3, 4, 2, 5))
     H[lay.state_block == 1] = 0.0  # H = 0: blocks 1 and 3 are singular
     H[lay.state_block == 3] = 0.0
-    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
-        dx, mu = solve_local_kkt(
-            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 0.5, np.ones(lay.N, bool)
-        )
-    assert [r.getMessage() for r in caplog.records] == [
-        f"block {i}: local KKT matrix singular; retrying with shift 5.000e-01" for i in (1, 3)
-    ]
+    band = link_band(lay, D, False)
+    for active, first in (([True] * 4, 1), ([True, False, True, True], 3)):
+        with pytest.raises(LocalSolveError, match=f"^block {first}: local KKT matrix singular$") as err:
+            solve_local_kkt(lay, H, band, rhs_x, rhs_mu, np.array(active))
+        assert err.value.block_index == first
+    # the caller's own shift of the singular blocks makes the solve regular
     shifted = H.copy()
     shifted[np.isin(lay.state_block, (1, 3))] = 0.5 * np.eye(2)
+    dx, mu = solve_local_kkt(lay, shifted, band, rhs_x, rhs_mu, np.ones(lay.N, bool))
     expected = np.linalg.solve(
         dense_kkt(lay, shifted, D), np.concatenate([rhs_x.ravel(), rhs_mu.ravel()])
     )
@@ -698,40 +699,40 @@ def test_local_kkt_is_one_forward_and_one_transposed_chain_solve(monkeypatch):
         lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 3, lengths)
         calls.clear()
         solve_local_kkt(
-            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 1.0, np.ones(lay.N, bool)
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, np.ones(lay.N, bool)
         )
         rows = lay.n_states * 3
         # no band LU: the forward solve for [e, Z] and the multipliers' solve
         assert calls == [("dtbtrs", "N", (rows, 4)), ("dtbtrs", "T", (rows,))], lengths
-    # a ladder retry redoes the product and the reduction, not the chain solve;
-    # each sub-window's own LU then names blocks 1 and 3
+    # a singular solve makes the forward solve, then one LU per sub-window up to
+    # the first zero pivot, block 1's, and no transposed solve
     lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 2, (3, 4, 2, 5))
     H[np.isin(lay.state_block, (1, 3))] = 0.0
     calls.clear()
-    solve_local_kkt(
-        lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 0.5, np.ones(lay.N, bool)
-    )
+    with pytest.raises(LocalSolveError, match="block 1"):
+        solve_local_kkt(
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, np.ones(lay.N, bool)
+        )
     rows = lay.n_states * 2
-    assert calls == [
-        ("dtbtrs", "N", (rows, 3)), *[("dgetrf", "N", (2, 2))] * 4, ("dtbtrs", "T", (rows,))
-    ]
+    assert calls == [("dtbtrs", "N", (rows, 3)), *[("dgetrf", "N", (2, 2))] * 2]
 
 
-def test_local_kkt_ladder_stops_when_no_block_has_a_zero_pivot(monkeypatch, caplog):
+def test_local_kkt_raises_when_no_block_has_a_zero_pivot(monkeypatch):
     """The batched solve fails, yet no sub-window's own LU meets a zero pivot:
-    nothing can be shifted, so the ladder raises at once instead of looping."""
+    the error names no block, after one LU per sub-window."""
     rng = np.random.Generator(np.random.PCG64(23))
     lay, H, D, (rhs_x, rhs_mu) = _random_local_kkt(rng, 2, (3, 4))
     H[lay.state_block == 1] = 0.0
-    getrf = scipy.linalg.lapack.dgetrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lambda a: (*getrf(a)[:2], 0))
-    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
-        with pytest.raises(LocalSolveError, match="no sub-window has a zero pivot") as err:
-            solve_local_kkt(
-                lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 0.5, np.ones(lay.N, bool)
-            )
+    getrf, calls = scipy.linalg.lapack.dgetrf, []
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dgetrf", lambda a: calls.append(a.shape) or (*getrf(a)[:2], 0)
+    )
+    with pytest.raises(LocalSolveError, match="^block None: local KKT matrix singular$") as err:
+        solve_local_kkt(
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, np.ones(lay.N, bool)
+        )
     assert err.value.block_index is None
-    assert not caplog.records
+    assert calls == [(2, 2)] * 2
 
 
 def test_local_condensing_accuracy_follows_the_growth_of_the_chain():
@@ -746,7 +747,7 @@ def test_local_condensing_accuracy_follows_the_growth_of_the_chain():
         rhs = np.concatenate([rhs_x.ravel(), rhs_mu.ravel()])
         expected = refined_solve(dense_kkt(lay, H, D), rhs)
         dx, mu = solve_local_kkt(
-            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, 1.0, np.ones(lay.N, bool)
+            lay, H, link_band(lay, D, False), rhs_x, rhs_mu, np.ones(lay.N, bool)
         )
         got = np.concatenate([dx.ravel(), mu.ravel()])
         worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
@@ -766,7 +767,7 @@ def test_local_kkt_on_the_cold_robot_window():
     for rho in (10.0, 0.1):
         H = hessian_blocks(run, x, np.zeros((L, 3)), rho, ev, True)
         dx, mu = solve_local_kkt(
-            lay, H, link_band(lay, ev.D, False), -ev.g, -ev.F, 1.0, np.ones(lay.N, bool)
+            lay, H, link_band(lay, ev.D, False), -ev.g, -ev.F, np.ones(lay.N, bool)
         )
         rhs = -np.concatenate([ev.g.ravel(), ev.F.ravel()])
         expected = refined_solve(dense_kkt(lay, H, ev.D), rhs)

@@ -1,4 +1,3 @@
-import logging
 import math
 import re
 from collections import Counter
@@ -12,6 +11,7 @@ import splitmhe as sm
 from splitmhe import local_nlp, problem, qp_core, solvers
 from splitmhe.errors import (
     DimensionMismatchError,
+    LocalSolveError,
     NonFiniteDataError,
     NotPositiveDefiniteError,
     SplitMheError,
@@ -26,7 +26,7 @@ from splitmhe.solvers import (
 
 from conftest import build_linear_instance
 from drift_golden import RECORD_FIELDS
-from helpers import counting_model, linear_window_optimum
+from helpers import counting_model, linear_window_optimum, zero_curvature
 
 
 def make_record(**overrides):
@@ -846,16 +846,11 @@ def test_sa_aladin_evaluates_the_stack_at_most_twice_per_iteration(
     assert calls["blocks=4"] == calls["driver"] + calls["local"]
 
 
-def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypatch, caplog):
-    """A trusted step whose local KKT matrix is singular is shifted by ``rho``,
-    as in the exact local solve, and stays a predictor update."""
-
-    def zero_curvature(sub, *args, **kwargs):
-        return np.zeros((sub.layout.n_states, sub.model.nx, sub.model.nx))
-
-    # H = 0 with more variables than constraints: [[H, C'], [C, 0]] is
-    # singular. A warm start skips the initial local solves, so only the
-    # trusted steps see the patched curvature.
+def test_sa_singular_local_kkt_raises_local_solve_error(linear_instance, monkeypatch):
+    """A trusted step whose local KKT matrix is singular raises
+    ``LocalSolveError`` with its iteration and block; nothing is shifted."""
+    # a warm start skips the initial local solves, so only the trusted steps
+    # see the patched curvature
     monkeypatch.setattr(local_nlp, "hessian_blocks", zero_curvature)
     partition = sm.build_partition(linear_instance.L, 2, 2)
     lifted = problem.lift(linear_instance.initial_guess, partition)
@@ -863,18 +858,23 @@ def test_sa_singular_local_kkt_takes_the_shift_ladder(linear_instance, monkeypat
         x_blocks=lifted, y_blocks=lifted, lam=np.zeros(partition.r),
         mu_blocks=np.zeros((linear_instance.L, 2)),
     )
-    cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=1e-12, max_iter=300)
-    with caplog.at_level(logging.WARNING, logger="splitmhe.qp_core"):
-        result = sm.run_sensitivity_aladin(linear_instance, partition, cfg, warm=warm)
-    shifts = [r.getMessage() for r in caplog.records if "retrying with shift" in r.getMessage()]
-    assert result.info["predictor_updates"] > 0
-    assert len(shifts) == result.info["predictor_updates"]
-    assert all(m.endswith("shift 1.000e+00") for m in shifts)
-    steps = result.info["predictor_updates"] + result.info["coordination_fallbacks"]
-    assert steps == partition.N * result.iterations
-    # the shifted steps still head for the optimum (2.5e-8 away at max_iter)
-    reference = linear_window_optimum(linear_instance)
-    assert np.abs(result.trajectory - reference).max() <= 1e-6
+    cfg = sm.SolverConfig(algorithm="sa_aladin", rho=1.0, tol=1e-12, max_iter=30)
+    # the first 30 iterations trust no predictor, so they take no local solve
+    result = sm.run_sensitivity_aladin(linear_instance, partition, cfg, warm=warm)
+    assert result.info["predictor_updates"] == 0
+    assert result.info["coordination_fallbacks"] == partition.N * 30
+    with pytest.raises(LocalSolveError, match="^sa_aladin iteration 31: block 1: local KKT") as err:
+        sm.run_sensitivity_aladin(linear_instance, partition, replace(cfg, max_iter=300), warm=warm)
+    assert (err.value.iteration, err.value.block_index) == (31, 1)
+
+
+def test_gn_singular_local_kkt_raises_local_solve_error(linear_instance, monkeypatch):
+    monkeypatch.setattr(local_nlp, "hessian_blocks", zero_curvature)
+    partition = sm.build_partition(linear_instance.L, 2, 2)
+    cfg = sm.SolverConfig(algorithm="gn_aladin", rho=1.0, tol=1e-12, max_iter=300)
+    with pytest.raises(LocalSolveError, match="^gn_aladin iteration 1: block 0: local KKT") as err:
+        sm.solve(linear_instance, partition, cfg)
+    assert (err.value.iteration, err.value.block_index) == (1, 0)
 
 
 @pytest.mark.parametrize("L, N", [(400, 66), (1600, 266)])

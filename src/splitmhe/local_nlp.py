@@ -258,7 +258,8 @@ def solve_local_subproblem(
     stalls on the coupling-tilted blocks, where the residual stays large at
     the solution). Steps are halved until an l1-penalized merit decreases;
     when the curvature step finds no descent the iteration retries with the
-    Gauss-Newton matrix ``J'J + rho*I``. Below a KKT residual of ``1e-3`` the
+    Gauss-Newton matrix ``J'J + rho*I``. Below a KKT residual of ``1e-3``, or
+    where the merit's slope along the step is within the acceptance slack, the
     full step is taken outright: merit differences there are at float
     resolution and the SQP contraction stands on its own.
 
@@ -299,6 +300,11 @@ def solve_local_subproblem(
             sigma = 1.0 + 2.0 * np.maximum.reduceat(np.abs(mu_new).max(axis=1), lay.start)
             merit0 = _merits(sub, x, sigma, at_lam, y_ref, rho, (ev.b, ev.F))
             slack = 1e-14 * np.maximum(1.0, np.abs(merit0))
+            # no trial resolves a merit slope grad.dx - sigma |F|_1 within the slack
+            slope = np.add.reduceat((grad * dx).sum(axis=1), lay.first)
+            slope -= sigma * np.add.reduceat(np.abs(ev.F).sum(axis=1), lay.start)
+            flat = search & (np.abs(slope) <= slack)
+            step, search = step + flat, search & ~flat
             found = _line_search(sub, x, dx, search, sigma, at_lam, y_ref, rho, merit0, slack)
             # indefinite curvature can make the Newton step an ascent
             # direction far from the solution; retry with Gauss-Newton

@@ -447,7 +447,8 @@ def test_solve_local_kkt_raises_on_a_singular_matrix():
     # the caller's own shift of H makes the same system regular
     H = 0.5 * np.broadcast_to(np.eye(nx), (4, nx, nx))
     dx, mu = solve_local_kkt(lay, H, band, rhs_x, rhs_mu, np.ones(1, bool))
-    expected = np.linalg.solve(dense_kkt(lay, H, D), np.concatenate([rhs_x.ravel(), rhs_mu.ravel()]))
+    rhs = np.concatenate([rhs_x.ravel(), rhs_mu.ravel()])
+    expected = np.linalg.solve(dense_kkt(lay, H, D), rhs)
     assert rel_err(np.concatenate([dx.ravel(), mu.ravel()]), expected) < 1e-12
     # x0 and x1 = x0 have curvature +2^70 and -2^70, so the reduced Hessian is exactly 0
     H = np.array([[[2.0 ** 70]], [[-2.0 ** 70]]])

@@ -678,7 +678,8 @@ def test_local_kkt_names_the_first_singular_block():
     H[lay.state_block == 3] = 0.0
     band = link_band(lay, D, False)
     for active, first in (([True] * 4, 1), ([True, False, True, True], 3)):
-        with pytest.raises(LocalSolveError, match=f"^block {first}: local KKT matrix singular$") as err:
+        message = f"^block {first}: local KKT matrix singular$"
+        with pytest.raises(LocalSolveError, match=message) as err:
             solve_local_kkt(lay, H, band, rhs_x, rhs_mu, np.array(active))
         assert err.value.block_index == first
     # the caller's own shift of the singular blocks makes the solve regular

@@ -83,32 +83,16 @@ class SensitivityPair:
     N: Array
 
 
-def first_order_conditions(
-    sub: SubProblem, x: Array, mu: Array, lam: Array, y_ref: Array, rho: float
-) -> Array:
-    """Stacked first-order conditions of the augmented sub-problem.
-
-    Rows: the augmented-Lagrangian gradient (objective gradient plus coupling
-    price, proximal pull, and constraint terms), then the dynamics defects.
-    Affine in the parameters ``(y_ref, lam)``.
-    """
-    ev = evaluate_stack(sub, x)
-    return _conditions(sub, x, mu, lam, y_ref, rho, ev, link_band(sub.layout, ev.D, False))
-
-
-def _conditions(sub: SubProblem, x, mu, lam, y_ref, rho: float, ev, band: Array) -> Array:
-    """:func:`first_order_conditions` at the evaluation ``ev`` and unlinked ``band`` of ``x``."""
-    at_mu = _at_mu(sub, band, mu).reshape(-1)
-    grad = ev.g.reshape(-1) + sub.apply_coupling_transpose(lam)
-    grad = grad + rho * (sub.states(x) - sub.states(y_ref)).reshape(-1) + at_mu
-    return np.concatenate([grad, ev.F.reshape(-1)])
-
-
-def _at_mu(sub: SubProblem, band: Array, mu) -> Array:
-    """``C' mu`` through the run's unlinked ``band``: ``mu`` on the stage rows."""
+def _stationarity(
+    sub: SubProblem, x, mu, at_lam, y_ref, rho: float, ev: StageEvaluation, band: Array
+) -> tuple[Array, Array]:
+    """``grad = g + A' lam + rho (x - y_ref)`` and ``stat = grad + C' mu`` on the
+    stacks, at the evaluation ``ev`` of ``x``: ``A' lam`` is the stack ``at_lam``,
+    and ``C' mu`` goes through the unlinked ``band`` with ``mu`` on the stage rows."""
     nu = np.zeros(sub.layout.shapes[1])
     nu[sub.layout.next] = np.reshape(mu, (sub.length, -1))
-    return link_transpose(band, nu).reshape(nu.shape)
+    grad = ev.g + at_lam + rho * (x - y_ref)
+    return grad, grad + link_transpose(band, nu).reshape(nu.shape)
 
 
 def hessian_blocks(sub: SubProblem, x, mu, rho: float, ev: StageEvaluation, exact: bool) -> Array:
@@ -285,8 +269,8 @@ def solve_local_subproblem(
     for k in range(cfg.inner_max_iter):
         ev = evaluate_stack(sub, x) if k or evaluation is None else evaluation
         band = link_band(lay, ev.D, False)
-        grad = ev.g + at_lam + rho * (x - y_ref)
-        kkt[active] = _block_max(sub, grad + _at_mu(sub, band, mu), ev.F)[active]
+        grad, stat = _stationarity(sub, x, mu, at_lam, y_ref, rho, ev, band)
+        kkt[active] = _block_max(sub, stat, ev.F)[active]
         active &= ~(kkt <= cfg.inner_tol)
         if not active.any():
             return LocalSolveResult(x.reshape(-1), mu.reshape(-1), int(steps.max()), True,
@@ -338,11 +322,11 @@ def predictor_corrector(
     unmoved where untrusted, and the trusted mask.
     """
     band = link_band(sub.layout, evaluation.D, False)
-    drift = _conditions(sub, x, mu, lam, y_ref, rho, evaluation, band)
-    gx, gm = np.split(drift.reshape(-1, sub.model.nx), [sub.layout.n_states])
-    trusted = _block_max(sub, gx, gm) <= tol
+    at_lam = sub.apply_coupling_transpose(lam).reshape(x.shape)
+    stat = _stationarity(sub, x, mu, at_lam, sub.states(y_ref), rho, evaluation, band)[1]
+    trusted = _block_max(sub, stat, evaluation.F) <= tol
     if not trusted.any():
         return x, mu, trusted
     H = hessian_blocks(sub, x, mu, rho, evaluation, True)
-    dx, dmu = solve_local_kkt(sub.layout, H, band, gx, gm, trusted)
+    dx, dmu = solve_local_kkt(sub.layout, H, band, stat, evaluation.F, trusted)
     return x - dx, mu - dmu, trusted

@@ -52,6 +52,20 @@ def stage_transpose_reference(layout, D, mu):
     return out
 
 
+def first_order_reference(sub, x, mu, lam, y_ref, rho):
+    """The stacked first-order conditions ``[J'b + A' lam + rho (x - y_ref) + C' mu; F]``
+    of a run's augmented sub-problem, flat, from the dense residual and constraint
+    Jacobians and the dense coupling rows: the reference for the stationarity of
+    ``local_nlp`` and the function whose finite differences check its curvature."""
+    from splitmhe.problem import eval_constraints, eval_residual_stack
+
+    x, y_ref = np.ravel(x), np.ravel(y_ref)
+    b, J = eval_residual_stack(sub, x)
+    F, C = eval_constraints(sub, x)
+    grad = J.T @ b + sub.coupling_matrix().T @ lam + rho * (x - y_ref) + C.T @ np.ravel(mu)
+    return np.concatenate([grad, F])
+
+
 def rel_err(a, b):
     """Relative deviation with the usual 1 + |b| guard."""
     a = np.asarray(a, dtype=float)

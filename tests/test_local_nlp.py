@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from splitmhe import local_nlp, problem
 from splitmhe.errors import LocalSolveError, SingularKktError
 from splitmhe.local_nlp import (
     LocalSolveConfig,
-    first_order_conditions,
     lagrangian_hessian,
     sensitivity_matrices,
     solve_local_subproblem,
@@ -18,7 +19,7 @@ from splitmhe.problem import constraint_vector, lifted_layout, split_instance, s
 from splitmhe.qp_core import link_band, solve_local_kkt
 
 from conftest import build_linear_instance
-from helpers import dense_kkt, fd_jacobian, refined_solve, rel_err
+from helpers import dense_kkt, fd_jacobian, first_order_reference, refined_solve, rel_err
 
 
 def robot_sub(instance, n_sub=3, index=1):
@@ -29,7 +30,7 @@ def robot_sub(instance, n_sub=3, index=1):
 
 
 def kkt_inf(sub, x, mu, lam, y_ref, rho):
-    return float(np.abs(first_order_conditions(sub, x, mu, lam, y_ref, rho)).max())
+    return float(np.abs(first_order_reference(sub, x, mu, lam, y_ref, rho)).max())
 
 
 def linear_sub(linear_instance, index=0):
@@ -159,7 +160,7 @@ def test_lagrangian_hessian_matches_fd(benchmark_instance):
     exact = lagrangian_hessian(sub, x, mu, rho, mode="exact_lagrangian")
 
     def grad(z):
-        return first_order_conditions(sub, z, mu, lam, y, rho)[:sub.block_dim]
+        return first_order_reference(sub, z, mu, lam, y, rho)[:sub.block_dim]
 
     assert rel_err(exact, fd_jacobian(grad, x)) < 1e-5
     assert np.abs(exact - exact.T).max() == 0.0
@@ -263,7 +264,7 @@ def test_sensitivity_m_matches_fd_of_conditions(benchmark_instance):
     n = sub.block_dim
 
     def phi(s):
-        return first_order_conditions(sub, s[:n], s[n:], lam, y, rho)
+        return first_order_reference(sub, s[:n], s[n:], lam, y, rho)
 
     fd = fd_jacobian(phi, np.concatenate([x, mu]))
     assert rel_err(pair.M, fd) < 1e-5
@@ -403,6 +404,59 @@ def test_predictor_corrector_leaves_an_untrusted_block_unmoved(benchmark_instanc
     stages = partition.stage_block == 2
     np.testing.assert_array_equal(mu_new[stages], mu[stages])
     assert (x_new[~far] != x[~far]).any()
+
+
+@pytest.mark.parametrize("n_sub", [1, 4])
+def test_stationarity_matches_the_dense_conditions(benchmark_instance, n_sub):
+    """The one stationarity kernel of the local solve and the predictor gives
+    ``g + A' lam + rho (x - y)`` and ``+ C' mu`` on it as the dense conditions
+    do, and the predictor trusts a sub-window by the dense drift."""
+    rng = np.random.Generator(np.random.PCG64(19))
+    partition = sm.build_partition(25, n_sub, 3)
+    run = subproblem(benchmark_instance, partition, range(n_sub))
+    lift = problem.lift(benchmark_instance.initial_guess, partition)
+    x = lift + 0.05 * rng.standard_normal(lift.shape)
+    y = lift + 0.05 * rng.standard_normal(lift.shape)
+    mu = rng.standard_normal((run.length, 3))
+    lam = rng.standard_normal(partition.r)
+    rho, ev = 7.0, problem.evaluate_stack(run, x)
+    at_lam = run.apply_coupling_transpose(lam).reshape(x.shape)
+    grad, stat = local_nlp._stationarity(
+        run, x, mu, at_lam, y, rho, ev, link_band(run.layout, ev.D, False)
+    )
+    n = run.block_dim
+    for got, m in ((grad, np.zeros_like(mu)), (stat, mu)):
+        want = first_order_reference(run, x, m, lam, y, rho)[:n].reshape(x.shape)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    # the prox center that zeroes the stationarity leaves the drift to the defects
+    lay = run.layout
+    for center in (y, y + stat / rho):
+        ref = first_order_reference(run, x, mu, lam, center, rho)
+        states, stages = np.abs(ref[:n]).reshape(x.shape), np.abs(ref[n:]).reshape(mu.shape)
+        drift = np.array([
+            max(states[lay.state_block == i].max(), stages[lay.stage_block == i].max())
+            for i in range(n_sub)
+        ])
+        levels = np.sort(np.concatenate([[0.5 * drift.min()], drift, [2.0 * drift.max()]]))
+        for tol in 0.5 * (levels[1:] + levels[:-1]):
+            trusted = local_nlp.predictor_corrector(
+                run, x, mu, lam, center.ravel(), rho, ev, tol
+            )[2]
+            assert trusted.tolist() == (drift <= tol).tolist()
+
+
+def test_local_nlp_calls_link_transpose_in_one_function():
+    # the local stationarity is formed once, for the local solve's rounds and
+    # the predictor's drift alike
+    sites = []
+    for fn in ast.walk(ast.parse(Path(local_nlp.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            sites += [
+                fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "link_transpose"
+            ]
+    assert sites == ["_stationarity"]
 
 
 def test_inner_solver_rejects_bad_rho(benchmark_instance):

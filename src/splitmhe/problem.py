@@ -330,16 +330,20 @@ def split_instance(instance: MheInstance, partition: LiftedLayout) -> list[SubPr
     return [subproblem(instance, partition, range(i, i + 1)) for i in range(partition.N)]
 
 
-def _residuals(sub: SubProblem, X: Array, jac: bool = False) -> tuple[Array, Array | None]:
+def _residuals(sub: SubProblem, X: Array, jac: bool = False) -> tuple[Array, Array]:
     """``b`` at a ``(states, nx)`` stack, ``P^-1/2 (x_0 - prior)`` first and then
-    ``V^-1/2 (h(x) - y)`` per measured state in time order; and with ``jac``
-    ``dh_dx`` at those states, from the same model call, else None."""
-    Xm = X.take(sub.measured, 0)
-    hx, H = sub.model.h_and_jac(Xm) if jac else (sub.model.h(Xm), None)
-    b = (hx - sub.measurements).dot(sub.v_inv_sqrt.T).ravel()  # .dot, as in qp_core: @ at less cost
+    ``V^-1/2 (h(x) - y)`` per measured state in time order; and the measured
+    states' ``(measured, ny, 1 + nx)`` weighted block ``V^-1/2 [h(x) - y | dh/dx]``,
+    one batched product whose column 0 holds ``b``'s measurement rows. Without
+    ``jac`` only ``h`` is called and the ``dh/dx`` columns are zero, so ``b`` is
+    the same product, bit for bit, on both paths and in any run of sub-windows."""
+    Xm, m = X.take(sub.measured, 0), sub.model
+    hx, H = m.h_and_jac(Xm) if jac else (m.h(Xm), np.zeros((len(Xm), m.ny, m.nx)))
+    R = np.matmul(sub.v_inv_sqrt, np.concatenate(((hx - sub.measurements)[..., None], H), 2))
+    b = R[..., 0].ravel()
     if sub.has_prior:
         b = np.concatenate((sub.p_inv_sqrt.dot(X[0] - sub.prior), b))
-    return b, H
+    return b, R
 
 
 def _defects(sub: SubProblem, X: Array, jac: bool = False) -> tuple[Array, Array | None]:
@@ -362,7 +366,7 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
     ``0.5 * ||b||^2``, its gradient ``J.T @ b`` and its Gauss-Newton Hessian
     ``J.T @ J``.
     """
-    b, H = _residuals(sub, sub.states(X), jac=True)
+    b, R = _residuals(sub, sub.states(X), jac=True)
     m, measured = sub.model, sub.measured
     J = np.zeros((b.size, sub.block_dim))
     row = m.nx * sub.has_prior
@@ -370,7 +374,7 @@ def eval_residual_stack(sub: SubProblem, X: Array) -> tuple[Array, Array]:
         J[:row, :row] = sub.p_inv_sqrt
     # measurement k's rows touch only state measured[k]
     Jm = J[row:].reshape(len(measured), m.ny, sub.layout.n_states, m.nx)
-    Jm[np.arange(len(measured)), :, measured] = sub.v_inv_sqrt @ H
+    Jm[np.arange(len(measured)), :, measured] = R[..., 1:]
     return b, J
 
 
@@ -417,19 +421,15 @@ def evaluate_stack(sub: SubProblem, X: Array) -> StageEvaluation:
     """:class:`StageEvaluation` of a run of sub-windows at its stack ``X`` in two
     model calls, ``h_and_jac`` and ``f_and_jac``, for one sub-window or the whole
     window. On the whole window ``b`` is the centralized residual vector of the
-    trajectory that the measured states form, and under a diagonal ``V`` only it
-    equals the per-block rows bit for bit (numpy takes a one-row product through
-    another BLAS kernel). Measured states' ``[b, J]' J`` fill a buffer with one
-    trailing zero row, spread by a ``take`` of ``measured_rows`` per part."""
+    trajectory that the measured states form, and it equals the per-block rows
+    bit for bit under any ``V``. Measured states' ``[b, J]' J``, one product on
+    the weighted block of :func:`_residuals`, fill a buffer with one trailing zero
+    row, spread by a ``take`` of ``measured_rows`` per part."""
     X, model = sub.states(X), sub.model
-    (b, H), (F, D) = _residuals(sub, X, jac=True), _defects(sub, X, jac=True)
-    Jm = sub.v_inv_sqrt @ H
+    (b, R), (F, D) = _residuals(sub, X, jac=True), _defects(sub, X, jac=True)
     nx, k, rows = model.nx, model.nx * sub.has_prior, sub.measured_rows
-    gW = np.zeros((len(H) + 1, nx + 1, nx))
-    # [b, J]' J as one product on a contiguous [b, J]', bit for bit b'J and J'J taken
-    # apart; the output by position, as ufuncs parse keywords slower
-    bJ = np.concatenate((b[k:].reshape(-1, 1, model.ny), Jm.swapaxes(1, 2)), 1)
-    np.matmul(bJ, Jm, gW[:-1])
+    gW = np.zeros((len(R) + 1, nx + 1, nx))
+    np.matmul(R.swapaxes(1, 2), R[..., 1:], gW[:-1])  # out by position, as ufuncs parse keywords slower
     g, W = gW[:, 0].take(rows, 0), gW[:, 1:].take(rows, 0)
     if k:
         g[0] += sub.p_inv_sqrt.T.dot(b[:k])
@@ -456,7 +456,7 @@ def coupling_residual(partition: LiftedLayout, blocks) -> Array:
     ``blocks`` is a list of block vectors or the lifted ``(L + N, nx)`` stack.
     """
     stack = _as_stack(blocks, partition)
-    return (stack.take(partition.last[:-1], 0) - stack.take(partition.first[1:], 0)).ravel()
+    return (stack[:-1] - stack[1:]).take(partition.last[:-1], 0).ravel()
 
 
 def lift_initial_guess(trajectory: Array, partition: LiftedLayout) -> list[Array]:

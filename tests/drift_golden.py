@@ -31,7 +31,9 @@ certificate or a metric at roundoff and leaves the solutions bit for bit
 shows as such. Two more lines hash the same of the benchmark's long
 windows: one cold window of ``L = 400`` at seed 0 on a 4-iteration budget
 with ``tol`` 0, solved by ``centralized`` and by ``dsqp`` at ``N = 66``, both
-at their default ``rho``.
+at their default ``rho``. The last line hashes the same of the seed-0 window
+ending at step 25 under non-diagonal prior and measurement weights, solved by
+each algorithm at the gate's ``rho``, so a comparison covers full weights too.
 It rewrites nothing; run it against two source trees, e.g.
 ``PYTHONPATH=<tree>/src``, to compare their solutions bit for bit.
 """
@@ -42,6 +44,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,11 @@ DIGEST_RUNS = ((0, 60), (1, 40))
 # the digest's long windows: seed, L, iteration budget and (algorithm, N) pairs
 LONG_SEED, LONG_L, LONG_ITERS = 0, 400, 4
 LONG_RUNS = (("centralized", 1), ("dsqp", 66))
+# the digest's full-weight window: its end, the prior weight, and the
+# correlation of the two measurement noises, whose variances the scenario sets
+FULL_END = 25
+FULL_P = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+FULL_CORRELATION = 0.5
 # the fields of every ConvergenceRecord that the digest hashes: no wall times
 RECORD_FIELDS = (
     "primal_step_inf", "coupling_inf", "dynamics_inf", "stationarity_inf", "objective",
@@ -93,12 +101,16 @@ def run_cells() -> dict[str, list[dict]]:
         scenario = sm.generate_scenario(steps=COLD_L, seed=COLD_SEED)
         budget = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=0.0, max_iter=COLD_ITERS)
         result = sm.solve_window(scenario, COLD_L, budget, COLD_N, COLD_L)
-        cold = sm.WindowOutcome(
-            window_end=COLD_L, status=result.status, iterations=result.iterations,
-            estimate=result.trajectory[-1], result=result,
-        )
-        cells[f"{algorithm}/cold-L{COLD_L}-N{COLD_N}"] = [_cell(cold)]
+        cells[f"{algorithm}/cold-L{COLD_L}-N{COLD_N}"] = [_cell(_outcome(result, COLD_L))]
     return cells
+
+
+def _outcome(result, window_end: int):
+    """The :class:`~splitmhe.WindowOutcome` of one window's solve."""
+    return sm.WindowOutcome(
+        window_end=window_end, status=result.status, iterations=result.iterations,
+        estimate=result.trajectory[-1], result=result,
+    )
 
 
 def diff_lines(
@@ -169,8 +181,8 @@ def _record_metrics(result) -> np.ndarray:
 def digest_lines() -> list[str]:
     """Per algorithm and ``rho`` (its default, then the gate's) over every
     window of :data:`DIGEST_RUNS`, then per long window of :data:`LONG_RUNS`,
-    one line of three SHA-256s: of the solutions, the certificate objective
-    and the record metrics."""
+    then over the full-weight window's solves, one line of three SHA-256s: of
+    the solutions, the certificate objective and the record metrics."""
     runs = []
     for algorithm, gate_rho in RHO.items():
         for rho in (sm.SolverConfig(algorithm=algorithm).rho, gate_rho):
@@ -187,11 +199,18 @@ def digest_lines() -> list[str]:
     for algorithm, n in LONG_RUNS:
         cfg = sm.SolverConfig(algorithm=algorithm, tol=0.0, max_iter=LONG_ITERS)
         result = sm.solve_window(scenario, LONG_L, cfg, n, LONG_L)
-        window = sm.WindowOutcome(
-            window_end=LONG_L, status=result.status, iterations=result.iterations,
-            estimate=result.trajectory[-1], result=result,
-        )
-        runs.append((f"{algorithm} L={LONG_L} N={n} rho={cfg.rho:g}", [window]))
+        runs.append((f"{algorithm} L={LONG_L} N={n} rho={cfg.rho:g}", [_outcome(result, LONG_L)]))
+    seed, steps = DIGEST_RUNS[0]
+    scenario = sm.generate_scenario(steps=steps, seed=seed)
+    sd = np.sqrt(scenario.measurement_variances)
+    V = np.outer(sd, sd) * np.array([[1.0, FULL_CORRELATION], [FULL_CORRELATION, 1.0]])
+    full = replace(sm.window_instance(scenario, FULL_END), P=FULL_P, V=V)
+    partition = sm.build_partition(full.L, RH_N, full.model.nx)
+    windows = []
+    for algorithm, rho in RHO.items():
+        cfg = sm.SolverConfig(algorithm=algorithm, rho=rho, tol=TOL, max_iter=MAX_ITER)
+        windows.append(_outcome(sm.solve(full, partition, cfg), FULL_END))
+    runs.append((f"full weights window_end={FULL_END} gate rho", windows))
     lines = []
     for name, windows in runs:
         hashes = {key: hashlib.sha256() for key in ("solutions", "objective", "records")}

@@ -401,7 +401,7 @@ def test_layout_caches_the_shapes_it_checks():
 def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n_sub):
     """The whole window's evaluation, cut at the sub-window boundaries, is the
     evaluations of the one-sub-window runs, bit for bit under the benchmark's
-    diagonal weights. Under those and under full prior and measurement weights,
+    diagonal weights and under full prior and measurement weights. Under both,
     ``g`` and ``W`` are the dense ``J'b`` and ``J'J``, the unmeasured boundary
     copies included, the prior's block sits on state 0 alone, and with one
     sub-window ``0.5 ||b||^2`` is the centralized objective."""
@@ -423,13 +423,10 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
             "F": run.layout.start, "D": run.layout.start,
         }
         assert set(cuts) == set(ev._fields)
-        # under full weights numpy takes a one-measurement sub-window's product
-        # V^-1/2 dy through another BLAS kernel: equal to roundoff only
-        tol = 0.0 if instance is benchmark_instance else 1e-15
         for name, whole in zip(ev._fields, ev):
             parts = np.split(whole, cuts[name][1:])
             for part, direct in zip(parts, (getattr(b, name) for b in blocks)):
-                np.testing.assert_allclose(part, direct, rtol=tol, atol=tol, err_msg=name)
+                np.testing.assert_array_equal(part, direct, err_msg=name)
         for sub, block, direct in zip(subs, partition.split(y), blocks):
             b_dense, J = eval_residual_stack(sub, block)
             np.testing.assert_array_equal(direct.b, b_dense)
@@ -455,18 +452,22 @@ def test_stack_evaluation_slices_are_the_block_evaluations(benchmark_instance, n
 def test_value_functions_are_the_stack_evaluation_bit_for_bit(benchmark_instance, n_sub):
     """``residual_vector`` and ``constraint_vector`` read the residual kernels
     that ``evaluate_stack`` reads: the local line search compares trial merits
-    from the former with ``merit0`` from the latter, so the two must agree."""
+    from the former with ``merit0`` from the latter, so the two must agree,
+    under full measurement weights too."""
     rng = np.random.Generator(np.random.PCG64(15))
+    P, V = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
+    full = replace(benchmark_instance, P=P @ P.T + np.eye(3), V=V @ V.T + 0.1 * np.eye(2))
     partition = sm.build_partition(25, n_sub, 3)
-    run = problem.subproblem(benchmark_instance, partition, range(partition.N))
-    subs = sm.split_instance(benchmark_instance, partition)
-    guess = problem.lift(benchmark_instance.initial_guess, partition)
-    for scale in (0.0, 0.05, 0.5):
-        y = guess + scale * rng.standard_normal(guess.shape)
-        for sub, x in [(run, y), *zip(subs, partition.split(y))]:
-            ev = problem.evaluate_stack(sub, x)
-            np.testing.assert_array_equal(residual_vector(sub, x), ev.b)
-            np.testing.assert_array_equal(constraint_vector(sub, x), ev.F.reshape(-1))
+    for instance in (benchmark_instance, full):
+        run = problem.subproblem(instance, partition, range(partition.N))
+        subs = sm.split_instance(instance, partition)
+        guess = problem.lift(instance.initial_guess, partition)
+        for scale in (0.0, 0.05, 0.5):
+            y = guess + scale * rng.standard_normal(guess.shape)
+            for sub, x in [(run, y), *zip(subs, partition.split(y))]:
+                ev = problem.evaluate_stack(sub, x)
+                np.testing.assert_array_equal(residual_vector(sub, x), ev.b)
+                np.testing.assert_array_equal(constraint_vector(sub, x), ev.F.reshape(-1))
 
 
 def test_each_form_makes_only_the_model_calls_it_needs(benchmark_instance):
@@ -575,6 +576,18 @@ def test_problem_calls_h_and_f_in_one_function_each():
         "h": ["_residuals"], "f": ["_defects"], "h_and_jac": ["_residuals"],
         "f_and_jac": ["_defects"],
     }
+
+
+def test_problem_weights_the_measurements_in_one_function():
+    # V^-1/2 multiplies [h(x) - y | dh/dx] in _residuals alone, so a state's
+    # weighted rows have the same bits in every run and on both paths;
+    # MheInstance and subproblem only build it
+    tree = ast.parse(Path(problem.__file__).read_text())
+    readers = [
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any(getattr(n, "attr", None) == "v_inv_sqrt" for n in ast.walk(node))
+    ]
+    assert readers == ["MheInstance", "subproblem", "_residuals"]
 
 
 def test_problem_module_imports_no_scipy():

@@ -76,6 +76,9 @@ SWEEP_HEADER = [
     "status",
 ]
 
+# the self-check's one seed, for its model samples, QP blocks and scenario
+_SELF_CHECK_SEED = 7
+
 # the failures a solve can meet on valid input; callers record or report them
 NUMERICAL_ERRORS = (FactorizationError, OriginSingularityError)
 
@@ -267,48 +270,37 @@ def run_receding_horizon(
 ) -> list[WindowOutcome]:
     """Slide the window over the scenario, warm-starting each solve.
 
-    The next window's primal guess is the previous solution shifted one step
-    (with a forward-propagated tail state) and its prior anchor is the previous
-    window's smoothed estimate of the state leaving the window. Windows that
-    fail numerically are recorded with their error and the loop restarts cold.
+    A window's primal guess is the previous solution shifted one step (with a
+    forward-propagated tail state) and its prior anchor is the previous
+    window's smoothed estimate of the state leaving the window. The first
+    window, and a window after one that failed numerically, start cold; a
+    failed window is recorded with its error.
     """
     check_count("horizon", horizon, 1, ScenarioError)
     check_count("scenario steps", scenario.steps, horizon, ScenarioError)
     model = robot_model(T=scenario.T)
     outcomes: list[WindowOutcome] = []
-    guess: Array | None = None
-    prior: Array | None = None
     for l in range(horizon, scenario.steps + 1):
+        guess = prior = None
+        if outcomes and outcomes[-1].result is not None:
+            X = outcomes[-1].result.trajectory
+            guess = np.vstack([X[1:], model.f(X[-1], scenario.controls[l - 1])])
+            prior = X[1].copy()
         try:
             result = solve_window(
                 scenario, l, cfg, n_subwindows, horizon, prior=prior, initial_guess=guess
             )
+            outcome = WindowOutcome(
+                window_end=l, status=result.status, iterations=result.iterations,
+                estimate=result.trajectory[-1].copy(), result=result,
+            )
         except NUMERICAL_ERRORS as exc:
-            outcomes.append(
-                WindowOutcome(
-                    window_end=l,
-                    status="error",
-                    iterations=0,
-                    estimate=np.full(model.nx, np.nan),
-                    result=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            outcome = WindowOutcome(
+                window_end=l, status="error", iterations=0,
+                estimate=np.full(model.nx, np.nan), result=None,
+                error=f"{type(exc).__name__}: {exc}",
             )
-            guess = prior = None
-            continue
-        outcomes.append(
-            WindowOutcome(
-                window_end=l,
-                status=result.status,
-                iterations=result.iterations,
-                estimate=result.trajectory[-1].copy(),
-                result=result,
-            )
-        )
-        if l < scenario.steps:
-            tail = model.f(result.trajectory[-1], scenario.controls[l])
-            guess = np.vstack([result.trajectory[1:], tail])
-            prior = result.trajectory[1].copy()
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -336,35 +328,30 @@ def sweep_subwindows(
     )
     reference = solve_window(scenario, window_end, baseline_cfg, horizon=horizon).trajectory
 
+    run_cfg = replace(cfg, tol=0.0, max_iter=iters)
     rows: list[SweepRow] = []
     for n in n_values:
-        run_cfg = replace(cfg, tol=0.0, max_iter=iters)
         t0 = time.perf_counter()
         try:
             result = solve_window(
                 scenario, window_end, run_cfg, n, horizon, reference=reference
             )
         except NUMERICAL_ERRORS:
-            rows.append(
-                SweepRow(
-                    n_subwindows=n,
-                    iters_to_tol=None,
-                    total_wall_ms=1e3 * (time.perf_counter() - t0),
-                    mean_local_ms=float("nan"),
-                    mean_qp_ms=float("nan"),
-                    final_error=None,
-                    status="error",
-                )
-            )
-            continue
+            result = None
         total_ms = 1e3 * (time.perf_counter() - t0)
-        reached = [
-            rec.iteration
-            for rec in result.records
-            if rec.dist_to_ref is not None and rec.dist_to_ref <= cfg.tol
-        ]
-        rows.append(
-            SweepRow(
+        if result is None:
+            row = SweepRow(
+                n_subwindows=n, iters_to_tol=None, total_wall_ms=total_ms,
+                mean_local_ms=float("nan"), mean_qp_ms=float("nan"), final_error=None,
+                status="error",
+            )
+        else:
+            reached = [
+                rec.iteration
+                for rec in result.records
+                if rec.dist_to_ref is not None and rec.dist_to_ref <= cfg.tol
+            ]
+            row = SweepRow(
                 n_subwindows=n,
                 iters_to_tol=min(reached) if reached else None,
                 total_wall_ms=total_ms,
@@ -373,7 +360,7 @@ def sweep_subwindows(
                 final_error=result.records[-1].dist_to_ref,
                 status=result.status,
             )
-        )
+        rows.append(row)
     return rows
 
 
@@ -503,13 +490,13 @@ def read_sweep_csv(path: str | Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def run_self_check(seed: int = 7) -> list[tuple[str, bool, str]]:
+def run_self_check() -> list[tuple[str, bool, str]]:
     """Fast internal consistency suite: derivative checks, QP oracle agreement,
     and split/centralized identities. Returns (name, passed, detail) items."""
     checks: list[tuple[str, bool, str]] = []
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_SELF_CHECK_SEED))
 
-    worst = fd_check(robot_model(), num_points=50, seed=seed)
+    worst = fd_check(robot_model(), num_points=50, seed=_SELF_CHECK_SEED)
     checks.append(
         ("model-derivatives", worst <= 1e-6, f"max relative error {worst:.3e} (limit 1e-6)")
     )
@@ -530,7 +517,7 @@ def run_self_check(seed: int = 7) -> list[tuple[str, bool, str]]:
         ("qp-oracle", worst_qp <= 1e-9, f"max relative deviation {worst_qp:.3e} (limit 1e-9)")
     )
 
-    scenario = generate_scenario(steps=12, seed=seed)
+    scenario = generate_scenario(steps=12, seed=_SELF_CHECK_SEED)
     instance = window_instance(scenario, 12, horizon=12)
     partition = build_partition(12, 3, 3)
     subs = split_instance(instance, partition)

@@ -612,6 +612,43 @@ def test_receding_horizon_records_a_singular_local_solve_and_restarts_cold(monke
     assert starts[2] == (None, None)
 
 
+def test_receding_horizon_starts_each_window_by_one_rule(monkeypatch):
+    """A window after a solved one starts from its one-step shift, prior ``X[1]``
+    and guess ``[X[1:]; f(X[-1], u)]``; the first window and a window after a
+    failed one start cold; and the last window forms no tail."""
+    starts, built = {}, []
+
+    def factory(T=0.2, _build=harness.robot_model):
+        built.append(Counter())
+        return counting_model(_build(T=T), built[-1])
+
+    def solve_window(scenario, l, *args, prior=None, initial_guess=None):
+        starts[l] = (prior, initial_guess)
+        if l == 12:
+            raise FactorizationError("forced failure")
+        return sm.solve_window(scenario, l, *args, prior=prior, initial_guess=initial_guess)
+
+    scenario = sm.generate_scenario(steps=14, seed=0)
+    monkeypatch.setattr(harness, "robot_model", factory)
+    monkeypatch.setattr(harness, "solve_window", solve_window)
+    cfg = sm.SolverConfig(algorithm="dsqp", max_iter=2)
+    outcomes = sm.run_receding_horizon(scenario, cfg, 2, 10)
+    assert [oc.window_end for oc in outcomes] == list(starts) == [10, 11, 12, 13, 14]
+    assert [oc.result is None for oc in outcomes] == [False, False, True, False, False]
+    f = sm.robot_model(T=scenario.T).f
+    for l, before in zip(range(11, 15), outcomes):
+        prior, guess = starts[l]
+        if before.result is None:
+            assert prior is None and guess is None
+            continue
+        X = before.result.trajectory
+        np.testing.assert_array_equal(prior, X[1])
+        np.testing.assert_array_equal(guess, np.vstack([X[1:], f(X[-1], scenario.controls[l - 1])]))
+    assert starts[10] == (None, None)
+    # the loop's own model, built before any window's, forms the three tails and no more
+    assert built[0]["f"] == 3
+
+
 def test_sweep_records_a_numerical_failure_as_an_error_row(
     benchmark_scenario, tmp_path, monkeypatch
 ):

@@ -74,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma-alpha", type=float, default=0.01)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
+    sim.set_defaults(run=_cmd_simulate)
 
     def add_solver_options(p, sweep=False):
         p.add_argument("--scenario", required=True)
@@ -94,19 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--window-end", type=int, default=None)
     slv.add_argument("--log", default=None, help="write per-iteration convergence CSV here")
     slv.add_argument("--out", default=None, help="write the result JSON here")
+    slv.set_defaults(run=_cmd_solve)
 
     est = sub.add_parser("estimate", help="receding-horizon estimation over the scenario")
     add_solver_options(est)
     est.add_argument("--out", required=True)
+    est.set_defaults(run=_cmd_estimate)
 
     swp = sub.add_parser("sweep", help="fixed-iteration benchmark over sub-window counts")
     add_solver_options(swp, sweep=True)
     swp.add_argument("--window-end", type=int, default=None)
     swp.add_argument("--iters", type=int, default=50)
-    swp.set_defaults(max_iter=SolverConfig.max_iter)  # unused: every run takes --iters
+    # max_iter is unused: every run takes --iters
+    swp.set_defaults(max_iter=SolverConfig.max_iter, run=_cmd_sweep)
     swp.add_argument("--out", required=True)
 
-    sub.add_parser("check", help="run the internal consistency suite")
+    sub.add_parser("check", help="run the internal consistency suite").set_defaults(run=_cmd_check)
     return parser
 
 
@@ -210,15 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    handlers = {
-        "simulate": _cmd_simulate,
-        "solve": _cmd_solve,
-        "estimate": _cmd_estimate,
-        "sweep": _cmd_sweep,
-        "check": _cmd_check,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -382,23 +382,13 @@ def _write_json(payload: dict, path: str | Path) -> Path:
     return path
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(header: list[str], rows: list[list], path: str | Path) -> Path:
+    """``csv`` writes ``None`` as an empty cell and a float as its ``repr``."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        writer.writerows(rows)
     return path
 
 

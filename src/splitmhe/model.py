@@ -221,17 +221,8 @@ def gaussian_draws(seed: int, count: int) -> Array:
 def central_jacobian(func: Callable[[Array], Array], x: Array) -> Array:
     """Central-difference Jacobian of a vector function, with step ``_FD_STEP``."""
     x = np.asarray(x, dtype=float)
-    y0 = np.atleast_1d(np.asarray(func(x), dtype=float))
-    out = np.zeros((y0.size, x.size))
-    for k in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += _FD_STEP
-        xm[k] -= _FD_STEP
-        yp = np.atleast_1d(np.asarray(func(xp), dtype=float))
-        ym = np.atleast_1d(np.asarray(func(xm), dtype=float))
-        out[:, k] = (yp - ym) / (2.0 * _FD_STEP)
-    return out
+    columns = [np.atleast_1d(func(x + e) - func(x - e)) for e in _FD_STEP * np.eye(x.size)]
+    return np.stack(columns, axis=1) / (2.0 * _FD_STEP)
 
 
 def _relative_error(analytic: Array, reference: Array) -> float:

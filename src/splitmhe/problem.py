@@ -334,17 +334,17 @@ def _residuals(sub: SubProblem, X: Array, jac: bool = False) -> tuple[Array, Arr
     """``b`` at a ``(states, nx)`` stack, ``P^-1/2 (x_0 - prior)`` first and then
     ``V^-1/2 (h(x) - y)`` per measured state in time order; and the measured
     states' ``(measured, ny, 1 + nx)`` weighted block ``V^-1/2 [h(x) - y | dh/dx]``,
-    from one 2-D product over all measured states, column 0 holding ``b``'s
-    measurement rows. Without ``jac`` only ``h`` is called and the ``dh/dx``
-    columns are zero, so both paths make the same ``gemm`` call and ``b`` is the
-    same, bit for bit, on both paths and in any run of sub-windows."""
+    a strided view of one 2-D product over all measured states, column 0
+    holding ``b``'s measurement rows. Without ``jac`` only ``h`` is called and
+    the ``dh/dx`` columns are zero, so both paths make the same ``gemm`` call and
+    ``b`` is the same, bit for bit, on both paths and in any run of sub-windows."""
     Xm, m = X.take(sub.measured, 0), sub.model
     hx, H = m.h_and_jac(Xm) if jac else (m.h(Xm), None)
     A = np.zeros((m.ny, len(Xm), 1 + m.nx))  # output-major: one gemm weights every state
     A[..., 0] = (hx - sub.measurements).T
     if jac:
         A[..., 1:] = H.swapaxes(0, 1)
-    R = sub.v_inv_sqrt.dot(A.reshape(m.ny, -1)).reshape(A.shape).swapaxes(0, 1).copy()
+    R = sub.v_inv_sqrt.dot(A.reshape(m.ny, -1)).reshape(A.shape).swapaxes(0, 1)
     b = R[..., 0].ravel()
     if sub.has_prior:
         b = np.concatenate((sub.p_inv_sqrt.dot(X[0] - sub.prior), b))

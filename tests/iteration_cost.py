@@ -2,11 +2,12 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/iteration_cost.py [--repeats 7] [--calls 3000]
 
-prints, for the benchmark window (L = 25, N = 4) and one long window
-(L = 400, N = 66), each phase of the iteration of ``solvers._drive``, in µs
-per call: the best of ``repeats`` runs of ``calls`` calls each, every phase
-timed alone on the data of the first iteration of a cold seed-0 window at
-``rho`` 1e3. The phases call what the driver calls, in its order:
+prints, for the benchmark window (L = 25, N = 4) and the long window
+(L = 400) at N = 1, the single-window iteration of ``centralized``, and at
+N = 66, each phase of the iteration of ``solvers._drive``, in µs per call:
+the best of ``repeats`` runs of ``calls`` calls each, every phase timed alone
+on the data of the first iteration of a cold seed-0 window at ``rho`` 1e3.
+The phases call what the driver calls, in its order:
 
 * ``evaluation``  -- ``evaluate_stack`` at the linearization point;
 * ``stack``       -- ``hessian_blocks``, the anchor ``coupling_residual`` and
@@ -52,8 +53,8 @@ from splitmhe.problem import coupling_residual, evaluate_stack, lift, subproblem
 PHASES = ("evaluation", "stack", "qp", "band", "stationarity", "record", "iteration")
 # the lines after the phases: their sum, the driver's remainder and the calls per iteration
 TOTALS = ("phases, sum", "remainder", "Python calls", "C calls")
-# (L, N) of the benchmark's rh-dsqp window and of its long-n66 window
-SHAPES = ((25, 4), (400, 66))
+# (L, N) of the benchmark's rh-dsqp, long-n1 and long-n66 windows
+SHAPES = ((25, 4), (400, 1), (400, 66))
 RHO = 1e3
 
 

@@ -807,6 +807,42 @@ def test_sweep_csv_round_trip(tmp_path):
     assert loaded[1]["iters_to_tol"] is None and loaded[1]["final_error"] is None
 
 
+def test_csv_writers_text(tmp_path):
+    # every float is its repr, every None an empty cell, every line ends in \r\n
+    record = sm.ConvergenceRecord(
+        np.int64(3), np.float64(np.nan), np.inf, -np.inf, -0.0, None, 1e16, np.float64(1e-5)
+    )
+    write_convergence_csv([record], tmp_path / "iters.csv")
+    assert (tmp_path / "iters.csv").read_bytes().decode() == (
+        ",".join(CONVERGENCE_HEADER) + "\r\n3,nan,inf,-inf,-0.0,,1e+16,1e-05\r\n"
+    )
+
+    scenario = sm.generate_scenario(steps=3, seed=0)
+    outcomes = [
+        sm.WindowOutcome(2, "converged", np.int64(7), np.array([1e16, -0.0, 1e-5]), None),
+        sm.WindowOutcome(3, "error", 0, np.array([np.nan, np.inf, -np.inf]), None, "e"),
+    ]
+    write_estimates_csv(scenario, outcomes, tmp_path / "estimates.csv")
+    t2, t3 = (",".join(repr(float(v)) for v in scenario.true_states[k]) for k in (2, 3))
+    err = repr(float(np.abs(outcomes[0].estimate - scenario.true_states[2]).max()))
+    assert (tmp_path / "estimates.csv").read_bytes().decode() == (
+        ",".join(ESTIMATES_HEADER) + "\r\n"
+        f"2,1e+16,-0.0,1e-05,{t2},{err},7,converged\r\n"
+        f"3,nan,inf,-inf,{t3},,0,error\r\n"
+    )
+
+    rows = [
+        sm.SweepRow(np.int64(4), None, np.float64(2.5), -0.0, 1e-300, np.nan, "error"),
+        sm.SweepRow(5, np.int64(12), np.inf, -np.inf, 1e16, 1e-5, "max_iter"),
+    ]
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes().decode() == (
+        ",".join(SWEEP_HEADER) + "\r\n"
+        "4,,2.5,-0.0,1e-300,nan,error\r\n"
+        "5,12,inf,-inf,1e+16,1e-05,max_iter\r\n"
+    )
+
+
 def test_self_check_passes():
     checks = sm.harness.run_self_check()
     for name, passed, detail in checks:

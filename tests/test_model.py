@@ -5,6 +5,7 @@ import pytest
 
 import splitmhe as sm
 from splitmhe.errors import OriginSingularityError
+from splitmhe.model import central_jacobian
 
 from helpers import fd_jacobian, rel_err
 
@@ -83,6 +84,30 @@ def test_curvature_contractions_symmetric_and_match_fd(robot):
         assert np.abs(d2h - d2h.T).max() == 0.0
         assert rel_err(d2f, fd_jacobian(lambda z: robot.df_dx(z, u).T @ wx, x)) < 1e-5
         assert rel_err(d2h, fd_jacobian(lambda z: robot.dh_dx(z).T @ wy, x)) < 1e-5
+
+
+def test_central_jacobian_of_linear_and_nonsquare_maps():
+    # a linear map's differences are exact up to roundoff
+    A = np.arange(12.0).reshape(3, 4) / 7.0 - 0.5
+    z = np.array([0.3, -1.2, 2.0, 0.5])
+    J = central_jacobian(lambda v: A @ v, z)
+    assert J.shape == (3, 4)
+    np.testing.assert_allclose(J, A, rtol=0.0, atol=1e-8)
+
+    # four outputs of two inputs: one column per input, one row per output
+    def g(v):
+        return np.array([v[0] * v[1], np.sin(v[0]), v[1] ** 2, np.exp(v[0] - v[1])])
+
+    z = np.array([0.7, -0.4])
+    exact = np.array([
+        [z[1], z[0]],
+        [np.cos(z[0]), 0.0],
+        [0.0, 2.0 * z[1]],
+        [np.exp(z[0] - z[1]), -np.exp(z[0] - z[1])],
+    ])
+    J = central_jacobian(g, z)
+    assert J.shape == (4, 2)
+    np.testing.assert_allclose(J, exact, rtol=0.0, atol=1e-8)
 
 
 def test_fd_check_robot_below_tolerance(robot):
